@@ -202,15 +202,14 @@ StormOutcome RunStorm(const STDataset& dataset,
       static_cast<double>(outcome.answered) / outcome.storm_seconds;
   outcome.inconsistent = inconsistent.load();
   outcome.rejected = rejected.load();
-  outcome.cross_shard_consistent = runtime.CrossShardConsistent();
-  outcome.pin_retries =
-      runtime.sharded() ? runtime.shards()->pin_retries() : 0;
+  outcome.cross_shard_consistent = runtime.shards().Consistent();
+  outcome.pin_retries = runtime.shards().pin_retries();
   outcome.telemetry = runtime.Telemetry();
 
   std::cout << label << ": " << outcome.answered << " queries in "
             << TablePrinter::Num(outcome.storm_seconds, 3) << " s ("
             << TablePrinter::Num(outcome.qps, 0) << " q/s)\n";
-  const auto cache_stats = runtime.cache().Stats();
+  const auto cache_stats = runtime.shards().CacheStats();
   std::cout << "  resolve cache: hit rate "
             << TablePrinter::Num(cache_stats.hit_rate() * 100.0, 1)
             << "% over " << (cache_stats.hits + cache_stats.misses)

@@ -1,8 +1,9 @@
-// Internal execution helpers shared by the legacy batch surface and the
-// QueryExecutor: the per-worker prediction-frame memo and the sharded
-// parallel-for policy. Kept in one place so the composable query path
-// evaluates terms with byte-identical arithmetic to the original
-// BatchPredict (same frame reads, same accumulation order).
+// Internal execution helpers shared by the QueryExecutor's exact cell
+// loop and the ShardExecutor's band-local scatter reads: the per-worker
+// prediction-frame memo and the sharded parallel-for policy. Kept in one
+// place so every gather path reads frames the same way and evaluates
+// terms with byte-identical arithmetic (same frame reads, same
+// accumulation order).
 #ifndef ONE4ALL_QUERY_FRAME_MEMO_H_
 #define ONE4ALL_QUERY_FRAME_MEMO_H_
 
@@ -32,26 +33,30 @@ class FrameMemo {
   FrameMemo(const PredictionStore* store, int64_t generation)
       : store_(store), generation_(generation) {}
 
+  /// \brief The frame of (layer, t), fetched from the store on first
+  /// use. The pointer stays valid until the next Get that misses.
+  Result<const Tensor*> Get(int layer, int64_t t) {
+    const Key key{layer, t};
+    auto it = std::lower_bound(
+        frames_.begin(), frames_.end(), key,
+        [](const Entry& e, const Key& k) { return e.first < k; });
+    if (it == frames_.end() || it->first != key) {
+      Result<Tensor> frame = store_->GetFrameAt(generation_, layer, t);
+      O4A_RETURN_NOT_OK(frame.status());
+      it = frames_.insert(it, Entry{key, frame.MoveValueUnsafe()});
+    }
+    return &it->second;
+  }
+
   /// \brief Sums signed term predictions at `t` (same term order as
   /// RegionQueryServer::EvaluateTerms, so values match it exactly).
   Status Evaluate(const std::vector<CombinationTerm>& terms, int64_t t,
                   double* value) {
     double acc = 0.0;
     for (const CombinationTerm& term : terms) {
-      const Key key{term.grid.layer, t};
-      auto it = std::lower_bound(frames_.begin(), frames_.end(), key,
-                                 [](const Entry& e, const Key& k) {
-                                   return e.first < k;
-                                 });
-      if (it == frames_.end() || it->first != key) {
-        Result<Tensor> frame =
-            store_->GetFrameAt(generation_, term.grid.layer, t);
-        O4A_RETURN_NOT_OK(frame.status());
-        it = frames_.insert(it,
-                            Entry{key, frame.MoveValueUnsafe()});
-      }
+      O4A_ASSIGN_OR_RETURN(const Tensor* frame, Get(term.grid.layer, t));
       acc += static_cast<double>(term.sign) *
-             it->second.at(term.grid.row, term.grid.col);
+             frame->at(term.grid.row, term.grid.col);
     }
     *value = acc;
     return Status::OK();

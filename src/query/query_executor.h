@@ -116,6 +116,10 @@ QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
                       bool cache_hit, double probe_micros,
                       double eval_micros, TraceContext* trace);
 
+/// \brief Adapts one executor row to the legacy per-query response
+/// shape (Predict, BatchPredict and the runtime's QueryBatch).
+Result<QueryResponse> RowToResponse(Result<QueryRow>&& row);
+
 /// \brief Stage 3: top-k rank over `result->rows` (no-op unless the plan
 /// is a kTopK spec). Ties break toward the lower row index.
 void RankTopK(const QueryPlan& plan, TraceContext* trace,

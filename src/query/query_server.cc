@@ -102,26 +102,6 @@ Result<double> RegionQueryServer::TryEvaluateTerms(
   return value;
 }
 
-namespace {
-
-/// \brief Adapts one executor row to the legacy per-query response shape.
-Result<QueryResponse> RowToResponse(Result<QueryRow>&& row) {
-  if (!row.ok()) return row.status();
-  QueryRow& r = *row;
-  QueryResponse response;
-  response.value = r.value;
-  response.num_pieces = r.num_pieces;
-  response.num_terms = r.num_terms;
-  response.decompose_micros = r.decompose_micros;
-  response.index_micros = r.index_micros;
-  response.eval_micros = r.eval_micros;
-  response.response_micros = r.response_micros;
-  response.from_cache = r.from_cache;
-  return response;
-}
-
-}  // namespace
-
 Result<QueryResponse> RegionQueryServer::Predict(
     const GridMask& region, int64_t t, QueryStrategy strategy,
     int64_t generation) const {
@@ -134,7 +114,7 @@ Result<QueryResponse> RegionQueryServer::Predict(
   QueryExecutorOptions options;
   options.generation = generation;
   QueryResult executed = QueryExecutor(this).Execute(plan, options);
-  return RowToResponse(std::move(executed.rows[0]));
+  return query_internal::RowToResponse(std::move(executed.rows[0]));
 }
 
 Result<std::shared_ptr<const ResolvedQuery>>
@@ -198,7 +178,7 @@ std::vector<Result<QueryResponse>> RegionQueryServer::BatchPredict(
   std::vector<Result<QueryResponse>> results;
   results.reserve(executed.rows.size());
   for (auto& row : executed.rows) {
-    results.push_back(RowToResponse(std::move(row)));
+    results.push_back(query_internal::RowToResponse(std::move(row)));
   }
   return results;
 }

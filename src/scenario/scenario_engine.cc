@@ -200,19 +200,19 @@ class EngineRun {
                  runtime.ingestor().status().ToString());
     AddInvariant("pinned_epoch_survived", pinned_epoch_survived_,
                  pinned_epoch_detail_);
+    ShardSet& shards = runtime.shards();
     AddInvariant("reclaimed_to_single_epoch",
-                 runtime.live_epochs() == 1,
-                 std::to_string(runtime.live_epochs()) +
+                 shards.max_live_epochs() == 1,
+                 std::to_string(shards.max_live_epochs()) +
                      " live epochs after shutdown");
-    if (runtime.sharded()) {
-      // Only sharded runs emit this invariant, so the verdicts (and
+    if (shards.num_shards() > 1) {
+      // Only multi-shard runs emit this invariant, so the verdicts (and
       // goldens) of every single-shard scenario are unchanged by the
       // sharding subsystem's existence.
-      AddInvariant(
-          "cross_shard_epoch_consistent", runtime.CrossShardConsistent(),
-          std::to_string(runtime.shards()->torn_pins()) +
-              " torn pins; published_t=" +
-              std::to_string(runtime.published_latest_t()));
+      AddInvariant("cross_shard_epoch_consistent", shards.Consistent(),
+                   std::to_string(shards.torn_pins()) +
+                       " torn pins; published_t=" +
+                       std::to_string(runtime.published_latest_t()));
     }
 
     verdict_.wall_ms = wall.ElapsedMicros() / 1e3;
@@ -251,11 +251,11 @@ class EngineRun {
             publisher_paused_ = true;
             break;
           case ScenarioFault::Kind::kWriteRefusal:
-            runtime_->SetWriteFault(
+            runtime_->shards().SetWriteFault(
                 Status::IOError("injected: store refusing writes"));
             break;
           case ScenarioFault::Kind::kSlowReader:
-            pinned_ = runtime_->PinEpoch();
+            pinned_ = runtime_->shards().PinAll();
             break;
           case ScenarioFault::Kind::kAdmissionSaturation:
             break;  // handled per tick in the main loop
@@ -268,7 +268,7 @@ class EngineRun {
             publisher_paused_ = false;
             break;
           case ScenarioFault::Kind::kWriteRefusal:
-            runtime_->ClearWriteFault();
+            runtime_->shards().ClearWriteFault();
             break;
           case ScenarioFault::Kind::kSlowReader:
             CheckPinnedEpochThenRelease();
@@ -280,26 +280,35 @@ class EngineRun {
     }
   }
 
-  /// The slow-reader invariant: every frame (and SAT plane) of the
-  /// pinned generation must still be readable after newer epochs
-  /// published and reclaimed their predecessors.
+  /// The slow-reader invariant: on every shard, the layer-1 frame (and
+  /// SAT plane) of the pinned generation's newest timestep must still be
+  /// readable after newer epochs published and reclaimed their
+  /// predecessors. A pin that served no timestep checks nothing, so it
+  /// fails the invariant rather than passing it vacuously.
   void CheckPinnedEpochThenRelease() {
     if (!pinned_.pinned()) return;
-    const int64_t generation = pinned_.generation();
     const int64_t latest = pinned_.latest_t();
-    if (latest >= 0) {
-      PredictionStore& store = runtime_->store();
+    if (latest < 0) {
+      pinned_epoch_survived_ = false;
+      pinned_epoch_detail_ =
+          "slow reader pinned an epoch serving no timestep";
+    }
+    ShardSet& shards = runtime_->shards();
+    for (int k = 0; k < shards.num_shards() && pinned_epoch_survived_; ++k) {
+      const PredictionStore& store = shards.shard(k).store;
+      const int64_t generation = pinned_.generation(k);
+      const std::string where = "(shard " + std::to_string(k) + ", gen " +
+                                std::to_string(generation) + ", layer 1, t " +
+                                std::to_string(latest) + ")";
       if (!store.HasFrameAt(generation, 1, latest)) {
         pinned_epoch_survived_ = false;
-        pinned_epoch_detail_ = "frame (gen " + std::to_string(generation) +
-                               ", layer 1, t " + std::to_string(latest) +
-                               ") reclaimed under an active pin";
+        pinned_epoch_detail_ =
+            "frame " + where + " reclaimed under an active pin";
       } else if (spec_.serving.sat_planes &&
                  !store.HasSatPlaneAt(generation, 1, latest)) {
         pinned_epoch_survived_ = false;
         pinned_epoch_detail_ =
-            "SAT plane (gen " + std::to_string(generation) + ", layer 1, t " +
-            std::to_string(latest) + ") reclaimed under an active pin";
+            "SAT plane " + where + " reclaimed under an active pin";
       }
     }
     pinned_.Release();
@@ -576,7 +585,7 @@ class EngineRun {
   int64_t start_t_ = 0;
   int64_t granted_ = 0;  ///< publish attempts granted so far
   bool publisher_paused_ = false;
-  EpochGuard pinned_;  ///< the slow reader's held epoch
+  ShardPinSet pinned_;  ///< the slow reader's held epochs, one per shard
 
   bool rejections_well_typed_ = true;
   std::string bad_rejection_;

@@ -187,36 +187,7 @@ void FrameEpochManager::Publish(Staging&& staging) {
       }
     }
   }
-  if (telemetry_ != nullptr) {
-    telemetry_->epochs_published.fetch_add(1, std::memory_order_relaxed);
-  }
   Reclaim(reclaimable);
-}
-
-Status FrameEpochManager::StageAndPublish(int64_t t,
-                                          const std::vector<Tensor>& frames,
-                                          const DirtyTileSets* dirty,
-                                          bool carry_forward,
-                                          TraceContext* trace) {
-  Staging staging = BeginEpoch(carry_forward);
-  staging.set_trace(trace);
-  Status status;
-  {
-    ScopedSpan stage_span(trace, SpanName::kStageFrames,
-                          static_cast<int64_t>(frames.size()));
-    for (size_t i = 0; i < frames.size() && status.ok(); ++i) {
-      const TileDirtySet* layer_dirty =
-          dirty != nullptr && i < dirty->size() ? &(*dirty)[i] : nullptr;
-      status = staging.TryStageFrame(static_cast<int>(i) + 1, t, frames[i],
-                                     layer_dirty);
-    }
-  }
-  if (status.ok()) {
-    ScopedSpan flip_span(trace, SpanName::kPublish);
-    Publish(std::move(staging));
-  }
-  // else: `staging` aborts itself going out of scope.
-  return status;
 }
 
 void FrameEpochManager::Abort(Staging&& staging) {

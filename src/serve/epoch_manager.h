@@ -17,8 +17,8 @@
 
 #include "kvstore/prediction_store.h"
 #include "obs/trace.h"
-#include "serve/epoch_sink.h"
 #include "serve/telemetry.h"
+#include "tensor/tiled_sat.h"
 
 namespace one4all {
 
@@ -84,15 +84,17 @@ class EpochGuard {
 /// staging/publishing writer (concurrent writers are also safe — the
 /// last publish wins). Generation 0 is the initial published epoch; its
 /// latest_t is whatever the constructor is told was pre-synced there.
-class FrameEpochManager : public EpochSink {
+class FrameEpochManager {
  public:
   /// \param store Must outlive the manager.
-  /// \param telemetry Optional counter sink (epochs published/reclaimed,
-  /// frames staged); must outlive the manager when non-null.
+  /// \param telemetry Optional sink for this manager's per-generation
+  /// work: frames staged, SAT planes built, dirty/CoW-shared tiles and
+  /// epochs reclaimed. Publishes are not counted here — ShardSet counts
+  /// one per barrier flip. Must outlive the manager when non-null.
   explicit FrameEpochManager(PredictionStore* store,
                              ServingTelemetry* telemetry = nullptr,
                              FrameEpochManagerOptions options = {});
-  ~FrameEpochManager() override;
+  ~FrameEpochManager();
 
   FrameEpochManager(const FrameEpochManager&) = delete;
   FrameEpochManager& operator=(const FrameEpochManager&) = delete;
@@ -181,16 +183,6 @@ class FrameEpochManager : public EpochSink {
 
   /// \brief Discards a staged epoch without publishing.
   void Abort(Staging&& staging);
-
-  /// \brief EpochSink: BeginEpoch + stage every layer frame (with
-  /// kStageFrames/kPublish spans under `trace`, delta-staged per layer
-  /// when `dirty` is given) + Publish; a store write refusal aborts the
-  /// whole staging and is returned as the retryable Status the ingest
-  /// loop absorbs.
-  Status StageAndPublish(int64_t t, const std::vector<Tensor>& frames,
-                         const DirtyTileSets* dirty, bool carry_forward,
-                         TraceContext* trace) override;
-  using EpochSink::StageAndPublish;
 
   /// \brief Pins the currently published epoch.
   EpochGuard Pin();

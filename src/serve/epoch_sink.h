@@ -1,8 +1,8 @@
-// The publication seam between the stream ingestor and whatever epoch
-// substrate serves queries: the single-process FrameEpochManager, or a
-// ShardSet that slices each frame across N band-partitioned shards and
-// flips them behind one barrier. The ingestor only ever sees this
-// interface, so sharding is invisible to the ingest loop.
+// The publication seam between the stream ingestor and the epoch
+// substrate that serves queries: a ShardSet, which slices each frame
+// across its N band-partitioned shards (one shard holds the whole
+// frame) and flips them behind one barrier. The ingestor only ever sees
+// this interface, so the shard count is invisible to the ingest loop.
 #ifndef ONE4ALL_SERVE_EPOCH_SINK_H_
 #define ONE4ALL_SERVE_EPOCH_SINK_H_
 

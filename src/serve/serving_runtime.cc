@@ -36,6 +36,24 @@ class MemoTapSink : public EpochSink {
   TopKMemo* memo_;
 };
 
+/// The shard set's options: one shard keeps the configured resolve-
+/// cache capacity; N shards partition it so turning sharding on does not
+/// silently multiply the cache budget.
+ShardSetOptions MakeShardSetOptions(const ServingRuntimeOptions& options,
+                                    TraceRecorder* trace) {
+  ShardSetOptions shard_options;
+  shard_options.retain_timesteps = options.retain_timesteps;
+  shard_options.build_sat_planes = options.build_sat_planes;
+  shard_options.cache = options.cache;
+  if (options.num_shards > 1) {
+    shard_options.cache.capacity = std::max<size_t>(
+        options.cache.capacity / static_cast<size_t>(options.num_shards),
+        64);
+  }
+  shard_options.trace = trace;
+  return shard_options;
+}
+
 }  // namespace
 
 ServingRuntime::ServingRuntime(const Hierarchy* hierarchy,
@@ -44,40 +62,21 @@ ServingRuntime::ServingRuntime(const Hierarchy* hierarchy,
                                FrameInference inference,
                                ServingRuntimeOptions options)
     : hierarchy_(hierarchy),
-      dataset_(dataset),
       options_(options),
       trace_(options.trace != nullptr ? options.trace
                                       : &TraceRecorder::Global()),
-      epochs_(&store_, &telemetry_,
-              FrameEpochManagerOptions{-1, options.retain_timesteps,
-                                       options.build_sat_planes, trace_}),
-      cache_(options.cache),
-      topk_memo_(hierarchy) {
+      topk_memo_(hierarchy),
+      shards_(hierarchy, options.num_shards, &telemetry_,
+              MakeShardSetOptions(options, trace_)) {
   O4A_CHECK(hierarchy != nullptr);
   O4A_CHECK(index != nullptr);
   O4A_CHECK(dataset != nullptr);
   O4A_CHECK_GT(options_.max_inflight_queries, 0);
-  server_ = std::make_unique<RegionQueryServer>(hierarchy, index, &store_);
-  if (options_.num_shards > 1) {
-    ShardSetOptions shard_options;
-    shard_options.retain_timesteps = options_.retain_timesteps;
-    shard_options.build_sat_planes = options_.build_sat_planes;
-    shard_options.cache = options_.cache;
-    // Partition the configured resolve-cache capacity across shards so
-    // turning sharding on does not silently multiply the cache budget.
-    shard_options.cache.capacity = std::max<size_t>(
-        options_.cache.capacity / static_cast<size_t>(options_.num_shards),
-        64);
-    shard_options.trace = trace_;
-    shards_ = std::make_unique<ShardSet>(hierarchy, options_.num_shards,
-                                         &telemetry_, shard_options);
-  }
+  server_ = std::make_unique<RegionQueryServer>(hierarchy, index,
+                                                &shards_.shard(0).store);
   StreamIngestorOptions ingest_options = options.ingest;
   ingest_options.trace = trace_;
-  EpochSink* sink = shards_ != nullptr
-                        ? static_cast<EpochSink*>(shards_.get())
-                        : static_cast<EpochSink*>(&epochs_);
-  publish_tap_ = std::make_unique<MemoTapSink>(sink, &topk_memo_);
+  publish_tap_ = std::make_unique<MemoTapSink>(&shards_, &topk_memo_);
   ingestor_ = std::make_unique<StreamIngestor>(dataset, std::move(inference),
                                                publish_tap_.get(),
                                                &telemetry_, ingest_options);
@@ -131,42 +130,24 @@ Result<std::vector<Result<QueryResponse>>> ServingRuntime::QueryBatch(
   O4A_RETURN_NOT_OK(admitted);
   telemetry_.CountSpec(QuerySpecKind::kPointBatch);
 
-  std::vector<Result<QueryResponse>> results;
-  if (shards_ != nullptr) {
-    // Cross-shard pin through the barrier: the pin set holds one epoch
-    // per shard, all serving the same timestep, for the whole batch.
-    ShardPinSet pins = shards_->PinAll(&trace_ctx);
-    ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin,
-                        pins.generation(0));
-    pin_span.Close();
-    ShardExecutorOptions exec_options;
-    exec_options.num_threads = options_.num_query_threads;
-    exec_options.trace = &trace_ctx;
-    std::shared_lock<std::shared_mutex> server_lock(server_mu_);
-    ScopedSpan gather_span(&trace_ctx, SpanName::kGather, n);
-    results = ShardExecutor(server_.get(), shards_.get())
-                  .ExecuteBatch(queries, options_.strategy, pins,
-                                exec_options);
-  } else {
-    // Pin one epoch for the whole batch: every frame read below goes
-    // through its generation, so the batch can never mix a half-
-    // published timestep into its answers.
-    ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin);
-    EpochGuard epoch = epochs_.Pin();
-    pin_span.set_arg(epoch.generation());
-    pin_span.Close();
-    BatchOptions batch_options;
-    batch_options.num_threads = options_.num_query_threads;
-    batch_options.cache = &cache_;
-    batch_options.generation = epoch.generation();
-    std::shared_lock<std::shared_mutex> server_lock(server_mu_);
-    ScopedSpan gather_span(&trace_ctx, SpanName::kGather, n);
-    results = server_->BatchPredict(queries, options_.strategy,
-                                    batch_options);
+  Result<QueryPlan> plan = Status::Internal("not planned");
+  {
+    ScopedSpan plan_span(&trace_ctx, SpanName::kPlan, n);
+    plan = QueryPlanner(hierarchy_).PlanBatch(queries, options_.strategy);
   }
+  if (!plan.ok()) {
+    ReleaseQueries(n);
+    return plan.status();
+  }
+  QueryResult result = ExecutePinned(*plan, &trace_ctx);
   ReleaseQueries(n);
-  RecordRowOutcomes(results);
-  return results;
+  RecordRowOutcomes(result.rows);
+  std::vector<Result<QueryResponse>> responses;
+  responses.reserve(result.rows.size());
+  for (Result<QueryRow>& row : result.rows) {
+    responses.push_back(query_internal::RowToResponse(std::move(row)));
+  }
+  return responses;
 }
 
 Result<QueryResponse> ServingRuntime::Query(const GridMask& region,
@@ -196,9 +177,9 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
   // whether any publish since the memoized evaluation touched its term
   // footprint. Clean rows carry their value over; only churned rows are
   // re-gathered (as a multi-region sub-spec), and the ranking is
-  // re-sorted over the merged set. Unsharded only for now — the
-  // sharded barrier does not feed the memo (see ROADMAP).
-  const bool memo_eligible = shards_ == nullptr &&
+  // re-sorted over the merged set. Single shard only for now; this is
+  // the one topology test in ExecuteSpec.
+  const bool memo_eligible = shards_.num_shards() == 1 &&
                              kind == QuerySpecKind::kTopK &&
                              spec.time.IsPoint();
   TopKMemo::Probe probe;
@@ -280,37 +261,7 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
     return plan.status();
   }
 
-  QueryResult result;
-  if (shards_ != nullptr) {
-    // Same consistency contract, barrier edition: the pin set's shards
-    // all serve one timestep, so a time-range answer can never mix two
-    // barrier flips' frames — across shards or within one.
-    ShardPinSet pins = shards_->PinAll(&trace_ctx);
-    ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin,
-                        pins.generation(0));
-    pin_span.Close();
-    ShardExecutorOptions exec_options;
-    exec_options.num_threads = options_.num_query_threads;
-    exec_options.trace = &trace_ctx;
-    std::shared_lock<std::shared_mutex> server_lock(server_mu_);
-    result = ShardExecutor(server_.get(), shards_.get())
-                 .Execute(*plan, pins, exec_options);
-  } else {
-    // Same consistency contract as QueryBatch: one pinned epoch covers
-    // every frame gather of the plan, so a time-range answer can never
-    // mix two epochs' frames.
-    ScopedSpan pin_span(&trace_ctx, SpanName::kEpochPin);
-    EpochGuard epoch = epochs_.Pin();
-    pin_span.set_arg(epoch.generation());
-    pin_span.Close();
-    QueryExecutorOptions exec_options;
-    exec_options.num_threads = options_.num_query_threads;
-    exec_options.cache = &cache_;
-    exec_options.generation = epoch.generation();
-    exec_options.trace = &trace_ctx;
-    std::shared_lock<std::shared_mutex> server_lock(server_mu_);
-    result = QueryExecutor(server_.get()).Execute(*plan, exec_options);
-  }
+  QueryResult result = ExecutePinned(*plan, &trace_ctx);
   if (probe.hit) {
     // Merge: memoized clean rows + freshly gathered churned rows, then
     // re-rank the full set with RankTopK's exact ordering.
@@ -339,19 +290,58 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
   return result;
 }
 
+QueryResult ServingRuntime::ExecutePinned(const QueryPlan& plan,
+                                          TraceContext* trace) {
+  // One consistency contract for every topology: the pin set holds one
+  // epoch per shard, all serving the same timestep, for the whole plan,
+  // so no answer (a time range included) mixes two publishes' frames.
+  ScopedSpan pin_span(trace, SpanName::kEpochPin);
+  const ShardPinSet pins = shards_.PinAll(trace);
+  pin_span.set_arg(pins.generation(0));
+  pin_span.Close();
+  std::shared_lock<std::shared_mutex> server_lock(server_mu_);
+  if (shards_.num_shards() == 1) {
+    QueryExecutorOptions exec_options;
+    exec_options.num_threads = options_.num_query_threads;
+    exec_options.cache = &shards_.shard(0).cache;
+    exec_options.generation = pins.generation(0);
+    exec_options.trace = trace;
+    return QueryExecutor(server_.get()).Execute(plan, exec_options);
+  }
+  ShardExecutorOptions exec_options;
+  exec_options.num_threads = options_.num_query_threads;
+  exec_options.trace = trace;
+  return ShardExecutor(server_.get(), &shards_)
+      .Execute(plan, pins, exec_options);
+}
+
+void ServingRuntime::RecordRowOutcomes(
+    const std::vector<Result<QueryRow>>& rows) {
+  int64_t served = 0, failed = 0;
+  for (const auto& row : rows) {
+    if (row.ok()) {
+      ++served;
+      telemetry_.query_latency.Record(row.ValueOrDie().response_micros);
+    } else {
+      ++failed;
+    }
+  }
+  telemetry_.queries_served.fetch_add(served, std::memory_order_relaxed);
+  telemetry_.queries_failed.fetch_add(failed, std::memory_order_relaxed);
+}
+
 void ServingRuntime::SwapIndex(const ExtendedQuadTree* index) {
   O4A_CHECK(index != nullptr);
   {
     std::unique_lock<std::shared_mutex> server_lock(server_mu_);
     server_ = std::make_unique<RegionQueryServer>(hierarchy_, index,
-                                                  &store_);
+                                                  &shards_.shard(0).store);
   }
   // Resolutions embed index lookups, so a topology swap is the one event
-  // that clears the resolve cache (epoch rolls must not — resolution is
+  // that clears the resolve caches (epoch rolls must not — resolution is
   // time-independent). Memoized top-k values embed resolutions too.
-  cache_.Invalidate();
+  shards_.InvalidateCaches();
   topk_memo_.Invalidate();
-  if (shards_ != nullptr) shards_->InvalidateCaches();
 }
 
 }  // namespace one4all

@@ -1,12 +1,12 @@
 // The online serving runtime façade (paper Sec. III, grown into a real
 // continuously-running service): composes the stream ingestor, the
-// epoch-versioned prediction store and the region query server behind
-// one object. Query batches are admission-controlled (bounded in-flight
-// budget, reject-with-Status on overload), pin one epoch for their whole
-// duration (never observing torn half-synced timesteps), share a
-// resolve cache that survives epoch rolls (resolution is
-// time-independent), and feed a telemetry block of atomic counters and
-// latency histograms.
+// epoch-versioned shard set (one shard by default, N row bands when
+// sharded) and the region query server behind one object. Query batches
+// are admission-controlled (bounded in-flight budget, reject-with-Status
+// on overload), pin every shard's epoch for their whole duration (never
+// observing torn half-synced timesteps), share resolve caches that
+// survive epoch rolls (resolution is time-independent), and feed a
+// telemetry block of atomic counters and latency histograms.
 #ifndef ONE4ALL_SERVE_SERVING_RUNTIME_H_
 #define ONE4ALL_SERVE_SERVING_RUNTIME_H_
 
@@ -18,9 +18,7 @@
 #include "query/query_executor.h"
 #include "query/query_server.h"
 #include "query/query_spec.h"
-#include "query/resolved_query_cache.h"
 #include "query/topk_memo.h"
-#include "serve/epoch_manager.h"
 #include "serve/stream_ingestor.h"
 #include "shard/shard_set.h"
 
@@ -45,13 +43,16 @@ struct ServingRuntimeOptions {
   /// FrameEpochManagerOptions::build_sat_planes) so EvalPath::
   /// kSatFastPath specs answer rect-decomposable regions in O(#rects).
   bool build_sat_planes = true;
+  /// Resolve-cache geometry. One shard keeps exactly this capacity; N > 1
+  /// shards split it (capacity / N each, at least 64).
   ResolvedQueryCacheOptions cache;
-  /// Spatial shard count. 1 (the default) serves from the single
-  /// store/epoch-manager path, bit-for-bit as before. > 1 partitions the
-  /// grid into that many contiguous row-band shards (shard/shard_map.h),
-  /// each with its own store, epoch manager and resolve cache; the
-  /// ingestor publishes all bands behind one epoch barrier and queries
-  /// scatter-gather across them (results stay bit-identical to N=1).
+  /// Spatial shard count; every count serves through one ShardSet
+  /// (shard/shard_set.h). 1 (the default) is a single shard holding the
+  /// whole grid, queried by QueryExecutor (SAT fast path included). > 1
+  /// partitions the grid into that many contiguous row-band shards
+  /// (shard/shard_map.h), each with its own store, epoch manager and
+  /// resolve cache, queried by scatter-gather (results stay bit-identical
+  /// to N=1). The ingestor publishes all bands behind one epoch barrier.
   /// Clamped to the atomic grid height.
   int num_shards = 1;
   StreamIngestorOptions ingest;
@@ -104,64 +105,19 @@ class ServingRuntime {
   /// straight through to the plan, no mask copies.
   Result<QueryResult> ExecuteSpec(QuerySpec spec);
 
-  /// \brief Pins the current epoch (tests, multi-batch consistency).
-  /// Single-shard pin; sharded runtimes pin through shards()->PinAll().
-  EpochGuard PinEpoch() { return epochs_.Pin(); }
-
-  // -- Topology-agnostic serving-state facades ----------------------------
-  // Callers that only ask "what is served / is it healthy / inject a
-  // fault" go through these, so the same code drives a single epoch
-  // manager or an N-shard barrier without branching.
-
-  bool sharded() const { return shards_ != nullptr; }
-  /// \brief Effective shard count (after ShardMap clamping); 1 unsharded.
-  int num_shards() const {
-    return shards_ != nullptr ? shards_->num_shards() : 1;
-  }
-  /// \brief Newest published timestep (-1: none). Sharded: the barrier's
-  /// cross-shard published timestep.
+  /// \brief Newest barrier-published timestep (-1: none).
   int64_t published_latest_t() const {
-    return shards_ != nullptr ? shards_->published_latest_t()
-                              : epochs_.published_latest_t();
+    return shards_.published_latest_t();
   }
-  /// \brief Live epochs (sharded: the max across shards — 1 means every
-  /// shard reclaimed down to its published epoch).
-  int64_t live_epochs() const {
-    return shards_ != nullptr ? shards_->max_live_epochs()
-                              : epochs_.live_epochs();
-  }
-  /// \brief Store write-fault injection across the whole topology (every
-  /// shard's store, or the single store).
-  void SetWriteFault(Status fault) {
-    if (shards_ != nullptr) {
-      shards_->SetWriteFault(std::move(fault));
-    } else {
-      store_.SetWriteFault(std::move(fault));
-    }
-  }
-  void ClearWriteFault() {
-    if (shards_ != nullptr) {
-      shards_->ClearWriteFault();
-    } else {
-      store_.ClearWriteFault();
-    }
-  }
-  /// \brief The cross-shard epoch-consistency invariant: no pin ever
-  /// observed two timesteps, and all shards serve the same latest_t.
-  /// Trivially true unsharded.
-  bool CrossShardConsistent() const {
-    return shards_ == nullptr || shards_->Consistent();
-  }
-  /// \brief Sharded only: wall ms since shard k's last barrier flip.
-  double ShardPublishLagMs(int shard) const {
-    return shards_ != nullptr ? shards_->PublishLagMs(shard) : 0.0;
-  }
-  /// \brief The shard fleet; null when num_shards == 1.
-  ShardSet* shards() { return shards_.get(); }
+  /// \brief The serving state of every topology: pins (PinAll), fault
+  /// injection, live epochs, cache stats, per-shard lag and the
+  /// cross-shard consistency invariant.
+  ShardSet& shards() { return shards_; }
 
   /// \brief Swaps the quad-tree index (topology change, e.g. after a
   /// re-search). Resolutions depend on the index, so this invalidates
-  /// the resolve cache — the only event that does; epoch rolls never do.
+  /// the resolve caches — the only event that does; epoch rolls never
+  /// do.
   void SwapIndex(const ExtendedQuadTree* index);
 
   ServingTelemetrySnapshot Telemetry() const {
@@ -170,15 +126,10 @@ class ServingRuntime {
   ServingTelemetry& telemetry() { return telemetry_; }
   /// \brief The recorder every layer of this runtime emits spans into.
   TraceRecorder& trace_recorder() { return *trace_; }
-  ResolvedQueryCache& cache() { return cache_; }
   /// \brief The incremental top-k ranking memo (subscription reuse
   /// stats, test hooks). Fed by the publish path, probed by ExecuteSpec.
   TopKMemo& topk_memo() { return topk_memo_; }
-  FrameEpochManager& epochs() { return epochs_; }
   StreamIngestor& ingestor() { return *ingestor_; }
-  /// \brief The backing prediction store — exposed for fault injection
-  /// (SetWriteFault) and storage assertions in tests/scenarios.
-  PredictionStore& store() { return store_; }
   const ServingRuntimeOptions& options() const { return options_; }
 
  private:
@@ -191,46 +142,32 @@ class ServingRuntime {
   Status AdmitQueries(int64_t cost, int64_t num_queries);
   void ReleaseQueries(int64_t cost);
 
+  /// \brief The query step every entry point shares: PinAll, run
+  /// `plan` under the pin set, return the result. One shard runs
+  /// QueryExecutor on shard 0's store, pinned generation and cache (the
+  /// only executor with the SAT fast path); N > 1 runs ShardExecutor.
+  QueryResult ExecutePinned(const QueryPlan& plan, TraceContext* trace);
+
   /// \brief Records per-row outcomes (served/failed counts + response
-  /// latency) into the telemetry block. Works for both row shapes —
-  /// legacy QueryResponse and executor QueryRow.
-  template <typename Row>
-  void RecordRowOutcomes(const std::vector<Result<Row>>& rows) {
-    int64_t served = 0, failed = 0;
-    for (const auto& row : rows) {
-      if (row.ok()) {
-        ++served;
-        telemetry_.query_latency.Record(row.ValueOrDie().response_micros);
-      } else {
-        ++failed;
-      }
-    }
-    telemetry_.queries_served.fetch_add(served, std::memory_order_relaxed);
-    telemetry_.queries_failed.fetch_add(failed, std::memory_order_relaxed);
-  }
+  /// latency) into the telemetry block.
+  void RecordRowOutcomes(const std::vector<Result<QueryRow>>& rows);
 
   const Hierarchy* hierarchy_;
-  const STDataset* dataset_;
   ServingRuntimeOptions options_;
   TraceRecorder* trace_;  ///< never null (options.trace or Global())
 
   ServingTelemetry telemetry_;
-  PredictionStore store_;
-  FrameEpochManager epochs_;
-  ResolvedQueryCache cache_;
   TopKMemo topk_memo_;
+  ShardSet shards_;
 
   // The server is swapped whole on SwapIndex; queries hold the shared
-  // side for the duration of a batch.
+  // side for the duration of a batch. It resolves against shard 0's
+  // store, which QueryExecutor also reads when there is one shard.
   mutable std::shared_mutex server_mu_;
   std::unique_ptr<RegionQueryServer> server_;
 
-  /// Non-null iff options.num_shards > 1; then the ingestor publishes
-  /// through the barrier and queries scatter-gather (the single
-  /// store_/epochs_ pair above stays idle).
-  std::unique_ptr<ShardSet> shards_;
-  /// The ingestor's publish seam: forwards to the real sink (epochs_ or
-  /// shards_) and feeds each published dirty set to the top-k memo.
+  /// The ingestor's publish seam: forwards to shards_ and feeds each
+  /// published dirty set to the top-k memo.
   std::unique_ptr<EpochSink> publish_tap_;
   std::unique_ptr<StreamIngestor> ingestor_;
   std::atomic<int64_t> inflight_{0};

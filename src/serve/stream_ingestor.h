@@ -3,8 +3,8 @@
 // the stand-in for the paper's continuously-arriving traffic), maintains
 // the rolling closeness/period/trend input window (Eq. 6), runs
 // multi-scale inference on a background thread, and hands the resulting
-// frame set to the FrameEpochManager as one atomically-published epoch
-// per timestep.
+// frame set to an EpochSink (the runtime's ShardSet) as one
+// atomically-published epoch per timestep.
 #ifndef ONE4ALL_SERVE_STREAM_INGESTOR_H_
 #define ONE4ALL_SERVE_STREAM_INGESTOR_H_
 
@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "serve/epoch_manager.h"
+#include "obs/trace.h"
+#include "serve/epoch_sink.h"
+#include "serve/telemetry.h"
 
 namespace one4all {
 
@@ -102,9 +104,8 @@ struct StreamIngestorOptions {
 class StreamIngestor {
  public:
   /// \param dataset Source of replayed observations; must outlive this.
-  /// \param epochs Publication target (a FrameEpochManager, or a
-  /// ShardSet flipping N band shards behind one barrier); must outlive
-  /// this.
+  /// \param epochs Publication target (a ShardSet flipping its band
+  /// shards behind one barrier); must outlive this.
   /// \param telemetry Optional; must outlive this when non-null.
   StreamIngestor(const STDataset* dataset, FrameInference inference,
                  EpochSink* epochs, ServingTelemetry* telemetry,

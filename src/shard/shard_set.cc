@@ -8,10 +8,11 @@
 
 namespace one4all {
 
-Shard::Shard(const ShardSetOptions& options, TraceRecorder* trace)
-    : epochs(&store, /*telemetry=*/nullptr,
+Shard::Shard(const ShardSetOptions& options, ServingTelemetry* telemetry)
+    : epochs(&store, telemetry,
              FrameEpochManagerOptions{-1, options.retain_timesteps,
-                                      options.build_sat_planes, trace}),
+                                      options.build_sat_planes,
+                                      options.trace}),
       cache(options.cache) {}
 
 ShardSet::ShardSet(const Hierarchy* hierarchy, int num_shards,
@@ -22,7 +23,7 @@ ShardSet::ShardSet(const Hierarchy* hierarchy, int num_shards,
       birth_(std::chrono::steady_clock::now()) {
   shards_.reserve(static_cast<size_t>(map_.num_shards()));
   for (int k = 0; k < map_.num_shards(); ++k) {
-    shards_.push_back(std::make_unique<Shard>(options_, options_.trace));
+    shards_.push_back(std::make_unique<Shard>(options_, telemetry_));
   }
   if (telemetry_ == nullptr) return;
   MetricsRegistry& registry = telemetry_->registry();
@@ -126,15 +127,11 @@ Status ShardSet::StageAndPublish(int64_t t,
   }
 
   if (telemetry_ != nullptr) {
-    // Barrier-level accounting: one epoch per flip (not per shard), and
-    // frames in staged-slice units. The per-shard breakdown lives in the
-    // one4all_shard_* metrics registered above.
+    // One epoch per flip, not per shard. Frames, planes, tiles and
+    // reclaims are counted by each shard's epoch manager, in staged-slice
+    // and per-shard-generation units; the per-shard breakdown lives in
+    // the one4all_shard_* metrics registered above.
     telemetry_->epochs_published.fetch_add(1, std::memory_order_relaxed);
-    telemetry_->frames_staged.fetch_add(staged, std::memory_order_relaxed);
-    if (options_.build_sat_planes) {
-      telemetry_->sat_planes_built.fetch_add(staged,
-                                             std::memory_order_relaxed);
-    }
   }
   return Status::OK();
 }
@@ -209,6 +206,19 @@ void ShardSet::SetWriteFault(Status fault) {
 
 void ShardSet::ClearWriteFault() {
   for (const auto& s : shards_) s->store.ClearWriteFault();
+}
+
+ResolvedQueryCacheStats ShardSet::CacheStats() const {
+  ResolvedQueryCacheStats total;
+  for (const auto& s : shards_) {
+    const ResolvedQueryCacheStats stats = s->cache.Stats();
+    total.hits += stats.hits;
+    total.misses += stats.misses;
+    total.evictions += stats.evictions;
+    total.invalidations += stats.invalidations;
+    total.size += stats.size;
+  }
+  return total;
 }
 
 void ShardSet::InvalidateCaches() {

@@ -1,6 +1,8 @@
-// N band-partitioned serving shards behind one epoch barrier. Each
-// shard owns a private PredictionStore, FrameEpochManager and resolve
-// cache, and stores only its band slice of every layer frame.
+// N band-partitioned serving shards behind one epoch barrier — the
+// serving runtime's only topology, with N=1 a single shard whose band is
+// the whole grid. Each shard owns a private PredictionStore,
+// FrameEpochManager and resolve cache, and stores only its band slice
+// of every layer frame.
 // Publication is two-phase across shards — stage every shard's slices
 // into still-invisible shadow generations, then flip all shards inside
 // a seqlock window (version odd while flipping) — and readers pin all
@@ -34,10 +36,10 @@ namespace one4all {
 struct ShardSetOptions {
   /// Per-shard FrameEpochManagerOptions::retain_timesteps.
   int64_t retain_timesteps = 0;
-  /// Stage a summed-area plane with every band slice (per-shard planes
-  /// cover the shard's rows; the sharded executor's exact path does not
-  /// read them, but parity with the single-shard store layout keeps the
-  /// storage costs honest).
+  /// Stage a summed-area plane with every band slice. Per-shard planes
+  /// cover the shard's rows; a one-shard set's planes feed the query
+  /// executor's SAT fast path, while the N > 1 scatter-gather does not
+  /// read them (building them anyway keeps storage costs comparable).
   bool build_sat_planes = true;
   /// Per-shard resolve cache geometry (capacity is per shard, so N
   /// shards hold N x capacity distinct resolutions).
@@ -51,7 +53,9 @@ struct ShardSetOptions {
 /// ordered publishes, seqlock-guarded pins), except the store reads the
 /// executor makes under a held pin.
 struct Shard {
-  Shard(const ShardSetOptions& options, TraceRecorder* trace);
+  /// \param telemetry Forwarded to the shard's epoch manager (may be
+  /// null); see ShardSet's counting contract.
+  Shard(const ShardSetOptions& options, ServingTelemetry* telemetry);
 
   PredictionStore store;
   FrameEpochManager epochs;
@@ -94,9 +98,13 @@ class ShardPinSet {
 class ShardSet : public EpochSink {
  public:
   /// \param hierarchy Must outlive the set.
-  /// \param telemetry Optional shared runtime telemetry: barrier-level
-  /// counters (one epoch per flip, frames = staged slices) plus the
-  /// per-shard metric registrations; must outlive the set when non-null.
+  /// \param telemetry Optional shared runtime telemetry; must outlive
+  /// the set when non-null. The counting contract: every shard's epoch
+  /// manager counts its own per-generation work (frames staged and SAT
+  /// planes built per band slice, dirty/CoW-shared tiles, epochs
+  /// reclaimed per shard generation), and the set counts
+  /// epochs_published once per barrier flip. It also registers the
+  /// per-shard one4all_shard_* metrics.
   ShardSet(const Hierarchy* hierarchy, int num_shards,
            ServingTelemetry* telemetry, ShardSetOptions options);
 
@@ -166,6 +174,10 @@ class ShardSet : public EpochSink {
   /// must hit all bands, or a publish would tear by construction).
   void SetWriteFault(Status fault);
   void ClearWriteFault();
+
+  /// \brief Every shard's resolve-cache counters and sizes, summed
+  /// (invalidations count once per shard cache cleared).
+  ResolvedQueryCacheStats CacheStats() const;
 
   /// \brief Clears every shard's resolve cache (index swap).
   void InvalidateCaches();

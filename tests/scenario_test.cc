@@ -312,6 +312,28 @@ TEST(ScenarioEngineTest, RejectsWorldsTooSmallForTheIngest) {
   EXPECT_FALSE(verdict.ok());
 }
 
+// The slow reader pins every shard's epoch: at N=2 each shard's pinned
+// layer-1 frame and SAT plane must survive the retention horizon's
+// reclaims, and those reclaims are counted by the shard managers.
+TEST(ScenarioEngineTest, SlowReaderPinsEveryShard) {
+  auto spec = LoadScenarioSpec(
+      (fs::path(ONE4ALL_SOURCE_DIR) / "scenarios" / "fault_slow_reader.json")
+          .string());
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  spec->serving.shards = 2;
+  auto verdict = RunScenario(*spec);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_TRUE(verdict->passed());
+  bool checked = false;
+  for (const InvariantCheck& check : verdict->invariants) {
+    if (check.name != "pinned_epoch_survived") continue;
+    checked = true;
+    EXPECT_TRUE(check.held) << check.detail;
+  }
+  EXPECT_TRUE(checked);
+  EXPECT_GT(verdict->epochs_reclaimed, 0);
+}
+
 TEST(ScenarioMatrixTest, CommittedScenariosMatchTheirGoldens) {
   const fs::path dir = fs::path(ONE4ALL_SOURCE_DIR) / "scenarios";
   std::vector<fs::path> specs;

@@ -350,7 +350,7 @@ TEST(StreamIngestorTest, PublishesEveryConfiguredTimestep) {
   EXPECT_EQ(runtime.ingestor().steps_published(), 5);
 
   const int64_t start = options.ingest.start_t;
-  EXPECT_EQ(runtime.epochs().published_latest_t(), start + 4);
+  EXPECT_EQ(runtime.published_latest_t(), start + 4);
   const auto snapshot = runtime.Telemetry();
   EXPECT_EQ(snapshot.epochs_published, 5);
   EXPECT_EQ(snapshot.frames_staged,
@@ -431,7 +431,7 @@ TEST(ServingRuntimeTest, HammerConcurrentQueriesDuringEpochRolls) {
       while (!runtime.ingestor().done() || rounds < 20) {
         ++rounds;
         // Query any timestep the currently published epoch serves.
-        const int64_t latest = runtime.epochs().published_latest_t();
+        const int64_t latest = runtime.published_latest_t();
         std::vector<BatchQuery> batch;
         std::vector<size_t> batch_regions;
         for (int i = 0; i < 8; ++i) {
@@ -484,7 +484,7 @@ TEST(ServingRuntimeTest, HammerConcurrentQueriesDuringEpochRolls) {
 
   // Epoch rolls are time-only: the resolve cache must have survived all
   // of them (resolution is time-independent) and actually produced hits.
-  const auto cache_stats = runtime.cache().Stats();
+  const auto cache_stats = runtime.shards().CacheStats();
   EXPECT_EQ(cache_stats.invalidations, 0);
   EXPECT_GT(cache_stats.hits, 0);
   EXPECT_GT(cache_stats.size, 0u);
@@ -492,12 +492,12 @@ TEST(ServingRuntimeTest, HammerConcurrentQueriesDuringEpochRolls) {
 
   // A topology swap is the one event that clears it.
   runtime.SwapIndex(&fixture.pipeline->index());
-  const auto after_swap = runtime.cache().Stats();
+  const auto after_swap = runtime.shards().CacheStats();
   EXPECT_EQ(after_swap.invalidations, 1);
   EXPECT_EQ(after_swap.size, 0u);
 
   // All superseded epochs were reclaimed once unpinned.
-  EXPECT_EQ(runtime.epochs().live_epochs(), 1);
+  EXPECT_EQ(runtime.shards().max_live_epochs(), 1);
   const auto snapshot = runtime.Telemetry();
   EXPECT_EQ(snapshot.epochs_published, steps);
   EXPECT_EQ(snapshot.epochs_reclaimed, steps - 1 + 1);  // + generation 0
@@ -567,30 +567,31 @@ TEST(ServingRuntimeTest, PinnedEpochSurvivesPublishesAndReclamation) {
   ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(1));
 
   // The slow reader pins the first published epoch...
-  EpochGuard pinned = runtime.PinEpoch();
+  ShardPinSet pinned = runtime.shards().PinAll();
   ASSERT_TRUE(pinned.pinned());
   const int64_t start = options.ingest.start_t;
   EXPECT_EQ(pinned.latest_t(), start);
+  const int64_t generation = pinned.generation(0);
 
   // ...while the stream races five more epochs past it.
   runtime.ingestor().GrantSteps(5);
   runtime.ingestor().WaitUntilDone();
-  EXPECT_EQ(runtime.epochs().published_latest_t(), start + 5);
+  EXPECT_EQ(runtime.published_latest_t(), start + 5);
   EXPECT_GE(runtime.Telemetry().epochs_reclaimed, 1);
 
   // The pinned generation stayed fully readable: frame and SAT plane at
   // its newest timestep, even though the live window has moved on.
-  PredictionStore& store = runtime.store();
-  EXPECT_TRUE(store.HasFrameAt(pinned.generation(), 1, start));
-  EXPECT_TRUE(store.HasSatPlaneAt(pinned.generation(), 1, start));
-  auto frame = store.GetFrameAt(pinned.generation(), 1, start);
+  const PredictionStore& store = runtime.shards().shard(0).store;
+  EXPECT_TRUE(store.HasFrameAt(generation, 1, start));
+  EXPECT_TRUE(store.HasSatPlaneAt(generation, 1, start));
+  auto frame = store.GetFrameAt(generation, 1, start);
   ASSERT_TRUE(frame.ok());
 
   // Released, the stale generation is reclaimed down to one live epoch.
   pinned.Release();
   runtime.Stop();
-  EXPECT_FALSE(store.HasFrameAt(pinned.generation(), 1, start));
-  EXPECT_EQ(runtime.epochs().live_epochs(), 1);
+  EXPECT_FALSE(store.HasFrameAt(generation, 1, start));
+  EXPECT_EQ(runtime.shards().max_live_epochs(), 1);
 }
 
 // Incremental top-k: a subscribed spec (same regions, advancing point
@@ -765,7 +766,7 @@ TEST(StreamIngestorTest, SurvivesStoreWriteRefusalAndResumes) {
   ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(2));
   EXPECT_EQ(runtime.ingestor().steps_published(), 2);
 
-  runtime.store().SetWriteFault(
+  runtime.shards().SetWriteFault(
       Status::IOError("injected: store refusing writes"));
   runtime.ingestor().GrantSteps(3);
   ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(5));
@@ -779,17 +780,17 @@ TEST(StreamIngestorTest, SurvivesStoreWriteRefusalAndResumes) {
             StatusCode::kIOError);
   EXPECT_EQ(runtime.Telemetry().publish_failures, 3);
   // No torn epoch: the published window still ends at the pre-fault t.
-  EXPECT_EQ(runtime.epochs().published_latest_t(),
+  EXPECT_EQ(runtime.published_latest_t(),
             options.ingest.start_t + 1);
 
   // Injector clears: the refused timestep retries and the stream
   // finishes every configured step.
-  runtime.store().ClearWriteFault();
+  runtime.shards().ClearWriteFault();
   runtime.ingestor().GrantSteps(3);
   runtime.ingestor().WaitUntilDone();
   EXPECT_EQ(runtime.ingestor().steps_published(), 5);
   EXPECT_TRUE(runtime.ingestor().last_publish_error().ok());
-  EXPECT_EQ(runtime.epochs().published_latest_t(),
+  EXPECT_EQ(runtime.published_latest_t(),
             options.ingest.start_t + 4);
   EXPECT_TRUE(runtime.ingestor().status().ok());
 }

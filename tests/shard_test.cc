@@ -431,8 +431,7 @@ TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
   std::mt19937_64 rng(1234);
   for (int num_shards : {2, 3, 4}) {
     auto sharded = fixture.MakeRuntime(num_shards);
-    ASSERT_TRUE(sharded->sharded());
-    ASSERT_EQ(sharded->num_shards(), num_shards);
+    ASSERT_EQ(sharded->shards().num_shards(), num_shards);
     SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
 
     for (int round = 0; round < 6; ++round) {
@@ -498,36 +497,66 @@ TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
       }
     }
 
-    EXPECT_TRUE(sharded->CrossShardConsistent());
+    EXPECT_TRUE(sharded->shards().Consistent());
     sharded->Stop();
   }
 }
 
+// One counting contract for every topology: the barrier counts one
+// epoch per flip, each shard's epoch manager counts its own staged
+// slices and reclaimed generations, and the per-shard metric series
+// exist at N=1 as well as N=4.
 TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {
   ShardFixture fixture = ShardFixture::Make(29);
-  auto runtime = fixture.MakeRuntime(4);
-  const int64_t t = fixture.dataset->test_indices().front();
-  for (int i = 0; i < 4; ++i) {
-    auto result = runtime->ExecuteSpec(
-        QuerySpec::MultiRegion(fixture.regions, t + i));
-    ASSERT_TRUE(result.ok());
-    for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
+  const int64_t steps =
+      static_cast<int64_t>(fixture.dataset->test_indices().size());
+  const int num_layers = fixture.dataset->hierarchy().num_layers();
+  for (int num_shards : {1, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    auto runtime = fixture.MakeRuntime(num_shards);
+    ShardSet& shards = runtime->shards();
+    ASSERT_EQ(shards.num_shards(), num_shards);
+    const int64_t t = fixture.dataset->test_indices().front();
+    for (int i = 0; i < 4; ++i) {
+      auto result = runtime->ExecuteSpec(
+          QuerySpec::MultiRegion(fixture.regions, t + i));
+      ASSERT_TRUE(result.ok());
+      for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
+    }
+    runtime->Stop();
+
+    int64_t slices_per_step = 0;
+    int64_t shard_frames = 0;
+    for (int k = 0; k < num_shards; ++k) {
+      for (int l = 1; l <= num_layers; ++l) {
+        if (!shards.map().SliceOf(k, l).empty()) ++slices_per_step;
+      }
+      shard_frames += shards.shard(k).frames_staged.value();
+    }
+    const ServingTelemetrySnapshot snapshot = runtime->Telemetry();
+    // One barrier flip per timestep — not one per shard per timestep.
+    EXPECT_EQ(snapshot.epochs_published, steps);
+    // Frames and planes in staged-slice units, counted once each.
+    EXPECT_EQ(snapshot.frames_staged, steps * slices_per_step);
+    EXPECT_EQ(snapshot.sat_planes_built, snapshot.frames_staged);
+    EXPECT_EQ(shard_frames, snapshot.frames_staged);
+    // Every shard's manager counts the generations it reclaims.
+    EXPECT_GT(snapshot.epochs_reclaimed, 0);
+    EXPECT_EQ(shards.max_live_epochs(), 1);
+    EXPECT_GT(snapshot.queries_served, 0);
+    // Per-shard metrics render into the exposition with shard labels.
+    const std::string exposition =
+        runtime->telemetry().registry().ExpositionText();
+    EXPECT_NE(
+        exposition.find("one4all_shard_epochs_published_total{shard=\"0\"}"),
+        std::string::npos);
+    const std::string last_lag = "one4all_shard_publish_lag_ms{shard=\"" +
+                                 std::to_string(num_shards - 1) + "\"}";
+    EXPECT_NE(exposition.find(last_lag), std::string::npos);
+    EXPECT_NE(exposition.find("one4all_shard_torn_pins"), std::string::npos);
+    EXPECT_TRUE(MetricsRegistry::ValidateExposition(exposition).ok());
+    EXPECT_TRUE(shards.Consistent());
   }
-  const ServingTelemetrySnapshot snapshot = runtime->Telemetry();
-  // One barrier flip per timestep — not one per shard per timestep.
-  EXPECT_EQ(snapshot.epochs_published,
-            static_cast<int64_t>(fixture.dataset->test_indices().size()));
-  EXPECT_GT(snapshot.queries_served, 0);
-  // Per-shard metrics render into the exposition with shard labels.
-  const std::string exposition =
-      runtime->telemetry().registry().ExpositionText();
-  EXPECT_NE(exposition.find("one4all_shard_epochs_published_total{shard=\"0\"}"),
-            std::string::npos);
-  EXPECT_NE(exposition.find("one4all_shard_publish_lag_ms{shard=\"3\"}"),
-            std::string::npos);
-  EXPECT_NE(exposition.find("one4all_shard_torn_pins"), std::string::npos);
-  EXPECT_TRUE(MetricsRegistry::ValidateExposition(exposition).ok());
-  EXPECT_TRUE(runtime->CrossShardConsistent());
 }
 
 }  // namespace

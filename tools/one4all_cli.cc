@@ -561,6 +561,7 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
   ServingRuntime runtime(&dataset->hierarchy(), &pipeline->index(),
                          dataset.operator->(), std::move(inference),
                          options);
+  ShardSet& shards = runtime.shards();
 
   // Synthetic query storm against the rolling runtime.
   RegionGeneratorOptions region_options;
@@ -606,14 +607,14 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
              << " rejected=+" << (now.queries_rejected - prev.queries_rejected)
              << " failed=+" << (now.queries_failed - prev.queries_failed)
              << " ring-drops=+" << (drops - prev_drops);
-        if (runtime.sharded()) {
+        if (shards.num_shards() > 1) {
           // Per-shard barrier lag: one straggler band stalls the whole
           // flip, so the max of these is the publish-side health signal.
           line << " shard-lag-ms=[";
-          for (int k = 0; k < runtime.num_shards(); ++k) {
+          for (int k = 0; k < shards.num_shards(); ++k) {
             if (k > 0) line << " ";
             line << "s" << k << ":"
-                 << TablePrinter::Num(runtime.ShardPublishLagMs(k), 1);
+                 << TablePrinter::Num(shards.PublishLagMs(k), 1);
           }
           line << "]";
         }
@@ -694,13 +695,11 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
             << " timesteps under a " << clients << "-client storm ("
             << regions.size() << " distinct regions, batches of "
             << batch_size << ")\n";
-  if (runtime.sharded()) {
-    std::cout << "shard topology: " << runtime.num_shards()
+  if (shards.num_shards() > 1) {
+    std::cout << "shard topology: " << shards.num_shards()
               << " band shards, barrier "
-              << (runtime.CrossShardConsistent() ? "consistent"
-                                                 : "INCONSISTENT")
-              << ", pin retries " << runtime.shards()->pin_retries()
-              << "\n";
+              << (shards.Consistent() ? "consistent" : "INCONSISTENT")
+              << ", pin retries " << shards.pin_retries() << "\n";
   }
 
   if (trace_mode) {
@@ -720,19 +719,9 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
   }
 
   runtime.Telemetry().Render().Print(std::cout);
-  // Sharded runtimes resolve through per-shard caches; aggregate them
-  // so the hit-rate line reflects the caches actually probed.
-  ResolvedQueryCacheStats cache_stats;
-  if (runtime.sharded()) {
-    for (int k = 0; k < runtime.num_shards(); ++k) {
-      const auto s = runtime.shards()->shard(k).cache.Stats();
-      cache_stats.hits += s.hits;
-      cache_stats.misses += s.misses;
-      cache_stats.invalidations += s.invalidations;
-    }
-  } else {
-    cache_stats = runtime.cache().Stats();
-  }
+  // Queries resolve through the per-shard caches; the summed stats
+  // reflect the caches actually probed.
+  const ResolvedQueryCacheStats cache_stats = shards.CacheStats();
   std::cout << "resolve cache: hit rate "
             << TablePrinter::Num(cache_stats.hit_rate() * 100.0, 1)
             << "% over " << (cache_stats.hits + cache_stats.misses)
