@@ -56,7 +56,13 @@ class GridMask {
 
   /// \brief Number of cells set to 1.
   int64_t Count() const;
-  bool Empty() const { return Count() == 0; }
+  /// \brief True iff no cell is set; stops at the first non-zero word.
+  bool Empty() const {
+    for (const uint64_t word : words_) {
+      if (word != 0) return false;
+    }
+    return true;
+  }
 
   /// \brief Marks every cell of the rectangle [r0,r1) x [c0,c1).
   void FillRect(int64_t r0, int64_t c0, int64_t r1, int64_t c1);

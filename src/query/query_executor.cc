@@ -221,8 +221,9 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             ScopedSpan probe_span(&shard_trace, SpanName::kCacheProbe);
             Stopwatch probe;
             slot.resolved = server_->ResolveCached(
-                region, plan.spec.strategy, options.cache,
-                &slot.cache_hit);
+                region, plan.spec.strategy,
+                plan.slot_fingerprints[static_cast<size_t>(s)],
+                options.cache, &slot.cache_hit);
             // Captured before evaluation so a hit reports only the
             // resolve-path latency, comparable to decompose+index.
             slot.probe_micros = probe.ElapsedMicros();

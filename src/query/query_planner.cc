@@ -44,6 +44,32 @@ std::string QueryPlan::Describe() const {
   return out.str();
 }
 
+void QueryPlan::KeepRows(const std::vector<int>& keep) {
+  std::vector<int> new_slot(slot_regions.size(), -1);
+  std::vector<PlanRow> kept;
+  kept.reserve(keep.size());
+  for (const int r : keep) {
+    kept.push_back(rows[static_cast<size_t>(r)]);
+    new_slot[static_cast<size_t>(kept.back().region_slot)] = 0;
+  }
+  size_t next = 0;
+  for (size_t s = 0; s < new_slot.size(); ++s) {
+    if (new_slot[s] < 0) continue;
+    new_slot[s] = static_cast<int>(next);
+    slot_regions[next] = slot_regions[s];
+    slot_fingerprints[next] = slot_fingerprints[s];
+    if (!borrowed_regions.empty()) borrowed_regions[next] = borrowed_regions[s];
+    ++next;
+  }
+  slot_regions.resize(next);
+  slot_fingerprints.resize(next);
+  if (!borrowed_regions.empty()) borrowed_regions.resize(next);
+  for (PlanRow& row : kept) {
+    row.region_slot = new_slot[static_cast<size_t>(row.region_slot)];
+  }
+  rows = std::move(kept);
+}
+
 QueryPlanner::QueryPlanner(const Hierarchy* hierarchy)
     : hierarchy_(hierarchy) {
   O4A_CHECK(hierarchy != nullptr);
@@ -75,6 +101,7 @@ Result<QueryPlan> QueryPlanner::Plan(QuerySpec spec) const {
         slot_of.emplace(fp, static_cast<int>(plan.slot_regions.size()));
     if (inserted.second) {
       plan.slot_regions.push_back(static_cast<int>(i));
+      plan.slot_fingerprints.push_back(fp);
     }
     PlanRow row;
     row.region_slot = inserted.first->second;
@@ -96,6 +123,7 @@ Result<QueryPlan> QueryPlanner::PlanBatch(
   plan.path = EvalPath::kExactCellLoop;
   plan.borrowed_regions.reserve(queries.size());
   plan.slot_regions.reserve(queries.size());
+  plan.slot_fingerprints.reserve(queries.size());
   plan.rows.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     // Regions are borrowed, not copied — the caller's BatchQuery vector
@@ -105,6 +133,8 @@ Result<QueryPlan> QueryPlanner::PlanBatch(
     // matching the legacy BatchPredict contract.
     plan.borrowed_regions.push_back(&queries[i].region);
     plan.slot_regions.push_back(static_cast<int>(i));
+    plan.slot_fingerprints.push_back(
+        FingerprintRegion(queries[i].region, strategy));
     PlanRow row;
     row.region_slot = static_cast<int>(i);
     row.t0 = queries[i].t;

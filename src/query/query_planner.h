@@ -11,6 +11,7 @@
 
 #include "query/query_server.h"
 #include "query/query_spec.h"
+#include "query/resolved_query_cache.h"
 
 namespace one4all {
 
@@ -40,6 +41,11 @@ struct QueryPlan {
   /// cache once per distinct region; the legacy batch adapter keeps one
   /// slot per row to preserve the original per-query cache semantics.
   std::vector<int> slot_regions;
+  /// FingerprintRegion(region, spec.strategy) of each slot, computed once
+  /// by the planner: the executors key the resolve cache with it and the
+  /// runtime keys the top-k memo with it, so no later stage re-hashes a
+  /// region.
+  std::vector<RegionFingerprint> slot_fingerprints;
   /// kPointBatch only: borrowed views of the caller's query regions, one
   /// per slot — the BatchQuery vector must outlive plan execution (the
   /// shim guarantees this; no mask is copied on the hot batch path).
@@ -55,6 +61,14 @@ struct QueryPlan {
     return spec.regions[static_cast<size_t>(
         slot_regions[static_cast<size_t>(slot)])];
   }
+
+  /// \brief Restricts the plan to the rows `keep` lists: new row j is old
+  /// row keep[j]. Slots no kept row references are dropped and the rest
+  /// renumbered (in their old order), so execution resolves only what
+  /// the kept rows need. `spec` is untouched and no mask is copied; the
+  /// kept rows no longer line up with spec.regions, so the caller owns
+  /// any ranking across them.
+  void KeepRows(const std::vector<int>& keep);
 
   /// \brief Admission-control cost: total (region, t) gather points.
   int64_t num_point_queries() const {

@@ -122,19 +122,31 @@ RegionQueryServer::ResolveCached(const GridMask& region,
                                  QueryStrategy strategy,
                                  ResolvedQueryCache* cache,
                                  bool* cache_hit) const {
+  // Without a cache nothing is keyed, so skip the hash.
+  const RegionFingerprint fingerprint =
+      cache == nullptr ? RegionFingerprint{}
+                       : FingerprintRegion(region, strategy);
+  return ResolveCached(region, strategy, fingerprint, cache, cache_hit);
+}
+
+Result<std::shared_ptr<const ResolvedQuery>>
+RegionQueryServer::ResolveCached(const GridMask& region,
+                                 QueryStrategy strategy,
+                                 const RegionFingerprint& fingerprint,
+                                 ResolvedQueryCache* cache,
+                                 bool* cache_hit) const {
   if (cache_hit != nullptr) *cache_hit = false;
   if (cache == nullptr) {
     O4A_ASSIGN_OR_RETURN(ResolvedQuery resolved, Resolve(region, strategy));
     return std::make_shared<const ResolvedQuery>(std::move(resolved));
   }
-  const RegionFingerprint fp = FingerprintRegion(region, strategy);
-  if (std::shared_ptr<const ResolvedQuery> hit = cache->Get(fp)) {
+  if (std::shared_ptr<const ResolvedQuery> hit = cache->Get(fingerprint)) {
     if (cache_hit != nullptr) *cache_hit = true;
     return hit;
   }
   O4A_ASSIGN_OR_RETURN(ResolvedQuery resolved, Resolve(region, strategy));
   auto entry = std::make_shared<const ResolvedQuery>(std::move(resolved));
-  cache->Put(fp, entry);
+  cache->Put(fingerprint, entry);
   return entry;
 }
 

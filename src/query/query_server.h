@@ -19,6 +19,7 @@
 namespace one4all {
 
 class ResolvedQueryCache;  // query/resolved_query_cache.h
+struct RegionFingerprint;  // query/resolved_query_cache.h
 class ThreadPool;          // core/thread_pool.h
 
 /// \brief A region query resolved to signed grid terms (time-independent).
@@ -132,6 +133,14 @@ class RegionQueryServer {
   Result<std::shared_ptr<const ResolvedQuery>> ResolveCached(
       const GridMask& region, QueryStrategy strategy,
       ResolvedQueryCache* cache, bool* cache_hit = nullptr) const;
+
+  /// \brief ResolveCached keyed by an already computed `fingerprint`
+  /// (FingerprintRegion(region, strategy), e.g. the plan's
+  /// slot_fingerprints), so the executors never hash a region twice.
+  Result<std::shared_ptr<const ResolvedQuery>> ResolveCached(
+      const GridMask& region, QueryStrategy strategy,
+      const RegionFingerprint& fingerprint, ResolvedQueryCache* cache,
+      bool* cache_hit = nullptr) const;
 
   /// \brief Resolves many regions, fanned out across `options` threads.
   /// results[i] corresponds to regions[i]; per-query failures do not

@@ -14,26 +14,31 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-uint64_t HashMask(const GridMask& region, QueryStrategy strategy,
-                  uint64_t seed) {
-  uint64_t h = Mix64(seed ^ static_cast<uint64_t>(strategy));
-  h = Mix64(h ^ static_cast<uint64_t>(region.height()));
-  h = Mix64(h ^ static_cast<uint64_t>(region.width()));
-  // GridMask already stores cells packed 64 per word in row-major bit
-  // order with zeroed trailing bits, so one mix per word hashes the mask
-  // without touching individual cells.
-  for (const uint64_t word : region.words()) h = Mix64(h ^ word);
-  return h;
-}
-
 }  // namespace
 
 RegionFingerprint FingerprintRegion(const GridMask& region,
                                     QueryStrategy strategy) {
-  RegionFingerprint fp;
-  fp.lo = HashMask(region, strategy, 0x0123456789abcdefull);
-  fp.hi = HashMask(region, strategy, 0xfedcba9876543210ull);
-  return fp;
+  // Two lanes with distinct seeds, advanced together in one sweep. The
+  // key is (strategy, extents, every non-zero word with its index):
+  // GridMask stores cells packed 64 per word in row-major bit order with
+  // zeroed trailing bits, so given the extents that sequence names the
+  // mask exactly, and skipping zero words makes the cost follow the
+  // region's set words rather than the raster size.
+  const uint64_t s = static_cast<uint64_t>(strategy);
+  uint64_t lo = Mix64(0x0123456789abcdefull ^ s);
+  uint64_t hi = Mix64(0xfedcba9876543210ull ^ s);
+  const uint64_t h = static_cast<uint64_t>(region.height());
+  const uint64_t w = static_cast<uint64_t>(region.width());
+  lo = Mix64(Mix64(lo ^ h) ^ w);
+  hi = Mix64(Mix64(hi ^ h) ^ w);
+  const std::vector<uint64_t>& words = region.words();
+  for (size_t i = 0; i < words.size(); ++i) {
+    const uint64_t word = words[i];
+    if (word == 0) continue;
+    lo = Mix64(Mix64(lo ^ i) ^ word);
+    hi = Mix64(Mix64(hi ^ i) ^ word);
+  }
+  return RegionFingerprint{lo, hi};
 }
 
 ResolvedQueryCache::ResolvedQueryCache(ResolvedQueryCacheOptions options) {

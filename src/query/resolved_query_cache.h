@@ -22,8 +22,11 @@ namespace one4all {
 
 /// \brief 128-bit content fingerprint of a (region mask, strategy) pair.
 ///
-/// Two independent 64-bit mixes over the mask cells; the probability of a
-/// collision across realistic cache populations is negligible.
+/// Two independently seeded 64-bit mixes over the mask's extents and its
+/// non-zero words (each with its word index); the probability of a
+/// collision across realistic cache populations is negligible. The
+/// planner computes it once per distinct region (QueryPlan::
+/// slot_fingerprints); the resolve cache and the top-k memo key on it.
 struct RegionFingerprint {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -33,6 +36,8 @@ struct RegionFingerprint {
   }
 };
 
+/// \brief The one mask hash: O(words) zero tests plus two mixes per lane
+/// per non-zero word, so a small region on a large raster costs little.
 RegionFingerprint FingerprintRegion(const GridMask& region,
                                     QueryStrategy strategy);
 

@@ -9,19 +9,9 @@ namespace one4all {
 
 namespace {
 
-/// FNV-1a over an arbitrary byte run.
-uint64_t HashBytes(const void* data, size_t n, uint64_t seed) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-uint64_t HashValue(uint64_t v, uint64_t seed) {
-  return HashBytes(&v, sizeof(v), seed);
+/// Folds `v` into the running key hash (boost::hash_combine's step).
+void HashCombine(uint64_t v, uint64_t* h) {
+  *h ^= v + 0x9e3779b97f4a7c15ull + (*h << 6) + (*h >> 2);
 }
 
 }  // namespace
@@ -33,31 +23,47 @@ TopKMemo::TopKMemo(const Hierarchy* hierarchy, TopKMemoOptions options)
   O4A_CHECK_GT(options_.history, 0u);
 }
 
-uint64_t TopKMemo::Fingerprint(const QuerySpec& spec) {
-  uint64_t h = 14695981039346656037ULL;
-  h = HashValue(static_cast<uint64_t>(spec.kind), h);
-  h = HashValue(static_cast<uint64_t>(spec.aggregation), h);
-  h = HashValue(static_cast<uint64_t>(spec.strategy), h);
-  h = HashValue(static_cast<uint64_t>(spec.eval_path), h);
-  h = HashValue(static_cast<uint64_t>(spec.top_k), h);
-  h = HashValue(spec.keep_series ? 1 : 0, h);
-  h = HashValue(spec.regions.size(), h);
-  for (const GridMask& region : spec.regions) {
-    h = HashValue(static_cast<uint64_t>(region.height()), h);
-    h = HashValue(static_cast<uint64_t>(region.width()), h);
-    h = HashBytes(region.words().data(),
-                  region.words().size() * sizeof(uint64_t), h);
-  }
-  return h;
+bool TopKMemo::Key::operator==(const Key& other) const {
+  return hash == other.hash && aggregation == other.aggregation &&
+         strategy == other.strategy && eval_path == other.eval_path &&
+         top_k == other.top_k && keep_series == other.keep_series &&
+         rows == other.rows;
 }
 
-bool TopKMemo::SameSpecShape(const QuerySpec& a, const QuerySpec& b) {
-  // Everything but the time selector — that is exactly the subscription
-  // pattern: same question, advancing timestep.
-  return a.kind == b.kind && a.aggregation == b.aggregation &&
-         a.strategy == b.strategy && a.eval_path == b.eval_path &&
-         a.top_k == b.top_k && a.keep_series == b.keep_series &&
-         a.regions == b.regions;
+TopKMemo::Key TopKMemo::KeyFor(const QueryPlan& plan) {
+  const QuerySpec& spec = plan.spec;
+  Key key;
+  key.aggregation = spec.aggregation;
+  key.strategy = spec.strategy;
+  key.eval_path = spec.eval_path;
+  key.top_k = spec.top_k;
+  key.keep_series = spec.keep_series;
+  uint64_t h = 0;
+  HashCombine(static_cast<uint64_t>(key.aggregation), &h);
+  HashCombine(static_cast<uint64_t>(key.strategy), &h);
+  HashCombine(static_cast<uint64_t>(key.eval_path), &h);
+  HashCombine(static_cast<uint64_t>(key.top_k), &h);
+  HashCombine(key.keep_series ? 1 : 0, &h);
+  key.rows.reserve(plan.rows.size());
+  for (const PlanRow& row : plan.rows) {
+    const RegionFingerprint& fp =
+        plan.slot_fingerprints[static_cast<size_t>(row.region_slot)];
+    key.rows.push_back(fp);
+    HashCombine(fp.lo, &h);
+    HashCombine(fp.hi, &h);
+  }
+  key.hash = h;
+  return key;
+}
+
+void TopKMemo::RegisterMetrics(MetricsRegistry* registry) {
+  registry->RegisterCounter("one4all_topk_rows_reused",
+                            "Top-k rows carried over from the memo", "",
+                            &rows_reused_);
+  registry->RegisterCounter("one4all_topk_rows_reevaluated",
+                            "Top-k rows of a memo hit re-gathered because "
+                            "churn touched their footprint",
+                            "", &rows_reevaluated_);
 }
 
 CellRect TopKMemo::FootprintOf(const GridMask& region) const {
@@ -132,22 +138,17 @@ void TopKMemo::Invalidate() {
   publishes_.clear();
 }
 
-TopKMemo::Probe TopKMemo::Lookup(const QuerySpec& spec) {
+TopKMemo::Probe TopKMemo::Lookup(const Key& key, int64_t t) {
   Probe probe;
-  if (spec.kind != QuerySpecKind::kTopK || !spec.time.IsPoint()) {
-    return probe;
-  }
-  const uint64_t fp = Fingerprint(spec);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.begin();
   for (; it != entries_.end(); ++it) {
-    if (it->fingerprint == fp && SameSpecShape(it->spec, spec)) break;
+    if (it->key == key) break;
   }
   if (it == entries_.end()) return probe;
   entries_.splice(entries_.begin(), entries_, it);  // LRU touch
   const Entry& entry = entries_.front();
 
-  const int64_t t = spec.time.t0;
   if (t < entry.t) return probe;  // looking backwards: no reuse claim
 
   // Publishes strictly inside (entry.t, t], oldest first. The proof
@@ -174,27 +175,26 @@ TopKMemo::Probe TopKMemo::Lookup(const QuerySpec& spec) {
   return probe;
 }
 
-void TopKMemo::Store(const QuerySpec& spec,
+void TopKMemo::Store(Key key, int64_t t, const std::vector<GridMask>& regions,
                      const std::vector<Result<QueryRow>>& rows) {
-  if (spec.kind != QuerySpecKind::kTopK || !spec.time.IsPoint()) return;
-  if (rows.size() != spec.regions.size()) return;
-  const uint64_t fp = Fingerprint(spec);
+  if (rows.size() != key.rows.size() || regions.size() != key.rows.size()) {
+    return;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->fingerprint == fp && SameSpecShape(it->spec, spec)) {
-      it->t = spec.time.t0;
+    if (it->key == key) {
+      it->t = t;
       it->rows = rows;
       entries_.splice(entries_.begin(), entries_, it);
       return;
     }
   }
   Entry entry;
-  entry.fingerprint = fp;
-  entry.spec = spec;
-  entry.t = spec.time.t0;
+  entry.key = std::move(key);
+  entry.t = t;
   entry.rows = rows;
-  entry.footprints.reserve(spec.regions.size());
-  for (const GridMask& region : spec.regions) {
+  entry.footprints.reserve(regions.size());
+  for (const GridMask& region : regions) {
     entry.footprints.push_back(FootprintOf(region));
   }
   entries_.push_front(std::move(entry));

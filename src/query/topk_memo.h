@@ -16,10 +16,15 @@
 // term the planner can choose for the region (union grids intersect the
 // region, subtraction grids lie inside union grids), so over-marking
 // only costs a re-evaluation, never a stale value.
+//
+// Entries are keyed and verified on the spec's knobs plus each row's
+// 128-bit RegionFingerprint, never on mask bytes: the planner already
+// hashed every region once, and this is the same trust the resolve
+// cache places in the fingerprint for correctness (a collision there
+// would serve another region's terms; here, another region's row).
 #ifndef ONE4ALL_QUERY_TOPK_MEMO_H_
 #define ONE4ALL_QUERY_TOPK_MEMO_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -27,7 +32,9 @@
 #include <vector>
 
 #include "grid/hierarchy.h"
+#include "obs/metrics.h"
 #include "query/query_executor.h"
+#include "query/query_planner.h"
 #include "query/query_spec.h"
 #include "tensor/tiled_sat.h"
 
@@ -60,6 +67,26 @@ class TopKMemo {
   /// swap: resolutions change, so carried values may too).
   void Invalidate();
 
+  /// \brief Identity of a memoized evaluation: a point top-k spec's
+  /// knobs plus its rows' region fingerprints, in row order. The time
+  /// selector is left out on purpose — a subscription is the same
+  /// question at an advancing timestep.
+  struct Key {
+    TimeAggregation aggregation = TimeAggregation::kSum;
+    QueryStrategy strategy = QueryStrategy::kUnionSubtraction;
+    EvalPath eval_path = EvalPath::kExactCellLoop;
+    int top_k = 0;
+    bool keep_series = false;
+    std::vector<RegionFingerprint> rows;
+    uint64_t hash = 0;  ///< over every field above; compared first
+
+    bool operator==(const Key& other) const;
+  };
+
+  /// \brief The key of a full (not row-restricted) plan: row i keys on
+  /// plan.slot_fingerprints[plan.rows[i].region_slot].
+  static Key KeyFor(const QueryPlan& plan);
+
   /// \brief What a probe proved about a spec about to execute.
   struct Probe {
     bool hit = false;    ///< entry found for this exact spec
@@ -72,16 +99,19 @@ class TopKMemo {
     std::vector<Result<QueryRow>> rows;
   };
 
-  /// \brief Probes for `spec` (must be a point-selector kTopK; anything
-  /// else misses). A hit proves, per row, whether the memoized value is
-  /// still exact at spec.time.t0 given every publish since memo_t.
-  /// Non-const: a hit refreshes the entry's LRU position.
-  Probe Lookup(const QuerySpec& spec);
+  /// \brief Probes for `key` evaluated at point timestep `t`. A hit
+  /// proves, per row, whether the memoized value is still exact at `t`
+  /// given every publish since memo_t. Callers only probe point top-k
+  /// specs. Non-const: a hit refreshes the entry's LRU position.
+  Probe Lookup(const Key& key, int64_t t);
 
-  /// \brief Memoizes `rows` as the evaluation of `spec` at its (point)
-  /// timestep. Failed rows are stored too — they stay failed until
-  /// their footprint churns. Non-top-k / non-point specs are ignored.
-  void Store(const QuerySpec& spec, const std::vector<Result<QueryRow>>& rows);
+  /// \brief Memoizes `rows` as the evaluation of `key` at timestep `t`.
+  /// `regions` are the spec's masks (row i answers regions[i]); they are
+  /// read only when the entry is new, to compute its footprints. Failed
+  /// rows are stored too — they stay failed until their footprint
+  /// churns.
+  void Store(Key key, int64_t t, const std::vector<GridMask>& regions,
+             const std::vector<Result<QueryRow>>& rows);
 
   /// \brief RankTopK's exact ordering (value desc, ties toward the lower
   /// row index, failed rows skipped, clamped to k) over free rows —
@@ -89,12 +119,12 @@ class TopKMemo {
   static std::vector<int> RankRows(const std::vector<Result<QueryRow>>& rows,
                                    int k);
 
-  int64_t rows_reused() const {
-    return rows_reused_.load(std::memory_order_relaxed);
-  }
-  int64_t rows_reevaluated() const {
-    return rows_reevaluated_.load(std::memory_order_relaxed);
-  }
+  int64_t rows_reused() const { return rows_reused_.value(); }
+  int64_t rows_reevaluated() const { return rows_reevaluated_.value(); }
+  /// \brief Exports both counters as one4all_topk_rows_reused and
+  /// one4all_topk_rows_reevaluated; the memo must outlive `registry`'s
+  /// scrapes.
+  void RegisterMetrics(MetricsRegistry* registry);
   /// \brief Test/telemetry hook for the merge path in the runtime.
   void CountReuse(int64_t reused, int64_t reevaluated) {
     rows_reused_.fetch_add(reused, std::memory_order_relaxed);
@@ -109,8 +139,7 @@ class TopKMemo {
   };
 
   struct Entry {
-    uint64_t fingerprint = 0;
-    QuerySpec spec;  ///< regions + knobs, for exact-match verification
+    Key key;
     int64_t t = -1;  ///< timestep the rows were evaluated at
     std::vector<Result<QueryRow>> rows;
     /// Per region: atomic bbox rounded out to the coarsest scale (the
@@ -118,8 +147,6 @@ class TopKMemo {
     std::vector<CellRect> footprints;
   };
 
-  static uint64_t Fingerprint(const QuerySpec& spec);
-  static bool SameSpecShape(const QuerySpec& a, const QuerySpec& b);
   CellRect FootprintOf(const GridMask& region) const;
   /// \brief True iff `record` cannot have changed any cell of `footprint`.
   bool FootprintClean(const CellRect& footprint,
@@ -134,8 +161,8 @@ class TopKMemo {
   /// Publish history, newest at the back; bounded by options_.history.
   std::deque<PublishRecord> publishes_;
 
-  std::atomic<int64_t> rows_reused_{0};
-  std::atomic<int64_t> rows_reevaluated_{0};
+  Counter rows_reused_;
+  Counter rows_reevaluated_;
 };
 
 }  // namespace one4all

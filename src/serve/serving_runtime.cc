@@ -36,6 +36,22 @@ class MemoTapSink : public EpochSink {
   TopKMemo* memo_;
 };
 
+/// Records one end-to-end sample into `histogram` when the enclosing
+/// entry point returns, whichever exit it takes.
+class EndToEndTimer {
+ public:
+  explicit EndToEndTimer(LatencyHistogram* histogram)
+      : histogram_(histogram) {}
+  ~EndToEndTimer() { histogram_->Record(timer_.ElapsedMicros()); }
+
+  EndToEndTimer(const EndToEndTimer&) = delete;
+  EndToEndTimer& operator=(const EndToEndTimer&) = delete;
+
+ private:
+  LatencyHistogram* histogram_;
+  Stopwatch timer_;
+};
+
 /// The shard set's options: one shard keeps the configured resolve-
 /// cache capacity; N shards partition it so turning sharding on does not
 /// silently multiply the cache budget.
@@ -80,6 +96,7 @@ ServingRuntime::ServingRuntime(const Hierarchy* hierarchy,
   ingestor_ = std::make_unique<StreamIngestor>(dataset, std::move(inference),
                                                publish_tap_.get(),
                                                &telemetry_, ingest_options);
+  topk_memo_.RegisterMetrics(&telemetry_.registry());
 }
 
 ServingRuntime::~ServingRuntime() { Stop(); }
@@ -119,6 +136,7 @@ void ServingRuntime::ReleaseQueries(int64_t cost) {
 
 Result<std::vector<Result<QueryResponse>>> ServingRuntime::QueryBatch(
     const std::vector<BatchQuery>& queries) {
+  EndToEndTimer e2e(&telemetry_.query_e2e);
   const int64_t n = static_cast<int64_t>(queries.size());
   TraceContext trace_ctx = trace_->StartTrace(SpanCategory::kQuery);
   ScopedSpan query_span(&trace_ctx, SpanName::kQuery, n);
@@ -158,34 +176,42 @@ Result<QueryResponse> ServingRuntime::Query(const GridMask& region,
 }
 
 Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
-  // Validate and admit BEFORE planning. Validation is O(regions) with no
-  // allocation, so an invalid spec (the caller's bug, not overload)
-  // never consumes budget — and an absurdly long time range is bounced
-  // by admission before any per-plan work happens. The cost formula
-  // matches QueryPlan::num_point_queries() for every spec shape: each of
-  // the |regions| rows gathers the full selector range (dedup shares
-  // resolutions, not gathers).
-  O4A_RETURN_NOT_OK(spec.Validate(*hierarchy_));
+  EndToEndTimer e2e(&telemetry_.query_e2e);
   const int64_t num_rows = static_cast<int64_t>(spec.regions.size());
-  const int64_t steps = spec.time.num_steps();
   const QuerySpecKind kind = spec.kind;
   TraceContext trace_ctx = trace_->StartTrace(SpanCategory::kQuery);
   ScopedSpan query_span(&trace_ctx, SpanName::kQuery, num_rows);
+
+  // Plan BEFORE admitting. Planning validates, so an invalid spec (the
+  // caller's bug, not overload) never consumes budget, and it costs
+  // O(regions) whatever the time range, so an absurdly long range is
+  // still bounced by admission before any per-step work. The plan's
+  // fingerprints then key the memo probe and every resolve-cache probe.
+  Result<QueryPlan> plan = Status::Internal("not planned");
+  {
+    ScopedSpan plan_span(&trace_ctx, SpanName::kPlan, num_rows);
+    plan = QueryPlanner(hierarchy_).Plan(std::move(spec));
+  }
+  O4A_RETURN_NOT_OK(plan.status());
+  const int64_t steps = plan->spec.time.num_steps();
+  const int64_t t = plan->spec.time.t0;
 
   // Incremental top-k: a point top-k re-issued at a later timestep
   // (the subscription pattern) probes the memo, which proves per row
   // whether any publish since the memoized evaluation touched its term
   // footprint. Clean rows carry their value over; only churned rows are
-  // re-gathered (as a multi-region sub-spec), and the ranking is
+  // re-gathered (the plan restricted to them), and the ranking is
   // re-sorted over the merged set. Single shard only for now; this is
   // the one topology test in ExecuteSpec.
   const bool memo_eligible = shards_.num_shards() == 1 &&
                              kind == QuerySpecKind::kTopK &&
-                             spec.time.IsPoint();
+                             plan->spec.time.IsPoint();
+  TopKMemo::Key memo_key;
   TopKMemo::Probe probe;
   std::vector<int> stale_rows;
   if (memo_eligible) {
-    probe = topk_memo_.Lookup(spec);
+    memo_key = TopKMemo::KeyFor(*plan);
+    probe = topk_memo_.Lookup(memo_key, t);
     if (probe.hit) {
       for (size_t i = 0; i < probe.clean.size(); ++i) {
         if (!probe.clean[i]) stale_rows.push_back(static_cast<int>(i));
@@ -197,7 +223,9 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
 
   // Overflow-safe cost: a product that cannot fit the budget is clamped
   // to just past it — guaranteed rejection without int64 wraparound.
-  // Memo-clean rows gather nothing, so they claim no slots.
+  // Memo-clean rows gather nothing, so they claim no slots. Each of the
+  // evaluated rows gathers the full selector range (dedup shares
+  // resolutions, not gathers), matching QueryPlan::num_point_queries().
   const int64_t cost =
       eval_rows > options_.max_inflight_queries / steps
           ? options_.max_inflight_queries + 1
@@ -210,81 +238,36 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
   O4A_RETURN_NOT_OK(admitted);
   telemetry_.CountSpec(kind);
 
-  if (probe.hit && stale_rows.empty()) {
-    // Every row provably unchanged: rank the memoized values and answer
-    // without touching the store at all.
-    QueryResult result;
+  QueryResult result;
+  if (probe.hit) {
+    // Carry the clean rows over and gather only the churned ones, through
+    // the same resolve / gather / fold path, so merged values are
+    // bit-identical to a full top-k execution; then rank the merged set
+    // with RankTopK's exact ordering. With nothing churned the store is
+    // never touched.
+    if (!stale_rows.empty()) {
+      plan->KeepRows(stale_rows);
+      plan->spec.kind = QuerySpecKind::kMultiRegion;  // rank after merge
+      result = ExecutePinned(*plan, &trace_ctx);
+    }
+    std::vector<Result<QueryRow>> fresh = std::move(result.rows);
     result.kind = QuerySpecKind::kTopK;
     result.rows = std::move(probe.rows);
-    {
-      ScopedSpan rank_span(&trace_ctx, SpanName::kRank, spec.top_k);
-      Stopwatch rank_timer;
-      result.top_k = TopKMemo::RankRows(result.rows, spec.top_k);
-      result.timings.rank_micros = rank_timer.ElapsedMicros();
-    }
-    topk_memo_.Store(spec, result.rows);  // re-anchor the entry at t
-    topk_memo_.CountReuse(num_rows, 0);
-    ReleaseQueries(cost);
-    RecordRowOutcomes(result.rows);
-    return result;
-  }
-
-  QuerySpec memo_spec;  // the original, kept for the post-exec Store
-  if (memo_eligible) memo_spec = spec;
-  if (probe.hit) {
-    // Partial reuse: re-gather only the churned rows. A multi-region
-    // sub-spec evaluates each region through the identical resolve /
-    // gather / fold path, so merged values are bit-identical to a full
-    // top-k execution; ranking happens after the merge.
-    QuerySpec sub;
-    sub.kind = QuerySpecKind::kMultiRegion;
-    sub.regions.reserve(stale_rows.size());
-    for (const int idx : stale_rows) {
-      sub.regions.push_back(spec.regions[static_cast<size_t>(idx)]);
-    }
-    sub.time = spec.time;
-    sub.aggregation = spec.aggregation;
-    sub.strategy = spec.strategy;
-    sub.eval_path = spec.eval_path;
-    sub.keep_series = spec.keep_series;
-    spec = std::move(sub);
-  }
-
-  QueryPlanner planner(hierarchy_);
-  Result<QueryPlan> plan = Status::Internal("not planned");
-  {
-    ScopedSpan plan_span(&trace_ctx, SpanName::kPlan, num_rows);
-    plan = planner.Plan(std::move(spec));
-  }
-  if (!plan.ok()) {
-    ReleaseQueries(cost);
-    return plan.status();
-  }
-
-  QueryResult result = ExecutePinned(*plan, &trace_ctx);
-  if (probe.hit) {
-    // Merge: memoized clean rows + freshly gathered churned rows, then
-    // re-rank the full set with RankTopK's exact ordering.
-    QueryResult merged;
-    merged.kind = QuerySpecKind::kTopK;
-    merged.rows = std::move(probe.rows);
     for (size_t j = 0; j < stale_rows.size(); ++j) {
-      merged.rows[static_cast<size_t>(stale_rows[j])] =
-          std::move(result.rows[j]);
+      result.rows[static_cast<size_t>(stale_rows[j])] = std::move(fresh[j]);
     }
-    merged.timings = result.timings;
-    merged.cache_hits = result.cache_hits;
-    merged.cache_misses = result.cache_misses;
-    {
-      ScopedSpan rank_span(&trace_ctx, SpanName::kRank, memo_spec.top_k);
-      Stopwatch rank_timer;
-      merged.top_k = TopKMemo::RankRows(merged.rows, memo_spec.top_k);
-      merged.timings.rank_micros = rank_timer.ElapsedMicros();
-    }
+    ScopedSpan rank_span(&trace_ctx, SpanName::kRank, plan->spec.top_k);
+    Stopwatch rank_timer;
+    result.top_k = TopKMemo::RankRows(result.rows, plan->spec.top_k);
+    result.timings.rank_micros = rank_timer.ElapsedMicros();
     topk_memo_.CountReuse(num_rows - eval_rows, eval_rows);
-    result = std::move(merged);
+  } else {
+    result = ExecutePinned(*plan, &trace_ctx);
   }
-  if (memo_eligible) topk_memo_.Store(memo_spec, result.rows);
+  if (memo_eligible) {
+    topk_memo_.Store(std::move(memo_key), t, plan->spec.regions,
+                     result.rows);
+  }
   ReleaseQueries(cost);
   RecordRowOutcomes(result.rows);
   return result;

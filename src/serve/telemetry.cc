@@ -48,9 +48,16 @@ ServingTelemetry::ServingTelemetry() {
             QuerySpecKindName(static_cast<QuerySpecKind>(k)) + "\"",
         &specs_by_kind[static_cast<size_t>(k)]);
   }
-  registry_.RegisterHistogram("one4all_query_latency_micros",
-                              "Per-query response time in microseconds",
-                              "", &query_latency);
+  registry_.RegisterHistogram(
+      "one4all_query_latency_micros",
+      "Per-row response time in the paper's sense (cache probe on a hit, "
+      "decompose + index on a miss) in microseconds",
+      "", &query_latency);
+  registry_.RegisterHistogram(
+      "one4all_query_e2e_micros",
+      "Per-call end-to-end query latency (entry to return, admission "
+      "included) in microseconds",
+      "", &query_e2e);
   registry_.RegisterHistogram(
       "one4all_publish_latency_micros",
       "Per-epoch stage+publish latency in microseconds", "",
@@ -109,6 +116,7 @@ void ServingTelemetry::Reset() {
     counter.store(0, std::memory_order_relaxed);
   }
   query_latency.Reset();
+  query_e2e.Reset();
   publish_latency.Reset();
 }
 

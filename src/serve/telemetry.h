@@ -95,7 +95,12 @@ class ServingTelemetry {
   /// Executed specs by QuerySpecKind (legacy QueryBatch counts as
   /// kPointBatch), indexed by static_cast<int>(kind).
   std::array<Counter, kNumQuerySpecKinds> specs_by_kind{};
-  LatencyHistogram query_latency;    ///< per-query response micros
+  /// Per-row response micros in the paper's sense: the resolve-cache
+  /// probe on a hit, decompose + index on a miss.
+  LatencyHistogram query_latency;
+  /// Per-call micros of ExecuteSpec / QueryBatch from entry to return:
+  /// plan, admission, epoch pin, resolve, gather, fold and rank.
+  LatencyHistogram query_e2e;
   LatencyHistogram publish_latency;  ///< per-epoch stage+publish micros
 
   /// \brief One relaxed increment on the spec's kind counter.

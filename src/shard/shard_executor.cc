@@ -88,6 +88,7 @@ QueryResult ShardExecutor::Execute(const QueryPlan& plan,
             Stopwatch probe;
             slot.resolved = server_->ResolveCached(
                 region, plan.spec.strategy,
+                plan.slot_fingerprints[static_cast<size_t>(s)],
                 &shards_->shard(slot.home_shard).cache, &slot.cache_hit);
             slot.probe_micros = probe.ElapsedMicros();
             probe_span.set_arg(slot.cache_hit ? 1 : 0);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/rng.h"
@@ -219,6 +221,65 @@ TEST(MaskPackedPropertyTest, FingerprintInsensitiveToHistory) {
   // And strategy is part of the key.
   const auto fu = FingerprintRegion(a, QueryStrategy::kUnion);
   EXPECT_FALSE(fa == fu);
+}
+
+TEST(MaskPackedPropertyTest, EmptyAgreesWithCount) {
+  // Empty() stops at the first set word instead of counting; it must
+  // agree with Count() == 0 on all-zero masks, on masks whose only set
+  // cell is the very last one (ragged widths leave unused trailing bits
+  // in that word), and on random densities.
+  Rng rng(4242);
+  for (const auto& extent : kExtents) {
+    const int64_t h = extent[0], w = extent[1];
+    GridMask zero(h, w);
+    EXPECT_TRUE(zero.Empty());
+    EXPECT_EQ(zero.Count(), 0);
+    GridMask last(h, w);
+    last.Set(h - 1, w - 1, true);
+    EXPECT_FALSE(last.Empty());
+    last.Set(h - 1, w - 1, false);
+    EXPECT_TRUE(last.Empty());
+    for (int round = 0; round < 30; ++round) {
+      const double density = round % 3 == 0 ? 0.0 : rng.Uniform() * 0.05;
+      const GridMask m = ToPacked(RandomByteMask(h, w, density, &rng));
+      EXPECT_EQ(m.Empty(), m.Count() == 0);
+    }
+  }
+}
+
+TEST(MaskPackedPropertyTest, OneCellApartNeverCollides) {
+  // Seeded sample: every mask and each of its one-cell flips fingerprint
+  // apart, and a fingerprint seen twice always names the same content.
+  Rng rng(99);
+  std::unordered_map<RegionFingerprint, std::string, RegionFingerprintHash>
+      content_of;
+  auto fingerprint = [&](const GridMask& m) {
+    const RegionFingerprint fp =
+        FingerprintRegion(m, QueryStrategy::kUnionSubtraction);
+    const std::string content = std::to_string(m.height()) + "x" +
+                                std::to_string(m.width()) + "\n" +
+                                m.ToString();
+    const auto inserted = content_of.emplace(fp, content);
+    EXPECT_EQ(inserted.first->second, content) << "fingerprint collision";
+    return fp;
+  };
+  for (const auto& extent : kExtents) {
+    const int64_t h = extent[0], w = extent[1];
+    for (int round = 0; round < 40; ++round) {
+      const GridMask base =
+          ToPacked(RandomByteMask(h, w, rng.Uniform() * 0.3, &rng));
+      const RegionFingerprint fp_base = fingerprint(base);
+      for (int flip = 0; flip < 4; ++flip) {
+        GridMask other = base;
+        const int64_t r = RandInt(&rng, 0, h - 1);
+        const int64_t c = RandInt(&rng, 0, w - 1);
+        other.Set(r, c, !other.at(r, c));
+        EXPECT_FALSE(fp_base == fingerprint(other))
+            << h << "x" << w << " flip (" << r << "," << c << ")";
+      }
+    }
+  }
+  EXPECT_GT(content_of.size(), 1000u);
 }
 
 }  // namespace

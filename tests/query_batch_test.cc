@@ -367,6 +367,22 @@ TEST(ResolvedQueryCacheTest, FingerprintSeparatesMasksAndStrategies) {
   EXPECT_TRUE(fp1 == FingerprintRegion(m1, QueryStrategy::kUnion));
 }
 
+TEST(ResolvedQueryCacheTest, FingerprintKeysWordIndexAndExtents) {
+  // The fingerprint skips zero words, so it must mix in each set word's
+  // index: one word value at two word indices is two different regions.
+  // Extents are keyed too, so all-zero masks of different shapes differ.
+  GridMask at_word1(4, 128), at_word5(4, 128);  // 8 words, 2 per row
+  for (const int64_t c : {0, 3, 17, 63}) {
+    at_word1.Set(0, 64 + c, true);
+    at_word5.Set(2, 64 + c, true);
+  }
+  ASSERT_EQ(at_word1.words()[1], at_word5.words()[5]);
+  EXPECT_FALSE(FingerprintRegion(at_word1, QueryStrategy::kUnion) ==
+               FingerprintRegion(at_word5, QueryStrategy::kUnion));
+  EXPECT_FALSE(FingerprintRegion(GridMask(4, 128), QueryStrategy::kUnion) ==
+               FingerprintRegion(GridMask(8, 64), QueryStrategy::kUnion));
+}
+
 TEST(ResolvedQueryCacheTest, ConcurrentGetPutIsSafe) {
   ResolvedQueryCacheOptions options;
   options.capacity = 64;

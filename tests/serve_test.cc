@@ -29,10 +29,13 @@ struct ServeFixture {
   std::unique_ptr<MauPipeline> pipeline;
   std::vector<GridMask> regions;
 
-  static ServeFixture Make(uint64_t seed = 11) {
+  /// \param side Raster side. 16 keeps every layer one 32x32 dirty
+  /// tile; 64 gives the atomic layer 2x2 tiles, so churn can spare part
+  /// of the raster.
+  static ServeFixture Make(uint64_t seed = 11, int64_t side = 16) {
     SyntheticDataOptions data_options;
-    data_options.height = 16;
-    data_options.width = 16;
+    data_options.height = side;
+    data_options.width = side;
     data_options.num_timesteps = 88;
     data_options.seed = seed;
     auto flows = GenerateSyntheticFlows(data_options);
@@ -45,7 +48,7 @@ struct ServeFixture {
     spec.daily_interval = 4;
     spec.weekly_interval = 8;  // MinHistory = 8
 
-    Hierarchy hierarchy = Hierarchy::Uniform(16, 16, 2, 16);
+    Hierarchy hierarchy = Hierarchy::Uniform(side, side, 2, 16);
     auto dataset =
         STDataset::Create(flows.MoveValueUnsafe(), hierarchy, spec);
     EXPECT_TRUE(dataset.ok());
@@ -59,9 +62,9 @@ struct ServeFixture {
 
     RegionGeneratorOptions region_options;
     region_options.style = RegionStyle::kVoronoi;
-    region_options.mean_cells = 10.0;
+    region_options.mean_cells = 10.0 * static_cast<double>(side / 16);
     region_options.seed = 23;
-    fixture.regions = GenerateRegions(16, 16, region_options);
+    fixture.regions = GenerateRegions(side, side, region_options);
     EXPECT_GE(fixture.regions.size(), 4u);
     return fixture;
   }
@@ -594,34 +597,75 @@ TEST(ServingRuntimeTest, PinnedEpochSurvivesPublishesAndReclamation) {
   EXPECT_EQ(runtime.shards().max_live_epochs(), 1);
 }
 
+// Oracle frames where only one atomic 32x32 tile moves: every layer
+// serves timestep `base_t`'s ground truth, except the atomic cells of
+// [0, 32) x [0, 32), which follow timestep t. Coarse layers never
+// change, so a publish dirties exactly one atomic tile.
+FrameInference OneTileChurnInference(const STDataset* dataset,
+                                     int64_t base_t) {
+  return [dataset, base_t](int64_t t, const TemporalInput&)
+             -> Result<std::vector<Tensor>> {
+    std::vector<Tensor> frames;
+    for (int l = 1; l <= dataset->hierarchy().num_layers(); ++l) {
+      frames.push_back(dataset->FrameAtLayer(base_t, l));
+    }
+    const Tensor moving = dataset->FrameAtLayer(t, 1);
+    for (int64_t r = 0; r < 32; ++r) {
+      for (int64_t c = 0; c < 32; ++c) {
+        frames[0].at(r, c) = moving.at(r, c);
+      }
+    }
+    return frames;
+  };
+}
+
+// The region of `regions` holding cell (r, c).
+const GridMask& RegionAt(const std::vector<GridMask>& regions, int64_t r,
+                         int64_t c) {
+  for (const GridMask& region : regions) {
+    if (region.at(r, c)) return region;
+  }
+  ADD_FAILURE() << "no region holds (" << r << "," << c << ")";
+  return regions.front();
+}
+
 // Incremental top-k: a subscribed spec (same regions, advancing point
 // timestep) goes through the memo — a same-timestep re-issue reuses
-// every row, and the post-publish re-issue must rank bit-identically
-// to a cold evaluation whatever mix of reuse and re-gather it took.
+// every row, a publish that churns one tile re-gathers only the rows
+// whose footprint it touches, and the merged ranking must be
+// bit-identical to a cold evaluation.
 TEST(ServingRuntimeTest, TopKSubscriptionReusesRowsAndStaysExact) {
-  ServeFixture fixture = ServeFixture::Make();
+  ServeFixture fixture = ServeFixture::Make(11, 64);
   ServingRuntimeOptions options = fixture.RuntimeOptions();
   options.ingest.num_timesteps = 3;
   options.ingest.manual_stepping = true;
+  const int64_t t0 = options.ingest.start_t;
   ServingRuntime runtime(&fixture.dataset->hierarchy(),
                          &fixture.pipeline->index(), fixture.dataset.get(),
-                         MakeGroundTruthInference(fixture.dataset.get()),
+                         OneTileChurnInference(fixture.dataset.get(), t0),
                          options);
   runtime.Start();
   runtime.ingestor().GrantSteps(1);
   ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(1));
-  const int64_t t0 = options.ingest.start_t;
   const int k = 3;
+  // Duplicates on both sides of the churn: the bottom-right region
+  // (never churned) leads, and the top-left one (always churned) trails,
+  // so restricting the plan to the churned rows re-maps a shared slot.
+  std::vector<GridMask> regions;
+  regions.push_back(RegionAt(fixture.regions, 63, 63));
+  regions.insert(regions.end(), fixture.regions.begin(),
+                 fixture.regions.end());
+  regions.push_back(RegionAt(fixture.regions, 0, 0));
+  const int64_t n = static_cast<int64_t>(regions.size());
 
-  auto first = runtime.ExecuteSpec(QuerySpec::TopK(fixture.regions, t0, k));
+  auto first = runtime.ExecuteSpec(QuerySpec::TopK(regions, t0, k));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(runtime.topk_memo().rows_reused(), 0);
 
   // Same spec, same timestep, no publish in between: every row reuses.
-  auto again = runtime.ExecuteSpec(QuerySpec::TopK(fixture.regions, t0, k));
+  auto again = runtime.ExecuteSpec(QuerySpec::TopK(regions, t0, k));
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(runtime.topk_memo().rows_reused(),
-            static_cast<int64_t>(fixture.regions.size()));
+  EXPECT_EQ(runtime.topk_memo().rows_reused(), n);
   ASSERT_EQ(again->rows.size(), first->rows.size());
   EXPECT_EQ(again->top_k, first->top_k);
   for (size_t i = 0; i < first->rows.size(); ++i) {
@@ -630,17 +674,22 @@ TEST(ServingRuntimeTest, TopKSubscriptionReusesRowsAndStaysExact) {
     EXPECT_EQ(again->rows[i]->value, first->rows[i]->value);
   }
 
-  // Advance the subscription one publish: the merged (reused + freshly
-  // gathered) ranking must be bit-identical to a cold evaluation of the
-  // same spec with the memo wiped.
+  // Advance the subscription one publish that churns one tile: some rows
+  // re-gather, the rest carry over, and the merged ranking must be
+  // bit-identical to a cold evaluation with the memo wiped.
   runtime.ingestor().GrantSteps(1);
   ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(2));
-  auto warm =
-      runtime.ExecuteSpec(QuerySpec::TopK(fixture.regions, t0 + 1, k));
+  const int64_t reused_before = runtime.topk_memo().rows_reused();
+  const int64_t reeval_before = runtime.topk_memo().rows_reevaluated();
+  auto warm = runtime.ExecuteSpec(QuerySpec::TopK(regions, t0 + 1, k));
   ASSERT_TRUE(warm.ok());
+  const int64_t reused = runtime.topk_memo().rows_reused() - reused_before;
+  EXPECT_GT(reused, 0);
+  EXPECT_LT(reused, n);
+  EXPECT_EQ(runtime.topk_memo().rows_reevaluated() - reeval_before,
+            n - reused);
   runtime.topk_memo().Invalidate();
-  auto cold =
-      runtime.ExecuteSpec(QuerySpec::TopK(fixture.regions, t0 + 1, k));
+  auto cold = runtime.ExecuteSpec(QuerySpec::TopK(regions, t0 + 1, k));
   ASSERT_TRUE(cold.ok());
   ASSERT_EQ(warm->rows.size(), cold->rows.size());
   EXPECT_EQ(warm->top_k, cold->top_k);
@@ -649,6 +698,74 @@ TEST(ServingRuntimeTest, TopKSubscriptionReusesRowsAndStaysExact) {
     ASSERT_TRUE(warm->rows[i].ok());
     EXPECT_EQ(warm->rows[i]->value, cold->rows[i]->value);
   }
+
+  // Two specs one cell apart never share an entry: the variant misses
+  // (counts nothing), and each spec then re-hits only its own entry.
+  std::vector<GridMask> variant = regions;
+  GridMask& grown = variant[1];
+  bool flipped = false;
+  for (int64_t r = 0; r < grown.height() && !flipped; ++r) {
+    for (int64_t c = 0; c < grown.width() && !flipped; ++c) {
+      if (!grown.at(r, c)) {
+        grown.Set(r, c, true);
+        flipped = true;
+      }
+    }
+  }
+  ASSERT_TRUE(flipped);
+  const int64_t reused_cold = runtime.topk_memo().rows_reused();
+  const int64_t reeval_cold = runtime.topk_memo().rows_reevaluated();
+  auto other = runtime.ExecuteSpec(QuerySpec::TopK(variant, t0 + 1, k));
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ(runtime.topk_memo().rows_reused(), reused_cold);
+  EXPECT_EQ(runtime.topk_memo().rows_reevaluated(), reeval_cold);
+  auto other_again =
+      runtime.ExecuteSpec(QuerySpec::TopK(variant, t0 + 1, k));
+  auto cold_again = runtime.ExecuteSpec(QuerySpec::TopK(regions, t0 + 1, k));
+  ASSERT_TRUE(other_again.ok());
+  ASSERT_TRUE(cold_again.ok());
+  EXPECT_EQ(runtime.topk_memo().rows_reused(), reused_cold + 2 * n);
+  for (size_t i = 0; i < cold->rows.size(); ++i) {
+    EXPECT_EQ(other_again->rows[i]->value, other->rows[i]->value);
+    EXPECT_EQ(cold_again->rows[i]->value, cold->rows[i]->value);
+  }
+  EXPECT_EQ(cold_again->top_k, cold->top_k);
+  EXPECT_EQ(other_again->top_k, other->top_k);
+  runtime.Stop();
+}
+
+// The end-to-end histogram takes one sample per call, whatever the row
+// count, while the paper-sense response histogram takes one per row.
+TEST(ServingRuntimeTest, EndToEndLatencyCountsOncePerCall) {
+  ServeFixture fixture = ServeFixture::Make();
+  ServingRuntimeOptions options = fixture.RuntimeOptions();
+  options.ingest.num_timesteps = 1;
+  options.ingest.manual_stepping = true;
+  ServingRuntime runtime(&fixture.dataset->hierarchy(),
+                         &fixture.pipeline->index(), fixture.dataset.get(),
+                         MakeGroundTruthInference(fixture.dataset.get()),
+                         options);
+  runtime.Start();
+  runtime.ingestor().GrantSteps(1);
+  ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(1));
+  const int64_t t = options.ingest.start_t;
+  ServingTelemetry& telemetry = runtime.telemetry();
+
+  const int64_t e2e_before = telemetry.query_e2e.count();
+  const int64_t rows_before = telemetry.query_latency.count();
+  auto served =
+      runtime.ExecuteSpec(QuerySpec::MultiRegion(fixture.regions, t));
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(telemetry.query_e2e.count(), e2e_before + 1);
+  EXPECT_EQ(telemetry.query_latency.count(),
+            rows_before + static_cast<int64_t>(fixture.regions.size()));
+  // The whole call, so at least the executor's own stage total.
+  EXPECT_GE(telemetry.query_e2e.MaxMicros(), served->timings.total_micros);
+
+  auto batch = runtime.QueryBatch({BatchQuery{fixture.regions[0], t},
+                                   BatchQuery{fixture.regions[1], t}});
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(telemetry.query_e2e.count(), e2e_before + 2);
   runtime.Stop();
 }
 

@@ -504,14 +504,15 @@ TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
 
 // One counting contract for every topology: the barrier counts one
 // epoch per flip, each shard's epoch manager counts its own staged
-// slices and reclaimed generations, and the per-shard metric series
-// exist at N=1 as well as N=4.
+// slices and reclaimed generations, and the per-shard metric series,
+// the top-k memo counters and the end-to-end histogram exist at N=1 as
+// well as N=2 and N=4.
 TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {
   ShardFixture fixture = ShardFixture::Make(29);
   const int64_t steps =
       static_cast<int64_t>(fixture.dataset->test_indices().size());
   const int num_layers = fixture.dataset->hierarchy().num_layers();
-  for (int num_shards : {1, 4}) {
+  for (int num_shards : {1, 2, 4}) {
     SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
     auto runtime = fixture.MakeRuntime(num_shards);
     ShardSet& shards = runtime->shards();
@@ -554,6 +555,14 @@ TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {
                                  std::to_string(num_shards - 1) + "\"}";
     EXPECT_NE(exposition.find(last_lag), std::string::npos);
     EXPECT_NE(exposition.find("one4all_shard_torn_pins"), std::string::npos);
+    // The top-k memo counters and the end-to-end histogram (one sample
+    // per ExecuteSpec call) exist in every topology.
+    EXPECT_NE(exposition.find("one4all_topk_rows_reused_total "),
+              std::string::npos);
+    EXPECT_NE(exposition.find("one4all_topk_rows_reevaluated_total "),
+              std::string::npos);
+    EXPECT_NE(exposition.find("one4all_query_e2e_micros_count 4\n"),
+              std::string::npos);
     EXPECT_TRUE(MetricsRegistry::ValidateExposition(exposition).ok());
     EXPECT_TRUE(shards.Consistent());
   }
