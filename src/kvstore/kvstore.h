@@ -53,8 +53,8 @@ class KvStore {
 
  private:
   // Reader-writer lock: the online query path is read-dominated (many
-  // concurrent GetFrame/GetValue readers per synced frame), so readers
-  // take the lock shared and only Put/Delete/Clear exclude each other.
+  // concurrent Get readers per synced key), so readers take the lock
+  // shared and only Put/Delete/Clear exclude each other.
   mutable std::shared_mutex mu_;
   std::map<std::string, std::string> table_;
 };

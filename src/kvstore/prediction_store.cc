@@ -99,17 +99,6 @@ Status PredictionStore::TrySyncFrameDeltaAt(int64_t generation, int layer,
   return Status::OK();
 }
 
-Result<Tensor> PredictionStore::GetFrame(int layer, int64_t t) const {
-  return GetFrameAt(0, layer, t);
-}
-
-Result<Tensor> PredictionStore::GetFrameAt(int64_t generation, int layer,
-                                           int64_t t) const {
-  O4A_ASSIGN_OR_RETURN(std::shared_ptr<const TiledFrame> frame,
-                       GetTiledFrameAt(generation, layer, t));
-  return frame->Materialize();
-}
-
 Result<std::shared_ptr<const TiledFrame>> PredictionStore::GetTiledFrameAt(
     int64_t generation, int layer, int64_t t) const {
   Entry entry;

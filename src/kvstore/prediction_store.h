@@ -19,9 +19,13 @@
 //     TryBuildSatPlaneDeltaAt) copies only the tiles a dirty set marks,
 //     aliasing every clean tile from the base timestep's entry — staging
 //     a 5%-churn epoch copies ~5% of the data;
+//   - reads are zero-copy: GetTiledFrameAt / GetTiledSatPlaneAt hand out
+//     the stored shared_ptr, and readers read cells in place through the
+//     frame's tile table — no read path copies a frame;
 //   - reclamation (DropGeneration) is a map erase: a tile block is freed
-//     when the last generation referencing it drops, which keeps a
-//     pinned epoch's data alive precisely as long as its pins.
+//     when the last generation (or reader pin) referencing it drops,
+//     which keeps a pinned epoch's data alive precisely as long as its
+//     pins.
 // Planes live *inside* the generation entry on purpose: carry-forward
 // and reclamation treat a plane exactly like its frame.
 #ifndef ONE4ALL_KVSTORE_PREDICTION_STORE_H_
@@ -93,13 +97,10 @@ class PredictionStore {
                              const TileDirtySet& dirty,
                              StageStats* stats = nullptr);
 
-  /// \brief Reads a full frame back from generation 0.
-  Result<Tensor> GetFrame(int layer, int64_t t) const;
-  Result<Tensor> GetFrameAt(int64_t generation, int layer, int64_t t) const;
-
-  /// \brief Zero-copy tiled reads for the hot query path: a shared_ptr
-  /// fetch under a shared lock, no materialization. The returned object
-  /// outlives any concurrent reclamation of its generation.
+  /// \brief Zero-copy tiled reads, the only frame/plane read surface: a
+  /// shared_ptr fetch under a shared lock, no cell copy. Readers pin the
+  /// returned object and read cells in place (TiledFrame::at / tiles());
+  /// it outlives any concurrent reclamation of its generation.
   Result<std::shared_ptr<const TiledFrame>> GetTiledFrameAt(
       int64_t generation, int layer, int64_t t) const;
   Result<std::shared_ptr<const TiledSatPlane>> GetTiledSatPlaneAt(

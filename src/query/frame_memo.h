@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -20,32 +21,35 @@
 namespace one4all {
 namespace query_internal {
 
-/// \brief Per-worker memo of prediction frames: one GetFrame per
-/// (layer, t) instead of one per combination term.
+/// \brief Per-worker memo of pinned prediction frames: one store fetch
+/// per (layer, t) instead of one per combination term, and no cell copy
+/// at all — each entry pins the tiled copy-on-write frame the store
+/// holds and terms read their cell through its tile table.
 ///
 /// A flat key-sorted vector, not a map: the memo holds a handful of
 /// frames (layers x timesteps of one worker chunk), so binary search
 /// over contiguous keys beats pointer-chasing map nodes, and inserting
-/// shifts only cheap moved Tensors — the node churn used to show up in
-/// the gather stage timings.
+/// shifts only (key, shared_ptr) pairs.
 class FrameMemo {
  public:
   FrameMemo(const PredictionStore* store, int64_t generation)
       : store_(store), generation_(generation) {}
 
-  /// \brief The frame of (layer, t), fetched from the store on first
-  /// use. The pointer stays valid until the next Get that misses.
-  Result<const Tensor*> Get(int layer, int64_t t) {
+  /// \brief The frame of (layer, t), pinned from the store on first use.
+  /// The pointer stays valid for the memo's lifetime — the memo's pin
+  /// keeps the frame alive even if its generation is reclaimed.
+  Result<const TiledFrame*> Get(int layer, int64_t t) {
     const Key key{layer, t};
     auto it = std::lower_bound(
         frames_.begin(), frames_.end(), key,
         [](const Entry& e, const Key& k) { return e.first < k; });
     if (it == frames_.end() || it->first != key) {
-      Result<Tensor> frame = store_->GetFrameAt(generation_, layer, t);
+      Result<std::shared_ptr<const TiledFrame>> frame =
+          store_->GetTiledFrameAt(generation_, layer, t);
       O4A_RETURN_NOT_OK(frame.status());
       it = frames_.insert(it, Entry{key, frame.MoveValueUnsafe()});
     }
-    return &it->second;
+    return it->second.get();
   }
 
   /// \brief Sums signed term predictions at `t` (same term order as
@@ -54,7 +58,7 @@ class FrameMemo {
                   double* value) {
     double acc = 0.0;
     for (const CombinationTerm& term : terms) {
-      O4A_ASSIGN_OR_RETURN(const Tensor* frame, Get(term.grid.layer, t));
+      O4A_ASSIGN_OR_RETURN(const TiledFrame* frame, Get(term.grid.layer, t));
       acc += static_cast<double>(term.sign) *
              frame->at(term.grid.row, term.grid.col);
     }
@@ -64,7 +68,7 @@ class FrameMemo {
 
  private:
   using Key = std::pair<int, int64_t>;
-  using Entry = std::pair<Key, Tensor>;
+  using Entry = std::pair<Key, std::shared_ptr<const TiledFrame>>;
 
   const PredictionStore* store_;
   int64_t generation_;

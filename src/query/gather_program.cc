@@ -5,6 +5,8 @@
 #include <sstream>
 #include <utility>
 
+#include "tensor/tiled_sat.h"
+
 namespace one4all {
 
 namespace {
@@ -36,7 +38,7 @@ void EmitRect(const PendingRect& rect, int layer, int8_t sign,
   for (int64_t r = rect.r0; r < rect.r1; ++r) {
     for (int64_t c = rect.c0; c < rect.c1; ++c) {
       program->residues.push_back(
-          ResidueRead{layer, 0, r * layer_width + c, sign});
+          ResidueRead{layer, 0, r * layer_width + c, 0, 0, sign});
     }
   }
 }
@@ -80,7 +82,7 @@ GatherProgram CompileGatherProgram(const std::vector<CombinationTerm>& terms,
         unique.push_back(cell);
       } else {
         program.residues.push_back(ResidueRead{
-            layer, 0, cell.first * layer_width + cell.second, sign});
+            layer, 0, cell.first * layer_width + cell.second, 0, 0, sign});
       }
     }
 
@@ -130,7 +132,8 @@ GatherProgram CompileGatherProgram(const std::vector<CombinationTerm>& terms,
   }
 
   // Deterministic program order: layers ascending, reads ascending
-  // within a layer (residue offsets ascending = contiguous frame sweep).
+  // within a layer (residues by flat offset, so every timestep adds them
+  // in the same row-major sequence).
   std::sort(program.rects.begin(), program.rects.end(),
             [](const SatRectRead& a, const SatRectRead& b) {
               if (a.layer != b.layer) return a.layer < b.layer;
@@ -176,6 +179,11 @@ GatherProgram CompileGatherProgram(const std::vector<CombinationTerm>& terms,
   }
   for (ResidueRead& read : program.residues) {
     read.layer_index = index_of(read.layer);
+    const int64_t layer_width = hierarchy.layer(read.layer).width;
+    const TileAddress address = TileAddressOf(
+        layer_width, read.offset / layer_width, read.offset % layer_width);
+    read.tile = address.tile;
+    read.in_tile = address.in_tile;
   }
   return program;
 }

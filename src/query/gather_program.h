@@ -4,9 +4,11 @@
 //     within one layer, each answered by a four-corner read of that
 //     layer's summed-area plane (tensor/prefix_sum.h) — O(#rects)
 //     however many cells the rectangles cover, and
-//   - residue reads: the irregular leftovers, as flat element offsets
-//     into the layer frame precomputed once at resolve time and kept
-//     offset-sorted so the executor sweeps each frame contiguously.
+//   - residue reads: the irregular leftovers, each addressed as a
+//     (tile, in-tile offset) pair into the layer's copy-on-write tiled
+//     frame (tensor/tiled_sat.h), precomputed once at resolve time and
+//     kept in flat-offset order so every timestep adds them in the same
+//     sequence.
 // Compiled once per resolution (and therefore cached with it in the
 // ResolvedQueryCache); the QueryExecutor's kSatFastPath interprets it
 // against the epoch-pinned frame/plane set.
@@ -38,12 +40,16 @@ struct SatRectRead {
   int64_t num_cells() const { return (r1 - r0) * (c1 - c0); }
 };
 
-/// \brief One signed single-cell read at a precomputed flat offset
-/// (row * layer_width + col) into the layer frame.
+/// \brief One signed single-cell read of the layer frame. `offset` is
+/// the flat cell index (row * layer_width + col) the program is ordered
+/// by; `tile` / `in_tile` are the same cell's TileAddressOf, the address
+/// the executor reads through in place.
 struct ResidueRead {
   int layer = 1;
   int layer_index = 0;  ///< index into GatherProgram::layers
   int64_t offset = 0;
+  int32_t tile = 0;
+  int32_t in_tile = 0;
   int8_t sign = 1;
 };
 

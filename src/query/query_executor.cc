@@ -125,27 +125,28 @@ QueryRow MakeRow(const std::vector<double>& series, TimeAggregation agg,
 
 // -- SAT fast path ----------------------------------------------------------
 
-/// \brief One (layer, t) the fast path needs, with whatever was fetched
-/// for it. Frames and planes are fetched once per *plan* (the exact path
-/// re-fetches per worker chunk), then read concurrently by every row.
-/// The hot row loop reads raw pointers hoisted at fetch time — no
-/// Result<> unwrapping per rect/residue read.
+/// \brief One (layer, t) the fast path needs, with whatever was pinned
+/// for it. Frames and planes are pinned once per *plan* (the exact path
+/// pins per worker chunk through its FrameMemo), then read in place,
+/// concurrently, by every row. The hot row loop reads raw pointers
+/// hoisted at fetch time — no Result<> unwrapping per rect/residue read.
 struct FrameTableEntry {
   int layer = 0;
   int64_t t = 0;
   bool need_frame = false;
   bool need_plane = false;
-  /// Raw frame cells (null when the frame is missing; `error` says why).
-  const float* frame_data = nullptr;
-  int64_t frame_width = 0;
-  /// The tiled summed-area plane, shared straight out of the store
-  /// (an O(1) refcount bump, not a blob decode — the epoch pin keeps it
-  /// alive). Null: not published for this generation — rect reads then
-  /// fall back to direct sums over `frame_data`.
+  /// The pinned frame's tile table (TiledFrame::tiles()): residues read
+  /// tiles[tile][in_tile]. Null when the frame is missing; `error` says
+  /// why.
+  const float* const* tiles = nullptr;
+  /// The tiled frame and summed-area plane, shared straight out of the
+  /// store (an O(1) refcount bump, no cell copy). The pins keep both
+  /// alive past any reclamation of their generation. A null plane: not
+  /// published for this generation — rect reads then fall back to
+  /// direct sums over `frame`.
+  std::shared_ptr<const TiledFrame> frame;
   std::shared_ptr<const TiledSatPlane> plane;
   Status error;  ///< frame fetch failure (typically NotFound)
-
-  Tensor frame_storage;  ///< owns frame_data
 };
 
 bool EntryKeyLess(const FrameTableEntry& e, std::pair<int, int64_t> key) {
@@ -162,15 +163,21 @@ const FrameTableEntry* FindEntry(const std::vector<FrameTableEntry>& table,
 }
 
 /// \brief Fallback rect sum when a generation carries no plane for this
-/// (layer, t): sum the frame rows directly. Still O(area), but contiguous
-/// and without per-cell term bookkeeping.
-double RectSumOnFrame(const float* data, int64_t width,
-                      const SatRectRead& rect) {
+/// (layer, t): sum the frame directly, row by row in ascending (r, c)
+/// order, walking each row's span tile by tile. Still O(area), but
+/// contiguous within a tile and without per-cell term bookkeeping.
+double RectSumOnFrame(const TiledFrame& frame, const SatRectRead& rect) {
   double acc = 0.0;
   for (int64_t r = rect.r0; r < rect.r1; ++r) {
-    const float* row = data + r * width;
-    for (int64_t c = rect.c0; c < rect.c1; ++c) {
-      acc += static_cast<double>(row[c]);
+    const int64_t i = r / kSatTileSize;
+    const int64_t r_in = r - i * kSatTileSize;
+    for (int64_t c = rect.c0; c < rect.c1;) {
+      const int64_t j = c / kSatTileSize;
+      const int64_t tw = frame.tile_cols(j);
+      const int64_t c_end = std::min(rect.c1, j * kSatTileSize + tw);
+      const float* row = frame.block(i, j) + r_in * tw;
+      const int64_t c_base = j * kSatTileSize;
+      for (; c < c_end; ++c) acc += static_cast<double>(row[c - c_base]);
     }
   }
   return acc;
@@ -343,12 +350,12 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
               }
             }
             if (entry.need_frame) {
-              Result<Tensor> frame = store->GetFrameAt(
-                  options.generation, entry.layer, entry.t);
+              Result<std::shared_ptr<const TiledFrame>> frame =
+                  store->GetTiledFrameAt(options.generation, entry.layer,
+                                         entry.t);
               if (frame.ok()) {
-                entry.frame_storage = frame.MoveValueUnsafe();
-                entry.frame_data = entry.frame_storage.data();
-                entry.frame_width = entry.frame_storage.dim(1);
+                entry.frame = frame.MoveValueUnsafe();
+                entry.tiles = entry.frame->tiles();
               } else {
                 entry.error = frame.status();
               }
@@ -375,13 +382,11 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             }
             const ResolvedQuery& rq = **slot.resolved;
             const GatherProgram& program = rq.gather;
-            series.clear();
-            series.reserve(static_cast<size_t>(
-                std::min<int64_t>(planned.num_steps(), 4096)));
+            const int64_t steps = planned.num_steps();
             // One binary search per (row, layer): a layer's entries for
             // the row's [t0, t1] are table-contiguous (every row of a
-            // spec plan shares the spec's time selector), so the t loop
-            // below just offsets from the base.
+            // spec plan shares the spec's time selector), so the t loops
+            // below just offset from the base.
             layer_bases.assign(program.layers.size(), nullptr);
             for (size_t li = 0; li < program.layers.size(); ++li) {
               layer_bases[li] =
@@ -389,55 +394,68 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
               // Contiguity check: the last step of the row's range must
               // sit exactly num_steps-1 entries after the base.
               O4A_DCHECK(
-                  (layer_bases[li] + (planned.t1 - planned.t0))->layer ==
+                  (layer_bases[li] + (steps - 1))->layer ==
                       program.layers[li].layer &&
-                  (layer_bases[li] + (planned.t1 - planned.t0))->t ==
-                      planned.t1);
+                  (layer_bases[li] + (steps - 1))->t == planned.t1);
             }
             Stopwatch eval_timer;
+            // Availability first: the row fails with the error of its
+            // first timestep holding an unreadable entry and, within it,
+            // of the first read in program order — rects (layer-
+            // ascending), then residues (layer-ascending).
             Status gather = Status::OK();
-            for (int64_t t = planned.t0; t <= planned.t1; ++t) {
-              const int64_t dt = t - planned.t0;
-              double acc = 0.0;
-              for (const SatRectRead& rect : program.rects) {
-                const FrameTableEntry* entry =
-                    layer_bases[static_cast<size_t>(rect.layer_index)] +
-                    dt;
-                if (entry->plane != nullptr) {
-                  acc += static_cast<double>(rect.sign) *
-                         entry->plane->RectSum(rect.r0, rect.c0, rect.r1,
-                                               rect.c1);
-                } else if (entry->frame_data != nullptr) {
-                  acc += static_cast<double>(rect.sign) *
-                         RectSumOnFrame(entry->frame_data,
-                                        entry->frame_width, rect);
-                } else {
+            for (int64_t dt = 0; dt < steps && gather.ok(); ++dt) {
+              for (size_t li = 0;
+                   li < program.layers.size() && gather.ok(); ++li) {
+                const FrameTableEntry* entry = layer_bases[li] + dt;
+                if (program.layers[li].needs_plane &&
+                    entry->plane == nullptr && entry->tiles == nullptr) {
                   gather = entry->error;
-                  break;
                 }
               }
-              if (!gather.ok()) break;
-              for (const ResidueRead& residue : program.residues) {
-                const FrameTableEntry* entry =
-                    layer_bases[static_cast<size_t>(
-                        residue.layer_index)] +
-                    dt;
-                if (entry->frame_data == nullptr) {
+              for (size_t li = 0;
+                   li < program.layers.size() && gather.ok(); ++li) {
+                const FrameTableEntry* entry = layer_bases[li] + dt;
+                if (program.layers[li].needs_frame &&
+                    entry->tiles == nullptr) {
                   gather = entry->error;
-                  break;
                 }
-                acc += static_cast<double>(residue.sign) *
-                       static_cast<double>(
-                           entry->frame_data[residue.offset]);
               }
-              if (!gather.ok()) break;
-              series.push_back(acc);
             }
-            const double eval_micros = eval_timer.ElapsedMicros();
             if (!gather.ok()) {
               result.rows[static_cast<size_t>(i)] = std::move(gather);
               continue;
             }
+            // Read-outer, timestep-inner into per-step accumulators:
+            // each read's coordinates stay hot across the range, and
+            // every step still adds the same reads in the same order
+            // (rects, then residues) as a step-at-a-time sweep would.
+            series.assign(static_cast<size_t>(steps), 0.0);
+            double* acc = series.data();
+            for (const SatRectRead& rect : program.rects) {
+              const FrameTableEntry* entry =
+                  layer_bases[static_cast<size_t>(rect.layer_index)];
+              const double sign = static_cast<double>(rect.sign);
+              for (int64_t dt = 0; dt < steps; ++dt, ++entry) {
+                acc[dt] += sign * (entry->plane != nullptr
+                                       ? entry->plane->RectSum(
+                                             rect.r0, rect.c0, rect.r1,
+                                             rect.c1)
+                                       : RectSumOnFrame(*entry->frame,
+                                                        rect));
+              }
+            }
+            for (const ResidueRead& residue : program.residues) {
+              const FrameTableEntry* entry =
+                  layer_bases[static_cast<size_t>(residue.layer_index)];
+              const double sign = static_cast<double>(residue.sign);
+              for (int64_t dt = 0; dt < steps; ++dt, ++entry) {
+                acc[dt] += sign * static_cast<double>(
+                                      entry->tiles[residue.tile]
+                                                  [residue.in_tile]);
+              }
+            }
+            const double eval_micros = eval_timer.ElapsedMicros();
             result.rows[static_cast<size_t>(i)] =
                 MakeRow(series, plan.spec.aggregation, keep_series, rq,
                         slot, eval_micros, &shard_trace);

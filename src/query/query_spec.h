@@ -37,8 +37,9 @@ enum class EvalPath {
   kExactCellLoop,
   /// The gather engine: rect-decomposable term groups collapse to
   /// four-corner summed-area-plane reads (O(#rects) whatever their
-  /// area), irregular residues to a columnar offset sweep, with frames
-  /// and planes fetched once per plan. Matches the exact loop to ~1e-9
+  /// area), irregular residues to in-place reads of the pinned tiled
+  /// frames, with frames and planes pinned once per plan (no cell
+  /// copy). Matches the exact loop to ~1e-9
   /// relative (double prefix-sum rounding), not bit-for-bit; falls back
   /// to frame reads per rect when a generation carries no planes.
   kSatFastPath,

@@ -192,7 +192,7 @@ QueryResult ShardExecutor::Execute(const QueryPlan& plan,
               const int64_t local_row =
                   map.LocalRow(static_cast<int>(k), term.grid);
               for (int64_t dt = 0; dt < steps; ++dt) {
-                Result<const Tensor*> frame =
+                Result<const TiledFrame*> frame =
                     memo.Get(term.grid.layer, slot.t_min + dt);
                 if (!frame.ok()) {
                   shard_failures[static_cast<size_t>(k)].push_back(

@@ -121,6 +121,7 @@ TiledFrame TiledFrame::FromTensor(const Tensor& frame) {
           std::move(block);
     }
   }
+  out.RefreshTilePointers();
   return out;
 }
 
@@ -162,8 +163,16 @@ TiledFrame TiledFrame::FromDelta(const Tensor& frame, const TiledFrame& base,
       out.blocks_[k] = std::move(block);
     }
   }
+  out.RefreshTilePointers();
   if (shared_tiles != nullptr) *shared_tiles = shared;
   return out;
+}
+
+void TiledFrame::RefreshTilePointers() {
+  tile_data_.resize(blocks_.size());
+  for (size_t k = 0; k < blocks_.size(); ++k) {
+    tile_data_[k] = blocks_[k]->data();
+  }
 }
 
 Tensor TiledFrame::Materialize() const {

@@ -99,6 +99,30 @@ class TileDirtySet {
 /// vector (or an empty element) means "unknown — stage everything".
 using DirtyTileSets = std::vector<TileDirtySet>;
 
+/// \brief Where cell (r, c) of a frame `width` cells wide lives in its
+/// tiled storage: tile index i * tiles_w + j (row-major over tiles) and
+/// the row-major offset inside that tile. Depends on the width only —
+/// edge tiles are short in columns, so their in-tile row stride is too.
+struct TileAddress {
+  int32_t tile = 0;
+  int32_t in_tile = 0;
+};
+
+inline TileAddress TileAddressOf(int64_t width, int64_t r, int64_t c) {
+  // r, c are non-negative; unsigned division compiles to a shift.
+  const int64_t i =
+      static_cast<int64_t>(static_cast<uint64_t>(r) / kSatTileSize);
+  const int64_t j =
+      static_cast<int64_t>(static_cast<uint64_t>(c) / kSatTileSize);
+  const int64_t tiles_w = (width + kSatTileSize - 1) / kSatTileSize;
+  const int64_t tw =
+      j + 1 < tiles_w ? kSatTileSize : width - j * kSatTileSize;
+  return TileAddress{
+      static_cast<int32_t>(i * tiles_w + j),
+      static_cast<int32_t>((r - i * kSatTileSize) * tw +
+                           (c - j * kSatTileSize))};
+}
+
 /// \brief One [h, w] float frame stored as shared tile blocks. Copying a
 /// TiledFrame copies tiles_h x tiles_w shared_ptrs, never cell data —
 /// that is the copy-on-write carry-forward. Immutable once built.
@@ -134,8 +158,13 @@ class TiledFrame {
   }
 
   const float* block(int64_t i, int64_t j) const {
-    return blocks_[static_cast<size_t>(i * tiles_w_ + j)]->data();
+    return tile_data_[static_cast<size_t>(i * tiles_w_ + j)];
   }
+  /// \brief The dense per-tile cell table: entry i * tiles_w + j is tile
+  /// (i, j)'s row-major cells, so tiles()[a.tile][a.in_tile] reads the
+  /// cell a TileAddressOf(width(), r, c) names — in place, no copy.
+  /// Valid while this frame (or any copy sharing its blocks) lives.
+  const float* const* tiles() const { return tile_data_.data(); }
   /// \brief Whether tile (i, j) aliases the same block as `other`'s.
   bool SharesBlockWith(const TiledFrame& other, int64_t i,
                        int64_t j) const {
@@ -145,21 +174,30 @@ class TiledFrame {
 
   float at(int64_t r, int64_t c) const {
     O4A_DCHECK(r >= 0 && r < h_ && c >= 0 && c < w_);
-    const int64_t i = r / kSatTileSize, j = c / kSatTileSize;
-    return block(i, j)[(r - i * kSatTileSize) * tile_cols(j) +
-                       (c - j * kSatTileSize)];
+    const TileAddress a = TileAddressOf(w_, r, c);
+    return tile_data_[static_cast<size_t>(a.tile)][a.in_tile];
   }
 
-  /// \brief Contiguous [h, w] copy (exact-path frame reads, residue
-  /// sweeps): O(cells), same cost the old blob decode paid.
+  /// \brief Contiguous [h, w] copy for offline and test readers (the
+  /// legacy monolithic plane, round-trip checks): O(cells). Serving
+  /// reads go through at() / tiles() instead.
   Tensor Materialize() const;
 
  private:
   using Block = std::shared_ptr<const std::vector<float>>;
 
+  /// \brief Refills tile_data_ from blocks_. Must run after the blocks
+  /// are final (end of FromTensor/FromDelta).
+  void RefreshTilePointers();
+
   int64_t h_ = 0, w_ = 0;
   int64_t tiles_h_ = 0, tiles_w_ = 0;
   std::vector<Block> blocks_;
+  /// blocks_[k]->data() flattened into a dense 8-byte-per-tile table so
+  /// a cell read reaches tile data in one load instead of chasing the
+  /// shared_ptr + vector object (as TiledSatPlane::local_data_). Copies
+  /// stay correct because they share the blocks.
+  std::vector<const float*> tile_data_;
 };
 
 /// \brief Two-level summed-area plane over a TiledFrame. Same query

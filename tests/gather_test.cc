@@ -14,14 +14,18 @@
 #include <thread>
 #include <vector>
 
+#include "core/rng.h"
+#include "core/stopwatch.h"
 #include "core/thread_pool.h"
 #include "eval/task_eval.h"
+#include "query/frame_memo.h"
 #include "query/gather_program.h"
 #include "query/query_executor.h"
 #include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
 #include "serve/epoch_manager.h"
 #include "tensor/prefix_sum.h"
+#include "tensor/tiled_sat.h"
 #include "test_util.h"
 
 namespace one4all {
@@ -184,6 +188,69 @@ TEST(GatherProgramTest, SmallRectsStayResidues) {
   // Residues are offset-sorted: the executor sweeps the frame forward.
   EXPECT_LT(program.residues[0].offset, program.residues[1].offset);
   EXPECT_LT(program.residues[1].offset, program.residues[2].offset);
+}
+
+TEST(GatherProgramTest, ResidueTileAddressesMatchFlatOffsets) {
+  // 100x70 atomic raster: every layer's last tile row and column are
+  // short (100 = 3*32 + 4, 70 = 2*32 + 6; coarser layers are sub-tile),
+  // so in-tile strides differ between interior and edge tiles.
+  const Hierarchy hierarchy = Hierarchy::Uniform(100, 70, 2, 8);
+  ASSERT_EQ(hierarchy.num_layers(), 4);
+  Rng rng(77);
+  std::vector<CombinationTerm> terms;
+  for (int l = 1; l <= hierarchy.num_layers(); ++l) {
+    const LayerInfo& info = hierarchy.layer(l);
+    // Scattered single cells (some repeated) plus the four corners.
+    for (int i = 0; i < 120; ++i) {
+      const int64_t r = static_cast<int64_t>(
+          rng.UniformInt(static_cast<uint64_t>(info.height)));
+      const int64_t c = static_cast<int64_t>(
+          rng.UniformInt(static_cast<uint64_t>(info.width)));
+      terms.push_back(CombinationTerm{
+          GridId{l, r, c}, static_cast<int8_t>(i % 3 == 0 ? -1 : 1)});
+    }
+    for (int64_t r : {int64_t{0}, info.height - 1}) {
+      for (int64_t c : {int64_t{0}, info.width - 1}) {
+        terms.push_back(CombinationTerm{GridId{l, r, c}, 1});
+      }
+    }
+  }
+  const GatherProgram program = CompileGatherProgram(terms, hierarchy);
+  ASSERT_GT(program.residues.size(), 100u);
+
+  // One random frame per layer: the address must also read the cell.
+  std::vector<Tensor> frames;
+  std::vector<TiledFrame> tiled;
+  for (int l = 1; l <= hierarchy.num_layers(); ++l) {
+    const LayerInfo& info = hierarchy.layer(l);
+    frames.push_back(
+        Tensor::RandomUniform({info.height, info.width}, &rng, -5.0f, 5.0f));
+    tiled.push_back(TiledFrame::FromTensor(frames.back()));
+  }
+
+  for (size_t k = 0; k < program.residues.size(); ++k) {
+    const ResidueRead& read = program.residues[k];
+    if (k > 0) {
+      const ResidueRead& prev = program.residues[k - 1];
+      // Order unchanged: (layer, flat offset) ascending.
+      ASSERT_TRUE(prev.layer < read.layer ||
+                  (prev.layer == read.layer && prev.offset <= read.offset));
+    }
+    const int64_t width = hierarchy.layer(read.layer).width;
+    const TiledFrame& frame = tiled[static_cast<size_t>(read.layer - 1)];
+    // Decode (tile, in_tile) back to a flat offset.
+    const int64_t i = read.tile / frame.tiles_w();
+    const int64_t j = read.tile % frame.tiles_w();
+    const int64_t tw = frame.tile_cols(j);
+    const int64_t r = i * kSatTileSize + read.in_tile / tw;
+    const int64_t c = j * kSatTileSize + read.in_tile % tw;
+    ASSERT_LT(read.in_tile, frame.tile_rows(i) * tw);
+    EXPECT_EQ(r * width + c, read.offset)
+        << "layer " << read.layer << " residue " << k;
+    EXPECT_EQ(frame.tiles()[read.tile][read.in_tile],
+              frames[static_cast<size_t>(read.layer - 1)]
+                  .data()[read.offset]);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -368,6 +435,49 @@ TEST(GatherFastPathTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
   }
 }
 
+TEST(GatherFastPathTest, ResidueOnlyRowsFailNotFoundOnMissingFrames) {
+  GatherFixture fx;
+  const int64_t t = fx.pipeline->test_timesteps().front();
+  PredictionStore bare;
+  for (int l = 1; l <= fx.ds.hierarchy().num_layers(); ++l) {
+    bare.SyncFrame(l, t, fx.ds.FrameAtLayer(t, l));
+  }
+  RegionQueryServer server(&fx.ds.hierarchy(), &fx.pipeline->index(),
+                           &bare);
+  QueryExecutor executor(&server);
+
+  // Two scattered cells: a program of residues only, no rect reads.
+  GridMask region(8, 8);
+  region.Set(1, 1, true);
+  region.Set(5, 6, true);
+  auto resolved = server.Resolve(region, QueryStrategy::kUnionSubtraction);
+  ASSERT_TRUE(resolved.ok());
+  ASSERT_TRUE(resolved->gather.rects.empty());
+  ASSERT_FALSE(resolved->gather.residues.empty());
+
+  QuerySpec present = QuerySpec::PointInTime(region, t);
+  present.eval_path = EvalPath::kSatFastPath;
+  auto present_plan = fx.planner().Plan(present);
+  ASSERT_TRUE(present_plan.ok());
+  const QueryResult fast = executor.Execute(*present_plan);
+  auto exact_plan = fx.planner().Plan(QuerySpec::PointInTime(region, t));
+  ASSERT_TRUE(exact_plan.ok());
+  const QueryResult exact = executor.Execute(*exact_plan);
+  ASSERT_TRUE(fast.rows[0].ok());
+  ASSERT_TRUE(exact.rows[0].ok());
+  EXPECT_NEAR(fast.rows[0]->value, exact.rows[0]->value,
+              1e-9 * (1.0 + std::abs(exact.rows[0]->value)));
+
+  // A range reaching one step past the synced frames fails the row with
+  // the missing frame's NotFound.
+  QuerySpec missing = QuerySpec::TimeRange(region, t, t + 1);
+  missing.eval_path = EvalPath::kSatFastPath;
+  auto missing_plan = fx.planner().Plan(missing);
+  ASSERT_TRUE(missing_plan.ok());
+  EXPECT_EQ(executor.Execute(*missing_plan).rows[0].status().code(),
+            StatusCode::kNotFound);
+}
+
 TEST(GatherFastPathTest, ExactCellLoopStaysBitExactWithLegacySurface) {
   // The PR-4 regression pin, restated against the explicit flag: a spec
   // forced onto kExactCellLoop reproduces BatchPredict bit-for-bit even
@@ -392,6 +502,149 @@ TEST(GatherFastPathTest, ExactCellLoopStaysBitExactWithLegacySurface) {
     ASSERT_TRUE(legacy[i].ok());
     ASSERT_TRUE(result.rows[0].ok());
     EXPECT_EQ(result.rows[0]->value, legacy[i]->value) << "query " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned-frame lifetime: readers hold the store's tiled frames, never a
+// copy, so a reclaim that lands mid-read must leave every held frame
+// alive and unchanged (use-after-free here fails the ASan+UBSan job).
+
+/// Syncs (layer, t) frames for every layer and `steps` timesteps into a
+/// fresh generation, plus their planes: the generation is the blocks'
+/// only owner, so dropping it frees whatever no reader pinned.
+void StageSoleOwnerGeneration(const GatherFixture& fx, PredictionStore* store,
+                              int64_t generation, int64_t t0,
+                              int64_t steps) {
+  for (int l = 1; l <= fx.ds.hierarchy().num_layers(); ++l) {
+    for (int64_t t = t0; t < t0 + steps; ++t) {
+      store->SyncFrameAt(generation, l, t, fx.ds.FrameAtLayer(t, l));
+    }
+  }
+  store->BuildSatPlanes(generation);
+}
+
+TEST(FrameLifetimeTest, FrameMemoPinsSurviveDropGeneration) {
+  GatherFixture fx;
+  const int64_t t = fx.pipeline->test_timesteps().front();
+  const int num_layers = fx.ds.hierarchy().num_layers();
+  PredictionStore store;
+  StageSoleOwnerGeneration(fx, &store, 1, t, 1);
+
+  std::vector<CombinationTerm> terms;
+  for (int l = 1; l <= num_layers; ++l) {
+    const LayerInfo& info = fx.ds.hierarchy().layer(l);
+    terms.push_back(CombinationTerm{GridId{l, 0, 0}, 1});
+    terms.push_back(
+        CombinationTerm{GridId{l, info.height - 1, info.width - 1}, -1});
+  }
+
+  query_internal::FrameMemo memo(&store, 1);
+  std::vector<const TiledFrame*> pinned;
+  std::vector<Tensor> before;
+  for (int l = 1; l <= num_layers; ++l) {
+    auto frame = memo.Get(l, t);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    pinned.push_back(*frame);
+    before.push_back((*frame)->Materialize());
+  }
+  double value_before = 0.0;
+  ASSERT_TRUE(memo.Evaluate(terms, t, &value_before).ok());
+
+  EXPECT_GT(store.DropGeneration(1), 0);
+  EXPECT_FALSE(store.HasFrameAt(1, 1, t));
+
+  for (int l = 1; l <= num_layers; ++l) {
+    const TiledFrame* frame = pinned[static_cast<size_t>(l - 1)];
+    const Tensor& expected = before[static_cast<size_t>(l - 1)];
+    for (int64_t r = 0; r < frame->height(); ++r) {
+      for (int64_t c = 0; c < frame->width(); ++c) {
+        ASSERT_EQ(frame->at(r, c), expected.at(r, c))
+            << "layer " << l << " cell " << r << "," << c;
+      }
+    }
+    // Memoized keys keep answering from the pin, same object.
+    auto again = memo.Get(l, t);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, frame);
+  }
+  double value_after = 0.0;
+  ASSERT_TRUE(memo.Evaluate(terms, t, &value_after).ok());
+  EXPECT_EQ(value_after, value_before);
+  // A key the memo never pinned is gone with its generation.
+  EXPECT_EQ(memo.Get(1, t + 1).status().code(), StatusCode::kNotFound);
+}
+
+TEST(FrameLifetimeTest, FastPathPinsSurviveConcurrentDropGeneration) {
+  GatherFixture fx;
+  const std::vector<int64_t>& test_steps = fx.pipeline->test_timesteps();
+  const int64_t t0 = test_steps.front();
+  const int64_t steps = static_cast<int64_t>(test_steps.size());
+  PredictionStore store;
+  RegionQueryServer server(&fx.ds.hierarchy(), &fx.pipeline->index(),
+                           &store);
+  QueryExecutor executor(&server);
+
+  // Enough rows x steps that a plan runs long enough for a concurrent
+  // reclaim to land at any point of it.
+  std::vector<GridMask> regions;
+  for (int copy = 0; copy < 16; ++copy) {
+    for (const GridMask& region : fx.MixedRegions()) {
+      regions.push_back(region);
+    }
+  }
+  QuerySpec spec = QuerySpec::MultiRegion(regions, t0);
+  spec.time = TimeSelector::Range(t0, t0 + steps - 1);
+  spec.keep_series = true;
+  spec.eval_path = EvalPath::kSatFastPath;
+  auto plan = fx.planner().Plan(spec);
+  ASSERT_TRUE(plan.ok());
+  ResolvedQueryCache cache;
+  QueryExecutorOptions options;
+  options.cache = &cache;
+
+  options.generation = 1;
+  StageSoleOwnerGeneration(fx, &store, 1, t0, steps);
+  Stopwatch baseline_timer;
+  const QueryResult baseline = executor.Execute(*plan, options);
+  const double execute_micros = baseline_timer.ElapsedMicros();
+  for (const auto& row : baseline.rows) ASSERT_TRUE(row.ok());
+
+  // Each trial drops a fresh generation after a delay spread across the
+  // plan's run time. Rows whose frames were pinned before the drop must
+  // answer with the baseline's exact bits; the rest fail NotFound —
+  // never garbage, never a read of freed tiles.
+  constexpr int kTrials = 40;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const int64_t generation = 2 + trial;
+    StageSoleOwnerGeneration(fx, &store, generation, t0, steps);
+    options.generation = generation;
+    std::atomic<bool> ready{false}, go{false};
+    const double delay_micros = execute_micros * trial / kTrials;
+    std::thread reclaimer([&] {
+      ready.store(true, std::memory_order_release);
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      Stopwatch wait;
+      while (wait.ElapsedMicros() < delay_micros) {
+      }
+      store.DropGeneration(generation);
+    });
+    while (!ready.load(std::memory_order_acquire)) {
+    }
+    go.store(true, std::memory_order_release);
+    const QueryResult result = executor.Execute(*plan, options);
+    reclaimer.join();
+    ASSERT_EQ(result.rows.size(), baseline.rows.size());
+    for (size_t i = 0; i < result.rows.size(); ++i) {
+      if (!result.rows[i].ok()) {
+        EXPECT_EQ(result.rows[i].status().code(), StatusCode::kNotFound);
+        continue;
+      }
+      EXPECT_EQ(result.rows[i]->value, baseline.rows[i]->value);
+      EXPECT_EQ(result.rows[i]->series, baseline.rows[i]->series);
+    }
+    EXPECT_EQ(store.NumFramesAt(generation), 0);
   }
 }
 

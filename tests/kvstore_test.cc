@@ -11,6 +11,8 @@
 namespace one4all {
 namespace {
 
+using testing::MaterializedFrameAt;
+
 TEST(KvStoreTest, PutGetDelete) {
   KvStore store;
   store.Put("a", "1");
@@ -89,7 +91,7 @@ TEST(PredictionStoreTest, FrameRoundTrip) {
   Tensor frame = Tensor::RandomUniform({4, 6}, &rng, 0.0f, 50.0f);
   store.SyncFrame(2, 100, frame);
   EXPECT_TRUE(store.HasFrame(2, 100));
-  auto restored = store.GetFrame(2, 100);
+  auto restored = MaterializedFrameAt(store, 0, 2, 100);
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(restored->AllClose(frame));
   EXPECT_FLOAT_EQ(store.GetValue(2, 100, 3, 5), frame.at(3, 5));
@@ -98,7 +100,8 @@ TEST(PredictionStoreTest, FrameRoundTrip) {
 TEST(PredictionStoreTest, MissingFrameIsNotFound) {
   PredictionStore store;
   EXPECT_FALSE(store.HasFrame(1, 42));
-  EXPECT_EQ(store.GetFrame(1, 42).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(MaterializedFrameAt(store, 0, 1, 42).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(PredictionStoreTest, SyncOverwritesInPlace) {
@@ -110,7 +113,7 @@ TEST(PredictionStoreTest, SyncOverwritesInPlace) {
 }
 
 TEST(PredictionStoreTest, ConcurrentReadersSeeConsistentFrames) {
-  // The batch query engine reads GetValue/GetFrame from many worker
+  // The batch query engine reads GetValue and whole frames from many worker
   // threads at once; every reader must observe exactly the synced bytes.
   PredictionStore store;
   Rng rng(3);
@@ -130,7 +133,7 @@ TEST(PredictionStoreTest, ConcurrentReadersSeeConsistentFrames) {
             frames[static_cast<size_t>(t)].at(r, c)) {
           mismatches.fetch_add(1);
         }
-        auto frame = store.GetFrame(1, t);
+        auto frame = MaterializedFrameAt(store, 0, 1, t);
         if (!frame.ok() ||
             !frame->AllClose(frames[static_cast<size_t>(t)])) {
           mismatches.fetch_add(1);
@@ -163,8 +166,8 @@ TEST(PredictionStoreTest, ConcurrentReadersAndHasFrameGuard) {
         const int64_t t = i % 8;
         const bool synced = (t % 2 == 0);
         if (store.HasFrame(2, t) != synced) failed.store(true);
-        if (!synced &&
-            store.GetFrame(2, t).status().code() != StatusCode::kNotFound) {
+        if (!synced && MaterializedFrameAt(store, 0, 2, t).status().code() !=
+                           StatusCode::kNotFound) {
           failed.store(true);
         }
       }
@@ -254,7 +257,7 @@ TEST(PredictionStoreTest, DeltaStagingAliasesCleanTiles) {
 
   // Values are exactly the staged frame's; clean tiles alias the base's
   // blocks, the dirty one does not.
-  auto restored = store.GetFrameAt(1, 1, 1);
+  auto restored = MaterializedFrameAt(store, 1, 1, 1);
   ASSERT_TRUE(restored.ok());
   for (int64_t r = 0; r < 64; ++r) {
     for (int64_t c = 0; c < 64; ++c) {
@@ -286,7 +289,7 @@ TEST(PredictionStoreTest, DeltaStagingFallsBackWithoutBase) {
   ASSERT_TRUE(
       store.TrySyncFrameDeltaAt(3, 1, 5, frame, 4, dirty, &stats).ok());
   EXPECT_EQ(stats.frame_tiles_shared, 0);
-  auto restored = store.GetFrameAt(3, 1, 5);
+  auto restored = MaterializedFrameAt(store, 3, 1, 5);
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(restored->AllClose(frame));
 }
@@ -349,7 +352,7 @@ TEST(PredictionStoreTest, CopyGenerationSharesTileBlocks) {
   // Dropping the source must leave the copy fully readable (refcounts,
   // not ownership, keep blocks alive).
   EXPECT_EQ(store.DropGeneration(1), 1);
-  auto restored = store.GetFrameAt(2, 1, 0);
+  auto restored = MaterializedFrameAt(store, 2, 1, 0);
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(restored->AllClose(frame));
 }

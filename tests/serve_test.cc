@@ -19,6 +19,8 @@
 namespace one4all {
 namespace {
 
+using testing::MaterializedFrameAt;
+
 // Small serving fixture: a 16x16 raster with a short temporal spec so
 // history windows fit in a few dozen timesteps, plus an offline-built
 // index (MauPipeline over the history-mean baseline).
@@ -587,7 +589,7 @@ TEST(ServingRuntimeTest, PinnedEpochSurvivesPublishesAndReclamation) {
   const PredictionStore& store = runtime.shards().shard(0).store;
   EXPECT_TRUE(store.HasFrameAt(generation, 1, start));
   EXPECT_TRUE(store.HasSatPlaneAt(generation, 1, start));
-  auto frame = store.GetFrameAt(generation, 1, start);
+  auto frame = MaterializedFrameAt(store, generation, 1, start);
   ASSERT_TRUE(frame.ok());
 
   // Released, the stale generation is reclaimed down to one live epoch.
@@ -844,7 +846,8 @@ TEST(FrameEpochManagerTest, HammerCowSharedTilesSurvivePinAndReclaim) {
         ++rounds;
         EpochGuard guard = epochs.Pin();
         const int64_t t = guard.latest_t();
-        auto frame = store.GetFrameAt(guard.generation(), 1, t);
+        auto frame =
+            MaterializedFrameAt(store, guard.generation(), 1, t);
         ASSERT_TRUE(frame.ok()) << frame.status().ToString();
         double sum = 0.0;
         for (int64_t i = 0; i < frame->numel(); ++i) sum += frame->data()[i];

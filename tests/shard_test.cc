@@ -24,6 +24,8 @@
 namespace one4all {
 namespace {
 
+using testing::MaterializedFrameAt;
+
 // ---------------------------------------------------------------------------
 // ShardMap geometry
 
@@ -162,7 +164,8 @@ TEST(ShardSetTest, BarrierPublishesAllShardsAtomically) {
   // at the generation the pin names.
   for (int k = 0; k < set.num_shards(); ++k) {
     for (int64_t t = 0; t < 3; ++t) {
-      auto frame = set.shard(k).store.GetFrameAt(pins.generation(k), 1, t);
+      auto frame = MaterializedFrameAt(set.shard(k).store,
+                                       pins.generation(k), 1, t);
       ASSERT_TRUE(frame.ok()) << "shard " << k << " t " << t;
       EXPECT_EQ(frame->at(0, 0), static_cast<float>(t * 1000 + 1));
       EXPECT_EQ(frame->dim(0), set.map().SliceOf(k, 1).num_rows());
@@ -222,13 +225,14 @@ TEST(ShardParityTest, IncrementalStagingBitExactAcrossShardCounts) {
   for (int l = 1; l <= num_layers; ++l) {
     const LayerInfo& info = hierarchy.layer(l);
     for (int64_t t = 0; t <= kSteps; ++t) {
-      auto whole = set1.shard(0).store.GetFrameAt(pins1.generation(0), l, t);
+      auto whole = MaterializedFrameAt(set1.shard(0).store,
+                                       pins1.generation(0), l, t);
       ASSERT_TRUE(whole.ok()) << "layer " << l << " t " << t;
       for (int k = 0; k < set4.num_shards(); ++k) {
         const ShardLayerSlice& slice = set4.map().SliceOf(k, l);
         if (slice.empty()) continue;
-        auto band =
-            set4.shard(k).store.GetFrameAt(pins4.generation(k), l, t);
+        auto band = MaterializedFrameAt(set4.shard(k).store,
+                                        pins4.generation(k), l, t);
         ASSERT_TRUE(band.ok()) << "shard " << k << " layer " << l;
         for (int64_t r = 0; r < slice.num_rows(); ++r) {
           for (int64_t c = 0; c < info.width; ++c) {
@@ -305,8 +309,8 @@ TEST(ShardSetTest, ConcurrentPinNeverObservesTornEpoch) {
         const int64_t t = pins.latest_t();
         if (t < 0) continue;  // nothing published yet
         for (int k = 0; k < set.num_shards(); ++k) {
-          auto frame =
-              set.shard(k).store.GetFrameAt(pins.generation(k), 1, t);
+          auto frame = MaterializedFrameAt(set.shard(k).store,
+                                           pins.generation(k), 1, t);
           if (!frame.ok() ||
               frame->at(0, 0) != static_cast<float>(t * 1000 + 1)) {
             torn.fetch_add(1, std::memory_order_relaxed);
@@ -336,10 +340,11 @@ struct ShardFixture {
   std::unique_ptr<MauPipeline> pipeline;
   std::vector<GridMask> regions;
 
-  static ShardFixture Make(uint64_t seed = 11) {
+  static ShardFixture Make(uint64_t seed = 11, int64_t h = 16,
+                           int64_t w = 16, int64_t max_scale = 16) {
     SyntheticDataOptions data_options;
-    data_options.height = 16;
-    data_options.width = 16;
+    data_options.height = h;
+    data_options.width = w;
     data_options.num_timesteps = 88;
     data_options.seed = seed;
     auto flows = GenerateSyntheticFlows(data_options);
@@ -352,7 +357,7 @@ struct ShardFixture {
     spec.daily_interval = 4;
     spec.weekly_interval = 8;  // MinHistory = 8
 
-    Hierarchy hierarchy = Hierarchy::Uniform(16, 16, 2, 16);
+    Hierarchy hierarchy = Hierarchy::Uniform(h, w, 2, max_scale);
     auto dataset =
         STDataset::Create(flows.MoveValueUnsafe(), hierarchy, spec);
     EXPECT_TRUE(dataset.ok());
@@ -368,21 +373,24 @@ struct ShardFixture {
     region_options.style = RegionStyle::kVoronoi;
     region_options.mean_cells = 12.0;
     region_options.seed = 23;
-    fixture.regions = GenerateRegions(16, 16, region_options);
+    fixture.regions = GenerateRegions(h, w, region_options);
     EXPECT_GE(fixture.regions.size(), 4u);
     // Band-straddling rectangles: tall slabs crossing every boundary any
-    // N in {2, 3, 4} can draw on a 16-row raster.
-    GridMask tall(16, 16);
-    tall.FillRect(1, 2, 15, 6);
+    // N in {2, 3, 4} can draw (on the 16-row raster: rows [1, 15) and
+    // [6, 10)).
+    GridMask tall(h, w);
+    tall.FillRect(1, 2, h - 1, 6);
     fixture.regions.push_back(tall);
-    GridMask wide(16, 16);
-    wide.FillRect(6, 0, 10, 16);
+    GridMask wide(h, w);
+    wide.FillRect(h * 3 / 8, 0, h * 5 / 8, w);
     fixture.regions.push_back(wide);
     return fixture;
   }
 
-  std::unique_ptr<ServingRuntime> MakeRuntime(int num_shards) const {
+  std::unique_ptr<ServingRuntime> MakeRuntime(
+      int num_shards, bool build_sat_planes = true) const {
     ServingRuntimeOptions options;
+    options.build_sat_planes = build_sat_planes;
     options.ingest.start_t = dataset->test_indices().front();
     options.ingest.num_timesteps =
         static_cast<int64_t>(dataset->test_indices().size());
@@ -497,6 +505,85 @@ TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
       }
     }
 
+    EXPECT_TRUE(sharded->shards().Consistent());
+    sharded->Stop();
+  }
+}
+
+// Ragged edges: on a 100x70 raster every layer's last tile row and
+// column are short and no shard band is tile-aligned. The SAT fast path
+// (N=1, with planes and with the no-plane frame-sum fallback) matches
+// the exact loop within its tolerance; the exact loop is bit-identical
+// across N in {1, 2, 4}.
+TEST(ShardParityTest, RaggedEdgeSpecShapesAcrossShardCounts) {
+  ShardFixture fixture = ShardFixture::Make(31, 100, 70, 8);
+  // Edge-hugging regions: the short corner tile, the last row and column
+  // as thin strips, and a block crossing interior tile boundaries.
+  const int64_t edge_rects[][4] = {
+      {90, 60, 100, 70}, {99, 0, 100, 70}, {0, 69, 100, 70},
+      {28, 28, 37, 37}};
+  for (const auto& r : edge_rects) {
+    GridMask region(100, 70);
+    region.FillRect(r[0], r[1], r[2], r[3]);
+    fixture.regions.push_back(region);
+  }
+  const int64_t t0 = fixture.dataset->test_indices().front();
+  const int64_t t1 = t0 + 5;
+
+  std::vector<QuerySpec> shapes;
+  shapes.push_back(QuerySpec::PointInTime(fixture.regions.back(), t0 + 1));
+  for (TimeAggregation agg : {TimeAggregation::kSum, TimeAggregation::kMean,
+                              TimeAggregation::kMax}) {
+    QuerySpec range = QuerySpec::TimeRange(fixture.regions[0], t0, t1, agg);
+    range.keep_series = true;
+    shapes.push_back(range);
+  }
+  QuerySpec multi = QuerySpec::MultiRegion(fixture.regions, t0);
+  multi.time = TimeSelector::Range(t0, t1);
+  multi.keep_series = true;
+  shapes.push_back(multi);
+  shapes.push_back(QuerySpec::TopK(fixture.regions, t1, 5));
+
+  auto single = fixture.MakeRuntime(1);
+  auto no_planes = fixture.MakeRuntime(1, /*build_sat_planes=*/false);
+  std::vector<QueryResult> exact;
+  for (const QuerySpec& shape : shapes) {
+    auto result = single->ExecuteSpec(shape);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
+    for (ServingRuntime* runtime : {single.get(), no_planes.get()}) {
+      QuerySpec fast_spec = shape;
+      fast_spec.eval_path = EvalPath::kSatFastPath;
+      auto fast = runtime->ExecuteSpec(std::move(fast_spec));
+      ASSERT_TRUE(fast.ok());
+      ASSERT_EQ(fast->rows.size(), result->rows.size());
+      for (size_t i = 0; i < result->rows.size(); ++i) {
+        ASSERT_TRUE(fast->rows[i].ok())
+            << fast->rows[i].status().ToString();
+        const QueryRow& e = *result->rows[i];
+        const QueryRow& f = *fast->rows[i];
+        EXPECT_NEAR(f.value, e.value, 1e-9 * (1.0 + std::abs(e.value)))
+            << "row " << i;
+        ASSERT_EQ(f.series.size(), e.series.size());
+        for (size_t s = 0; s < e.series.size(); ++s) {
+          EXPECT_NEAR(f.series[s], e.series[s],
+                      1e-9 * (1.0 + std::abs(e.series[s])));
+        }
+      }
+    }
+    exact.push_back(std::move(*result));
+  }
+  single->Stop();
+  no_planes->Stop();
+
+  for (int num_shards : {2, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    auto sharded = fixture.MakeRuntime(num_shards);
+    for (size_t k = 0; k < shapes.size(); ++k) {
+      auto result = sharded->ExecuteSpec(shapes[k]);
+      ASSERT_TRUE(result.ok());
+      ExpectBitExactRows(exact[k], *result, "ragged");
+    }
     EXPECT_TRUE(sharded->shards().Consistent());
     sharded->Stop();
   }

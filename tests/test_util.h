@@ -5,11 +5,13 @@
 #define ONE4ALL_TESTS_TEST_UTIL_H_
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
+#include "kvstore/prediction_store.h"
 #include "model/predictor.h"
 #include "tensor/autograd.h"
 
@@ -136,6 +138,19 @@ class OraclePredictor : public FlowPredictor {
   std::vector<double> noise_;
   Rng rng_;
 };
+
+/// \brief Contiguous [h, w] copy of the stored frame (generation, layer,
+/// t): the store only hands out pinned tiled frames, so tests that
+/// compare whole frames pin one and materialize it. Keeps the store's
+/// NotFound status when the frame is missing.
+inline Result<Tensor> MaterializedFrameAt(const PredictionStore& store,
+                                          int64_t generation, int layer,
+                                          int64_t t) {
+  Result<std::shared_ptr<const TiledFrame>> frame =
+      store.GetTiledFrameAt(generation, layer, t);
+  if (!frame.ok()) return frame.status();
+  return (*frame)->Materialize();
+}
 
 /// \brief Deterministic pseudo-random mask with `fill_per_mille` density.
 inline GridMask RandomMask(int64_t h, int64_t w, uint64_t seed,

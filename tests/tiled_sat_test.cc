@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/rng.h"
@@ -19,6 +20,34 @@ namespace {
 Tensor RandomFrame(int64_t h, int64_t w, uint64_t seed) {
   Rng rng(seed);
   return Tensor::RandomUniform({h, w}, &rng, 0.0f, 10.0f);
+}
+
+uint32_t FloatBits(float v) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Every cell read in place through the tile table (TileAddressOf +
+// tiles()) and through at() carries the same bits as the materialized
+// copy and the source tensor.
+void ExpectTileTableReadsMatch(const TiledFrame& tiled, const Tensor& src) {
+  const int64_t h = src.dim(0), w = src.dim(1);
+  ASSERT_EQ(tiled.height(), h);
+  ASSERT_EQ(tiled.width(), w);
+  const Tensor flat = tiled.Materialize();
+  for (int64_t r = 0; r < h; ++r) {
+    for (int64_t c = 0; c < w; ++c) {
+      const TileAddress a = TileAddressOf(w, r, c);
+      ASSERT_EQ(a.tile, (r / kSatTileSize) * tiled.tiles_w() +
+                            c / kSatTileSize);
+      const float in_place = tiled.tiles()[a.tile][a.in_tile];
+      ASSERT_EQ(FloatBits(in_place), FloatBits(flat.at(r, c)))
+          << h << "x" << w << " cell " << r << "," << c;
+      ASSERT_EQ(FloatBits(in_place), FloatBits(src.at(r, c)));
+      ASSERT_EQ(FloatBits(tiled.at(r, c)), FloatBits(in_place));
+    }
+  }
 }
 
 // Every prefix entry and a battery of rect sums must match the
@@ -134,6 +163,42 @@ TEST(TiledFrameTest, FromDeltaAliasesCleanBlocks) {
       ASSERT_EQ(round_trip.at(r, c), next.at(r, c));
     }
   }
+}
+
+// Ragged edges: tile multiples, one cell short/over in either axis, a
+// single cell, and the 100x70 serving-test raster whose last tile row
+// and column are short — the tile table must address every cell.
+TEST(TiledFrameTest, TileTableReadsMatchMaterializeOnRaggedEdges) {
+  const int64_t shapes[][2] = {{1, 1},    {31, 33},  {32, 32},
+                               {33, 31},  {100, 70}, {128, 128}};
+  uint64_t seed = 40;
+  for (const auto& shape : shapes) {
+    const Tensor frame = RandomFrame(shape[0], shape[1], ++seed);
+    ExpectTileTableReadsMatch(TiledFrame::FromTensor(frame), frame);
+  }
+
+  // A delta frame: most tiles alias the base's blocks, the edited ones
+  // are fresh — the table must point into both kinds.
+  const Tensor base = RandomFrame(100, 70, 60);
+  Tensor next = base;
+  next.data()[5 * 70 + 3] += 1.0f;     // tile (0, 0)
+  next.data()[99 * 70 + 69] -= 2.0f;   // tile (3, 2): the short corner
+  const TiledFrame base_tiled = TiledFrame::FromTensor(base);
+  int64_t shared = 0;
+  const TiledFrame delta = TiledFrame::FromDelta(
+      next, base_tiled, DiffFrames(next, base), &shared);
+  EXPECT_EQ(shared, 4 * 3 - 2);
+  EXPECT_TRUE(delta.SharesBlockWith(base_tiled, 1, 1));
+  EXPECT_FALSE(delta.SharesBlockWith(base_tiled, 3, 2));
+  ExpectTileTableReadsMatch(delta, next);
+  // A copy shares the blocks, so its table stays valid after the
+  // original is gone.
+  TiledFrame copy;
+  {
+    const TiledFrame original = TiledFrame::FromTensor(next);
+    copy = original;
+  }
+  ExpectTileTableReadsMatch(copy, next);
 }
 
 // The core parity sweep: random frames at awkward geometries (tile
