@@ -32,6 +32,25 @@ int64_t GridMask::Count() const {
   return count;
 }
 
+int64_t GridMask::CountRows(int64_t r0, int64_t r1) const {
+  O4A_DCHECK(r0 >= 0 && r0 <= r1 && r1 <= h_);
+  int64_t count = 0;
+  ForEachWordInBitRange(r0 * w_, r1 * w_, [&](size_t wi, uint64_t mask) {
+    count += __builtin_popcountll(words_[wi] & mask);
+  });
+  return count;
+}
+
+int64_t GridMask::FirstSetRow() const {
+  for (size_t wi = 0; wi < words_.size(); ++wi) {
+    if (words_[wi] == 0) continue;
+    const int64_t bit =
+        (static_cast<int64_t>(wi) << 6) + __builtin_ctzll(words_[wi]);
+    return bit / w_;
+  }
+  return -1;
+}
+
 void GridMask::FillRect(int64_t r0, int64_t c0, int64_t r1, int64_t c1) {
   O4A_CHECK(r0 >= 0 && c0 >= 0 && r1 <= h_ && c1 <= w_ && r0 <= r1 &&
             c0 <= c1);

@@ -56,6 +56,12 @@ class GridMask {
 
   /// \brief Number of cells set to 1.
   int64_t Count() const;
+  /// \brief Number of set cells in rows [r0, r1): one popcount per word
+  /// of the rows' bit span.
+  int64_t CountRows(int64_t r0, int64_t r1) const;
+  /// \brief Row of the first set cell in row-major order (-1 when
+  /// empty): the lowest set bit of the first non-zero word, divided by W.
+  int64_t FirstSetRow() const;
   /// \brief True iff no cell is set; stops at the first non-zero word.
   bool Empty() const {
     for (const uint64_t word : words_) {

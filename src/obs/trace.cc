@@ -19,8 +19,6 @@ const char* SpanNameString(SpanName name) {
     case SpanName::kBuildSatPlane: return "build_sat_plane";
     case SpanName::kPublish: return "publish";
     case SpanName::kReclaim: return "reclaim";
-    case SpanName::kShardScatter: return "shard_scatter";
-    case SpanName::kShardGather: return "shard_gather";
     case SpanName::kBarrierWait: return "barrier_wait";
     case SpanName::kTileSatFixup: return "tile_sat_fixup";
   }

@@ -35,12 +35,10 @@ enum class SpanName : uint8_t {
   kBuildSatPlane = 12, ///< one SAT plane build (arg: layer)
   kPublish = 13,       ///< atomic epoch flip
   kReclaim = 14,       ///< root: one generation reclaim (arg: generation)
-  kShardScatter = 15,  ///< per-shard term evaluation fan-out (arg: #terms)
-  kShardGather = 16,   ///< cross-shard merge + canonical fold (arg: #rows)
-  kBarrierWait = 17,   ///< cross-shard epoch pin, incl. seqlock retries
-  kTileSatFixup = 18,  ///< incremental tiled-SAT rebuild (arg: dirty tiles)
+  kBarrierWait = 15,   ///< cross-shard epoch pin, incl. seqlock retries
+  kTileSatFixup = 16,  ///< incremental tiled-SAT rebuild (arg: dirty tiles)
 };
-constexpr int kNumSpanNames = 19;
+constexpr int kNumSpanNames = 17;
 
 const char* SpanNameString(SpanName name);
 

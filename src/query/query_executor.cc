@@ -5,8 +5,11 @@
 #include <utility>
 
 #include "core/stopwatch.h"
+#include "obs/metrics.h"
 #include "query/frame_memo.h"
 #include "query/resolved_query_cache.h"
+#include "shard/shard_map.h"
+#include "shard/shard_router.h"
 #include "tensor/prefix_sum.h"
 #include "tensor/tiled_sat.h"
 
@@ -110,6 +113,7 @@ namespace {
 struct SlotResolution {
   Result<std::shared_ptr<const ResolvedQuery>> resolved =
       Status::Internal("slot not resolved");
+  bool cached = false;  ///< a resolve cache was probed
   bool cache_hit = false;
   double probe_micros = 0.0;
 };
@@ -207,7 +211,23 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
   result.rows.assign(plan.rows.size(),
                      Status::Internal("row not evaluated"));
 
+  // One read view per shard: the caller's pinned band shards, or the
+  // server's own store for one-store callers. Band geometry is consulted
+  // only when there are bands to route between.
+  std::vector<ShardReadView> own_store;
+  if (options.shards.empty()) {
+    own_store.push_back(ShardReadView{server_->store(), options.generation,
+                                      options.cache, nullptr});
+  }
+  const std::vector<ShardReadView>& shards =
+      options.shards.empty() ? own_store : options.shards;
+  const int num_shards = static_cast<int>(shards.size());
+  const ShardMap* bands = num_shards > 1 ? options.shard_map : nullptr;
+  O4A_CHECK(num_shards == 1 ||
+            (bands != nullptr && bands->num_shards() == num_shards));
+
   // -- Stage 1: cache-probe / resolve each distinct region ---------------
+  // Each region resolves through its home shard's cache.
   Stopwatch stage_timer;
   std::vector<SlotResolution> slots(plan.slot_regions.size());
   {
@@ -225,12 +245,17 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             SlotResolution& slot = slots[static_cast<size_t>(s)];
             const GridMask& region =
                 plan.RegionForSlot(static_cast<int>(s));
+            const int home =
+                bands == nullptr ? 0 : ShardRouter(bands).HomeShard(region);
+            ResolvedQueryCache* cache =
+                shards[static_cast<size_t>(home)].cache;
+            slot.cached = cache != nullptr;
             ScopedSpan probe_span(&shard_trace, SpanName::kCacheProbe);
             Stopwatch probe;
             slot.resolved = server_->ResolveCached(
                 region, plan.spec.strategy,
-                plan.slot_fingerprints[static_cast<size_t>(s)],
-                options.cache, &slot.cache_hit);
+                plan.slot_fingerprints[static_cast<size_t>(s)], cache,
+                &slot.cache_hit);
             // Captured before evaluation so a hit reports only the
             // resolve-path latency, comparable to decompose+index.
             slot.probe_micros = probe.ElapsedMicros();
@@ -239,14 +264,12 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
         });
   }
   result.timings.resolve_micros = stage_timer.ElapsedMicros();
-  if (options.cache != nullptr) {
-    for (const SlotResolution& slot : slots) {
-      if (!slot.resolved.ok()) continue;
-      if (slot.cache_hit) {
-        ++result.cache_hits;
-      } else {
-        ++result.cache_misses;
-      }
+  for (const SlotResolution& slot : slots) {
+    if (!slot.resolved.ok() || !slot.cached) continue;
+    if (slot.cache_hit) {
+      ++result.cache_hits;
+    } else {
+      ++result.cache_misses;
     }
   }
 
@@ -255,7 +278,12 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
   const bool keep_series =
       plan.spec.keep_series && !plan.spec.time.IsPoint();
 
-  if (plan.path == EvalPath::kSatFastPath &&
+  // The SAT fast path reads whole-grid summed-area planes, so it runs on
+  // one shard only. Band shards hold band-clipped planes, and summing a
+  // rect's per-band parts would change the rounding; at N > 1 a
+  // kSatFastPath plan runs the exact loop below, bit-identical to N=1's
+  // exact loop.
+  if (plan.path == EvalPath::kSatFastPath && num_shards == 1 &&
       plan.num_point_queries() <= kMaxFastPathGathers) {
     ScopedSpan gather_span(options.trace, SpanName::kGather,
                            plan.num_point_queries());
@@ -322,7 +350,8 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
       }
     }
 
-    const PredictionStore* store = server_->store();
+    const PredictionStore* store = shards[0].store;
+    const int64_t generation = shards[0].generation;
     query_internal::RunSharded(
         options.pool, options.num_threads,
         static_cast<int64_t>(table.size()),
@@ -331,8 +360,7 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             FrameTableEntry& entry = table[static_cast<size_t>(i)];
             if (entry.need_plane) {
               Result<std::shared_ptr<const TiledSatPlane>> plane =
-                  store->GetTiledSatPlaneAt(options.generation, entry.layer,
-                                            entry.t);
+                  store->GetTiledSatPlaneAt(generation, entry.layer, entry.t);
               if (plane.ok()) {
                 entry.plane = plane.MoveValueUnsafe();
               } else if (plane.status().code() == StatusCode::kNotFound) {
@@ -351,8 +379,7 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             }
             if (entry.need_frame) {
               Result<std::shared_ptr<const TiledFrame>> frame =
-                  store->GetTiledFrameAt(options.generation, entry.layer,
-                                         entry.t);
+                  store->GetTiledFrameAt(generation, entry.layer, entry.t);
               if (frame.ok()) {
                 entry.frame = frame.MoveValueUnsafe();
                 entry.tiles = entry.frame->tiles();
@@ -468,6 +495,11 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
     return result;
   }
 
+  // Exact cell loop. At N > 1 each term reads its cell from the band
+  // frame of the shard that owns it (ShardMap::OwnerOf, at its band-local
+  // row); at N=1 from shard 0 at its grid row. Either way the fold is
+  // FrameMemo's canonical left-to-right sum, so answers — and the term
+  // and timestep a failing row reports — are bit-identical across N.
   ScopedSpan gather_span(options.trace, SpanName::kGather,
                          plan.num_point_queries());
 
@@ -477,7 +509,9 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
       [&](int64_t begin, int64_t end) {
         TraceContext shard_trace;
         if (options.trace != nullptr) shard_trace = *options.trace;
-        query_internal::FrameMemo memo(server_->store(), options.generation);
+        query_internal::FrameMemo memo(shards);
+        std::vector<query_internal::TermAddress> addresses;
+        std::vector<int64_t> term_reads(static_cast<size_t>(num_shards), 0);
         std::vector<double> series;
         for (int64_t i = begin; i < end; ++i) {
           const PlanRow& planned = plan.rows[static_cast<size_t>(i)];
@@ -488,6 +522,15 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
             continue;
           }
           const ResolvedQuery& rq = **slot.resolved;
+          if (bands != nullptr) {
+            // Addressed once per row, read at every timestep.
+            addresses.resize(rq.terms.size());
+            for (size_t ti = 0; ti < rq.terms.size(); ++ti) {
+              const GridId& grid = rq.terms[ti].grid;
+              const int owner = bands->OwnerOf(grid);
+              addresses[ti] = {owner, bands->LocalRow(owner, grid)};
+            }
+          }
           series.clear();
           // Clamped reserve: a hint only, so a huge (likely mistaken)
           // range cannot bad_alloc here before the first gather gets the
@@ -498,11 +541,22 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
           Status gather = Status::OK();
           for (int64_t t = planned.t0; t <= planned.t1; ++t) {
             double value = 0.0;
-            gather = memo.Evaluate(rq.terms, t, &value);
+            gather = bands == nullptr
+                         ? memo.Evaluate(rq.terms, t, &value)
+                         : memo.Evaluate(rq.terms, addresses, t, &value);
             if (!gather.ok()) break;
             series.push_back(value);
           }
           const double eval_micros = eval_timer.ElapsedMicros();
+          // Count the reads behind every answered timestep, per owner.
+          const int64_t answered = static_cast<int64_t>(series.size());
+          if (bands == nullptr) {
+            term_reads[0] += static_cast<int64_t>(rq.terms.size()) * answered;
+          } else {
+            for (const query_internal::TermAddress& at : addresses) {
+              term_reads[static_cast<size_t>(at.shard)] += answered;
+            }
+          }
           if (!gather.ok()) {
             result.rows[static_cast<size_t>(i)] = std::move(gather);
             continue;
@@ -510,6 +564,12 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
           result.rows[static_cast<size_t>(i)] =
               MakeRow(series, plan.spec.aggregation, keep_series, rq,
                       slot, eval_micros, &shard_trace);
+        }
+        for (int k = 0; k < num_shards; ++k) {
+          Counter* counter = shards[static_cast<size_t>(k)].terms_evaluated;
+          if (counter != nullptr && term_reads[static_cast<size_t>(k)] > 0) {
+            counter->fetch_add(term_reads[static_cast<size_t>(k)]);
+          }
         }
       });
   gather_span.Close();

@@ -1,14 +1,16 @@
-// Runs a compiled QueryPlan against a RegionQueryServer: a cache-probe /
-// resolve stage over the plan's distinct regions, an epoch-pinned gather
-// stage that reuses each resolution across every timestep it serves, an
+// Runs a compiled QueryPlan against a RegionQueryServer at any shard
+// count: a cache-probe / resolve stage over the plan's distinct regions
+// (each probing its home shard's cache), an epoch-pinned gather stage
+// that reuses each resolution across every timestep it serves, an
 // aggregation fold (sum/mean/max) and an optional top-k rank stage. The
 // gather stage has two interpreters, selected by the plan's EvalPath:
-// the bit-exact per-term cell loop (per-chunk frame memo), and the SAT
-// fast path, which prefetches every (layer, t) frame/summed-area plane
-// the plan touches once and then answers rect-decomposed term groups
-// with four-corner plane reads plus a columnar residue sweep. Per-row
-// failures surface as that row's Status; stage wall times land in the
-// structured QueryResult.
+// the bit-exact per-term cell loop (per-chunk frame memo; each term
+// reads its owner shard's band frame), and the SAT fast path, which
+// prefetches every (layer, t) frame/summed-area plane the plan touches
+// once and then answers rect-decomposed term groups with four-corner
+// plane reads plus a columnar residue sweep. Per-row failures surface as
+// that row's Status; stage wall times land in the structured
+// QueryResult.
 #ifndef ONE4ALL_QUERY_QUERY_EXECUTOR_H_
 #define ONE4ALL_QUERY_QUERY_EXECUTOR_H_
 
@@ -21,6 +23,23 @@
 
 namespace one4all {
 
+class Counter;   // obs/metrics.h
+class ShardMap;  // shard/shard_map.h
+
+/// \brief One band shard's read surface under a held cross-shard pin:
+/// the store its frames come from, the generation the pin names, its
+/// resolve cache and its term-read counter.
+struct ShardReadView {
+  const PredictionStore* store = nullptr;
+  int64_t generation = 0;
+  /// Resolve cache of the regions homed on this shard; null resolves
+  /// uncached.
+  ResolvedQueryCache* cache = nullptr;
+  /// Counts the exact loop's term-cell reads this shard served (one per
+  /// term per answered timestep); null counts nothing.
+  Counter* terms_evaluated = nullptr;
+};
+
 /// \brief Execution knobs, mirroring BatchOptions.
 struct QueryExecutorOptions {
   /// Worker threads when `pool` is null: 1 runs on the calling thread,
@@ -29,11 +48,17 @@ struct QueryExecutorOptions {
   int num_threads = 1;
   /// Optional shared pool (overrides num_threads); must outlive the call.
   ThreadPool* pool = nullptr;
-  /// Optional resolve cache shared across calls; must outlive the call.
+  /// One-store callers: an optional resolve cache shared across calls
+  /// (must outlive the call) and the generation of the server's store
+  /// every frame read goes through. Unused when `shards` is set.
   ResolvedQueryCache* cache = nullptr;
-  /// Prediction-store generation every frame read goes through (the
-  /// serving runtime pins an epoch and passes its generation here).
   int64_t generation = 0;
+  /// Band-sharded callers (the serving runtime): one view per shard of
+  /// `shard_map`, in shard order, all under one cross-shard pin. Each
+  /// region resolves through its home shard's cache; the exact loop
+  /// reads every term from its owner shard. Both must outlive the call.
+  const ShardMap* shard_map = nullptr;
+  std::vector<ShardReadView> shards;
   /// Open trace of the enclosing query; stage spans (resolve / gather /
   /// fold / rank) nest under its current parent span. Null traces
   /// nothing. Worker shards span against thread-local copies, so the
@@ -100,8 +125,8 @@ class QueryExecutor {
 
 namespace query_internal {
 
-/// \brief The aggregation fold shared by every gather interpreter
-/// (exact cell loop, SAT fast path, sharded scatter-gather). Left-to-
+/// \brief The aggregation fold shared by both gather interpreters
+/// (exact cell loop, SAT fast path). Left-to-
 /// right accumulation in series order — part of the bit-exactness
 /// contract, so no caller may re-fold with a different association.
 double FoldSeries(const std::vector<double>& series, TimeAggregation agg);

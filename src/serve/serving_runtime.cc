@@ -6,7 +6,6 @@
 #include "core/logging.h"
 #include "core/stopwatch.h"
 #include "query/query_planner.h"
-#include "shard/shard_executor.h"
 
 namespace one4all {
 
@@ -282,20 +281,19 @@ QueryResult ServingRuntime::ExecutePinned(const QueryPlan& plan,
   const ShardPinSet pins = shards_.PinAll(trace);
   pin_span.set_arg(pins.generation(0));
   pin_span.Close();
-  std::shared_lock<std::shared_mutex> server_lock(server_mu_);
-  if (shards_.num_shards() == 1) {
-    QueryExecutorOptions exec_options;
-    exec_options.num_threads = options_.num_query_threads;
-    exec_options.cache = &shards_.shard(0).cache;
-    exec_options.generation = pins.generation(0);
-    exec_options.trace = trace;
-    return QueryExecutor(server_.get()).Execute(plan, exec_options);
-  }
-  ShardExecutorOptions exec_options;
+  QueryExecutorOptions exec_options;
   exec_options.num_threads = options_.num_query_threads;
   exec_options.trace = trace;
-  return ShardExecutor(server_.get(), &shards_)
-      .Execute(plan, pins, exec_options);
+  exec_options.shard_map = &shards_.map();
+  exec_options.shards.reserve(static_cast<size_t>(shards_.num_shards()));
+  for (int k = 0; k < shards_.num_shards(); ++k) {
+    Shard& shard = shards_.shard(k);
+    exec_options.shards.push_back(ShardReadView{
+        &shard.store, pins.generation(k), &shard.cache,
+        &shard.terms_evaluated});
+  }
+  std::shared_lock<std::shared_mutex> server_lock(server_mu_);
+  return QueryExecutor(server_.get()).Execute(plan, exec_options);
 }
 
 void ServingRuntime::RecordRowOutcomes(

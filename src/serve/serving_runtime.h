@@ -48,11 +48,13 @@ struct ServingRuntimeOptions {
   ResolvedQueryCacheOptions cache;
   /// Spatial shard count; every count serves through one ShardSet
   /// (shard/shard_set.h). 1 (the default) is a single shard holding the
-  /// whole grid, queried by QueryExecutor (SAT fast path included). > 1
-  /// partitions the grid into that many contiguous row-band shards
-  /// (shard/shard_map.h), each with its own store, epoch manager and
-  /// resolve cache, queried by scatter-gather (results stay bit-identical
-  /// to N=1). The ingestor publishes all bands behind one epoch barrier.
+  /// whole grid. > 1 partitions the grid into that many contiguous
+  /// row-band shards (shard/shard_map.h), each with its own store, epoch
+  /// manager and resolve cache. One QueryExecutor serves every count: it
+  /// resolves each region at its home shard and reads each term from its
+  /// owner shard (exact-loop results stay bit-identical to N=1; the SAT
+  /// fast path runs at N=1 only). The ingestor publishes all bands
+  /// behind one epoch barrier.
   /// Clamped to the atomic grid height.
   int num_shards = 1;
   StreamIngestorOptions ingest;
@@ -143,9 +145,8 @@ class ServingRuntime {
   void ReleaseQueries(int64_t cost);
 
   /// \brief The query step every entry point shares: PinAll, run
-  /// `plan` under the pin set, return the result. One shard runs
-  /// QueryExecutor on shard 0's store, pinned generation and cache (the
-  /// only executor with the SAT fast path); N > 1 runs ShardExecutor.
+  /// `plan` through QueryExecutor over every shard's store, pinned
+  /// generation and cache, return the result.
   QueryResult ExecutePinned(const QueryPlan& plan, TraceContext* trace);
 
   /// \brief Records per-row outcomes (served/failed counts + response
@@ -161,8 +162,8 @@ class ServingRuntime {
   ShardSet shards_;
 
   // The server is swapped whole on SwapIndex; queries hold the shared
-  // side for the duration of a batch. It resolves against shard 0's
-  // store, which QueryExecutor also reads when there is one shard.
+  // side for the duration of a batch. It only resolves (decompose +
+  // index); frame reads go to the shard stores under the pin set.
   mutable std::shared_mutex server_mu_;
   std::unique_ptr<RegionQueryServer> server_;
 

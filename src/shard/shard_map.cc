@@ -84,15 +84,14 @@ Tensor ShardMap::SliceFrame(int shard, int layer,
 
 std::vector<int64_t> ShardMap::SplitRegionCells(
     const GridMask& region) const {
+  O4A_DCHECK(region.height() == hierarchy_->atomic_height());
+  // Bands are contiguous row ranges, so each shard's share is one
+  // popcount sweep over its rows' words.
   std::vector<int64_t> cells(static_cast<size_t>(num_shards_), 0);
-  for (int64_t r = 0; r < region.height(); ++r) {
-    int64_t row_cells = 0;
-    for (int64_t c = 0; c < region.width(); ++c) {
-      if (region.at(r, c)) ++row_cells;
-    }
-    if (row_cells > 0) {
-      cells[static_cast<size_t>(OwnerOfAtomicRow(r))] += row_cells;
-    }
+  for (int k = 0; k < num_shards_; ++k) {
+    cells[static_cast<size_t>(k)] =
+        region.CountRows(band_begin_[static_cast<size_t>(k)],
+                         band_begin_[static_cast<size_t>(k) + 1]);
   }
   return cells;
 }

@@ -11,23 +11,9 @@ ShardRouter::ShardRouter(const ShardMap* map) : map_(map) {
 }
 
 int ShardRouter::HomeShard(const GridMask& region) const {
-  for (int64_t r = 0; r < region.height(); ++r) {
-    for (int64_t c = 0; c < region.width(); ++c) {
-      if (region.at(r, c)) return map_->OwnerOfAtomicRow(r);
-    }
-  }
-  return 0;  // empty region (planner validation rejects these)
-}
-
-std::vector<std::vector<int32_t>> ShardRouter::ScatterTerms(
-    const std::vector<CombinationTerm>& terms) const {
-  std::vector<std::vector<int32_t>> scattered(
-      static_cast<size_t>(map_->num_shards()));
-  for (size_t i = 0; i < terms.size(); ++i) {
-    scattered[static_cast<size_t>(map_->OwnerOf(terms[i].grid))].push_back(
-        static_cast<int32_t>(i));
-  }
-  return scattered;
+  const int64_t row = region.FirstSetRow();
+  // Empty regions (planner validation rejects these) go to shard 0.
+  return row < 0 ? 0 : map_->OwnerOfAtomicRow(row);
 }
 
 std::string ShardRouter::DescribeSplit(const QueryPlan& plan) const {

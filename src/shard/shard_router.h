@@ -1,19 +1,15 @@
 // Routing layer between a compiled QueryPlan and the shard fleet: which
 // shard a region's resolution lives on (its home shard, owning the
-// per-shard resolve-cache entry), which shard evaluates each combination
-// term (the owner of the term's cell), and the EXPLAIN rendering of a
-// plan's per-shard region split. Pure geometry over a ShardMap — no
-// store or epoch state — so the scatter protocol stays transport-
-// agnostic: the same routing works whether shards are threads or
+// per-shard resolve-cache entry) and the EXPLAIN rendering of a plan's
+// per-shard region split. Which shard evaluates each combination term
+// is ShardMap::OwnerOf. Pure geometry over a ShardMap — no store or
+// epoch state — so routing works whether shards are threads or
 // processes.
 #ifndef ONE4ALL_SHARD_SHARD_ROUTER_H_
 #define ONE4ALL_SHARD_SHARD_ROUTER_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "combine/combination.h"
 #include "query/query_planner.h"
 #include "shard/shard_map.h"
 
@@ -28,14 +24,8 @@ class ShardRouter {
   /// the region's first set atomic row. Any deterministic choice works
   /// (resolution never reads frames); tying it to the region's top edge
   /// spreads cache capacity across shards for spread-out workloads.
+  /// O(words): the first set row comes from the first non-zero word.
   int HomeShard(const GridMask& region) const;
-
-  /// \brief Scatters resolved terms to their owning shards: element k
-  /// lists the indices into `terms` that shard k evaluates. Every term
-  /// appears exactly once across shards, in ascending index order within
-  /// each shard.
-  std::vector<std::vector<int32_t>> ScatterTerms(
-      const std::vector<CombinationTerm>& terms) const;
 
   /// \brief EXPLAIN extension for sharded execution: one line per plan
   /// slot with its home shard and the region's atomic-cell split across

@@ -38,7 +38,7 @@ ShardSet::ShardSet(const Hierarchy* hierarchy, int num_shards,
                              labels, &s.frames_staged);
     registry.RegisterCounter(
         "one4all_shard_terms_evaluated",
-        "Scattered combination terms this shard evaluated", labels,
+        "Exact-loop term-cell reads this shard served", labels,
         &s.terms_evaluated);
     registry.RegisterCallbackGauge(
         "one4all_shard_publish_lag_ms",

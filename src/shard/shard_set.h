@@ -11,9 +11,11 @@
 // pin set never mixes two timesteps between shards, verified by a
 // latest_t coherence check whose violations are counted, never silent.
 //
-// The merge layer above this (shard/shard_executor.h) is transport-
-// agnostic on purpose: shards are in-process threads today, but nothing
-// in the scatter/gather protocol assumes shared memory beyond the
+// Queries read the set through one QueryExecutor (query/
+// query_executor.h), handed one (store, pinned generation, cache) view
+// per shard: each region resolves at its home shard, each term reads its
+// cell from its owner shard's band frame, and one fold sums them in
+// canonical order. Nothing there assumes shared memory beyond those
 // per-shard store reads, so a multi-process split swaps the store
 // access, not the algorithm.
 #ifndef ONE4ALL_SHARD_SHARD_SET_H_
@@ -38,8 +40,8 @@ struct ShardSetOptions {
   int64_t retain_timesteps = 0;
   /// Stage a summed-area plane with every band slice. Per-shard planes
   /// cover the shard's rows; a one-shard set's planes feed the query
-  /// executor's SAT fast path, while the N > 1 scatter-gather does not
-  /// read them (building them anyway keeps storage costs comparable).
+  /// executor's SAT fast path, which runs at N=1 only, so N > 1 sets do
+  /// not read them (building them anyway keeps storage costs comparable).
   bool build_sat_planes = true;
   /// Per-shard resolve cache geometry (capacity is per shard, so N
   /// shards hold N x capacity distinct resolutions).
@@ -65,6 +67,8 @@ struct Shard {
   // runtime's registry when telemetry is wired).
   Counter epochs_published;
   Counter frames_staged;
+  /// Exact-loop term-cell reads served from this shard's store: one per
+  /// owned term per answered timestep.
   Counter terms_evaluated;
   /// Nanos-since-ShardSet-birth of the last flip; -1 before the first.
   std::atomic<int64_t> last_publish_nanos{-1};

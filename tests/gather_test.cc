@@ -539,11 +539,12 @@ TEST(FrameLifetimeTest, FrameMemoPinsSurviveDropGeneration) {
         CombinationTerm{GridId{l, info.height - 1, info.width - 1}, -1});
   }
 
-  query_internal::FrameMemo memo(&store, 1);
+  const std::vector<ShardReadView> shards = {{&store, 1}};
+  query_internal::FrameMemo memo(shards);
   std::vector<const TiledFrame*> pinned;
   std::vector<Tensor> before;
   for (int l = 1; l <= num_layers; ++l) {
-    auto frame = memo.Get(l, t);
+    auto frame = memo.Get(0, l, t);
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     pinned.push_back(*frame);
     before.push_back((*frame)->Materialize());
@@ -564,7 +565,7 @@ TEST(FrameLifetimeTest, FrameMemoPinsSurviveDropGeneration) {
       }
     }
     // Memoized keys keep answering from the pin, same object.
-    auto again = memo.Get(l, t);
+    auto again = memo.Get(0, l, t);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again, frame);
   }
@@ -572,7 +573,7 @@ TEST(FrameLifetimeTest, FrameMemoPinsSurviveDropGeneration) {
   ASSERT_TRUE(memo.Evaluate(terms, t, &value_after).ok());
   EXPECT_EQ(value_after, value_before);
   // A key the memo never pinned is gone with its generation.
-  EXPECT_EQ(memo.Get(1, t + 1).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(memo.Get(0, 1, t + 1).status().code(), StatusCode::kNotFound);
 }
 
 TEST(FrameLifetimeTest, FastPathPinsSurviveConcurrentDropGeneration) {

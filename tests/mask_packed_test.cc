@@ -247,6 +247,41 @@ TEST(MaskPackedPropertyTest, EmptyAgreesWithCount) {
   }
 }
 
+TEST(MaskPackedPropertyTest, RowCountsAndFirstRowMatchByteReference) {
+  // CountRows popcounts a row range's bit span and FirstSetRow reads the
+  // first non-zero word; both agree with the byte model on every row
+  // range, including rows whose bits share a word with their neighbours.
+  Rng rng(5151);
+  for (const auto& extent : kExtents) {
+    const int64_t h = extent[0], w = extent[1];
+    for (int round = 0; round < 20; ++round) {
+      const double density = round % 4 == 0 ? 0.0 : rng.Uniform() * 0.2;
+      const ByteMask ref = RandomByteMask(h, w, density, &rng);
+      const GridMask m = ToPacked(ref);
+      int64_t first_row = -1;
+      for (int64_t r = h - 1; r >= 0; --r) {
+        for (int64_t c = 0; c < w; ++c) {
+          if (ref.at(r, c)) first_row = r;
+        }
+      }
+      EXPECT_EQ(m.FirstSetRow(), first_row);
+      const int64_t r0 = RandInt(&rng, 0, h);
+      const int64_t r1 = RandInt(&rng, r0, h);
+      int64_t count = 0;
+      for (int64_t r = r0; r < r1; ++r) {
+        for (int64_t c = 0; c < w; ++c) count += ref.at(r, c);
+      }
+      EXPECT_EQ(m.CountRows(r0, r1), count)
+          << h << "x" << w << " rows [" << r0 << "," << r1 << ")";
+      EXPECT_EQ(m.CountRows(0, h), m.Count());
+    }
+    GridMask last(h, w);
+    last.Set(h - 1, w - 1, true);
+    EXPECT_EQ(last.FirstSetRow(), h - 1);
+    EXPECT_EQ(last.CountRows(h - 1, h), 1);
+  }
+}
+
 TEST(MaskPackedPropertyTest, OneCellApartNeverCollides) {
   // Seeded sample: every mask and each of its one-cell flips fingerprint
   // apart, and a fingerprint seen twice always names the same content.

@@ -1,9 +1,10 @@
 // Tests for the sharded serving subsystem (src/shard): band-partition
-// geometry, the two-phase epoch barrier (including the TSan-hammered
-// concurrent publish-vs-pin loop), abort-all staging under injected
-// write faults — and the headline contract: N-shard scatter-gather
-// answers are bit-identical to the single-shard path for every spec
-// shape, straddling regions and top-k tie order included.
+// geometry, word-parallel routing against per-cell scan references, the
+// two-phase epoch barrier (including the TSan-hammered concurrent
+// publish-vs-pin loop), abort-all staging under injected write faults —
+// and the headline contract: the executor's answers at N shards are
+// bit-identical to the single-shard path for every spec shape,
+// straddling regions, top-k tie order and failing rows included.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +17,8 @@
 #include "eval/task_eval.h"
 #include "model/baselines_simple.h"
 #include "serve/serving_runtime.h"
-#include "shard/shard_executor.h"
 #include "shard/shard_map.h"
+#include "shard/shard_router.h"
 #include "shard/shard_set.h"
 #include "test_util.h"
 
@@ -117,6 +118,51 @@ TEST(ShardMapTest, SliceFrameCopiesOwnedRows) {
   }
 }
 
+// Test-only references: the per-cell scans the word-parallel routing
+// replaced. Each probes every cell of the raster with GridMask::at.
+std::vector<int64_t> SplitRegionCellsByScan(const ShardMap& map,
+                                            const GridMask& region) {
+  std::vector<int64_t> cells(static_cast<size_t>(map.num_shards()), 0);
+  for (int64_t r = 0; r < region.height(); ++r) {
+    for (int64_t c = 0; c < region.width(); ++c) {
+      if (region.at(r, c)) {
+        ++cells[static_cast<size_t>(map.OwnerOfAtomicRow(r))];
+      }
+    }
+  }
+  return cells;
+}
+
+int HomeShardByScan(const ShardMap& map, const GridMask& region) {
+  for (int64_t r = 0; r < region.height(); ++r) {
+    for (int64_t c = 0; c < region.width(); ++c) {
+      if (region.at(r, c)) return map.OwnerOfAtomicRow(r);
+    }
+  }
+  return 0;
+}
+
+/// Seeded random masks of varied density, plus masks whose first set
+/// cell lies deep in the raster (only the bottom rows populated).
+std::vector<GridMask> RandomMasks(int64_t h, int64_t w, uint64_t seed) {
+  std::vector<GridMask> masks;
+  Rng rng(seed);
+  for (const double density : {0.5, 0.05, 0.002}) {
+    for (int i = 0; i < 8; ++i) {
+      GridMask mask(h, w);
+      const int64_t first_row = static_cast<int64_t>(
+          rng.UniformInt(static_cast<uint64_t>(h)));
+      for (int64_t r = first_row; r < h; ++r) {
+        for (int64_t c = 0; c < w; ++c) {
+          if (rng.Uniform() < density) mask.Set(r, c, true);
+        }
+      }
+      masks.push_back(std::move(mask));
+    }
+  }
+  return masks;
+}
+
 TEST(ShardMapTest, SplitRegionCellsAccountsEveryCell) {
   Hierarchy hierarchy = Hierarchy::Uniform(16, 16, 2, 16);
   ShardMap map = ShardMap::Create(&hierarchy, 4);
@@ -128,6 +174,78 @@ TEST(ShardMapTest, SplitRegionCellsAccountsEveryCell) {
   for (const int64_t cells : split) total += cells;
   EXPECT_EQ(total, region.Count());
   for (int k = 0; k < 4; ++k) EXPECT_GT(split[k], 0) << "shard " << k;
+
+  // A 100x70 raster: rows are not word-aligned (a word holds the tail of
+  // one row and the head of the next), and no band is either. The
+  // word-parallel split equals the per-cell scan on every mask.
+  Hierarchy ragged = Hierarchy::Uniform(100, 70, 2, 8);
+  for (int n : {1, 2, 3, 4, 7}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(n));
+    ShardMap ragged_map = ShardMap::Create(&ragged, n);
+    std::vector<GridMask> masks = RandomMasks(100, 70, 77);
+    GridMask band_edges(100, 70);
+    for (int k = 1; k < n; ++k) {
+      band_edges.FillRect(ragged_map.AtomicRowBegin(k) - 1, 60,
+                          ragged_map.AtomicRowBegin(k) + 1, 70);
+    }
+    masks.push_back(band_edges);
+    masks.push_back(GridMask(100, 70));
+    for (const GridMask& mask : masks) {
+      const std::vector<int64_t> words = ragged_map.SplitRegionCells(mask);
+      EXPECT_EQ(words, SplitRegionCellsByScan(ragged_map, mask));
+      int64_t sum = 0;
+      for (const int64_t cells : words) sum += cells;
+      EXPECT_EQ(sum, mask.Count());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ShardRouter
+
+// HomeShard reads the first non-zero word; the cell scan it replaced is
+// the definition. They agree on random masks and on single cells at the
+// raster's corners, on both sides of every band boundary and on a row
+// whose bits straddle two words.
+TEST(ShardRouterTest, HomeShardMatchesCellScanReference) {
+  struct Raster {
+    int64_t h, w, max_scale;
+  };
+  for (const Raster raster : {Raster{128, 128, 32}, Raster{100, 70, 8}}) {
+    Hierarchy hierarchy =
+        Hierarchy::Uniform(raster.h, raster.w, 2, raster.max_scale);
+    for (int n : {1, 2, 3, 4, 7}) {
+      SCOPED_TRACE("raster " + std::to_string(raster.h) + "x" +
+                   std::to_string(raster.w) +
+                   " num_shards=" + std::to_string(n));
+      ShardMap map = ShardMap::Create(&hierarchy, n);
+      ShardRouter router(&map);
+      std::vector<GridMask> masks =
+          RandomMasks(raster.h, raster.w, 1000 + static_cast<uint64_t>(n));
+      auto single_cell = [&](int64_t r, int64_t c) {
+        GridMask mask(raster.h, raster.w);
+        mask.Set(r, c, true);
+        masks.push_back(std::move(mask));
+      };
+      single_cell(0, 0);
+      single_cell(raster.h - 1, raster.w - 1);
+      for (int k = 1; k < n; ++k) {
+        const int64_t boundary = map.AtomicRowBegin(k);
+        single_cell(boundary - 1, raster.w - 1);
+        single_cell(boundary, 0);
+      }
+      // At W=70 row 1 spans bits [70, 140): its first cells share word 1
+      // with row 0's last six, and its last cells share word 2 with row 2.
+      single_cell(1, 0);
+      single_cell(1, raster.w - 1);
+      single_cell(0, raster.w - 1);
+      masks.push_back(GridMask(raster.h, raster.w));  // empty: shard 0
+      for (size_t i = 0; i < masks.size(); ++i) {
+        EXPECT_EQ(router.HomeShard(masks[i]), HomeShardByScan(map, masks[i]))
+            << "mask " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -411,7 +529,17 @@ void ExpectBitExactRows(const QueryResult& single, const QueryResult& shard,
   for (size_t i = 0; i < single.rows.size(); ++i) {
     ASSERT_EQ(single.rows[i].ok(), shard.rows[i].ok()) << what << " row "
                                                        << i;
-    if (!single.rows[i].ok()) continue;
+    if (!single.rows[i].ok()) {
+      // A failing row reports the same first unreadable term at the same
+      // timestep, so the same status.
+      EXPECT_EQ(single.rows[i].status().code(),
+                shard.rows[i].status().code())
+          << what << " row " << i;
+      EXPECT_EQ(single.rows[i].status().message(),
+                shard.rows[i].status().message())
+          << what << " row " << i;
+      continue;
+    }
     // Bit-exact, not approximately equal: the sharded merge re-folds in
     // canonical term order, so the doubles must be identical.
     EXPECT_EQ(single.rows[i]->value, shard.rows[i]->value)
@@ -586,6 +714,120 @@ TEST(ShardParityTest, RaggedEdgeSpecShapesAcrossShardCounts) {
     }
     EXPECT_TRUE(sharded->shards().Consistent());
     sharded->Stop();
+  }
+}
+
+// The N > 1 fallback for the SAT fast path: a kSatFastPath spec runs the
+// exact loop over the band shards, so its answers are bit-identical to
+// the exact loop at N=1 (not merely within the SAT path's 1e-9 bound).
+TEST(ShardParityTest, SatFastPathSpecRunsExactLoopAtShardCounts) {
+  ShardFixture fixture = ShardFixture::Make(17);
+  const int64_t t0 = fixture.dataset->test_indices().front();
+  const int64_t t1 = t0 + 5;
+  std::vector<QuerySpec> shapes;
+  shapes.push_back(QuerySpec::PointInTime(fixture.regions[0], t0 + 2));
+  QuerySpec range =
+      QuerySpec::TimeRange(fixture.regions[1], t0, t1, TimeAggregation::kSum);
+  range.keep_series = true;
+  shapes.push_back(range);
+  shapes.push_back(QuerySpec::MultiRegion(fixture.regions, t1));
+  shapes.push_back(QuerySpec::TopK(fixture.regions, t1, 4));
+
+  auto single = fixture.MakeRuntime(1);
+  std::vector<QueryResult> exact;
+  for (const QuerySpec& shape : shapes) {
+    ASSERT_EQ(shape.eval_path, EvalPath::kExactCellLoop);
+    auto result = single->ExecuteSpec(shape);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
+    exact.push_back(std::move(*result));
+  }
+  single->Stop();
+
+  for (int num_shards : {2, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    auto sharded = fixture.MakeRuntime(num_shards);
+    for (size_t k = 0; k < shapes.size(); ++k) {
+      QuerySpec fast = shapes[k];
+      fast.eval_path = EvalPath::kSatFastPath;
+      auto result = sharded->ExecuteSpec(std::move(fast));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ExpectBitExactRows(exact[k], *result, "sat spec");
+    }
+    sharded->Stop();
+  }
+}
+
+// A row that reaches past the newest published timestep fails with the
+// exact loop's first-failing-term status at every shard count.
+TEST(ShardParityTest, UnpublishedTimestepFailsIdenticallyAcrossShardCounts) {
+  ShardFixture fixture = ShardFixture::Make(19);
+  auto single = fixture.MakeRuntime(1);
+  auto sharded = fixture.MakeRuntime(2);
+  const int64_t last = single->published_latest_t();
+  ASSERT_EQ(sharded->published_latest_t(), last);
+
+  std::vector<QuerySpec> specs;
+  specs.push_back(QuerySpec::PointInTime(fixture.regions[0], last + 1));
+  // Published steps first, then one past the newest: the row fails at
+  // its first unreadable timestep.
+  specs.push_back(QuerySpec::TimeRange(fixture.regions.back(), last - 2,
+                                       last + 2, TimeAggregation::kSum));
+  specs.push_back(QuerySpec::MultiRegion(fixture.regions, last + 3));
+  for (const QuerySpec& spec : specs) {
+    auto s = single->ExecuteSpec(spec);
+    auto h = sharded->ExecuteSpec(spec);
+    ASSERT_TRUE(s.ok() && h.ok());
+    for (const auto& row : s->rows) {
+      ASSERT_FALSE(row.ok());
+      EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
+    }
+    ExpectBitExactRows(*s, *h, "unpublished");
+  }
+  single->Stop();
+  sharded->Stop();
+}
+
+// Counting contract of the exact loop: every answered timestep of a row
+// counts one read per term, on the shard that owns the term's cell.
+TEST(ShardParityTest, TermsEvaluatedCountOwnedReadsPerShard) {
+  ShardFixture fixture = ShardFixture::Make(37);
+  const int64_t t0 = fixture.dataset->test_indices().front();
+  const int64_t steps = 3;
+  QuerySpec spec = QuerySpec::MultiRegion(fixture.regions, t0);
+  spec.time = TimeSelector::Range(t0, t0 + steps - 1);
+  for (int num_shards : {1, 2, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    auto runtime = fixture.MakeRuntime(num_shards);
+    ShardSet& shards = runtime->shards();
+    std::vector<int64_t> expected(static_cast<size_t>(num_shards), 0);
+    int64_t total_terms = 0;
+    for (const GridMask& region : fixture.regions) {
+      auto resolved =
+          fixture.pipeline->server().Resolve(region, spec.strategy);
+      ASSERT_TRUE(resolved.ok());
+      for (const CombinationTerm& term : resolved->terms) {
+        expected[static_cast<size_t>(shards.map().OwnerOf(term.grid))] +=
+            steps;
+      }
+      total_terms += static_cast<int64_t>(resolved->terms.size());
+    }
+    // The straddling regions put terms on more than one band.
+    if (num_shards > 1) {
+      EXPECT_GT(expected[1], 0);
+    }
+    auto result = runtime->ExecuteSpec(spec);
+    ASSERT_TRUE(result.ok());
+    for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
+    int64_t counted = 0;
+    for (int k = 0; k < num_shards; ++k) {
+      EXPECT_EQ(shards.shard(k).terms_evaluated.value(),
+                expected[static_cast<size_t>(k)])
+          << "shard " << k;
+      counted += shards.shard(k).terms_evaluated.value();
+    }
+    EXPECT_EQ(counted, total_terms * steps);
+    runtime->Stop();
   }
 }
 
