@@ -108,11 +108,12 @@ bool TopKMemo::FootprintClean(const CellRect& footprint,
     if (static_cast<size_t>(l) > record.dirty.size()) return false;
     const TileDirtySet& dirty = record.dirty[static_cast<size_t>(l) - 1];
     const int64_t scale = hierarchy_->layer(l).scale;
-    // IntersectsRect is conservative on unknown sets, so a layer the
-    // publish carried no diff for counts as churned.
-    if (dirty.IntersectsRect(footprint.r0 / scale, footprint.c0 / scale,
-                             (footprint.r1 + scale - 1) / scale,
-                             (footprint.c1 + scale - 1) / scale)) {
+    // Cell-exact where the diff carried cell bits, tile-level where it
+    // did not; an unknown set (a layer the publish carried no diff
+    // for) counts as churned.
+    if (dirty.CellsIntersectRect(footprint.r0 / scale, footprint.c0 / scale,
+                                 (footprint.r1 + scale - 1) / scale,
+                                 (footprint.c1 + scale - 1) / scale)) {
       return false;
     }
   }

@@ -1,10 +1,10 @@
 // Incremental top-k ranking across epochs. A subscribed top-k query is
 // the same spec re-issued at each newly published timestep; between two
-// issues only the tiles the ingestor marked dirty actually changed, so
-// any region whose term footprint misses every intervening dirty set
-// must rank with the exact value it had last time. The memo keeps the
-// last evaluation of each distinct top-k spec plus a bounded history of
-// per-publish dirty sets, and tells the serving runtime which rows it
+// issues only the cells the ingestor's diffs marked changed actually
+// moved, so any region whose term footprint misses every intervening
+// change must rank with the exact value it had last time. The memo keeps
+// the last evaluation of each distinct top-k spec plus a bounded history
+// of per-publish dirty sets, and tells the serving runtime which rows it
 // may carry over verbatim — the executor then re-gathers only the rows
 // the churn could have moved, and the ranking is re-sorted locally.
 //
@@ -15,7 +15,19 @@
 // coarsest layer's grid boundaries — a superset of every combination
 // term the planner can choose for the region (union grids intersect the
 // region, subtraction grids lie inside union grids), so over-marking
-// only costs a re-evaluation, never a stale value.
+// only costs a re-evaluation, never a stale value. Dirty sets are
+// checked per changed layer *cell* when the publish's diff carried cell
+// bits (DiffFrames does), per 32x32 tile otherwise: at 128x128 every
+// layer of scale >= 4 is a single tile, so only cell bits let a row in
+// an unchurned part of a coarse layer stay clean.
+//
+// Timestep contract: the memo proves that a row did not change between
+// two timesteps; it does not know which timesteps are servable. Callers
+// probe and store only at a timestep the epoch they read holds
+// (published and not yet reclaimed), so a memoized row is always a
+// value read from a published frame — never a failure caused by the
+// timestep being unpublished or reclaimed — and a warm answer at a
+// timestep the cold path would refuse is never served.
 //
 // Entries are keyed and verified on the spec's knobs plus each row's
 // 128-bit RegionFingerprint, never on mask bytes: the planner already
@@ -99,17 +111,20 @@ class TopKMemo {
     std::vector<Result<QueryRow>> rows;
   };
 
-  /// \brief Probes for `key` evaluated at point timestep `t`. A hit
-  /// proves, per row, whether the memoized value is still exact at `t`
-  /// given every publish since memo_t. Callers only probe point top-k
-  /// specs. Non-const: a hit refreshes the entry's LRU position.
+  /// \brief Probes for `key` evaluated at point timestep `t`, which the
+  /// caller's pinned epoch must hold. A hit proves, per row, whether the
+  /// memoized value is still exact at `t` given every publish since
+  /// memo_t. Callers only probe point top-k specs. Non-const: a hit
+  /// refreshes the entry's LRU position.
   Probe Lookup(const Key& key, int64_t t);
 
-  /// \brief Memoizes `rows` as the evaluation of `key` at timestep `t`.
-  /// `regions` are the spec's masks (row i answers regions[i]); they are
-  /// read only when the entry is new, to compute its footprints. Failed
-  /// rows are stored too — they stay failed until their footprint
-  /// churns.
+  /// \brief Memoizes `rows` as the evaluation of `key` at timestep `t`,
+  /// which the epoch the rows were read from must hold (see the
+  /// timestep contract above). `regions` are the spec's masks (row i
+  /// answers regions[i]); they are read only when the entry is new, to
+  /// compute its footprints. Rows that failed for a reason other than
+  /// the timestep (e.g. an unresolvable region) are stored too — they
+  /// stay failed until their footprint churns.
   void Store(Key key, int64_t t, const std::vector<GridMask>& regions,
              const std::vector<Result<QueryRow>>& rows);
 

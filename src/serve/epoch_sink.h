@@ -30,13 +30,16 @@ class EpochSink {
   /// enclosing publish attempt's context; implementations nest their
   /// stage/publish spans under it.
   ///
-  /// `dirty` (nullable) carries the ingestor's per-layer dirty-tile sets
-  /// of `t` vs. the previously published timestep, indexed [layer-1]
-  /// like `frames`: implementations use it to stage copy-on-write deltas
-  /// (clean tiles alias the prior timestep's buffers, dirty tiles copy)
-  /// instead of full frames. Null — or an empty/unknown per-layer entry
-  /// — means "assume everything changed"; the published values are
-  /// identical either way, only staging cost differs.
+  /// `dirty` (nullable) carries the ingestor's per-layer dirty sets of
+  /// `t` vs. the previously published timestep, indexed [layer-1] like
+  /// `frames`, always full-frame (shards re-slice them). Each set has
+  /// 32x32 tile bits — implementations stage copy-on-write deltas from
+  /// them (clean tiles alias the prior timestep's buffers, dirty tiles
+  /// copy) instead of full frames — and, from DiffFrames, one bit per
+  /// changed layer cell, which the serving runtime's publish tap hands
+  /// to the top-k memo. Null — or an empty/unknown per-layer entry —
+  /// means "assume everything changed"; the published values are
+  /// identical either way, only staging cost and memo reuse differ.
   virtual Status StageAndPublish(int64_t t,
                                  const std::vector<Tensor>& frames,
                                  const DirtyTileSets* dirty,

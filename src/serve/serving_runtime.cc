@@ -156,7 +156,8 @@ Result<std::vector<Result<QueryResponse>>> ServingRuntime::QueryBatch(
     ReleaseQueries(n);
     return plan.status();
   }
-  QueryResult result = ExecutePinned(*plan, &trace_ctx);
+  QueryResult result = ExecutePinned(*plan, PinShards(&trace_ctx),
+                                     &trace_ctx);
   ReleaseQueries(n);
   RecordRowOutcomes(result.rows);
   std::vector<Result<QueryResponse>> responses;
@@ -195,16 +196,21 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
   const int64_t steps = plan->spec.time.num_steps();
   const int64_t t = plan->spec.time.t0;
 
+  // One pin set for the whole spec: the memo probe below and every
+  // row gathered after it read the same epochs.
+  const ShardPinSet pins = PinShards(&trace_ctx);
+
   // Incremental top-k: a point top-k re-issued at a later timestep
   // (the subscription pattern) probes the memo, which proves per row
   // whether any publish since the memoized evaluation touched its term
   // footprint. Clean rows carry their value over; only churned rows are
   // re-gathered (the plan restricted to them), and the ranking is
-  // re-sorted over the merged set. Single shard only for now; this is
-  // the one topology test in ExecuteSpec.
-  const bool memo_eligible = shards_.num_shards() == 1 &&
-                             kind == QuerySpecKind::kTopK &&
-                             plan->spec.time.IsPoint();
+  // re-sorted over the merged set. The memo proves rows unchanged, not
+  // the timestep servable, so it is probed and fed only at a t the
+  // pinned epochs hold: elsewhere the cold path answers (and fails).
+  const bool memo_eligible = kind == QuerySpecKind::kTopK &&
+                             plan->spec.time.IsPoint() &&
+                             shards_.ServesTimestep(pins, t);
   TopKMemo::Key memo_key;
   TopKMemo::Probe probe;
   std::vector<int> stale_rows;
@@ -247,7 +253,7 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
     if (!stale_rows.empty()) {
       plan->KeepRows(stale_rows);
       plan->spec.kind = QuerySpecKind::kMultiRegion;  // rank after merge
-      result = ExecutePinned(*plan, &trace_ctx);
+      result = ExecutePinned(*plan, pins, &trace_ctx);
     }
     std::vector<Result<QueryRow>> fresh = std::move(result.rows);
     result.kind = QuerySpecKind::kTopK;
@@ -261,7 +267,7 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
     result.timings.rank_micros = rank_timer.ElapsedMicros();
     topk_memo_.CountReuse(num_rows - eval_rows, eval_rows);
   } else {
-    result = ExecutePinned(*plan, &trace_ctx);
+    result = ExecutePinned(*plan, pins, &trace_ctx);
   }
   if (memo_eligible) {
     topk_memo_.Store(std::move(memo_key), t, plan->spec.regions,
@@ -272,15 +278,19 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
   return result;
 }
 
-QueryResult ServingRuntime::ExecutePinned(const QueryPlan& plan,
-                                          TraceContext* trace) {
+ShardPinSet ServingRuntime::PinShards(TraceContext* trace) {
   // One consistency contract for every topology: the pin set holds one
   // epoch per shard, all serving the same timestep, for the whole plan,
   // so no answer (a time range included) mixes two publishes' frames.
   ScopedSpan pin_span(trace, SpanName::kEpochPin);
-  const ShardPinSet pins = shards_.PinAll(trace);
+  ShardPinSet pins = shards_.PinAll(trace);
   pin_span.set_arg(pins.generation(0));
-  pin_span.Close();
+  return pins;
+}
+
+QueryResult ServingRuntime::ExecutePinned(const QueryPlan& plan,
+                                          const ShardPinSet& pins,
+                                          TraceContext* trace) {
   QueryExecutorOptions exec_options;
   exec_options.num_threads = options_.num_query_threads;
   exec_options.trace = trace;

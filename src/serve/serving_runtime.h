@@ -144,10 +144,14 @@ class ServingRuntime {
   Status AdmitQueries(int64_t cost, int64_t num_queries);
   void ReleaseQueries(int64_t cost);
 
-  /// \brief The query step every entry point shares: PinAll, run
-  /// `plan` through QueryExecutor over every shard's store, pinned
-  /// generation and cache, return the result.
-  QueryResult ExecutePinned(const QueryPlan& plan, TraceContext* trace);
+  /// \brief PinAll under a kEpochPin span (arg: shard 0's generation).
+  ShardPinSet PinShards(TraceContext* trace);
+
+  /// \brief The query step every entry point shares: run `plan` through
+  /// QueryExecutor over every shard's store, generation in `pins` and
+  /// cache, return the result.
+  QueryResult ExecutePinned(const QueryPlan& plan, const ShardPinSet& pins,
+                            TraceContext* trace);
 
   /// \brief Records per-row outcomes (served/failed counts + response
   /// latency) into the telemetry block.

@@ -177,6 +177,20 @@ ShardPinSet ShardSet::PinAll(TraceContext* trace) {
   return pins;
 }
 
+bool ShardSet::ServesTimestep(const ShardPinSet& pins, int64_t t) const {
+  if (t < 0 || t > pins.latest_t()) return false;
+  // Every layer of a timestep is staged, carried and dropped together,
+  // and every shard owns at least one atomic row, so each shard's
+  // layer-1 band frame stands for the whole timestep.
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    if (!shards_[k]->store.HasFrameAt(pins.generation(static_cast<int>(k)),
+                                      1, t)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 int64_t ShardSet::max_live_epochs() const {
   int64_t live = 0;
   for (const auto& s : shards_) {

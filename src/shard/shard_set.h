@@ -137,6 +137,12 @@ class ShardSet : public EpochSink {
   /// kBarrierWait span (arg: retries) under `trace` when non-null.
   ShardPinSet PinAll(TraceContext* trace = nullptr);
 
+  /// \brief True when the epochs in `pins` hold timestep `t` on every
+  /// shard: published by then and not yet reclaimed (nor dropped by the
+  /// retention horizon, nor left behind without carry-forward). A query
+  /// at any other t fails NotFound against `pins`.
+  bool ServesTimestep(const ShardPinSet& pins, int64_t t) const;
+
   int num_shards() const { return map_.num_shards(); }
   Shard& shard(int k) { return *shards_[static_cast<size_t>(k)]; }
   const Shard& shard(int k) const {

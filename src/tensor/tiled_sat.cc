@@ -6,6 +6,10 @@
 #include "core/thread_pool.h"
 #include "tensor/gemm.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace one4all {
 
 namespace {
@@ -18,19 +22,76 @@ int64_t TilesFor(int64_t n) {
   return (n + kSatTileSize - 1) / kSatTileSize;
 }
 
+/// Bit i set iff cell i of the two kSatTileSize-cell spans differs. Cells
+/// compare by bit pattern, as memcmp does (so -0.0 vs 0.0 and NaN
+/// payloads count as changes).
+uint32_t ChangedCellBits(const float* a, const float* b) {
+  uint32_t changed = 0;
+#if defined(__SSE2__)
+  for (int64_t i = 0; i < kSatTileSize; i += 4) {
+    const __m128i equal =
+        _mm_cmpeq_epi32(_mm_castps_si128(_mm_loadu_ps(a + i)),
+                        _mm_castps_si128(_mm_loadu_ps(b + i)));
+    const int same = _mm_movemask_ps(_mm_castsi128_ps(equal));
+    changed |= static_cast<uint32_t>(~same & 0xF) << i;
+  }
+#else
+  for (int64_t i = 0; i < kSatTileSize; ++i) {
+    uint32_t va, vb;
+    std::memcpy(&va, a + i, sizeof(va));
+    std::memcpy(&vb, b + i, sizeof(vb));
+    changed |= static_cast<uint32_t>(va != vb) << i;
+  }
+#endif
+  return changed;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
 // TileDirtySet
 
-TileDirtySet::TileDirtySet(int64_t h, int64_t w)
+TileDirtySet::TileDirtySet(int64_t h, int64_t w, bool track_cells)
     : h_(h), w_(w), tiles_h_(TilesFor(h)), tiles_w_(TilesFor(w)),
-      bits_(static_cast<size_t>(tiles_h_ * tiles_w_), 0) {}
+      bits_(static_cast<size_t>(tiles_h_ * tiles_w_), 0) {
+  if (track_cells && h > 0 && w > 0) {
+    words_per_row_ = (w + 63) / 64;
+    cells_.assign(static_cast<size_t>(h * words_per_row_), 0);
+  }
+}
 
 TileDirtySet TileDirtySet::AllDirty(int64_t h, int64_t w) {
   TileDirtySet set(h, w);
   std::fill(set.bits_.begin(), set.bits_.end(), 1);
   return set;
+}
+
+void TileDirtySet::MarkTile(int64_t i, int64_t j) {
+  bits_[static_cast<size_t>(i * tiles_w_ + j)] = 1;
+  if (has_cells()) {
+    MarkCells(i * kSatTileSize, j * kSatTileSize,
+              std::min((i + 1) * kSatTileSize, h_),
+              std::min((j + 1) * kSatTileSize, w_));
+  }
+}
+
+void TileDirtySet::MarkCells(int64_t r0, int64_t c0, int64_t r1,
+                             int64_t c1) {
+  for (int64_t r = r0; r < r1; ++r) {
+    uint64_t* row = cells_.data() + r * words_per_row_;
+    for (int64_t c = c0; c < c1; ++c) row[c >> 6] |= uint64_t{1} << (c & 63);
+  }
+}
+
+static_assert(kSatTileSize == 32,
+              "a tile row span packs into one 32-bit changed-cell mask");
+
+void TileDirtySet::MarkTileRowSpan(int64_t r, int64_t c0, uint32_t changed) {
+  bits_[static_cast<size_t>((r / kSatTileSize) * tiles_w_ +
+                            c0 / kSatTileSize)] = 1;
+  // A 32-cell span starting at a multiple of 32 sits inside one word.
+  cells_[static_cast<size_t>(r * words_per_row_ + (c0 >> 6))] |=
+      uint64_t{changed} << (c0 & 63);
 }
 
 void TileDirtySet::MarkRect(int64_t r0, int64_t c0, int64_t r1, int64_t c1) {
@@ -42,8 +103,11 @@ void TileDirtySet::MarkRect(int64_t r0, int64_t c0, int64_t r1, int64_t c1) {
   const int64_t i1 = (r1 - 1) / kSatTileSize;
   const int64_t j1 = (c1 - 1) / kSatTileSize;
   for (int64_t i = r0 / kSatTileSize; i <= i1; ++i) {
-    for (int64_t j = c0 / kSatTileSize; j <= j1; ++j) MarkTile(i, j);
+    for (int64_t j = c0 / kSatTileSize; j <= j1; ++j) {
+      bits_[static_cast<size_t>(i * tiles_w_ + j)] = 1;
+    }
   }
+  if (has_cells()) MarkCells(r0, c0, r1, c1);
 }
 
 int64_t TileDirtySet::CountDirty() const {
@@ -65,6 +129,33 @@ bool TileDirtySet::IntersectsRect(int64_t r0, int64_t c0, int64_t r1,
   for (int64_t i = r0 / kSatTileSize; i <= i1; ++i) {
     for (int64_t j = c0 / kSatTileSize; j <= j1; ++j) {
       if (dirty(i, j)) return true;
+    }
+  }
+  return false;
+}
+
+bool TileDirtySet::CellsIntersectRect(int64_t r0, int64_t c0, int64_t r1,
+                                      int64_t c1) const {
+  // Tile bits first: a rect that misses every dirty tile misses every
+  // changed cell, and an unknown or tile-only set answers here.
+  if (!IntersectsRect(r0, c0, r1, c1)) return false;
+  if (!has_cells()) return true;
+  r0 = std::max<int64_t>(r0, 0);
+  c0 = std::max<int64_t>(c0, 0);
+  r1 = std::min(r1, h_);
+  c1 = std::min(c1, w_);
+  // Per row, test the rect's column span word by word: the first and
+  // last words keep only the span's bits.
+  const int64_t w0 = c0 >> 6, w1 = (c1 - 1) >> 6;
+  const uint64_t first = ~uint64_t{0} << (c0 & 63);
+  const uint64_t last = ~uint64_t{0} >> (63 - ((c1 - 1) & 63));
+  for (int64_t r = r0; r < r1; ++r) {
+    const uint64_t* row = cells_.data() + r * words_per_row_;
+    for (int64_t wi = w0; wi <= w1; ++wi) {
+      uint64_t word = row[wi];
+      if (wi == w0) word &= first;
+      if (wi == w1) word &= last;
+      if (word != 0) return true;
     }
   }
   return false;
@@ -502,22 +593,22 @@ TileDirtySet DiffFrames(const Tensor& frame, const Tensor& base) {
                                   frame.ndim() == 2 ? frame.dim(1) : 0);
   }
   const int64_t h = frame.dim(0), w = frame.dim(1);
-  TileDirtySet dirty(h, w);
-  const float* a = frame.data();
-  const float* b = base.data();
-  const int64_t tiles_h = dirty.tiles_h(), tiles_w = dirty.tiles_w();
-  for (int64_t i = 0; i < tiles_h; ++i) {
-    const int64_t r0 = i * kSatTileSize;
-    const int64_t r1 = std::min(r0 + kSatTileSize, h);
-    for (int64_t j = 0; j < tiles_w; ++j) {
-      const int64_t c0 = j * kSatTileSize;
-      const size_t bytes = static_cast<size_t>(
-          std::min(c0 + kSatTileSize, w) - c0) * sizeof(float);
-      for (int64_t r = r0; r < r1; ++r) {
-        if (std::memcmp(a + r * w + c0, b + r * w + c0, bytes) != 0) {
-          dirty.MarkTile(i, j);
-          break;
-        }
+  TileDirtySet dirty(h, w, /*track_cells=*/true);
+  for (int64_t r = 0; r < h; ++r) {
+    const float* a = frame.data() + r * w;
+    const float* b = base.data() + r * w;
+    for (int64_t c0 = 0; c0 < w; c0 += kSatTileSize) {
+      const int64_t n = std::min(kSatTileSize, w - c0);
+      const size_t bytes = static_cast<size_t>(n) * sizeof(float);
+      if (std::memcmp(a + c0, b + c0, bytes) == 0) continue;
+      if (n == kSatTileSize) {
+        dirty.MarkTileRowSpan(r, c0, ChangedCellBits(a + c0, b + c0));
+      } else {
+        // A short edge span, zero-padded to full width.
+        float pa[kSatTileSize] = {}, pb[kSatTileSize] = {};
+        std::memcpy(pa, a + c0, bytes);
+        std::memcpy(pb, b + c0, bytes);
+        dirty.MarkTileRowSpan(r, c0, ChangedCellBits(pa, pb));
       }
     }
   }

@@ -44,16 +44,27 @@ constexpr int64_t kSatTileSize = 32;
 /// baseline (the previous timestep's frame, for staging). A default-
 /// constructed set is "unknown" (empty()): consumers must treat every
 /// tile as dirty then.
+///
+/// Optionally the set also carries which *cells* changed, one bit per
+/// cell (has_cells()). Staging, slicing and the SAT fixup only read the
+/// tile bits; the cell bits let a consumer that reads a few cells of a
+/// large tile (the top-k memo's footprints on coarse layers, which fit
+/// in one tile) tell a churned tile from a churned cell. Every Mark*
+/// call keeps the two consistent: a marked cell always lies in a marked
+/// tile, and marking a tile or rect marks all of its cells.
 class TileDirtySet {
  public:
   TileDirtySet() = default;
-  /// \brief All-clean set for an `h` x `w` frame.
-  TileDirtySet(int64_t h, int64_t w);
+  /// \brief All-clean set for an `h` x `w` frame; `track_cells` also
+  /// keeps the per-cell bits.
+  TileDirtySet(int64_t h, int64_t w, bool track_cells = false);
 
   static TileDirtySet AllDirty(int64_t h, int64_t w);
 
   /// \brief True for the default-constructed "unknown" set.
   bool empty() const { return tiles_h_ == 0 || tiles_w_ == 0; }
+  /// \brief True when the set carries per-cell bits.
+  bool has_cells() const { return !cells_.empty(); }
   int64_t height() const { return h_; }
   int64_t width() const { return w_; }
   int64_t tiles_h() const { return tiles_h_; }
@@ -63,14 +74,18 @@ class TileDirtySet {
   bool dirty(int64_t i, int64_t j) const {
     return bits_[static_cast<size_t>(i * tiles_w_ + j)] != 0;
   }
-  void MarkTile(int64_t i, int64_t j) {
-    bits_[static_cast<size_t>(i * tiles_w_ + j)] = 1;
-  }
+  void MarkTile(int64_t i, int64_t j);
   void MarkCell(int64_t r, int64_t c) {
-    MarkTile(r / kSatTileSize, c / kSatTileSize);
+    bits_[static_cast<size_t>((r / kSatTileSize) * tiles_w_ +
+                              c / kSatTileSize)] = 1;
+    if (has_cells()) {
+      cells_[static_cast<size_t>(r * words_per_row_ + (c >> 6))] |=
+          uint64_t{1} << (c & 63);
+    }
   }
   /// \brief Marks every tile intersecting the half-open cell rect
-  /// [r0, r1) x [c0, c1); clamped to the frame.
+  /// [r0, r1) x [c0, c1) (and, with cell bits, every cell of the
+  /// rect); clamped to the frame.
   void MarkRect(int64_t r0, int64_t c0, int64_t r1, int64_t c1);
 
   int64_t CountDirty() const;
@@ -81,17 +96,38 @@ class TileDirtySet {
   /// (callers must then assume change).
   bool IntersectsRect(int64_t r0, int64_t c0, int64_t r1, int64_t c1) const;
 
+  /// \brief Cell-exact IntersectsRect: true when some changed cell lies
+  /// in [r0, r1) x [c0, c1). Without cell bits it is IntersectsRect
+  /// (every cell of a dirty tile counts as changed); an unknown set
+  /// intersects everything.
+  bool CellsIntersectRect(int64_t r0, int64_t c0, int64_t r1,
+                          int64_t c1) const;
+
   /// \brief Dirty set of the row band [row0, row1) viewed as its own
   /// frame (the shard slice): a band tile is dirty when any full-frame
   /// tile overlapping its global rows/cols is. Conservative when the
   /// band is not tile-aligned — over-marking only costs copies, never
-  /// correctness. Unknown stays unknown.
+  /// correctness. The slice keeps tile bits only (band staging reads
+  /// nothing finer). Unknown stays unknown.
   TileDirtySet SliceRows(int64_t row0, int64_t row1) const;
 
  private:
+  friend TileDirtySet DiffFrames(const Tensor& frame, const Tensor& base);
+
+  /// Sets the cell bits of [r0, r1) x [c0, c1) (already clamped).
+  void MarkCells(int64_t r0, int64_t c0, int64_t r1, int64_t c1);
+  /// DiffFrames' mark: bit i of `changed` (non-zero) is cell (r, c0 + i)
+  /// of the tile row span starting at c0 (a multiple of kSatTileSize);
+  /// the set must track cells.
+  void MarkTileRowSpan(int64_t r, int64_t c0, uint32_t changed);
+
   int64_t h_ = 0, w_ = 0;
   int64_t tiles_h_ = 0, tiles_w_ = 0;
   std::vector<uint8_t> bits_;
+  /// Cell bits, row-major with each row padded to whole words
+  /// (words_per_row_ = ceil(w / 64)); empty without cell tracking.
+  int64_t words_per_row_ = 0;
+  std::vector<uint64_t> cells_;
 };
 
 /// \brief Per-layer dirty sets of one staged timestep, indexed [layer-1]
@@ -341,9 +377,12 @@ class TiledSatPlane {
   std::vector<double> left_;
 };
 
-/// \brief Diffs `frame` against `base` tile-by-tile (memcmp per tile
-/// row, early-exit per tile): the ingestor's dirty-tile tracking.
-/// Returns AllDirty on geometry mismatch.
+/// \brief Diffs `frame` against `base`: the ingestor's dirty tracking.
+/// Each tile row (one row's 32-cell span) is compared by memcmp; only
+/// the cells of a differing span are compared one by one and marked, so
+/// the result carries cell bits (has_cells()) at the cost of one memcmp
+/// pass plus the changed spans. Returns AllDirty (tile bits only) on
+/// geometry mismatch.
 TileDirtySet DiffFrames(const Tensor& frame, const Tensor& base);
 
 }  // namespace one4all

@@ -4,9 +4,13 @@
 // observe torn epochs while a writer publishes in a loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -19,6 +23,7 @@
 namespace one4all {
 namespace {
 
+using testing::ExpectBitExactRows;
 using testing::MaterializedFrameAt;
 
 // Small serving fixture: a 16x16 raster with a short temporal spec so
@@ -734,6 +739,326 @@ TEST(ServingRuntimeTest, TopKSubscriptionReusesRowsAndStaysExact) {
   EXPECT_EQ(cold_again->top_k, cold->top_k);
   EXPECT_EQ(other_again->top_k, other->top_k);
   runtime.Stop();
+}
+
+// Runs `spec` with the runtime's top-k memo wiped first: the cold
+// answer every memo-served (warm) answer must reproduce.
+QueryResult ColdAnswer(ServingRuntime* runtime, const QuerySpec& spec) {
+  runtime->topk_memo().Invalidate();
+  auto cold = runtime->ExecuteSpec(spec);
+  EXPECT_TRUE(cold.ok()) << cold.status().ToString();
+  return cold.ok() ? cold.MoveValueUnsafe() : QueryResult();
+}
+
+// A top-k at a timestep no epoch holds yet fails every row. Once that
+// timestep publishes, the re-issue must answer like a cold run: the memo
+// must neither keep those failures nor replay them.
+TEST(ServingRuntimeTest, TopKMemoNeverReplaysUnpublishedTimestep) {
+  ServeFixture fixture = ServeFixture::Make(11, 64);
+  for (int num_shards : {1, 2}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    ServingRuntimeOptions options = fixture.RuntimeOptions();
+    options.num_shards = num_shards;
+    options.ingest.num_timesteps = 2;
+    options.ingest.manual_stepping = true;
+    ServingRuntime runtime(&fixture.dataset->hierarchy(),
+                           &fixture.pipeline->index(), fixture.dataset.get(),
+                           MakeGroundTruthInference(fixture.dataset.get()),
+                           options);
+    runtime.Start();
+    runtime.ingestor().GrantSteps(1);
+    ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(1));
+    const QuerySpec spec =
+        QuerySpec::TopK(fixture.regions, options.ingest.start_t + 1, 3);
+    auto early = runtime.ExecuteSpec(spec);
+    ASSERT_TRUE(early.ok());
+    for (const auto& row : early->rows) {
+      ASSERT_FALSE(row.ok());
+      EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
+    }
+    EXPECT_TRUE(early->top_k.empty());
+
+    runtime.ingestor().GrantSteps(1);
+    ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(2));
+    auto warm = runtime.ExecuteSpec(spec);
+    ASSERT_TRUE(warm.ok());
+    const QueryResult cold = ColdAnswer(&runtime, spec);
+    for (const auto& row : cold.rows) ASSERT_TRUE(row.ok());
+    ExpectBitExactRows(cold, *warm, "re-issued once published");
+    runtime.Stop();
+  }
+}
+
+// A top-k answered while its timestep was live must not be replayed once
+// the retention horizon has dropped that timestep: a cold run fails
+// every row there, and so must the re-issue.
+TEST(ServingRuntimeTest, TopKMemoNeverServesReclaimedTimestep) {
+  ServeFixture fixture = ServeFixture::Make(11, 64);
+  for (int num_shards : {1, 2}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    ServingRuntimeOptions options = fixture.RuntimeOptions();
+    options.num_shards = num_shards;
+    options.retain_timesteps = 2;
+    options.ingest.num_timesteps = 5;
+    options.ingest.manual_stepping = true;
+    ServingRuntime runtime(&fixture.dataset->hierarchy(),
+                           &fixture.pipeline->index(), fixture.dataset.get(),
+                           MakeGroundTruthInference(fixture.dataset.get()),
+                           options);
+    runtime.Start();
+    runtime.ingestor().GrantSteps(1);
+    ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(1));
+    const QuerySpec spec =
+        QuerySpec::TopK(fixture.regions, options.ingest.start_t, 3);
+    auto live = runtime.ExecuteSpec(spec);
+    ASSERT_TRUE(live.ok());
+    for (const auto& row : live->rows) ASSERT_TRUE(row.ok());
+
+    runtime.ingestor().GrantSteps(4);
+    ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(5));
+    auto warm = runtime.ExecuteSpec(spec);
+    ASSERT_TRUE(warm.ok());
+    const QueryResult cold = ColdAnswer(&runtime, spec);
+    for (const auto& row : cold.rows) {
+      ASSERT_FALSE(row.ok());
+      EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
+    }
+    ExpectBitExactRows(cold, *warm, "re-issued once reclaimed");
+    EXPECT_TRUE(warm->top_k.empty());
+    runtime.Stop();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Warm-vs-cold differential for the top-k memo
+
+// One layer cell a scripted publish changes.
+struct ChurnCell {
+  int layer = 1;
+  int64_t r = 0, c = 0;
+};
+
+// The memo's footprint of `region`: its atomic bounding box rounded out
+// to the coarsest layer's grid.
+CellRect RoundedFootprint(const GridMask& region,
+                          const Hierarchy& hierarchy) {
+  CellRect box{region.height(), region.width(), 0, 0};
+  for (int64_t r = 0; r < region.height(); ++r) {
+    for (int64_t c = 0; c < region.width(); ++c) {
+      if (!region.at(r, c)) continue;
+      box.r0 = std::min(box.r0, r);
+      box.c0 = std::min(box.c0, c);
+      box.r1 = std::max(box.r1, r + 1);
+      box.c1 = std::max(box.c1, c + 1);
+    }
+  }
+  const int64_t s = hierarchy.layer(hierarchy.num_layers()).scale;
+  return CellRect{box.r0 / s * s, box.c0 / s * s,
+                  std::min((box.r1 + s - 1) / s * s, region.height()),
+                  std::min((box.c1 + s - 1) / s * s, region.width())};
+}
+
+enum class ChurnCase {
+  kOneCoarseCell,         // one cell of one layer >= 2 per publish
+  kJustOutsideFootprint,  // a layer cell bordering a row's footprint
+  kScatteredBlocks,       // several small blocks on random layers
+  kNoCarryForward,        // scattered blocks, carry_forward off
+  kGapPastHistory,        // more unqueried publishes than the memo keeps
+};
+
+// Inference replaying scripted frames: frames[i] is the frame set of
+// timestep start_t + i.
+FrameInference ScriptedInference(
+    std::shared_ptr<const std::vector<std::vector<Tensor>>> frames,
+    int64_t start_t) {
+  return [frames, start_t](int64_t t, const TemporalInput&)
+             -> Result<std::vector<Tensor>> {
+    return (*frames)[static_cast<size_t>(t - start_t)];
+  };
+}
+
+// Every answer a subscribed top-k gets from the memo must equal a cold
+// run's bit for bit, statuses included. Each case scripts which layer
+// cells change at each publish and runs the same seeded query schedule
+// (latest timestep, re-issues, one step back, reclaimed and unpublished
+// timesteps; exact loop and SAT path) on a warm runtime and on a cold
+// twin whose memo is wiped before every query, at N in {1, 2, 4}.
+TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
+  ServeFixture fixture = ServeFixture::Make(11, 64);
+  const STDataset& dataset = *fixture.dataset;
+  const Hierarchy& hierarchy = dataset.hierarchy();
+  const int num_layers = hierarchy.num_layers();
+  const int64_t start_t = dataset.spec().MinHistory();
+  const size_t gap = TopKMemoOptions{}.history + 6;
+
+  for (ChurnCase churn_case :
+       {ChurnCase::kOneCoarseCell, ChurnCase::kJustOutsideFootprint,
+        ChurnCase::kScatteredBlocks, ChurnCase::kNoCarryForward,
+        ChurnCase::kGapPastHistory}) {
+    SCOPED_TRACE("case " + std::to_string(static_cast<int>(churn_case)));
+    Rng rng(500 + static_cast<uint64_t>(churn_case));
+    auto pick = [&rng](int64_t n) {
+      return static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)));
+    };
+    // Publish batches: one publish per round, except the gap case's
+    // second round, which publishes past the memo's history unqueried.
+    std::vector<int64_t> rounds(10, 1);
+    if (churn_case == ChurnCase::kGapPastHistory) {
+      rounds = {1, static_cast<int64_t>(gap), 1, 1};
+    }
+    int64_t steps = 0;
+    for (int64_t n : rounds) steps += n;
+    ASSERT_LT(start_t + steps, dataset.num_timesteps());
+
+    // Script the frames: each step copies the previous one's frames and
+    // moves only the cells its churn names.
+    auto frames = std::make_shared<std::vector<std::vector<Tensor>>>();
+    std::vector<Tensor> current;
+    for (int l = 1; l <= num_layers; ++l) {
+      current.push_back(dataset.FrameAtLayer(start_t, l));
+    }
+    for (int64_t i = 0; i < steps; ++i) {
+      std::vector<ChurnCell> churn;
+      auto add_block = [&](int layer, int64_t r, int64_t c, int64_t dh,
+                           int64_t dw) {
+        const LayerInfo& info = hierarchy.layer(layer);
+        for (int64_t rr = r; rr < std::min(r + dh, info.height); ++rr) {
+          for (int64_t cc = c; cc < std::min(c + dw, info.width); ++cc) {
+            churn.push_back(ChurnCell{layer, rr, cc});
+          }
+        }
+      };
+      auto random_cell = [&](int layer) {
+        const LayerInfo& info = hierarchy.layer(layer);
+        add_block(layer, pick(info.height), pick(info.width), 1, 1);
+      };
+      switch (churn_case) {
+        case ChurnCase::kOneCoarseCell:
+          random_cell(2 + static_cast<int>(pick(num_layers - 1)));
+          break;
+        case ChurnCase::kJustOutsideFootprint: {
+          const GridMask& region = fixture.regions[static_cast<size_t>(
+              pick(static_cast<int64_t>(fixture.regions.size())))];
+          const CellRect fp = RoundedFootprint(region, hierarchy);
+          const int layer = 1 + static_cast<int>(pick(num_layers));
+          const LayerInfo& info = hierarchy.layer(layer);
+          const int64_t s = info.scale;
+          std::vector<std::pair<int64_t, int64_t>> outside;
+          // Below, above, right of and left of the footprint's cells.
+          if (fp.r1 / s < info.height) {
+            outside.emplace_back(fp.r1 / s, fp.c0 / s);
+          }
+          if (fp.r0 > 0) outside.emplace_back(fp.r0 / s - 1, fp.c1 / s - 1);
+          if (fp.c1 / s < info.width) {
+            outside.emplace_back(fp.r1 / s - 1, fp.c1 / s);
+          }
+          if (fp.c0 > 0) outside.emplace_back(fp.r0 / s, fp.c0 / s - 1);
+          if (!outside.empty()) {
+            const auto& cell = outside[static_cast<size_t>(
+                pick(static_cast<int64_t>(outside.size())))];
+            add_block(layer, cell.first, cell.second, 1, 1);
+          }
+          break;
+        }
+        case ChurnCase::kScatteredBlocks:
+        case ChurnCase::kNoCarryForward:
+          for (int b = 0; b < 3; ++b) {
+            const int layer = 1 + static_cast<int>(pick(num_layers));
+            const LayerInfo& info = hierarchy.layer(layer);
+            add_block(layer, pick(info.height), pick(info.width),
+                      1 + pick(4), 1 + pick(4));
+          }
+          random_cell(1);
+          random_cell(num_layers);
+          break;
+        case ChurnCase::kGapPastHistory:
+          // Only the gap's first publish churns (a block on the atomic
+          // and the coarsest layer): a memo that forgot that publish
+          // would see nothing but clean records afterwards.
+          if (i == 1) {
+            add_block(1, pick(48), pick(48), 16, 16);
+            random_cell(num_layers);
+          } else if (i > static_cast<int64_t>(gap)) {
+            random_cell(1 + static_cast<int>(pick(num_layers)));
+          }
+          break;
+      }
+      for (const ChurnCell& cell : churn) {
+        current[static_cast<size_t>(cell.layer - 1)].at(cell.r, cell.c) +=
+            1.0f + 0.25f * static_cast<float>(i % 5);
+      }
+      frames->push_back(current);
+    }
+
+    ServingRuntimeOptions options;
+    options.retain_timesteps = 4;
+    options.ingest.start_t = start_t;
+    options.ingest.num_timesteps = steps;
+    options.ingest.manual_stepping = true;
+    options.ingest.carry_forward = churn_case != ChurnCase::kNoCarryForward;
+    const std::vector<int> shard_counts = {1, 2, 4};
+    std::vector<std::unique_ptr<ServingRuntime>> warm, cold;
+    for (int num_shards : shard_counts) {
+      options.num_shards = num_shards;
+      for (auto* fleet : {&warm, &cold}) {
+        fleet->push_back(std::make_unique<ServingRuntime>(
+            &hierarchy, &fixture.pipeline->index(), &dataset,
+            ScriptedInference(frames, start_t), options));
+        fleet->back()->Start();
+      }
+    }
+
+    // Rows each warm runtime carried over on a subscription advance (a
+    // query one timestep past the previous one), not a same-t re-issue.
+    std::vector<int64_t> advance_reused(warm.size(), 0);
+    int64_t previous_t = -1;
+    int64_t published = 0;
+    for (size_t round = 0; round < rounds.size(); ++round) {
+      published += rounds[round];
+      for (size_t k = 0; k < warm.size(); ++k) {
+        for (auto* fleet : {&warm, &cold}) {
+          (*fleet)[k]->ingestor().GrantSteps(rounds[round]);
+          ASSERT_TRUE((*fleet)[k]->ingestor().WaitUntilAttempted(published));
+        }
+      }
+      const int64_t latest = start_t + published - 1;
+      const int queries = 1 + static_cast<int>(pick(3));
+      for (int q = 0; q < queries; ++q) {
+        // First the latest timestep (the subscription), then re-issues
+        // there, one step back, past the retention horizon or not yet
+        // published.
+        const int64_t offsets[] = {0, 0, -1, -5, 1};
+        const int64_t t = latest + (q == 0 ? 0 : offsets[pick(5)]);
+        QuerySpec spec = QuerySpec::TopK(fixture.regions, t, 5);
+        if (pick(2) == 0) spec.eval_path = EvalPath::kSatFastPath;
+        for (size_t k = 0; k < warm.size(); ++k) {
+          const int64_t reused_before = warm[k]->topk_memo().rows_reused();
+          auto warm_answer = warm[k]->ExecuteSpec(spec);
+          ASSERT_TRUE(warm_answer.ok());
+          if (t == previous_t + 1) {
+            advance_reused[k] +=
+                warm[k]->topk_memo().rows_reused() - reused_before;
+          }
+          const QueryResult cold_answer = ColdAnswer(cold[k].get(), spec);
+          ExpectBitExactRows(cold_answer, *warm_answer,
+                             "N=" + std::to_string(shard_counts[k]) +
+                                 " round " + std::to_string(round) + " t=" +
+                                 std::to_string(t));
+        }
+        previous_t = t;
+      }
+    }
+    for (size_t k = 0; k < warm.size(); ++k) {
+      // A coarse cell or a footprint's neighbour moves most rows' values
+      // nowhere: cell-exact dirty sets let those rows carry over.
+      if (churn_case == ChurnCase::kOneCoarseCell ||
+          churn_case == ChurnCase::kJustOutsideFootprint) {
+        EXPECT_GT(advance_reused[k], 0) << "N=" << shard_counts[k];
+      }
+      warm[k]->Stop();
+      cold[k]->Stop();
+    }
+  }
 }
 
 // The end-to-end histogram takes one sample per call, whatever the row

@@ -25,6 +25,7 @@
 namespace one4all {
 namespace {
 
+using testing::ExpectBitExactRows;
 using testing::MaterializedFrameAt;
 
 // ---------------------------------------------------------------------------
@@ -523,41 +524,6 @@ struct ShardFixture {
   }
 };
 
-void ExpectBitExactRows(const QueryResult& single, const QueryResult& shard,
-                        const char* what) {
-  ASSERT_EQ(single.rows.size(), shard.rows.size()) << what;
-  for (size_t i = 0; i < single.rows.size(); ++i) {
-    ASSERT_EQ(single.rows[i].ok(), shard.rows[i].ok()) << what << " row "
-                                                       << i;
-    if (!single.rows[i].ok()) {
-      // A failing row reports the same first unreadable term at the same
-      // timestep, so the same status.
-      EXPECT_EQ(single.rows[i].status().code(),
-                shard.rows[i].status().code())
-          << what << " row " << i;
-      EXPECT_EQ(single.rows[i].status().message(),
-                shard.rows[i].status().message())
-          << what << " row " << i;
-      continue;
-    }
-    // Bit-exact, not approximately equal: the sharded merge re-folds in
-    // canonical term order, so the doubles must be identical.
-    EXPECT_EQ(single.rows[i]->value, shard.rows[i]->value)
-        << what << " row " << i;
-    ASSERT_EQ(single.rows[i]->series.size(), shard.rows[i]->series.size())
-        << what << " row " << i;
-    for (size_t s = 0; s < single.rows[i]->series.size(); ++s) {
-      EXPECT_EQ(single.rows[i]->series[s], shard.rows[i]->series[s])
-          << what << " row " << i << " step " << s;
-    }
-    EXPECT_EQ(single.rows[i]->num_terms, shard.rows[i]->num_terms)
-        << what << " row " << i;
-    EXPECT_EQ(single.rows[i]->num_pieces, shard.rows[i]->num_pieces)
-        << what << " row " << i;
-  }
-  EXPECT_EQ(single.top_k, shard.top_k) << what;
-}
-
 TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
   ShardFixture fixture = ShardFixture::Make();
   auto single = fixture.MakeRuntime(1);
@@ -831,11 +797,19 @@ TEST(ShardParityTest, TermsEvaluatedCountOwnedReadsPerShard) {
   }
 }
 
+// The value of the unlabelled sample `series` in exposition `text`
+// (-1 when absent).
+int64_t ExpositionValue(const std::string& text, const std::string& series) {
+  const size_t at = text.find("\n" + series + " ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + series.size() + 2));
+}
+
 // One counting contract for every topology: the barrier counts one
 // epoch per flip, each shard's epoch manager counts its own staged
 // slices and reclaimed generations, and the per-shard metric series,
 // the top-k memo counters and the end-to-end histogram exist at N=1 as
-// well as N=2 and N=4.
+// well as N=2 and N=4 — and the memo reuses rows at every N.
 TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {
   ShardFixture fixture = ShardFixture::Make(29);
   const int64_t steps =
@@ -850,6 +824,16 @@ TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {
     for (int i = 0; i < 4; ++i) {
       auto result = runtime->ExecuteSpec(
           QuerySpec::MultiRegion(fixture.regions, t + i));
+      ASSERT_TRUE(result.ok());
+      for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
+    }
+    // A two-epoch top-k subscription: the first issue fills the memo,
+    // the re-issues at t (nothing published since) and at t + 1 probe it.
+    const int64_t rows = static_cast<int64_t>(fixture.regions.size());
+    const int64_t reissues = 2;
+    for (int64_t at : {t, t, t + 1}) {
+      auto result =
+          runtime->ExecuteSpec(QuerySpec::TopK(fixture.regions, at, 3));
       ASSERT_TRUE(result.ok());
       for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
     }
@@ -886,11 +870,15 @@ TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {
     EXPECT_NE(exposition.find("one4all_shard_torn_pins"), std::string::npos);
     // The top-k memo counters and the end-to-end histogram (one sample
     // per ExecuteSpec call) exist in every topology.
-    EXPECT_NE(exposition.find("one4all_topk_rows_reused_total "),
-              std::string::npos);
-    EXPECT_NE(exposition.find("one4all_topk_rows_reevaluated_total "),
-              std::string::npos);
-    EXPECT_NE(exposition.find("one4all_query_e2e_micros_count 4\n"),
+    // The memo serves every shard count: each re-issued row is either
+    // reused or re-evaluated, and the same-t re-issue reuses them all.
+    const int64_t reused =
+        ExpositionValue(exposition, "one4all_topk_rows_reused_total");
+    const int64_t reevaluated =
+        ExpositionValue(exposition, "one4all_topk_rows_reevaluated_total");
+    EXPECT_GE(reused, rows);
+    EXPECT_EQ(reused + reevaluated, rows * reissues);
+    EXPECT_NE(exposition.find("one4all_query_e2e_micros_count 7\n"),
               std::string::npos);
     EXPECT_TRUE(MetricsRegistry::ValidateExposition(exposition).ok());
     EXPECT_TRUE(shards.Consistent());

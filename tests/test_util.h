@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "data/dataset.h"
 #include "kvstore/prediction_store.h"
 #include "model/predictor.h"
+#include "query/query_executor.h"
 #include "tensor/autograd.h"
 
 namespace one4all {
@@ -150,6 +152,47 @@ inline Result<Tensor> MaterializedFrameAt(const PredictionStore& store,
       store.GetTiledFrameAt(generation, layer, t);
   if (!frame.ok()) return frame.status();
   return (*frame)->Materialize();
+}
+
+/// \brief Row-by-row bit-exact comparison of two answers to one spec —
+/// across shard counts, or a memo-served answer against a cold one:
+/// per-row status (code and message), value, series and term/piece
+/// counts, and the top-k ranking.
+inline void ExpectBitExactRows(const QueryResult& expected,
+                               const QueryResult& actual,
+                               const std::string& what) {
+  ASSERT_EQ(expected.rows.size(), actual.rows.size()) << what;
+  for (size_t i = 0; i < expected.rows.size(); ++i) {
+    ASSERT_EQ(expected.rows[i].ok(), actual.rows[i].ok())
+        << what << " row " << i;
+    if (!expected.rows[i].ok()) {
+      // A failing row reports the same first unreadable term at the same
+      // timestep, so the same status.
+      EXPECT_EQ(expected.rows[i].status().code(),
+                actual.rows[i].status().code())
+          << what << " row " << i;
+      EXPECT_EQ(expected.rows[i].status().message(),
+                actual.rows[i].status().message())
+          << what << " row " << i;
+      continue;
+    }
+    // Bit-exact, not approximately equal: every path folds the same
+    // terms in canonical order, so the doubles must be identical.
+    EXPECT_EQ(expected.rows[i]->value, actual.rows[i]->value)
+        << what << " row " << i;
+    ASSERT_EQ(expected.rows[i]->series.size(),
+              actual.rows[i]->series.size())
+        << what << " row " << i;
+    for (size_t s = 0; s < expected.rows[i]->series.size(); ++s) {
+      EXPECT_EQ(expected.rows[i]->series[s], actual.rows[i]->series[s])
+          << what << " row " << i << " step " << s;
+    }
+    EXPECT_EQ(expected.rows[i]->num_terms, actual.rows[i]->num_terms)
+        << what << " row " << i;
+    EXPECT_EQ(expected.rows[i]->num_pieces, actual.rows[i]->num_pieces)
+        << what << " row " << i;
+  }
+  EXPECT_EQ(expected.top_k, actual.top_k) << what;
 }
 
 /// \brief Deterministic pseudo-random mask with `fill_per_mille` density.

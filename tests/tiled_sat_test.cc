@@ -5,8 +5,11 @@
 // was built from scratch or incrementally from a dirty set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -137,6 +140,133 @@ TEST(DiffFramesTest, FindsExactlyTheChangedTiles) {
   // Geometry mismatch degrades to all-dirty, never a wrong answer.
   TileDirtySet mismatch = DiffFrames(next, RandomFrame(32, 96, 6));
   EXPECT_TRUE(mismatch.empty() || mismatch.CountDirty() == 9);
+}
+
+// Brute-force reference for the cell-exact rect query: does any cell of
+// [r0, r1) x [c0, c1), clamped to the frame, differ in bits between
+// `next` and `base`?
+bool ChangedCellInRect(const Tensor& next, const Tensor& base, int64_t r0,
+                       int64_t c0, int64_t r1, int64_t c1) {
+  const int64_t h = next.dim(0), w = next.dim(1);
+  for (int64_t r = std::max<int64_t>(r0, 0); r < std::min(r1, h); ++r) {
+    for (int64_t c = std::max<int64_t>(c0, 0); c < std::min(c1, w); ++c) {
+      if (FloatBits(next.at(r, c)) != FloatBits(base.at(r, c))) return true;
+    }
+  }
+  return false;
+}
+
+// The cell-exact query against a cell-by-cell reference, on a ragged
+// 100x70 layer (edge tiles short in both directions, rows spanning two
+// words) and a 128x128 one: scattered single cells, a small block, a
+// sign-only change (-0.0 vs 0.0) and an unchanged frame. The tile-level
+// query stays the conservative superset it always was.
+TEST(DiffFramesTest, CellsIntersectRectMatchesCellReference) {
+  for (const auto& [h, w] : std::vector<std::pair<int64_t, int64_t>>{
+           {100, 70}, {128, 128}}) {
+    for (uint64_t trial = 0; trial < 4; ++trial) {
+      SCOPED_TRACE(std::to_string(h) + "x" + std::to_string(w) +
+                   " trial " + std::to_string(trial));
+      Rng rng(1000 + trial * 7 + static_cast<uint64_t>(h));
+      Tensor base = RandomFrame(h, w, 40 + trial);
+      Tensor next = base;
+      std::vector<std::pair<int64_t, int64_t>> changed;
+      if (trial > 0) {
+        for (int i = 0; i < 6; ++i) {
+          changed.emplace_back(
+              static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(h))),
+              static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(w))));
+        }
+        // Corners: the last cell of the frame and a word boundary.
+        changed.emplace_back(h - 1, w - 1);
+        changed.emplace_back(0, std::min<int64_t>(64, w - 1));
+        for (const auto& [r, c] : changed) next.at(r, c) += 1.0f;
+      }
+      if (trial == 2) {
+        // A 3x5 block straddling a tile corner.
+        for (int64_t r = 30; r < 33; ++r) {
+          for (int64_t c = 29; c < 34; ++c) next.at(r, c) += 2.0f;
+        }
+      }
+      if (trial == 3) {
+        base.at(50, 40) = 0.0f;
+        next.at(50, 40) = -0.0f;
+        changed.emplace_back(50, 40);
+      }
+      TileDirtySet dirty = DiffFrames(next, base);
+      ASSERT_TRUE(dirty.has_cells());
+      EXPECT_EQ(dirty.AnyDirty(), trial > 0);
+      for (int i = 0; i < 400; ++i) {
+        // Rects may reach past either edge; the query clamps them.
+        auto draw = [&](int64_t n) {
+          return static_cast<int64_t>(
+                     rng.UniformInt(static_cast<uint64_t>(n + 5))) - 2;
+        };
+        int64_t r0 = draw(h), r1 = draw(h), c0 = draw(w), c1 = draw(w);
+        if (r0 > r1) std::swap(r0, r1);
+        if (c0 > c1) std::swap(c0, c1);
+        if (i % 4 == 0) {
+          // Small rects, so misses next to a change are common.
+          r1 = std::min(r0 + 1 + (i % 3), r1 + 3);
+          c1 = std::min(c0 + 1 + (i % 5), c1 + 3);
+        }
+        const bool expected = ChangedCellInRect(next, base, r0, c0, r1, c1);
+        ASSERT_EQ(dirty.CellsIntersectRect(r0, c0, r1, c1), expected)
+            << "rect (" << r0 << "," << c0 << ")-(" << r1 << "," << c1
+            << ")";
+        if (expected) {
+          EXPECT_TRUE(dirty.IntersectsRect(r0, c0, r1, c1));
+        }
+      }
+      // Every changed cell hits as a 1x1 rect, and each of its clean
+      // neighbours misses.
+      for (const auto& [r, c] : changed) {
+        EXPECT_TRUE(dirty.CellsIntersectRect(r, c, r + 1, c + 1));
+        for (int64_t dr = -1; dr <= 1; ++dr) {
+          for (int64_t dc = -1; dc <= 1; ++dc) {
+            const int64_t nr = r + dr, nc = c + dc;
+            EXPECT_EQ(dirty.CellsIntersectRect(nr, nc, nr + 1, nc + 1),
+                      ChangedCellInRect(next, base, nr, nc, nr + 1, nc + 1))
+                << "(" << nr << "," << nc << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+// Marks keep the cell bits consistent with the tile bits; sets without
+// cell bits answer the cell query at tile granularity, and slices and
+// unknown sets carry no cell bits.
+TEST(TileDirtySetTest, CellBitsFollowMarksAndFallBackToTiles) {
+  TileDirtySet cells(100, 70, /*track_cells=*/true);
+  ASSERT_TRUE(cells.has_cells());
+  cells.MarkCell(5, 66);
+  EXPECT_TRUE(cells.dirty(0, 2));
+  EXPECT_TRUE(cells.CellsIntersectRect(5, 66, 6, 67));
+  EXPECT_FALSE(cells.CellsIntersectRect(0, 64, 5, 70));
+  EXPECT_TRUE(cells.IntersectsRect(0, 64, 5, 70));  // same tile
+  cells.MarkRect(40, 10, 42, 12);
+  EXPECT_TRUE(cells.CellsIntersectRect(41, 11, 42, 12));
+  EXPECT_FALSE(cells.CellsIntersectRect(42, 10, 64, 12));
+  cells.MarkTile(3, 1);  // rows [96, 100), cols [32, 64)
+  EXPECT_TRUE(cells.CellsIntersectRect(99, 63, 100, 64));
+  EXPECT_TRUE(cells.CellsIntersectRect(96, 32, 97, 33));
+  EXPECT_FALSE(cells.CellsIntersectRect(96, 64, 100, 70));
+  EXPECT_EQ(cells.CountDirty(), 3);
+
+  TileDirtySet tiles(100, 70);
+  EXPECT_FALSE(tiles.has_cells());
+  tiles.MarkCell(5, 66);
+  EXPECT_TRUE(tiles.CellsIntersectRect(0, 64, 5, 70));
+  EXPECT_FALSE(tiles.CellsIntersectRect(32, 0, 100, 70));
+
+  EXPECT_TRUE(TileDirtySet().CellsIntersectRect(0, 0, 1, 1));
+  EXPECT_FALSE(TileDirtySet::AllDirty(100, 70).has_cells());
+  TileDirtySet band = cells.SliceRows(32, 100);
+  EXPECT_FALSE(band.has_cells());
+  EXPECT_TRUE(band.dirty(0, 0));  // rows 40-41 sit in band tile row 0
+  EXPECT_TRUE(band.dirty(2, 1));  // the marked tile: rows [96, 100)
 }
 
 TEST(TiledFrameTest, FromDeltaAliasesCleanBlocks) {
