@@ -120,15 +120,31 @@ bool TopKMemo::FootprintClean(const CellRect& footprint,
   return true;
 }
 
-void TopKMemo::OnPublish(int64_t t, const DirtyTileSets* dirty) {
-  std::lock_guard<std::mutex> lock(mu_);
+void TopKMemo::OnPublish(int64_t t, const std::vector<Tensor>& frames,
+                         const DirtyTileSets* dirty) {
   PublishRecord record;
   record.t = t;
-  if (dirty == nullptr) {
+  record.sums_exact =
+      !frames.empty() && std::all_of(frames.begin(), frames.end(),
+                                     [](const Tensor& frame) {
+                                       return SatSumsExact(frame);
+                                     });
+  // Only an entry memoized before t reads this record's dirty sets, so
+  // with no entry the copy (tile bits plus one bit per layer cell: ~3 KB
+  // per publish for a 128x128 six-layer stack) is skipped and the record
+  // counts as all dirty. An entry stored meanwhile at an older t then
+  // finds every row stale: conservative, never wrong.
+  bool have_entries;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    have_entries = !entries_.empty();
+  }
+  if (dirty == nullptr || !have_entries) {
     record.all_dirty = true;
   } else {
-    record.dirty = *dirty;  // per-layer bitsets: a few bytes per layer
+    record.dirty = *dirty;
   }
+  std::lock_guard<std::mutex> lock(mu_);
   publishes_.push_back(std::move(record));
   while (publishes_.size() > options_.history) publishes_.pop_front();
 }
@@ -165,9 +181,17 @@ TopKMemo::Probe TopKMemo::Lookup(const Key& key, int64_t t) {
   probe.memo_t = entry.t;
   probe.rows = entry.rows;
   probe.clean.assign(entry.rows.size(), true);
+  if (since.empty()) return probe;  // same timestep: every row holds
+  // A SAT-path row is a function of its footprint's cells only when the
+  // planes it was read from and the planes a cold run would read both
+  // hold exact sums; otherwise it is one of every cell in the prefix
+  // [0, r1) x [0, c1) of its footprint.
+  const bool sums_exact = entry.sums_exact && since.back()->sums_exact;
   for (size_t i = 0; i < entry.footprints.size(); ++i) {
+    CellRect footprint = entry.footprints[i];
+    if (!sums_exact) footprint.r0 = footprint.c0 = 0;
     for (const PublishRecord* record : since) {
-      if (!FootprintClean(entry.footprints[i], *record)) {
+      if (!FootprintClean(footprint, *record)) {
         probe.clean[i] = false;
         break;
       }
@@ -182,9 +206,16 @@ void TopKMemo::Store(Key key, int64_t t, const std::vector<GridMask>& regions,
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
+  // The record of t says whether t's planes hold exact sums; a t whose
+  // record is gone (or not yet written) is taken as inexact.
+  bool sums_exact = false;
+  for (const PublishRecord& record : publishes_) {
+    if (record.t == t) sums_exact = record.sums_exact;
+  }
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->key == key) {
       it->t = t;
+      it->sums_exact = sums_exact;
       it->rows = rows;
       entries_.splice(entries_.begin(), entries_, it);
       return;
@@ -193,6 +224,7 @@ void TopKMemo::Store(Key key, int64_t t, const std::vector<GridMask>& regions,
   Entry entry;
   entry.key = std::move(key);
   entry.t = t;
+  entry.sums_exact = sums_exact;
   entry.rows = rows;
   entry.footprints.reserve(regions.size());
   for (const GridMask& region : regions) {

@@ -21,6 +21,16 @@
 // layer of scale >= 4 is a single tile, so only cell bits let a row in
 // an unchurned part of a coarse layer stay clean.
 //
+// The footprint bounds what a row's value depends on only when the
+// value is a function of the cells inside it. The exact cell loop's
+// rows are. A SAT-path row is one of four prefix sums per rect, and a
+// prefix sum over doubles that round depends on every cell above and
+// left of the rect; so each publish records whether its planes hold
+// exact sums (SatSumsExact), and a row is checked on its footprint
+// only when the planes at both ends — its memoized timestep and the
+// probed one — do. Otherwise the checked rect widens to the
+// footprint's prefix [0, r1) x [0, c1), which bounds either path.
+//
 // Timestep contract: the memo proves that a row did not change between
 // two timesteps; it does not know which timesteps are servable. Callers
 // probe and store only at a timestep the epoch they read holds
@@ -69,11 +79,14 @@ class TopKMemo {
   TopKMemo(const TopKMemo&) = delete;
   TopKMemo& operator=(const TopKMemo&) = delete;
 
-  /// \brief Records one published epoch: timestep `t` changed `dirty`
-  /// (per-layer, indexed [layer-1]) vs. t-1. Null — or any unknown /
-  /// missing per-layer entry — is remembered as "everything changed".
+  /// \brief Records one published epoch: timestep `t` published
+  /// `frames` (frames[l-1] is layer l), which changed `dirty` (per-layer,
+  /// indexed [layer-1]) vs. t-1. Null — or any unknown / missing
+  /// per-layer entry — is remembered as "everything changed". One pass
+  /// over the frames decides whether t's planes hold exact sums.
   /// Thread-safe against concurrent Lookup/Store.
-  void OnPublish(int64_t t, const DirtyTileSets* dirty);
+  void OnPublish(int64_t t, const std::vector<Tensor>& frames,
+                 const DirtyTileSets* dirty);
 
   /// \brief Drops every memoized spec and the publish history (index
   /// swap: resolutions change, so carried values may too).
@@ -151,11 +164,13 @@ class TopKMemo {
     int64_t t = 0;
     bool all_dirty = false;  ///< no usable dirty info: assume everything
     DirtyTileSets dirty;     ///< per layer, [layer-1]; empty if all_dirty
+    bool sums_exact = false;  ///< SatSumsExact holds for every layer of t
   };
 
   struct Entry {
     Key key;
     int64_t t = -1;  ///< timestep the rows were evaluated at
+    bool sums_exact = false;  ///< t's planes hold exact sums
     std::vector<Result<QueryRow>> rows;
     /// Per region: atomic bbox rounded out to the coarsest scale (the
     /// term-footprint superset checked against dirty sets).

@@ -37,7 +37,8 @@ class EpochSink {
   /// them (clean tiles alias the prior timestep's buffers, dirty tiles
   /// copy) instead of full frames — and, from DiffFrames, one bit per
   /// changed layer cell, which the serving runtime's publish tap hands
-  /// to the top-k memo. Null — or an empty/unknown per-layer entry —
+  /// to the top-k memo with `frames` (whose sums it checks for
+  /// rounding). Null — or an empty/unknown per-layer entry —
   /// means "assume everything changed"; the published values are
   /// identical either way, only staging cost and memo reuse differ.
   virtual Status StageAndPublish(int64_t t,

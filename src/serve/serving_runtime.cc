@@ -25,7 +25,7 @@ class MemoTapSink : public EpochSink {
                          TraceContext* trace) override {
     Status status =
         inner_->StageAndPublish(t, frames, dirty, carry_forward, trace);
-    if (status.ok()) memo_->OnPublish(t, dirty);
+    if (status.ok()) memo_->OnPublish(t, frames, dirty);
     return status;
   }
   using EpochSink::StageAndPublish;

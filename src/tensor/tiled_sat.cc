@@ -1,14 +1,12 @@
 #include "tensor/tiled_sat.h"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstring>
 
 #include "core/thread_pool.h"
 #include "tensor/gemm.h"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace one4all {
 
@@ -27,22 +25,12 @@ int64_t TilesFor(int64_t n) {
 /// payloads count as changes).
 uint32_t ChangedCellBits(const float* a, const float* b) {
   uint32_t changed = 0;
-#if defined(__SSE2__)
-  for (int64_t i = 0; i < kSatTileSize; i += 4) {
-    const __m128i equal =
-        _mm_cmpeq_epi32(_mm_castps_si128(_mm_loadu_ps(a + i)),
-                        _mm_castps_si128(_mm_loadu_ps(b + i)));
-    const int same = _mm_movemask_ps(_mm_castsi128_ps(equal));
-    changed |= static_cast<uint32_t>(~same & 0xF) << i;
-  }
-#else
   for (int64_t i = 0; i < kSatTileSize; ++i) {
     uint32_t va, vb;
     std::memcpy(&va, a + i, sizeof(va));
     std::memcpy(&vb, b + i, sizeof(vb));
     changed |= static_cast<uint32_t>(va != vb) << i;
   }
-#endif
   return changed;
 }
 
@@ -66,23 +54,6 @@ TileDirtySet TileDirtySet::AllDirty(int64_t h, int64_t w) {
   return set;
 }
 
-void TileDirtySet::MarkTile(int64_t i, int64_t j) {
-  bits_[static_cast<size_t>(i * tiles_w_ + j)] = 1;
-  if (has_cells()) {
-    MarkCells(i * kSatTileSize, j * kSatTileSize,
-              std::min((i + 1) * kSatTileSize, h_),
-              std::min((j + 1) * kSatTileSize, w_));
-  }
-}
-
-void TileDirtySet::MarkCells(int64_t r0, int64_t c0, int64_t r1,
-                             int64_t c1) {
-  for (int64_t r = r0; r < r1; ++r) {
-    uint64_t* row = cells_.data() + r * words_per_row_;
-    for (int64_t c = c0; c < c1; ++c) row[c >> 6] |= uint64_t{1} << (c & 63);
-  }
-}
-
 static_assert(kSatTileSize == 32,
               "a tile row span packs into one 32-bit changed-cell mask");
 
@@ -103,11 +74,8 @@ void TileDirtySet::MarkRect(int64_t r0, int64_t c0, int64_t r1, int64_t c1) {
   const int64_t i1 = (r1 - 1) / kSatTileSize;
   const int64_t j1 = (c1 - 1) / kSatTileSize;
   for (int64_t i = r0 / kSatTileSize; i <= i1; ++i) {
-    for (int64_t j = c0 / kSatTileSize; j <= j1; ++j) {
-      bits_[static_cast<size_t>(i * tiles_w_ + j)] = 1;
-    }
+    for (int64_t j = c0 / kSatTileSize; j <= j1; ++j) MarkTile(i, j);
   }
-  if (has_cells()) MarkCells(r0, c0, r1, c1);
 }
 
 int64_t TileDirtySet::CountDirty() const {
@@ -613,6 +581,33 @@ TileDirtySet DiffFrames(const Tensor& frame, const Tensor& base) {
     }
   }
   return dirty;
+}
+
+bool SatSumsExact(const Tensor& frame) {
+  const float* x = frame.data();
+  const int64_t n = frame.numel();
+  double abs_sum = 0.0;
+  uint32_t max_bits = 0;     // largest |x| bit pattern: Inf/NaN sort last
+  int min_quantum = INT_MAX;  // log2 of the coarsest q dividing every cell
+  for (int64_t i = 0; i < n; ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, x + i, sizeof(bits));
+    bits &= 0x7FFFFFFFu;
+    max_bits = std::max(max_bits, bits);
+    // |x| = significand * 2^(max(exponent, 1) - 150) for a finite float;
+    // its lowest set significand bit names the largest power of two
+    // dividing it. Zeros divide by anything and take no part.
+    const uint32_t exponent = bits >> 23;
+    const uint32_t significand =
+        (bits & 0x7FFFFFu) | (exponent != 0 ? 0x800000u : 0u);
+    const int quantum = static_cast<int>(std::max(exponent, 1u)) - 150 +
+                        __builtin_ctz(significand | 0x80000000u);
+    min_quantum = std::min(min_quantum, bits != 0 ? quantum : INT_MAX);
+    abs_sum += std::fabs(static_cast<double>(x[i]));
+  }
+  if (max_bits >= 0x7F800000u) return false;  // Inf or NaN
+  if (min_quantum == INT_MAX) return true;    // all zeros
+  return abs_sum <= std::ldexp(1.0, 50 + min_quantum);
 }
 
 }  // namespace one4all

@@ -45,19 +45,17 @@ constexpr int64_t kSatTileSize = 32;
 /// constructed set is "unknown" (empty()): consumers must treat every
 /// tile as dirty then.
 ///
-/// Optionally the set also carries which *cells* changed, one bit per
-/// cell (has_cells()). Staging, slicing and the SAT fixup only read the
-/// tile bits; the cell bits let a consumer that reads a few cells of a
-/// large tile (the top-k memo's footprints on coarse layers, which fit
-/// in one tile) tell a churned tile from a churned cell. Every Mark*
-/// call keeps the two consistent: a marked cell always lies in a marked
-/// tile, and marking a tile or rect marks all of its cells.
+/// A set DiffFrames returns also carries which *cells* changed, one bit
+/// per cell (has_cells()). Staging, slicing and the SAT fixup only read
+/// the tile bits; the cell bits let a consumer that reads a few cells of
+/// a large tile (the top-k memo's footprints on coarse layers, which fit
+/// in one tile) tell a churned tile from a churned cell. Such a set is
+/// final: the Mark* calls keep no cell bits, so they refuse it.
 class TileDirtySet {
  public:
   TileDirtySet() = default;
-  /// \brief All-clean set for an `h` x `w` frame; `track_cells` also
-  /// keeps the per-cell bits.
-  TileDirtySet(int64_t h, int64_t w, bool track_cells = false);
+  /// \brief All-clean set for an `h` x `w` frame (tile bits only).
+  TileDirtySet(int64_t h, int64_t w) : TileDirtySet(h, w, false) {}
 
   static TileDirtySet AllDirty(int64_t h, int64_t w);
 
@@ -74,18 +72,15 @@ class TileDirtySet {
   bool dirty(int64_t i, int64_t j) const {
     return bits_[static_cast<size_t>(i * tiles_w_ + j)] != 0;
   }
-  void MarkTile(int64_t i, int64_t j);
+  void MarkTile(int64_t i, int64_t j) {
+    O4A_DCHECK(!has_cells()) << "a DiffFrames result is final";
+    bits_[static_cast<size_t>(i * tiles_w_ + j)] = 1;
+  }
   void MarkCell(int64_t r, int64_t c) {
-    bits_[static_cast<size_t>((r / kSatTileSize) * tiles_w_ +
-                              c / kSatTileSize)] = 1;
-    if (has_cells()) {
-      cells_[static_cast<size_t>(r * words_per_row_ + (c >> 6))] |=
-          uint64_t{1} << (c & 63);
-    }
+    MarkTile(r / kSatTileSize, c / kSatTileSize);
   }
   /// \brief Marks every tile intersecting the half-open cell rect
-  /// [r0, r1) x [c0, c1) (and, with cell bits, every cell of the
-  /// rect); clamped to the frame.
+  /// [r0, r1) x [c0, c1); clamped to the frame.
   void MarkRect(int64_t r0, int64_t c0, int64_t r1, int64_t c1);
 
   int64_t CountDirty() const;
@@ -114,8 +109,8 @@ class TileDirtySet {
  private:
   friend TileDirtySet DiffFrames(const Tensor& frame, const Tensor& base);
 
-  /// Sets the cell bits of [r0, r1) x [c0, c1) (already clamped).
-  void MarkCells(int64_t r0, int64_t c0, int64_t r1, int64_t c1);
+  /// `track_cells` also keeps the per-cell bits (DiffFrames only).
+  TileDirtySet(int64_t h, int64_t w, bool track_cells);
   /// DiffFrames' mark: bit i of `changed` (non-zero) is cell (r, c0 + i)
   /// of the tile row span starting at c0 (a multiple of kSatTileSize);
   /// the set must track cells.
@@ -384,6 +379,19 @@ class TiledSatPlane {
 /// pass plus the changed spans. Returns AllDirty (tile bits only) on
 /// geometry mismatch.
 TileDirtySet DiffFrames(const Tensor& frame, const Tensor& base);
+
+/// \brief True when every summed-area plane built over `frame` (SatPlane
+/// or TiledSatPlane) holds exact sums: every cell is a finite multiple
+/// of one power of two q and the cells' absolute sum is at most 2^50 q.
+/// Each double a build or RectSum forms is then an integer multiple of
+/// q no larger than a few times that sum, well inside a double's 53
+/// bits, so no step rounds and RectSum is the exact sum of the rect's
+/// own cells. Otherwise the prefix sums round, and a rect sum can move
+/// in its low bits when any cell above or left of the rect changes —
+/// RectSum(r0, c0, r1, c1) is then only a function of the cells in
+/// [0, r1) x [0, c1). One O(cells) pass; integer-valued frames (counts)
+/// pass while their sums stay below 2^50.
+bool SatSumsExact(const Tensor& frame);
 
 }  // namespace one4all
 

@@ -864,6 +864,7 @@ enum class ChurnCase {
   kScatteredBlocks,       // several small blocks on random layers
   kNoCarryForward,        // scattered blocks, carry_forward off
   kGapPastHistory,        // more unqueried publishes than the memo keeps
+  kRoundingAboveLeft,     // mixed magnitudes, a cell above/left of a row
 };
 
 // Inference replaying scripted frames: frames[i] is the frame set of
@@ -894,7 +895,7 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
   for (ChurnCase churn_case :
        {ChurnCase::kOneCoarseCell, ChurnCase::kJustOutsideFootprint,
         ChurnCase::kScatteredBlocks, ChurnCase::kNoCarryForward,
-        ChurnCase::kGapPastHistory}) {
+        ChurnCase::kGapPastHistory, ChurnCase::kRoundingAboveLeft}) {
     SCOPED_TRACE("case " + std::to_string(static_cast<int>(churn_case)));
     Rng rng(500 + static_cast<uint64_t>(churn_case));
     auto pick = [&rng](int64_t n) {
@@ -916,6 +917,21 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
     std::vector<Tensor> current;
     for (int l = 1; l <= num_layers; ++l) {
       current.push_back(dataset.FrameAtLayer(start_t, l));
+    }
+    if (churn_case == ChurnCase::kRoundingAboveLeft) {
+      // Cells of ~1e3 next to cells of ~1e-7: the planes' double prefix
+      // sums round, so a rect sum read off them moves in its low bits
+      // when a cell above or left of the rect changes.
+      for (Tensor& frame : current) {
+        for (int64_t r = 0; r < frame.dim(0); ++r) {
+          for (int64_t c = 0; c < frame.dim(1); ++c) {
+            frame.at(r, c) =
+                (r + c) % 2 == 0
+                    ? 1e3f * (1.0f + 0.001f * static_cast<float>(pick(997)))
+                    : 1e-7f * (1.0f + 0.01f * static_cast<float>(pick(89)));
+          }
+        }
+      }
     }
     for (int64_t i = 0; i < steps; ++i) {
       std::vector<ChurnCell> churn;
@@ -971,6 +987,21 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
           random_cell(1);
           random_cell(num_layers);
           break;
+        case ChurnCase::kRoundingAboveLeft: {
+          // A layer cell in the rows above or the columns left of a
+          // row's footprint, but inside its prefix [0, r1) x [0, c1).
+          const GridMask& region = fixture.regions[static_cast<size_t>(
+              pick(static_cast<int64_t>(fixture.regions.size())))];
+          const CellRect fp = RoundedFootprint(region, hierarchy);
+          const int layer = 1 + static_cast<int>(pick(num_layers));
+          const int64_t s = hierarchy.layer(layer).scale;
+          if (fp.r0 > 0 && (fp.c0 == 0 || pick(2) == 0)) {
+            add_block(layer, pick(fp.r0 / s), pick(fp.c1 / s), 1, 1);
+          } else if (fp.c0 > 0) {
+            add_block(layer, pick(fp.r1 / s), pick(fp.c0 / s), 1, 1);
+          }
+          break;
+        }
         case ChurnCase::kGapPastHistory:
           // Only the gap's first publish churns (a block on the atomic
           // and the coarsest layer): a memo that forgot that publish
@@ -1030,7 +1061,9 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
         const int64_t offsets[] = {0, 0, -1, -5, 1};
         const int64_t t = latest + (q == 0 ? 0 : offsets[pick(5)]);
         QuerySpec spec = QuerySpec::TopK(fixture.regions, t, 5);
-        if (pick(2) == 0) spec.eval_path = EvalPath::kSatFastPath;
+        if (pick(2) == 0 || churn_case == ChurnCase::kRoundingAboveLeft) {
+          spec.eval_path = EvalPath::kSatFastPath;
+        }
         for (size_t k = 0; k < warm.size(); ++k) {
           const int64_t reused_before = warm[k]->topk_memo().rows_reused();
           auto warm_answer = warm[k]->ExecuteSpec(spec);
@@ -1050,9 +1083,11 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
     }
     for (size_t k = 0; k < warm.size(); ++k) {
       // A coarse cell or a footprint's neighbour moves most rows' values
-      // nowhere: cell-exact dirty sets let those rows carry over.
+      // nowhere: cell-exact dirty sets let those rows carry over. With
+      // rounding planes, rows whose prefix misses the churn still do.
       if (churn_case == ChurnCase::kOneCoarseCell ||
-          churn_case == ChurnCase::kJustOutsideFootprint) {
+          churn_case == ChurnCase::kJustOutsideFootprint ||
+          churn_case == ChurnCase::kRoundingAboveLeft) {
         EXPECT_GT(advance_reused[k], 0) << "N=" << shard_counts[k];
       }
       warm[k]->Stop();

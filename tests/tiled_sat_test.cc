@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -235,26 +236,10 @@ TEST(DiffFramesTest, CellsIntersectRectMatchesCellReference) {
   }
 }
 
-// Marks keep the cell bits consistent with the tile bits; sets without
-// cell bits answer the cell query at tile granularity, and slices and
-// unknown sets carry no cell bits.
-TEST(TileDirtySetTest, CellBitsFollowMarksAndFallBackToTiles) {
-  TileDirtySet cells(100, 70, /*track_cells=*/true);
-  ASSERT_TRUE(cells.has_cells());
-  cells.MarkCell(5, 66);
-  EXPECT_TRUE(cells.dirty(0, 2));
-  EXPECT_TRUE(cells.CellsIntersectRect(5, 66, 6, 67));
-  EXPECT_FALSE(cells.CellsIntersectRect(0, 64, 5, 70));
-  EXPECT_TRUE(cells.IntersectsRect(0, 64, 5, 70));  // same tile
-  cells.MarkRect(40, 10, 42, 12);
-  EXPECT_TRUE(cells.CellsIntersectRect(41, 11, 42, 12));
-  EXPECT_FALSE(cells.CellsIntersectRect(42, 10, 64, 12));
-  cells.MarkTile(3, 1);  // rows [96, 100), cols [32, 64)
-  EXPECT_TRUE(cells.CellsIntersectRect(99, 63, 100, 64));
-  EXPECT_TRUE(cells.CellsIntersectRect(96, 32, 97, 33));
-  EXPECT_FALSE(cells.CellsIntersectRect(96, 64, 100, 70));
-  EXPECT_EQ(cells.CountDirty(), 3);
-
+// Sets without cell bits answer the cell query at tile granularity, an
+// unknown set intersects everything, and slices of a DiffFrames result
+// keep tile bits only.
+TEST(TileDirtySetTest, CellQueryFallsBackToTilesWithoutCellBits) {
   TileDirtySet tiles(100, 70);
   EXPECT_FALSE(tiles.has_cells());
   tiles.MarkCell(5, 66);
@@ -263,10 +248,76 @@ TEST(TileDirtySetTest, CellBitsFollowMarksAndFallBackToTiles) {
 
   EXPECT_TRUE(TileDirtySet().CellsIntersectRect(0, 0, 1, 1));
   EXPECT_FALSE(TileDirtySet::AllDirty(100, 70).has_cells());
+
+  Tensor base = RandomFrame(100, 70, 3);
+  Tensor next = base;
+  next.at(40, 10) += 1.0f;
+  next.at(99, 63) += 1.0f;
+  const TileDirtySet cells = DiffFrames(next, base);
+  ASSERT_TRUE(cells.has_cells());
+  EXPECT_FALSE(cells.CellsIntersectRect(0, 0, 40, 70));
   TileDirtySet band = cells.SliceRows(32, 100);
   EXPECT_FALSE(band.has_cells());
-  EXPECT_TRUE(band.dirty(0, 0));  // rows 40-41 sit in band tile row 0
-  EXPECT_TRUE(band.dirty(2, 1));  // the marked tile: rows [96, 100)
+  EXPECT_TRUE(band.dirty(0, 0));  // row 40 sits in band tile row 0
+  EXPECT_TRUE(band.dirty(2, 1));  // row 99: band rows [64, 68)
+  EXPECT_EQ(band.CountDirty(), 2);
+}
+
+// Sum of [r0, r1) x [c0, c1) added cell by cell in row-major order: the
+// same double a plane's RectSum reads off whenever no step rounds.
+double RowMajorSum(const Tensor& frame, int64_t r0, int64_t c0, int64_t r1,
+                   int64_t c1) {
+  double sum = 0.0;
+  for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t c = c0; c < c1; ++c) sum += frame.at(r, c);
+  }
+  return sum;
+}
+
+// Integer counts and quarter steps pass; mixed magnitudes, non-finite
+// cells and sums past 2^50 q do not. Where the predicate holds, every
+// rect sum of the tiled plane is the exact sum of the rect's cells.
+TEST(SatSumsExactTest, HoldsExactlyWhenNoPrefixSumRounds) {
+  Rng rng(77);
+  Tensor counts({100, 70});
+  for (int64_t i = 0; i < counts.numel(); ++i) {
+    counts.data()[i] =
+        static_cast<float>(rng.UniformInt(60)) * (i % 3 == 0 ? -0.25f : 1.0f);
+  }
+  EXPECT_TRUE(SatSumsExact(counts));
+  EXPECT_TRUE(SatSumsExact(Tensor({33, 65})));  // all zeros
+
+  const TiledSatPlane plane =
+      TiledSatPlane::Build(TiledFrame::FromTensor(counts));
+  for (int i = 0; i < 300; ++i) {
+    const int64_t r0 = static_cast<int64_t>(rng.UniformInt(100));
+    const int64_t c0 = static_cast<int64_t>(rng.UniformInt(70));
+    const int64_t r1 = r0 + static_cast<int64_t>(rng.UniformInt(
+                                static_cast<uint64_t>(100 - r0) + 1));
+    const int64_t c1 = c0 + static_cast<int64_t>(rng.UniformInt(
+                                static_cast<uint64_t>(70 - c0) + 1));
+    ASSERT_EQ(plane.RectSum(r0, c0, r1, c1),
+              RowMajorSum(counts, r0, c0, r1, c1));
+  }
+
+  Tensor mixed = counts;
+  mixed.at(7, 7) = 1e-7f;
+  EXPECT_FALSE(SatSumsExact(mixed));
+  Tensor subnormal({4, 4});
+  subnormal.at(1, 1) = 1e-40f;
+  EXPECT_TRUE(SatSumsExact(subnormal));
+  subnormal.at(2, 2) = 1.0f;  // 2^149 quanta of 2^-149: past 2^50
+  EXPECT_FALSE(SatSumsExact(subnormal));
+  Tensor huge({2, 2});
+  huge.at(0, 0) = 1e16f;  // an integer, but past 2^50 of its quantum
+  huge.at(1, 1) = 1.0f;
+  EXPECT_FALSE(SatSumsExact(huge));
+  for (float bad : {std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN()}) {
+    Tensor frame = counts;
+    frame.at(50, 20) = bad;
+    EXPECT_FALSE(SatSumsExact(frame));
+  }
 }
 
 TEST(TiledFrameTest, FromDeltaAliasesCleanBlocks) {
