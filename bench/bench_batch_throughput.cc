@@ -1,9 +1,10 @@
-// Throughput of the concurrent batch region-query engine: queries/sec of
-// BatchPredict (frame memoization + sharded LRU resolve cache + thread
-// pool) at 1, 4, and hardware threads, against the one-query-at-a-time
-// Predict loop the seed served from. Production traffic re-queries the
-// same areal units (tracts, hexagons, road segments) across time slots,
-// so the stream cycles a fixed region set over many slots.
+// Throughput of the concurrent region-query engine: queries/sec of
+// MultiRegion specs planned and run by the QueryExecutor (frame
+// memoization + sharded LRU resolve cache + thread pool) at 1, 4, and
+// hardware threads, against the one-query-at-a-time Predict loop the
+// seed served from. Production traffic re-queries the same areal units
+// (tracts, hexagons, road segments) across time slots, so the stream
+// cycles a fixed region set over many slots, one spec per slot.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -12,6 +13,8 @@
 #include "bench_common.h"
 #include "core/stopwatch.h"
 #include "core/thread_pool.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
 
 namespace one4all {
@@ -25,8 +28,13 @@ struct ModeResult {
   double speedup = 1.0;
 };
 
-std::vector<BatchQuery> MakeQueryStream(const STDataset& dataset,
-                                        int64_t target_queries) {
+/// \brief `target_queries` (region, t) queries as MultiRegion specs, one
+/// per time slot: the region set cycles across the test slots until the
+/// stream is long enough — the region-reuse pattern the resolve cache is
+/// built for.
+std::vector<QuerySpec> MakeQueryStream(const STDataset& dataset,
+                                       int64_t target_queries,
+                                       QueryStrategy strategy) {
   RegionGeneratorOptions options;
   options.style = RegionStyle::kVoronoi;
   options.mean_cells = 12.0;
@@ -35,32 +43,21 @@ std::vector<BatchQuery> MakeQueryStream(const STDataset& dataset,
                                        dataset.hierarchy().atomic_width(),
                                        options);
   O4A_CHECK(!regions.empty());
-  // Cycle regions across the test slots until the stream is long enough —
-  // the region-reuse pattern the resolve cache is built for.
   const auto& slots = dataset.test_indices();
-  std::vector<BatchQuery> stream;
-  stream.reserve(static_cast<size_t>(target_queries));
-  size_t r = 0, s = 0;
-  while (static_cast<int64_t>(stream.size()) < target_queries) {
-    stream.push_back(BatchQuery{regions[r], slots[s]});
-    if (++r == regions.size()) {
-      r = 0;
-      s = (s + 1) % slots.size();
-    }
+  std::vector<QuerySpec> stream;
+  int64_t queries = 0;
+  for (size_t s = 0; queries < target_queries; s = (s + 1) % slots.size()) {
+    const int64_t n = std::min(static_cast<int64_t>(regions.size()),
+                               target_queries - queries);
+    stream.push_back(QuerySpec::MultiRegion(
+        std::vector<GridMask>(regions.begin(), regions.begin() + n),
+        slots[s], strategy));
+    queries += n;
   }
-  std::cout << "query stream: " << stream.size() << " queries over "
+  std::cout << "query stream: " << queries << " queries over "
             << regions.size() << " distinct regions x " << slots.size()
-            << " time slots\n";
+            << " time slots (" << stream.size() << " specs)\n";
   return stream;
-}
-
-double ChecksumOrDie(const std::vector<Result<QueryResponse>>& results) {
-  double sum = 0.0;
-  for (const auto& r : results) {
-    O4A_CHECK(r.ok()) << r.status().ToString();
-    sum += r->value;
-  }
-  return sum;
 }
 
 int main_impl() {
@@ -79,8 +76,8 @@ int main_impl() {
   HistoryMeanPredictor hm;  // throughput is model-independent
   auto pipeline = MauPipeline::Build(&hm, dataset, SearchOptions{});
   const RegionQueryServer& server = pipeline->server();
-  const auto stream = MakeQueryStream(dataset, num_queries);
   const QueryStrategy strategy = QueryStrategy::kUnionSubtraction;
+  const auto stream = MakeQueryStream(dataset, num_queries, strategy);
 
   std::vector<ModeResult> modes;
   double reference_checksum = 0.0;
@@ -89,10 +86,12 @@ int main_impl() {
   {
     Stopwatch timer;
     double sum = 0.0;
-    for (const BatchQuery& q : stream) {
-      auto response = server.Predict(q.region, q.t, strategy);
-      O4A_CHECK(response.ok());
-      sum += response->value;
+    for (const QuerySpec& spec : stream) {
+      for (const GridMask& region : spec.regions) {
+        auto response = server.Predict(region, spec.time.t0, strategy);
+        O4A_CHECK(response.ok());
+        sum += response->value;
+      }
     }
     ModeResult mode;
     mode.name = "sequential Predict loop";
@@ -110,22 +109,32 @@ int main_impl() {
     }
   }
 
+  const QueryPlanner planner(&dataset.hierarchy());
+  const QueryExecutor executor(&server);
   for (int threads : thread_counts) {
     ResolvedQueryCache cache;
     ThreadPool pool(threads);
-    BatchOptions options;
+    QueryExecutorOptions options;
     options.pool = &pool;
     options.cache = &cache;
+    std::vector<QuerySpec> specs = stream;  // copied outside the timer
+    double checksum = 0.0;
     Stopwatch timer;
-    const auto results = server.BatchPredict(stream, strategy, options);
+    for (QuerySpec& spec : specs) {
+      auto plan = planner.Plan(std::move(spec));
+      O4A_CHECK(plan.ok()) << plan.status().ToString();
+      for (const auto& row : executor.Execute(*plan, options).rows) {
+        O4A_CHECK(row.ok()) << row.status().ToString();
+        checksum += row->value;
+      }
+    }
     ModeResult mode;
     mode.seconds = timer.ElapsedSeconds();
-    mode.name = "BatchPredict, cache, " + std::to_string(threads) +
+    mode.name = "MultiRegion specs, cache, " + std::to_string(threads) +
                 (threads == 1 ? " thread" : " threads");
-    const double checksum = ChecksumOrDie(results);
     O4A_CHECK(std::abs(checksum - reference_checksum) <
               1e-6 * (1.0 + std::abs(reference_checksum)))
-        << "batch checksum drifted from sequential";
+        << "spec checksum drifted from sequential";
     const auto stats = cache.Stats();
     std::cout << mode.name << ": cache hits=" << stats.hits
               << " misses=" << stats.misses
@@ -133,7 +142,7 @@ int main_impl() {
     modes.push_back(mode);
   }
 
-  TablePrinter table("Batch region-query throughput (" +
+  TablePrinter table("Region-query throughput (" +
                      std::to_string(dataset.hierarchy().atomic_height()) +
                      "x" +
                      std::to_string(dataset.hierarchy().atomic_width()) +
@@ -142,7 +151,7 @@ int main_impl() {
   const double base_seconds = modes.front().seconds;
   double best_speedup = 0.0;
   for (ModeResult& mode : modes) {
-    mode.qps = static_cast<double>(stream.size()) / mode.seconds;
+    mode.qps = static_cast<double>(num_queries) / mode.seconds;
     mode.speedup = base_seconds / mode.seconds;
     best_speedup = std::max(best_speedup, mode.speedup);
     table.AddRow({mode.name, TablePrinter::Num(mode.seconds, 3),
@@ -151,7 +160,7 @@ int main_impl() {
   }
   table.Print(std::cout);
   PrintShapeCheck(
-      "BatchPredict beats the sequential loop by more than 2x",
+      "MultiRegion specs beat the sequential loop by more than 2x",
       best_speedup > 2.0);
   return best_speedup > 2.0 ? 0 : 1;
 }
@@ -161,6 +170,6 @@ int main_impl() {
 }  // namespace one4all
 
 int main() {
-  std::cout << "=== Batch throughput: concurrent region-query engine ===\n";
+  std::cout << "=== Throughput: concurrent region-query engine ===\n";
   return one4all::bench::main_impl();
 }

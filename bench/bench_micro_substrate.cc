@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the substrates: numeric
 // kernels, Algorithm 1 decomposition, quad-tree retrieval vs linear
-// table, combination search, and the KV store.
+// table, combination search, and the prediction store.
 #include <benchmark/benchmark.h>
 
 #include "combine/search.h"
@@ -9,7 +9,6 @@
 #include "grid/polygon.h"
 #include "grid/region_generator.h"
 #include "index/quadtree.h"
-#include "kvstore/kvstore.h"
 #include "kvstore/prediction_store.h"
 #include "model/predictor.h"
 #include "nn/layers.h"
@@ -215,22 +214,6 @@ void BM_CombinationSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CombinationSearch);
-
-void BM_KvStorePutGet(benchmark::State& state) {
-  KvStore store;
-  Rng rng(7);
-  Tensor frame = Tensor::RandomUniform({32, 32}, &rng);
-  const std::string blob(reinterpret_cast<const char*>(frame.data()),
-                         sizeof(float) * static_cast<size_t>(frame.numel()));
-  int64_t t = 0;
-  for (auto _ : state) {
-    store.Put("frame/" + std::to_string(t % 64), blob);
-    benchmark::DoNotOptimize(store.Get("frame/" + std::to_string(t % 64)));
-    ++t;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KvStorePutGet);
 
 void BM_PredictionStoreSyncGet(benchmark::State& state) {
   PredictionStore preds;

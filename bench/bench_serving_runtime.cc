@@ -1,5 +1,5 @@
 // Sustained throughput of the online serving runtime *while epochs
-// roll*: a static-store BatchPredict baseline (the PR-1 engine over a
+// roll*: a static-store baseline (256-region MultiRegion specs over a
 // fully pre-synced generation) against the ServingRuntime answering the
 // same kind of query storm concurrently with the stream ingestor
 // publishing one epoch per timestep. Acceptance (ISSUE 3): serving
@@ -51,12 +51,17 @@
 #include "core/thread_pool.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
 #include "serve/serving_runtime.h"
 
 namespace one4all {
 namespace bench {
 namespace {
+
+/// Regions per spec, in the static baseline and in every storm.
+constexpr int kSpecRegions = 256;
 
 std::vector<GridMask> MakeRegions(const STDataset& dataset) {
   RegionGeneratorOptions options;
@@ -115,7 +120,7 @@ struct ServingResult {
   std::array<SpanAggregate, kNumSpanNames> stages{};
 };
 
-// One storm phase: the mixed batch storm against a fresh ServingRuntime
+// One storm phase: the MultiRegion spec storm against a fresh ServingRuntime
 // whose every layer emits spans into `recorder` (enable/disable it
 // before calling). Consistency is checked on every answer.
 StormOutcome RunStorm(const STDataset& dataset,
@@ -126,10 +131,9 @@ StormOutcome RunStorm(const STDataset& dataset,
                       int query_threads = 1) {
   const auto& slots = dataset.test_indices();
   ServingRuntimeOptions options;
-  options.strategy = strategy;
   // Unsharded storms drive concurrency from the clients alone; sharded
-  // phase-4 rows pass 0 so each batch's scatter fans out on the shared
-  // pool instead of serializing N sub-queries in the client thread.
+  // phase-4 rows pass 0 so each spec's rows fan out on the shared pool
+  // instead of serializing in the client thread.
   options.num_query_threads = query_threads;
   options.max_inflight_queries = 1 << 20;
   options.trace = recorder;
@@ -156,31 +160,30 @@ StormOutcome RunStorm(const STDataset& dataset,
       while (!runtime.ingestor().done()) {
         const int64_t latest = runtime.published_latest_t();
         const int64_t span = latest - slots.front() + 1;
-        std::vector<BatchQuery> batch;
-        batch.reserve(256);
-        for (int i = 0; i < 256; ++i) {
-          const size_t region =
-              static_cast<size_t>(rng.UniformInt(regions.size()));
-          const int64_t t =
-              slots.front() +
-              static_cast<int64_t>(
-                  rng.UniformInt(static_cast<uint64_t>(span)));
-          batch.push_back(BatchQuery{regions[region], t});
+        const int64_t t =
+            slots.front() +
+            static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(span)));
+        std::vector<size_t> picked(kSpecRegions);
+        std::vector<GridMask> masks;
+        masks.reserve(picked.size());
+        for (size_t& region : picked) {
+          region = static_cast<size_t>(rng.UniformInt(regions.size()));
+          masks.push_back(regions[region]);
         }
-        auto results = runtime.QueryBatch(batch);
+        auto results = runtime.ExecuteSpec(
+            QuerySpec::MultiRegion(std::move(masks), t, strategy));
         if (!results.ok()) {
-          rejected.fetch_add(static_cast<int64_t>(batch.size()));
+          rejected.fetch_add(static_cast<int64_t>(picked.size()));
           continue;
         }
         int64_t ok_count = 0;
-        for (size_t i = 0; i < results->size(); ++i) {
-          const auto& response = (*results)[i];
+        for (size_t i = 0; i < results->rows.size(); ++i) {
+          const auto& response = results->rows[i];
           O4A_CHECK(response.ok()) << response.status().ToString();
           ++ok_count;
           // Ground-truth inference + exact-cover combinations:
           // every answer must reproduce the region's true flow.
-          const double truth =
-              RegionTruth(dataset, batch[i].region, batch[i].t);
+          const double truth = RegionTruth(dataset, regions[picked[i]], t);
           if (std::abs(response.ValueOrDie().value - truth) >
               1e-3 * (1.0 + std::abs(truth))) {
             inconsistent.fetch_add(1);
@@ -495,35 +498,43 @@ int main_impl() {
   const QueryStrategy strategy = QueryStrategy::kUnionSubtraction;
   ServingResult result;
 
-  // -- Phase 1: static-store baseline (PR-1 engine, frames pre-synced) --
+  // -- Phase 1: static-store baseline (frames pre-synced) -------------
+  // num_queries rows as kSpecRegions-region specs, one timestep each,
+  // cycling the region set and the test slots.
   {
-    std::vector<BatchQuery> stream;
-    stream.reserve(static_cast<size_t>(num_queries));
-    size_t r = 0, s = 0;
-    while (static_cast<int64_t>(stream.size()) < num_queries) {
-      stream.push_back(BatchQuery{regions[r], slots[s]});
-      if (++r == regions.size()) {
-        r = 0;
-        s = (s + 1) % slots.size();
+    std::vector<QuerySpec> specs;
+    size_t r = 0;
+    for (int64_t rows = 0; rows < num_queries; rows += kSpecRegions) {
+      std::vector<GridMask> masks;
+      const int64_t n = std::min<int64_t>(kSpecRegions, num_queries - rows);
+      for (int64_t i = 0; i < n; ++i) {
+        masks.push_back(regions[r]);
+        r = (r + 1) % regions.size();
       }
+      specs.push_back(QuerySpec::MultiRegion(
+          std::move(masks), slots[specs.size() % slots.size()], strategy));
     }
     ResolvedQueryCache cache;
     ThreadPool pool(ThreadPool::HardwareThreads());
-    BatchOptions options;
+    QueryExecutorOptions options;
     options.pool = &pool;
     options.cache = &cache;
+    const QueryPlanner planner(&dataset.hierarchy());
+    const QueryExecutor executor(&pipeline->server());
     Stopwatch timer;
-    const auto results =
-        pipeline->server().BatchPredict(stream, strategy, options);
-    const double seconds = timer.ElapsedSeconds();
-    for (const auto& response : results) {
-      O4A_CHECK(response.ok()) << response.status().ToString();
+    for (QuerySpec& spec : specs) {
+      auto plan = planner.Plan(std::move(spec));
+      O4A_CHECK(plan.ok()) << plan.status().ToString();
+      for (const auto& row : executor.Execute(*plan, options).rows) {
+        O4A_CHECK(row.ok()) << row.status().ToString();
+      }
     }
-    result.baseline_qps =
-        static_cast<double>(stream.size()) / seconds;
-    std::cout << "static baseline: " << stream.size() << " queries in "
-              << TablePrinter::Num(seconds, 3) << " s ("
-              << TablePrinter::Num(result.baseline_qps, 0) << " q/s)\n";
+    const double seconds = timer.ElapsedSeconds();
+    result.baseline_qps = static_cast<double>(num_queries) / seconds;
+    std::cout << "static baseline: " << num_queries << " queries in "
+              << specs.size() << " specs, " << TablePrinter::Num(seconds, 3)
+              << " s (" << TablePrinter::Num(result.baseline_qps, 0)
+              << " q/s)\n";
   }
 
   // -- Phase 2: the storm with the trace recorder disabled ------------
@@ -569,7 +580,7 @@ int main_impl() {
   TablePrinter table("Serving throughput while epochs roll (" +
                      std::to_string(clients) + " storm clients)");
   table.SetHeader({"Mode", "queries/s", "vs static"});
-  table.AddRow({"static BatchPredict baseline",
+  table.AddRow({"static MultiRegion baseline",
                 TablePrinter::Num(result.baseline_qps, 0), "1.00"});
   table.AddRow({"ServingRuntime, obs disabled",
                 TablePrinter::Num(result.serving_qps_no_obs, 0),

@@ -1,7 +1,7 @@
-// Fixed-size worker pool for the online serving layer: BatchPredict fans
-// region queries out across workers, and the benchmark harness reuses one
-// pool across measurement rounds to keep thread start-up out of the timed
-// section.
+// Fixed-size worker pool for the online serving layer: the QueryExecutor
+// fans a plan's regions out across workers, and the benchmark harness
+// reuses one pool across measurement rounds to keep thread start-up out
+// of the timed section.
 #ifndef ONE4ALL_CORE_THREAD_POOL_H_
 #define ONE4ALL_CORE_THREAD_POOL_H_
 
@@ -47,8 +47,8 @@ class ThreadPool {
 
   /// \brief Lazily-created process-wide pool with HardwareThreads()
   /// workers. The shared handle that Trainer, prediction ingest and the
-  /// batch query server default to, so one worker set serves training
-  /// epochs, tensor kernels and BatchPredict instead of each layer
+  /// query executor default to, so one worker set serves training
+  /// epochs, tensor kernels and query specs instead of each layer
   /// spinning up its own threads. Never destroyed (workers idle when
   /// unused).
   static ThreadPool* Shared();

@@ -20,7 +20,7 @@ namespace one4all {
 /// \brief Every span the runtime emits, query-path then epoch-path.
 /// Append-only: exporters key on the numeric value.
 enum class SpanName : uint8_t {
-  kQuery = 0,      ///< root: one ExecuteSpec/QueryBatch call (arg: rows)
+  kQuery = 0,      ///< root: one ExecuteSpec call (arg: rows)
   kAdmission = 1,  ///< admission-control gate (arg: admitted cost)
   kPlan = 2,       ///< QueryPlanner::Plan
   kCacheProbe = 3, ///< per-slot cache probe + resolve (arg: 1 on hit)

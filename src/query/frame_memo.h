@@ -129,8 +129,9 @@ class FrameMemo {
 };
 
 /// \brief Runs `body(begin, end)` over [0, n) with the requested
-/// parallelism; `pool` wins over `num_threads` (BatchOptions semantics:
-/// 0 = ambient/shared pool, 1 = caller's thread, > 1 = per-call pool).
+/// parallelism; `pool` wins over `num_threads` (QueryExecutorOptions
+/// semantics: 0 = ambient/shared pool, 1 = caller's thread, > 1 =
+/// per-call pool).
 inline void RunSharded(ThreadPool* pool, int num_threads, int64_t n,
                        const std::function<void(int64_t, int64_t)>& body) {
   if (pool != nullptr) {

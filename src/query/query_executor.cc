@@ -64,21 +64,6 @@ QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
   return row;
 }
 
-Result<QueryResponse> RowToResponse(Result<QueryRow>&& row) {
-  if (!row.ok()) return row.status();
-  QueryRow& r = *row;
-  QueryResponse response;
-  response.value = r.value;
-  response.num_pieces = r.num_pieces;
-  response.num_terms = r.num_terms;
-  response.decompose_micros = r.decompose_micros;
-  response.index_micros = r.index_micros;
-  response.eval_micros = r.eval_micros;
-  response.response_micros = r.response_micros;
-  response.from_cache = r.from_cache;
-  return response;
-}
-
 void RankTopK(const QueryPlan& plan, TraceContext* trace,
               QueryResult* result) {
   if (plan.spec.kind != QuerySpecKind::kTopK) return;

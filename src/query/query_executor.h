@@ -40,7 +40,7 @@ struct ShardReadView {
   Counter* terms_evaluated = nullptr;
 };
 
-/// \brief Execution knobs, mirroring BatchOptions.
+/// \brief Execution knobs.
 struct QueryExecutorOptions {
   /// Worker threads when `pool` is null: 1 runs on the calling thread,
   /// 0 fans out over the process-wide ThreadPool::Shared(), > 1 spins up
@@ -96,8 +96,8 @@ struct QueryStageTimings {
 /// \brief Structured answer to one executed plan.
 struct QueryResult {
   QuerySpecKind kind = QuerySpecKind::kPointInTime;
-  /// rows[i] answers spec.regions[i] (or legacy batch entry i);
-  /// failures do not abort sibling rows.
+  /// rows[i] answers spec.regions[i]; failures do not abort sibling
+  /// rows.
   std::vector<Result<QueryRow>> rows;
   /// kTopK only: indices into `rows` of the k best OK rows, value
   /// descending (ties broken toward the lower index).
@@ -140,10 +140,6 @@ QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
                       bool keep_series, const ResolvedQuery& rq,
                       bool cache_hit, double probe_micros,
                       double eval_micros, TraceContext* trace);
-
-/// \brief Adapts one executor row to the legacy per-query response
-/// shape (Predict, BatchPredict and the runtime's QueryBatch).
-Result<QueryResponse> RowToResponse(Result<QueryRow>&& row);
 
 /// \brief Stage 3: top-k rank over `result->rows` (no-op unless the plan
 /// is a kTopK spec). Ties break toward the lower row index.

@@ -11,16 +11,7 @@ namespace one4all {
 
 std::string QueryPlan::Describe() const {
   std::ostringstream out;
-  if (spec.kind == QuerySpecKind::kPointBatch) {
-    // Batch plans borrow their regions instead of owning them in the
-    // spec, so render from the plan's own shape.
-    out << "plan: PointBatch over " << rows.size()
-        << (rows.size() == 1 ? " row" : " rows")
-        << " @ per-row timesteps strategy="
-        << QueryStrategyName(spec.strategy) << "\n";
-  } else {
-    out << "plan: " << spec.ToString() << "\n";
-  }
+  out << "plan: " << spec.ToString() << "\n";
   out << "  1. cache-probe/resolve: " << slot_regions.size()
       << (slot_regions.size() == 1 ? " distinct region"
                                    : " distinct regions")
@@ -58,12 +49,10 @@ void QueryPlan::KeepRows(const std::vector<int>& keep) {
     new_slot[s] = static_cast<int>(next);
     slot_regions[next] = slot_regions[s];
     slot_fingerprints[next] = slot_fingerprints[s];
-    if (!borrowed_regions.empty()) borrowed_regions[next] = borrowed_regions[s];
     ++next;
   }
   slot_regions.resize(next);
   slot_fingerprints.resize(next);
-  if (!borrowed_regions.empty()) borrowed_regions.resize(next);
   for (PlanRow& row : kept) {
     row.region_slot = new_slot[static_cast<size_t>(row.region_slot)];
   }
@@ -77,10 +66,6 @@ QueryPlanner::QueryPlanner(const Hierarchy* hierarchy)
 
 Result<QueryPlan> QueryPlanner::Plan(QuerySpec spec) const {
   Stopwatch timer;
-  if (spec.kind == QuerySpecKind::kPointBatch) {
-    return Status::InvalidArgument(
-        "point-batch plans are built through PlanBatch");
-  }
   O4A_RETURN_NOT_OK(spec.Validate(*hierarchy_));
 
   QueryPlan plan;
@@ -107,38 +92,6 @@ Result<QueryPlan> QueryPlanner::Plan(QuerySpec spec) const {
     row.region_slot = inserted.first->second;
     row.t0 = plan.spec.time.t0;
     row.t1 = plan.spec.time.t1;
-    plan.rows.push_back(row);
-  }
-  plan.plan_micros = timer.ElapsedMicros();
-  return plan;
-}
-
-Result<QueryPlan> QueryPlanner::PlanBatch(
-    const std::vector<BatchQuery>& queries, QueryStrategy strategy) const {
-  Stopwatch timer;
-  QueryPlan plan;
-  plan.spec.kind = QuerySpecKind::kPointBatch;
-  plan.spec.strategy = strategy;
-  // The legacy surface promises bit-exact values; never the SAT path.
-  plan.path = EvalPath::kExactCellLoop;
-  plan.borrowed_regions.reserve(queries.size());
-  plan.slot_regions.reserve(queries.size());
-  plan.slot_fingerprints.reserve(queries.size());
-  plan.rows.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    // Regions are borrowed, not copied — the caller's BatchQuery vector
-    // outlives the shim's execution, and the hot batch path must not pay
-    // a mask copy per query. One slot per row: structural validation and
-    // resolution failures stay per-query (surfaced by the executor),
-    // matching the legacy BatchPredict contract.
-    plan.borrowed_regions.push_back(&queries[i].region);
-    plan.slot_regions.push_back(static_cast<int>(i));
-    plan.slot_fingerprints.push_back(
-        FingerprintRegion(queries[i].region, strategy));
-    PlanRow row;
-    row.region_slot = static_cast<int>(i);
-    row.t0 = queries[i].t;
-    row.t1 = queries[i].t;
     plan.rows.push_back(row);
   }
   plan.plan_micros = timer.ElapsedMicros();

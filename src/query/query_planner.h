@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "query/query_server.h"
 #include "query/query_spec.h"
 #include "query/resolved_query_cache.h"
 
@@ -29,35 +28,24 @@ struct PlanRow {
 };
 
 /// \brief Executable form of a QuerySpec. rows[i] produces result row i
-/// (one per spec region, or one per legacy batch entry).
+/// (one per spec region).
 struct QueryPlan {
   QuerySpec spec;
-  /// Term-evaluation path the executor runs. Spec shapes inherit
-  /// spec.eval_path; the legacy batch adapter always pins the exact
-  /// cell loop (BatchPredict's bit-exact arithmetic is contract).
+  /// Term-evaluation path the executor runs (spec.eval_path).
   EvalPath path = EvalPath::kExactCellLoop;
-  /// Distinct regions to resolve, as indices into spec.regions. Spec
-  /// shapes dedup identical masks so a grouped query probes the resolve
-  /// cache once per distinct region; the legacy batch adapter keeps one
-  /// slot per row to preserve the original per-query cache semantics.
+  /// Distinct regions to resolve, as indices into spec.regions. Identical
+  /// masks are deduped so a grouped query probes the resolve cache once
+  /// per distinct region.
   std::vector<int> slot_regions;
   /// FingerprintRegion(region, spec.strategy) of each slot, computed once
   /// by the planner: the executors key the resolve cache with it and the
   /// runtime keys the top-k memo with it, so no later stage re-hashes a
   /// region.
   std::vector<RegionFingerprint> slot_fingerprints;
-  /// kPointBatch only: borrowed views of the caller's query regions, one
-  /// per slot — the BatchQuery vector must outlive plan execution (the
-  /// shim guarantees this; no mask is copied on the hot batch path).
-  /// Empty for spec shapes, which own their regions in spec.regions.
-  std::vector<const GridMask*> borrowed_regions;
   std::vector<PlanRow> rows;
   double plan_micros = 0.0;  ///< time spent compiling this plan
 
   const GridMask& RegionForSlot(int slot) const {
-    if (!borrowed_regions.empty()) {
-      return *borrowed_regions[static_cast<size_t>(slot)];
-    }
     return spec.regions[static_cast<size_t>(
         slot_regions[static_cast<size_t>(slot)])];
   }
@@ -88,14 +76,8 @@ class QueryPlanner {
   /// \param hierarchy Must outlive the planner.
   explicit QueryPlanner(const Hierarchy* hierarchy);
 
-  /// \brief Compiles one of the four client-facing spec shapes.
+  /// \brief Validates and compiles a spec of any of the four shapes.
   Result<QueryPlan> Plan(QuerySpec spec) const;
-
-  /// \brief Legacy adapter: arbitrary (region, t) pairs, one row and one
-  /// resolve-cache probe per pair (no dedup — BatchPredict's observable
-  /// cache behavior is part of its contract).
-  Result<QueryPlan> PlanBatch(const std::vector<BatchQuery>& queries,
-                              QueryStrategy strategy) const;
 
  private:
   const Hierarchy* hierarchy_;

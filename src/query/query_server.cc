@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/stopwatch.h"
-#include "query/frame_memo.h"
 #include "query/query_executor.h"
 #include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
@@ -114,7 +113,17 @@ Result<QueryResponse> RegionQueryServer::Predict(
   QueryExecutorOptions options;
   options.generation = generation;
   QueryResult executed = QueryExecutor(this).Execute(plan, options);
-  return query_internal::RowToResponse(std::move(executed.rows[0]));
+  O4A_ASSIGN_OR_RETURN(const QueryRow row, std::move(executed.rows[0]));
+  QueryResponse response;
+  response.value = row.value;
+  response.num_pieces = row.num_pieces;
+  response.num_terms = row.num_terms;
+  response.decompose_micros = row.decompose_micros;
+  response.index_micros = row.index_micros;
+  response.eval_micros = row.eval_micros;
+  response.response_micros = row.response_micros;
+  response.from_cache = row.from_cache;
+  return response;
 }
 
 Result<std::shared_ptr<const ResolvedQuery>>
@@ -148,51 +157,6 @@ RegionQueryServer::ResolveCached(const GridMask& region,
   auto entry = std::make_shared<const ResolvedQuery>(std::move(resolved));
   cache->Put(fingerprint, entry);
   return entry;
-}
-
-std::vector<Result<ResolvedQuery>> RegionQueryServer::BatchResolve(
-    const std::vector<GridMask>& regions, QueryStrategy strategy,
-    const BatchOptions& options) const {
-  std::vector<Result<ResolvedQuery>> results(
-      regions.size(), Status::Internal("batch entry not evaluated"));
-  query_internal::RunSharded(
-      options.pool, options.num_threads,
-      static_cast<int64_t>(regions.size()),
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          auto resolved = ResolveCached(regions[static_cast<size_t>(i)],
-                                        strategy, options.cache);
-          if (resolved.ok()) {
-            results[static_cast<size_t>(i)] = **resolved;
-          } else {
-            results[static_cast<size_t>(i)] = resolved.status();
-          }
-        }
-      });
-  return results;
-}
-
-std::vector<Result<QueryResponse>> RegionQueryServer::BatchPredict(
-    const std::vector<BatchQuery>& queries, QueryStrategy strategy,
-    const BatchOptions& options) const {
-  // Thin shim over the composable path: the legacy batch adapter keeps
-  // one row and one cache probe per (region, t) pair, so the observable
-  // cache statistics and per-query failure semantics are unchanged.
-  QueryPlanner planner(hierarchy_);
-  auto plan = planner.PlanBatch(queries, strategy);
-  O4A_CHECK(plan.ok()) << plan.status().ToString();
-  QueryExecutorOptions exec_options;
-  exec_options.num_threads = options.num_threads;
-  exec_options.pool = options.pool;
-  exec_options.cache = options.cache;
-  exec_options.generation = options.generation;
-  QueryResult executed = QueryExecutor(this).Execute(*plan, exec_options);
-  std::vector<Result<QueryResponse>> results;
-  results.reserve(executed.rows.size());
-  for (auto& row : executed.rows) {
-    results.push_back(query_internal::RowToResponse(std::move(row)));
-  }
-  return results;
 }
 
 }  // namespace one4all

@@ -20,7 +20,6 @@ namespace one4all {
 
 class ResolvedQueryCache;  // query/resolved_query_cache.h
 struct RegionFingerprint;  // query/resolved_query_cache.h
-class ThreadPool;          // core/thread_pool.h
 
 /// \brief A region query resolved to signed grid terms (time-independent).
 struct ResolvedQuery {
@@ -57,37 +56,13 @@ struct QueryResponse {
   bool from_cache = false;
 };
 
-/// \brief One (region, time) query of a batch.
-struct BatchQuery {
-  GridMask region;
-  int64_t t = 0;
-};
-
-/// \brief Execution knobs for BatchPredict / BatchResolve.
-struct BatchOptions {
-  /// Worker threads when `pool` is null: 1 runs on the calling thread,
-  /// 0 fans out over the process-wide ThreadPool::Shared() (the same
-  /// worker set the tensor kernels use), > 1 spins up a per-call pool.
-  int num_threads = 1;
-  /// Optional shared pool (overrides num_threads); must outlive the call.
-  ThreadPool* pool = nullptr;
-  /// Optional resolve cache shared across calls; must outlive the call.
-  ResolvedQueryCache* cache = nullptr;
-  /// Prediction-store generation every frame read of the batch goes
-  /// through. The serving runtime pins an epoch (serve/epoch_manager.h)
-  /// for the duration of the batch and passes its generation here, so
-  /// the whole batch observes one consistent frame set. 0 is the static
-  /// generation the offline harness syncs into.
-  int64_t generation = 0;
-};
-
 /// \brief The online serving component.
 ///
 /// Resolve / EvaluateTerms are the primitive operations; the composable
 /// query path (query/query_spec.h -> query/query_planner.h ->
 /// query/query_executor.h) builds every question shape out of them.
-/// Predict and BatchPredict are kept as thin shims over that path — same
-/// results bit-for-bit, same per-query failure semantics.
+/// Predict is a thin point-in-time shim over that path (same value
+/// bit-for-bit).
 class RegionQueryServer {
  public:
   /// \param hierarchy,index,store Must outlive the server.
@@ -141,22 +116,6 @@ class RegionQueryServer {
       const GridMask& region, QueryStrategy strategy,
       const RegionFingerprint& fingerprint, ResolvedQueryCache* cache,
       bool* cache_hit = nullptr) const;
-
-  /// \brief Resolves many regions, fanned out across `options` threads.
-  /// results[i] corresponds to regions[i]; per-query failures do not
-  /// abort the batch.
-  std::vector<Result<ResolvedQuery>> BatchResolve(
-      const std::vector<GridMask>& regions, QueryStrategy strategy,
-      const BatchOptions& options = {}) const;
-
-  /// \brief Answers many (region, t) queries concurrently. Beyond the
-  /// fan-out, each worker chunk memoizes prediction frames per
-  /// (layer, t), so a frame is deserialized at most once per chunk (a
-  /// few chunks per worker) instead of once per combination term.
-  /// results[i] corresponds to queries[i].
-  std::vector<Result<QueryResponse>> BatchPredict(
-      const std::vector<BatchQuery>& queries, QueryStrategy strategy,
-      const BatchOptions& options = {}) const;
 
  private:
   const Hierarchy* hierarchy_;

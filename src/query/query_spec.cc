@@ -28,7 +28,6 @@ const char* QuerySpecKindName(QuerySpecKind kind) {
     case QuerySpecKind::kTimeRange: return "TimeRange";
     case QuerySpecKind::kMultiRegion: return "MultiRegion";
     case QuerySpecKind::kTopK: return "TopK";
-    case QuerySpecKind::kPointBatch: return "PointBatch";
   }
   return "?";
 }
@@ -135,9 +134,7 @@ std::string QuerySpec::ToString() const {
   if (kind == QuerySpecKind::kTopK) out << " k=" << top_k;
   out << " over " << regions.size()
       << (regions.size() == 1 ? " region" : " regions");
-  if (kind == QuerySpecKind::kPointBatch) {
-    out << " @ per-row timesteps";
-  } else if (time.IsPoint()) {
+  if (time.IsPoint()) {
     out << " @ t=" << time.t0;
   } else {
     out << " @ t=" << time.t0 << ".." << time.t1 << " agg="

@@ -3,8 +3,8 @@
 // aggregation and ranking options — independent of *how* it runs. The
 // QueryPlanner (query/query_planner.h) compiles a spec into an executable
 // plan; the QueryExecutor (query/query_executor.h) runs the plan through
-// the resolve-cache / epoch-pin / frame-memoization machinery. The legacy
-// Predict/BatchPredict surface survives as thin shims over this path.
+// the resolve-cache / epoch-pin / frame-memoization machinery.
+// RegionQueryServer::Predict is a thin point-in-time shim over this path.
 #ifndef ONE4ALL_QUERY_QUERY_SPEC_H_
 #define ONE4ALL_QUERY_QUERY_SPEC_H_
 
@@ -32,7 +32,7 @@ const char* QueryStrategyName(QueryStrategy strategy);
 /// \brief How the executor turns resolved terms into values.
 enum class EvalPath {
   /// The PR-4 per-term loop: one signed frame read per combination term,
-  /// in term order. Bit-exact with the legacy Predict/BatchPredict
+  /// in term order. Bit-exact with RegionQueryServer::Predict's
   /// arithmetic — the regression-pinning reference, and the default.
   kExactCellLoop,
   /// The gather engine: rect-decomposable term groups collapse to
@@ -47,19 +47,16 @@ enum class EvalPath {
 
 const char* EvalPathName(EvalPath path);
 
-/// \brief The question shapes the query layer understands. The first four
-/// are the client-facing spec constructors; kPointBatch is the internal
-/// shape the legacy BatchPredict surface compiles to (arbitrary
-/// (region, t) pairs, one per row).
+/// \brief The question shapes the query layer understands, one per spec
+/// constructor.
 enum class QuerySpecKind {
   kPointInTime,  ///< one region's value at one timestep (paper semantics)
   kTimeRange,    ///< one region aggregated over [t0, t1]
   kMultiRegion,  ///< many regions at one time selector, one batch
   kTopK,         ///< rank regions by (aggregated) predicted value
-  kPointBatch,   ///< legacy adapter: independent (region, t) rows
 };
 
-constexpr int kNumQuerySpecKinds = 5;
+constexpr int kNumQuerySpecKinds = 4;
 
 const char* QuerySpecKindName(QuerySpecKind kind);
 
@@ -93,9 +90,7 @@ const char* TimeAggregationName(TimeAggregation agg);
 struct QuerySpec {
   QuerySpecKind kind = QuerySpecKind::kPointInTime;
   /// The region set. Point/range shapes use exactly one entry; grouped
-  /// and top-k shapes any positive number. kPointBatch plans do not own
-  /// regions at all — the batch adapter borrows the caller's (see
-  /// QueryPlan::borrowed_regions).
+  /// and top-k shapes any positive number.
   std::vector<GridMask> regions;
   TimeSelector time;
   TimeAggregation aggregation = TimeAggregation::kSum;

@@ -139,7 +139,6 @@ class EngineRun {
     verdict_.seed = spec_.seed;
 
     ServingRuntimeOptions options;
-    options.strategy = spec_.serving.strategy;
     options.max_inflight_queries = spec_.serving.max_inflight;
     // Rows execute on the engine thread — the virtual clock is the only
     // scheduler, which is what keeps counters reproducible.
@@ -438,13 +437,12 @@ class EngineRun {
     const QueryStrategy strategy = spec_.serving.strategy;
     const int64_t window_end = start_t_ + spec_.ingest.steps - 1;
 
-    // Cumulative-fraction dispatch over the five shapes, skipping
+    // Cumulative-fraction dispatch over the four shapes, skipping
     // zero-weight ones entirely: a draw landing past the cumulative sum
     // through double rounding clamps to the last positive-weight shape,
     // so a shape the spec excluded can never be issued.
     const double weights[kNumQuerySpecKinds] = {
-        mix.point, mix.time_range, mix.multi_region, mix.top_k,
-        mix.point_batch};
+        mix.point, mix.time_range, mix.multi_region, mix.top_k};
     int pick = -1, last_positive = 0;
     double cumulative = 0.0;
     for (int s = 0; s < kNumQuerySpecKinds; ++s) {
@@ -506,49 +504,7 @@ class EngineRun {
                          indices, t, t, latest);
         break;
       }
-      case QuerySpecKind::kPointBatch:
-        IssuePointBatch(latest);
-        break;
     }
-  }
-
-  /// The legacy QueryBatch surface rides along in the mix so regressions
-  /// in the shim path show up in the matrix too.
-  void IssuePointBatch(int64_t latest_at_issue) {
-    ShapeOutcome& shape =
-        verdict_.shapes[static_cast<size_t>(QuerySpecKind::kPointBatch)];
-    ++shape.issued;
-    std::vector<BatchQuery> batch(
-        static_cast<size_t>(spec_.mix.batch_size));
-    std::vector<int64_t> indices(batch.size());
-    std::vector<int64_t> times(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      indices[i] = SampleRegion();
-      times[i] = SampleT();
-      batch[i].region = world_.regions[static_cast<size_t>(indices[i])];
-      batch[i].t = times[i];
-    }
-    auto result = runtime_->QueryBatch(batch);
-    if (!result.ok()) {
-      RecordSpecFailure(QuerySpecKind::kPointBatch, result.status());
-      return;
-    }
-    bool any_row_failed = false;
-    for (size_t i = 0; i < result.ValueOrDie().size(); ++i) {
-      const auto& row = result.ValueOrDie()[i];
-      if (!row.ok()) {
-        ++verdict_.rows_failed;
-        any_row_failed = true;
-        continue;
-      }
-      ++verdict_.rows_ok;
-      RecordValue(row.ValueOrDie().value,
-                  RegionTruth(*world_.dataset,
-                              world_.regions[static_cast<size_t>(indices[i])],
-                              times[i]));
-      RecordStaleness(latest_at_issue, times[i]);
-    }
-    any_row_failed ? ++shape.failed : ++shape.ok;
   }
 
   /// A deliberately over-budget probe: one region over max_inflight + 1

@@ -297,12 +297,9 @@ Status ParseMix(const JsonValue& v, ScenarioMix* out) {
   O4A_RETURN_NOT_OK(
       reader.GetDouble("multi_region", &out->multi_region, 0.0, 1.0));
   O4A_RETURN_NOT_OK(reader.GetDouble("top_k", &out->top_k, 0.0, 1.0));
-  O4A_RETURN_NOT_OK(
-      reader.GetDouble("point_batch", &out->point_batch, 0.0, 1.0));
   O4A_RETURN_NOT_OK(reader.GetInt("range_len", &out->range_len, 1, 100000));
   O4A_RETURN_NOT_OK(reader.GetInt("group_size", &out->group_size, 1, 4096));
   O4A_RETURN_NOT_OK(reader.GetInt("k", &out->k, 1, 4096));
-  O4A_RETURN_NOT_OK(reader.GetInt("batch_size", &out->batch_size, 1, 65536));
   int aggregation = static_cast<int>(out->aggregation);
   O4A_RETURN_NOT_OK(
       reader.GetEnum("aggregation", {"sum", "mean", "max"}, &aggregation));
@@ -348,8 +345,8 @@ Status ScenarioSpec::Validate() const {
   if (name.empty()) {
     return Status::InvalidArgument("scenario name must not be empty");
   }
-  const double total = mix.point + mix.time_range + mix.multi_region +
-                       mix.top_k + mix.point_batch;
+  const double total =
+      mix.point + mix.time_range + mix.multi_region + mix.top_k;
   if (std::abs(total - 1.0) > 1e-6) {
     std::ostringstream msg;
     msg << "mix fractions must sum to 1.0, got " << total;

@@ -100,11 +100,9 @@ struct ScenarioMix {
   double time_range = 0.0;
   double multi_region = 0.0;
   double top_k = 0.0;
-  double point_batch = 0.0;  ///< legacy QueryBatch surface
-  int64_t range_len = 4;     ///< time-range span in timesteps
-  int64_t group_size = 4;    ///< regions per multi-region / top-k spec
-  int64_t k = 3;             ///< top-k cut
-  int64_t batch_size = 8;    ///< queries per legacy batch
+  int64_t range_len = 4;   ///< time-range span in timesteps
+  int64_t group_size = 4;  ///< regions per multi-region / top-k spec
+  int64_t k = 3;           ///< top-k cut
   TimeAggregation aggregation = TimeAggregation::kSum;
 };
 

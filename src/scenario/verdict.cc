@@ -38,7 +38,6 @@ const char* ShapeKey(int kind) {
     case QuerySpecKind::kTimeRange: return "time_range";
     case QuerySpecKind::kMultiRegion: return "multi_region";
     case QuerySpecKind::kTopK: return "top_k";
-    case QuerySpecKind::kPointBatch: return "point_batch";
   }
   return "?";
 }

@@ -3,7 +3,7 @@
 // stages the full multi-scale frame set of the next timestep under an
 // unpublished shadow generation of the PredictionStore, then publishes
 // it atomically. Readers pin the published epoch for the duration of a
-// batch via the RAII EpochGuard and route every frame read through that
+// query via the RAII EpochGuard and route every frame read through that
 // generation, so they never observe a torn, half-synced timestep; a
 // superseded epoch's frames are reclaimed from the KV store once its
 // last reader unpins.
@@ -48,7 +48,8 @@ struct FrameEpochManagerOptions {
 
 /// \brief RAII pin on one published epoch. While alive, every frame of
 /// that epoch's generation stays readable (reclamation is deferred);
-/// generation() is what a batch passes as BatchOptions::generation.
+/// generation() is what a query passes as
+/// QueryExecutorOptions::generation.
 class EpochGuard {
  public:
   EpochGuard() = default;  ///< unpinned guard

@@ -133,48 +133,6 @@ void ServingRuntime::ReleaseQueries(int64_t cost) {
   inflight_.fetch_sub(cost, std::memory_order_acq_rel);
 }
 
-Result<std::vector<Result<QueryResponse>>> ServingRuntime::QueryBatch(
-    const std::vector<BatchQuery>& queries) {
-  EndToEndTimer e2e(&telemetry_.query_e2e);
-  const int64_t n = static_cast<int64_t>(queries.size());
-  TraceContext trace_ctx = trace_->StartTrace(SpanCategory::kQuery);
-  ScopedSpan query_span(&trace_ctx, SpanName::kQuery, n);
-  Status admitted;
-  {
-    ScopedSpan admission_span(&trace_ctx, SpanName::kAdmission, n);
-    admitted = AdmitQueries(n, n);
-  }
-  O4A_RETURN_NOT_OK(admitted);
-  telemetry_.CountSpec(QuerySpecKind::kPointBatch);
-
-  Result<QueryPlan> plan = Status::Internal("not planned");
-  {
-    ScopedSpan plan_span(&trace_ctx, SpanName::kPlan, n);
-    plan = QueryPlanner(hierarchy_).PlanBatch(queries, options_.strategy);
-  }
-  if (!plan.ok()) {
-    ReleaseQueries(n);
-    return plan.status();
-  }
-  QueryResult result = ExecutePinned(*plan, PinShards(&trace_ctx),
-                                     &trace_ctx);
-  ReleaseQueries(n);
-  RecordRowOutcomes(result.rows);
-  std::vector<Result<QueryResponse>> responses;
-  responses.reserve(result.rows.size());
-  for (Result<QueryRow>& row : result.rows) {
-    responses.push_back(query_internal::RowToResponse(std::move(row)));
-  }
-  return responses;
-}
-
-Result<QueryResponse> ServingRuntime::Query(const GridMask& region,
-                                            int64_t t) {
-  O4A_ASSIGN_OR_RETURN(std::vector<Result<QueryResponse>> results,
-                       QueryBatch({BatchQuery{region, t}}));
-  return results[0];
-}
-
 Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
   EndToEndTimer e2e(&telemetry_.query_e2e);
   const int64_t num_rows = static_cast<int64_t>(spec.regions.size());

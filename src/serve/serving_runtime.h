@@ -1,7 +1,7 @@
 // The online serving runtime façade (paper Sec. III, grown into a real
 // continuously-running service): composes the stream ingestor, the
 // epoch-versioned shard set (one shard by default, N row bands when
-// sharded) and the region query server behind one object. Query batches
+// sharded) and the region query server behind one object. Query specs
 // are admission-controlled (bounded in-flight budget, reject-with-Status
 // on overload), pin every shard's epoch for their whole duration (never
 // observing torn half-synced timesteps), share resolve caches that
@@ -25,12 +25,11 @@
 namespace one4all {
 
 struct ServingRuntimeOptions {
-  QueryStrategy strategy = QueryStrategy::kUnionSubtraction;
-  /// Admission control: a batch is rejected outright (ResourceExhausted)
-  /// when admitting it would push the in-flight query count past this.
+  /// Admission control: a spec is rejected outright (ResourceExhausted)
+  /// when admitting it would push the in-flight gather count past this.
   int64_t max_inflight_queries = 4096;
-  /// Worker threads per batch (BatchOptions semantics: 0 = shared pool,
-  /// 1 = caller's thread, > 1 = per-call pool).
+  /// Worker threads per spec (QueryExecutorOptions::num_threads: 0 =
+  /// shared pool, 1 = caller's thread, > 1 = per-call pool).
   int num_query_threads = 0;
   /// Carry-forward retention horizon in timesteps; see
   /// FrameEpochManagerOptions::retain_timesteps. The default 0 keeps
@@ -65,7 +64,7 @@ struct ServingRuntimeOptions {
 };
 
 /// \brief One4All-ST online serving: streaming ingestion + epoch-
-/// versioned frames + concurrent batched region queries.
+/// versioned frames + concurrent region-query specs.
 class ServingRuntime {
  public:
   /// \param hierarchy,index,dataset Must outlive the runtime. `index` is
@@ -83,23 +82,11 @@ class ServingRuntime {
   /// \brief Stops ingestion (joins the background thread).
   void Stop();
 
-  /// \brief Answers a batch of (region, t) queries against one pinned
-  /// epoch. The whole batch is rejected with ResourceExhausted when it
-  /// would exceed the in-flight budget; per-query failures (e.g. a
-  /// timestep no published epoch covers yet) surface as that entry's
-  /// Status without aborting anything. Counted as a kPointBatch spec;
-  /// uses options().strategy.
-  Result<std::vector<Result<QueryResponse>>> QueryBatch(
-      const std::vector<BatchQuery>& queries);
-
-  /// \brief Single-query convenience over the same admission/pin path.
-  Result<QueryResponse> Query(const GridMask& region, int64_t t);
-
-  /// \brief Composable entry point: plans and executes a typed QuerySpec
-  /// (point / time-range / multi-region / top-k) through the same
-  /// admission-control, epoch-pin and resolve-cache machinery as
-  /// QueryBatch. The spec's own strategy is honored (factories default
-  /// to Union & Subtraction). Admission cost is the plan's total
+  /// \brief The one query entry point: plans and executes a typed
+  /// QuerySpec (point / time-range / multi-region / top-k) under
+  /// admission control, one cross-shard epoch pin and the shards'
+  /// resolve caches. The spec's own strategy is honored (factories
+  /// default to Union & Subtraction). Admission cost is the plan's total
   /// (region, t) gather count; an over-budget spec is rejected whole
   /// with ResourceExhausted, an invalid one with InvalidArgument. Row
   /// latencies and per-kind spec counts land in the telemetry block.
@@ -147,9 +134,8 @@ class ServingRuntime {
   /// \brief PinAll under a kEpochPin span (arg: shard 0's generation).
   ShardPinSet PinShards(TraceContext* trace);
 
-  /// \brief The query step every entry point shares: run `plan` through
-  /// QueryExecutor over every shard's store, generation in `pins` and
-  /// cache, return the result.
+  /// \brief Runs `plan` through QueryExecutor over every shard's store,
+  /// generation in `pins` and cache, and returns the result.
   QueryResult ExecutePinned(const QueryPlan& plan, const ShardPinSet& pins,
                             TraceContext* trace);
 
@@ -166,7 +152,7 @@ class ServingRuntime {
   ShardSet shards_;
 
   // The server is swapped whole on SwapIndex; queries hold the shared
-  // side for the duration of a batch. It only resolves (decompose +
+  // side for the duration of a spec. It only resolves (decompose +
   // index); frame reads go to the shard stores under the pin set.
   mutable std::shared_mutex server_mu_;
   std::unique_ptr<RegionQueryServer> server_;

@@ -13,10 +13,10 @@ ServingTelemetry::ServingTelemetry() {
                             "Queries refused by admission control", "",
                             &queries_rejected);
   registry_.RegisterCounter("one4all_batches_admitted",
-                            "Query batches past admission control", "",
+                            "Query specs past admission control", "",
                             &batches_admitted);
   registry_.RegisterCounter("one4all_batches_rejected",
-                            "Query batches refused by admission control",
+                            "Query specs refused by admission control",
                             "", &batches_rejected);
   registry_.RegisterCounter("one4all_epochs_published",
                             "Epochs atomically published", "",

@@ -42,7 +42,7 @@ struct ServingTelemetrySnapshot {
   /// timestep retried — readers never saw any of it.
   int64_t publish_failures = 0;
   /// Executed specs by QuerySpecKind (point / range / multi-region /
-  /// top-k / legacy batch), indexed by static_cast<int>(kind).
+  /// top-k), indexed by static_cast<int>(kind).
   std::array<int64_t, kNumQuerySpecKinds> specs_by_kind{};
   double query_p50_micros = 0.0;  ///< per-query response time (paper sense)
   double query_p99_micros = 0.0;
@@ -92,13 +92,12 @@ class ServingTelemetry {
   Counter stage_dirty_tiles;
   Counter cow_shared_tiles;
   Counter publish_failures;
-  /// Executed specs by QuerySpecKind (legacy QueryBatch counts as
-  /// kPointBatch), indexed by static_cast<int>(kind).
+  /// Executed specs by QuerySpecKind, indexed by static_cast<int>(kind).
   std::array<Counter, kNumQuerySpecKinds> specs_by_kind{};
   /// Per-row response micros in the paper's sense: the resolve-cache
   /// probe on a hit, decompose + index on a miss.
   LatencyHistogram query_latency;
-  /// Per-call micros of ExecuteSpec / QueryBatch from entry to return:
+  /// Per-call micros of ExecuteSpec from entry to return:
   /// plan, admission, epoch pin, resolve, gather, fold and rank.
   LatencyHistogram query_e2e;
   LatencyHistogram publish_latency;  ///< per-epoch stage+publish micros

@@ -17,14 +17,11 @@ int ShardRouter::HomeShard(const GridMask& region) const {
 }
 
 std::string ShardRouter::DescribeSplit(const QueryPlan& plan) const {
-  const size_t num_slots = plan.borrowed_regions.empty()
-                               ? plan.slot_regions.size()
-                               : plan.borrowed_regions.size();
   std::ostringstream out;
   out << "  4. shard scatter: " << map_->num_shards()
       << " band shards, terms evaluated by cell owner, series re-folded"
          " in canonical term order\n";
-  for (size_t s = 0; s < num_slots; ++s) {
+  for (size_t s = 0; s < plan.slot_regions.size(); ++s) {
     const GridMask& region = plan.RegionForSlot(static_cast<int>(s));
     const std::vector<int64_t> split = map_->SplitRegionCells(region);
     out << "     slot " << s << ": home shard " << HomeShard(region)

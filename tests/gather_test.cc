@@ -478,30 +478,28 @@ TEST(GatherFastPathTest, ResidueOnlyRowsFailNotFoundOnMissingFrames) {
             StatusCode::kNotFound);
 }
 
-TEST(GatherFastPathTest, ExactCellLoopStaysBitExactWithLegacySurface) {
-  // The PR-4 regression pin, restated against the explicit flag: a spec
-  // forced onto kExactCellLoop reproduces BatchPredict bit-for-bit even
-  // though the flat-vector memo replaced the std::map one.
+TEST(GatherFastPathTest, ExactCellLoopStaysBitExactWithPredict) {
+  // The PR-4 regression pin, restated against the explicit flag: a
+  // MultiRegion spec forced onto kExactCellLoop reproduces Predict
+  // bit-for-bit row by row, even though the flat-vector memo replaced
+  // the std::map one.
   GatherFixture fx;
   const auto regions = fx.MixedRegions();
-  std::vector<BatchQuery> queries;
-  for (const GridMask& region : regions) {
-    for (int64_t t : fx.pipeline->test_timesteps()) {
-      queries.push_back(BatchQuery{region, t});
-    }
-  }
-  const auto legacy = fx.server().BatchPredict(
-      queries, QueryStrategy::kUnionSubtraction);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    QuerySpec spec = QuerySpec::PointInTime(queries[i].region,
-                                            queries[i].t);
+  for (int64_t t : fx.pipeline->test_timesteps()) {
+    QuerySpec spec = QuerySpec::MultiRegion(regions, t);
     spec.eval_path = EvalPath::kExactCellLoop;
     auto plan = fx.planner().Plan(spec);
     ASSERT_TRUE(plan.ok());
     const QueryResult result = fx.executor().Execute(*plan);
-    ASSERT_TRUE(legacy[i].ok());
-    ASSERT_TRUE(result.rows[0].ok());
-    EXPECT_EQ(result.rows[0]->value, legacy[i]->value) << "query " << i;
+    ASSERT_EQ(result.rows.size(), regions.size());
+    for (size_t i = 0; i < regions.size(); ++i) {
+      const auto reference = fx.server().Predict(
+          regions[i], t, QueryStrategy::kUnionSubtraction);
+      ASSERT_TRUE(reference.ok());
+      ASSERT_TRUE(result.rows[i].ok());
+      EXPECT_EQ(result.rows[i]->value, reference->value)
+          << "region " << i << " t=" << t;
+    }
   }
 }
 

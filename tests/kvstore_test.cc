@@ -1,10 +1,9 @@
-// Tests for the KV store (HBase/Hive stand-in) and the prediction store.
+// Tests for the prediction store (the generation-keyed frame/plane store).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 
-#include "kvstore/kvstore.h"
 #include "kvstore/prediction_store.h"
 #include "test_util.h"
 
@@ -12,78 +11,6 @@ namespace one4all {
 namespace {
 
 using testing::MaterializedFrameAt;
-
-TEST(KvStoreTest, PutGetDelete) {
-  KvStore store;
-  store.Put("a", "1");
-  ASSERT_TRUE(store.Get("a").ok());
-  EXPECT_EQ(*store.Get("a"), "1");
-  EXPECT_TRUE(store.Contains("a"));
-  ASSERT_TRUE(store.Delete("a").ok());
-  EXPECT_FALSE(store.Contains("a"));
-  EXPECT_EQ(store.Get("a").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(store.Delete("a").code(), StatusCode::kNotFound);
-}
-
-TEST(KvStoreTest, PutOverwrites) {
-  KvStore store;
-  store.Put("k", "v1");
-  store.Put("k", "v2");
-  EXPECT_EQ(*store.Get("k"), "v2");
-  EXPECT_EQ(store.NumKeys(), 1u);
-}
-
-TEST(KvStoreTest, ScanPrefixOrdered) {
-  KvStore store;
-  store.Put("pred/01/5", "a");
-  store.Put("pred/01/3", "b");
-  store.Put("pred/02/1", "c");
-  store.Put("other", "d");
-  const auto scan = store.ScanPrefix("pred/01/");
-  ASSERT_EQ(scan.size(), 2u);
-  EXPECT_EQ(scan[0].first, "pred/01/3");
-  EXPECT_EQ(scan[1].first, "pred/01/5");
-}
-
-TEST(KvStoreTest, CountAndDeletePrefix) {
-  KvStore store;
-  store.Put("a/1", "x");
-  store.Put("a/2", "y");
-  store.Put("ab/1", "z");
-  store.Put("b/1", "w");
-  EXPECT_EQ(store.CountPrefix("a/"), 2u);
-  EXPECT_EQ(store.CountPrefix("a"), 3u);
-  EXPECT_EQ(store.CountPrefix("c"), 0u);
-  EXPECT_EQ(store.DeletePrefix("a/"), 2u);
-  EXPECT_EQ(store.NumKeys(), 2u);
-  EXPECT_TRUE(store.Contains("ab/1"));
-  EXPECT_TRUE(store.Contains("b/1"));
-  EXPECT_EQ(store.DeletePrefix("c"), 0u);
-}
-
-TEST(KvStoreTest, ApproxBytesAndClear) {
-  KvStore store;
-  store.Put("ab", "cdef");
-  EXPECT_EQ(store.ApproxBytes(), 6);
-  store.Clear();
-  EXPECT_EQ(store.NumKeys(), 0u);
-  EXPECT_EQ(store.ApproxBytes(), 0);
-}
-
-TEST(KvStoreTest, ConcurrentWritersAreSafe) {
-  KvStore store;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&store, t] {
-      for (int i = 0; i < 200; ++i) {
-        store.Put("k" + std::to_string(t) + "_" + std::to_string(i),
-                  std::to_string(i));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(store.NumKeys(), 800u);
-}
 
 TEST(PredictionStoreTest, FrameRoundTrip) {
   PredictionStore store;

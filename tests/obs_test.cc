@@ -441,7 +441,9 @@ TEST(SpanTreeTest, ChildrenNestWithinParents) {
 
   GridMask region(8, 8);
   region.FillRect(1, 1, 5, 5);
-  ASSERT_TRUE(runtime.Query(region, slots.front()).ok());
+  ASSERT_TRUE(
+      runtime.ExecuteSpec(QuerySpec::PointInTime(region, slots.front()))
+          .ok());
   auto spec_result = runtime.ExecuteSpec(QuerySpec::TimeRange(
       region, slots.front(), slots.front() + 1, TimeAggregation::kMean,
       QueryStrategy::kUnionSubtraction));

@@ -1,6 +1,7 @@
-// Tests for the concurrent batch region-query engine: BatchPredict /
-// BatchResolve parity with the sequential path, the sharded LRU
-// ResolvedQueryCache, and the ThreadPool substrate.
+// Tests for the concurrent grouped region-query path: MultiRegion specs
+// run by a pooled QueryExecutor against the sequential Predict, resolve
+// cache reuse across timesteps, the sharded LRU ResolvedQueryCache, and
+// the ThreadPool substrate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,8 @@
 
 #include "core/thread_pool.h"
 #include "eval/task_eval.h"
+#include "query/query_executor.h"
+#include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
 #include "test_util.h"
 
@@ -34,19 +37,26 @@ struct BatchFixture {
     pipeline = MauPipeline::Build(&oracle, ds, SearchOptions{});
   }
 
-  /// \brief (region x test-slot) cross product of `num_regions` random
-  /// non-empty masks.
-  std::vector<BatchQuery> MakeQueries(int num_regions,
-                                      uint64_t seed = 700) const {
-    std::vector<BatchQuery> queries;
+  /// \brief `num_regions` random masks, empty ones dropped.
+  std::vector<GridMask> MakeRegions(int num_regions,
+                                    uint64_t seed = 700) const {
+    std::vector<GridMask> regions;
     for (int i = 0; i < num_regions; ++i) {
       const GridMask region = RandomMask(8, 8, seed + i, 350);
-      if (region.Empty()) continue;
-      for (int64_t t : pipeline->test_timesteps()) {
-        queries.push_back(BatchQuery{region, t});
-      }
+      if (!region.Empty()) regions.push_back(region);
     }
-    return queries;
+    return regions;
+  }
+
+  /// \brief Plans and runs one MultiRegion spec over `regions` at `t`.
+  QueryResult Execute(const std::vector<GridMask>& regions, int64_t t,
+                      QueryStrategy strategy,
+                      const QueryExecutorOptions& options = {}) const {
+    auto plan = QueryPlanner(&ds.hierarchy())
+                    .Plan(QuerySpec::MultiRegion(regions, t, strategy));
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return QueryExecutor(&pipeline->server())
+        .Execute(plan.ValueOrDie(), options);
   }
 };
 
@@ -86,95 +96,80 @@ TEST(ThreadPoolTest, ParallelForEmptyAndSingleThread) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(QueryBatchTest, BatchMatchesSequentialAcrossStrategies) {
+TEST(GroupedQueryTest, PooledSpecMatchesSequentialAcrossStrategies) {
   BatchFixture fx;
-  const auto queries = fx.MakeQueries(6);
-  ASSERT_FALSE(queries.empty());
-  const RegionQueryServer& server = fx.pipeline->server();
-  for (QueryStrategy strategy : kAllStrategies) {
-    const auto batch = server.BatchPredict(queries, strategy);
-    ASSERT_EQ(batch.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto sequential =
-          server.Predict(queries[i].region, queries[i].t, strategy);
-      ASSERT_TRUE(sequential.ok());
-      ASSERT_TRUE(batch[i].ok()) << batch[i].status().ToString();
-      // Bitwise equality: the memoized evaluation sums the same floats in
-      // the same order as EvaluateTerms.
-      EXPECT_EQ(batch[i]->value, sequential->value)
-          << QueryStrategyName(strategy) << " query " << i;
-      EXPECT_EQ(batch[i]->num_pieces, sequential->num_pieces);
-      EXPECT_EQ(batch[i]->num_terms, sequential->num_terms);
-      EXPECT_FALSE(batch[i]->from_cache);
-    }
-  }
-}
-
-TEST(QueryBatchTest, MultiThreadedBatchMatchesSingleThreaded) {
-  BatchFixture fx;
-  const auto queries = fx.MakeQueries(8);
+  const auto regions = fx.MakeRegions(8);
+  ASSERT_FALSE(regions.empty());
   const RegionQueryServer& server = fx.pipeline->server();
   ThreadPool pool(4);
+  QueryExecutorOptions pooled;
+  pooled.pool = &pool;
   for (QueryStrategy strategy : kAllStrategies) {
-    const auto single = server.BatchPredict(queries, strategy);
-    BatchOptions options;
-    options.pool = &pool;
-    const auto multi = server.BatchPredict(queries, strategy, options);
-    BatchOptions own_threads;
-    own_threads.num_threads = 3;
-    const auto own = server.BatchPredict(queries, strategy, own_threads);
-    ASSERT_EQ(multi.size(), single.size());
-    ASSERT_EQ(own.size(), single.size());
-    for (size_t i = 0; i < single.size(); ++i) {
-      ASSERT_TRUE(single[i].ok());
-      ASSERT_TRUE(multi[i].ok());
-      ASSERT_TRUE(own[i].ok());
-      EXPECT_EQ(multi[i]->value, single[i]->value);
-      EXPECT_EQ(own[i]->value, single[i]->value);
+    for (int64_t t : fx.pipeline->test_timesteps()) {
+      const QueryResult result = fx.Execute(regions, t, strategy, pooled);
+      ASSERT_EQ(result.rows.size(), regions.size());
+      for (size_t i = 0; i < regions.size(); ++i) {
+        const auto sequential = server.Predict(regions[i], t, strategy);
+        ASSERT_TRUE(sequential.ok());
+        ASSERT_TRUE(result.rows[i].ok())
+            << result.rows[i].status().ToString();
+        // Bitwise equality: the memoized evaluation sums the same floats
+        // in the same order as EvaluateTerms.
+        EXPECT_EQ(result.rows[i]->value, sequential->value)
+            << QueryStrategyName(strategy) << " region " << i << " t=" << t;
+        EXPECT_EQ(result.rows[i]->num_pieces, sequential->num_pieces);
+        EXPECT_EQ(result.rows[i]->num_terms, sequential->num_terms);
+        EXPECT_FALSE(result.rows[i]->from_cache);
+      }
     }
   }
 }
 
-TEST(QueryBatchTest, CachedBatchMatchesAndHits) {
+TEST(GroupedQueryTest, CachedSpecsMatchAndHitAcrossTimesteps) {
   BatchFixture fx;
-  const auto queries = fx.MakeQueries(5);
-  const RegionQueryServer& server = fx.pipeline->server();
-  const auto plain =
-      server.BatchPredict(queries, QueryStrategy::kUnionSubtraction);
-
+  const auto regions = fx.MakeRegions(5);
+  const auto& slots = fx.pipeline->test_timesteps();
+  const int64_t num_probes =
+      static_cast<int64_t>(regions.size() * slots.size());
   ResolvedQueryCache cache;
-  BatchOptions options;
+  QueryExecutorOptions options;
   options.cache = &cache;
-  const auto cached =
-      server.BatchPredict(queries, QueryStrategy::kUnionSubtraction, options);
-  ASSERT_EQ(cached.size(), plain.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    ASSERT_TRUE(cached[i].ok());
-    EXPECT_EQ(cached[i]->value, plain[i]->value);
+  std::vector<QueryResult> plain, cached;
+  for (int64_t t : slots) {
+    plain.push_back(
+        fx.Execute(regions, t, QueryStrategy::kUnionSubtraction));
+    cached.push_back(
+        fx.Execute(regions, t, QueryStrategy::kUnionSubtraction, options));
   }
-  // Each distinct region resolves once; every later time slot hits.
+  for (size_t s = 0; s < slots.size(); ++s) {
+    for (size_t i = 0; i < regions.size(); ++i) {
+      ASSERT_TRUE(cached[s].rows[i].ok());
+      EXPECT_EQ(cached[s].rows[i]->value, plain[s].rows[i]->value);
+    }
+  }
+  // Resolution is time-independent: each region resolves once, and every
+  // later time slot hits.
   const auto stats = cache.Stats();
-  EXPECT_GT(stats.hits, 0);
-  EXPECT_GT(stats.misses, 0);
+  EXPECT_EQ(stats.misses, static_cast<int64_t>(regions.size()));
   EXPECT_EQ(stats.size, static_cast<size_t>(stats.misses));
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<int64_t>(queries.size()));
+  EXPECT_EQ(stats.hits + stats.misses, num_probes);
 
-  // A second pass over the same queries is all hits.
-  const auto again =
-      server.BatchPredict(queries, QueryStrategy::kUnionSubtraction, options);
+  // A second pass over the same specs is all hits.
+  for (size_t s = 0; s < slots.size(); ++s) {
+    const QueryResult again = fx.Execute(
+        regions, slots[s], QueryStrategy::kUnionSubtraction, options);
+    for (size_t i = 0; i < regions.size(); ++i) {
+      ASSERT_TRUE(again.rows[i].ok());
+      EXPECT_EQ(again.rows[i]->value, plain[s].rows[i]->value);
+      EXPECT_TRUE(again.rows[i]->from_cache);
+    }
+  }
   const auto stats2 = cache.Stats();
   EXPECT_EQ(stats2.misses, stats.misses);
-  EXPECT_EQ(stats2.hits,
-            stats.hits + static_cast<int64_t>(queries.size()));
-  for (size_t i = 0; i < again.size(); ++i) {
-    ASSERT_TRUE(again[i].ok());
-    EXPECT_EQ(again[i]->value, plain[i]->value);
-    EXPECT_TRUE(again[i]->from_cache);
-  }
+  EXPECT_EQ(stats2.hits, stats.hits + num_probes);
 }
 
-TEST(QueryBatchTest, ResolveCachedReportsCacheHitOutParam) {
+TEST(GroupedQueryTest, ResolveCachedReportsCacheHitOutParam) {
   BatchFixture fx;
   const GridMask region = RandomMask(8, 8, 4321, 400);
   ASSERT_FALSE(region.Empty());
@@ -202,17 +197,22 @@ TEST(QueryBatchTest, ResolveCachedReportsCacheHitOutParam) {
   // The hit returns the same shared resolution, not a re-resolve.
   EXPECT_EQ(second->get(), first->get());
 
-  // A failing resolve reports no hit either (nullptr out-param is also
-  // legal — exercised implicitly by BatchResolve).
+  // A failing resolve reports no hit either.
   hit = true;
   GridMask empty(8, 8);
   auto failed = server.ResolveCached(
       empty, QueryStrategy::kUnionSubtraction, &cache, &hit);
   EXPECT_FALSE(failed.ok());
   EXPECT_FALSE(hit);
+
+  // The out-param is optional.
+  auto no_out_param = server.ResolveCached(
+      region, QueryStrategy::kUnionSubtraction, &cache);
+  ASSERT_TRUE(no_out_param.ok());
+  EXPECT_EQ(no_out_param->get(), first->get());
 }
 
-TEST(QueryBatchTest, CacheKeysDistinguishStrategiesForSameMask) {
+TEST(GroupedQueryTest, CacheKeysDistinguishStrategiesForSameMask) {
   BatchFixture fx;
   // A multi-cell region so Direct / Union / Union&Subtraction genuinely
   // resolve to different term lists.
@@ -271,7 +271,7 @@ TEST(ResolvedQueryCacheTest, ResetStatsKeepsEntries) {
   EXPECT_EQ(cache.Stats().hits, 1);
 }
 
-TEST(QueryBatchTest, StrategiesDoNotShareCacheEntries) {
+TEST(GroupedQueryTest, StrategiesDoNotShareCacheEntries) {
   BatchFixture fx;
   const GridMask region = RandomMask(8, 8, 1234, 400);
   ASSERT_FALSE(region.Empty());
@@ -284,51 +284,6 @@ TEST(QueryBatchTest, StrategiesDoNotShareCacheEntries) {
     EXPECT_FALSE(hit) << QueryStrategyName(strategy);
   }
   EXPECT_EQ(cache.Size(), 3u);
-}
-
-TEST(QueryBatchTest, ErrorsStayPerQuery) {
-  BatchFixture fx;
-  std::vector<BatchQuery> queries = fx.MakeQueries(2);
-  ASSERT_GE(queries.size(), 2u);
-  BatchQuery bad;
-  bad.region = GridMask(3, 3);  // wrong extents
-  bad.region.Set(0, 0, true);
-  bad.t = queries[0].t;
-  queries.insert(queries.begin() + 1, bad);
-  const auto results =
-      fx.pipeline->server().BatchPredict(queries, QueryStrategy::kUnion);
-  ASSERT_EQ(results.size(), queries.size());
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(results[2].ok());
-}
-
-TEST(QueryBatchTest, BatchResolveMatchesResolve) {
-  BatchFixture fx;
-  std::vector<GridMask> regions;
-  for (int i = 0; i < 6; ++i) {
-    const GridMask region = RandomMask(8, 8, 40 + i, 380);
-    if (!region.Empty()) regions.push_back(region);
-  }
-  ASSERT_FALSE(regions.empty());
-  const RegionQueryServer& server = fx.pipeline->server();
-  BatchOptions options;
-  options.num_threads = 2;
-  const auto batch =
-      server.BatchResolve(regions, QueryStrategy::kUnionSubtraction, options);
-  ASSERT_EQ(batch.size(), regions.size());
-  for (size_t i = 0; i < regions.size(); ++i) {
-    const auto sequential =
-        server.Resolve(regions[i], QueryStrategy::kUnionSubtraction);
-    ASSERT_TRUE(sequential.ok());
-    ASSERT_TRUE(batch[i].ok());
-    ASSERT_EQ(batch[i]->terms.size(), sequential->terms.size());
-    for (size_t k = 0; k < sequential->terms.size(); ++k) {
-      EXPECT_EQ(batch[i]->terms[k], sequential->terms[k]);
-    }
-    EXPECT_EQ(batch[i]->num_pieces, sequential->num_pieces);
-  }
 }
 
 TEST(ResolvedQueryCacheTest, EvictsLeastRecentlyUsed) {

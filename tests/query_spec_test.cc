@@ -1,6 +1,6 @@
 // Tests for the composable query API: QuerySpec validation, planner
 // compilation (dedup, row/timestep layout), executor parity with the
-// legacy Predict/BatchPredict surface (bit-exact), time-range
+// sequential Resolve + EvaluateTerms loop (bit-exact), time-range
 // aggregation, grouped cache probes, top-k ranking, per-row failure
 // isolation, and the ServingRuntime::ExecuteSpec admission/telemetry
 // path.
@@ -83,11 +83,11 @@ TEST(QuerySpecTest, ValidationCatchesStructuralErrors) {
   EXPECT_EQ(planner.Plan(QuerySpec::TopK({ok}, 0, 0)).status().code(),
             StatusCode::kInvalidArgument);  // k < 1
 
-  QuerySpec batch_through_plan;
-  batch_through_plan.kind = QuerySpecKind::kPointBatch;
-  batch_through_plan.regions.push_back(ok);
-  EXPECT_EQ(planner.Plan(batch_through_plan).status().code(),
-            StatusCode::kInvalidArgument);  // PlanBatch-only shape
+  // One malformed region fails the whole grouped spec.
+  EXPECT_EQ(planner.Plan(QuerySpec::MultiRegion({ok, wrong_size, ok}, 0))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 
   EXPECT_TRUE(planner.Plan(QuerySpec::PointInTime(ok, 0)).ok());
 }
@@ -142,58 +142,35 @@ TEST(QueryPlannerTest, RangePlanGathersEveryTimestep) {
   EXPECT_EQ(plan->num_point_queries(), 8);
 }
 
-TEST(QueryPlannerTest, BatchPlanKeepsOneSlotPerRow) {
-  SpecFixture fx;
-  auto regions = fx.SomeRegions(2);
-  std::vector<BatchQuery> queries = {{regions[0], 80},
-                                     {regions[0], 81},
-                                     {regions[1], 80}};
-  auto plan = fx.planner().PlanBatch(queries,
-                                     QueryStrategy::kUnionSubtraction);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->spec.kind, QuerySpecKind::kPointBatch);
-  // No dedup: the legacy surface's per-query cache probes are contract.
-  EXPECT_EQ(plan->slot_regions.size(), 3u);
-  ASSERT_EQ(plan->rows.size(), 3u);
-  EXPECT_EQ(plan->rows[1].t0, 81);
-  EXPECT_EQ(plan->rows[1].t1, 81);
-  // Batch plans borrow the caller's masks instead of copying them.
-  EXPECT_TRUE(plan->spec.regions.empty());
-  EXPECT_EQ(&plan->RegionForSlot(0), &queries[0].region);
-  EXPECT_EQ(&plan->RegionForSlot(2), &queries[2].region);
-}
-
 // ---------------------------------------------------------------------------
-// Executor parity with the legacy surface (the acceptance regression)
+// Executor parity with the sequential term loop (the acceptance regression)
 
-TEST(QueryExecutorTest, PointSpecBitExactWithLegacyBatchPredict) {
+TEST(QueryExecutorTest, PointSpecBitExactWithTermLoop) {
   SpecFixture fx;
   const auto regions = fx.SomeRegions(6);
-  std::vector<BatchQuery> queries;
-  for (const GridMask& region : regions) {
-    for (int64_t t : fx.pipeline->test_timesteps()) {
-      queries.push_back(BatchQuery{region, t});
-    }
-  }
   for (QueryStrategy strategy :
        {QueryStrategy::kDirect, QueryStrategy::kUnion,
         QueryStrategy::kUnionSubtraction}) {
-    const auto legacy = fx.server().BatchPredict(queries, strategy);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto plan = fx.planner().Plan(QuerySpec::PointInTime(
-          queries[i].region, queries[i].t, strategy));
-      ASSERT_TRUE(plan.ok());
-      const QueryResult result = fx.executor().Execute(*plan);
-      ASSERT_EQ(result.rows.size(), 1u);
-      ASSERT_TRUE(legacy[i].ok());
-      ASSERT_TRUE(result.rows[0].ok())
-          << result.rows[0].status().ToString();
-      // Bit-exact: the executor gathers the same floats in the same
-      // order as the legacy path.
-      EXPECT_EQ(result.rows[0]->value, legacy[i]->value)
-          << QueryStrategyName(strategy) << " query " << i;
-      EXPECT_EQ(result.rows[0]->num_pieces, legacy[i]->num_pieces);
-      EXPECT_EQ(result.rows[0]->num_terms, legacy[i]->num_terms);
+    for (const GridMask& region : regions) {
+      auto resolved = fx.server().Resolve(region, strategy);
+      ASSERT_TRUE(resolved.ok());
+      for (int64_t t : fx.pipeline->test_timesteps()) {
+        auto plan =
+            fx.planner().Plan(QuerySpec::PointInTime(region, t, strategy));
+        ASSERT_TRUE(plan.ok());
+        const QueryResult result = fx.executor().Execute(*plan);
+        ASSERT_EQ(result.rows.size(), 1u);
+        ASSERT_TRUE(result.rows[0].ok())
+            << result.rows[0].status().ToString();
+        // Bit-exact: the executor gathers the same floats in the same
+        // order as the one-term-at-a-time loop.
+        EXPECT_EQ(result.rows[0]->value,
+                  fx.server().EvaluateTerms(resolved->terms, t))
+            << QueryStrategyName(strategy) << " t=" << t;
+        EXPECT_EQ(result.rows[0]->num_pieces, resolved->num_pieces);
+        EXPECT_EQ(result.rows[0]->num_terms,
+                  static_cast<int>(resolved->terms.size()));
+      }
     }
   }
 }
@@ -451,19 +428,20 @@ TEST(ServingRuntimeSpecTest, ExecutesEveryShapeAndCountsKinds) {
   ASSERT_TRUE(point.ok());
   ASSERT_TRUE(point->rows[0].ok())
       << point->rows[0].status().ToString();
-  auto legacy = runtime.Query(fx.regions[0], start);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(point->rows[0]->value, legacy->value);
 
   auto range = runtime.ExecuteSpec(QuerySpec::TimeRange(
       fx.regions[0], start, start + 3, TimeAggregation::kMean));
   ASSERT_TRUE(range.ok());
   EXPECT_TRUE(range->rows[0].ok());
 
-  auto multi = runtime.ExecuteSpec(
-      QuerySpec::MultiRegion(fx.regions, start + 1));
+  // The grouped shape answers its first region exactly as the point
+  // shape does.
+  auto multi =
+      runtime.ExecuteSpec(QuerySpec::MultiRegion(fx.regions, start));
   ASSERT_TRUE(multi.ok());
-  EXPECT_EQ(multi->rows.size(), fx.regions.size());
+  ASSERT_EQ(multi->rows.size(), fx.regions.size());
+  ASSERT_TRUE(multi->rows[0].ok());
+  EXPECT_EQ(multi->rows[0]->value, point->rows[0]->value);
 
   auto ranked =
       runtime.ExecuteSpec(QuerySpec::TopK(fx.regions, start + 2, 2));
@@ -478,10 +456,9 @@ TEST(ServingRuntimeSpecTest, ExecutesEveryShapeAndCountsKinds) {
   EXPECT_EQ(kind_count(QuerySpecKind::kTimeRange), 1);
   EXPECT_EQ(kind_count(QuerySpecKind::kMultiRegion), 1);
   EXPECT_EQ(kind_count(QuerySpecKind::kTopK), 1);
-  EXPECT_EQ(kind_count(QuerySpecKind::kPointBatch), 1);  // Query() above
-  // served = 1 point + 1 range + 6 multi + 6 topk + 1 legacy.
+  // served = 1 point + 1 range + 6 multi + 6 topk.
   EXPECT_EQ(snapshot.queries_served,
-            2 + 2 * static_cast<int64_t>(fx.regions.size()) + 1);
+            2 + 2 * static_cast<int64_t>(fx.regions.size()));
   EXPECT_GT(snapshot.query_success_rate(), 0.99);
 }
 

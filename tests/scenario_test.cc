@@ -115,6 +115,20 @@ TEST(ScenarioSpecTest, UnknownKeyIsRejectedWithItsLine) {
   const std::string message = spec.status().ToString();
   EXPECT_NE(message.find("timestpes"), std::string::npos) << message;
   EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+
+  // A mix weighting a shape the harness does not issue is an unknown
+  // key at its own line, not a silently ignored weight.
+  auto legacy = ParseScenarioSpec(R"({
+  "name": "legacy_mix",
+  "mix": {"point": 0.9,
+          "point_batch": 0.1}
+})");
+  ASSERT_FALSE(legacy.ok());
+  const std::string legacy_message = legacy.status().ToString();
+  EXPECT_NE(legacy_message.find("point_batch"), std::string::npos)
+      << legacy_message;
+  EXPECT_NE(legacy_message.find("line 4"), std::string::npos)
+      << legacy_message;
 }
 
 TEST(ScenarioSpecTest, WrongTypeIsRejectedWithItsLine) {

@@ -85,6 +85,16 @@ struct ServeFixture {
   }
 };
 
+/// \brief One region's value at `t` through the runtime's one entry
+/// point: a spec-level or row-level failure surfaces as the Status.
+Result<double> PointValue(ServingRuntime& runtime, const GridMask& region,
+                          int64_t t) {
+  O4A_ASSIGN_OR_RETURN(QueryResult result,
+                       runtime.ExecuteSpec(QuerySpec::PointInTime(region, t)));
+  O4A_ASSIGN_OR_RETURN(const QueryRow row, std::move(result.rows[0]));
+  return row.value;
+}
+
 // ---------------------------------------------------------------------------
 // FrameEpochManager
 
@@ -241,19 +251,17 @@ TEST(FrameEpochManagerTest, HammerReadersNeverObserveTornEpochs) {
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      std::vector<BatchQuery> batch;
-      for (const GridMask& region : fixture.regions) {
-        batch.push_back(BatchQuery{region, 0});
-      }
+      auto plan = QueryPlanner(&hierarchy).Plan(
+          QuerySpec::MultiRegion(fixture.regions, 0));
+      ASSERT_TRUE(plan.ok());
       int rounds = 0;
       while (!writer_done.load() || rounds < 5) {
         ++rounds;
         EpochGuard guard = epochs.Pin();
-        BatchOptions options;
-        options.num_threads = 1;
+        QueryExecutorOptions options;
         options.generation = guard.generation();
-        const auto results = server.BatchPredict(
-            batch, QueryStrategy::kUnionSubtraction, options);
+        const std::vector<Result<QueryRow>> results =
+            QueryExecutor(&server).Execute(*plan, options).rows;
         const double marker = static_cast<double>(guard.generation());
         for (size_t i = 0; i < results.size(); ++i) {
           ASSERT_TRUE(results[i].ok())
@@ -367,13 +375,13 @@ TEST(StreamIngestorTest, PublishesEveryConfiguredTimestep) {
             5 * fixture.dataset->hierarchy().num_layers());
 
   // Carry-forward keeps the whole published window queryable...
-  auto early = runtime.Query(fixture.regions[0], start);
+  auto early = PointValue(runtime, fixture.regions[0], start);
   ASSERT_TRUE(early.ok());
-  auto latest = runtime.Query(fixture.regions[0], start + 4);
+  auto latest = PointValue(runtime, fixture.regions[0], start + 4);
   ASSERT_TRUE(latest.ok());
   // ...while a timestep beyond the stream degrades to NotFound instead
   // of aborting the process.
-  auto beyond = runtime.Query(fixture.regions[0], start + 5);
+  auto beyond = PointValue(runtime, fixture.regions[0], start + 5);
   EXPECT_EQ(beyond.status().code(), StatusCode::kNotFound);
 }
 
@@ -386,14 +394,13 @@ TEST(ServingRuntimeTest, AdmissionControlRejectsOverload) {
                          MakeGroundTruthInference(fixture.dataset.get()),
                          options);
 
-  std::vector<BatchQuery> oversized(
-      8, BatchQuery{fixture.regions[0], options.ingest.start_t});
-  auto rejected = runtime.QueryBatch(oversized);
+  const int64_t t = options.ingest.start_t;
+  auto rejected = runtime.ExecuteSpec(QuerySpec::MultiRegion(
+      std::vector<GridMask>(8, fixture.regions[0]), t));
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
 
-  std::vector<BatchQuery> admitted(
-      2, BatchQuery{fixture.regions[0], options.ingest.start_t});
-  auto accepted = runtime.QueryBatch(admitted);
+  auto accepted = runtime.ExecuteSpec(QuerySpec::MultiRegion(
+      std::vector<GridMask>(2, fixture.regions[0]), t));
   EXPECT_TRUE(accepted.ok());
 
   const auto snapshot = runtime.Telemetry();
@@ -402,7 +409,7 @@ TEST(ServingRuntimeTest, AdmissionControlRejectsOverload) {
   EXPECT_EQ(snapshot.batches_admitted, 1);
 }
 
-// The serving hammer of the issue: concurrent readers issue BatchPredict
+// The serving hammer: concurrent readers issue MultiRegion spec
 // storms while the ingestor publishes epochs in a loop; every answered
 // query must be internally consistent (with ground-truth inference and
 // exact-cover combinations, value == region truth for that timestep),
@@ -442,31 +449,31 @@ TEST(ServingRuntimeTest, HammerConcurrentQueriesDuringEpochRolls) {
         ++rounds;
         // Query any timestep the currently published epoch serves.
         const int64_t latest = runtime.published_latest_t();
-        std::vector<BatchQuery> batch;
-        std::vector<size_t> batch_regions;
+        const int64_t span = latest - start + 1;
+        const int64_t t = start + static_cast<int64_t>(
+            rng.UniformInt(static_cast<uint64_t>(span)));
+        std::vector<GridMask> masks;
+        std::vector<size_t> spec_regions;
         for (int i = 0; i < 8; ++i) {
           const size_t region = static_cast<size_t>(
               rng.UniformInt(fixture.regions.size()));
-          const int64_t span = latest - start + 1;
-          const int64_t t = start + static_cast<int64_t>(
-              rng.UniformInt(static_cast<uint64_t>(span)));
-          batch.push_back(BatchQuery{fixture.regions[region], t});
-          batch_regions.push_back(region);
+          masks.push_back(fixture.regions[region]);
+          spec_regions.push_back(region);
         }
-        auto results = runtime.QueryBatch(batch);
+        auto results =
+            runtime.ExecuteSpec(QuerySpec::MultiRegion(std::move(masks), t));
         ASSERT_TRUE(results.ok());
-        for (size_t i = 0; i < results->size(); ++i) {
-          const auto& result = (*results)[i];
+        for (size_t i = 0; i < results->rows.size(); ++i) {
+          const auto& result = results->rows[i];
           ASSERT_TRUE(result.ok()) << result.status().ToString();
           const double truth =
-              RegionTruth(dataset, batch[i].region, batch[i].t);
+              RegionTruth(dataset, fixture.regions[spec_regions[i]], t);
           if (std::abs(result.ValueOrDie().value - truth) >
               1e-3 * (1.0 + std::abs(truth))) {
             inconsistent.fetch_add(1);
           }
           logs[static_cast<size_t>(c)].push_back(LoggedQuery{
-              batch_regions[i], batch[i].t,
-              result.ValueOrDie().value});
+              spec_regions[i], t, result.ValueOrDie().value});
         }
       }
     });
@@ -483,9 +490,9 @@ TEST(ServingRuntimeTest, HammerConcurrentQueriesDuringEpochRolls) {
   int64_t replayed = 0;
   for (const auto& log : logs) {
     for (const LoggedQuery& q : log) {
-      auto replay = runtime.Query(fixture.regions[q.region], q.t);
+      auto replay = PointValue(runtime, fixture.regions[q.region], q.t);
       ASSERT_TRUE(replay.ok());
-      EXPECT_NEAR(replay.ValueOrDie().value, q.value,
+      EXPECT_NEAR(*replay, q.value,
                   1e-9 * (1.0 + std::abs(q.value)));
       ++replayed;
     }
@@ -1124,9 +1131,9 @@ TEST(ServingRuntimeTest, EndToEndLatencyCountsOncePerCall) {
   // The whole call, so at least the executor's own stage total.
   EXPECT_GE(telemetry.query_e2e.MaxMicros(), served->timings.total_micros);
 
-  auto batch = runtime.QueryBatch({BatchQuery{fixture.regions[0], t},
-                                   BatchQuery{fixture.regions[1], t}});
-  ASSERT_TRUE(batch.ok());
+  auto point =
+      runtime.ExecuteSpec(QuerySpec::PointInTime(fixture.regions[0], t));
+  ASSERT_TRUE(point.ok());
   EXPECT_EQ(telemetry.query_e2e.count(), e2e_before + 2);
   runtime.Stop();
 }

@@ -582,23 +582,6 @@ TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
       ExpectBitExactRows(*st, *ht, "topk");
     }
 
-    // Legacy batch surface parity.
-    std::vector<BatchQuery> batch;
-    for (const GridMask& region : fixture.regions) {
-      batch.push_back(BatchQuery{region, t0 + 3});
-    }
-    auto sb = single->QueryBatch(batch);
-    auto hb = sharded->QueryBatch(batch);
-    ASSERT_TRUE(sb.ok() && hb.ok());
-    ASSERT_EQ(sb->size(), hb->size());
-    for (size_t i = 0; i < sb->size(); ++i) {
-      ASSERT_EQ((*sb)[i].ok(), (*hb)[i].ok()) << "batch row " << i;
-      if ((*sb)[i].ok()) {
-        EXPECT_EQ((*sb)[i]->value, (*hb)[i]->value) << "batch row " << i;
-        EXPECT_EQ((*sb)[i]->num_terms, (*hb)[i]->num_terms);
-      }
-    }
-
     EXPECT_TRUE(sharded->shards().Consistent());
     sharded->Stop();
   }
@@ -880,6 +863,16 @@ TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {
     EXPECT_EQ(reused + reevaluated, rows * reissues);
     EXPECT_NE(exposition.find("one4all_query_e2e_micros_count 7\n"),
               std::string::npos);
+    // One kind series per spec shape: PointInTime, TimeRange,
+    // MultiRegion, TopK.
+    const std::string spec_series = "\none4all_specs_total{kind=\"";
+    int num_spec_series = 0;
+    for (size_t at = exposition.find(spec_series); at != std::string::npos;
+         at = exposition.find(spec_series, at + 1)) {
+      ++num_spec_series;
+    }
+    EXPECT_EQ(num_spec_series, 4);
+    EXPECT_EQ(exposition.find("PointBatch"), std::string::npos);
     EXPECT_TRUE(MetricsRegistry::ValidateExposition(exposition).ok());
     EXPECT_TRUE(shards.Consistent());
   }

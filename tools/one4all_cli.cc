@@ -37,9 +37,10 @@
 // `serve` runs the online loop end-to-end: a background ingestor replays
 // N timesteps (model inference when --model is given, ground-truth
 // aggregation otherwise), publishing each as an atomic epoch, while
-// client threads fire a storm of mixed query shapes (legacy batches,
-// time-range, multi-region and top-k specs) at the runtime; finishes by
-// printing the serving telemetry block with per-spec-kind counts.
+// client threads fire a storm of mixed query shapes (--batch-region
+// and 8-region multi-region, time-range and top-k specs) at the runtime;
+// finishes by printing the serving telemetry block with per-spec-kind
+// counts.
 // `--report-ms N` additionally prints a periodic delta line (per-interval
 // QPS, publish rate, rejects, trace-ring drops) while the storm runs;
 // `--metrics-out` writes the final Prometheus exposition and
@@ -553,7 +554,6 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
   options.ingest.min_publish_interval_ms = flags.GetInt("publish-ms", 20);
   options.retain_timesteps = flags.GetInt("retain", 0);
   options.num_query_threads = 1;
-  options.strategy = ParseStrategy(flags);
   options.num_shards = static_cast<int>(flags.GetInt("shards", 1));
   FrameInference inference =
       net != nullptr ? MakeOne4AllInference(net.get(), dataset.operator->())
@@ -570,6 +570,7 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
   const auto regions = GenerateRegions(meta.grid, meta.grid, region_options);
   const int clients = static_cast<int>(flags.GetInt("clients", 2));
   const int batch_size = static_cast<int>(flags.GetInt("batch", 64));
+  const QueryStrategy strategy = ParseStrategy(flags);
 
   runtime.Start();
   runtime.ingestor().WaitUntilPublished(options.ingest.start_t);
@@ -630,9 +631,8 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
   for (int c = 0; c < clients; ++c) {
     storm.emplace_back([&, c] {
       Rng rng(static_cast<uint64_t>(7 + c));
-      const QueryStrategy strategy = runtime.options().strategy;
-      // Mixed-shape storm: legacy point batches plus each composable
-      // spec shape, so the per-spec-kind telemetry below sees traffic.
+      // Mixed-shape storm: `--batch`-region groups, plus the other
+      // spec shapes, so the per-spec-kind telemetry below sees traffic.
       int shape = c;
       while (!runtime.ingestor().done()) {
         const int64_t latest = runtime.published_latest_t();
@@ -649,11 +649,12 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
         // runtime's telemetry, rendered below.
         switch (shape++ % 4) {
           case 0: {
-            std::vector<BatchQuery> batch;
+            std::vector<GridMask> batch;
             for (int i = 0; i < batch_size; ++i) {
-              batch.push_back(BatchQuery{random_region(), random_t()});
+              batch.push_back(random_region());
             }
-            (void)runtime.QueryBatch(batch);
+            (void)runtime.ExecuteSpec(QuerySpec::MultiRegion(
+                std::move(batch), random_t(), strategy));
             break;
           }
           case 1: {
@@ -693,7 +694,7 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
 
   std::cout << "served " << options.ingest.num_timesteps
             << " timesteps under a " << clients << "-client storm ("
-            << regions.size() << " distinct regions, batches of "
+            << regions.size() << " distinct regions, groups of "
             << batch_size << ")\n";
   if (shards.num_shards() > 1) {
     std::cout << "shard topology: " << shards.num_shards()
