@@ -1,7 +1,11 @@
 #include "bench_common.h"
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <sstream>
+#include <thread>
 
 #include "core/stopwatch.h"
 
@@ -219,6 +223,57 @@ QueryEvalResult EvaluateForTable1(NamedPredictor* entry,
 
 void PrintShapeCheck(const std::string& claim, bool holds) {
   std::cout << (holds ? "[SHAPE OK]   " : "[SHAPE MISS] ") << claim << "\n";
+}
+
+namespace {
+
+// First line of a shell command's stdout, "" when it fails.
+std::string CommandLine(const char* command) {
+  FILE* pipe = popen(command, "r");
+  if (pipe == nullptr) return "";
+  char buffer[256];
+  std::string line;
+  if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) line = buffer;
+  const int status = pclose(pipe);
+  if (status != 0) return "";
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+}  // namespace
+
+std::string HostEnvelopeJson() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t value = line.find_first_not_of(" \t", line.find(':') + 1);
+    if (value != std::string::npos) cpu_model = line.substr(value);
+    break;
+  }
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::string sha = CommandLine("git rev-parse --short HEAD 2>/dev/null");
+  if (sha.empty()) {
+    sha = "unknown";
+  } else if (!CommandLine("git status --porcelain --untracked-files=no "
+                          "2>/dev/null")
+                  .empty()) {
+    sha += "-dirty";
+  }
+  std::ostringstream js;
+  js << "{\"nproc\": " << std::thread::hardware_concurrency()
+     << ", \"cpu_model\": \"" << cpu_model << "\", \"compiler\": \""
+     << compiler << "\", \"build_type\": \"" << ONE4ALL_BUILD_TYPE
+     << "\", \"git_sha\": \"" << sha << "\"}";
+  return js.str();
 }
 
 }  // namespace bench

@@ -99,6 +99,12 @@ void PrintShapeCheck(const std::string& claim, bool holds);
 /// \brief Integer env-var override; `fallback` when unset.
 int64_t EnvInt(const char* name, int64_t fallback);
 
+/// \brief The host a measurement was taken on, as a JSON object:
+/// nproc, CPU model, compiler, CMake build type and the git commit of
+/// the working directory ("unknown" outside a checkout, "-dirty" when
+/// tracked files differ from it).
+std::string HostEnvelopeJson();
+
 }  // namespace bench
 }  // namespace one4all
 

@@ -8,6 +8,9 @@
 //   2. multi-region grouping: duplicate-heavy region sets share one
 //      resolve-cache probe per distinct region.
 //   3. top-k ranking latency on top of a grouped gather.
+//   4. plan cost (report only): median QueryPlanner::Plan time for a
+//      dashboard-sized TopK spec (Task-2-scale Voronoi zones tiling the
+//      128x128 raster, ~600 regions) and a 64-zone MultiRegion panel.
 //
 // Emits BENCH_query_plans.json (override with O4A_BENCH_JSON, empty
 // disables). Env knobs: O4A_BENCH_RANGE_STEPS (default 16),
@@ -40,7 +43,27 @@ struct PlanBenchResult {
   int64_t multi_probes = 0;
   int64_t multi_distinct = 0;
   double topk_micros = 0.0;
+  int64_t plan_board_regions = 0;
+  double plan_board_micros = 0.0;
+  int64_t plan_panel_regions = 0;
+  double plan_panel_micros = 0.0;
 };
+
+// Median of `reps` QueryPlanner::Plan calls on copies of `spec`, read
+// from the plan's own timer: validation + fingerprint + dedup, without
+// the copy-in of the spec's masks.
+double MedianPlanMicros(const QueryPlanner& planner, const QuerySpec& spec,
+                        int reps) {
+  std::vector<double> micros;
+  micros.reserve(static_cast<size_t>(reps));
+  for (int rep = 0; rep < reps; ++rep) {
+    auto plan = planner.Plan(spec);
+    O4A_CHECK(plan.ok()) << plan.status().ToString();
+    micros.push_back(plan->plan_micros);
+  }
+  std::sort(micros.begin(), micros.end());
+  return micros[micros.size() / 2];
+}
 
 void WriteJson(const std::string& path, const PlanBenchResult& r) {
   std::ostringstream js;
@@ -58,7 +81,15 @@ void WriteJson(const std::string& path, const PlanBenchResult& r) {
      << ",\n";
   js << "  \"multi_probes\": " << r.multi_probes << ",\n";
   js << "  \"multi_distinct\": " << r.multi_distinct << ",\n";
-  js << "  \"topk_micros\": " << TablePrinter::Num(r.topk_micros, 1) << "\n";
+  js << "  \"topk_micros\": " << TablePrinter::Num(r.topk_micros, 1)
+     << ",\n";
+  js << "  \"plan_board_regions\": " << r.plan_board_regions << ",\n";
+  js << "  \"plan_board_micros\": "
+     << TablePrinter::Num(r.plan_board_micros, 1) << ",\n";
+  js << "  \"plan_panel_regions\": " << r.plan_panel_regions << ",\n";
+  js << "  \"plan_panel_micros\": "
+     << TablePrinter::Num(r.plan_panel_micros, 1) << ",\n";
+  js << "  \"host\": " << HostEnvelopeJson() << "\n";
   js << "}\n";
   std::ofstream out(path);
   if (!out) {
@@ -185,6 +216,30 @@ int main_impl() {
     O4A_CHECK_EQ(r.top_k[0], best_index);
   }
 
+  // -- 4. Plan cost on a dashboard board and panel (report only) --------
+  {
+    const Hierarchy board_hierarchy = Hierarchy::Uniform(128, 128, 2, 32);
+    RegionGeneratorOptions board_options;
+    board_options.style = RegionStyle::kVoronoi;
+    board_options.mean_cells = 27.0;
+    board_options.seed = 102;
+    const std::vector<GridMask> zones =
+        GenerateRegions(128, 128, board_options);
+    O4A_CHECK(zones.size() >= 64);
+    const QueryPlanner board_planner(&board_hierarchy);
+    const int64_t t = 0;  // planning never reads frames
+    result.plan_board_regions = static_cast<int64_t>(zones.size());
+    result.plan_board_micros = MedianPlanMicros(
+        board_planner, QuerySpec::TopK(zones, t, 10), 200);
+    std::vector<GridMask> panel;
+    for (size_t i = 0; i < 64; ++i) {
+      panel.push_back(zones[(i * 37) % zones.size()]);
+    }
+    result.plan_panel_regions = static_cast<int64_t>(panel.size());
+    result.plan_panel_micros = MedianPlanMicros(
+        board_planner, QuerySpec::MultiRegion(panel, t), 200);
+  }
+
   TablePrinter table("Query-plan shapes (" +
                      std::to_string(result.num_regions) + " regions, " +
                      std::to_string(range_steps) + "-step range)");
@@ -205,6 +260,14 @@ int main_impl() {
   table.AddRow({"TopK spec",
                 TablePrinter::Num(result.topk_micros / 1e3, 2) + " ms",
                 "k=5 rank stage"});
+  table.AddRow({"Plan, TopK board",
+                TablePrinter::Num(result.plan_board_micros, 1) + " us",
+                std::to_string(result.plan_board_regions) +
+                    " zones on 128x128, median of 200"});
+  table.AddRow({"Plan, MultiRegion panel",
+                TablePrinter::Num(result.plan_panel_micros, 1) + " us",
+                std::to_string(result.plan_panel_regions) +
+                    " zones on 128x128, median of 200"});
   table.Print(std::cout);
 
   const char* json_env = std::getenv("O4A_BENCH_JSON");

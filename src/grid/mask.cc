@@ -28,7 +28,9 @@ void ForEachWordInBitRange(int64_t b0, int64_t b1, Fn&& fn) {
 
 int64_t GridMask::Count() const {
   int64_t count = 0;
-  for (uint64_t word : words_) count += __builtin_popcountll(word);
+  for (size_t i = span_begin_; i < span_end_; ++i) {
+    count += __builtin_popcountll(words_[i]);
+  }
   return count;
 }
 
@@ -42,7 +44,7 @@ int64_t GridMask::CountRows(int64_t r0, int64_t r1) const {
 }
 
 int64_t GridMask::FirstSetRow() const {
-  for (size_t wi = 0; wi < words_.size(); ++wi) {
+  for (size_t wi = span_begin_; wi < span_end_; ++wi) {
     if (words_[wi] == 0) continue;
     const int64_t bit =
         (static_cast<int64_t>(wi) << 6) + __builtin_ctzll(words_[wi]);
@@ -54,6 +56,9 @@ int64_t GridMask::FirstSetRow() const {
 void GridMask::FillRect(int64_t r0, int64_t c0, int64_t r1, int64_t c1) {
   O4A_CHECK(r0 >= 0 && c0 >= 0 && r1 <= h_ && c1 <= w_ && r0 <= r1 &&
             c0 <= c1);
+  if (r0 == r1 || c0 == c1) return;
+  GrowSpan(static_cast<size_t>((r0 * w_ + c0) >> 6),
+           static_cast<size_t>(((r1 - 1) * w_ + c1 - 1) >> 6) + 1);
   for (int64_t r = r0; r < r1; ++r) {
     ForEachWordInBitRange(r * w_ + c0, r * w_ + c1,
                           [&](size_t wi, uint64_t mask) {
@@ -91,7 +96,9 @@ void GridMask::ClearRect(int64_t r0, int64_t c0, int64_t r1, int64_t c1) {
 GridMask GridMask::Union(const GridMask& other) const {
   O4A_CHECK(h_ == other.h_ && w_ == other.w_);
   GridMask out(h_, w_);
-  for (size_t i = 0; i < words_.size(); ++i) {
+  out.GrowSpan(span_begin_, span_end_);
+  out.GrowSpan(other.span_begin_, other.span_end_);
+  for (size_t i = out.span_begin_; i < out.span_end_; ++i) {
     out.words_[i] = words_[i] | other.words_[i];
   }
   return out;
@@ -100,7 +107,9 @@ GridMask GridMask::Union(const GridMask& other) const {
 GridMask GridMask::Intersect(const GridMask& other) const {
   O4A_CHECK(h_ == other.h_ && w_ == other.w_);
   GridMask out(h_, w_);
-  for (size_t i = 0; i < words_.size(); ++i) {
+  out.GrowSpan(std::max(span_begin_, other.span_begin_),
+               std::min(span_end_, other.span_end_));
+  for (size_t i = out.span_begin_; i < out.span_end_; ++i) {
     out.words_[i] = words_[i] & other.words_[i];
   }
   return out;
@@ -109,7 +118,8 @@ GridMask GridMask::Intersect(const GridMask& other) const {
 GridMask GridMask::Subtract(const GridMask& other) const {
   O4A_CHECK(h_ == other.h_ && w_ == other.w_);
   GridMask out(h_, w_);
-  for (size_t i = 0; i < words_.size(); ++i) {
+  out.GrowSpan(span_begin_, span_end_);
+  for (size_t i = out.span_begin_; i < out.span_end_; ++i) {
     out.words_[i] = words_[i] & ~other.words_[i];
   }
   return out;
@@ -117,7 +127,8 @@ GridMask GridMask::Subtract(const GridMask& other) const {
 
 bool GridMask::Intersects(const GridMask& other) const {
   O4A_CHECK(h_ == other.h_ && w_ == other.w_);
-  for (size_t i = 0; i < words_.size(); ++i) {
+  const size_t end = std::min(span_end_, other.span_end_);
+  for (size_t i = std::max(span_begin_, other.span_begin_); i < end; ++i) {
     if (words_[i] & other.words_[i]) return true;
   }
   return false;
@@ -125,7 +136,7 @@ bool GridMask::Intersects(const GridMask& other) const {
 
 bool GridMask::Contains(const GridMask& other) const {
   O4A_CHECK(h_ == other.h_ && w_ == other.w_);
-  for (size_t i = 0; i < words_.size(); ++i) {
+  for (size_t i = other.span_begin_; i < other.span_end_; ++i) {
     if (other.words_[i] & ~words_[i]) return false;
   }
   return true;
@@ -136,7 +147,7 @@ double GridMask::MaskedSum(const Tensor& field) const {
       << "MaskedSum wants a [H,W] field matching the mask";
   double acc = 0.0;
   const float* p = field.data();
-  for (size_t wi = 0; wi < words_.size(); ++wi) {
+  for (size_t wi = span_begin_; wi < span_end_; ++wi) {
     uint64_t word = words_[wi];
     const int64_t base = static_cast<int64_t>(wi) << 6;
     while (word != 0) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/logging.h"
@@ -21,11 +22,39 @@ namespace one4all {
 /// cells instead of a byte loop. Bits past H*W in the last word are kept
 /// zero (the class invariant every mutator preserves), which lets
 /// equality, emptiness and fingerprinting compare raw words.
+///
+/// The mask also carries a conservative word span [span_begin,
+/// span_end) that holds every non-zero word: setting cells grows it,
+/// clearing cells leaves it as it is, and each set operation gives its
+/// result a span covering the result's non-zero words. Whole-mask sweeps
+/// (Count, Empty, FirstSetRow, MaskedSum, the set algebra, and the
+/// query path's fingerprint and footprint) read only the span, so their
+/// cost follows a region's set words rather than the raster size. The
+/// span is never part of a mask's identity: two masks with equal cells
+/// compare equal whatever their spans.
 class GridMask {
  public:
   GridMask() = default;
   GridMask(int64_t h, int64_t w)
       : h_(h), w_(w), words_(static_cast<size_t>((h * w + 63) / 64), 0) {}
+  GridMask(const GridMask&) = default;
+  GridMask& operator=(const GridMask&) = default;
+  // A moved-from mask keeps its extents but loses its words, so its span
+  // is reset with them and it reads as empty.
+  GridMask(GridMask&& other) noexcept
+      : h_(other.h_),
+        w_(other.w_),
+        words_(std::move(other.words_)),
+        span_begin_(std::exchange(other.span_begin_, 0)),
+        span_end_(std::exchange(other.span_end_, 0)) {}
+  GridMask& operator=(GridMask&& other) noexcept {
+    h_ = other.h_;
+    w_ = other.w_;
+    words_ = std::move(other.words_);
+    span_begin_ = std::exchange(other.span_begin_, 0);
+    span_end_ = std::exchange(other.span_end_, 0);
+    return *this;
+  }
 
   int64_t height() const { return h_; }
   int64_t width() const { return w_; }
@@ -41,10 +70,12 @@ class GridMask {
     O4A_DCHECK(InBounds(r, c));
     const int64_t bit = r * w_ + c;
     const uint64_t mask = uint64_t{1} << (static_cast<uint64_t>(bit) & 63);
+    const size_t wi = static_cast<size_t>(bit >> 6);
     if (value) {
-      words_[static_cast<size_t>(bit >> 6)] |= mask;
+      words_[wi] |= mask;
+      GrowSpan(wi, wi + 1);
     } else {
-      words_[static_cast<size_t>(bit >> 6)] &= ~mask;
+      words_[wi] &= ~mask;
     }
   }
   bool InBounds(int64_t r, int64_t c) const {
@@ -53,6 +84,12 @@ class GridMask {
 
   /// \brief Packed cell words, bit index r*W + c; trailing bits are zero.
   const std::vector<uint64_t>& words() const { return words_; }
+  /// \brief Conservative word span: every non-zero word index lies in
+  /// [span_begin(), span_end()); words outside it are zero. May be wider
+  /// than the set words after cells are cleared; empty (begin == end)
+  /// only when the mask is.
+  size_t span_begin() const { return span_begin_; }
+  size_t span_end() const { return span_end_; }
 
   /// \brief Number of cells set to 1.
   int64_t Count() const;
@@ -62,10 +99,11 @@ class GridMask {
   /// \brief Row of the first set cell in row-major order (-1 when
   /// empty): the lowest set bit of the first non-zero word, divided by W.
   int64_t FirstSetRow() const;
-  /// \brief True iff no cell is set; stops at the first non-zero word.
+  /// \brief True iff no cell is set; stops at the first non-zero word
+  /// of the span.
   bool Empty() const {
-    for (const uint64_t word : words_) {
-      if (word != 0) return false;
+    for (size_t i = span_begin_; i < span_end_; ++i) {
+      if (words_[i] != 0) return false;
     }
     return true;
   }
@@ -101,8 +139,21 @@ class GridMask {
   std::string ToString() const;
 
  private:
+  // Widens the span to cover words [begin, end); no-op when begin >= end.
+  void GrowSpan(size_t begin, size_t end) {
+    if (begin >= end) return;
+    if (span_begin_ >= span_end_) {
+      span_begin_ = begin;
+      span_end_ = end;
+      return;
+    }
+    if (begin < span_begin_) span_begin_ = begin;
+    if (end > span_end_) span_end_ = end;
+  }
+
   int64_t h_ = 0, w_ = 0;
   std::vector<uint64_t> words_;
+  size_t span_begin_ = 0, span_end_ = 0;
 };
 
 /// \brief Signed combination mask: entries in {-1, 0, +1} on the atomic

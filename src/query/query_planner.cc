@@ -1,8 +1,8 @@
 #include "query/query_planner.h"
 
 #include <sstream>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/stopwatch.h"
 #include "query/resolved_query_cache.h"
@@ -74,22 +74,35 @@ Result<QueryPlan> QueryPlanner::Plan(QuerySpec spec) const {
 
   // Dedup identical region masks by content fingerprint so a grouped
   // query resolves (and probes the cache for) each distinct region once.
-  std::unordered_map<RegionFingerprint, int, RegionFingerprintHash>
-      slot_of;
-  slot_of.reserve(plan.spec.regions.size());
+  // The table is open-addressed over slot indices, homed at fp.lo and
+  // probed linearly against plan.slot_fingerprints; at most half full,
+  // so a probe chain stays short, and it costs one allocation per plan
+  // rather than one node per region.
+  const size_t n = plan.spec.regions.size();
+  size_t capacity = 2;
+  while (capacity < 2 * n) capacity *= 2;
+  const size_t mask = capacity - 1;
+  std::vector<int> slot_table(capacity, -1);
 
-  plan.rows.reserve(plan.spec.regions.size());
-  for (size_t i = 0; i < plan.spec.regions.size(); ++i) {
+  plan.rows.reserve(n);
+  plan.slot_regions.reserve(n);
+  plan.slot_fingerprints.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
     const RegionFingerprint fp =
         FingerprintRegion(plan.spec.regions[i], plan.spec.strategy);
-    auto inserted =
-        slot_of.emplace(fp, static_cast<int>(plan.slot_regions.size()));
-    if (inserted.second) {
+    size_t probe = static_cast<size_t>(fp.lo) & mask;
+    while (slot_table[probe] >= 0 &&
+           !(plan.slot_fingerprints[static_cast<size_t>(
+                 slot_table[probe])] == fp)) {
+      probe = (probe + 1) & mask;
+    }
+    if (slot_table[probe] < 0) {
+      slot_table[probe] = static_cast<int>(plan.slot_regions.size());
       plan.slot_regions.push_back(static_cast<int>(i));
       plan.slot_fingerprints.push_back(fp);
     }
     PlanRow row;
-    row.region_slot = inserted.first->second;
+    row.region_slot = slot_table[probe];
     row.t0 = plan.spec.time.t0;
     row.t1 = plan.spec.time.t1;
     plan.rows.push_back(row);

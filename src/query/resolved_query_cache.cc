@@ -22,8 +22,10 @@ RegionFingerprint FingerprintRegion(const GridMask& region,
   // key is (strategy, extents, every non-zero word with its index):
   // GridMask stores cells packed 64 per word in row-major bit order with
   // zeroed trailing bits, so given the extents that sequence names the
-  // mask exactly, and skipping zero words makes the cost follow the
-  // region's set words rather than the raster size.
+  // mask exactly. Every non-zero word lies in the mask's word span, so
+  // the sweep reads only the span and its cost follows the region's set
+  // words rather than the raster size; the value is the same as a sweep
+  // over every word.
   const uint64_t s = static_cast<uint64_t>(strategy);
   uint64_t lo = Mix64(0x0123456789abcdefull ^ s);
   uint64_t hi = Mix64(0xfedcba9876543210ull ^ s);
@@ -32,7 +34,7 @@ RegionFingerprint FingerprintRegion(const GridMask& region,
   lo = Mix64(Mix64(lo ^ h) ^ w);
   hi = Mix64(Mix64(hi ^ h) ^ w);
   const std::vector<uint64_t>& words = region.words();
-  for (size_t i = 0; i < words.size(); ++i) {
+  for (size_t i = region.span_begin(); i < region.span_end(); ++i) {
     const uint64_t word = words[i];
     if (word == 0) continue;
     lo = Mix64(Mix64(lo ^ i) ^ word);

@@ -71,7 +71,7 @@ CellRect TopKMemo::FootprintOf(const GridMask& region) const {
   int64_t r0 = region.height(), r1 = 0, c0 = region.width(), c1 = 0;
   const std::vector<uint64_t>& words = region.words();
   const int64_t w = region.width();
-  for (size_t wi = 0; wi < words.size(); ++wi) {
+  for (size_t wi = region.span_begin(); wi < region.span_end(); ++wi) {
     uint64_t word = words[wi];
     while (word != 0) {
       const int bit = __builtin_ctzll(word);

@@ -1,10 +1,12 @@
 // Randomized property tests for the word-packed GridMask: every packed
 // set operation is checked against a byte-per-cell reference model over
 // random masks and rectangles, including widths that are not multiples of
-// 64 (so ranges straddle word boundaries) and the trailing-bit invariant
-// the packed equality/fingerprint paths rely on.
+// 64 (so ranges straddle word boundaries), the trailing-bit invariant
+// the packed equality/fingerprint paths rely on, and the conservative
+// word span every whole-mask sweep reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -212,6 +214,9 @@ TEST(MaskPackedPropertyTest, FingerprintInsensitiveToHistory) {
   }
   b.Set(0, 0, true);
   b.Set(0, 0, false);
+  // b's span now starts at word 0 while a's starts at its first set
+  // word: the span is not part of identity.
+  EXPECT_NE(a.span_begin(), b.span_begin());
   EXPECT_TRUE(a == b);
   const auto fa =
       FingerprintRegion(a, QueryStrategy::kUnionSubtraction);
@@ -221,6 +226,169 @@ TEST(MaskPackedPropertyTest, FingerprintInsensitiveToHistory) {
   // And strategy is part of the key.
   const auto fu = FingerprintRegion(a, QueryStrategy::kUnion);
   EXPECT_FALSE(fa == fu);
+}
+
+// Full-sweep references for the span-reading GridMask/fingerprint paths:
+// each reads every word, so a span that missed a set word would show as
+// a disagreement.
+bool FullSweepEmpty(const GridMask& m) {
+  for (const uint64_t word : m.words()) {
+    if (word != 0) return false;
+  }
+  return true;
+}
+
+int64_t FullSweepCount(const GridMask& m) {
+  int64_t count = 0;
+  for (const uint64_t word : m.words()) count += __builtin_popcountll(word);
+  return count;
+}
+
+int64_t FullSweepFirstSetRow(const GridMask& m) {
+  const std::vector<uint64_t>& words = m.words();
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (words[i] == 0) continue;
+    return ((static_cast<int64_t>(i) << 6) + __builtin_ctzll(words[i])) /
+           m.width();
+  }
+  return -1;
+}
+
+uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// The resolve-cache key as a sweep over every word: pins the hash, so a
+// span-reading FingerprintRegion must stay bit-identical to it.
+RegionFingerprint FullSweepFingerprint(const GridMask& m,
+                                       QueryStrategy strategy) {
+  const uint64_t s = static_cast<uint64_t>(strategy);
+  uint64_t lo = Mix64(0x0123456789abcdefull ^ s);
+  uint64_t hi = Mix64(0xfedcba9876543210ull ^ s);
+  const uint64_t h = static_cast<uint64_t>(m.height());
+  const uint64_t w = static_cast<uint64_t>(m.width());
+  lo = Mix64(Mix64(lo ^ h) ^ w);
+  hi = Mix64(Mix64(hi ^ h) ^ w);
+  const std::vector<uint64_t>& words = m.words();
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (words[i] == 0) continue;
+    lo = Mix64(Mix64(lo ^ i) ^ words[i]);
+    hi = Mix64(Mix64(hi ^ i) ^ words[i]);
+  }
+  return RegionFingerprint{lo, hi};
+}
+
+// Span invariant plus every span-reading sweep against its reference.
+void CheckSpan(const GridMask& m, const std::string& where) {
+  SCOPED_TRACE(where);
+  const std::vector<uint64_t>& words = m.words();
+  ASSERT_LE(m.span_begin(), m.span_end());
+  ASSERT_LE(m.span_end(), words.size());
+  for (size_t i = 0; i < words.size(); ++i) {
+    if (i < m.span_begin() || i >= m.span_end()) {
+      ASSERT_EQ(words[i], 0u) << "set word " << i << " outside span ["
+                              << m.span_begin() << "," << m.span_end()
+                              << ")";
+    }
+  }
+  EXPECT_EQ(m.Empty(), FullSweepEmpty(m));
+  EXPECT_EQ(m.Count(), FullSweepCount(m));
+  EXPECT_EQ(m.FirstSetRow(), FullSweepFirstSetRow(m));
+  EXPECT_TRUE(FingerprintRegion(m, QueryStrategy::kUnionSubtraction) ==
+              FullSweepFingerprint(m, QueryStrategy::kUnionSubtraction));
+}
+
+TEST(MaskPackedPropertyTest, SpanHoldsSetWordsUnderRandomHistories) {
+  // Seeded random op sequences over a pool of masks. Clears leave spans
+  // wide, set ops combine them, so spans drift far from the set words;
+  // the invariant and the sweeps must hold after every step, and a mask
+  // rebuilt from the same cells (a tight span) must compare and
+  // fingerprint equal to the one with a long history.
+  const int64_t extents[][2] = {{7, 9}, {13, 64}, {9, 65}, {128, 128}};
+  Rng rng(31337);
+  for (const auto& extent : extents) {
+    const int64_t h = extent[0], w = extent[1];
+    std::vector<GridMask> pool(3, GridMask(h, w));
+    std::vector<ByteMask> refs(3, ByteMask(h, w));
+    for (int step = 0; step < 300; ++step) {
+      const size_t a = rng.UniformInt(3), b = rng.UniformInt(3);
+      const int64_t r0 = RandInt(&rng, 0, h - 1), c0 = RandInt(&rng, 0, w - 1);
+      // Mostly small rects, like zones; sometimes up to the full extent.
+      const int64_t reach = rng.Uniform() < 0.2 ? h + w : 4;
+      const int64_t r1 = std::min(h, r0 + RandInt(&rng, 0, reach));
+      const int64_t c1 = std::min(w, c0 + RandInt(&rng, 0, reach));
+      const int op = static_cast<int>(rng.UniformInt(6));
+      std::string name;
+      switch (op) {
+        case 0: {
+          const bool value = rng.Uniform() < 0.6;
+          pool[a].Set(r0, c0, value);
+          refs[a].at(r0, c0) = value;
+          name = "Set";
+          break;
+        }
+        case 1:
+        case 2: {
+          const bool fill = op == 1;
+          if (fill) {
+            pool[a].FillRect(r0, c0, r1, c1);
+          } else {
+            pool[a].ClearRect(r0, c0, r1, c1);
+          }
+          for (int64_t r = r0; r < r1; ++r) {
+            for (int64_t c = c0; c < c1; ++c) refs[a].at(r, c) = fill;
+          }
+          name = fill ? "FillRect" : "ClearRect";
+          break;
+        }
+        default: {
+          ByteMask want(h, w);
+          for (size_t i = 0; i < want.cells.size(); ++i) {
+            const bool va = refs[a].cells[i] != 0, vb = refs[b].cells[i] != 0;
+            want.cells[i] = op == 3 ? (va || vb)
+                                    : op == 4 ? (va && vb) : (va && !vb);
+          }
+          pool[a] = op == 3   ? pool[a].Union(pool[b])
+                    : op == 4 ? pool[a].Intersect(pool[b])
+                              : pool[a].Subtract(pool[b]);
+          refs[a] = want;
+          name = op == 3 ? "Union" : op == 4 ? "Intersect" : "Subtract";
+          break;
+        }
+      }
+      const std::string where = std::to_string(h) + "x" + std::to_string(w) +
+                                " step " + std::to_string(step) + " " + name;
+      ExpectSame(pool[a], refs[a]);
+      CheckSpan(pool[a], where);
+      CheckTrailingBitsZero(pool[a]);
+      // Queries across two masks with unrelated spans.
+      bool want_intersects = false, want_contains = true;
+      for (size_t i = 0; i < refs[a].cells.size(); ++i) {
+        const bool va = refs[a].cells[i] != 0, vb = refs[b].cells[i] != 0;
+        want_intersects = want_intersects || (va && vb);
+        want_contains = want_contains && (!vb || va);
+      }
+      EXPECT_EQ(pool[a].Intersects(pool[b]), want_intersects) << where;
+      EXPECT_EQ(pool[a].Contains(pool[b]), want_contains) << where;
+      // Same cells, different history: equal and fingerprint-equal.
+      const GridMask rebuilt = ToPacked(refs[a]);
+      EXPECT_TRUE(rebuilt == pool[a]) << where;
+      EXPECT_TRUE(
+          FingerprintRegion(rebuilt, QueryStrategy::kUnionSubtraction) ==
+          FingerprintRegion(pool[a], QueryStrategy::kUnionSubtraction))
+          << where;
+      // A copy carries the span; a moved-from mask reads as empty.
+      GridMask copy = pool[a];
+      EXPECT_EQ(copy.span_begin(), pool[a].span_begin());
+      EXPECT_EQ(copy.span_end(), pool[a].span_end());
+      const GridMask moved = std::move(copy);
+      EXPECT_TRUE(copy.Empty());
+      EXPECT_TRUE(moved == pool[a]);
+    }
+  }
 }
 
 TEST(MaskPackedPropertyTest, EmptyAgreesWithCount) {

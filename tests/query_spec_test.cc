@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/thread_pool.h"
@@ -126,6 +128,91 @@ TEST(QueryPlannerTest, DedupsIdenticalRegionsIntoOneSlot) {
   EXPECT_EQ(plan->num_point_queries(), 6);
   EXPECT_NE(plan->Describe().find("3 distinct regions"),
             std::string::npos);
+}
+
+// Reference dedup: first-occurrence slots through a node map.
+void ExpectDedupMatchesReference(const QueryPlan& plan,
+                                 const std::vector<GridMask>& regions) {
+  std::unordered_map<RegionFingerprint, int, RegionFingerprintHash> slot_of;
+  std::vector<int> want_slot_regions;
+  std::vector<RegionFingerprint> want_fingerprints;
+  std::vector<int> want_row_slot;
+  for (size_t i = 0; i < regions.size(); ++i) {
+    const RegionFingerprint fp =
+        FingerprintRegion(regions[i], plan.spec.strategy);
+    const auto inserted =
+        slot_of.emplace(fp, static_cast<int>(want_slot_regions.size()));
+    if (inserted.second) {
+      want_slot_regions.push_back(static_cast<int>(i));
+      want_fingerprints.push_back(fp);
+    }
+    want_row_slot.push_back(inserted.first->second);
+  }
+  EXPECT_EQ(plan.slot_regions, want_slot_regions);
+  ASSERT_EQ(plan.slot_fingerprints.size(), want_fingerprints.size());
+  for (size_t s = 0; s < want_fingerprints.size(); ++s) {
+    EXPECT_TRUE(plan.slot_fingerprints[s] == want_fingerprints[s]) << s;
+  }
+  ASSERT_EQ(plan.rows.size(), regions.size());
+  for (size_t i = 0; i < regions.size(); ++i) {
+    EXPECT_EQ(plan.rows[i].region_slot, want_row_slot[i]) << "row " << i;
+  }
+}
+
+TEST(QueryPlannerTest, DedupMatchesNodeMapReference) {
+  // Seeded duplicate-heavy specs of 1..700 regions drawn from small
+  // pools of distinct masks: the planner's slots, fingerprints and row
+  // slots equal a first-occurrence node-map dedup.
+  const Hierarchy hierarchy = Hierarchy::Uniform(16, 16, 2, 8);
+  const QueryPlanner planner(&hierarchy);
+  Rng rng(20);
+  for (const size_t n : {1, 2, 3, 7, 16, 63, 64, 65, 255, 333, 607, 700}) {
+    const size_t pool_size = std::max<size_t>(1, n / 3);
+    std::vector<GridMask> pool;
+    for (uint64_t seed = 0; pool.size() < pool_size; ++seed) {
+      GridMask m = RandomMask(16, 16, n * 1000 + seed, 20);
+      if (!m.Empty()) pool.push_back(std::move(m));
+    }
+    std::vector<GridMask> regions;
+    for (size_t i = 0; i < n; ++i) {
+      regions.push_back(pool[rng.UniformInt(pool.size())]);
+    }
+    auto plan = planner.Plan(QuerySpec::TopK(regions, 0, 5));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ExpectDedupMatchesReference(*plan, regions);
+  }
+}
+
+TEST(QueryPlannerTest, DedupProbesPastSharedHomeSlots) {
+  // Distinct masks whose fingerprints share their low 6 bits: the
+  // planner homes a fingerprint at fp.lo & (capacity - 1), and a spec of
+  // at most 32 rows has a table of at most 64 slots, so every one of
+  // them lands on the same home slot and must be told apart by probing.
+  const Hierarchy hierarchy = Hierarchy::Uniform(16, 16, 2, 8);
+  const QueryPlanner planner(&hierarchy);
+  std::unordered_map<uint64_t, std::vector<GridMask>> by_low_bits;
+  std::vector<GridMask>* shared = nullptr;
+  for (uint64_t seed = 1; shared == nullptr; ++seed) {
+    GridMask m = RandomMask(16, 16, seed, 300);
+    if (m.Empty()) continue;
+    const uint64_t low =
+        FingerprintRegion(m, QueryStrategy::kUnionSubtraction).lo & 63;
+    std::vector<GridMask>& bucket = by_low_bits[low];
+    bucket.push_back(std::move(m));
+    if (bucket.size() == 8) shared = &bucket;
+  }
+  // Eight distinct masks, each three times, interleaved: 24 rows.
+  std::vector<GridMask> regions;
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < shared->size(); ++i) {
+      regions.push_back((*shared)[(i + static_cast<size_t>(round)) % 8]);
+    }
+  }
+  auto plan = planner.Plan(QuerySpec::MultiRegion(regions, 0));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->slot_regions.size(), 8u);
+  ExpectDedupMatchesReference(*plan, regions);
 }
 
 TEST(QueryPlannerTest, RangePlanGathersEveryTimestep) {
