@@ -1,8 +1,7 @@
-// Throughput of the concurrent region-query engine: queries/sec of
-// MultiRegion specs planned and run by the QueryExecutor (frame
-// memoization + sharded LRU resolve cache + thread pool) at 1, 4, and
-// hardware threads, against the one-query-at-a-time Predict loop the
-// seed served from. Production traffic re-queries the same areal units
+// Throughput of the region-query engine: queries/sec of MultiRegion
+// specs planned and run by the QueryExecutor on the calling thread
+// (frame memoization + sharded LRU resolve cache), against the
+// one-query-at-a-time Predict loop the seed served from. Production traffic re-queries the same areal units
 // (tracts, hexagons, road segments) across time slots, so the stream
 // cycles a fixed region set over many slots, one spec per slot.
 #include <algorithm>
@@ -12,7 +11,6 @@
 
 #include "bench_common.h"
 #include "core/stopwatch.h"
-#include "core/thread_pool.h"
 #include "query/query_executor.h"
 #include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
@@ -100,22 +98,11 @@ int main_impl() {
     reference_checksum = sum;
   }
 
-  // 1, 4, and hardware threads, keeping order and dropping duplicates.
-  std::vector<int> thread_counts;
-  for (int threads : {1, 4, ThreadPool::HardwareThreads()}) {
-    if (std::find(thread_counts.begin(), thread_counts.end(), threads) ==
-        thread_counts.end()) {
-      thread_counts.push_back(threads);
-    }
-  }
-
   const QueryPlanner planner(&dataset.hierarchy());
   const QueryExecutor executor(&server);
-  for (int threads : thread_counts) {
+  {
     ResolvedQueryCache cache;
-    ThreadPool pool(threads);
     QueryExecutorOptions options;
-    options.pool = &pool;
     options.cache = &cache;
     std::vector<QuerySpec> specs = stream;  // copied outside the timer
     double checksum = 0.0;
@@ -130,8 +117,7 @@ int main_impl() {
     }
     ModeResult mode;
     mode.seconds = timer.ElapsedSeconds();
-    mode.name = "MultiRegion specs, cache, " + std::to_string(threads) +
-                (threads == 1 ? " thread" : " threads");
+    mode.name = "MultiRegion specs, cache";
     O4A_CHECK(std::abs(checksum - reference_checksum) <
               1e-6 * (1.0 + std::abs(reference_checksum)))
         << "spec checksum drifted from sequential";

@@ -127,14 +127,9 @@ StormOutcome RunStorm(const STDataset& dataset,
                       const ExtendedQuadTree& index,
                       const std::vector<GridMask>& regions, int clients,
                       QueryStrategy strategy, TraceRecorder* recorder,
-                      const char* label, int num_shards = 1,
-                      int query_threads = 1) {
+                      const char* label, int num_shards = 1) {
   const auto& slots = dataset.test_indices();
   ServingRuntimeOptions options;
-  // Unsharded storms drive concurrency from the clients alone; sharded
-  // phase-4 rows pass 0 so each spec's rows fan out on the shared pool
-  // instead of serializing in the client thread.
-  options.num_query_threads = query_threads;
   options.max_inflight_queries = 1 << 20;
   options.trace = recorder;
   options.num_shards = num_shards;
@@ -515,9 +510,7 @@ int main_impl() {
           std::move(masks), slots[specs.size() % slots.size()], strategy));
     }
     ResolvedQueryCache cache;
-    ThreadPool pool(ThreadPool::HardwareThreads());
     QueryExecutorOptions options;
-    options.pool = &pool;
     options.cache = &cache;
     const QueryPlanner planner(&dataset.hierarchy());
     const QueryExecutor executor(&pipeline->server());
@@ -614,10 +607,10 @@ int main_impl() {
 
   // -- Phase 4: shard-scaling curve -----------------------------------
   // The same storm against 1/2/4/8 band shards, recorder disabled so
-  // the curve measures the scatter-gather path alone. Each row is sized
-  // to the machine: clients x scatter width ~ hardware threads (scatter
-  // fans out on the shared pool), so the curve compares shard scaling
-  // rather than time-slicing a fixed oversized storm. Only a row whose
+  // the curve measures the scatter-gather path alone. Every spec runs on
+  // its client's thread. Each row keeps the sizing rule clients x shards
+  // ~ hardware threads, so the curve compares shard scaling rather than
+  // time-slicing a fixed oversized storm. Only a row whose
   // minimum storm (2 clients x shards) still exceeds the box — in
   // practice the 8-shard row on small machines — is flagged
   // oversubscribed and exempted from the speedup gate.
@@ -633,7 +626,7 @@ int main_impl() {
         " clients)";
     const StormOutcome outcome = RunStorm(
         dataset, pipeline->index(), regions, row_clients, strategy,
-        &recorder, label.c_str(), shards, shards > 1 ? 0 : 1);
+        &recorder, label.c_str(), shards);
     ShardScalingRow row;
     row.shards = shards;
     row.clients = row_clients;

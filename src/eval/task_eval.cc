@@ -204,11 +204,15 @@ std::unique_ptr<MauPipeline> MauPipeline::Build(FlowPredictor* predictor,
       }
     }
   }
-  // Derive summed-area planes for everything just synced, so the SAT
-  // fast path works against the static generation exactly as it does
-  // against epoch-published ones. Cost is one pass over the (small)
-  // per-layer frames; negligible next to the prediction ingest above.
-  pipeline->store_.BuildSatPlanes(0);
+  // Each synced frame gets its tiled summed-area plane, so the SAT fast
+  // path works against the static generation exactly as it does against
+  // epoch-published ones.
+  for (int l = 1; l <= dataset.hierarchy().num_layers(); ++l) {
+    for (const int64_t t : pipeline->test_) {
+      const Status plane = pipeline->store_.TryBuildSatPlaneAt(0, l, t);
+      O4A_CHECK(plane.ok()) << plane.ToString();
+    }
+  }
 
   pipeline->server_ = std::make_unique<RegionQueryServer>(
       &dataset.hierarchy(), &pipeline->index_, &pipeline->store_);

@@ -201,48 +201,11 @@ Status PredictionStore::TryBuildSatPlaneDeltaAt(int64_t generation, int layer,
   return Status::OK();
 }
 
-Result<SatPlane> PredictionStore::GetSatPlaneAt(int64_t generation,
-                                                int layer, int64_t t) const {
-  Entry entry;
-  if (!SnapshotEntry(Key{generation, layer, t}, &entry) ||
-      entry.plane == nullptr) {
-    return Status::NotFound("no summed-area plane for key");
-  }
-  // Rebuilt from the materialized frame rather than the tiled plane, so
-  // the result is bit-identical to BuildSatPlane of the synced frame —
-  // the legacy surface older tests and tools pin. O(cells); hot readers
-  // use GetTiledSatPlaneAt.
-  return BuildSatPlane(entry.frame->Materialize());
-}
-
 bool PredictionStore::HasSatPlaneAt(int64_t generation, int layer,
                                     int64_t t) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = entries_.find(Key{generation, layer, t});
   return it != entries_.end() && it->second.plane != nullptr;
-}
-
-int64_t PredictionStore::BuildSatPlanes(int64_t generation,
-                                        ThreadPool* pool) {
-  // Snapshot the generation's keys first: building happens outside the
-  // lock and must not iterate a mutating map.
-  std::vector<Key> keys;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    for (auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
-         it != entries_.end() && std::get<0>(it->first) == generation; ++it) {
-      keys.push_back(it->first);
-    }
-  }
-  int64_t built = 0;
-  for (const Key& key : keys) {
-    const Status status =
-        TryBuildSatPlaneAt(generation, std::get<1>(key), std::get<2>(key),
-                           pool);
-    O4A_CHECK(status.ok()) << status.ToString();
-    ++built;
-  }
-  return built;
 }
 
 bool PredictionStore::HasFrame(int layer, int64_t t) const {

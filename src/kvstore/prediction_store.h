@@ -40,7 +40,6 @@
 #include <tuple>
 
 #include "core/status.h"
-#include "tensor/prefix_sum.h"
 #include "tensor/tensor.h"
 #include "tensor/tiled_sat.h"
 
@@ -147,20 +146,7 @@ class PredictionStore {
                                  int64_t base_t, ThreadPool* pool = nullptr,
                                  StageStats* stats = nullptr);
 
-  /// \brief Materialized monolithic plane, bit-identical to
-  /// BuildSatPlane of the stored frame (legacy readers and parity
-  /// tests; the query fast path reads GetTiledSatPlaneAt instead).
-  /// NotFound when the frame was synced without a plane — the query
-  /// layer then falls back to summing the frame directly.
-  Result<SatPlane> GetSatPlaneAt(int64_t generation, int layer,
-                                 int64_t t) const;
-
   bool HasSatPlaneAt(int64_t generation, int layer, int64_t t) const;
-
-  /// \brief Builds and stores the summed-area plane of every frame in a
-  /// generation (offline harness: sync frames first, derive all planes
-  /// in one pass). Returns the number of planes built.
-  int64_t BuildSatPlanes(int64_t generation, ThreadPool* pool = nullptr);
 
   /// \brief Copies frames of `from` with t >= `min_t` into generation
   /// `to` — shared_ptr aliasing of every tile block, no cell data moves.

@@ -20,30 +20,19 @@ SpanName EventName(const TraceEvent& event) {
   return static_cast<SpanName>(event.name);
 }
 
-struct TreeNode {
-  const TraceEvent* event = nullptr;
-  std::vector<size_t> children;  ///< indices into the node vector
-};
-
-void RenderNode(const std::vector<TreeNode>& nodes, size_t index,
+void RenderNode(const std::vector<SpanTreeNode>& nodes, size_t index,
                 int depth, std::ostringstream& out) {
-  const TraceEvent& event = *nodes[index].event;
-  uint64_t child_nanos = 0;
-  for (size_t child : nodes[index].children) {
-    child_nanos += nodes[child].event->duration_nanos;
-  }
-  const uint64_t self_nanos = event.duration_nanos > child_nanos
-                                  ? event.duration_nanos - child_nanos
-                                  : 0;
+  const SpanTreeNode& node = nodes[index];
+  const TraceEvent& event = *node.event;
   for (int i = 0; i < depth; ++i) out << "  ";
   out << SpanNameString(EventName(event)) << "  "
       << Micros(event.duration_nanos) << " us";
-  if (!nodes[index].children.empty()) {
-    out << "  (self " << Micros(self_nanos) << " us)";
+  if (!node.children.empty()) {
+    out << "  (self " << Micros(node.self_nanos) << " us)";
   }
   if (event.arg != 0) out << "  [arg=" << event.arg << "]";
   out << "\n";
-  for (size_t child : nodes[index].children) {
+  for (size_t child : node.children) {
     RenderNode(nodes, child, depth + 1, out);
   }
 }
@@ -103,38 +92,52 @@ std::array<SpanAggregate, kNumSpanNames> AggregateBySpanName(
   return aggregates;
 }
 
-std::string RenderSlowestTraceTrees(const std::vector<TraceEvent>& events,
-                                    int slowest, int64_t dropped_events) {
-  std::vector<TreeNode> nodes(events.size());
+SpanForest BuildSpanForest(const std::vector<TraceEvent>& events) {
+  SpanForest forest;
+  std::vector<SpanTreeNode>& nodes = forest.nodes;
+  nodes.resize(events.size());
   std::map<uint64_t, size_t> by_span_id;
   for (size_t i = 0; i < events.size(); ++i) {
     nodes[i].event = &events[i];
     by_span_id[events[i].span_id] = i;
   }
-  std::vector<size_t> roots;
-  size_t orphans = 0;
   for (size_t i = 0; i < events.size(); ++i) {
     if (events[i].parent_id == 0) {
-      roots.push_back(i);
+      forest.roots.push_back(i);
       continue;
     }
     auto parent = by_span_id.find(events[i].parent_id);
     if (parent == by_span_id.end() ||
         events[parent->second].trace_id != events[i].trace_id) {
-      ++orphans;  // parent evicted from the ring before the snapshot
+      ++forest.orphans;  // parent evicted from the ring before the snapshot
       continue;
     }
     nodes[parent->second].children.push_back(i);
   }
   // Children recorded before their parents closed: order each tree level
-  // by start time so the rendering reads chronologically.
-  for (TreeNode& node : nodes) {
+  // by start time so walks read chronologically.
+  for (SpanTreeNode& node : nodes) {
     std::sort(node.children.begin(), node.children.end(),
               [&nodes](size_t a, size_t b) {
                 return nodes[a].event->start_nanos <
                        nodes[b].event->start_nanos;
               });
+    uint64_t child_nanos = 0;
+    for (size_t child : node.children) {
+      child_nanos += nodes[child].event->duration_nanos;
+    }
+    node.self_nanos = node.event->duration_nanos > child_nanos
+                          ? node.event->duration_nanos - child_nanos
+                          : 0;
   }
+  return forest;
+}
+
+std::string RenderSlowestTraceTrees(const std::vector<TraceEvent>& events,
+                                    int slowest, int64_t dropped_events) {
+  SpanForest forest = BuildSpanForest(events);
+  const std::vector<SpanTreeNode>& nodes = forest.nodes;
+  std::vector<size_t>& roots = forest.roots;
   std::sort(roots.begin(), roots.end(), [&nodes](size_t a, size_t b) {
     return nodes[a].event->duration_nanos >
            nodes[b].event->duration_nanos;
@@ -147,8 +150,8 @@ std::string RenderSlowestTraceTrees(const std::vector<TraceEvent>& events,
   out << "Slowest " << roots.size() << " trace(s) of " << events.size()
       << " recorded span(s); " << dropped_events
       << " event(s) dropped by the ring";
-  if (orphans > 0) {
-    out << "; " << orphans << " span(s) orphaned by eviction";
+  if (forest.orphans > 0) {
+    out << "; " << forest.orphans << " span(s) orphaned by eviction";
   }
   out << "\n";
   int rank = 1;

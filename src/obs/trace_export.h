@@ -40,6 +40,25 @@ struct SpanAggregate {
 std::array<SpanAggregate, kNumSpanNames> AggregateBySpanName(
     const std::vector<TraceEvent>& events);
 
+/// \brief One span of a reassembled trace tree.
+struct SpanTreeNode {
+  const TraceEvent* event = nullptr;
+  std::vector<size_t> children;  ///< node indices, by start time
+  /// Duration minus the direct children's durations, floored at 0.
+  uint64_t self_nanos = 0;
+};
+
+/// \brief Recorded events reassembled into span trees: nodes[i] wraps
+/// events[i] (which must outlive the forest). A span whose parent was
+/// evicted from the ring before the snapshot is an orphan: in no tree.
+struct SpanForest {
+  std::vector<SpanTreeNode> nodes;
+  std::vector<size_t> roots;
+  size_t orphans = 0;
+};
+
+SpanForest BuildSpanForest(const std::vector<TraceEvent>& events);
+
 /// \brief Renders the `slowest` longest root spans as indented trees:
 /// each line shows the span, its duration and its self-time (duration
 /// minus direct children). Children orphaned by ring eviction are noted.

@@ -1,23 +1,19 @@
-// Internal execution helpers of the QueryExecutor: the per-worker
+// Internal execution helper of the QueryExecutor: the per-plan
 // prediction-frame memo its exact cell loop folds terms through, at
-// every shard count, and the sharded parallel-for policy. One memo and
-// one fold, so every shard count reads frames the same way and sums
-// terms with byte-identical arithmetic (same cell values, same
-// accumulation order).
+// every shard count. One memo and one fold, so every shard count reads
+// frames the same way and sums terms with byte-identical arithmetic
+// (same cell values, same accumulation order).
 #ifndef ONE4ALL_QUERY_FRAME_MEMO_H_
 #define ONE4ALL_QUERY_FRAME_MEMO_H_
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "kvstore/prediction_store.h"
 #include "query/query_executor.h"
 #include "query/query_server.h"
-#include "tensor/gemm.h"
 
 namespace one4all {
 namespace query_internal {
@@ -29,13 +25,13 @@ struct TermAddress {
   int64_t row = 0;
 };
 
-/// \brief Per-worker memo of pinned prediction frames: one store fetch
+/// \brief Per-plan memo of pinned prediction frames: one store fetch
 /// per (shard, layer, t) instead of one per combination term, and no
 /// cell copy at all — each entry pins the tiled copy-on-write frame the
 /// shard's store holds and terms read their cell through its tile table.
 ///
 /// A flat key-sorted vector, not a map: the memo holds a handful of
-/// frames (shards x layers x timesteps of one worker chunk), so binary
+/// frames (shards x layers x timesteps of one plan), so binary
 /// search over contiguous keys beats pointer-chasing map nodes, and
 /// inserting shifts only (key, shared_ptr) pairs.
 class FrameMemo {
@@ -127,31 +123,6 @@ class FrameMemo {
   const std::vector<ShardReadView>& shards_;
   std::vector<Entry> frames_;  ///< key-ascending
 };
-
-/// \brief Runs `body(begin, end)` over [0, n) with the requested
-/// parallelism; `pool` wins over `num_threads` (QueryExecutorOptions
-/// semantics: 0 = ambient/shared pool, 1 = caller's thread, > 1 =
-/// per-call pool).
-inline void RunSharded(ThreadPool* pool, int num_threads, int64_t n,
-                       const std::function<void(int64_t, int64_t)>& body) {
-  if (pool != nullptr) {
-    pool->ParallelFor(n, body);
-  } else if (num_threads == 0) {
-    // Resolve through the central policy: Shared() by default, sequential
-    // when issued from a pool worker (waiting on a pool from one of its
-    // own workers would deadlock).
-    if (ThreadPool* ambient = ResolveComputePool()) {
-      ambient->ParallelFor(n, body);
-    } else {
-      body(0, n);
-    }
-  } else if (num_threads > 1) {
-    ThreadPool local(num_threads);
-    local.ParallelFor(n, body);
-  } else {
-    body(0, n);
-  }
-}
 
 }  // namespace query_internal
 }  // namespace one4all

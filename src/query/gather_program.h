@@ -2,8 +2,8 @@
 // resolution produces (one signed frame cell per term) folded into
 //   - SAT rect reads: maximal axis-aligned rectangles of same-sign terms
 //     within one layer, each answered by a four-corner read of that
-//     layer's summed-area plane (tensor/prefix_sum.h) — O(#rects)
-//     however many cells the rectangles cover, and
+//     layer's summed-area plane (TiledSatPlane, tensor/tiled_sat.h) —
+//     O(#rects) however many cells the rectangles cover, and
 //   - residue reads: the irregular leftovers, each addressed as a
 //     (tile, in-tile offset) pair into the layer's copy-on-write tiled
 //     frame (tensor/tiled_sat.h), precomputed once at resolve time and

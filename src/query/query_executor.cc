@@ -10,7 +10,6 @@
 #include "query/resolved_query_cache.h"
 #include "shard/shard_map.h"
 #include "shard/shard_router.h"
-#include "tensor/prefix_sum.h"
 #include "tensor/tiled_sat.h"
 
 namespace one4all {
@@ -115,10 +114,9 @@ QueryRow MakeRow(const std::vector<double>& series, TimeAggregation agg,
 // -- SAT fast path ----------------------------------------------------------
 
 /// \brief One (layer, t) the fast path needs, with whatever was pinned
-/// for it. Frames and planes are pinned once per *plan* (the exact path
-/// pins per worker chunk through its FrameMemo), then read in place,
-/// concurrently, by every row. The hot row loop reads raw pointers
-/// hoisted at fetch time — no Result<> unwrapping per rect/residue read.
+/// for it. Frames and planes are pinned once per plan, then read in
+/// place by every row. The hot row loop reads raw pointers hoisted at
+/// fetch time — no Result<> unwrapping per rect/residue read.
 struct FrameTableEntry {
   int layer = 0;
   int64_t t = 0;
@@ -178,6 +176,300 @@ double RectSumOnFrame(const TiledFrame& frame, const SatRectRead& rect) {
 /// (far past serving admission budgets) take the exact path instead.
 constexpr int64_t kMaxFastPathGathers = int64_t{1} << 20;
 
+/// \brief Stage 1: probes each distinct region's home-shard cache,
+/// resolving (decompose + index) on a miss.
+std::vector<SlotResolution> ResolveSlots(
+    const RegionQueryServer& server, const QueryPlan& plan,
+    const std::vector<ShardReadView>& shards, const ShardMap* bands,
+    TraceContext* trace) {
+  std::vector<SlotResolution> slots(plan.slot_regions.size());
+  for (size_t s = 0; s < slots.size(); ++s) {
+    SlotResolution& slot = slots[s];
+    const GridMask& region = plan.RegionForSlot(static_cast<int>(s));
+    const int home =
+        bands == nullptr ? 0 : ShardRouter(bands).HomeShard(region);
+    ResolvedQueryCache* cache = shards[static_cast<size_t>(home)].cache;
+    slot.cached = cache != nullptr;
+    ScopedSpan probe_span(trace, SpanName::kCacheProbe);
+    Stopwatch probe;
+    slot.resolved =
+        server.ResolveCached(region, plan.spec.strategy,
+                             plan.slot_fingerprints[s], cache,
+                             &slot.cache_hit);
+    // Captured before evaluation so a hit reports only the resolve-path
+    // latency, comparable to decompose+index.
+    slot.probe_micros = probe.ElapsedMicros();
+    probe_span.set_arg(slot.cache_hit ? 1 : 0);
+  }
+  return slots;
+}
+
+/// \brief Stage 2 on the SAT fast path, over one shard holding the whole
+/// grid: fills `rows` from the plan's compiled gather programs.
+void GatherSatFastPath(const QueryPlan& plan,
+                       const std::vector<SlotResolution>& slots,
+                       const ShardReadView& shard, bool keep_series,
+                       TraceContext* trace,
+                       std::vector<Result<QueryRow>>* rows) {
+  // Fast path, phase 1: collect every (layer, t) the plan touches and
+  // fetch frames/planes for them once; phase 2's rows only read the
+  // table.
+  // Layer needs dedup per slot first (rows sharing a resolution share
+  // its layer set), then expand over timesteps into lightweight keys.
+  struct LayerNeedKey {
+    int layer = 0;
+    bool need_frame = false;
+    bool need_plane = false;
+  };
+  std::vector<LayerNeedKey> layer_needs;
+  std::vector<char> slot_seen(slots.size(), 0);
+  int64_t t_min = 0, t_max = -1;
+  for (const PlanRow& planned : plan.rows) {
+    const size_t s = static_cast<size_t>(planned.region_slot);
+    if (!slots[s].resolved.ok()) continue;
+    if (t_max < t_min) {
+      t_min = planned.t0;
+      t_max = planned.t1;
+    } else {
+      t_min = std::min(t_min, planned.t0);
+      t_max = std::max(t_max, planned.t1);
+    }
+    if (slot_seen[s]) continue;
+    slot_seen[s] = 1;
+    for (const GatherLayerNeed& need : (**slots[s].resolved).gather.layers) {
+      layer_needs.push_back(
+          LayerNeedKey{need.layer, need.needs_frame, need.needs_plane});
+    }
+  }
+  std::sort(layer_needs.begin(), layer_needs.end(),
+            [](const LayerNeedKey& a, const LayerNeedKey& b) {
+              return a.layer < b.layer;
+            });
+  size_t kept = 0;
+  for (size_t i = 0; i < layer_needs.size(); ++i) {
+    if (kept > 0 && layer_needs[kept - 1].layer == layer_needs[i].layer) {
+      layer_needs[kept - 1].need_frame |= layer_needs[i].need_frame;
+      layer_needs[kept - 1].need_plane |= layer_needs[i].need_plane;
+    } else {
+      layer_needs[kept++] = layer_needs[i];
+    }
+  }
+  layer_needs.resize(kept);
+
+  // Every spec-shape row shares the plan's time selector, so the table
+  // is the dense (distinct layers) x [t_min, t_max] grid — which is
+  // what lets phase 2 index a layer's entries by timestep offset.
+  std::vector<FrameTableEntry> table;
+  table.resize(layer_needs.size() *
+               static_cast<size_t>(t_max - t_min + 1));
+  {
+    size_t i = 0;
+    for (const LayerNeedKey& need : layer_needs) {
+      for (int64_t t = t_min; t <= t_max; ++t, ++i) {
+        table[i].layer = need.layer;
+        table[i].t = t;
+        table[i].need_frame = need.need_frame;
+        table[i].need_plane = need.need_plane;
+      }
+    }
+  }
+
+  const PredictionStore* store = shard.store;
+  const int64_t generation = shard.generation;
+  for (FrameTableEntry& entry : table) {
+    if (entry.need_plane) {
+      Result<std::shared_ptr<const TiledSatPlane>> plane =
+          store->GetTiledSatPlaneAt(generation, entry.layer, entry.t);
+      if (plane.ok()) {
+        entry.plane = plane.MoveValueUnsafe();
+      } else if (plane.status().code() == StatusCode::kNotFound) {
+        // No plane stored for this (layer, t): a store synced without
+        // planes, as a direct RegionQueryServer user may hand in. Rect
+        // reads degrade to direct frame sums instead of failing the row.
+        entry.need_frame = true;
+      } else {
+        // Anything else (corrupt blob, size mismatch) is a store
+        // defect: fail the rows loudly rather than silently eating the
+        // fast path's speedup forever.
+        entry.error = plane.status();
+        continue;
+      }
+    }
+    if (entry.need_frame) {
+      Result<std::shared_ptr<const TiledFrame>> frame =
+          store->GetTiledFrameAt(generation, entry.layer, entry.t);
+      if (frame.ok()) {
+        entry.frame = frame.MoveValueUnsafe();
+        entry.tiles = entry.frame->tiles();
+      } else {
+        entry.error = frame.status();
+      }
+    }
+  }
+
+  // Phase 2: per-row interpretation of the compiled gather programs.
+  std::vector<double> series;
+  std::vector<const FrameTableEntry*> layer_bases;
+  for (size_t i = 0; i < plan.rows.size(); ++i) {
+    const PlanRow& planned = plan.rows[i];
+    const SlotResolution& slot =
+        slots[static_cast<size_t>(planned.region_slot)];
+    if (!slot.resolved.ok()) {
+      (*rows)[i] = slot.resolved.status();
+      continue;
+    }
+    const ResolvedQuery& rq = **slot.resolved;
+    const GatherProgram& program = rq.gather;
+    const int64_t steps = planned.num_steps();
+    // One binary search per (row, layer): a layer's entries for the
+    // row's [t0, t1] are table-contiguous (every row of a spec plan
+    // shares the spec's time selector), so the t loops below just
+    // offset from the base.
+    layer_bases.assign(program.layers.size(), nullptr);
+    for (size_t li = 0; li < program.layers.size(); ++li) {
+      layer_bases[li] =
+          FindEntry(table, program.layers[li].layer, planned.t0);
+      // Contiguity check: the last step of the row's range must sit
+      // exactly num_steps-1 entries after the base.
+      O4A_DCHECK((layer_bases[li] + (steps - 1))->layer ==
+                     program.layers[li].layer &&
+                 (layer_bases[li] + (steps - 1))->t == planned.t1);
+    }
+    Stopwatch eval_timer;
+    // Availability first: the row fails with the error of its first
+    // timestep holding an unreadable entry and, within it, of the
+    // first read in program order — rects (layer-ascending), then
+    // residues (layer-ascending).
+    Status gather = Status::OK();
+    for (int64_t dt = 0; dt < steps && gather.ok(); ++dt) {
+      for (size_t li = 0; li < program.layers.size() && gather.ok();
+           ++li) {
+        const FrameTableEntry* entry = layer_bases[li] + dt;
+        if (program.layers[li].needs_plane && entry->plane == nullptr &&
+            entry->tiles == nullptr) {
+          gather = entry->error;
+        }
+      }
+      for (size_t li = 0; li < program.layers.size() && gather.ok();
+           ++li) {
+        const FrameTableEntry* entry = layer_bases[li] + dt;
+        if (program.layers[li].needs_frame && entry->tiles == nullptr) {
+          gather = entry->error;
+        }
+      }
+    }
+    if (!gather.ok()) {
+      (*rows)[i] = std::move(gather);
+      continue;
+    }
+    // Read-outer, timestep-inner into per-step accumulators: each
+    // read's coordinates stay hot across the range, and every step
+    // still adds the same reads in the same order (rects, then
+    // residues) as a step-at-a-time sweep would.
+    series.assign(static_cast<size_t>(steps), 0.0);
+    double* acc = series.data();
+    for (const SatRectRead& rect : program.rects) {
+      const FrameTableEntry* entry =
+          layer_bases[static_cast<size_t>(rect.layer_index)];
+      const double sign = static_cast<double>(rect.sign);
+      for (int64_t dt = 0; dt < steps; ++dt, ++entry) {
+        acc[dt] += sign * (entry->plane != nullptr
+                               ? entry->plane->RectSum(rect.r0, rect.c0,
+                                                       rect.r1, rect.c1)
+                               : RectSumOnFrame(*entry->frame, rect));
+      }
+    }
+    for (const ResidueRead& residue : program.residues) {
+      const FrameTableEntry* entry =
+          layer_bases[static_cast<size_t>(residue.layer_index)];
+      const double sign = static_cast<double>(residue.sign);
+      for (int64_t dt = 0; dt < steps; ++dt, ++entry) {
+        acc[dt] += sign * static_cast<double>(
+                              entry->tiles[residue.tile][residue.in_tile]);
+      }
+    }
+    const double eval_micros = eval_timer.ElapsedMicros();
+    (*rows)[i] = MakeRow(series, plan.spec.aggregation, keep_series, rq,
+                         slot, eval_micros, trace);
+  }
+}
+
+/// \brief Stage 2 on the exact cell loop, at any shard count: fills
+/// `rows` with each row's canonical term fold. At N > 1 each term reads
+/// its cell from the band frame of the shard that owns it
+/// (ShardMap::OwnerOf, at its band-local row); at N=1 from shard 0 at its
+/// grid row. Either way the fold is FrameMemo's canonical left-to-right
+/// sum, so answers — and the term and timestep a failing row reports —
+/// are bit-identical across N.
+void GatherExactCellLoop(const QueryPlan& plan,
+                         const std::vector<SlotResolution>& slots,
+                         const std::vector<ShardReadView>& shards,
+                         const ShardMap* bands, bool keep_series,
+                         TraceContext* trace,
+                         std::vector<Result<QueryRow>>* rows) {
+  query_internal::FrameMemo memo(shards);
+  std::vector<query_internal::TermAddress> addresses;
+  std::vector<int64_t> term_reads(shards.size(), 0);
+  std::vector<double> series;
+  for (size_t i = 0; i < plan.rows.size(); ++i) {
+    const PlanRow& planned = plan.rows[i];
+    const SlotResolution& slot =
+        slots[static_cast<size_t>(planned.region_slot)];
+    if (!slot.resolved.ok()) {
+      (*rows)[i] = slot.resolved.status();
+      continue;
+    }
+    const ResolvedQuery& rq = **slot.resolved;
+    if (bands != nullptr) {
+      // Addressed once per row, read at every timestep.
+      addresses.resize(rq.terms.size());
+      for (size_t ti = 0; ti < rq.terms.size(); ++ti) {
+        const GridId& grid = rq.terms[ti].grid;
+        const int owner = bands->OwnerOf(grid);
+        addresses[ti] = {owner, bands->LocalRow(owner, grid)};
+      }
+    }
+    series.clear();
+    // Clamped reserve: a hint only, so a huge (likely mistaken) range
+    // cannot bad_alloc here before the first gather gets the chance to
+    // fail with a per-row NotFound.
+    series.reserve(
+        static_cast<size_t>(std::min<int64_t>(planned.num_steps(), 4096)));
+    Stopwatch eval_timer;
+    Status gather = Status::OK();
+    for (int64_t t = planned.t0; t <= planned.t1; ++t) {
+      double value = 0.0;
+      gather = bands == nullptr
+                   ? memo.Evaluate(rq.terms, t, &value)
+                   : memo.Evaluate(rq.terms, addresses, t, &value);
+      if (!gather.ok()) break;
+      series.push_back(value);
+    }
+    const double eval_micros = eval_timer.ElapsedMicros();
+    // Count the reads behind every answered timestep, per owner.
+    const int64_t answered = static_cast<int64_t>(series.size());
+    if (bands == nullptr) {
+      term_reads[0] += static_cast<int64_t>(rq.terms.size()) * answered;
+    } else {
+      for (const query_internal::TermAddress& at : addresses) {
+        term_reads[static_cast<size_t>(at.shard)] += answered;
+      }
+    }
+    if (!gather.ok()) {
+      (*rows)[i] = std::move(gather);
+      continue;
+    }
+    (*rows)[i] = MakeRow(series, plan.spec.aggregation, keep_series, rq,
+                         slot, eval_micros, trace);
+  }
+  for (size_t k = 0; k < shards.size(); ++k) {
+    Counter* counter = shards[k].terms_evaluated;
+    if (counter != nullptr && term_reads[k] > 0) {
+      counter->fetch_add(term_reads[k]);
+    }
+  }
+}
+
 using query_internal::RankTopK;
 
 }  // namespace
@@ -214,39 +506,11 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
   // -- Stage 1: cache-probe / resolve each distinct region ---------------
   // Each region resolves through its home shard's cache.
   Stopwatch stage_timer;
-  std::vector<SlotResolution> slots(plan.slot_regions.size());
+  std::vector<SlotResolution> slots;
   {
     ScopedSpan resolve_span(options.trace, SpanName::kResolve,
-                            static_cast<int64_t>(slots.size()));
-    query_internal::RunSharded(
-        options.pool, options.num_threads,
-        static_cast<int64_t>(slots.size()),
-        [&](int64_t begin, int64_t end) {
-          // Each shard spans against its own copy of the trace context:
-          // ScopedSpan mutates parent_span, which must stay thread-local.
-          TraceContext shard_trace;
-          if (options.trace != nullptr) shard_trace = *options.trace;
-          for (int64_t s = begin; s < end; ++s) {
-            SlotResolution& slot = slots[static_cast<size_t>(s)];
-            const GridMask& region =
-                plan.RegionForSlot(static_cast<int>(s));
-            const int home =
-                bands == nullptr ? 0 : ShardRouter(bands).HomeShard(region);
-            ResolvedQueryCache* cache =
-                shards[static_cast<size_t>(home)].cache;
-            slot.cached = cache != nullptr;
-            ScopedSpan probe_span(&shard_trace, SpanName::kCacheProbe);
-            Stopwatch probe;
-            slot.resolved = server_->ResolveCached(
-                region, plan.spec.strategy,
-                plan.slot_fingerprints[static_cast<size_t>(s)], cache,
-                &slot.cache_hit);
-            // Captured before evaluation so a hit reports only the
-            // resolve-path latency, comparable to decompose+index.
-            slot.probe_micros = probe.ElapsedMicros();
-            probe_span.set_arg(slot.cache_hit ? 1 : 0);
-          }
-        });
+                            static_cast<int64_t>(plan.slot_regions.size()));
+    slots = ResolveSlots(*server_, plan, shards, bands, options.trace);
   }
   result.timings.resolve_micros = stage_timer.ElapsedMicros();
   for (const SlotResolution& slot : slots) {
@@ -262,302 +526,23 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
   stage_timer.Restart();
   const bool keep_series =
       plan.spec.keep_series && !plan.spec.time.IsPoint();
-
-  // The SAT fast path reads whole-grid summed-area planes, so it runs on
-  // one shard only. Band shards hold band-clipped planes, and summing a
-  // rect's per-band parts would change the rounding; at N > 1 a
-  // kSatFastPath plan runs the exact loop below, bit-identical to N=1's
-  // exact loop.
-  if (plan.path == EvalPath::kSatFastPath && num_shards == 1 &&
-      plan.num_point_queries() <= kMaxFastPathGathers) {
+  {
     ScopedSpan gather_span(options.trace, SpanName::kGather,
                            plan.num_point_queries());
-    // Fast path, phase 1: collect every (layer, t) the plan touches and
-    // fetch frames/planes for them once, in parallel. Rows only read the
-    // table afterwards, so no synchronization is needed in phase 2.
-    // Layer needs dedup per slot first (rows sharing a resolution share
-    // its layer set), then expand over timesteps into lightweight keys.
-    struct LayerNeedKey {
-      int layer = 0;
-      bool need_frame = false;
-      bool need_plane = false;
-    };
-    std::vector<LayerNeedKey> layer_needs;
-    std::vector<char> slot_seen(slots.size(), 0);
-    int64_t t_min = 0, t_max = -1;
-    for (const PlanRow& planned : plan.rows) {
-      const size_t s = static_cast<size_t>(planned.region_slot);
-      if (!slots[s].resolved.ok()) continue;
-      if (t_max < t_min) {
-        t_min = planned.t0;
-        t_max = planned.t1;
-      } else {
-        t_min = std::min(t_min, planned.t0);
-        t_max = std::max(t_max, planned.t1);
-      }
-      if (slot_seen[s]) continue;
-      slot_seen[s] = 1;
-      for (const GatherLayerNeed& need : (**slots[s].resolved).gather.layers) {
-        layer_needs.push_back(
-            LayerNeedKey{need.layer, need.needs_frame, need.needs_plane});
-      }
+    // The SAT fast path reads whole-grid summed-area planes, so it runs
+    // on one shard only. Band shards hold band-clipped planes, and
+    // summing a rect's per-band parts would change the rounding; at
+    // N > 1 a kSatFastPath plan runs the exact loop, bit-identical to
+    // N=1's exact loop.
+    if (plan.path == EvalPath::kSatFastPath && num_shards == 1 &&
+        plan.num_point_queries() <= kMaxFastPathGathers) {
+      GatherSatFastPath(plan, slots, shards[0], keep_series, options.trace,
+                        &result.rows);
+    } else {
+      GatherExactCellLoop(plan, slots, shards, bands, keep_series,
+                          options.trace, &result.rows);
     }
-    std::sort(layer_needs.begin(), layer_needs.end(),
-              [](const LayerNeedKey& a, const LayerNeedKey& b) {
-                return a.layer < b.layer;
-              });
-    size_t kept = 0;
-    for (size_t i = 0; i < layer_needs.size(); ++i) {
-      if (kept > 0 && layer_needs[kept - 1].layer == layer_needs[i].layer) {
-        layer_needs[kept - 1].need_frame |= layer_needs[i].need_frame;
-        layer_needs[kept - 1].need_plane |= layer_needs[i].need_plane;
-      } else {
-        layer_needs[kept++] = layer_needs[i];
-      }
-    }
-    layer_needs.resize(kept);
-
-    // Every spec-shape row shares the plan's time selector, so the table
-    // is the dense (distinct layers) x [t_min, t_max] grid — which is
-    // what lets phase 2 index a layer's entries by timestep offset.
-    std::vector<FrameTableEntry> table;
-    table.resize(layer_needs.size() *
-                 static_cast<size_t>(t_max - t_min + 1));
-    {
-      size_t i = 0;
-      for (const LayerNeedKey& need : layer_needs) {
-        for (int64_t t = t_min; t <= t_max; ++t, ++i) {
-          table[i].layer = need.layer;
-          table[i].t = t;
-          table[i].need_frame = need.need_frame;
-          table[i].need_plane = need.need_plane;
-        }
-      }
-    }
-
-    const PredictionStore* store = shards[0].store;
-    const int64_t generation = shards[0].generation;
-    query_internal::RunSharded(
-        options.pool, options.num_threads,
-        static_cast<int64_t>(table.size()),
-        [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            FrameTableEntry& entry = table[static_cast<size_t>(i)];
-            if (entry.need_plane) {
-              Result<std::shared_ptr<const TiledSatPlane>> plane =
-                  store->GetTiledSatPlaneAt(generation, entry.layer, entry.t);
-              if (plane.ok()) {
-                entry.plane = plane.MoveValueUnsafe();
-              } else if (plane.status().code() == StatusCode::kNotFound) {
-                // No plane published for this generation (e.g. the
-                // static offline generation before BuildSatPlanes):
-                // rect reads degrade to direct frame sums instead of
-                // failing the row.
-                entry.need_frame = true;
-              } else {
-                // Anything else (corrupt blob, size mismatch) is a
-                // store defect: fail the rows loudly rather than
-                // silently eating the fast path's speedup forever.
-                entry.error = plane.status();
-                continue;
-              }
-            }
-            if (entry.need_frame) {
-              Result<std::shared_ptr<const TiledFrame>> frame =
-                  store->GetTiledFrameAt(generation, entry.layer, entry.t);
-              if (frame.ok()) {
-                entry.frame = frame.MoveValueUnsafe();
-                entry.tiles = entry.frame->tiles();
-              } else {
-                entry.error = frame.status();
-              }
-            }
-          }
-        });
-
-    // Phase 2: per-row interpretation of the compiled gather programs.
-    query_internal::RunSharded(
-        options.pool, options.num_threads,
-        static_cast<int64_t>(plan.rows.size()),
-        [&](int64_t begin, int64_t end) {
-          TraceContext shard_trace;
-          if (options.trace != nullptr) shard_trace = *options.trace;
-          std::vector<double> series;
-          std::vector<const FrameTableEntry*> layer_bases;
-          for (int64_t i = begin; i < end; ++i) {
-            const PlanRow& planned = plan.rows[static_cast<size_t>(i)];
-            const SlotResolution& slot =
-                slots[static_cast<size_t>(planned.region_slot)];
-            if (!slot.resolved.ok()) {
-              result.rows[static_cast<size_t>(i)] = slot.resolved.status();
-              continue;
-            }
-            const ResolvedQuery& rq = **slot.resolved;
-            const GatherProgram& program = rq.gather;
-            const int64_t steps = planned.num_steps();
-            // One binary search per (row, layer): a layer's entries for
-            // the row's [t0, t1] are table-contiguous (every row of a
-            // spec plan shares the spec's time selector), so the t loops
-            // below just offset from the base.
-            layer_bases.assign(program.layers.size(), nullptr);
-            for (size_t li = 0; li < program.layers.size(); ++li) {
-              layer_bases[li] =
-                  FindEntry(table, program.layers[li].layer, planned.t0);
-              // Contiguity check: the last step of the row's range must
-              // sit exactly num_steps-1 entries after the base.
-              O4A_DCHECK(
-                  (layer_bases[li] + (steps - 1))->layer ==
-                      program.layers[li].layer &&
-                  (layer_bases[li] + (steps - 1))->t == planned.t1);
-            }
-            Stopwatch eval_timer;
-            // Availability first: the row fails with the error of its
-            // first timestep holding an unreadable entry and, within it,
-            // of the first read in program order — rects (layer-
-            // ascending), then residues (layer-ascending).
-            Status gather = Status::OK();
-            for (int64_t dt = 0; dt < steps && gather.ok(); ++dt) {
-              for (size_t li = 0;
-                   li < program.layers.size() && gather.ok(); ++li) {
-                const FrameTableEntry* entry = layer_bases[li] + dt;
-                if (program.layers[li].needs_plane &&
-                    entry->plane == nullptr && entry->tiles == nullptr) {
-                  gather = entry->error;
-                }
-              }
-              for (size_t li = 0;
-                   li < program.layers.size() && gather.ok(); ++li) {
-                const FrameTableEntry* entry = layer_bases[li] + dt;
-                if (program.layers[li].needs_frame &&
-                    entry->tiles == nullptr) {
-                  gather = entry->error;
-                }
-              }
-            }
-            if (!gather.ok()) {
-              result.rows[static_cast<size_t>(i)] = std::move(gather);
-              continue;
-            }
-            // Read-outer, timestep-inner into per-step accumulators:
-            // each read's coordinates stay hot across the range, and
-            // every step still adds the same reads in the same order
-            // (rects, then residues) as a step-at-a-time sweep would.
-            series.assign(static_cast<size_t>(steps), 0.0);
-            double* acc = series.data();
-            for (const SatRectRead& rect : program.rects) {
-              const FrameTableEntry* entry =
-                  layer_bases[static_cast<size_t>(rect.layer_index)];
-              const double sign = static_cast<double>(rect.sign);
-              for (int64_t dt = 0; dt < steps; ++dt, ++entry) {
-                acc[dt] += sign * (entry->plane != nullptr
-                                       ? entry->plane->RectSum(
-                                             rect.r0, rect.c0, rect.r1,
-                                             rect.c1)
-                                       : RectSumOnFrame(*entry->frame,
-                                                        rect));
-              }
-            }
-            for (const ResidueRead& residue : program.residues) {
-              const FrameTableEntry* entry =
-                  layer_bases[static_cast<size_t>(residue.layer_index)];
-              const double sign = static_cast<double>(residue.sign);
-              for (int64_t dt = 0; dt < steps; ++dt, ++entry) {
-                acc[dt] += sign * static_cast<double>(
-                                      entry->tiles[residue.tile]
-                                                  [residue.in_tile]);
-              }
-            }
-            const double eval_micros = eval_timer.ElapsedMicros();
-            result.rows[static_cast<size_t>(i)] =
-                MakeRow(series, plan.spec.aggregation, keep_series, rq,
-                        slot, eval_micros, &shard_trace);
-          }
-        });
-    gather_span.Close();
-    result.timings.eval_micros = stage_timer.ElapsedMicros();
-    RankTopK(plan, options.trace, &result);
-    result.timings.total_micros = total_timer.ElapsedMicros();
-    return result;
   }
-
-  // Exact cell loop. At N > 1 each term reads its cell from the band
-  // frame of the shard that owns it (ShardMap::OwnerOf, at its band-local
-  // row); at N=1 from shard 0 at its grid row. Either way the fold is
-  // FrameMemo's canonical left-to-right sum, so answers — and the term
-  // and timestep a failing row reports — are bit-identical across N.
-  ScopedSpan gather_span(options.trace, SpanName::kGather,
-                         plan.num_point_queries());
-
-  query_internal::RunSharded(
-      options.pool, options.num_threads,
-      static_cast<int64_t>(plan.rows.size()),
-      [&](int64_t begin, int64_t end) {
-        TraceContext shard_trace;
-        if (options.trace != nullptr) shard_trace = *options.trace;
-        query_internal::FrameMemo memo(shards);
-        std::vector<query_internal::TermAddress> addresses;
-        std::vector<int64_t> term_reads(static_cast<size_t>(num_shards), 0);
-        std::vector<double> series;
-        for (int64_t i = begin; i < end; ++i) {
-          const PlanRow& planned = plan.rows[static_cast<size_t>(i)];
-          const SlotResolution& slot =
-              slots[static_cast<size_t>(planned.region_slot)];
-          if (!slot.resolved.ok()) {
-            result.rows[static_cast<size_t>(i)] = slot.resolved.status();
-            continue;
-          }
-          const ResolvedQuery& rq = **slot.resolved;
-          if (bands != nullptr) {
-            // Addressed once per row, read at every timestep.
-            addresses.resize(rq.terms.size());
-            for (size_t ti = 0; ti < rq.terms.size(); ++ti) {
-              const GridId& grid = rq.terms[ti].grid;
-              const int owner = bands->OwnerOf(grid);
-              addresses[ti] = {owner, bands->LocalRow(owner, grid)};
-            }
-          }
-          series.clear();
-          // Clamped reserve: a hint only, so a huge (likely mistaken)
-          // range cannot bad_alloc here before the first gather gets the
-          // chance to fail with a per-row NotFound.
-          series.reserve(static_cast<size_t>(
-              std::min<int64_t>(planned.num_steps(), 4096)));
-          Stopwatch eval_timer;
-          Status gather = Status::OK();
-          for (int64_t t = planned.t0; t <= planned.t1; ++t) {
-            double value = 0.0;
-            gather = bands == nullptr
-                         ? memo.Evaluate(rq.terms, t, &value)
-                         : memo.Evaluate(rq.terms, addresses, t, &value);
-            if (!gather.ok()) break;
-            series.push_back(value);
-          }
-          const double eval_micros = eval_timer.ElapsedMicros();
-          // Count the reads behind every answered timestep, per owner.
-          const int64_t answered = static_cast<int64_t>(series.size());
-          if (bands == nullptr) {
-            term_reads[0] += static_cast<int64_t>(rq.terms.size()) * answered;
-          } else {
-            for (const query_internal::TermAddress& at : addresses) {
-              term_reads[static_cast<size_t>(at.shard)] += answered;
-            }
-          }
-          if (!gather.ok()) {
-            result.rows[static_cast<size_t>(i)] = std::move(gather);
-            continue;
-          }
-          result.rows[static_cast<size_t>(i)] =
-              MakeRow(series, plan.spec.aggregation, keep_series, rq,
-                      slot, eval_micros, &shard_trace);
-        }
-        for (int k = 0; k < num_shards; ++k) {
-          Counter* counter = shards[static_cast<size_t>(k)].terms_evaluated;
-          if (counter != nullptr && term_reads[static_cast<size_t>(k)] > 0) {
-            counter->fetch_add(term_reads[static_cast<size_t>(k)]);
-          }
-        }
-      });
-  gather_span.Close();
   result.timings.eval_micros = stage_timer.ElapsedMicros();
   RankTopK(plan, options.trace, &result);
   result.timings.total_micros = total_timer.ElapsedMicros();

@@ -4,13 +4,14 @@
 // that reuses each resolution across every timestep it serves, an
 // aggregation fold (sum/mean/max) and an optional top-k rank stage. The
 // gather stage has two interpreters, selected by the plan's EvalPath:
-// the bit-exact per-term cell loop (per-chunk frame memo; each term
+// the bit-exact per-term cell loop (one frame memo per plan; each term
 // reads its owner shard's band frame), and the SAT fast path, which
 // prefetches every (layer, t) frame/summed-area plane the plan touches
 // once and then answers rect-decomposed term groups with four-corner
-// plane reads plus a columnar residue sweep. Per-row failures surface as
-// that row's Status; stage wall times land in the structured
-// QueryResult.
+// plane reads plus a columnar residue sweep. Every stage runs on the
+// calling thread; concurrency comes from concurrent callers. Per-row
+// failures surface as that row's Status; stage wall times land in the
+// structured QueryResult.
 #ifndef ONE4ALL_QUERY_QUERY_EXECUTOR_H_
 #define ONE4ALL_QUERY_QUERY_EXECUTOR_H_
 
@@ -42,12 +43,6 @@ struct ShardReadView {
 
 /// \brief Execution knobs.
 struct QueryExecutorOptions {
-  /// Worker threads when `pool` is null: 1 runs on the calling thread,
-  /// 0 fans out over the process-wide ThreadPool::Shared(), > 1 spins up
-  /// a per-call pool.
-  int num_threads = 1;
-  /// Optional shared pool (overrides num_threads); must outlive the call.
-  ThreadPool* pool = nullptr;
   /// One-store callers: an optional resolve cache shared across calls
   /// (must outlive the call) and the generation of the server's store
   /// every frame read goes through. Unused when `shards` is set.
@@ -61,8 +56,7 @@ struct QueryExecutorOptions {
   std::vector<ShardReadView> shards;
   /// Open trace of the enclosing query; stage spans (resolve / gather /
   /// fold / rank) nest under its current parent span. Null traces
-  /// nothing. Worker shards span against thread-local copies, so the
-  /// pointed-to context itself is only mutated by the calling thread.
+  /// nothing.
   TraceContext* trace = nullptr;
 };
 

@@ -140,11 +140,7 @@ class EngineRun {
 
     ServingRuntimeOptions options;
     options.max_inflight_queries = spec_.serving.max_inflight;
-    // Rows execute on the engine thread — the virtual clock is the only
-    // scheduler, which is what keeps counters reproducible.
-    options.num_query_threads = 1;
     options.retain_timesteps = spec_.serving.retain_timesteps;
-    options.build_sat_planes = spec_.serving.sat_planes;
     options.num_shards = static_cast<int>(spec_.serving.shards);
     options.ingest.start_t = world_.dataset->test_indices().front();
     options.ingest.num_timesteps = spec_.ingest.steps;
@@ -303,8 +299,7 @@ class EngineRun {
         pinned_epoch_survived_ = false;
         pinned_epoch_detail_ =
             "frame " + where + " reclaimed under an active pin";
-      } else if (spec_.serving.sat_planes &&
-                 !store.HasSatPlaneAt(generation, 1, latest)) {
+      } else if (!store.HasSatPlaneAt(generation, 1, latest)) {
         pinned_epoch_survived_ = false;
         pinned_epoch_detail_ =
             "SAT plane " + where + " reclaimed under an active pin";

@@ -59,14 +59,6 @@ class ObjectReader {
     return Status::OK();
   }
 
-  Status GetBool(const std::string& key, bool* out) {
-    const JsonValue* v = Find(key);
-    if (v == nullptr) return Status::OK();
-    if (!v->is_bool()) return TypeError(*v, key, "a bool");
-    *out = v->bool_value;
-    return Status::OK();
-  }
-
   Status GetInt(const std::string& key, int64_t* out, int64_t min,
                 int64_t max) {
     const JsonValue* v = Find(key);
@@ -180,7 +172,6 @@ Status ParseServing(const JsonValue& v, ScenarioServing* out) {
       reader.GetInt("max_inflight", &out->max_inflight, 1, INT64_MAX / 2));
   O4A_RETURN_NOT_OK(reader.GetInt("retain_timesteps",
                                   &out->retain_timesteps, 0, 100000));
-  O4A_RETURN_NOT_OK(reader.GetBool("sat_planes", &out->sat_planes));
   O4A_RETURN_NOT_OK(reader.GetInt("shards", &out->shards, 1, 64));
   int strategy = static_cast<int>(out->strategy);
   O4A_RETURN_NOT_OK(reader.GetEnum(

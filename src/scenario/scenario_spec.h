@@ -32,7 +32,6 @@ struct ScenarioGrid {
 struct ScenarioServing {
   int64_t max_inflight = 4096;  ///< admission-control budget
   int64_t retain_timesteps = 0;  ///< carry-forward horizon (0 = unbounded)
-  bool sat_planes = true;
   QueryStrategy strategy = QueryStrategy::kUnionSubtraction;
   /// Spatial shard count (ServingRuntimeOptions::num_shards): 1 serves
   /// the classic single-store path; > 1 runs the band-sharded barrier

@@ -71,26 +71,23 @@ Status FrameEpochManager::Staging::TryStageFrame(int layer, int64_t t,
     O4A_RETURN_NOT_OK(
         manager_->store_->TrySyncFrameAt(generation_, layer, t, frame));
   }
-  if (manager_->options_.build_sat_planes) {
-    // Derived into the same still-unpublished shadow generation, so no
-    // reader can observe the plane before its epoch publishes. A refusal
-    // here leaves the frame without its plane — fine, because the only
-    // recovery is aborting the staging, which drops both.
-    if (delta) {
-      ScopedSpan sat_span(trace_ctx_, SpanName::kTileSatFixup,
-                          stats.frame_tiles_total -
-                              stats.frame_tiles_shared);
-      O4A_RETURN_NOT_OK(manager_->store_->TryBuildSatPlaneDeltaAt(
-          generation_, layer, t, t - 1, /*pool=*/nullptr, &stats));
-    } else {
-      ScopedSpan sat_span(trace_ctx_, SpanName::kBuildSatPlane, layer);
-      O4A_RETURN_NOT_OK(
-          manager_->store_->TryBuildSatPlaneAt(generation_, layer, t));
-    }
-    if (manager_->telemetry_ != nullptr) {
-      manager_->telemetry_->sat_planes_built.fetch_add(
-          1, std::memory_order_relaxed);
-    }
+  // The plane is derived into the same still-unpublished shadow
+  // generation, so no reader can observe it before its epoch publishes.
+  // A refusal here leaves the frame without its plane — fine, because
+  // the only recovery is aborting the staging, which drops both.
+  if (delta) {
+    ScopedSpan sat_span(trace_ctx_, SpanName::kTileSatFixup,
+                        stats.frame_tiles_total - stats.frame_tiles_shared);
+    O4A_RETURN_NOT_OK(manager_->store_->TryBuildSatPlaneDeltaAt(
+        generation_, layer, t, t - 1, /*pool=*/nullptr, &stats));
+  } else {
+    ScopedSpan sat_span(trace_ctx_, SpanName::kBuildSatPlane, layer);
+    O4A_RETURN_NOT_OK(
+        manager_->store_->TryBuildSatPlaneAt(generation_, layer, t));
+  }
+  if (manager_->telemetry_ != nullptr) {
+    manager_->telemetry_->sat_planes_built.fetch_add(
+        1, std::memory_order_relaxed);
   }
   latest_t_ = std::max(latest_t_, t);
   if (manager_->telemetry_ != nullptr) {

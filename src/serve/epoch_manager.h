@@ -35,12 +35,6 @@ struct FrameEpochManagerOptions {
   /// horizon instead of growing with uptime. 0 carries the full served
   /// window forever.
   int64_t retain_timesteps = 0;
-  /// Derive the summed-area plane of every staged frame into the same
-  /// shadow generation (the query layer's SAT fast path reads them).
-  /// Staged with the frame and before Publish, so a pinned epoch either
-  /// has a frame's plane in full or (with this off) not at all — never a
-  /// torn one; carry-forward and reclamation treat planes like frames.
-  bool build_sat_planes = true;
   /// Span sink for reclaim events and staged-plane builds; null uses
   /// TraceRecorder::Global(). Must outlive the manager.
   TraceRecorder* trace = nullptr;
@@ -128,8 +122,12 @@ class FrameEpochManager {
     bool valid() const { return manager_ != nullptr; }
     int64_t generation() const { return generation_; }
 
-    /// \brief Writes one frame into the shadow generation. Dies if the
-    /// store refuses the write; fault-tolerant writers use TryStageFrame.
+    /// \brief Writes one frame, and the summed-area plane the SAT fast
+    /// path reads, into the shadow generation. Both land before Publish,
+    /// so a pinned epoch has every frame's plane in full, never a torn
+    /// one; carry-forward and reclamation treat planes like frames. Dies
+    /// if the store refuses the write; fault-tolerant writers use
+    /// TryStageFrame.
     void StageFrame(int layer, int64_t t, const Tensor& frame,
                     const TileDirtySet* dirty = nullptr);
 

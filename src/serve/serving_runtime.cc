@@ -58,7 +58,6 @@ ShardSetOptions MakeShardSetOptions(const ServingRuntimeOptions& options,
                                     TraceRecorder* trace) {
   ShardSetOptions shard_options;
   shard_options.retain_timesteps = options.retain_timesteps;
-  shard_options.build_sat_planes = options.build_sat_planes;
   shard_options.cache = options.cache;
   if (options.num_shards > 1) {
     shard_options.cache.capacity = std::max<size_t>(
@@ -87,6 +86,8 @@ ServingRuntime::ServingRuntime(const Hierarchy* hierarchy,
   O4A_CHECK(index != nullptr);
   O4A_CHECK(dataset != nullptr);
   O4A_CHECK_GT(options_.max_inflight_queries, 0);
+  O4A_CHECK_EQ(options_.num_query_threads, 1)
+      << "specs run on their caller's thread";
   server_ = std::make_unique<RegionQueryServer>(hierarchy, index,
                                                 &shards_.shard(0).store);
   StreamIngestorOptions ingest_options = options.ingest;
@@ -250,7 +251,6 @@ QueryResult ServingRuntime::ExecutePinned(const QueryPlan& plan,
                                           const ShardPinSet& pins,
                                           TraceContext* trace) {
   QueryExecutorOptions exec_options;
-  exec_options.num_threads = options_.num_query_threads;
   exec_options.trace = trace;
   exec_options.shard_map = &shards_.map();
   exec_options.shards.reserve(static_cast<size_t>(shards_.num_shards()));

@@ -28,9 +28,10 @@ struct ServingRuntimeOptions {
   /// Admission control: a spec is rejected outright (ResourceExhausted)
   /// when admitting it would push the in-flight gather count past this.
   int64_t max_inflight_queries = 4096;
-  /// Worker threads per spec (QueryExecutorOptions::num_threads: 0 =
-  /// shared pool, 1 = caller's thread, > 1 = per-call pool).
-  int num_query_threads = 0;
+  /// Must stay 1: every spec runs on its caller's thread. Kept only
+  /// because the end-to-end benchmark still assigns it; deleted with the
+  /// benchmark's next change.
+  int num_query_threads = 1;
   /// Carry-forward retention horizon in timesteps; see
   /// FrameEpochManagerOptions::retain_timesteps. The default 0 keeps
   /// the whole served window queryable — right for bounded replays
@@ -38,10 +39,6 @@ struct ServingRuntimeOptions {
   /// then grow with uptime; continuous deployments should set a horizon
   /// sized to the timesteps their traffic actually queries.
   int64_t retain_timesteps = 0;
-  /// Stage a summed-area plane with every published frame (see
-  /// FrameEpochManagerOptions::build_sat_planes) so EvalPath::
-  /// kSatFastPath specs answer rect-decomposable regions in O(#rects).
-  bool build_sat_planes = true;
   /// Resolve-cache geometry. One shard keeps exactly this capacity; N > 1
   /// shards split it (capacity / N each, at least 64).
   ResolvedQueryCacheOptions cache;

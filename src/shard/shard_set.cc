@@ -11,7 +11,6 @@ namespace one4all {
 Shard::Shard(const ShardSetOptions& options, ServingTelemetry* telemetry)
     : epochs(&store, telemetry,
              FrameEpochManagerOptions{-1, options.retain_timesteps,
-                                      options.build_sat_planes,
                                       options.trace}),
       cache(options.cache) {}
 

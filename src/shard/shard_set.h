@@ -38,11 +38,6 @@ namespace one4all {
 struct ShardSetOptions {
   /// Per-shard FrameEpochManagerOptions::retain_timesteps.
   int64_t retain_timesteps = 0;
-  /// Stage a summed-area plane with every band slice. Per-shard planes
-  /// cover the shard's rows; a one-shard set's planes feed the query
-  /// executor's SAT fast path, which runs at N=1 only, so N > 1 sets do
-  /// not read them (building them anyway keeps storage costs comparable).
-  bool build_sat_planes = true;
   /// Per-shard resolve cache geometry (capacity is per shard, so N
   /// shards hold N x capacity distinct resolutions).
   ResolvedQueryCacheOptions cache;

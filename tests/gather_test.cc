@@ -357,29 +357,6 @@ TEST(GatherFastPathTest, MatchesExactCellLoopAcrossSpecShapes) {
   }
 }
 
-TEST(GatherFastPathTest, ParallelFastPathMatchesSequential) {
-  GatherFixture fx;
-  QuerySpec spec = QuerySpec::MultiRegion(
-      fx.MixedRegions(), fx.pipeline->test_timesteps().front());
-  spec.time = TimeSelector::Range(spec.time.t0, spec.time.t0 + 3);
-  spec.eval_path = EvalPath::kSatFastPath;
-  auto plan = fx.planner().Plan(spec);
-  ASSERT_TRUE(plan.ok());
-
-  const QueryResult sequential = fx.executor().Execute(*plan);
-  ThreadPool pool(4);
-  QueryExecutorOptions pooled;
-  pooled.pool = &pool;
-  const QueryResult parallel = fx.executor().Execute(*plan, pooled);
-  ASSERT_EQ(parallel.rows.size(), sequential.rows.size());
-  for (size_t i = 0; i < sequential.rows.size(); ++i) {
-    ASSERT_TRUE(sequential.rows[i].ok());
-    ASSERT_TRUE(parallel.rows[i].ok());
-    // Same program, same per-row fold order: identical values.
-    EXPECT_EQ(parallel.rows[i]->value, sequential.rows[i]->value);
-  }
-}
-
 TEST(GatherFastPathTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
   GatherFixture fx;
   // A store synced with frames but no planes (a pre-SAT producer): the
@@ -424,7 +401,9 @@ TEST(GatherFastPathTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
 
   // Once planes are built the same spec answers through them — still
   // within the fast path's tolerance of the exact values.
-  bare.BuildSatPlanes(0);
+  for (int l = 1; l <= fx.ds.hierarchy().num_layers(); ++l) {
+    ASSERT_TRUE(bare.TryBuildSatPlaneAt(0, l, t).ok());
+  }
   ASSERT_EQ(bare.NumSatPlanesAt(0), fx.ds.hierarchy().num_layers());
   const QueryResult planed_result = executor.Execute(*fast_plan);
   ASSERT_EQ(planed_result.rows.size(), exact_result.rows.size());
@@ -517,9 +496,9 @@ void StageSoleOwnerGeneration(const GatherFixture& fx, PredictionStore* store,
   for (int l = 1; l <= fx.ds.hierarchy().num_layers(); ++l) {
     for (int64_t t = t0; t < t0 + steps; ++t) {
       store->SyncFrameAt(generation, l, t, fx.ds.FrameAtLayer(t, l));
+      O4A_CHECK(store->TryBuildSatPlaneAt(generation, l, t).ok());
     }
   }
-  store->BuildSatPlanes(generation);
 }
 
 TEST(FrameLifetimeTest, FrameMemoPinsSurviveDropGeneration) {
@@ -659,20 +638,25 @@ TEST(SatPlaneStoreTest, PlanesAreDerivedDataNotFrames) {
   EXPECT_EQ(store.NumFramesAt(7), 2);
   EXPECT_EQ(store.NumSatPlanesAt(7), 0);
 
-  EXPECT_EQ(store.BuildSatPlanes(7), 2);
+  ASSERT_TRUE(store.TryBuildSatPlaneAt(7, 1, 12).ok());
+  ASSERT_TRUE(store.TryBuildSatPlaneAt(7, 2, 12).ok());
   EXPECT_EQ(store.NumFramesAt(7), 2);  // planes are not frames
   EXPECT_EQ(store.NumSatPlanesAt(7), 2);
   ASSERT_TRUE(store.HasSatPlaneAt(7, 1, 12));
 
-  auto plane = store.GetSatPlaneAt(7, 1, 12);
+  // The stored tiled plane is bit-identical to the monolithic reference.
+  auto plane = store.GetTiledSatPlaneAt(7, 1, 12);
   ASSERT_TRUE(plane.ok());
+  const SatPlane stored = (*plane)->Materialize();
   const SatPlane reference = BuildSatPlane(frame);
-  ASSERT_EQ(plane->numel(), reference.numel());
+  ASSERT_EQ(stored.numel(), reference.numel());
   for (int64_t i = 0; i < reference.numel(); ++i) {
-    ASSERT_EQ(plane->data()[i], reference.data()[i]);
+    ASSERT_EQ(stored.data()[i], reference.data()[i]);
   }
 
-  EXPECT_EQ(store.GetSatPlaneAt(7, 1, 99).status().code(),
+  EXPECT_EQ(store.GetTiledSatPlaneAt(7, 1, 99).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(store.TryBuildSatPlaneAt(7, 1, 99).code(),
             StatusCode::kNotFound);
 
   // Overwriting a frame invalidates its derived plane — a stale plane
@@ -719,24 +703,22 @@ TEST(SatPlaneEpochTest, PlanesPublishReclaimAndCarryWithTheirEpoch) {
   EXPECT_EQ(store.NumFramesAt(gen1), 0);
   EXPECT_EQ(store.NumSatPlanesAt(gen1), 0);
 
-  // Opt-out managers stage frames without planes — and re-staging a
-  // carried-forward timestep drops its carried (now stale) plane
-  // instead of leaving it behind for the fast path.
-  PredictionStore bare;
-  bare.SyncFrame(1, 0, Tensor::Full({2, 2}, 1.0f));
-  bare.BuildSatPlanes(0);  // a pre-SAT-aware producer's generation 0
-  FrameEpochManagerOptions options;
-  options.build_sat_planes = false;
-  FrameEpochManager bare_epochs(&bare, nullptr, options);
-  auto bare_staging = bare_epochs.BeginEpoch(/*carry_forward=*/true);
-  const int64_t bare_gen = bare_staging.generation();
-  EXPECT_TRUE(bare.HasSatPlaneAt(bare_gen, 1, 0));  // carried plane
-  bare_staging.StageFrame(1, 0, Tensor::Full({2, 2}, 5.0f));
-  EXPECT_FALSE(bare.HasSatPlaneAt(bare_gen, 1, 0));  // invalidated
-  bare_staging.StageFrame(1, 1, Tensor::Full({2, 2}, 6.0f));
-  bare_epochs.Publish(std::move(bare_staging));
-  EXPECT_EQ(bare.NumFramesAt(bare_gen), 2);
-  EXPECT_EQ(bare.NumSatPlanesAt(bare_gen), 0);
+  // Re-staging a carried-forward timestep rebuilds its plane: the
+  // carried plane sums the old frame, the re-staged one the new frame.
+  auto staging3 = epochs.BeginEpoch(/*carry_forward=*/true);
+  const int64_t gen3 = staging3.generation();
+  auto carried = store.GetTiledSatPlaneAt(gen3, 1, 1);
+  ASSERT_TRUE(carried.ok());
+  EXPECT_EQ((*carried)->RectSum(0, 0, 4, 4), 16 * 3.0);
+  staging3.StageFrame(1, 1, Tensor::Full({4, 4}, 5.0f));
+  auto restaged = store.GetTiledSatPlaneAt(gen3, 1, 1);
+  ASSERT_TRUE(restaged.ok());
+  EXPECT_NE(restaged->get(), carried->get());
+  EXPECT_EQ((*restaged)->RectSum(0, 0, 4, 4), 16 * 5.0);
+  EXPECT_EQ((*restaged)->RectSum(1, 1, 3, 4), 6 * 5.0);
+  epochs.Publish(std::move(staging3));
+  EXPECT_EQ(store.NumFramesAt(gen3), 2);
+  EXPECT_EQ(store.NumSatPlanesAt(gen3), 2);
 }
 
 // The plane-publish hammer (raced under TSan in CI): a writer publishes

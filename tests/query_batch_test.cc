@@ -1,7 +1,6 @@
-// Tests for the concurrent grouped region-query path: MultiRegion specs
-// run by a pooled QueryExecutor against the sequential Predict, resolve
-// cache reuse across timesteps, the sharded LRU ResolvedQueryCache, and
-// the ThreadPool substrate.
+// Tests for the grouped region-query path: MultiRegion specs reusing
+// the resolve cache across timesteps, the sharded LRU
+// ResolvedQueryCache, and the ThreadPool substrate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -94,35 +93,6 @@ TEST(ThreadPoolTest, ParallelForEmptyAndSingleThread) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
-}
-
-TEST(GroupedQueryTest, PooledSpecMatchesSequentialAcrossStrategies) {
-  BatchFixture fx;
-  const auto regions = fx.MakeRegions(8);
-  ASSERT_FALSE(regions.empty());
-  const RegionQueryServer& server = fx.pipeline->server();
-  ThreadPool pool(4);
-  QueryExecutorOptions pooled;
-  pooled.pool = &pool;
-  for (QueryStrategy strategy : kAllStrategies) {
-    for (int64_t t : fx.pipeline->test_timesteps()) {
-      const QueryResult result = fx.Execute(regions, t, strategy, pooled);
-      ASSERT_EQ(result.rows.size(), regions.size());
-      for (size_t i = 0; i < regions.size(); ++i) {
-        const auto sequential = server.Predict(regions[i], t, strategy);
-        ASSERT_TRUE(sequential.ok());
-        ASSERT_TRUE(result.rows[i].ok())
-            << result.rows[i].status().ToString();
-        // Bitwise equality: the memoized evaluation sums the same floats
-        // in the same order as EvaluateTerms.
-        EXPECT_EQ(result.rows[i]->value, sequential->value)
-            << QueryStrategyName(strategy) << " region " << i << " t=" << t;
-        EXPECT_EQ(result.rows[i]->num_pieces, sequential->num_pieces);
-        EXPECT_EQ(result.rows[i]->num_terms, sequential->num_terms);
-        EXPECT_FALSE(result.rows[i]->from_cache);
-      }
-    }
-  }
 }
 
 TEST(GroupedQueryTest, CachedSpecsMatchAndHitAcrossTimesteps) {

@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/thread_pool.h"
 #include "eval/task_eval.h"
 #include "query/query_executor.h"
 #include "query/query_planner.h"
@@ -405,35 +404,6 @@ TEST(QueryExecutorTest, TopKMatchesBruteForceRanking) {
       QuerySpec::TopK(regions, t, static_cast<int>(regions.size()) + 10));
   ASSERT_TRUE(big.ok());
   EXPECT_EQ(fx.executor().Execute(*big).top_k.size(), regions.size());
-}
-
-TEST(QueryExecutorTest, ParallelExecutionMatchesSequential) {
-  SpecFixture fx;
-  const auto regions = fx.SomeRegions(10);
-  const auto& slots = fx.pipeline->test_timesteps();
-  QuerySpec spec = QuerySpec::MultiRegion(regions, slots.front());
-  spec.time = TimeSelector::Range(slots.front(), slots.front() + 3);
-  auto plan = fx.planner().Plan(spec);
-  ASSERT_TRUE(plan.ok());
-
-  const QueryResult sequential = fx.executor().Execute(*plan);
-  ThreadPool pool(4);
-  QueryExecutorOptions pooled;
-  pooled.pool = &pool;
-  const QueryResult parallel = fx.executor().Execute(*plan, pooled);
-  QueryExecutorOptions own_threads;
-  own_threads.num_threads = 3;
-  const QueryResult own = fx.executor().Execute(*plan, own_threads);
-
-  ASSERT_EQ(parallel.rows.size(), sequential.rows.size());
-  ASSERT_EQ(own.rows.size(), sequential.rows.size());
-  for (size_t i = 0; i < sequential.rows.size(); ++i) {
-    ASSERT_TRUE(sequential.rows[i].ok());
-    ASSERT_TRUE(parallel.rows[i].ok());
-    ASSERT_TRUE(own.rows[i].ok());
-    EXPECT_EQ(parallel.rows[i]->value, sequential.rows[i]->value);
-    EXPECT_EQ(own.rows[i]->value, sequential.rows[i]->value);
-  }
 }
 
 TEST(QueryExecutorTest, MissingFramesFailPerRowNotPerPlan) {

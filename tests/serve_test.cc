@@ -17,6 +17,7 @@
 #include "eval/task_eval.h"
 #include "model/baselines_simple.h"
 #include "model/one4all_net.h"
+#include "obs/trace_export.h"
 #include "serve/serving_runtime.h"
 #include "test_util.h"
 
@@ -417,110 +418,203 @@ TEST(ServingRuntimeTest, AdmissionControlRejectsOverload) {
 TEST(ServingRuntimeTest, HammerConcurrentQueriesDuringEpochRolls) {
   ServeFixture fixture = ServeFixture::Make();
   const STDataset& dataset = *fixture.dataset;
-  ServingRuntimeOptions options = fixture.RuntimeOptions();
-  options.max_inflight_queries = 1 << 20;
-  // Pace the roll so the query storm genuinely overlaps epoch publishes.
-  options.ingest.min_publish_interval_ms = 2;
-  ServingRuntime runtime(&dataset.hierarchy(), &fixture.pipeline->index(),
-                         &dataset, MakeGroundTruthInference(&dataset),
-                         options);
+  // Every spec runs on its client's thread, so the clients are the only
+  // concurrency; both topologies race ExecuteSpec against the publisher.
+  for (int num_shards : {1, 2}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    ServingRuntimeOptions options = fixture.RuntimeOptions();
+    options.num_shards = num_shards;
+    options.max_inflight_queries = 1 << 20;
+    // Pace the roll so the query storm genuinely overlaps epoch publishes.
+    options.ingest.min_publish_interval_ms = 2;
+    ServingRuntime runtime(&dataset.hierarchy(), &fixture.pipeline->index(),
+                           &dataset, MakeGroundTruthInference(&dataset),
+                           options);
 
-  const int64_t start = options.ingest.start_t;
-  const int64_t steps = options.ingest.num_timesteps;
+    const int64_t start = options.ingest.start_t;
+    const int64_t steps = options.ingest.num_timesteps;
 
-  struct LoggedQuery {
-    size_t region = 0;
-    int64_t t = 0;
-    double value = 0.0;
-  };
-  constexpr int kClients = 3;
-  std::vector<std::vector<LoggedQuery>> logs(kClients);
-  std::atomic<int64_t> inconsistent{0};
+    struct LoggedQuery {
+      size_t region = 0;
+      int64_t t = 0;
+      double value = 0.0;
+    };
+    constexpr int kClients = 3;
+    std::vector<std::vector<LoggedQuery>> logs(kClients);
+    std::atomic<int64_t> inconsistent{0};
 
-  runtime.Start();
-  ASSERT_TRUE(runtime.ingestor().WaitUntilPublished(start));
+    runtime.Start();
+    ASSERT_TRUE(runtime.ingestor().WaitUntilPublished(start));
 
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      Rng rng(static_cast<uint64_t>(1000 + c));
-      int rounds = 0;
-      while (!runtime.ingestor().done() || rounds < 20) {
-        ++rounds;
-        // Query any timestep the currently published epoch serves.
-        const int64_t latest = runtime.published_latest_t();
-        const int64_t span = latest - start + 1;
-        const int64_t t = start + static_cast<int64_t>(
-            rng.UniformInt(static_cast<uint64_t>(span)));
-        std::vector<GridMask> masks;
-        std::vector<size_t> spec_regions;
-        for (int i = 0; i < 8; ++i) {
-          const size_t region = static_cast<size_t>(
-              rng.UniformInt(fixture.regions.size()));
-          masks.push_back(fixture.regions[region]);
-          spec_regions.push_back(region);
-        }
-        auto results =
-            runtime.ExecuteSpec(QuerySpec::MultiRegion(std::move(masks), t));
-        ASSERT_TRUE(results.ok());
-        for (size_t i = 0; i < results->rows.size(); ++i) {
-          const auto& result = results->rows[i];
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          const double truth =
-              RegionTruth(dataset, fixture.regions[spec_regions[i]], t);
-          if (std::abs(result.ValueOrDie().value - truth) >
-              1e-3 * (1.0 + std::abs(truth))) {
-            inconsistent.fetch_add(1);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        Rng rng(static_cast<uint64_t>(1000 + c));
+        int rounds = 0;
+        while (!runtime.ingestor().done() || rounds < 20) {
+          ++rounds;
+          // Query any timestep the currently published epoch serves.
+          const int64_t latest = runtime.published_latest_t();
+          const int64_t span = latest - start + 1;
+          const int64_t t = start + static_cast<int64_t>(
+              rng.UniformInt(static_cast<uint64_t>(span)));
+          std::vector<GridMask> masks;
+          std::vector<size_t> spec_regions;
+          for (int i = 0; i < 8; ++i) {
+            const size_t region = static_cast<size_t>(
+                rng.UniformInt(fixture.regions.size()));
+            masks.push_back(fixture.regions[region]);
+            spec_regions.push_back(region);
           }
-          logs[static_cast<size_t>(c)].push_back(LoggedQuery{
-              spec_regions[i], t, result.ValueOrDie().value});
+          auto results =
+              runtime.ExecuteSpec(QuerySpec::MultiRegion(std::move(masks), t));
+          ASSERT_TRUE(results.ok());
+          for (size_t i = 0; i < results->rows.size(); ++i) {
+            const auto& result = results->rows[i];
+            ASSERT_TRUE(result.ok()) << result.status().ToString();
+            const double truth =
+                RegionTruth(dataset, fixture.regions[spec_regions[i]], t);
+            if (std::abs(result.ValueOrDie().value - truth) >
+                1e-3 * (1.0 + std::abs(truth))) {
+              inconsistent.fetch_add(1);
+            }
+            logs[static_cast<size_t>(c)].push_back(LoggedQuery{
+                spec_regions[i], t, result.ValueOrDie().value});
+          }
+        }
+      });
+    }
+    for (auto& client : clients) client.join();
+    runtime.ingestor().WaitUntilDone();
+    ASSERT_TRUE(runtime.ingestor().status().ok());
+    EXPECT_EQ(runtime.ingestor().steps_published(), steps);
+
+    EXPECT_EQ(inconsistent.load(), 0);
+
+    // Sequential replay against the final epoch: every concurrently
+    // answered query must reproduce bit-for-bit.
+    int64_t replayed = 0;
+    for (const auto& log : logs) {
+      for (const LoggedQuery& q : log) {
+        auto replay = PointValue(runtime, fixture.regions[q.region], q.t);
+        ASSERT_TRUE(replay.ok());
+        EXPECT_NEAR(*replay, q.value,
+                    1e-9 * (1.0 + std::abs(q.value)));
+        ++replayed;
+      }
+    }
+    EXPECT_GT(replayed, 0);
+
+    // Epoch rolls are time-only: the resolve cache must have survived all
+    // of them (resolution is time-independent) and actually produced hits.
+    const auto cache_stats = runtime.shards().CacheStats();
+    EXPECT_EQ(cache_stats.invalidations, 0);
+    EXPECT_GT(cache_stats.hits, 0);
+    EXPECT_GT(cache_stats.size, 0u);
+    EXPECT_GT(cache_stats.hit_rate(), 0.0);
+
+    // A topology swap is the one event that clears it.
+    runtime.SwapIndex(&fixture.pipeline->index());
+    const auto after_swap = runtime.shards().CacheStats();
+    EXPECT_EQ(after_swap.invalidations, num_shards);  // one per shard cache
+    EXPECT_EQ(after_swap.size, 0u);
+
+    // All superseded epochs were reclaimed once unpinned.
+    EXPECT_EQ(runtime.shards().max_live_epochs(), 1);
+    const auto snapshot = runtime.Telemetry();
+    EXPECT_EQ(snapshot.epochs_published, steps);
+    // Every shard reclaims its superseded epochs plus its generation 0.
+    EXPECT_EQ(snapshot.epochs_reclaimed, num_shards * (steps - 1 + 1));
+    EXPECT_GT(snapshot.queries_served, 0);
+    EXPECT_EQ(snapshot.queries_rejected, 0);
+    EXPECT_GT(snapshot.query_p99_micros, 0.0);
+  }
+}
+
+// Span-tree additivity: with every query sampled, each child span lies
+// inside its parent's interval and siblings do not overlap, so the
+// per-stage self-times of a query's tree add up to its `query` root.
+// Every span of a query is recorded on the thread that issued it.
+TEST(ServingRuntimeTest, QuerySpanSelfTimesAddUpToTheRoot) {
+  ServeFixture fixture = ServeFixture::Make();
+  for (int num_shards : {1, 2}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    TraceRecorderOptions trace_options;
+    trace_options.sample_every_n = 1;
+    TraceRecorder recorder(trace_options);
+    ServingRuntimeOptions options = fixture.RuntimeOptions();
+    options.num_shards = num_shards;
+    options.trace = &recorder;
+    options.ingest.num_timesteps = 2;
+    ServingRuntime runtime(&fixture.dataset->hierarchy(),
+                           &fixture.pipeline->index(), fixture.dataset.get(),
+                           MakeGroundTruthInference(fixture.dataset.get()),
+                           options);
+    runtime.Start();
+    runtime.ingestor().WaitUntilDone();
+    ASSERT_TRUE(runtime.ingestor().status().ok());
+
+    const int64_t t0 = options.ingest.start_t;
+    const std::vector<QuerySpec> shapes = {
+        QuerySpec::PointInTime(fixture.regions[0], t0),
+        QuerySpec::TimeRange(fixture.regions[1], t0, t0 + 1),
+        QuerySpec::MultiRegion(fixture.regions, t0 + 1),
+        QuerySpec::TopK(fixture.regions, t0 + 1, 3)};
+    int64_t issued = 0;
+    for (EvalPath path : {EvalPath::kExactCellLoop, EvalPath::kSatFastPath}) {
+      for (QuerySpec spec : shapes) {
+        spec.eval_path = path;
+        auto result = runtime.ExecuteSpec(std::move(spec));
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
+        ++issued;
+      }
+    }
+    runtime.Stop();
+
+    ASSERT_EQ(recorder.dropped_events(), 0);
+    const std::vector<TraceEvent> events = recorder.Snapshot();
+    const SpanForest forest = BuildSpanForest(events);
+    EXPECT_EQ(forest.orphans, 0u);
+    int64_t queries = 0;
+    for (const size_t root : forest.roots) {
+      const TraceEvent& query = events[root];
+      if (static_cast<SpanName>(query.name) != SpanName::kQuery) continue;
+      ++queries;
+      uint64_t self_sum = 0;
+      int64_t spans = 0;
+      std::vector<size_t> stack = {root};
+      while (!stack.empty()) {
+        const SpanTreeNode& node = forest.nodes[stack.back()];
+        stack.pop_back();
+        ++spans;
+        self_sum += node.self_nanos;
+        const TraceEvent& parent = *node.event;
+        const uint64_t parent_end =
+            parent.start_nanos + parent.duration_nanos;
+        uint64_t previous_end = parent.start_nanos;
+        for (const size_t c : node.children) {
+          const TraceEvent& child = *forest.nodes[c].event;
+          const std::string where =
+              std::string(SpanNameString(static_cast<SpanName>(child.name))) +
+              " under " +
+              SpanNameString(static_cast<SpanName>(parent.name));
+          // Starts after its parent and its previous sibling...
+          EXPECT_GE(child.start_nanos, previous_end) << where;
+          previous_end = child.start_nanos + child.duration_nanos;
+          // ...and ends inside its parent.
+          EXPECT_LE(previous_end, parent_end) << where;
+          EXPECT_EQ(child.thread_id, query.thread_id) << where;
+          stack.push_back(c);
         }
       }
-    });
-  }
-  for (auto& client : clients) client.join();
-  runtime.ingestor().WaitUntilDone();
-  ASSERT_TRUE(runtime.ingestor().status().ok());
-  EXPECT_EQ(runtime.ingestor().steps_published(), steps);
-
-  EXPECT_EQ(inconsistent.load(), 0);
-
-  // Sequential replay against the final epoch: every concurrently
-  // answered query must reproduce bit-for-bit.
-  int64_t replayed = 0;
-  for (const auto& log : logs) {
-    for (const LoggedQuery& q : log) {
-      auto replay = PointValue(runtime, fixture.regions[q.region], q.t);
-      ASSERT_TRUE(replay.ok());
-      EXPECT_NEAR(*replay, q.value,
-                  1e-9 * (1.0 + std::abs(q.value)));
-      ++replayed;
+      // Non-overlapping nested children: the self-times partition the
+      // root's interval exactly.
+      EXPECT_EQ(self_sum, query.duration_nanos);
+      EXPECT_GT(spans, 3);  // admission, plan, pin and the stages below
     }
+    EXPECT_EQ(queries, issued);
   }
-  EXPECT_GT(replayed, 0);
-
-  // Epoch rolls are time-only: the resolve cache must have survived all
-  // of them (resolution is time-independent) and actually produced hits.
-  const auto cache_stats = runtime.shards().CacheStats();
-  EXPECT_EQ(cache_stats.invalidations, 0);
-  EXPECT_GT(cache_stats.hits, 0);
-  EXPECT_GT(cache_stats.size, 0u);
-  EXPECT_GT(cache_stats.hit_rate(), 0.0);
-
-  // A topology swap is the one event that clears it.
-  runtime.SwapIndex(&fixture.pipeline->index());
-  const auto after_swap = runtime.shards().CacheStats();
-  EXPECT_EQ(after_swap.invalidations, 1);
-  EXPECT_EQ(after_swap.size, 0u);
-
-  // All superseded epochs were reclaimed once unpinned.
-  EXPECT_EQ(runtime.shards().max_live_epochs(), 1);
-  const auto snapshot = runtime.Telemetry();
-  EXPECT_EQ(snapshot.epochs_published, steps);
-  EXPECT_EQ(snapshot.epochs_reclaimed, steps - 1 + 1);  // + generation 0
-  EXPECT_GT(snapshot.queries_served, 0);
-  EXPECT_EQ(snapshot.queries_rejected, 0);
-  EXPECT_GT(snapshot.query_p99_micros, 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -506,10 +506,8 @@ struct ShardFixture {
     return fixture;
   }
 
-  std::unique_ptr<ServingRuntime> MakeRuntime(
-      int num_shards, bool build_sat_planes = true) const {
+  std::unique_ptr<ServingRuntime> MakeRuntime(int num_shards) const {
     ServingRuntimeOptions options;
-    options.build_sat_planes = build_sat_planes;
     options.ingest.start_t = dataset->test_indices().front();
     options.ingest.num_timesteps =
         static_cast<int64_t>(dataset->test_indices().size());
@@ -622,17 +620,32 @@ TEST(ShardParityTest, RaggedEdgeSpecShapesAcrossShardCounts) {
   shapes.push_back(QuerySpec::TopK(fixture.regions, t1, 5));
 
   auto single = fixture.MakeRuntime(1);
-  auto no_planes = fixture.MakeRuntime(1, /*build_sat_planes=*/false);
+  // A bare store synced without planes, as a direct RegionQueryServer
+  // user may hand in: the SAT fast path falls back to frame sums there.
+  const Hierarchy& hierarchy = fixture.dataset->hierarchy();
+  PredictionStore bare;
+  for (int l = 1; l <= hierarchy.num_layers(); ++l) {
+    for (int64_t t = t0; t <= t1; ++t) {
+      bare.SyncFrame(l, t, fixture.dataset->FrameAtLayer(t, l));
+    }
+  }
+  ASSERT_EQ(bare.NumSatPlanesAt(0), 0);
+  const RegionQueryServer bare_server(&hierarchy, &fixture.pipeline->index(),
+                                      &bare);
+  const QueryPlanner planner(&hierarchy);
   std::vector<QueryResult> exact;
   for (const QuerySpec& shape : shapes) {
     auto result = single->ExecuteSpec(shape);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
-    for (ServingRuntime* runtime : {single.get(), no_planes.get()}) {
-      QuerySpec fast_spec = shape;
-      fast_spec.eval_path = EvalPath::kSatFastPath;
-      auto fast = runtime->ExecuteSpec(std::move(fast_spec));
-      ASSERT_TRUE(fast.ok());
+    QuerySpec fast_spec = shape;
+    fast_spec.eval_path = EvalPath::kSatFastPath;
+    auto planes = single->ExecuteSpec(fast_spec);
+    ASSERT_TRUE(planes.ok());
+    auto bare_plan = planner.Plan(fast_spec);
+    ASSERT_TRUE(bare_plan.ok());
+    QueryResult no_planes = QueryExecutor(&bare_server).Execute(*bare_plan);
+    for (const QueryResult* fast : {&*planes, &no_planes}) {
       ASSERT_EQ(fast->rows.size(), result->rows.size());
       for (size_t i = 0; i < result->rows.size(); ++i) {
         ASSERT_TRUE(fast->rows[i].ok())
@@ -651,7 +664,6 @@ TEST(ShardParityTest, RaggedEdgeSpecShapesAcrossShardCounts) {
     exact.push_back(std::move(*result));
   }
   single->Stop();
-  no_planes->Stop();
 
   for (int num_shards : {2, 4}) {
     SCOPED_TRACE("num_shards=" + std::to_string(num_shards));

@@ -553,7 +553,6 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
                         static_cast<int64_t>(slots.size()));
   options.ingest.min_publish_interval_ms = flags.GetInt("publish-ms", 20);
   options.retain_timesteps = flags.GetInt("retain", 0);
-  options.num_query_threads = 1;
   options.num_shards = static_cast<int>(flags.GetInt("shards", 1));
   FrameInference inference =
       net != nullptr ? MakeOne4AllInference(net.get(), dataset.operator->())
