@@ -1,9 +1,13 @@
 // Throughput of the tensor-kernel subsystem: blocked/vectorized SGEMM
-// GFLOP/s against the scalar naive reference across square sizes, and
-// Conv2d forward/backward latency across batch-parallel thread counts.
-// Besides the human-readable tables, emits a machine-readable
-// BENCH_kernels.json (path overridable via O4A_BENCH_JSON) so the perf
-// trajectory of the compute layer is tracked across PRs.
+// GFLOP/s against the scalar naive reference across square sizes,
+// Conv2d forward/backward latency across batch-parallel thread counts,
+// the direct forward convolution against the Im2Col + Sgemm product it
+// reproduces byte for byte at the serving net's shapes, and one
+// One4AllNet::InferServingFrames call at the end-to-end benchmark's
+// ingest shape. Besides the human-readable tables, emits a
+// machine-readable BENCH_kernels.json (path overridable via
+// O4A_BENCH_JSON) so the perf trajectory of the compute layer is tracked
+// across changes; the serving-shape and inference rows are report-only.
 //
 // Env knobs: O4A_BENCH_REPS (timed repetitions, default 3; CI smoke uses
 // 1), O4A_BENCH_JSON (output path, empty string disables the file),
@@ -14,16 +18,21 @@
 // this check is defined against).
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/rng.h"
 #include "core/stopwatch.h"
 #include "core/table_printer.h"
 #include "core/thread_pool.h"
+#include "data/dataset.h"
+#include "data/synthetic.h"
+#include "model/one4all_net.h"
 #include "tensor/gemm.h"
 #include "tensor/kernels.h"
 
@@ -56,6 +65,20 @@ struct ConvResult {
   double backward_speedup = 0.0;  // vs the naive:: reference conv
   double forward_scaling = 0.0;   // vs 1 thread, same shape
   double backward_scaling = 0.0;  // vs 1 thread, same shape
+};
+
+struct ServingConvResult {
+  std::string shape;
+  double direct_ms = 0.0;
+  double reference_ms = 0.0;  // Im2Col + Sgemm + bias
+  double direct_gflops = 0.0;
+  double reference_gflops = 0.0;
+  bool identical = false;  // the two outputs compare equal byte for byte
+};
+
+struct InferResult {
+  std::string shape;
+  double infer_ms = 0.0;
 };
 
 int Reps() {
@@ -194,10 +217,111 @@ std::vector<ConvResult> RunConv(int reps, double* checksum) {
   return results;
 }
 
+// The forward convolution as Im2Col + Sgemm + bias, which the direct
+// kernel reproduces byte for byte.
+Tensor Im2ColSgemmConv(const Tensor& x, const Tensor& w, const Tensor& b,
+                       const Conv2dSpec& spec) {
+  const int64_t n = x.dim(0), c = x.dim(1);
+  const int64_t f = w.dim(0), kh = w.dim(2), kw = w.dim(3);
+  const int64_t oh = spec.OutExtent(x.dim(2), kh);
+  const int64_t ow = spec.OutExtent(x.dim(3), kw);
+  const int64_t patch = c * kh * kw, plane = oh * ow;
+  Tensor out({n, f, oh, ow});
+  for (int64_t s = 0; s < n; ++s) {
+    const Tensor cols = Im2Col(x, s, kh, kw, spec);
+    float* dst = out.data() + s * f * plane;
+    Sgemm(false, false, f, plane, patch, 1.0f, w.data(), patch, cols.data(),
+          plane, 0.0f, dst, plane);
+    for (int64_t fi = 0; fi < f; ++fi) {
+      for (int64_t i = 0; i < plane; ++i) dst[fi * plane + i] += b[fi];
+    }
+  }
+  return out;
+}
+
+// Batch-1 forward convolutions at the shapes One4AllNet runs on the
+// 128x128 raster with 8 channels (closeness 6, period 7, the spatial
+// block's c8, the 1x1 fusion of 24 channels, the 2x2 stride-2 merge).
+std::vector<ServingConvResult> RunServingConv(int reps, double* checksum) {
+  struct Shape {
+    std::string name;
+    int64_t c, f, k, stride, pad;
+  };
+  const std::vector<Shape> shapes = {
+      {"c6_128x128_f8_k3", 6, 8, 3, 1, 1},
+      {"c7_128x128_f8_k3", 7, 8, 3, 1, 1},
+      {"c8_128x128_f8_k3", 8, 8, 3, 1, 1},
+      {"c24_128x128_f8_k1", 24, 8, 1, 1, 0},
+      {"c8_128x128_f8_k2_s2", 8, 8, 2, 2, 0},
+  };
+  std::vector<ServingConvResult> results;
+  for (const Shape& shape : shapes) {
+    Rng rng(11);
+    const Tensor x = Tensor::RandomNormal({1, shape.c, 128, 128}, &rng);
+    const Tensor w =
+        Tensor::RandomNormal({shape.f, shape.c, shape.k, shape.k}, &rng);
+    const Tensor bias = Tensor::RandomNormal({shape.f}, &rng);
+    const Conv2dSpec spec{shape.stride, shape.pad};
+    const Tensor direct = Conv2dForward(x, w, bias, spec);
+    const Tensor reference = Im2ColSgemmConv(x, w, bias, spec);
+    *checksum += direct.Sum();
+
+    ServingConvResult res;
+    res.shape = shape.name;
+    res.identical =
+        direct.shape() == reference.shape() &&
+        std::memcmp(direct.data(), reference.data(),
+                    static_cast<size_t>(direct.numel()) * sizeof(float)) == 0;
+    res.direct_ms =
+        TimeBest(reps, [&] { Conv2dForward(x, w, bias, spec); }) * 1e3;
+    res.reference_ms =
+        TimeBest(reps, [&] { Im2ColSgemmConv(x, w, bias, spec); }) * 1e3;
+    const double flops = 2.0 * static_cast<double>(direct.numel()) *
+                         static_cast<double>(shape.c * shape.k * shape.k);
+    res.direct_gflops = flops / (res.direct_ms * 1e-3) / 1e9;
+    res.reference_gflops = flops / (res.reference_ms * 1e-3) / 1e9;
+    results.push_back(res);
+  }
+  return results;
+}
+
+// One InferServingFrames call as the end-to-end benchmark's ingest_model
+// workload runs it: 128x128 freight raster, six-layer hierarchy (window
+// 2, max scale 32), one weekly observation, 8 channels, on one thread.
+// The net is untrained; its weights do not change the work.
+InferResult RunInferServingFrames(int reps, double* checksum) {
+  SyntheticDataOptions data = SyntheticDataOptions::FreightPreset(128, 128);
+  TemporalFeatureSpec spec;
+  spec.trend_len = 1;
+  data.num_timesteps = spec.MinHistory() + 24;
+  auto flows = GenerateSyntheticFlows(data);
+  O4A_CHECK(flows.ok()) << flows.status().ToString();
+  auto dataset = STDataset::Create(flows.MoveValueUnsafe(),
+                                   Hierarchy::Uniform(128, 128, 2, 32), spec);
+  O4A_CHECK(dataset.ok()) << dataset.status().ToString();
+  One4AllNetOptions net_options;
+  net_options.channels = 8;
+  net_options.seed = 3;
+  const One4AllNet net(dataset->hierarchy(), dataset->spec(), net_options);
+  const TemporalInput input = dataset->BuildInput({spec.MinHistory()});
+
+  InferResult res;
+  res.shape = "128x128_6layers_c8";
+  res.infer_ms = TimeBest(reps, [&] {
+                   const std::vector<Tensor> frames =
+                       net.InferServingFrames(input, *dataset);
+                   *checksum += frames.front()[0];
+                 }) *
+                 1e3;
+  return res;
+}
+
 void WriteJson(const std::string& path, int reps,
                const std::vector<GemmResult>& gemm,
                const std::vector<GemmThreadResult>& gemm_threads,
-               const std::vector<ConvResult>& conv) {
+               const std::vector<ConvResult>& conv,
+               const std::vector<ServingConvResult>& serving_conv,
+               const InferResult& infer) {
   std::ostringstream js;
   js << "{\n";
   js << "  \"bench\": \"kernels\",\n";
@@ -240,7 +364,24 @@ void WriteJson(const std::string& path, int reps,
        << TablePrinter::Num(c.backward_scaling, 3) << "}"
        << (i + 1 < conv.size() ? "," : "") << "\n";
   }
-  js << "  ]\n";
+  js << "  ],\n";
+  js << "  \"conv2d_serving_forward\": [\n";
+  for (size_t i = 0; i < serving_conv.size(); ++i) {
+    const ServingConvResult& c = serving_conv[i];
+    js << "    {\"shape\": \"" << c.shape << "\", \"direct_ms\": "
+       << TablePrinter::Num(c.direct_ms, 4) << ", \"im2col_sgemm_ms\": "
+       << TablePrinter::Num(c.reference_ms, 4) << ", \"direct_gflops\": "
+       << TablePrinter::Num(c.direct_gflops, 2)
+       << ", \"im2col_sgemm_gflops\": "
+       << TablePrinter::Num(c.reference_gflops, 2)
+       << ", \"byte_identical\": " << (c.identical ? "true" : "false")
+       << "}" << (i + 1 < serving_conv.size() ? "," : "") << "\n";
+  }
+  js << "  ],\n";
+  js << "  \"infer_serving_frames\": {\"shape\": \"" << infer.shape
+     << "\", \"threads\": 1, \"ms\": " << TablePrinter::Num(infer.infer_ms, 3)
+     << "},\n";
+  js << "  \"host\": " << HostEnvelopeJson() << "\n";
   js << "}\n";
 
   std::ofstream out(path);
@@ -265,6 +406,9 @@ int main_impl() {
   const std::vector<GemmResult> gemm = RunGemm(reps, &gemm_threads,
                                                &checksum);
   const std::vector<ConvResult> conv = RunConv(reps, &checksum);
+  const std::vector<ServingConvResult> serving_conv =
+      RunServingConv(reps, &checksum);
+  const InferResult infer = RunInferServingFrames(reps, &checksum);
 
   TablePrinter gemm_table("SGEMM: blocked+vectorized vs naive (1 thread)");
   gemm_table.SetHeader({"size", "naive GFLOP/s", "opt GFLOP/s", "speedup"});
@@ -301,13 +445,32 @@ int main_impl() {
                        TablePrinter::Num(c.backward_scaling, 2)});
   }
   conv_table.Print(std::cout);
+
+  TablePrinter serving_table(
+      "Conv2dForward at serving shapes: direct vs Im2Col + Sgemm (batch 1, "
+      "1 thread, best-of)");
+  serving_table.SetHeader({"shape", "direct ms", "im2col ms",
+                           "direct GFLOP/s", "im2col GFLOP/s",
+                           "byte-identical"});
+  for (const ServingConvResult& c : serving_conv) {
+    serving_table.AddRow({c.shape, TablePrinter::Num(c.direct_ms, 3),
+                          TablePrinter::Num(c.reference_ms, 3),
+                          TablePrinter::Num(c.direct_gflops, 2),
+                          TablePrinter::Num(c.reference_gflops, 2),
+                          c.identical ? "yes" : "NO"});
+  }
+  serving_table.Print(std::cout);
+  std::cout << "One4AllNet::InferServingFrames " << infer.shape << ": "
+            << TablePrinter::Num(infer.infer_ms, 3)
+            << " ms (1 thread, best-of)\n";
   std::cout << "checksum " << checksum << "\n\n";
 
   const char* json_env = std::getenv("O4A_BENCH_JSON");
   const std::string json_path =
       json_env != nullptr ? json_env : "BENCH_kernels.json";
   if (!json_path.empty()) {
-    WriteJson(json_path, reps, gemm, gemm_threads, conv);
+    WriteJson(json_path, reps, gemm, gemm_threads, conv, serving_conv,
+              infer);
   }
 
   // Acceptance: >= 3x over naive at the 256..1024 sizes, single thread.

@@ -246,9 +246,10 @@ bool StreamIngestor::AwaitStepClearance() {
 }
 
 void StreamIngestor::Run() {
-  // Inference kernels fan out over the shared compute pool, same as the
-  // trainer and the offline ingest (sequential if this were ever run on
-  // a pool worker).
+  // Inference runs under the shared compute pool, like the trainer and
+  // the offline ingest (none if this were ever run on a pool worker). A
+  // batch-1 forward barely uses it: convolutions fan out over batch
+  // samples only, and Sgemm splits only products of 240 rows or more.
   ScopedComputePool scoped_pool(ResolveComputePool());
 
   RollingWindow window(dataset_->spec(), dataset_->StatsOfLayer(1));
@@ -299,7 +300,11 @@ void StreamIngestor::Run() {
           Status::Internal("inference not attempted");
       if (!fatal) {
         ScopedSpan infer_span(&trace_ctx, SpanName::kInfer, t);
+        Stopwatch infer_timer;
         frames = inference_(t, *input);
+        if (telemetry_ != nullptr && frames.ok()) {
+          telemetry_->infer_latency.Record(infer_timer.ElapsedMicros());
+        }
       }
       if (!fatal && !frames.ok()) {
         std::lock_guard<std::mutex> lock(mu_);

@@ -62,6 +62,11 @@ ServingTelemetry::ServingTelemetry() {
       "one4all_publish_latency_micros",
       "Per-epoch stage+publish latency in microseconds", "",
       &publish_latency);
+  registry_.RegisterHistogram(
+      "one4all_infer_latency_micros",
+      "Per-epoch inference (new observation to multi-scale frames) "
+      "latency in microseconds",
+      "", &infer_latency);
 }
 
 ServingTelemetrySnapshot ServingTelemetry::Snapshot() const {
@@ -118,6 +123,7 @@ void ServingTelemetry::Reset() {
   query_latency.Reset();
   query_e2e.Reset();
   publish_latency.Reset();
+  infer_latency.Reset();
 }
 
 TablePrinter ServingTelemetrySnapshot::Render(

@@ -101,6 +101,9 @@ class ServingTelemetry {
   /// plan, admission, epoch pin, resolve, gather, fold and rank.
   LatencyHistogram query_e2e;
   LatencyHistogram publish_latency;  ///< per-epoch stage+publish micros
+  /// Per-epoch micros of the inference call that produced its frames:
+  /// on a model deployment, most of a published frame's staleness.
+  LatencyHistogram infer_latency;
 
   /// \brief One relaxed increment on the spec's kind counter.
   void CountSpec(QuerySpecKind kind) {

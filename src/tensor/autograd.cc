@@ -121,7 +121,11 @@ Variable Scale(const Variable& a, float factor) {
 }
 
 Variable Relu(const Variable& a) {
-  Tensor out = a.value().Map([](float v) { return v > 0.0f ? v : 0.0f; });
+  Tensor out(a.value().shape());
+  const float* x = a.value().data();
+  for (int64_t i = 0; i < out.numel(); ++i) {
+    out[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  }
   return Variable::MakeNode(
       std::move(out), {a}, [](internal::VarNode* n) {
         const Tensor& x = n->parents[0]->value;
@@ -134,8 +138,11 @@ Variable Relu(const Variable& a) {
 }
 
 Variable Sigmoid(const Variable& a) {
-  Tensor out = a.value().Map(
-      [](float v) { return 1.0f / (1.0f + std::exp(-v)); });
+  Tensor out(a.value().shape());
+  const float* x = a.value().data();
+  for (int64_t i = 0; i < out.numel(); ++i) {
+    out[i] = 1.0f / (1.0f + std::exp(-x[i]));
+  }
   Tensor saved = out;
   return Variable::MakeNode(
       std::move(out), {a}, [saved](internal::VarNode* n) {
@@ -148,7 +155,9 @@ Variable Sigmoid(const Variable& a) {
 }
 
 Variable Tanh(const Variable& a) {
-  Tensor out = a.value().Map([](float v) { return std::tanh(v); });
+  Tensor out(a.value().shape());
+  const float* x = a.value().data();
+  for (int64_t i = 0; i < out.numel(); ++i) out[i] = std::tanh(x[i]);
   Tensor saved = out;
   return Variable::MakeNode(
       std::move(out), {a}, [saved](internal::VarNode* n) {

@@ -101,15 +101,16 @@ __attribute__((target("avx2,fma"))) void MicroKernelAvx2(int64_t kc,
 struct Dispatch {
   MicroKernelFn kernel;
   const char* name;
+  bool fused;  // one rounding per multiply-add
 };
 
 Dispatch SelectKernel() {
 #ifdef O4A_GEMM_X86
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {MicroKernelAvx2, "avx2-fma"};
+    return {MicroKernelAvx2, "avx2-fma", true};
   }
 #endif
-  return {MicroKernelGeneric, "generic"};
+  return {MicroKernelGeneric, "generic", false};
 }
 
 const Dispatch& GetDispatch() {
@@ -279,7 +280,9 @@ float* Workspace::Alloc(size_t count) {
       capacity = std::max(capacity, chunk.capacity * 2);
     }
     Chunk chunk;
-    chunk.data = std::make_unique<float[]>(capacity);
+    // Not value-initialized: spans are handed out uninitialized, and a
+    // page the arena never writes then never becomes resident.
+    chunk.data.reset(new float[capacity]);
     chunk.capacity = capacity;
     chunks_.push_back(std::move(chunk));
   }
@@ -309,6 +312,14 @@ Workspace::Mark Workspace::SaveMark() const {
 }
 
 void Workspace::RestoreMark(const Mark& mark) {
+  // Chunks made after the mark hold no live span, and no live mark names
+  // them. Keep only the newest, which is at least twice every older one,
+  // so an arena that grew step by step keeps one large chunk resident
+  // instead of the whole chain of outgrown ones.
+  if (chunks_.size() > mark.num_chunks + 1) {
+    const auto first = static_cast<std::ptrdiff_t>(mark.num_chunks);
+    chunks_.erase(chunks_.begin() + first, chunks_.end() - 1);
+  }
   for (size_t i = mark.num_chunks; i < chunks_.size(); ++i) {
     chunks_[i].used = 0;
   }
@@ -343,6 +354,11 @@ ScopedComputePool::ScopedComputePool(ThreadPool* pool)
 ScopedComputePool::~ScopedComputePool() { g_compute_pool = previous_; }
 
 const char* SgemmKernelName() { return GetDispatch().name; }
+
+SgemmRounding SgemmRoundingFor(int64_t m, int64_t n, int64_t k) {
+  if (m * n * k <= kSmallFlops) return {false, std::max<int64_t>(k, 1)};
+  return {GetDispatch().fused, kKc};
+}
 
 void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
            float alpha, const float* a, int64_t lda, const float* b,

@@ -43,6 +43,8 @@ class Workspace {
     size_t used = 0;        ///< bump offset of the newest chunk then
   };
   Mark SaveMark() const;
+  /// \brief Rolls back to `mark`. Of the chunks made after it, only the
+  /// newest (the largest) is kept; the others are freed.
   void RestoreMark(const Mark& mark);
 
   /// \brief Total floats of backing capacity currently held.
@@ -105,6 +107,20 @@ void Sgemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 /// \brief Name of the micro-kernel the runtime dispatcher selected
 /// ("avx2-fma" or "generic"); for logs and bench output.
 const char* SgemmKernelName();
+
+/// \brief How Sgemm rounds C = op(A) x op(B) (alpha 1, beta 0) for an
+/// [m, k] x [k, n] product, for kernels that must reproduce its bits (the
+/// direct convolution). C[i][j] is the in-order sum of partial sums over
+/// consecutive blocks of `k_block` terms; each partial sum starts at zero
+/// and adds its terms in k order, rounding once per term when `fused`
+/// (the AVX2+FMA micro-kernel) and after the product and again after the
+/// sum otherwise (the portable micro-kernel, and the small-product loop,
+/// which does not block k).
+struct SgemmRounding {
+  bool fused = false;
+  int64_t k_block = 0;
+};
+SgemmRounding SgemmRoundingFor(int64_t m, int64_t n, int64_t k);
 
 }  // namespace one4all
 

@@ -5,6 +5,11 @@
 
 #include "core/thread_pool.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define O4A_CONV_X86 1
+#endif
+
 namespace one4all {
 
 namespace {
@@ -26,6 +31,157 @@ void AccumulateBias(const float* go, int64_t f, int64_t plane,
     double acc = 0.0;
     for (int64_t i = 0; i < plane; ++i) acc += row[i];
     (*grad_bias)[fi] += static_cast<float>(acc);
+  }
+}
+
+// ---- Direct convolution ---------------------------------------------------
+//
+// Conv2dForward computes each output row in register tiles of kTileF
+// filters x up to kTileV vectors of 8 output columns straight from the
+// input rows, in the im2col term order (input channel, kernel row, kernel
+// column) and with Sgemm's rounding (SgemmRoundingFor), so its bytes equal
+// Im2Col + Sgemm's. Each input row is laid out once as a zero-padded row
+// split by column phase mod the stride: every term of a tile is then one
+// contiguous read, whatever the stride or padding, and padding reads
+// zeros exactly as im2col does. Only the kernel-height window of rows an
+// output row reads is kept, in a ring.
+
+constexpr int64_t kTileF = 4;
+constexpr int64_t kTileV = 2;
+constexpr int64_t kTileW = 8 * kTileV;
+
+// acc[r][j] = sum over terms p in [p0, p1) of w[p][r] * x[offs[p] + j] for
+// j < 8 * nv, combined into out[r * ldo + j] as Sgemm combines k-blocks:
+// stored, or added to out when `accumulate`; then bias[r] is added when
+// `bias` is non-null. `w` is the filter tile's weights, kTileF per term.
+using ConvTileFn = void (*)(int64_t nv, const float* w, const float* x,
+                            const int64_t* offs, int64_t p0, int64_t p1,
+                            float* out, int64_t ldo, bool accumulate,
+                            const float* bias);
+
+// A rounded product, then a rounded sum per term: the portable kernel.
+void ConvTileGeneric(int64_t nv, const float* w, const float* x,
+                     const int64_t* offs, int64_t p0, int64_t p1,
+                     float* out, int64_t ldo, bool accumulate,
+                     const float* bias) {
+  const int64_t cols = 8 * nv;
+  float acc[kTileF][kTileW] = {};
+  for (int64_t p = p0; p < p1; ++p) {
+    const float* xp = x + offs[p];
+    const float* wp = w + p * kTileF;
+    for (int64_t r = 0; r < kTileF; ++r) {
+      const float wv = wp[r];
+      for (int64_t j = 0; j < cols; ++j) acc[r][j] += wv * xp[j];
+    }
+  }
+  for (int64_t r = 0; r < kTileF; ++r) {
+    float* orow = out + r * ldo;
+    for (int64_t j = 0; j < cols; ++j) {
+      float v = acc[r][j];
+      if (accumulate) v = orow[j] + v;
+      if (bias != nullptr) v += bias[r];
+      orow[j] = v;
+    }
+  }
+}
+
+#ifdef O4A_CONV_X86
+template <int kNv>
+__attribute__((target("avx2,fma"))) inline void StoreConvRow(
+    float* orow, bool accumulate, const float* bias, __m256 a0,
+    __m256 a1) {
+  const __m256 sums[2] = {a0, a1};
+  for (int v = 0; v < kNv; ++v) {
+    __m256 sum = sums[v];
+    if (accumulate) sum = _mm256_add_ps(_mm256_loadu_ps(orow + 8 * v), sum);
+    if (bias != nullptr) sum = _mm256_add_ps(sum, _mm256_set1_ps(*bias));
+    _mm256_storeu_ps(orow + 8 * v, sum);
+  }
+}
+
+// One fused multiply-add per term: Sgemm's AVX2 micro-kernel arithmetic.
+// The eight accumulators are named, not an array: GCC keeps an array of
+// __m256 on the stack and reloads it every term.
+template <int kNv>
+__attribute__((target("avx2,fma"))) void ConvTileAvx2(
+    const float* w, const float* x, const int64_t* offs, int64_t p0,
+    int64_t p1, float* out, int64_t ldo, bool accumulate,
+    const float* bias) {
+  static_assert(kNv >= 1 && kNv <= kTileV, "tile width");
+  __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
+  __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
+  __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
+  __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
+  for (int64_t p = p0; p < p1; ++p) {
+    const float* xp = x + offs[p];
+    const float* wp = w + p * kTileF;
+    const __m256 x0 = _mm256_loadu_ps(xp);
+    const __m256 x1 = kNv > 1 ? _mm256_loadu_ps(xp + 8) : x0;
+    __m256 wv;
+    wv = _mm256_broadcast_ss(wp + 0);
+    c00 = _mm256_fmadd_ps(wv, x0, c00);
+    if (kNv > 1) c01 = _mm256_fmadd_ps(wv, x1, c01);
+    wv = _mm256_broadcast_ss(wp + 1);
+    c10 = _mm256_fmadd_ps(wv, x0, c10);
+    if (kNv > 1) c11 = _mm256_fmadd_ps(wv, x1, c11);
+    wv = _mm256_broadcast_ss(wp + 2);
+    c20 = _mm256_fmadd_ps(wv, x0, c20);
+    if (kNv > 1) c21 = _mm256_fmadd_ps(wv, x1, c21);
+    wv = _mm256_broadcast_ss(wp + 3);
+    c30 = _mm256_fmadd_ps(wv, x0, c30);
+    if (kNv > 1) c31 = _mm256_fmadd_ps(wv, x1, c31);
+  }
+  const bool has_bias = bias != nullptr;
+  StoreConvRow<kNv>(out, accumulate, bias, c00, c01);
+  StoreConvRow<kNv>(out + ldo, accumulate, has_bias ? bias + 1 : nullptr,
+                    c10, c11);
+  StoreConvRow<kNv>(out + 2 * ldo, accumulate,
+                    has_bias ? bias + 2 : nullptr, c20, c21);
+  StoreConvRow<kNv>(out + 3 * ldo, accumulate,
+                    has_bias ? bias + 3 : nullptr, c30, c31);
+}
+
+void ConvTileFma(int64_t nv, const float* w, const float* x,
+                 const int64_t* offs, int64_t p0, int64_t p1, float* out,
+                 int64_t ldo, bool accumulate, const float* bias) {
+  if (nv == 1) {
+    return ConvTileAvx2<1>(w, x, offs, p0, p1, out, ldo, accumulate, bias);
+  }
+  ConvTileAvx2<2>(w, x, offs, p0, p1, out, ldo, accumulate, bias);
+}
+#endif  // O4A_CONV_X86
+
+ConvTileFn SelectConvTile(bool fused) {
+#ifdef O4A_CONV_X86
+  if (fused) return ConvTileFma;
+#endif
+  O4A_CHECK(!fused) << "fused Sgemm rounding without an FMA conv tile";
+  return ConvTileGeneric;
+}
+
+int64_t CeilDivNonNegative(int64_t num, int64_t den) {
+  return num <= 0 ? 0 : (num + den - 1) / den;
+}
+
+// Lays out one input row zero-padded and split by column phase: for
+// ph < stride, dst[ph * len + i] is padded column i * stride + ph, that
+// is input column i * stride + ph - padding, or zero outside the row.
+void PadRowByPhase(const float* row, int64_t w, const Conv2dSpec& spec,
+                   int64_t len, float* dst) {
+  const int64_t s = spec.stride;
+  for (int64_t ph = 0; ph < s; ++ph, dst += len) {
+    const int64_t lo =
+        std::min(len, CeilDivNonNegative(spec.padding - ph, s));
+    const int64_t hi = std::max(
+        lo, std::min(len, CeilDivNonNegative(w + spec.padding - ph, s)));
+    std::fill(dst, dst + lo, 0.0f);
+    const float* src = row + lo * s + ph - spec.padding;
+    if (s == 1) {
+      std::copy(src, src + (hi - lo), dst + lo);
+    } else {
+      for (int64_t i = lo; i < hi; ++i) dst[i] = src[(i - lo) * s];
+    }
+    std::fill(dst + hi, dst + len, 0.0f);
   }
 }
 
@@ -177,44 +333,123 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
   const int64_t f = weight.dim(0), kh = weight.dim(2), kw = weight.dim(3);
   O4A_CHECK_EQ(weight.dim(1), c);
   const int64_t oh = spec.OutExtent(h, kh), ow = spec.OutExtent(w, kw);
+  O4A_CHECK_GT(oh, 0);
+  O4A_CHECK_GT(ow, 0);
   const bool has_bias = !bias.empty();
   if (has_bias) O4A_CHECK_EQ(bias.numel(), f);
 
   Tensor out({n, f, oh, ow});
-  const int64_t patch = c * kh * kw;   // im2col rows == GEMM depth
-  const int64_t plane = oh * ow;       // GEMM columns
-  // weight is [F,C,kh,kw] contiguous, i.e. already the [F, patch] GEMM
-  // left operand — no reshape copy needed.
-  const float* wmat = weight.data();
+  const int64_t patch = c * kh * kw;  // terms per output, im2col order
+  const int64_t plane = oh * ow;
+  const SgemmRounding rounding = SgemmRoundingFor(f, plane, patch);
+  const ConvTileFn tile = SelectConvTile(rounding.fused);
+  const int64_t s = spec.stride;
+  // A padded row's phase holds every column a tile of 8-column vectors
+  // reads: output columns rounded up to 8, plus the kernel's reach.
+  const int64_t len = (ow + 7) / 8 * 8 + (kw - 1) / s;
+  const int64_t row_floats = s * len;
+
+  // Weights packed per filter tile as [patch][kTileF], zero rows past f.
+  Workspace* ws = Workspace::ThreadLocal();
+  const Workspace::Mark mark = ws->SaveMark();
+  const int64_t f_tiles = (f + kTileF - 1) / kTileF;
+  float* wpack = ws->Alloc(static_cast<size_t>(f_tiles * patch * kTileF));
+  for (int64_t ft = 0; ft < f_tiles; ++ft) {
+    for (int64_t p = 0; p < patch; ++p) {
+      for (int64_t r = 0; r < kTileF; ++r) {
+        const int64_t fi = ft * kTileF + r;
+        wpack[(ft * patch + p) * kTileF + r] =
+            fi < f ? weight.data()[fi * patch + p] : 0.0f;
+      }
+    }
+  }
 
   auto run_samples = [&](int64_t begin, int64_t end) {
-    Workspace* ws = Workspace::ThreadLocal();
-    const Workspace::Mark mark = ws->SaveMark();
-    float* cols = ws->Alloc(static_cast<size_t>(patch * plane));
-    for (int64_t s = begin; s < end; ++s) {
-      Im2ColInto(input, s, kh, kw, spec, cols);
-      float* dst = out.data() + s * f * plane;
-      Sgemm(false, false, f, plane, patch, 1.0f, wmat, patch, cols, plane,
-            0.0f, dst, plane);
-      if (has_bias) {
-        for (int64_t fi = 0; fi < f; ++fi) {
-          const float bv = bias[fi];
-          float* row = dst + fi * plane;
-          for (int64_t i = 0; i < plane; ++i) row[i] += bv;
+    Workspace* local = Workspace::ThreadLocal();
+    const Workspace::Mark local_mark = local->SaveMark();
+    // Ring slot (ci, ii mod kh) holds channel ci's padded input row ii;
+    // slot c * kh is the all-zero row above and below the input.
+    float* ring = local->Alloc(static_cast<size_t>((c * kh + 1) * row_floats));
+    std::fill(ring + c * kh * row_floats, ring + (c * kh + 1) * row_floats,
+              0.0f);
+    // Term p of the current output row reads ring + offs[p] + column:
+    // its row's ring slot, then its kernel column's phase and shift.
+    std::vector<int64_t> offs(static_cast<size_t>(patch));
+    std::vector<int64_t> col_offs(static_cast<size_t>(kw));
+    for (int64_t kj = 0; kj < kw; ++kj) {
+      col_offs[static_cast<size_t>(kj)] = kj % s * len + kj / s;
+    }
+    float edge[kTileF * kTileW];  // ragged tiles land here first
+    for (int64_t sample = begin; sample < end; ++sample) {
+      const float* in = input.data() + sample * c * h * w;
+      int64_t next_row = 0;  // first input row not yet in the ring
+      for (int64_t oi = 0; oi < oh; ++oi) {
+        const int64_t top = oi * s - spec.padding;
+        for (int64_t ii = std::max(next_row, top);
+             ii < std::min(h, top + kh); ++ii) {
+          for (int64_t ci = 0; ci < c; ++ci) {
+            PadRowByPhase(in + (ci * h + ii) * w, w, spec, len,
+                          ring + (ci * kh + ii % kh) * row_floats);
+          }
+        }
+        next_row = std::max(next_row, top + kh);
+        for (int64_t ki = 0; ki < kh; ++ki) {
+          const int64_t ii = top + ki;
+          const bool inside = ii >= 0 && ii < h;
+          for (int64_t ci = 0; ci < c; ++ci) {
+            const int64_t slot = inside ? ci * kh + ii % kh : c * kh;
+            int64_t* terms = offs.data() + (ci * kh + ki) * kw;
+            for (int64_t kj = 0; kj < kw; ++kj) {
+              terms[kj] = slot * row_floats + col_offs[static_cast<size_t>(kj)];
+            }
+          }
+        }
+
+        for (int64_t ft = 0; ft < f_tiles; ++ft) {
+          const int64_t f0 = ft * kTileF;
+          const int64_t rows = std::min(kTileF, f - f0);
+          const float* wt = wpack + ft * patch * kTileF;
+          for (int64_t oj0 = 0; oj0 < ow; oj0 += kTileW) {
+            const int64_t cols = std::min(kTileW, ow - oj0);
+            const int64_t nv = (cols + 7) / 8;
+            float* dst = out.data() + (sample * f + f0) * plane + oi * ow + oj0;
+            const bool whole = rows == kTileF && cols == 8 * nv;
+            for (int64_t p0 = 0; p0 < patch; p0 += rounding.k_block) {
+              const int64_t p1 = std::min(patch, p0 + rounding.k_block);
+              const float* tile_bias =
+                  has_bias && p1 == patch ? bias.data() + f0 : nullptr;
+              if (whole) {
+                tile(nv, wt, ring + oj0, offs.data(), p0, p1, dst, plane,
+                     p0 > 0, tile_bias);
+                continue;
+              }
+              tile(nv, wt, ring + oj0, offs.data(), p0, p1, edge, kTileW,
+                   false, nullptr);
+              for (int64_t r = 0; r < rows; ++r) {
+                float* orow = dst + r * plane;
+                for (int64_t j = 0; j < cols; ++j) {
+                  float v = edge[r * kTileW + j];
+                  if (p0 > 0) v = orow[j] + v;
+                  if (tile_bias != nullptr) v += tile_bias[r];
+                  orow[j] = v;
+                }
+              }
+            }
+          }
         }
       }
     }
-    ws->RestoreMark(mark);
+    local->RestoreMark(local_mark);
   };
 
   ThreadPool* pool = GetComputePool();
   if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
-    // Batch-parallel: workers see no ambient pool (thread-local), so the
-    // per-sample Sgemm stays sequential and never re-enters the pool.
+    // Batch-parallel: each worker keeps its row ring in its own arena.
     pool->ParallelFor(n, run_samples);
   } else {
     run_samples(0, n);
   }
+  ws->RestoreMark(mark);
   return out;
 }
 
@@ -349,15 +584,19 @@ Tensor UpsampleNearestForward(const Tensor& input, int64_t factor) {
   O4A_CHECK_GE(factor, 1);
   const int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                 w = input.dim(3);
-  Tensor out({n, c, h * factor, w * factor});
-  for (int64_t s = 0; s < n; ++s) {
-    for (int64_t ci = 0; ci < c; ++ci) {
-      for (int64_t i = 0; i < h * factor; ++i) {
-        for (int64_t j = 0; j < w * factor; ++j) {
-          out.at(s, ci, i, j) = input.at(s, ci, i / factor, j / factor);
-        }
-      }
+  const int64_t ow = w * factor;
+  Tensor out({n, c, h * factor, ow});
+  const float* src = input.data();
+  float* dst = out.data();
+  // One source row widens into one output row, which repeats factor times.
+  for (int64_t row = 0; row < n * c * h; ++row, src += w) {
+    for (int64_t j = 0; j < w; ++j) {
+      std::fill(dst + j * factor, dst + (j + 1) * factor, src[j]);
     }
+    for (int64_t rep = 1; rep < factor; ++rep) {
+      std::copy(dst, dst + ow, dst + rep * ow);
+    }
+    dst += factor * ow;
   }
   return out;
 }

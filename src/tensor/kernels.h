@@ -1,11 +1,14 @@
-// Numeric kernels used by the autograd layer: matmul, im2col convolution
-// (forward and backward), pooling, nearest-neighbour upsampling, channel
-// concatenation, and softmax. All operate on NCHW tensors.
+// Numeric kernels used by the autograd layer: matmul, convolution (a
+// direct forward, an im2col backward), pooling, nearest-neighbour
+// upsampling, channel concatenation, and softmax. All operate on NCHW
+// tensors.
 //
-// The matmul and convolution entry points run on the blocked SGEMM in
-// tensor/gemm.h: scratch comes from the calling thread's Workspace arena
-// and, when a compute pool is installed (ScopedComputePool), convolutions
-// fan out batch samples and large matmuls fan out row blocks across it.
+// The matmul and convolution-backward entry points run on the blocked
+// SGEMM in tensor/gemm.h; the convolution forward reproduces its bytes
+// with register tiles read from the input rows. Scratch comes from the
+// calling thread's Workspace arena and, when a compute pool is installed
+// (ScopedComputePool), convolutions fan out batch samples and large
+// matmuls fan out row blocks across it.
 // The scalar reference implementations live on in namespace `naive` as
 // the parity oracle for tests and benchmarks.
 #ifndef ONE4ALL_TENSOR_KERNELS_H_
@@ -43,7 +46,7 @@ struct Conv2dSpec {
 
 /// \brief Unrolls input patches into a matrix of shape
 /// [C*kh*kw, out_h*out_w] for one sample; the building block of the
-/// im2col convolution.
+/// convolution backward and of the forward's reference.
 Tensor Im2Col(const Tensor& input, int64_t sample, int64_t kh, int64_t kw,
               const Conv2dSpec& spec);
 
@@ -63,7 +66,9 @@ void Col2ImFrom(const float* cols, int64_t kh, int64_t kw,
                 const Conv2dSpec& spec, Tensor* grad_input, int64_t sample);
 
 /// \brief 2-D convolution. input [N,C,H,W], weight [F,C,kh,kw], bias [F]
-/// (pass an empty tensor to skip bias). Returns [N,F,outH,outW].
+/// (pass an empty tensor to skip bias). Returns [N,F,outH,outW], byte for
+/// byte what Im2Col times the [F, C*kh*kw] weight matrix on Sgemm, plus
+/// the bias, returns; computed directly from the input rows.
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
                      const Tensor& bias, const Conv2dSpec& spec);
 

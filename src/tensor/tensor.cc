@@ -167,12 +167,6 @@ Tensor Tensor::MulScalar(float value) const {
   return out;
 }
 
-Tensor Tensor::Map(const std::function<float(float)>& fn) const {
-  Tensor out = *this;
-  for (auto& v : out.data_) v = fn(v);
-  return out;
-}
-
 float Tensor::Sum() const {
   double s = 0.0;
   for (float v : data_) s += v;

@@ -4,7 +4,6 @@
 #define ONE4ALL_TENSOR_TENSOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -102,8 +101,6 @@ class Tensor {
   Tensor Div(const Tensor& other) const;
   Tensor AddScalar(float value) const;
   Tensor MulScalar(float value) const;
-  /// \brief Applies `fn` to every element.
-  Tensor Map(const std::function<float(float)>& fn) const;
 
   // -- Reductions -------------------------------------------------------
   float Sum() const;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -149,6 +151,129 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{3, 1, 4, 4, 2, 3, 1, 2, false},   // padding > needed
         ConvCase{5, 2, 7, 7, 3, 3, 1, 1, true}));  // batch > pool chunks
 
+// The forward convolution as im2col columns times the weight matrix on
+// Sgemm, then the bias: the bytes the direct kernel must reproduce.
+Tensor Im2ColSgemmConv(const Tensor& x, const Tensor& w, const Tensor& b,
+                       const Conv2dSpec& spec) {
+  const int64_t n = x.dim(0), c = x.dim(1);
+  const int64_t f = w.dim(0), kh = w.dim(2), kw = w.dim(3);
+  const int64_t oh = spec.OutExtent(x.dim(2), kh);
+  const int64_t ow = spec.OutExtent(x.dim(3), kw);
+  const int64_t patch = c * kh * kw, plane = oh * ow;
+  Tensor out({n, f, oh, ow});
+  for (int64_t s = 0; s < n; ++s) {
+    const Tensor cols = Im2Col(x, s, kh, kw, spec);
+    float* dst = out.data() + s * f * plane;
+    Sgemm(false, false, f, plane, patch, 1.0f, w.data(), patch, cols.data(),
+          plane, 0.0f, dst, plane);
+    if (b.empty()) continue;
+    for (int64_t fi = 0; fi < f; ++fi) {
+      for (int64_t i = 0; i < plane; ++i) dst[fi * plane + i] += b[fi];
+    }
+  }
+  return out;
+}
+
+struct DirectCase {
+  int64_t n, c, h, w, f, k, stride, padding;
+  bool bias;
+};
+
+std::string DescribeCase(const DirectCase& cs) {
+  return "n" + std::to_string(cs.n) + " c" + std::to_string(cs.c) + " " +
+         std::to_string(cs.h) + "x" + std::to_string(cs.w) + " f" +
+         std::to_string(cs.f) + " k" + std::to_string(cs.k) + " s" +
+         std::to_string(cs.stride) + " p" + std::to_string(cs.padding) +
+         (cs.bias ? " bias" : "");
+}
+
+void ExpectDirectMatchesIm2Col(const DirectCase& cs, uint64_t seed) {
+  SCOPED_TRACE(DescribeCase(cs));
+  Rng rng(seed);
+  const Tensor x = Tensor::RandomNormal({cs.n, cs.c, cs.h, cs.w}, &rng);
+  const Tensor w = Tensor::RandomNormal({cs.f, cs.c, cs.k, cs.k}, &rng);
+  const Tensor b = cs.bias ? Tensor::RandomNormal({cs.f}, &rng) : Tensor();
+  const Conv2dSpec spec{cs.stride, cs.padding};
+  const Tensor want = Im2ColSgemmConv(x, w, b, spec);
+  const Tensor got = Conv2dForward(x, w, b, spec);
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(got.numel()) * sizeof(float)),
+            0);
+}
+
+// Corners named one by one: widths off the 24-column register tile,
+// filter counts off the 4-filter tile, terms per output (c*k*k) on both
+// sides of Sgemm's 256-term k-block, and products small enough for
+// Sgemm's unblocked small-product loop.
+TEST(ConvDirectParityTest, NamedShapesMatchIm2ColSgemmBytes) {
+  const std::vector<DirectCase> cases = {
+      {1, 1, 1, 1, 1, 1, 1, 0, true},       // one term, small product
+      {1, 33, 1, 1, 1, 3, 1, 1, true},      // 297 terms, small: no k-block
+      {1, 3, 4, 4, 5, 3, 1, 1, false},      // small product, padded
+      {1, 8, 4, 4, 8, 3, 1, 1, true},       // just over the small cut
+      {1, 33, 31, 33, 7, 5, 1, 2, true},    // 825 terms: four k-blocks
+      {1, 29, 31, 33, 33, 3, 2, 1, false},  // 261 terms, stride 2
+      {1, 8, 128, 128, 8, 3, 1, 1, true},   // the serving net's 3x3
+      {1, 24, 128, 128, 8, 1, 1, 0, true},  // its 1x1 fusion
+      {1, 8, 128, 128, 8, 2, 2, 0, true},   // its 2x2 stride-2 merge
+      {1, 8, 128, 128, 1, 1, 1, 0, true},   // its one-filter head
+      {1, 5, 100, 70, 6, 5, 3, 2, true},    // stride 3 over padding
+      {1, 2, 1, 1, 3, 5, 1, 2, false},      // kernel wider than input
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    ExpectDirectMatchesIm2Col(cases[i], 500 + i);
+  }
+}
+
+// Seeded draws over c, f in 1..33, k in {1, 2, 3, 5}, stride 1..3,
+// padding 0..2 and five extents. Draws whose output would be empty are
+// redrawn, and so are draws over a work budget that keeps the test fast
+// under the sanitizer builds.
+TEST(ConvDirectParityTest, SeededShapesMatchIm2ColSgemmBytes) {
+  const int64_t extents[][2] = {
+      {1, 1}, {4, 4}, {31, 33}, {100, 70}, {128, 128}};
+  const int64_t kernels[] = {1, 2, 3, 5};
+  Rng rng(2024);
+  auto draw = [&rng](int64_t lo, int64_t hi) {
+    return lo + static_cast<int64_t>(
+                    rng.UniformInt(static_cast<uint64_t>(hi - lo + 1)));
+  };
+  int drawn = 0;
+  while (drawn < 40) {
+    DirectCase cs;
+    const auto* extent = extents[draw(0, 4)];
+    cs.n = 1;
+    cs.h = extent[0];
+    cs.w = extent[1];
+    cs.c = draw(1, 33);
+    cs.f = draw(1, 33);
+    cs.k = kernels[draw(0, 3)];
+    cs.stride = draw(1, 3);
+    cs.padding = draw(0, 2);
+    cs.bias = draw(0, 1) == 1;
+    const Conv2dSpec spec{cs.stride, cs.padding};
+    const int64_t oh = spec.OutExtent(cs.h, cs.k);
+    const int64_t ow = spec.OutExtent(cs.w, cs.k);
+    if (cs.h + 2 * cs.padding < cs.k || cs.w + 2 * cs.padding < cs.k) {
+      continue;
+    }
+    if (cs.f * oh * ow * cs.c * cs.k * cs.k > (int64_t{1} << 23)) continue;
+    ExpectDirectMatchesIm2Col(cs, 900 + static_cast<uint64_t>(drawn));
+    ++drawn;
+  }
+}
+
+// Batch-parallel samples on a 4-thread pool: every sample's bytes still
+// equal the sequential reference.
+TEST(ConvDirectParityTest, BatchOnPoolMatchesIm2ColSgemmBytes) {
+  ThreadPool pool(4);
+  ScopedComputePool scoped(&pool);
+  ExpectDirectMatchesIm2Col({6, 8, 31, 33, 8, 3, 1, 1, true}, 41);
+  ExpectDirectMatchesIm2Col({5, 7, 4, 4, 3, 2, 2, 0, false}, 42);
+  ExpectDirectMatchesIm2Col({3, 33, 31, 33, 5, 3, 1, 1, true}, 43);
+}
+
 TEST(ConvThreadedTest, PoolExecutionMatchesSequential) {
   Rng rng(55);
   Tensor x = Tensor::RandomNormal({8, 3, 12, 12}, &rng);
@@ -226,6 +351,24 @@ TEST(WorkspaceTest, MarkRestoreNests) {
   // And the rolled-back region is handed out again.
   float* again = ws.Alloc(4096);
   EXPECT_EQ(inner, again);
+}
+
+TEST(WorkspaceTest, RestoreKeepsOnlyTheNewestOutgrownChunk) {
+  Workspace ws;
+  ws.Alloc(16);
+  const size_t base = ws.capacity();
+  const Workspace::Mark mark = ws.SaveMark();
+  // Each request outgrows the newest chunk: a chain of three new chunks.
+  ws.Alloc(base);
+  ws.Alloc(2 * base);
+  ws.Alloc(4 * base);
+  const size_t grown = ws.capacity();
+  ws.RestoreMark(mark);
+  EXPECT_LT(ws.capacity(), grown);
+  // The chunk kept is the largest, so the largest request fits again.
+  const size_t kept = ws.capacity();
+  ws.Alloc(4 * base);
+  EXPECT_EQ(ws.capacity(), kept);
 }
 
 TEST(WorkspaceTest, ThreadLocalIsPerThread) {

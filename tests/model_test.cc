@@ -88,6 +88,47 @@ TEST(One4AllNetTest, TrainingReducesLoss) {
   EXPECT_GT(report.seconds_per_epoch, 0.0);
 }
 
+// Pins the exact bytes the serving path publishes: the convolution,
+// activation and upsample kernels may change how they compute, never what.
+// The trainer gets a fixed two-worker pool, so the batch-parallel backward
+// reduces the same chunks on every host.
+TEST(One4AllNetTest, ServingFramesFingerprintIsStable) {
+  STDataset ds = testing::TinyDataset(7, 16, 16);
+  One4AllNetOptions net_options = SmallNetOptions();
+  net_options.channels = 8;
+  One4AllNet net(ds.hierarchy(), ds.spec(), net_options);
+  TrainOptions options;
+  options.epochs = 1;
+  options.batch_size = 4;
+  options.max_batches_per_epoch = 1;
+  options.num_threads = 2;
+  TrainModel(
+      &net, ds,
+      [&net](const STDataset& d, const std::vector<int64_t>& batch) {
+        return net.Loss(d, batch);
+      },
+      options);
+
+  const std::vector<Tensor> frames =
+      net.InferServingFrames(ds.BuildInput({ds.test_indices()[0]}), ds);
+  ASSERT_EQ(frames.size(), 3u);
+  uint64_t hash = 14695981039346656037ull;  // FNV-1a 64
+  for (const Tensor& frame : frames) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(frame.data());
+    for (size_t i = 0; i < frame.numel() * sizeof(float); ++i) {
+      hash = (hash ^ bytes[i]) * 1099511628211ull;
+    }
+  }
+  // Recorded when Conv2dForward still ran Im2Col + Sgemm. A build that
+  // targets an FMA CPU (ONE4ALL_NATIVE_ARCH) lets the compiler fuse
+  // a * b + c everywhere, which changes the bits before any kernel runs.
+#if defined(__FMA__)
+  EXPECT_EQ(hash, 15817845565653601071ull);
+#else
+  EXPECT_EQ(hash, 0x7f756cb8ce00d334ull);
+#endif
+}
+
 TEST(One4AllNetTest, PredictAllLayersMatchesPredictLayer) {
   STDataset ds = testing::TinyDataset();
   One4AllNet net(ds.hierarchy(), ds.spec(), SmallNetOptions());

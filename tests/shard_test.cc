@@ -875,6 +875,12 @@ TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {
     EXPECT_EQ(reused + reevaluated, rows * reissues);
     EXPECT_NE(exposition.find("one4all_query_e2e_micros_count 7\n"),
               std::string::npos);
+    // One inference sample per published epoch, next to the publish one.
+    EXPECT_EQ(ExpositionValue(exposition, "one4all_infer_latency_micros_count"),
+              steps);
+    EXPECT_EQ(
+        ExpositionValue(exposition, "one4all_publish_latency_micros_count"),
+        steps);
     // One kind series per spec shape: PointInTime, TimeRange,
     // MultiRegion, TopK.
     const std::string spec_series = "\none4all_specs_total{kind=\"";

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/rng.h"
+#include "tensor/autograd.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
 
@@ -67,9 +68,9 @@ TEST(TensorTest, ReshapePreservesData) {
   EXPECT_EQ(r.at(2, 1), 6.0f);
 }
 
-TEST(TensorTest, MapAppliesFunction) {
-  Tensor t = Tensor::FromVector({3}, {-1, 0, 2});
-  Tensor relu = t.Map([](float v) { return v > 0 ? v : 0.0f; });
+TEST(TensorTest, ReluZeroesNonPositives) {
+  Variable t(Tensor::FromVector({3}, {-1, 0, 2}));
+  Tensor relu = Relu(t).value();
   EXPECT_TRUE(relu.AllClose(Tensor::FromVector({3}, {0, 0, 2})));
 }
 
