@@ -1,12 +1,29 @@
 #include "kvstore/prediction_store.h"
 
 #include <climits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/logging.h"
 
 namespace one4all {
+
+namespace {
+
+/// Refuses a tiled frame whose sums could round (tensor/tiled_sat.h,
+/// kMaxFrameAbsSum): a NaN or infinite cell, or an absolute sum past
+/// the ceiling. O(tiles), from the sums the tile copy kept.
+Status CheckStorable(const TiledFrame& frame) {
+  const double abs_sum = frame.abs_sum();
+  if (abs_sum <= kMaxFrameAbsSum) return Status::OK();
+  return Status::InvalidArgument(
+      "frame refused: absolute sum " + std::to_string(abs_sum) +
+      " is non-finite or above the exact-sum ceiling " +
+      std::to_string(kMaxFrameAbsSum));
+}
+
+}  // namespace
 
 void PredictionStore::SyncFrame(int layer, int64_t t, const Tensor& frame) {
   SyncFrameAt(0, layer, t, frame);
@@ -56,6 +73,7 @@ Status PredictionStore::TrySyncFrameAt(int64_t generation, int layer,
   O4A_CHECK_EQ(frame.ndim(), 2u);
   // Tiling happens outside the lock; the map mutation is a pointer swap.
   auto tiled = std::make_shared<const TiledFrame>(TiledFrame::FromTensor(frame));
+  O4A_RETURN_NOT_OK(CheckStorable(*tiled));
   std::unique_lock<std::shared_mutex> lock(mu_);
   Entry& entry = entries_[Key{generation, layer, t}];
   entry.frame = std::move(tiled);
@@ -84,6 +102,7 @@ Status PredictionStore::TrySyncFrameDeltaAt(int64_t generation, int layer,
   auto tiled = std::make_shared<const TiledFrame>(
       have_base ? TiledFrame::FromDelta(frame, *base.frame, dirty, &shared)
                 : TiledFrame::FromTensor(frame));
+  O4A_RETURN_NOT_OK(CheckStorable(*tiled));
   if (stats != nullptr) {
     stats->frame_tiles_total = tiled->tiles_h() * tiled->tiles_w();
     stats->frame_tiles_shared = shared;

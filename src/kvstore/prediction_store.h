@@ -28,6 +28,12 @@
 //     pins.
 // Planes live *inside* the generation entry on purpose: carry-forward
 // and reclamation treat a plane exactly like its frame.
+//
+// Every stored cell is a multiple of 2^-20 (TiledFrame snaps it on the
+// way in), and both write paths refuse a frame with a NaN or infinite
+// cell or an absolute sum past kMaxFrameAbsSum. Plane reads and cell
+// loops over a stored frame therefore form exact sums and agree bit for
+// bit, at every shard count and from full or incremental staging.
 #ifndef ONE4ALL_KVSTORE_PREDICTION_STORE_H_
 #define ONE4ALL_KVSTORE_PREDICTION_STORE_H_
 
@@ -81,6 +87,8 @@ class PredictionStore {
   /// staging path routes through this so an unwritable store surfaces
   /// as an aborted epoch, never a crash or a torn publish. Every tile
   /// is copied fresh; the frame's dirty set is recorded as unknown.
+  /// InvalidArgument, storing nothing, when the frame holds a NaN or
+  /// infinite cell or its absolute sum passes kMaxFrameAbsSum.
   Status TrySyncFrameAt(int64_t generation, int layer, int64_t t,
                         const Tensor& frame);
 
@@ -90,7 +98,8 @@ class PredictionStore {
   /// ingestor diffed `frame` against. Falls back to a full fresh write
   /// when the base is missing, geometry differs, or `dirty` is unknown
   /// (empty). Records `dirty` with the entry so downstream consumers
-  /// (band slicing, incremental top-k) can reuse it.
+  /// (band slicing, incremental top-k) can reuse it. Refuses the frame
+  /// as TrySyncFrameAt does.
   Status TrySyncFrameDeltaAt(int64_t generation, int layer, int64_t t,
                              const Tensor& frame, int64_t base_t,
                              const TileDirtySet& dirty,

@@ -63,8 +63,9 @@ struct GatherLayerNeed {
 
 /// \brief The full compiled gather of one resolution. Evaluating it at
 /// timestep t (rects via planes, residues via frames, layers ascending)
-/// equals the per-term sum over the same (layer, t) frames up to
-/// double-rounding of the summed-area prefix arithmetic.
+/// gives the same bits as the per-term sum over the same (layer, t)
+/// frames: stored cells are multiples of 2^-20, so no sum rounds and the
+/// order of the additions does not matter (tensor/tiled_sat.h).
 struct GatherProgram {
   std::vector<SatRectRead> rects;      ///< layer-ascending
   std::vector<ResidueRead> residues;   ///< (layer, offset)-ascending

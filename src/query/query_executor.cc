@@ -530,10 +530,9 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
     ScopedSpan gather_span(options.trace, SpanName::kGather,
                            plan.num_point_queries());
     // The SAT fast path reads whole-grid summed-area planes, so it runs
-    // on one shard only. Band shards hold band-clipped planes, and
-    // summing a rect's per-band parts would change the rounding; at
-    // N > 1 a kSatFastPath plan runs the exact loop, bit-identical to
-    // N=1's exact loop.
+    // on one shard only; band shards' band-clipped planes have no reader
+    // yet. At N > 1 a kSatFastPath plan runs the exact loop, which gives
+    // the same bits: every sum over stored cells is exact.
     if (plan.path == EvalPath::kSatFastPath && num_shards == 1 &&
         plan.num_point_queries() <= kMaxFastPathGathers) {
       GatherSatFastPath(plan, slots, shards[0], keep_series, options.trace,

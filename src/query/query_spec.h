@@ -39,9 +39,9 @@ enum class EvalPath {
   /// four-corner summed-area-plane reads (O(#rects) whatever their
   /// area), irregular residues to in-place reads of the pinned tiled
   /// frames, with frames and planes pinned once per plan (no cell
-  /// copy). Matches the exact loop to ~1e-9
-  /// relative (double prefix-sum rounding), not bit-for-bit; falls back
-  /// to frame reads per rect when a generation carries no planes.
+  /// copy). Bit-identical to the exact loop: stored cells are
+  /// multiples of 2^-20, so every plane sum is exact. Falls back to
+  /// frame reads per rect when a generation carries no planes.
   kSatFastPath,
 };
 

@@ -16,11 +16,8 @@ void HashCombine(uint64_t v, uint64_t* h) {
 
 }  // namespace
 
-TopKMemo::TopKMemo(const Hierarchy* hierarchy, TopKMemoOptions options)
-    : hierarchy_(hierarchy), options_(options) {
+TopKMemo::TopKMemo(const Hierarchy* hierarchy) : hierarchy_(hierarchy) {
   O4A_CHECK(hierarchy != nullptr);
-  O4A_CHECK_GT(options_.capacity, 0u);
-  O4A_CHECK_GT(options_.history, 0u);
 }
 
 bool TopKMemo::Key::operator==(const Key& other) const {
@@ -120,15 +117,9 @@ bool TopKMemo::FootprintClean(const CellRect& footprint,
   return true;
 }
 
-void TopKMemo::OnPublish(int64_t t, const std::vector<Tensor>& frames,
-                         const DirtyTileSets* dirty) {
+void TopKMemo::OnPublish(int64_t t, const DirtyTileSets* dirty) {
   PublishRecord record;
   record.t = t;
-  record.sums_exact =
-      !frames.empty() && std::all_of(frames.begin(), frames.end(),
-                                     [](const Tensor& frame) {
-                                       return SatSumsExact(frame);
-                                     });
   // Only an entry memoized before t reads this record's dirty sets, so
   // with no entry the copy (tile bits plus one bit per layer cell: ~3 KB
   // per publish for a 128x128 six-layer stack) is skipped and the record
@@ -146,7 +137,7 @@ void TopKMemo::OnPublish(int64_t t, const std::vector<Tensor>& frames,
   }
   std::lock_guard<std::mutex> lock(mu_);
   publishes_.push_back(std::move(record));
-  while (publishes_.size() > options_.history) publishes_.pop_front();
+  while (publishes_.size() > kHistory) publishes_.pop_front();
 }
 
 void TopKMemo::Invalidate() {
@@ -182,16 +173,9 @@ TopKMemo::Probe TopKMemo::Lookup(const Key& key, int64_t t) {
   probe.rows = entry.rows;
   probe.clean.assign(entry.rows.size(), true);
   if (since.empty()) return probe;  // same timestep: every row holds
-  // A SAT-path row is a function of its footprint's cells only when the
-  // planes it was read from and the planes a cold run would read both
-  // hold exact sums; otherwise it is one of every cell in the prefix
-  // [0, r1) x [0, c1) of its footprint.
-  const bool sums_exact = entry.sums_exact && since.back()->sums_exact;
   for (size_t i = 0; i < entry.footprints.size(); ++i) {
-    CellRect footprint = entry.footprints[i];
-    if (!sums_exact) footprint.r0 = footprint.c0 = 0;
     for (const PublishRecord* record : since) {
-      if (!FootprintClean(footprint, *record)) {
+      if (!FootprintClean(entry.footprints[i], *record)) {
         probe.clean[i] = false;
         break;
       }
@@ -206,16 +190,9 @@ void TopKMemo::Store(Key key, int64_t t, const std::vector<GridMask>& regions,
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  // The record of t says whether t's planes hold exact sums; a t whose
-  // record is gone (or not yet written) is taken as inexact.
-  bool sums_exact = false;
-  for (const PublishRecord& record : publishes_) {
-    if (record.t == t) sums_exact = record.sums_exact;
-  }
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->key == key) {
       it->t = t;
-      it->sums_exact = sums_exact;
       it->rows = rows;
       entries_.splice(entries_.begin(), entries_, it);
       return;
@@ -224,14 +201,13 @@ void TopKMemo::Store(Key key, int64_t t, const std::vector<GridMask>& regions,
   Entry entry;
   entry.key = std::move(key);
   entry.t = t;
-  entry.sums_exact = sums_exact;
   entry.rows = rows;
   entry.footprints.reserve(regions.size());
   for (const GridMask& region : regions) {
     entry.footprints.push_back(FootprintOf(region));
   }
   entries_.push_front(std::move(entry));
-  while (entries_.size() > options_.capacity) entries_.pop_back();
+  while (entries_.size() > kCapacity) entries_.pop_back();
 }
 
 std::vector<int> TopKMemo::RankRows(const std::vector<Result<QueryRow>>& rows,

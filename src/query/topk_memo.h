@@ -21,15 +21,12 @@
 // layer of scale >= 4 is a single tile, so only cell bits let a row in
 // an unchurned part of a coarse layer stay clean.
 //
-// The footprint bounds what a row's value depends on only when the
-// value is a function of the cells inside it. The exact cell loop's
-// rows are. A SAT-path row is one of four prefix sums per rect, and a
-// prefix sum over doubles that round depends on every cell above and
-// left of the rect; so each publish records whether its planes hold
-// exact sums (SatSumsExact), and a row is checked on its footprint
-// only when the planes at both ends — its memoized timestep and the
-// probed one — do. Otherwise the checked rect widens to the
-// footprint's prefix [0, r1) x [0, c1), which bounds either path.
+// The footprint bounds what a row's value depends on because every
+// value is a function of the cells inside it: the exact cell loop reads
+// only those cells, and a SAT-path row's four-corner rect sums are the
+// exact sums of their rects (the store snaps every cell to a multiple
+// of 2^-20 and caps a frame's absolute sum, so no plane double rounds;
+// tensor/tiled_sat.h).
 //
 // Timestep contract: the memo proves that a row did not change between
 // two timesteps; it does not know which timesteps are servable. Callers
@@ -62,31 +59,26 @@
 
 namespace one4all {
 
-struct TopKMemoOptions {
-  /// Distinct memoized specs (LRU-evicted beyond this).
-  size_t capacity = 64;
-  /// Publish records retained; a memoized evaluation older than the
-  /// oldest retained publish cannot prove any row clean and misses.
-  size_t history = 64;
-};
-
 class TopKMemo {
  public:
+  /// Distinct memoized specs (LRU-evicted beyond this).
+  static constexpr size_t kCapacity = 64;
+  /// Publish records retained; a memoized evaluation older than the
+  /// oldest retained publish cannot prove any row clean and misses.
+  static constexpr size_t kHistory = 64;
+
   /// \param hierarchy Must outlive the memo (layer scales map atomic
   /// footprints onto each layer's dirty grid).
-  explicit TopKMemo(const Hierarchy* hierarchy, TopKMemoOptions options = {});
+  explicit TopKMemo(const Hierarchy* hierarchy);
 
   TopKMemo(const TopKMemo&) = delete;
   TopKMemo& operator=(const TopKMemo&) = delete;
 
-  /// \brief Records one published epoch: timestep `t` published
-  /// `frames` (frames[l-1] is layer l), which changed `dirty` (per-layer,
-  /// indexed [layer-1]) vs. t-1. Null — or any unknown / missing
-  /// per-layer entry — is remembered as "everything changed". One pass
-  /// over the frames decides whether t's planes hold exact sums.
+  /// \brief Records one published epoch: timestep `t` changed `dirty`
+  /// (per-layer, indexed [layer-1]) vs. t-1. Null — or any unknown /
+  /// missing per-layer entry — is remembered as "everything changed".
   /// Thread-safe against concurrent Lookup/Store.
-  void OnPublish(int64_t t, const std::vector<Tensor>& frames,
-                 const DirtyTileSets* dirty);
+  void OnPublish(int64_t t, const DirtyTileSets* dirty);
 
   /// \brief Drops every memoized spec and the publish history (index
   /// swap: resolutions change, so carried values may too).
@@ -164,13 +156,11 @@ class TopKMemo {
     int64_t t = 0;
     bool all_dirty = false;  ///< no usable dirty info: assume everything
     DirtyTileSets dirty;     ///< per layer, [layer-1]; empty if all_dirty
-    bool sums_exact = false;  ///< SatSumsExact holds for every layer of t
   };
 
   struct Entry {
     Key key;
     int64_t t = -1;  ///< timestep the rows were evaluated at
-    bool sums_exact = false;  ///< t's planes hold exact sums
     std::vector<Result<QueryRow>> rows;
     /// Per region: atomic bbox rounded out to the coarsest scale (the
     /// term-footprint superset checked against dirty sets).
@@ -183,12 +173,11 @@ class TopKMemo {
                       const PublishRecord& record) const;
 
   const Hierarchy* hierarchy_;
-  TopKMemoOptions options_;
 
   mutable std::mutex mu_;
   /// MRU-front LRU of memoized specs.
   std::list<Entry> entries_;
-  /// Publish history, newest at the back; bounded by options_.history.
+  /// Publish history, newest at the back; bounded by kHistory.
   std::deque<PublishRecord> publishes_;
 
   Counter rows_reused_;

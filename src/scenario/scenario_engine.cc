@@ -19,10 +19,10 @@ namespace one4all {
 namespace {
 
 // Values are checked relative to the ground-truth oracle. The runtime
-// serves oracle frames (MakeGroundTruthInference), so a healthy run is
-// exact up to float-frame rounding and SAT prefix-sum error (~1e-9); the
-// loose 1e-3 band means only a genuinely torn or misrouted read trips it,
-// never a compiler's vectorization choices.
+// serves oracle frames (MakeGroundTruthInference), integer counts the
+// store keeps as they are and sums exactly, so a healthy run matches the
+// oracle up to its own float-frame rounding; the loose 1e-3 band means
+// only a genuinely torn or misrouted read trips it.
 constexpr double kValueTolerance = 1e-3;
 
 bool ValuesAgree(double got, double truth) {

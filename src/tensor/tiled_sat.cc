@@ -1,7 +1,6 @@
 #include "tensor/tiled_sat.h"
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 #include <cstring>
 
@@ -12,8 +11,8 @@ namespace one4all {
 
 namespace {
 
-// Same fan-out threshold as BuildSatPlane: below this, per-tile builds
-// run sequentially — the frames are too small to pay pool overhead.
+// Below this many cells, per-tile plane builds run sequentially — the
+// frames are too small to pay pool overhead.
 constexpr int64_t kParallelThresholdCells = 1 << 15;
 
 int64_t TilesFor(int64_t n) {
@@ -32,6 +31,38 @@ uint32_t ChangedCellBits(const float* a, const float* b) {
     changed |= static_cast<uint32_t>(va != vb) << i;
   }
   return changed;
+}
+
+/// Copies tile (i, j) of the row-major [h, w] `src` as Snap(cell) into a
+/// fresh th x tw block and returns its sum of |cell|, in the same pass.
+/// The sum runs over eight lanes so the loop vectorises; the cells are
+/// multiples of kCellQuantum, so any order gives the same bits.
+std::shared_ptr<const std::vector<float>> CopyTile(const float* src,
+                                                   int64_t w, int64_t i,
+                                                   int64_t j, int64_t th,
+                                                   int64_t tw,
+                                                   double* abs_sum) {
+  auto block = std::make_shared<std::vector<float>>(
+      static_cast<size_t>(th * tw));
+  double lanes[8] = {};
+  for (int64_t r = 0; r < th; ++r) {
+    const float* row = src + (i * kSatTileSize + r) * w + j * kSatTileSize;
+    float* out = block->data() + r * tw;
+    int64_t c = 0;
+    for (; c + 8 <= tw; c += 8) {
+      for (int l = 0; l < 8; ++l) {
+        out[c + l] = Snap(row[c + l]);
+        lanes[l] += std::fabs(static_cast<double>(out[c + l]));
+      }
+    }
+    for (; c < tw; ++c) {
+      out[c] = Snap(row[c]);
+      lanes[0] += std::fabs(static_cast<double>(out[c]));
+    }
+  }
+  *abs_sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+             ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+  return block;
 }
 
 }  // namespace
@@ -163,21 +194,14 @@ TiledFrame TiledFrame::FromTensor(const Tensor& frame) {
   out.w_ = frame.dim(1);
   out.tiles_h_ = TilesFor(out.h_);
   out.tiles_w_ = TilesFor(out.w_);
-  out.blocks_.resize(static_cast<size_t>(out.tiles_h_ * out.tiles_w_));
-  const float* src = frame.data();
+  const size_t num_tiles = static_cast<size_t>(out.tiles_h_ * out.tiles_w_);
+  out.blocks_.resize(num_tiles);
+  out.abs_sums_.resize(num_tiles);
   for (int64_t i = 0; i < out.tiles_h_; ++i) {
-    const int64_t th = out.tile_rows(i);
     for (int64_t j = 0; j < out.tiles_w_; ++j) {
-      const int64_t tw = out.tile_cols(j);
-      auto block = std::make_shared<std::vector<float>>(
-          static_cast<size_t>(th * tw));
-      for (int64_t r = 0; r < th; ++r) {
-        std::memcpy(block->data() + r * tw,
-                    src + (i * kSatTileSize + r) * out.w_ + j * kSatTileSize,
-                    static_cast<size_t>(tw) * sizeof(float));
-      }
-      out.blocks_[static_cast<size_t>(i * out.tiles_w_ + j)] =
-          std::move(block);
+      const size_t k = static_cast<size_t>(i * out.tiles_w_ + j);
+      out.blocks_[k] = CopyTile(frame.data(), out.w_, i, j, out.tile_rows(i),
+                                out.tile_cols(j), &out.abs_sums_[k]);
     }
   }
   out.RefreshTilePointers();
@@ -200,31 +224,30 @@ TiledFrame TiledFrame::FromDelta(const Tensor& frame, const TiledFrame& base,
   out.tiles_h_ = base.tiles_h_;
   out.tiles_w_ = base.tiles_w_;
   out.blocks_.resize(base.blocks_.size());
-  const float* src = frame.data();
+  out.abs_sums_.resize(base.blocks_.size());
   int64_t shared = 0;
   for (int64_t i = 0; i < out.tiles_h_; ++i) {
-    const int64_t th = out.tile_rows(i);
     for (int64_t j = 0; j < out.tiles_w_; ++j) {
       const size_t k = static_cast<size_t>(i * out.tiles_w_ + j);
       if (!dirty.dirty(i, j)) {
         out.blocks_[k] = base.blocks_[k];
+        out.abs_sums_[k] = base.abs_sums_[k];
         ++shared;
         continue;
       }
-      const int64_t tw = out.tile_cols(j);
-      auto block = std::make_shared<std::vector<float>>(
-          static_cast<size_t>(th * tw));
-      for (int64_t r = 0; r < th; ++r) {
-        std::memcpy(block->data() + r * tw,
-                    src + (i * kSatTileSize + r) * w + j * kSatTileSize,
-                    static_cast<size_t>(tw) * sizeof(float));
-      }
-      out.blocks_[k] = std::move(block);
+      out.blocks_[k] = CopyTile(frame.data(), w, i, j, out.tile_rows(i),
+                                out.tile_cols(j), &out.abs_sums_[k]);
     }
   }
   out.RefreshTilePointers();
   if (shared_tiles != nullptr) *shared_tiles = shared;
   return out;
+}
+
+double TiledFrame::abs_sum() const {
+  double sum = 0.0;
+  for (const double tile : abs_sums_) sum += tile;
+  return sum;
 }
 
 void TiledFrame::RefreshTilePointers() {
@@ -542,16 +565,6 @@ void TiledSatPlane::RebuildAggregatesDelta(const TiledSatPlane& base,
   }
 }
 
-SatPlane TiledSatPlane::Materialize() const {
-  SatPlane plane(h_, w_);
-  double* dst = plane.data();
-  const int64_t stride = w_ + 1;
-  for (int64_t r = 0; r <= h_; ++r) {
-    for (int64_t c = 0; c <= w_; ++c) dst[r * stride + c] = PrefixAt(r, c);
-  }
-  return plane;
-}
-
 // ---------------------------------------------------------------------
 
 TileDirtySet DiffFrames(const Tensor& frame, const Tensor& base) {
@@ -581,33 +594,6 @@ TileDirtySet DiffFrames(const Tensor& frame, const Tensor& base) {
     }
   }
   return dirty;
-}
-
-bool SatSumsExact(const Tensor& frame) {
-  const float* x = frame.data();
-  const int64_t n = frame.numel();
-  double abs_sum = 0.0;
-  uint32_t max_bits = 0;     // largest |x| bit pattern: Inf/NaN sort last
-  int min_quantum = INT_MAX;  // log2 of the coarsest q dividing every cell
-  for (int64_t i = 0; i < n; ++i) {
-    uint32_t bits;
-    std::memcpy(&bits, x + i, sizeof(bits));
-    bits &= 0x7FFFFFFFu;
-    max_bits = std::max(max_bits, bits);
-    // |x| = significand * 2^(max(exponent, 1) - 150) for a finite float;
-    // its lowest set significand bit names the largest power of two
-    // dividing it. Zeros divide by anything and take no part.
-    const uint32_t exponent = bits >> 23;
-    const uint32_t significand =
-        (bits & 0x7FFFFFu) | (exponent != 0 ? 0x800000u : 0u);
-    const int quantum = static_cast<int>(std::max(exponent, 1u)) - 150 +
-                        __builtin_ctz(significand | 0x80000000u);
-    min_quantum = std::min(min_quantum, bits != 0 ? quantum : INT_MAX);
-    abs_sum += std::fabs(static_cast<double>(x[i]));
-  }
-  if (max_bits >= 0x7F800000u) return false;  // Inf or NaN
-  if (min_quantum == INT_MAX) return true;    // all zeros
-  return abs_sum <= std::ldexp(1.0, 50 + min_quantum);
 }
 
 }  // namespace one4all

@@ -15,10 +15,13 @@
 // with (i, j) = (r, c) / kSatTileSize. A dirty tile costs O(tile) to
 // rebuild its local; the aggregates are recomputed in one deterministic
 // O(cells / tile) sweep over the tile margins (the "carry fixup").
-// Because aggregates are a pure function of the locals and clean locals
-// are aliased bit-for-bit, an incremental rebuild is bit-identical to a
-// full rebuild of the same frame — which is what lets the parity tests
-// pin incremental staging against the monolithic SatPlane.
+//
+// Sums are exact by construction: a TiledFrame snaps every cell to a
+// multiple of kCellQuantum as it copies it in, and the store refuses a
+// frame whose absolute sum passes kMaxFrameAbsSum. No double a plane
+// build, PrefixAt or RectSum forms can then round, so a rect sum is the
+// exact sum of the rect's own cells: the same bits as any cell loop over
+// them, in any order, from a full or an incremental build.
 #ifndef ONE4ALL_TENSOR_TILED_SAT_H_
 #define ONE4ALL_TENSOR_TILED_SAT_H_
 
@@ -27,7 +30,6 @@
 #include <vector>
 
 #include "core/logging.h"
-#include "tensor/prefix_sum.h"
 #include "tensor/tensor.h"
 
 namespace one4all {
@@ -39,6 +41,41 @@ class ThreadPool;
 /// doubles) L1-resident during rebuild while the aggregate arrays stay
 /// ~2/32 of the plane.
 constexpr int64_t kSatTileSize = 32;
+
+/// \brief The grid every stored cell lies on: q = 2^-20.
+constexpr double kCellQuantum = 0x1p-20;
+
+/// \brief Rounds `x` to the nearest multiple of kCellQuantum, ties to
+/// even. Every finite float maps to a float: a float of magnitude >= 8
+/// (and every integer) already is a multiple of q and is returned
+/// unchanged, and below 8 a multiple of q needs at most 23 significant
+/// bits. Branch-free so the tile copy vectorises: adding 1.5 * 2^52
+/// rounds x * 2^20 to an integer, exactly for |x| < 2^31. Larger cells
+/// may snap wrongly; they lie past kMaxFrameAbsSum, so no store keeps
+/// them. NaN and +-Inf pass through; -0.0 becomes +0.0.
+inline float Snap(float x) {
+  return static_cast<float>(
+      ((static_cast<double>(x) * 0x1p20 + 0x1.8p52) - 0x1.8p52) *
+      kCellQuantum);
+}
+
+/// \brief Largest absolute sum of a frame a store accepts: 2^28 =
+/// 2^48 q. Below it every sum the serving path forms is exact:
+///   - Every double a plane build or PrefixAt forms is a multiple of q
+///     and, bar one intermediate, a sum over a subset of the frame's
+///     cells, so at most the frame's absolute sum S. The corner plane's
+///     `above + left` is at most 2S. A multiple of q is exact up to
+///     2^53 q, and 2S <= 2^49 q.
+///   - RectSum's differences are rect sums, again at most S.
+///   - A row's fold at one timestep adds +-term values, multiples of q,
+///     and is exact while the sum of their magnitudes stays below
+///     2^53 q. Each term is one layer cell, so that sum is at most
+///     (reads of a cell) x (layers) x S, exact while reads x layers <=
+///     32: eight layers (a 128x128 hierarchy) reading a cell up to four
+///     times each, or sixteen layers twice.
+/// It is also below 2^31, so a cell Snap could round wrongly is refused.
+/// A band shard checks its own band's sum.
+constexpr double kMaxFrameAbsSum = 0x1p28;
 
 /// \brief Which tiles of one [h, w] frame changed relative to some
 /// baseline (the previous timestep's frame, for staging). A default-
@@ -161,11 +198,13 @@ class TiledFrame {
  public:
   TiledFrame() = default;
 
-  /// \brief Fresh frame: every tile block newly allocated from `frame`.
+  /// \brief Fresh frame: every tile block newly allocated from `frame`,
+  /// each cell stored as Snap(cell).
   static TiledFrame FromTensor(const Tensor& frame);
 
-  /// \brief Copy-on-write frame: tiles marked dirty are copied from
-  /// `frame`, clean tiles alias `base`'s blocks (the caller guarantees
+  /// \brief Copy-on-write frame: tiles marked dirty are copied (and
+  /// snapped) from `frame`, clean tiles alias `base`'s blocks and tile
+  /// sums (the caller guarantees
   /// `frame` equals the base frame on clean tiles — staging derives
   /// `dirty` by diffing exactly these two frames). Falls back to
   /// FromTensor when geometry differs or `dirty` is unknown.
@@ -209,9 +248,14 @@ class TiledFrame {
     return tile_data_[static_cast<size_t>(a.tile)][a.in_tile];
   }
 
-  /// \brief Contiguous [h, w] copy for offline and test readers (the
-  /// legacy monolithic plane, round-trip checks): O(cells). Serving
-  /// reads go through at() / tiles() instead.
+  /// \brief Sum of |cell| over the frame, from the per-tile sums kept
+  /// since the cells were copied in: O(tiles). NaN when a cell is NaN,
+  /// Inf when a cell is infinite.
+  double abs_sum() const;
+
+  /// \brief Contiguous [h, w] copy for offline and test readers (round-
+  /// trip checks): O(cells). Serving reads go through at() / tiles()
+  /// instead.
   Tensor Materialize() const;
 
  private:
@@ -224,6 +268,8 @@ class TiledFrame {
   int64_t h_ = 0, w_ = 0;
   int64_t tiles_h_ = 0, tiles_w_ = 0;
   std::vector<Block> blocks_;
+  /// Sum of |cell| over tile k, aligned with blocks_.
+  std::vector<double> abs_sums_;
   /// blocks_[k]->data() flattened into a dense 8-byte-per-tile table so
   /// a cell read reaches tile data in one load instead of chasing the
   /// shared_ptr + vector object (as TiledSatPlane::local_data_). Copies
@@ -231,11 +277,11 @@ class TiledFrame {
   std::vector<const float*> tile_data_;
 };
 
-/// \brief Two-level summed-area plane over a TiledFrame. Same query
-/// contract as SatPlane (PrefixAt = sum over [0, r) x [0, c); RectSum =
-/// four corner reads of the half-open rect), different storage: local
-/// per-tile prefixes held by shared_ptr + small aggregate carries.
-/// Immutable once built; copying aliases every local block.
+/// \brief Two-level summed-area plane over a TiledFrame: PrefixAt = sum
+/// over [0, r) x [0, c), RectSum = four corner reads of the half-open
+/// rect. Storage is local per-tile prefixes held by shared_ptr + small
+/// aggregate carries. Immutable once built; copying aliases every local
+/// block.
 class TiledSatPlane {
  public:
   TiledSatPlane() = default;
@@ -290,9 +336,8 @@ class TiledSatPlane {
     return p;
   }
 
-  /// \brief Sum over the half-open rect [r0, r1) x [c0, c1) — same
-  /// grouping as SatPlane::RectSum, so the gather fast path's four-
-  /// corner arithmetic is unchanged in shape.
+  /// \brief Sum over the half-open rect [r0, r1) x [c0, c1): four
+  /// corner reads, any area. Exact for a frame the store accepts.
   double RectSum(int64_t r0, int64_t c0, int64_t r1, int64_t c1) const {
     O4A_DCHECK(r0 >= 0 && c0 >= 0 && r1 <= h_ && c1 <= w_);
     O4A_DCHECK(r0 <= r1 && c0 <= c1);
@@ -313,10 +358,6 @@ class TiledSatPlane {
     return local_[static_cast<size_t>(i * tiles_w_ + j)] ==
            other.local_[static_cast<size_t>(i * tiles_w_ + j)];
   }
-
-  /// \brief Monolithic (H+1) x (W+1) copy for parity tests and legacy
-  /// readers; O(cells).
-  SatPlane Materialize() const;
 
  private:
   using LocalBlock = std::shared_ptr<const std::vector<double>>;
@@ -379,19 +420,6 @@ class TiledSatPlane {
 /// pass plus the changed spans. Returns AllDirty (tile bits only) on
 /// geometry mismatch.
 TileDirtySet DiffFrames(const Tensor& frame, const Tensor& base);
-
-/// \brief True when every summed-area plane built over `frame` (SatPlane
-/// or TiledSatPlane) holds exact sums: every cell is a finite multiple
-/// of one power of two q and the cells' absolute sum is at most 2^50 q.
-/// Each double a build or RectSum forms is then an integer multiple of
-/// q no larger than a few times that sum, well inside a double's 53
-/// bits, so no step rounds and RectSum is the exact sum of the rect's
-/// own cells. Otherwise the prefix sums round, and a rect sum can move
-/// in its low bits when any cell above or left of the rect changes —
-/// RectSum(r0, c0, r1, c1) is then only a function of the cells in
-/// [0, r1) x [0, c1). One O(cells) pass; integer-valued frames (counts)
-/// pass while their sums stay below 2^50.
-bool SatSumsExact(const Tensor& frame);
 
 }  // namespace one4all
 

@@ -1,9 +1,9 @@
 // Tests for the columnar gather engine and epoch-published summed-area
-// planes: the prefix-sum kernel's four-corner rect sums against the
+// planes: the plane's four-corner rect sums against the
 // GridMask::MaskedSum brute force (randomized, across shapes and edge
 // rects), gather-program compilation (rect-run collapsing, duplicate
-// terms, sign separation), executor fast-path parity with the exact cell
-// loop, the bit-exactness pin of EvalPath::kExactCellLoop against the
+// terms, sign separation), executor fast-path bit parity with the exact
+// cell loop, the bit-exactness pin of EvalPath::kExactCellLoop against the
 // legacy surface, plane storage/lifecycle in the prediction store and
 // epoch manager, and the plane-publish hammer raced under TSan (a pinned
 // epoch must never observe a torn or missing plane).
@@ -24,7 +24,6 @@
 #include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
 #include "serve/epoch_manager.h"
-#include "tensor/prefix_sum.h"
 #include "tensor/tiled_sat.h"
 #include "test_util.h"
 
@@ -33,10 +32,11 @@ namespace {
 
 using testing::OraclePredictor;
 using testing::RandomMask;
+using testing::Snapped;
 using testing::TinyDataset;
 
 // ---------------------------------------------------------------------------
-// SatPlane / BuildSatPlane
+// TiledSatPlane rect sums
 
 double BruteForceRectSum(const Tensor& frame, int64_t r0, int64_t c0,
                          int64_t r1, int64_t c1) {
@@ -45,7 +45,7 @@ double BruteForceRectSum(const Tensor& frame, int64_t r0, int64_t c0,
   return mask.MaskedSum(frame);
 }
 
-TEST(SatPlaneTest, RectSumsMatchMaskedSumBruteForce) {
+TEST(TiledSatPlaneTest, RectSumsMatchMaskedSumBruteForce) {
   // Shapes covering the hierarchy's layer geometries, non-square and
   // degenerate single-row/column frames.
   const std::vector<std::pair<int64_t, int64_t>> shapes = {
@@ -53,16 +53,17 @@ TEST(SatPlaneTest, RectSumsMatchMaskedSumBruteForce) {
   for (const auto& [h, w] : shapes) {
     Rng rng(static_cast<uint64_t>(h * 1000 + w));
     // Signed values: rect sums must survive cancellation, not just
-    // accumulate positives.
+    // accumulate positives. Over the snapped cells they are exact.
     const Tensor frame = Tensor::RandomNormal({h, w}, &rng, 0.0f, 10.0f);
-    const SatPlane plane = BuildSatPlane(frame);
+    const Tensor snapped = Snapped(frame);
+    const TiledSatPlane plane =
+        TiledSatPlane::Build(TiledFrame::FromTensor(frame));
     ASSERT_EQ(plane.height(), h);
     ASSERT_EQ(plane.width(), w);
 
     const auto check = [&](int64_t r0, int64_t c0, int64_t r1, int64_t c1) {
-      const double brute = BruteForceRectSum(frame, r0, c0, r1, c1);
-      const double sat = plane.RectSum(r0, c0, r1, c1);
-      EXPECT_NEAR(sat, brute, 1e-9 * (1.0 + std::abs(brute)))
+      EXPECT_EQ(plane.RectSum(r0, c0, r1, c1),
+                BruteForceRectSum(snapped, r0, c0, r1, c1))
           << h << "x" << w << " rect [" << r0 << "," << r1 << ")x["
           << c0 << "," << c1 << ")";
     };
@@ -90,21 +91,6 @@ TEST(SatPlaneTest, RectSumsMatchMaskedSumBruteForce) {
                                     static_cast<uint64_t>(w - c0)));
       check(r0, c0, r1, c1);
     }
-  }
-}
-
-TEST(SatPlaneTest, BlockedParallelBuildMatchesSequential) {
-  Rng rng(99);
-  // Big enough to clear the kernel's parallel threshold and span several
-  // column strips would need > 512 columns; 600 forces two strips.
-  const Tensor frame = Tensor::RandomNormal({128, 600}, &rng);
-  const SatPlane sequential = BuildSatPlane(frame);
-  ThreadPool pool(3);
-  const SatPlane parallel = BuildSatPlane(frame, &pool);
-  ASSERT_EQ(parallel.numel(), sequential.numel());
-  // Identical split-free arithmetic per element: bitwise equal.
-  for (int64_t i = 0; i < sequential.numel(); ++i) {
-    ASSERT_EQ(parallel.data()[i], sequential.data()[i]) << "entry " << i;
   }
 }
 
@@ -248,8 +234,8 @@ TEST(GatherProgramTest, ResidueTileAddressesMatchFlatOffsets) {
     EXPECT_EQ(r * width + c, read.offset)
         << "layer " << read.layer << " residue " << k;
     EXPECT_EQ(frame.tiles()[read.tile][read.in_tile],
-              frames[static_cast<size_t>(read.layer - 1)]
-                  .data()[read.offset]);
+              Snap(frames[static_cast<size_t>(read.layer - 1)]
+                       .data()[read.offset]));
   }
 }
 
@@ -305,15 +291,9 @@ TEST(GatherFastPathTest, MatchesExactCellLoopAcrossSpecShapes) {
     for (size_t i = 0; i < exact.rows.size(); ++i) {
       ASSERT_TRUE(exact.rows[i].ok());
       ASSERT_TRUE(fast.rows[i].ok()) << fast.rows[i].status().ToString();
-      EXPECT_NEAR(fast.rows[i]->value, exact.rows[i]->value,
-                  1e-9 * (1.0 + std::abs(exact.rows[i]->value)))
-          << "row " << i;
+      EXPECT_EQ(fast.rows[i]->value, exact.rows[i]->value) << "row " << i;
       EXPECT_EQ(fast.rows[i]->num_terms, exact.rows[i]->num_terms);
-      ASSERT_EQ(fast.rows[i]->series.size(), exact.rows[i]->series.size());
-      for (size_t s = 0; s < exact.rows[i]->series.size(); ++s) {
-        EXPECT_NEAR(fast.rows[i]->series[s], exact.rows[i]->series[s],
-                    1e-9 * (1.0 + std::abs(exact.rows[i]->series[s])));
-      }
+      EXPECT_EQ(fast.rows[i]->series, exact.rows[i]->series);
     }
   };
 
@@ -386,8 +366,7 @@ TEST(GatherFastPathTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
     ASSERT_TRUE(exact_result.rows[i].ok());
     ASSERT_TRUE(fast_result.rows[i].ok())
         << fast_result.rows[i].status().ToString();
-    EXPECT_NEAR(fast_result.rows[i]->value, exact_result.rows[i]->value,
-                1e-9 * (1.0 + std::abs(exact_result.rows[i]->value)));
+    EXPECT_EQ(fast_result.rows[i]->value, exact_result.rows[i]->value);
   }
 
   // A timestep nothing synced still fails per-row with NotFound.
@@ -399,8 +378,8 @@ TEST(GatherFastPathTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
     EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
   }
 
-  // Once planes are built the same spec answers through them — still
-  // within the fast path's tolerance of the exact values.
+  // Once planes are built the same spec answers through them, with the
+  // exact loop's bits.
   for (int l = 1; l <= fx.ds.hierarchy().num_layers(); ++l) {
     ASSERT_TRUE(bare.TryBuildSatPlaneAt(0, l, t).ok());
   }
@@ -409,8 +388,7 @@ TEST(GatherFastPathTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
   ASSERT_EQ(planed_result.rows.size(), exact_result.rows.size());
   for (size_t i = 0; i < exact_result.rows.size(); ++i) {
     ASSERT_TRUE(planed_result.rows[i].ok());
-    EXPECT_NEAR(planed_result.rows[i]->value, exact_result.rows[i]->value,
-                1e-9 * (1.0 + std::abs(exact_result.rows[i]->value)));
+    EXPECT_EQ(planed_result.rows[i]->value, exact_result.rows[i]->value);
   }
 }
 
@@ -444,8 +422,7 @@ TEST(GatherFastPathTest, ResidueOnlyRowsFailNotFoundOnMissingFrames) {
   const QueryResult exact = executor.Execute(*exact_plan);
   ASSERT_TRUE(fast.rows[0].ok());
   ASSERT_TRUE(exact.rows[0].ok());
-  EXPECT_NEAR(fast.rows[0]->value, exact.rows[0]->value,
-              1e-9 * (1.0 + std::abs(exact.rows[0]->value)));
+  EXPECT_EQ(fast.rows[0]->value, exact.rows[0]->value);
 
   // A range reaching one step past the synced frames fails the row with
   // the missing frame's NotFound.
@@ -644,14 +621,15 @@ TEST(SatPlaneStoreTest, PlanesAreDerivedDataNotFrames) {
   EXPECT_EQ(store.NumSatPlanesAt(7), 2);
   ASSERT_TRUE(store.HasSatPlaneAt(7, 1, 12));
 
-  // The stored tiled plane is bit-identical to the monolithic reference.
+  // The stored plane reads the exact sums of the snapped cells.
   auto plane = store.GetTiledSatPlaneAt(7, 1, 12);
   ASSERT_TRUE(plane.ok());
-  const SatPlane stored = (*plane)->Materialize();
-  const SatPlane reference = BuildSatPlane(frame);
-  ASSERT_EQ(stored.numel(), reference.numel());
-  for (int64_t i = 0; i < reference.numel(); ++i) {
-    ASSERT_EQ(stored.data()[i], reference.data()[i]);
+  const Tensor snapped = Snapped(frame);
+  for (int64_t r = 0; r <= 4; ++r) {
+    for (int64_t c = 0; c <= 6; ++c) {
+      ASSERT_EQ((*plane)->PrefixAt(r, c),
+                BruteForceRectSum(snapped, 0, 0, r, c));
+    }
   }
 
   EXPECT_EQ(store.GetTiledSatPlaneAt(7, 1, 99).status().code(),

@@ -1,7 +1,9 @@
 // Tests for the prediction store (the generation-keyed frame/plane store).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "kvstore/prediction_store.h"
@@ -11,7 +13,15 @@ namespace one4all {
 namespace {
 
 using testing::MaterializedFrameAt;
+using testing::Snapped;
 
+// Same shape and the same cell values.
+bool SameCells(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::equal(a.data(), a.data() + a.numel(), b.data());
+}
+
+// Random floats come back snapped to the 2^-20 grid, bit for bit.
 TEST(PredictionStoreTest, FrameRoundTrip) {
   PredictionStore store;
   Rng rng(1);
@@ -20,8 +30,8 @@ TEST(PredictionStoreTest, FrameRoundTrip) {
   EXPECT_TRUE(store.HasFrame(2, 100));
   auto restored = MaterializedFrameAt(store, 0, 2, 100);
   ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(restored->AllClose(frame));
-  EXPECT_FLOAT_EQ(store.GetValue(2, 100, 3, 5), frame.at(3, 5));
+  EXPECT_TRUE(SameCells(*restored, Snapped(frame)));
+  EXPECT_EQ(store.GetValue(2, 100, 3, 5), Snap(frame.at(3, 5)));
 }
 
 TEST(PredictionStoreTest, MissingFrameIsNotFound) {
@@ -41,13 +51,15 @@ TEST(PredictionStoreTest, SyncOverwritesInPlace) {
 
 TEST(PredictionStoreTest, ConcurrentReadersSeeConsistentFrames) {
   // The batch query engine reads GetValue and whole frames from many worker
-  // threads at once; every reader must observe exactly the synced bytes.
+  // threads at once; every reader must observe exactly the synced
+  // (snapped) bytes.
   PredictionStore store;
   Rng rng(3);
   std::vector<Tensor> frames;
   for (int64_t t = 0; t < 6; ++t) {
-    frames.push_back(Tensor::RandomUniform({4, 4}, &rng, 0.0f, 10.0f));
-    store.SyncFrame(1, t, frames.back());
+    const Tensor frame = Tensor::RandomUniform({4, 4}, &rng, 0.0f, 10.0f);
+    store.SyncFrame(1, t, frame);
+    frames.push_back(Snapped(frame));
   }
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -62,7 +74,7 @@ TEST(PredictionStoreTest, ConcurrentReadersSeeConsistentFrames) {
         }
         auto frame = MaterializedFrameAt(store, 0, 1, t);
         if (!frame.ok() ||
-            !frame->AllClose(frames[static_cast<size_t>(t)])) {
+            !SameCells(*frame, frames[static_cast<size_t>(t)])) {
           mismatches.fetch_add(1);
         }
       }
@@ -182,13 +194,14 @@ TEST(PredictionStoreTest, DeltaStagingAliasesCleanTiles) {
   EXPECT_EQ(stats.frame_tiles_total, 4);
   EXPECT_EQ(stats.frame_tiles_shared, 3);
 
-  // Values are exactly the staged frame's; clean tiles alias the base's
-  // blocks, the dirty one does not.
+  // Values are exactly the staged frame's, snapped; clean tiles alias
+  // the base's blocks, the dirty one does not.
   auto restored = MaterializedFrameAt(store, 1, 1, 1);
   ASSERT_TRUE(restored.ok());
+  const Tensor snapped = Snapped(next);
   for (int64_t r = 0; r < 64; ++r) {
     for (int64_t c = 0; c < 64; ++c) {
-      ASSERT_EQ(restored->at(r, c), next.at(r, c)) << r << "," << c;
+      ASSERT_EQ(restored->at(r, c), snapped.at(r, c)) << r << "," << c;
     }
   }
   auto t0 = store.GetTiledFrameAt(1, 1, 0);
@@ -281,7 +294,50 @@ TEST(PredictionStoreTest, CopyGenerationSharesTileBlocks) {
   EXPECT_EQ(store.DropGeneration(1), 1);
   auto restored = MaterializedFrameAt(store, 2, 1, 0);
   ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(restored->AllClose(frame));
+  EXPECT_TRUE(SameCells(*restored, Snapped(frame)));
+}
+
+// Both write paths refuse a frame whose sums could round — a NaN or
+// infinite cell, an absolute sum past the ceiling, or a cell too large
+// to snap — with a Status, and store nothing: the entry a refused write
+// targets keeps its previous frame and plane.
+TEST(PredictionStoreTest, TrySyncRefusesNonFiniteAndOverCeilingFrames) {
+  const Tensor good = Tensor::Full({40, 40}, 3.0f);
+  Tensor over_ceiling = good;  // 1600 cells of 2^18: ~1.56x the ceiling
+  over_ceiling.Fill(0x1p18f);
+  Tensor huge_cell = good;
+  huge_cell.at(5, 5) = 0x1p31f;
+  std::vector<Tensor> bad = {over_ceiling, huge_cell};
+  for (float cell : {std::numeric_limits<float>::quiet_NaN(),
+                     std::numeric_limits<float>::infinity(),
+                     -std::numeric_limits<float>::infinity()}) {
+    Tensor frame = good;
+    frame.at(39, 39) = cell;  // the last cell of the last tile
+    bad.push_back(frame);
+  }
+  // Just under the ceiling is accepted.
+  Tensor at_ceiling = good;
+  at_ceiling.Fill(static_cast<float>(kMaxFrameAbsSum / 1600));
+  PredictionStore store;
+  ASSERT_TRUE(store.TrySyncFrameAt(1, 1, 9, at_ceiling).ok());
+
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("frame " + std::to_string(i));
+    ASSERT_TRUE(store.TrySyncFrameAt(1, 1, 0, good).ok());
+    ASSERT_TRUE(store.TryBuildSatPlaneAt(1, 1, 0).ok());
+    EXPECT_EQ(store.TrySyncFrameAt(1, 1, 0, bad[i]).code(),
+              StatusCode::kInvalidArgument);
+    TileDirtySet dirty = DiffFrames(bad[i], good);
+    EXPECT_EQ(store.TrySyncFrameDeltaAt(1, 1, 1, bad[i], 0, dirty).code(),
+              StatusCode::kInvalidArgument);
+    // Nothing stored: t=0 still holds `good` and its plane, t=1 nothing.
+    EXPECT_FALSE(store.HasFrameAt(1, 1, 1));
+    EXPECT_TRUE(store.HasSatPlaneAt(1, 1, 0));
+    auto restored = MaterializedFrameAt(store, 1, 1, 0);
+    ASSERT_TRUE(restored.ok());
+    EXPECT_TRUE(SameCells(*restored, good));
+  }
+  EXPECT_EQ(store.NumFramesAt(1), 2);  // t=0 and the at-ceiling t=9
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -498,8 +499,7 @@ TEST(ServingRuntimeTest, HammerConcurrentQueriesDuringEpochRolls) {
       for (const LoggedQuery& q : log) {
         auto replay = PointValue(runtime, fixture.regions[q.region], q.t);
         ASSERT_TRUE(replay.ok());
-        EXPECT_NEAR(*replay, q.value,
-                    1e-9 * (1.0 + std::abs(q.value)));
+        EXPECT_EQ(*replay, q.value);
         ++replayed;
       }
     }
@@ -991,7 +991,7 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
   const Hierarchy& hierarchy = dataset.hierarchy();
   const int num_layers = hierarchy.num_layers();
   const int64_t start_t = dataset.spec().MinHistory();
-  const size_t gap = TopKMemoOptions{}.history + 6;
+  const size_t gap = TopKMemo::kHistory + 6;
 
   for (ChurnCase churn_case :
        {ChurnCase::kOneCoarseCell, ChurnCase::kJustOutsideFootprint,
@@ -1020,9 +1020,10 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
       current.push_back(dataset.FrameAtLayer(start_t, l));
     }
     if (churn_case == ChurnCase::kRoundingAboveLeft) {
-      // Cells of ~1e3 next to cells of ~1e-7: the planes' double prefix
-      // sums round, so a rect sum read off them moves in its low bits
-      // when a cell above or left of the rect changes.
+      // Cells of ~1e3 next to cells of ~1e-7: double prefix sums over
+      // the raw cells would round, and a rect sum read off them would
+      // move in its low bits when a cell above or left of the rect
+      // changes. The store's snap keeps every plane sum exact.
       for (Tensor& frame : current) {
         for (int64_t r = 0; r < frame.dim(0); ++r) {
           for (int64_t c = 0; c < frame.dim(1); ++c) {
@@ -1184,8 +1185,8 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
     }
     for (size_t k = 0; k < warm.size(); ++k) {
       // A coarse cell or a footprint's neighbour moves most rows' values
-      // nowhere: cell-exact dirty sets let those rows carry over. With
-      // rounding planes, rows whose prefix misses the churn still do.
+      // nowhere: cell-exact dirty sets let those rows carry over, on
+      // the SAT path too, where every plane sum is exact.
       if (churn_case == ChurnCase::kOneCoarseCell ||
           churn_case == ChurnCase::kJustOutsideFootprint ||
           churn_case == ChurnCase::kRoundingAboveLeft) {
@@ -1374,6 +1375,54 @@ TEST(StreamIngestorTest, SurvivesStoreWriteRefusalAndResumes) {
   EXPECT_EQ(runtime.published_latest_t(),
             options.ingest.start_t + 4);
   EXPECT_TRUE(runtime.ingestor().status().ok());
+}
+
+// An inference that emits a NaN cell is refused like a store that
+// refuses writes: the publish fails and is counted, nothing of that
+// timestep is published, and the previous epoch keeps serving.
+TEST(StreamIngestorTest, RefusesNonFiniteInferenceAndKeepsServing) {
+  ServeFixture fixture = ServeFixture::Make();
+  ServingRuntimeOptions options = fixture.RuntimeOptions();
+  options.ingest.num_timesteps = 3;
+  options.ingest.manual_stepping = true;
+  const int64_t start = options.ingest.start_t;
+  const FrameInference truth =
+      MakeGroundTruthInference(fixture.dataset.get());
+  const FrameInference inference =
+      [truth, start](int64_t t, const TemporalInput& input)
+      -> Result<std::vector<Tensor>> {
+    Result<std::vector<Tensor>> frames = truth(t, input);
+    if (frames.ok() && t == start + 2) {
+      frames->back().at(0, 0) = std::numeric_limits<float>::quiet_NaN();
+    }
+    return frames;
+  };
+  ServingRuntime runtime(&fixture.dataset->hierarchy(),
+                         &fixture.pipeline->index(), fixture.dataset.get(),
+                         inference, options);
+  runtime.Start();
+  runtime.ingestor().GrantSteps(2);
+  ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(2));
+  ASSERT_EQ(runtime.ingestor().steps_published(), 2);
+  const GridMask& region = fixture.regions[0];
+  auto before = PointValue(runtime, region, start + 1);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  runtime.ingestor().GrantSteps(1);
+  ASSERT_TRUE(runtime.ingestor().WaitUntilAttempted(3));
+  EXPECT_EQ(runtime.ingestor().steps_published(), 2);
+  EXPECT_FALSE(runtime.ingestor().done());
+  EXPECT_TRUE(runtime.ingestor().status().ok());  // not a fatal error
+  EXPECT_EQ(runtime.ingestor().last_publish_error().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(runtime.Telemetry().publish_failures, 1);
+  EXPECT_EQ(runtime.published_latest_t(), start + 1);
+  auto after = PointValue(runtime, region, start + 1);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *before);
+  EXPECT_EQ(PointValue(runtime, region, start + 2).status().code(),
+            StatusCode::kNotFound);
+  runtime.Stop();
 }
 
 // ---------------------------------------------------------------------------

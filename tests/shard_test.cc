@@ -7,8 +7,10 @@
 // straddling regions, top-k tie order and failing rows included.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -587,9 +589,8 @@ TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
 
 // Ragged edges: on a 100x70 raster every layer's last tile row and
 // column are short and no shard band is tile-aligned. The SAT fast path
-// (N=1, with planes and with the no-plane frame-sum fallback) matches
-// the exact loop within its tolerance; the exact loop is bit-identical
-// across N in {1, 2, 4}.
+// (N=1, with planes and with the no-plane frame-sum fallback) and the
+// exact loop at N in {1, 2, 4} give the same bits.
 TEST(ShardParityTest, RaggedEdgeSpecShapesAcrossShardCounts) {
   ShardFixture fixture = ShardFixture::Make(31, 100, 70, 8);
   // Edge-hugging regions: the short corner tile, the last row and column
@@ -652,13 +653,8 @@ TEST(ShardParityTest, RaggedEdgeSpecShapesAcrossShardCounts) {
             << fast->rows[i].status().ToString();
         const QueryRow& e = *result->rows[i];
         const QueryRow& f = *fast->rows[i];
-        EXPECT_NEAR(f.value, e.value, 1e-9 * (1.0 + std::abs(e.value)))
-            << "row " << i;
-        ASSERT_EQ(f.series.size(), e.series.size());
-        for (size_t s = 0; s < e.series.size(); ++s) {
-          EXPECT_NEAR(f.series[s], e.series[s],
-                      1e-9 * (1.0 + std::abs(e.series[s])));
-        }
+        EXPECT_EQ(f.value, e.value) << "row " << i;
+        EXPECT_EQ(f.series, e.series) << "row " << i;
       }
     }
     exact.push_back(std::move(*result));
@@ -680,7 +676,7 @@ TEST(ShardParityTest, RaggedEdgeSpecShapesAcrossShardCounts) {
 
 // The N > 1 fallback for the SAT fast path: a kSatFastPath spec runs the
 // exact loop over the band shards, so its answers are bit-identical to
-// the exact loop at N=1 (not merely within the SAT path's 1e-9 bound).
+// the exact loop at N=1.
 TEST(ShardParityTest, SatFastPathSpecRunsExactLoopAtShardCounts) {
   ShardFixture fixture = ShardFixture::Make(17);
   const int64_t t0 = fixture.dataset->test_indices().front();
@@ -717,6 +713,136 @@ TEST(ShardParityTest, SatFastPathSpecRunsExactLoopAtShardCounts) {
     }
     sharded->Stop();
   }
+}
+
+// One answer on every path, over model-like frames: fractional cells,
+// ~1e3 cells next to ~1e-7 cells (the mix that made double prefix sums
+// round), and a few fractional cells churned per step. For each spec
+// shape the SAT path at N=1, the exact loop at N=1, the exact loop at
+// N in {2, 3, 4}, and both paths over a store restaged in full at every
+// timestep give the same bits.
+TEST(ShardParityTest, ModelLikeFramesOneAnswerOnEveryPath) {
+  ShardFixture fixture = ShardFixture::Make(41, 100, 70, 8);
+  const Hierarchy& hierarchy = fixture.dataset->hierarchy();
+  const int num_layers = hierarchy.num_layers();
+  const int64_t start_t = fixture.dataset->test_indices().front();
+  constexpr int64_t kSteps = 8;
+  for (const auto& r : {std::array<int64_t, 4>{10, 5, 60, 50},
+                        std::array<int64_t, 4>{33, 0, 100, 70}}) {
+    GridMask region(100, 70);
+    region.FillRect(r[0], r[1], r[2], r[3]);
+    fixture.regions.push_back(region);
+  }
+
+  Rng rng(4242);
+  auto pick = [&rng](int64_t n) {
+    return static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)));
+  };
+  auto frames = std::make_shared<std::vector<std::vector<Tensor>>>();
+  std::vector<Tensor> current;
+  for (int l = 1; l <= num_layers; ++l) {
+    const LayerInfo& info = hierarchy.layer(l);
+    Tensor frame({info.height, info.width});
+    for (int64_t r = 0; r < info.height; ++r) {
+      for (int64_t c = 0; c < info.width; ++c) {
+        const float jitter = static_cast<float>(rng.Uniform());
+        frame.at(r, c) = (r + c) % 3 == 0   ? 1e3f * (1.0f + jitter)
+                         : (r + c) % 3 == 1 ? 1e-7f * (1.0f + jitter)
+                                            : 37.0f * jitter;
+      }
+    }
+    current.push_back(std::move(frame));
+  }
+  for (int64_t i = 0; i < kSteps; ++i) {
+    if (i > 0) {
+      for (Tensor& frame : current) {
+        for (int k = 0; k < 5; ++k) {
+          frame.at(pick(frame.dim(0)), pick(frame.dim(1))) +=
+              0.1f * static_cast<float>(1 + pick(9)) +
+              1e-7f * static_cast<float>(pick(5));
+        }
+      }
+    }
+    frames->push_back(current);
+  }
+  const FrameInference inference =
+      [frames, start_t](int64_t t,
+                        const TemporalInput&) -> Result<std::vector<Tensor>> {
+    return (*frames)[static_cast<size_t>(t - start_t)];
+  };
+
+  std::vector<std::unique_ptr<ServingRuntime>> runtimes;
+  for (int num_shards : {1, 2, 3, 4}) {
+    ServingRuntimeOptions options;
+    options.ingest.start_t = start_t;
+    options.ingest.num_timesteps = kSteps;
+    options.num_shards = num_shards;
+    runtimes.push_back(std::make_unique<ServingRuntime>(
+        &hierarchy, &fixture.pipeline->index(), fixture.dataset.get(),
+        inference, options));
+    runtimes.back()->Start();
+    ASSERT_TRUE(
+        runtimes.back()->ingestor().WaitUntilPublished(start_t + kSteps - 1));
+  }
+  // The runtimes delta-staged: consecutive timesteps shared clean tiles.
+  EXPECT_GT(runtimes[0]->Telemetry().cow_shared_tiles, 0);
+
+  // Full restaging: every timestep written fresh, planes built from
+  // scratch, read by a one-store executor.
+  PredictionStore restaged;
+  for (int64_t i = 0; i < kSteps; ++i) {
+    for (int l = 1; l <= num_layers; ++l) {
+      ASSERT_TRUE(restaged
+                      .TrySyncFrameAt(0, l, start_t + i,
+                                      (*frames)[static_cast<size_t>(i)]
+                                               [static_cast<size_t>(l - 1)])
+                      .ok());
+      ASSERT_TRUE(restaged.TryBuildSatPlaneAt(0, l, start_t + i).ok());
+    }
+  }
+  const RegionQueryServer restaged_server(
+      &hierarchy, &fixture.pipeline->index(), &restaged);
+  const QueryPlanner planner(&hierarchy);
+
+  const int64_t t1 = start_t + kSteps - 1;
+  std::vector<QuerySpec> shapes;
+  shapes.push_back(QuerySpec::PointInTime(fixture.regions.back(), t1));
+  QuerySpec range = QuerySpec::TimeRange(fixture.regions[0], start_t, t1,
+                                         TimeAggregation::kSum);
+  range.keep_series = true;
+  shapes.push_back(range);
+  QuerySpec multi = QuerySpec::MultiRegion(fixture.regions, start_t + 2);
+  multi.time = TimeSelector::Range(start_t + 2, t1);
+  multi.keep_series = true;
+  shapes.push_back(multi);
+  shapes.push_back(QuerySpec::TopK(fixture.regions, t1, 5));
+
+  for (size_t k = 0; k < shapes.size(); ++k) {
+    SCOPED_TRACE("shape " + std::to_string(k));
+    QuerySpec sat_spec = shapes[k];
+    sat_spec.eval_path = EvalPath::kSatFastPath;
+    auto exact = runtimes[0]->ExecuteSpec(shapes[k]);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    for (const auto& row : exact->rows) ASSERT_TRUE(row.ok());
+    auto sat = runtimes[0]->ExecuteSpec(sat_spec);
+    ASSERT_TRUE(sat.ok());
+    ExpectBitExactRows(*exact, *sat, "SAT path, N=1");
+    for (size_t n = 1; n < runtimes.size(); ++n) {
+      auto sharded = runtimes[n]->ExecuteSpec(shapes[k]);
+      ASSERT_TRUE(sharded.ok());
+      ExpectBitExactRows(*exact, *sharded,
+                         "exact loop, N=" + std::to_string(n + 1));
+    }
+    for (const QuerySpec& spec : {shapes[k], sat_spec}) {
+      auto plan = planner.Plan(spec);
+      ASSERT_TRUE(plan.ok());
+      ExpectBitExactRows(*exact,
+                         QueryExecutor(&restaged_server).Execute(*plan),
+                         std::string("restaged, ") +
+                             EvalPathName(spec.eval_path));
+    }
+  }
+  for (auto& runtime : runtimes) runtime->Stop();
 }
 
 // A row that reaches past the newest published timestep fails with the

@@ -154,6 +154,15 @@ inline Result<Tensor> MaterializedFrameAt(const PredictionStore& store,
   return (*frame)->Materialize();
 }
 
+/// \brief `frame` as a store keeps it: every cell through Snap.
+inline Tensor Snapped(const Tensor& frame) {
+  Tensor out = frame;
+  for (int64_t i = 0; i < out.numel(); ++i) {
+    out.data()[i] = Snap(out.data()[i]);
+  }
+  return out;
+}
+
 /// \brief Row-by-row bit-exact comparison of two answers to one spec —
 /// across shard counts, or a memo-served answer against a cold one:
 /// per-row status (code and message), value, series and term/piece

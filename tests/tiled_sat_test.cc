@@ -1,11 +1,13 @@
 // Tests for the tiled two-level SAT substrate (src/tensor/tiled_sat):
-// the dirty-tile set semantics, copy-on-write tiled frames, and — the
-// load-bearing property — that the tiled plane's prefix reads and rect
-// sums are bit-identical to the monolithic SatPlane whether the plane
-// was built from scratch or incrementally from a dirty set.
+// the dirty-tile set semantics, the cell snap, copy-on-write tiled
+// frames, and — the load-bearing property — that the tiled plane's
+// prefix reads and rect sums equal the exact sums of the snapped cells
+// bit for bit, whether the plane was built from scratch or
+// incrementally from a dirty set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -14,12 +16,14 @@
 #include <vector>
 
 #include "core/rng.h"
-#include "tensor/prefix_sum.h"
 #include "tensor/tensor.h"
 #include "tensor/tiled_sat.h"
+#include "test_util.h"
 
 namespace one4all {
 namespace {
+
+using testing::Snapped;
 
 Tensor RandomFrame(int64_t h, int64_t w, uint64_t seed) {
   Rng rng(seed);
@@ -34,8 +38,9 @@ uint32_t FloatBits(float v) {
 
 // Every cell read in place through the tile table (TileAddressOf +
 // tiles()) and through at() carries the same bits as the materialized
-// copy and the source tensor.
-void ExpectTileTableReadsMatch(const TiledFrame& tiled, const Tensor& src) {
+// copy and the snapped source tensor.
+void ExpectTileTableReadsMatch(const TiledFrame& tiled, const Tensor& raw) {
+  const Tensor src = Snapped(raw);
   const int64_t h = src.dim(0), w = src.dim(1);
   ASSERT_EQ(tiled.height(), h);
   ASSERT_EQ(tiled.width(), w);
@@ -54,14 +59,37 @@ void ExpectTileTableReadsMatch(const TiledFrame& tiled, const Tensor& src) {
   }
 }
 
-// Every prefix entry and a battery of rect sums must match the
-// monolithic plane bit-for-bit (both accumulate in double with the same
-// grouping, so == is the right comparison, not Near).
-void ExpectBitIdentical(const TiledSatPlane& tiled, const SatPlane& flat,
-                        int64_t h, int64_t w) {
+// Sum of the frame over [r0, r1) x [c0, c1), cell by cell in row-major
+// order. Over snapped cells no step rounds, so this is the one exact
+// answer any summation order gives.
+double BruteForceSum(const Tensor& frame, int64_t r0, int64_t c0, int64_t r1,
+                     int64_t c1) {
+  double sum = 0.0;
+  for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t c = c0; c < c1; ++c) sum += frame.at(r, c);
+  }
+  return sum;
+}
+
+// Every prefix entry and a battery of rect sums must equal the exact
+// sums of `frame`'s snapped cells: ==, not Near. The prefix reference is
+// the textbook recurrence, which rounds nowhere on snapped cells either.
+void ExpectExactSums(const TiledSatPlane& tiled, const Tensor& frame) {
+  const Tensor snapped = Snapped(frame);
+  const int64_t h = frame.dim(0), w = frame.dim(1);
+  std::vector<double> prefix(static_cast<size_t>((h + 1) * (w + 1)), 0.0);
+  const auto at = [&](int64_t r, int64_t c) -> double& {
+    return prefix[static_cast<size_t>(r * (w + 1) + c)];
+  };
+  for (int64_t r = 0; r < h; ++r) {
+    for (int64_t c = 0; c < w; ++c) {
+      at(r + 1, c + 1) =
+          at(r, c + 1) + at(r + 1, c) - at(r, c) + snapped.at(r, c);
+    }
+  }
   for (int64_t r = 0; r <= h; ++r) {
     for (int64_t c = 0; c <= w; ++c) {
-      ASSERT_EQ(tiled.PrefixAt(r, c), flat.at(r, c))
+      ASSERT_EQ(tiled.PrefixAt(r, c), at(r, c))
           << "prefix mismatch at " << r << "," << c;
     }
   }
@@ -73,8 +101,21 @@ void ExpectBitIdentical(const TiledSatPlane& tiled, const SatPlane& flat,
     int64_t c1 = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(w + 1)));
     if (r0 > r1) std::swap(r0, r1);
     if (c0 > c1) std::swap(c0, c1);
-    ASSERT_EQ(tiled.RectSum(r0, c0, r1, c1), flat.RectSum(r0, c0, r1, c1))
+    ASSERT_EQ(tiled.RectSum(r0, c0, r1, c1),
+              BruteForceSum(snapped, r0, c0, r1, c1))
         << "rect (" << r0 << "," << c0 << ")-(" << r1 << "," << c1 << ")";
+  }
+}
+
+// Two planes of one frame read the same bits at every prefix.
+void ExpectSamePrefixes(const TiledSatPlane& a, const TiledSatPlane& b) {
+  ASSERT_EQ(a.height(), b.height());
+  ASSERT_EQ(a.width(), b.width());
+  for (int64_t r = 0; r <= a.height(); ++r) {
+    for (int64_t c = 0; c <= a.width(); ++c) {
+      ASSERT_EQ(a.PrefixAt(r, c), b.PrefixAt(r, c))
+          << "prefix mismatch at " << r << "," << c;
+    }
   }
 }
 
@@ -263,60 +304,76 @@ TEST(TileDirtySetTest, CellQueryFallsBackToTilesWithoutCellBits) {
   EXPECT_EQ(band.CountDirty(), 2);
 }
 
-// Sum of [r0, r1) x [c0, c1) added cell by cell in row-major order: the
-// same double a plane's RectSum reads off whenever no step rounds.
-double RowMajorSum(const Tensor& frame, int64_t r0, int64_t c0, int64_t r1,
-                   int64_t c1) {
-  double sum = 0.0;
-  for (int64_t r = r0; r < r1; ++r) {
-    for (int64_t c = c0; c < c1; ++c) sum += frame.at(r, c);
+// Snap puts a float on the 2^-20 grid: integers and cells of magnitude
+// >= 8 stay as they are, a second snap changes nothing, no cell moves by
+// more than q/2, and the branch-free rounding equals nearbyint over
+// seeded random floats of every magnitude below 2^31.
+TEST(SnapTest, RoundsToTheQuantumGrid) {
+  const double q = kCellQuantum;
+  for (float x : {0.0f, 1.0f, -1.0f, 3.0f, 1e6f, -65536.0f, 8.0f, -8.0f,
+                  8.000001f, 123.456f, -2047.9999f, 1e9f, -2.1e9f}) {
+    EXPECT_EQ(Snap(x), x) << x;
   }
-  return sum;
+  EXPECT_EQ(Snap(0x1p-21f), 0.0f);          // a tie rounds to even: 0
+  EXPECT_EQ(Snap(3 * 0x1p-21f), 0x1p-19f);  // 1.5 q rounds to 2 q
+  EXPECT_EQ(Snap(1e-7f), 0.0f);
+  EXPECT_EQ(Snap(0.1f), static_cast<float>(std::nearbyint(0.1 / q) * q));
+  EXPECT_TRUE(std::isnan(Snap(std::numeric_limits<float>::quiet_NaN())));
+  EXPECT_EQ(Snap(std::numeric_limits<float>::infinity()),
+            std::numeric_limits<float>::infinity());
+
+  Rng rng(2024);
+  for (int i = 0; i < 200000; ++i) {
+    // A random magnitude 2^e for e in [-30, 30], a random sign and
+    // mantissa: every binade a frame cell can land in.
+    const int e = static_cast<int>(rng.UniformInt(61)) - 30;
+    const double mantissa = 1.0 + rng.Uniform();
+    const float x = static_cast<float>(
+        (rng.UniformInt(2) == 0 ? 1.0 : -1.0) * std::ldexp(mantissa, e));
+    const float snapped = Snap(x);
+    ASSERT_EQ(snapped, static_cast<float>(
+                           std::nearbyint(static_cast<double>(x) / q) * q))
+        << x;
+    ASSERT_EQ(Snap(snapped), snapped) << x;
+    ASSERT_LE(std::fabs(static_cast<double>(snapped) - x), q / 2) << x;
+    if (std::fabs(x) >= 8.0f || x == std::trunc(x)) {
+      ASSERT_EQ(snapped, x) << x;
+    }
+  }
 }
 
-// Integer counts and quarter steps pass; mixed magnitudes, non-finite
-// cells and sums past 2^50 q do not. Where the predicate holds, every
-// rect sum of the tiled plane is the exact sum of the rect's cells.
-TEST(SatSumsExactTest, HoldsExactlyWhenNoPrefixSumRounds) {
-  Rng rng(77);
-  Tensor counts({100, 70});
-  for (int64_t i = 0; i < counts.numel(); ++i) {
-    counts.data()[i] =
-        static_cast<float>(rng.UniformInt(60)) * (i % 3 == 0 ? -0.25f : 1.0f);
+// A tiled frame keeps the snapped cells and each tile's sum of |cell|,
+// so its absolute sum is exact, a delta frame's reuses the clean tiles'
+// sums, and a NaN or infinite cell shows in it.
+TEST(TiledFrameTest, AbsSumIsTheSnappedCellsAbsoluteSum) {
+  Tensor base = RandomFrame(100, 70, 12);
+  for (int64_t i = 0; i < base.numel(); i += 3) base.data()[i] *= -1.0f;
+  const Tensor snapped = Snapped(base);
+  double expected = 0.0;
+  for (int64_t i = 0; i < snapped.numel(); ++i) {
+    expected += std::fabs(static_cast<double>(snapped.data()[i]));
   }
-  EXPECT_TRUE(SatSumsExact(counts));
-  EXPECT_TRUE(SatSumsExact(Tensor({33, 65})));  // all zeros
+  const TiledFrame tiled = TiledFrame::FromTensor(base);
+  EXPECT_EQ(tiled.abs_sum(), expected);
+  EXPECT_EQ(TiledFrame().abs_sum(), 0.0);
 
-  const TiledSatPlane plane =
-      TiledSatPlane::Build(TiledFrame::FromTensor(counts));
-  for (int i = 0; i < 300; ++i) {
-    const int64_t r0 = static_cast<int64_t>(rng.UniformInt(100));
-    const int64_t c0 = static_cast<int64_t>(rng.UniformInt(70));
-    const int64_t r1 = r0 + static_cast<int64_t>(rng.UniformInt(
-                                static_cast<uint64_t>(100 - r0) + 1));
-    const int64_t c1 = c0 + static_cast<int64_t>(rng.UniformInt(
-                                static_cast<uint64_t>(70 - c0) + 1));
-    ASSERT_EQ(plane.RectSum(r0, c0, r1, c1),
-              RowMajorSum(counts, r0, c0, r1, c1));
-  }
+  Tensor next = base;
+  next.at(99, 69) = -4000.0f;  // the short corner tile
+  const TiledFrame delta =
+      TiledFrame::FromDelta(next, tiled, DiffFrames(next, base), nullptr);
+  EXPECT_EQ(delta.abs_sum(),
+            expected - std::fabs(static_cast<double>(snapped.at(99, 69))) +
+                4000.0);
 
-  Tensor mixed = counts;
-  mixed.at(7, 7) = 1e-7f;
-  EXPECT_FALSE(SatSumsExact(mixed));
-  Tensor subnormal({4, 4});
-  subnormal.at(1, 1) = 1e-40f;
-  EXPECT_TRUE(SatSumsExact(subnormal));
-  subnormal.at(2, 2) = 1.0f;  // 2^149 quanta of 2^-149: past 2^50
-  EXPECT_FALSE(SatSumsExact(subnormal));
-  Tensor huge({2, 2});
-  huge.at(0, 0) = 1e16f;  // an integer, but past 2^50 of its quantum
-  huge.at(1, 1) = 1.0f;
-  EXPECT_FALSE(SatSumsExact(huge));
   for (float bad : {std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity(),
                     std::numeric_limits<float>::quiet_NaN()}) {
-    Tensor frame = counts;
+    Tensor frame = base;
     frame.at(50, 20) = bad;
-    EXPECT_FALSE(SatSumsExact(frame));
+    EXPECT_FALSE(TiledFrame::FromTensor(frame).abs_sum() <= kMaxFrameAbsSum);
+    EXPECT_FALSE(TiledFrame::FromDelta(frame, tiled, DiffFrames(frame, base),
+                                       nullptr)
+                     .abs_sum() <= kMaxFrameAbsSum);
   }
 }
 
@@ -336,12 +393,14 @@ TEST(TiledFrameTest, FromDeltaAliasesCleanBlocks) {
                 !(i == 0 && j == 1));
     }
   }
-  // Cell reads and the materialized tensor reproduce `next` exactly.
+  // Cell reads and the materialized tensor reproduce the snapped `next`
+  // exactly.
+  const Tensor snapped = Snapped(next);
   Tensor round_trip = next_tiled.Materialize();
   for (int64_t r = 0; r < 64; ++r) {
     for (int64_t c = 0; c < 96; ++c) {
-      ASSERT_EQ(next_tiled.at(r, c), next.at(r, c));
-      ASSERT_EQ(round_trip.at(r, c), next.at(r, c));
+      ASSERT_EQ(next_tiled.at(r, c), snapped.at(r, c));
+      ASSERT_EQ(round_trip.at(r, c), snapped.at(r, c));
     }
   }
 }
@@ -382,33 +441,27 @@ TEST(TiledFrameTest, TileTableReadsMatchMaterializeOnRaggedEdges) {
   ExpectTileTableReadsMatch(copy, next);
 }
 
-// The core parity sweep: random frames at awkward geometries (tile
+// The core exactness sweep: random frames at awkward geometries (tile
 // multiples, off-by-one, sub-tile, single row/column) — a from-scratch
-// tiled build must match the monolithic plane bit-for-bit.
-TEST(TiledSatPlaneTest, BuildMatchesMonolithicBitForBit) {
+// tiled build must read the exact sums of the snapped cells, signed
+// cells included.
+TEST(TiledSatPlaneTest, BuildReadsExactSumsOfSnappedCells) {
   const int64_t geometries[][2] = {{64, 64},  {65, 63}, {1, 200},
                                    {200, 1},  {31, 31}, {32, 32},
                                    {33, 100}, {7, 5}};
   uint64_t seed = 11;
   for (const auto& g : geometries) {
     Tensor frame = RandomFrame(g[0], g[1], seed++);
-    const TiledSatPlane tiled =
-        TiledSatPlane::Build(TiledFrame::FromTensor(frame));
-    const SatPlane flat = BuildSatPlane(frame);
-    ExpectBitIdentical(tiled, flat, g[0], g[1]);
-    // Materialize round-trips into a bit-identical monolithic plane.
-    const SatPlane materialized = tiled.Materialize();
-    ASSERT_EQ(materialized.numel(), flat.numel());
-    for (int64_t i = 0; i < flat.numel(); ++i) {
-      ASSERT_EQ(materialized.data()[i], flat.data()[i]);
-    }
+    for (int64_t i = 0; i < frame.numel(); i += 2) frame.data()[i] -= 7.5f;
+    ExpectExactSums(TiledSatPlane::Build(TiledFrame::FromTensor(frame)),
+                    frame);
   }
 }
 
-// Incremental rebuild parity: randomized dirty rects — including the
-// ISSUE-pinned adversarial shapes (tile-boundary straddles, single-row
-// dirty rects) — must leave BuildDelta bit-identical to a full Build of
-// the mutated frame, while actually reusing the clean locals.
+// Incremental rebuild parity: randomized dirty rects — including
+// adversarial shapes (tile-boundary straddles, single-row dirty rects) —
+// must leave BuildDelta bit-identical to a full Build of the mutated
+// frame and to its exact sums, while actually reusing the clean locals.
 TEST(TiledSatPlaneTest, BuildDeltaBitIdenticalToFullRebuild) {
   const int64_t h = 130, w = 97;  // ragged: 5 x 4 tiles with remainders
   Tensor base = RandomFrame(h, w, 21);
@@ -453,7 +506,8 @@ TEST(TiledSatPlaneTest, BuildDeltaBitIdenticalToFullRebuild) {
         TiledSatPlane::BuildDelta(next_tiled, base_plane, dirty, &reused);
     const TiledSatPlane full =
         TiledSatPlane::Build(TiledFrame::FromTensor(next));
-    ExpectBitIdentical(delta, full.Materialize(), h, w);
+    ExpectSamePrefixes(delta, full);
+    ExpectExactSums(delta, next);
 
     // Clean locals were aliased, dirty ones rebuilt.
     EXPECT_EQ(reused, dirty.num_tiles() - dirty.CountDirty());
@@ -478,7 +532,7 @@ TEST(TiledSatPlaneTest, NoOpDeltaReusesEveryTile) {
   const TiledSatPlane delta =
       TiledSatPlane::BuildDelta(tiled, base, clean, &reused);
   EXPECT_EQ(reused, clean.num_tiles());
-  ExpectBitIdentical(delta, base.Materialize(), 96, 64);
+  ExpectSamePrefixes(delta, base);
 }
 
 }  // namespace
