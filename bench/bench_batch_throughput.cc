@@ -1,6 +1,6 @@
 // Throughput of the region-query engine: queries/sec of MultiRegion
 // specs planned and run by the QueryExecutor on the calling thread
-// (frame memoization + sharded LRU resolve cache), against the
+// (frames pinned once per plan + sharded LRU resolve cache), against the
 // one-query-at-a-time Predict loop the seed served from. Production traffic re-queries the same areal units
 // (tracts, hexagons, road segments) across time slots, so the stream
 // cycles a fixed region set over many slots, one spec per slot.

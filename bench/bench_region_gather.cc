@@ -1,15 +1,17 @@
-// The columnar gather engine against the PR-4 per-cell term loop:
+// The executor's gather interpreter (summed-area planes + columnar
+// residues) against a per-term cell loop:
 //
 //   1. rect-heavy multi-region gather: >= 64 axis-aligned (but
 //      grid-misaligned) rect regions over a 16-step range, executed as
-//      one grouped plan with EvalPath::kExactCellLoop vs kSatFastPath.
-//      Both sides run warm (resolve cache filled, stats reset), so the
-//      ratio isolates the gather stage the tentpole rebuilt. Acceptance
-//      (ISSUE 5): >= 5x.
-//   2. top-k latency at the PR-4 bench scale (the 85 Voronoi regions of
-//      bench_query_plans, k=5): steady-state latency of the ranked
-//      grouped gather, warm-cache exact vs fast plus the cold resolve
-//      latency for context. Acceptance: fast path < 400 us.
+//      one grouped plan by the executor vs the bench-local per-term loop
+//      (PerTermLoop below: every row resolves through the same warm
+//      cache, every (layer, t) frame is pinned once per plan, and each
+//      term adds sign * cell). Both sides run warm, so the ratio
+//      isolates the gather stage. Acceptance: >= 5x.
+//   2. top-k latency at the bench_query_plans scale (its 85 Voronoi
+//      regions, k=5): steady-state latency of the ranked grouped gather,
+//      warm-cache per-term loop vs executor, plus the cold resolve
+//      latency for context. Acceptance: executor < 400 us.
 //
 // Emits BENCH_gather.json (override with O4A_BENCH_JSON, empty
 // disables). Env knobs: O4A_BENCH_REPS (timed repetitions, default 15),
@@ -27,6 +29,7 @@
 #include "query/query_executor.h"
 #include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
+#include "query/topk_memo.h"
 
 namespace one4all {
 namespace bench {
@@ -86,7 +89,7 @@ struct GatherBenchResult {
   int64_t topk_regions = 0;
   double topk_exact_micros = 0.0;
   double topk_fast_micros = 0.0;
-  double topk_cold_micros = 0.0;  ///< cache-empty fast path, for context
+  double topk_cold_micros = 0.0;  ///< cache-empty executor, for context
   double topk_speedup = 0.0;
 };
 
@@ -121,6 +124,51 @@ void WriteJson(const std::string& path, const GatherBenchResult& r) {
   }
   out << js.str();
   std::cout << "wrote " << path << "\n";
+}
+
+/// \brief The per-term baseline over one store's pinned TiledFrames:
+/// resolves every row through `cache`, pins each (layer, t) frame once
+/// per plan, and folds `sign * cell` term by term, then sums each row's
+/// series and ranks a top-k plan. Returns the rows' value sum (the same
+/// checksum the executor's rows give).
+double PerTermLoop(const RegionQueryServer& server, const QueryPlan& plan,
+                   ResolvedQueryCache* cache) {
+  using Key = std::pair<int, int64_t>;
+  std::vector<std::pair<Key, std::shared_ptr<const TiledFrame>>> frames;
+  std::vector<Result<QueryRow>> rows;
+  rows.reserve(plan.rows.size());
+  for (const PlanRow& planned : plan.rows) {
+    auto resolved = server.ResolveCached(
+        plan.RegionForSlot(planned.region_slot), plan.spec.strategy,
+        plan.slot_fingerprints[static_cast<size_t>(planned.region_slot)],
+        cache);
+    O4A_CHECK(resolved.ok());
+    QueryRow row;
+    for (int64_t t = planned.t0; t <= planned.t1; ++t) {
+      double acc = 0.0;
+      for (const CombinationTerm& term : (**resolved).terms) {
+        const Key key{term.grid.layer, t};
+        auto it = std::lower_bound(
+            frames.begin(), frames.end(), key,
+            [](const auto& entry, const Key& k) { return entry.first < k; });
+        if (it == frames.end() || it->first != key) {
+          auto frame = server.store()->GetTiledFrameAt(0, key.first, t);
+          O4A_CHECK(frame.ok()) << frame.status().ToString();
+          it = frames.insert(it, {key, frame.MoveValueUnsafe()});
+        }
+        acc += static_cast<double>(term.sign) *
+               it->second->at(term.grid.row, term.grid.col);
+      }
+      row.value += acc;
+    }
+    rows.push_back(std::move(row));
+  }
+  if (plan.spec.kind == QuerySpecKind::kTopK) {
+    O4A_CHECK(!TopKMemo::RankRows(rows, plan.spec.top_k).empty());
+  }
+  double sum = 0.0;
+  for (const auto& row : rows) sum += row->value;
+  return sum;
 }
 
 /// \brief >= 64 axis-aligned rect regions at random (grid-misaligned)
@@ -180,48 +228,56 @@ int main_impl() {
   GatherBenchResult result;
   result.range_steps = range_steps;
 
-  // Steady-state latency: warm the resolve cache once (so both paths pay
+  // Steady-state latency: warm the resolve cache once (so both sides pay
   // identical cache probes, not decomposition), then best-of-reps.
-  const auto steady_micros = [&](const QueryPlan& plan,
-                                 ResolvedQueryCache* cache,
-                                 double* checksum) {
-    QueryExecutorOptions options;
-    options.cache = cache;
-    (void)executor.Execute(plan, options);  // warmup fills the cache
+  const auto best_of_reps = [&](const auto& run, double* checksum) {
+    *checksum = run();  // warmup fills the cache
     double best = 1e300;
     for (int rep = 0; rep < reps; ++rep) {
       Stopwatch timer;
-      const QueryResult r = executor.Execute(plan, options);
+      *checksum = run();
       best = std::min(best, timer.ElapsedMicros());
-      double sum = 0.0;
-      for (const auto& row : r.rows) {
-        O4A_CHECK(row.ok()) << row.status().ToString();
-        sum += row.ValueOrDie().value;
-      }
-      *checksum = sum;
     }
     return best;
   };
+  const auto executor_micros = [&](const QueryPlan& plan,
+                                   ResolvedQueryCache* cache,
+                                   double* checksum) {
+    QueryExecutorOptions options;
+    options.cache = cache;
+    return best_of_reps(
+        [&] {
+          const QueryResult r = executor.Execute(plan, options);
+          double sum = 0.0;
+          for (const auto& row : r.rows) {
+            O4A_CHECK(row.ok()) << row.status().ToString();
+            sum += row.ValueOrDie().value;
+          }
+          return sum;
+        },
+        checksum);
+  };
+  const auto per_term_micros = [&](const QueryPlan& plan,
+                                   ResolvedQueryCache* cache,
+                                   double* checksum) {
+    return best_of_reps([&] { return PerTermLoop(server, plan, cache); },
+                        checksum);
+  };
 
-  // -- 1. Rect-heavy multi-region gather, exact vs fast ------------------
+  // -- 1. Rect-heavy multi-region gather, per-term loop vs executor ------
   {
     const auto regions = MakeRectRegions(h, w, 96, 21);
     result.num_rect_regions = static_cast<int64_t>(regions.size());
 
-    QuerySpec exact_spec = QuerySpec::MultiRegion(regions, t0);
-    exact_spec.time = TimeSelector::Range(t0, t1);
-    QuerySpec fast_spec = exact_spec;
-    fast_spec.eval_path = EvalPath::kSatFastPath;
-
-    auto exact_plan = planner.Plan(exact_spec);
-    auto fast_plan = planner.Plan(fast_spec);
-    O4A_CHECK(exact_plan.ok() && fast_plan.ok());
+    QuerySpec spec = QuerySpec::MultiRegion(regions, t0);
+    spec.time = TimeSelector::Range(t0, t1);
+    auto plan = planner.Plan(spec);
+    O4A_CHECK(plan.ok());
 
     // Program statistics: what the compilation actually collapsed.
     ResolvedQueryCache cache;
     for (const GridMask& region : regions) {
-      auto resolved = server.ResolveCached(
-          region, exact_spec.strategy, &cache);
+      auto resolved = server.ResolveCached(region, spec.strategy, &cache);
       O4A_CHECK(resolved.ok());
       result.exact_terms +=
           static_cast<int64_t>((**resolved).terms.size());
@@ -230,16 +286,15 @@ int main_impl() {
 
     double exact_checksum = 0.0, fast_checksum = 0.0;
     result.multi_exact_micros =
-        steady_micros(*exact_plan, &cache, &exact_checksum);
-    result.multi_fast_micros =
-        steady_micros(*fast_plan, &cache, &fast_checksum);
+        per_term_micros(*plan, &cache, &exact_checksum);
+    result.multi_fast_micros = executor_micros(*plan, &cache, &fast_checksum);
     result.multi_speedup =
         result.multi_exact_micros / result.multi_fast_micros;
     O4A_CHECK(fast_checksum == exact_checksum)
-        << "fast-path values differ from the exact cell loop";
+        << "executor values differ from the per-term loop";
   }
 
-  // -- 2. Top-k at the PR-4 bench scale ----------------------------------
+  // -- 2. Top-k at the bench_query_plans scale ---------------------------
   {
     RegionGeneratorOptions region_options;
     region_options.style = RegionStyle::kVoronoi;
@@ -249,21 +304,17 @@ int main_impl() {
     O4A_CHECK(!regions.empty());
     result.topk_regions = static_cast<int64_t>(regions.size());
 
-    QuerySpec exact_spec = QuerySpec::TopK(regions, t1, 5);
-    QuerySpec fast_spec = exact_spec;
-    fast_spec.eval_path = EvalPath::kSatFastPath;
-    auto exact_plan = planner.Plan(exact_spec);
-    auto fast_plan = planner.Plan(fast_spec);
-    O4A_CHECK(exact_plan.ok() && fast_plan.ok());
+    auto plan = planner.Plan(QuerySpec::TopK(regions, t1, 5));
+    O4A_CHECK(plan.ok());
 
     // Cold: first execution against an empty cache (pays decomposition
-    // + index retrieval), the number PR-4 reported. For context only.
+    // + index retrieval). For context only.
     {
       ResolvedQueryCache cold_cache;
       QueryExecutorOptions options;
       options.cache = &cold_cache;
       Stopwatch timer;
-      const QueryResult r = executor.Execute(*fast_plan, options);
+      const QueryResult r = executor.Execute(*plan, options);
       result.topk_cold_micros = timer.ElapsedMicros();
       O4A_CHECK(!r.top_k.empty());
     }
@@ -271,17 +322,16 @@ int main_impl() {
     ResolvedQueryCache cache;
     double exact_checksum = 0.0, fast_checksum = 0.0;
     result.topk_exact_micros =
-        steady_micros(*exact_plan, &cache, &exact_checksum);
-    result.topk_fast_micros =
-        steady_micros(*fast_plan, &cache, &fast_checksum);
+        per_term_micros(*plan, &cache, &exact_checksum);
+    result.topk_fast_micros = executor_micros(*plan, &cache, &fast_checksum);
     result.topk_speedup =
         result.topk_exact_micros / result.topk_fast_micros;
     O4A_CHECK(fast_checksum == exact_checksum)
-        << "fast-path top-k values differ from the exact cell loop";
+        << "executor top-k values differ from the per-term loop";
   }
 
-  TablePrinter table("Region gather: SAT fast path vs exact cell loop");
-  table.SetHeader({"Shape", "exact", "fast", "speedup"});
+  TablePrinter table("Region gather: executor vs per-term cell loop");
+  table.SetHeader({"Shape", "per-term", "executor", "speedup"});
   table.AddRow({"MultiRegion " + std::to_string(result.num_rect_regions) +
                     " rects x " + std::to_string(range_steps) + " steps",
                 TablePrinter::Num(result.multi_exact_micros / 1e3, 2) +
@@ -309,13 +359,13 @@ int main_impl() {
 
   const bool multi_ok = result.multi_speedup >= 5.0;
   PrintShapeCheck(
-      "SAT fast path >= 5x the exact cell loop on a rect-heavy "
+      "executor >= 5x the per-term cell loop on a rect-heavy "
       "multi-region range plan",
       multi_ok);
   const bool topk_ok = result.topk_fast_micros < 400.0;
   PrintShapeCheck(
-      "top-k latency < 400 us at the PR-4 bench scale (85 regions, "
-      "k=5, warm)",
+      "top-k latency < 400 us at the bench_query_plans scale (85 "
+      "regions, k=5, warm)",
       topk_ok);
 
   const char* strict_env = std::getenv("O4A_BENCH_STRICT");

@@ -358,10 +358,14 @@ double RunPublishLoop(int64_t h, int64_t w, double churn, int64_t epochs,
     const int64_t c0 = j0 * kSatTileSize;
     const int64_t r1 = std::min(h, (i0 + side_tiles) * kSatTileSize);
     const int64_t c1 = std::min(w, (j0 + side_tiles) * kSatTileSize);
+    // Reflect each churned cell within the initial [0, 50] range: every
+    // touched cell changes, and the frame's absolute sum stays bounded
+    // however many epochs run (the store refuses a frame past
+    // kMaxFrameAbsSum).
     for (int64_t r = r0; r < r1; ++r) {
       float* row = frame.data() + r * w;
       for (int64_t c = c0; c < c1; ++c) {
-        row[c] += 0.5f;
+        row[c] = 50.0f - row[c];
       }
     }
     TileDirtySet dirty(h, w);

@@ -80,7 +80,7 @@ Status PredictionStore::TrySyncFrameAt(int64_t generation, int layer,
   // A frame write invalidates its derived plane: without this, a writer
   // that overwrites a carried-forward frame (e.g. a re-staged timestep
   // with plane building disabled) would leave the previous frame's
-  // plane behind for the SAT fast path to silently read. Writers that
+  // plane behind for the gather's rect reads to silently read. Writers that
   // do build planes rebuild the fresh plane right after.
   entry.plane.reset();
   entry.dirty.reset();
@@ -182,7 +182,7 @@ Status PredictionStore::TryBuildSatPlaneAt(int64_t generation, int layer,
   auto it = entries_.find(Key{generation, layer, t});
   // The frame could have been dropped or overwritten while we built
   // outside the lock; attaching a stale plane to a fresh frame would
-  // hand the fast path wrong sums, so only publish onto the same frame.
+  // hand the gather wrong sums, so only publish onto the same frame.
   if (it == entries_.end() || it->second.frame != frame) {
     return Status::OK();
   }

@@ -10,8 +10,9 @@
 //     kept in flat-offset order so every timestep adds them in the same
 //     sequence.
 // Compiled once per resolution (and therefore cached with it in the
-// ResolvedQueryCache); the QueryExecutor's kSatFastPath interprets it
-// against the epoch-pinned frame/plane set.
+// ResolvedQueryCache); the QueryExecutor interprets it against the
+// epoch-pinned frame/plane set, clipping rect reads to shard bands and
+// re-addressing residues band-locally at N > 1.
 #ifndef ONE4ALL_QUERY_GATHER_PROGRAM_H_
 #define ONE4ALL_QUERY_GATHER_PROGRAM_H_
 
@@ -73,8 +74,9 @@ struct GatherProgram {
   int64_t num_rect_terms = 0;  ///< terms folded into `rects`
 
   bool empty() const { return rects.empty() && residues.empty(); }
-  /// \brief Reads the executor performs per timestep (4 per rect + 1 per
-  /// residue) — the fast path's analogue of the term count.
+  /// \brief Reads the executor performs per timestep at one shard (4 per
+  /// rect + 1 per residue) — the interpreter's analogue of the term
+  /// count.
   int64_t num_reads() const {
     return 4 * static_cast<int64_t>(rects.size()) +
            static_cast<int64_t>(residues.size());

@@ -6,16 +6,28 @@
 
 #include "core/stopwatch.h"
 #include "obs/metrics.h"
-#include "query/frame_memo.h"
 #include "query/resolved_query_cache.h"
+#include "query/topk_memo.h"
 #include "shard/shard_map.h"
 #include "shard/shard_router.h"
 #include "tensor/tiled_sat.h"
 
 namespace one4all {
 
-namespace query_internal {
+namespace {
 
+/// \brief Outcome of the resolve stage for one distinct region.
+struct SlotResolution {
+  Result<std::shared_ptr<const ResolvedQuery>> resolved =
+      Status::Internal("slot not resolved");
+  bool cached = false;  ///< a resolve cache was probed
+  bool cache_hit = false;
+  double probe_micros = 0.0;
+};
+
+/// \brief The aggregation fold. Left-to-right accumulation in series
+/// order — part of the bit-exactness contract, so no caller may re-fold
+/// with a different association.
 double FoldSeries(const std::vector<double>& series, TimeAggregation agg) {
   switch (agg) {
     case TimeAggregation::kSum:
@@ -36,10 +48,12 @@ double FoldSeries(const std::vector<double>& series, TimeAggregation agg) {
   return 0.0;
 }
 
-QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
-                      bool keep_series, const ResolvedQuery& rq,
-                      bool cache_hit, double probe_micros,
-                      double eval_micros, TraceContext* trace) {
+/// \brief Builds one result row from its gathered series plus the
+/// resolution's accounting and the resolve-cache probe behind it.
+QueryRow MakeRow(const std::vector<double>& series, TimeAggregation agg,
+                 bool keep_series, const ResolvedQuery& rq,
+                 const SlotResolution& slot, double eval_micros,
+                 TraceContext* trace) {
   QueryRow row;
   {
     ScopedSpan fold_span(trace, SpanName::kFold,
@@ -49,12 +63,12 @@ QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
   if (keep_series) row.series = series;
   row.num_pieces = rq.num_pieces;
   row.num_terms = static_cast<int>(rq.terms.size());
-  row.from_cache = cache_hit;
+  row.from_cache = slot.cache_hit;
   row.eval_micros = eval_micros;
-  if (cache_hit) {
+  if (slot.cache_hit) {
     // Decompose + index were skipped; report the actual resolve-path
     // latency (the cache lookup).
-    row.response_micros = probe_micros;
+    row.response_micros = slot.probe_micros;
   } else {
     row.decompose_micros = rq.decompose_micros;
     row.index_micros = rq.index_micros;
@@ -63,118 +77,16 @@ QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
   return row;
 }
 
+/// \brief Stage 3: top-k rank over `result->rows` (no-op unless the plan
+/// is a kTopK spec). Ties break toward the lower row index.
 void RankTopK(const QueryPlan& plan, TraceContext* trace,
               QueryResult* result) {
   if (plan.spec.kind != QuerySpecKind::kTopK) return;
   ScopedSpan rank_span(trace, SpanName::kRank, plan.spec.top_k);
   Stopwatch stage_timer;
-  std::vector<int> order;
-  order.reserve(result->rows.size());
-  for (size_t i = 0; i < result->rows.size(); ++i) {
-    if (result->rows[i].ok()) order.push_back(static_cast<int>(i));
-  }
-  const size_t k = std::min(order.size(),
-                            static_cast<size_t>(plan.spec.top_k));
-  std::partial_sort(order.begin(), order.begin() + static_cast<int64_t>(k),
-                    order.end(), [&](int a, int b) {
-                      const double va =
-                          result->rows[static_cast<size_t>(a)]->value;
-                      const double vb =
-                          result->rows[static_cast<size_t>(b)]->value;
-                      if (va != vb) return va > vb;
-                      return a < b;
-                    });
-  order.resize(k);
-  result->top_k = std::move(order);
+  result->top_k = TopKMemo::RankRows(result->rows, plan.spec.top_k);
   result->timings.rank_micros = stage_timer.ElapsedMicros();
 }
-
-}  // namespace query_internal
-
-namespace {
-
-/// \brief Outcome of the resolve stage for one distinct region.
-struct SlotResolution {
-  Result<std::shared_ptr<const ResolvedQuery>> resolved =
-      Status::Internal("slot not resolved");
-  bool cached = false;  ///< a resolve cache was probed
-  bool cache_hit = false;
-  double probe_micros = 0.0;
-};
-
-QueryRow MakeRow(const std::vector<double>& series, TimeAggregation agg,
-                 bool keep_series, const ResolvedQuery& rq,
-                 const SlotResolution& slot, double eval_micros,
-                 TraceContext* trace) {
-  return query_internal::MakeQueryRow(series, agg, keep_series, rq,
-                                      slot.cache_hit, slot.probe_micros,
-                                      eval_micros, trace);
-}
-
-// -- SAT fast path ----------------------------------------------------------
-
-/// \brief One (layer, t) the fast path needs, with whatever was pinned
-/// for it. Frames and planes are pinned once per plan, then read in
-/// place by every row. The hot row loop reads raw pointers hoisted at
-/// fetch time — no Result<> unwrapping per rect/residue read.
-struct FrameTableEntry {
-  int layer = 0;
-  int64_t t = 0;
-  bool need_frame = false;
-  bool need_plane = false;
-  /// The pinned frame's tile table (TiledFrame::tiles()): residues read
-  /// tiles[tile][in_tile]. Null when the frame is missing; `error` says
-  /// why.
-  const float* const* tiles = nullptr;
-  /// The tiled frame and summed-area plane, shared straight out of the
-  /// store (an O(1) refcount bump, no cell copy). The pins keep both
-  /// alive past any reclamation of their generation. A null plane: not
-  /// published for this generation — rect reads then fall back to
-  /// direct sums over `frame`.
-  std::shared_ptr<const TiledFrame> frame;
-  std::shared_ptr<const TiledSatPlane> plane;
-  Status error;  ///< frame fetch failure (typically NotFound)
-};
-
-bool EntryKeyLess(const FrameTableEntry& e, std::pair<int, int64_t> key) {
-  if (e.layer != key.first) return e.layer < key.first;
-  return e.t < key.second;
-}
-
-const FrameTableEntry* FindEntry(const std::vector<FrameTableEntry>& table,
-                                 int layer, int64_t t) {
-  auto it = std::lower_bound(table.begin(), table.end(),
-                             std::make_pair(layer, t), EntryKeyLess);
-  O4A_DCHECK(it != table.end() && it->layer == layer && it->t == t);
-  return &*it;
-}
-
-/// \brief Fallback rect sum when a generation carries no plane for this
-/// (layer, t): sum the frame directly, row by row in ascending (r, c)
-/// order, walking each row's span tile by tile. Still O(area), but
-/// contiguous within a tile and without per-cell term bookkeeping.
-double RectSumOnFrame(const TiledFrame& frame, const SatRectRead& rect) {
-  double acc = 0.0;
-  for (int64_t r = rect.r0; r < rect.r1; ++r) {
-    const int64_t i = r / kSatTileSize;
-    const int64_t r_in = r - i * kSatTileSize;
-    for (int64_t c = rect.c0; c < rect.c1;) {
-      const int64_t j = c / kSatTileSize;
-      const int64_t tw = frame.tile_cols(j);
-      const int64_t c_end = std::min(rect.c1, j * kSatTileSize + tw);
-      const float* row = frame.block(i, j) + r_in * tw;
-      const int64_t c_base = j * kSatTileSize;
-      for (; c < c_end; ++c) acc += static_cast<double>(row[c - c_base]);
-    }
-  }
-  return acc;
-}
-
-/// \brief Above this many (row, timestep) gather points the fast path's
-/// upfront frame-table prefetch could materialize an unreasonable table
-/// before any per-row NotFound gets the chance to surface; such plans
-/// (far past serving admission budgets) take the exact path instead.
-constexpr int64_t kMaxFastPathGathers = int64_t{1} << 20;
 
 /// \brief Stage 1: probes each distinct region's home-shard cache,
 /// resolving (decompose + index) on a miss.
@@ -204,273 +116,456 @@ std::vector<SlotResolution> ResolveSlots(
   return slots;
 }
 
-/// \brief Stage 2 on the SAT fast path, over one shard holding the whole
-/// grid: fills `rows` from the plan's compiled gather programs.
-void GatherSatFastPath(const QueryPlan& plan,
-                       const std::vector<SlotResolution>& slots,
-                       const ShardReadView& shard, bool keep_series,
-                       TraceContext* trace,
-                       std::vector<Result<QueryRow>>* rows) {
-  // Fast path, phase 1: collect every (layer, t) the plan touches and
-  // fetch frames/planes for them once; phase 2's rows only read the
-  // table.
-  // Layer needs dedup per slot first (rows sharing a resolution share
-  // its layer set), then expand over timesteps into lightweight keys.
-  struct LayerNeedKey {
-    int layer = 0;
-    bool need_frame = false;
-    bool need_plane = false;
-  };
-  std::vector<LayerNeedKey> layer_needs;
-  std::vector<char> slot_seen(slots.size(), 0);
-  int64_t t_min = 0, t_max = -1;
-  for (const PlanRow& planned : plan.rows) {
-    const size_t s = static_cast<size_t>(planned.region_slot);
-    if (!slots[s].resolved.ok()) continue;
-    if (t_max < t_min) {
-      t_min = planned.t0;
-      t_max = planned.t1;
-    } else {
-      t_min = std::min(t_min, planned.t0);
-      t_max = std::max(t_max, planned.t1);
-    }
-    if (slot_seen[s]) continue;
-    slot_seen[s] = 1;
-    for (const GatherLayerNeed& need : (**slots[s].resolved).gather.layers) {
-      layer_needs.push_back(
-          LayerNeedKey{need.layer, need.needs_frame, need.needs_plane});
-    }
-  }
-  std::sort(layer_needs.begin(), layer_needs.end(),
-            [](const LayerNeedKey& a, const LayerNeedKey& b) {
-              return a.layer < b.layer;
-            });
-  size_t kept = 0;
-  for (size_t i = 0; i < layer_needs.size(); ++i) {
-    if (kept > 0 && layer_needs[kept - 1].layer == layer_needs[i].layer) {
-      layer_needs[kept - 1].need_frame |= layer_needs[i].need_frame;
-      layer_needs[kept - 1].need_plane |= layer_needs[i].need_plane;
-    } else {
-      layer_needs[kept++] = layer_needs[i];
-    }
-  }
-  layer_needs.resize(kept);
+// -- Stage 2: the gather interpreter ----------------------------------------
 
-  // Every spec-shape row shares the plan's time selector, so the table
-  // is the dense (distinct layers) x [t_min, t_max] grid — which is
-  // what lets phase 2 index a layer's entries by timestep offset.
-  std::vector<FrameTableEntry> table;
-  table.resize(layer_needs.size() *
-               static_cast<size_t>(t_max - t_min + 1));
-  {
-    size_t i = 0;
-    for (const LayerNeedKey& need : layer_needs) {
-      for (int64_t t = t_min; t <= t_max; ++t, ++i) {
-        table[i].layer = need.layer;
-        table[i].t = t;
-        table[i].need_frame = need.need_frame;
-        table[i].need_plane = need.need_plane;
-      }
-    }
-  }
+/// \brief Most (source, t) entries the frame table holds at once. A row
+/// whose range needs more is gathered one window of timesteps at a time,
+/// so a range far past what the store holds fails NotFound at its first
+/// missing timestep without allocating in proportion to the range.
+constexpr int64_t kMaxFrameTableEntries = 4096;
 
-  const PredictionStore* store = shard.store;
-  const int64_t generation = shard.generation;
-  for (FrameTableEntry& entry : table) {
-    if (entry.need_plane) {
-      Result<std::shared_ptr<const TiledSatPlane>> plane =
-          store->GetTiledSatPlaneAt(generation, entry.layer, entry.t);
-      if (plane.ok()) {
-        entry.plane = plane.MoveValueUnsafe();
-      } else if (plane.status().code() == StatusCode::kNotFound) {
-        // No plane stored for this (layer, t): a store synced without
-        // planes, as a direct RegionQueryServer user may hand in. Rect
-        // reads degrade to direct frame sums instead of failing the row.
-        entry.need_frame = true;
-      } else {
-        // Anything else (corrupt blob, size mismatch) is a store
-        // defect: fail the rows loudly rather than silently eating the
-        // fast path's speedup forever.
-        entry.error = plane.status();
-        continue;
+/// \brief One (shard, layer) some row of the plan reads, and what it
+/// reads there: the summed-area plane (rect reads), the frame (residues)
+/// or both.
+struct FrameSource {
+  int shard = 0;
+  int layer = 1;
+  bool need_plane = false;
+  bool need_frame = false;
+};
+
+/// \brief What was pinned for one (source, t). The hot loops read the
+/// raw tile table hoisted at fetch time — no Result<> unwrapping per
+/// read.
+struct FrameTableEntry {
+  /// The pinned frame's tile table (TiledFrame::tiles()): residues read
+  /// tiles[tile][in_tile]. Null when the frame is missing or unneeded.
+  const float* const* tiles = nullptr;
+  /// Shared straight out of the store (a refcount bump, no cell copy);
+  /// the pins keep both alive past any reclamation of their generation.
+  /// A null plane: none published for this generation — rect reads then
+  /// fall back to direct sums over `frame`.
+  std::shared_ptr<const TiledFrame> frame;
+  std::shared_ptr<const TiledSatPlane> plane;
+  Status error;  ///< fetch failure (typically NotFound)
+};
+
+/// \brief The plan's sources pinned over timesteps [t0, t0 + steps):
+/// entry (source s, t) sits at entries[s * steps + (t - t0)].
+struct FrameTable {
+  int64_t t0 = 0;
+  int64_t steps = 0;
+  std::vector<FrameTableEntry> entries;
+
+  bool Covers(int64_t w0, int64_t len) const {
+    return steps > 0 && w0 >= t0 && w0 + len <= t0 + steps;
+  }
+};
+
+/// \brief Pins every source at every timestep of [w0, w0 + len) from
+/// its shard's store: once per window, shared by every row reading it.
+void FillFrameTable(const std::vector<FrameSource>& sources,
+                    const std::vector<ShardReadView>& shards, int64_t w0,
+                    int64_t len, FrameTable* table) {
+  table->t0 = w0;
+  table->steps = len;
+  table->entries.clear();
+  table->entries.resize(sources.size() * static_cast<size_t>(len));
+  FrameTableEntry* entry = table->entries.data();
+  for (const FrameSource& source : sources) {
+    const ShardReadView& view = shards[static_cast<size_t>(source.shard)];
+    for (int64_t t = w0; t < w0 + len; ++t, ++entry) {
+      bool need_frame = source.need_frame;
+      if (source.need_plane) {
+        Result<std::shared_ptr<const TiledSatPlane>> plane =
+            view.store->GetTiledSatPlaneAt(view.generation, source.layer, t);
+        if (plane.ok()) {
+          entry->plane = plane.MoveValueUnsafe();
+        } else if (plane.status().code() == StatusCode::kNotFound) {
+          // No plane stored for this (layer, t): a store synced without
+          // planes, as a direct RegionQueryServer user may hand in. Rect
+          // reads degrade to direct frame sums instead of failing the
+          // row.
+          need_frame = true;
+        } else {
+          // Anything else (corrupt blob, size mismatch) is a store
+          // defect: fail the rows loudly.
+          entry->error = plane.status();
+          continue;
+        }
       }
-    }
-    if (entry.need_frame) {
+      if (!need_frame) continue;
       Result<std::shared_ptr<const TiledFrame>> frame =
-          store->GetTiledFrameAt(generation, entry.layer, entry.t);
+          view.store->GetTiledFrameAt(view.generation, source.layer, t);
       if (frame.ok()) {
-        entry.frame = frame.MoveValueUnsafe();
-        entry.tiles = entry.frame->tiles();
+        entry->frame = frame.MoveValueUnsafe();
+        entry->tiles = entry->frame->tiles();
       } else {
-        entry.error = frame.status();
+        entry->error = frame.status();
       }
     }
   }
+}
 
-  // Phase 2: per-row interpretation of the compiled gather programs.
+/// \brief One source as a bound program reads it: its plan-wide index
+/// and which of its parts the program's reads need.
+struct BoundSource {
+  int source = 0;  ///< index into the plan's FrameSource list
+  bool needs_plane = false;
+  bool needs_frame = false;
+};
+
+/// \brief A resolution's gather program in the interpreter's address
+/// space: each read's layer_index names an entry of `sources`. At N = 1
+/// the reads are the program's own (one source per program layer); at
+/// N > 1 they are its rects clipped to the bands they cross and its
+/// residues at band-local addresses, in program order. The pointers
+/// reach into the program or into the plan's GatherScratch.
+struct BoundProgram {
+  const SatRectRead* rects = nullptr;
+  size_t num_rects = 0;
+  const ResidueRead* residues = nullptr;
+  size_t num_residues = 0;
+  /// Layer-ascending, then shard-ascending: the availability check's
+  /// order.
+  const BoundSource* sources = nullptr;
+  size_t num_sources = 0;
+  /// Reads per timestep each shard serves: 4 per rect part, 1 per
+  /// residue.
+  const int64_t* reads_per_shard = nullptr;
+};
+
+/// \brief Every buffer a plan's gather fills. One per thread, reused
+/// plan after plan: capacity persists, so a steady stream of small plans
+/// allocates nothing, while every plan starts empty and releases its
+/// pins when it ends. Binding reserves each arena's worst case first, so
+/// the BoundProgram pointers into them stay valid.
+struct GatherScratch {
+  std::vector<int> source_of;  ///< shard * (layers + 1) + layer -> source
+  std::vector<FrameSource> sources;
+  std::vector<BoundProgram> bound;  ///< per plan slot
+  std::vector<BoundSource> bound_sources;
+  std::vector<SatRectRead> band_rects;
+  std::vector<ResidueRead> band_residues;
+  std::vector<int64_t> reads_per_shard;
+  std::vector<int> local_of;  ///< layer * shards + shard -> flags, index
+  FrameTable table;
   std::vector<double> series;
-  std::vector<const FrameTableEntry*> layer_bases;
+  std::vector<const FrameTableEntry*> bases;
+  std::vector<int64_t> shard_reads;
+
+  int AddSource(int shard, int layer, bool need_plane, bool need_frame,
+                int num_layers) {
+    int& at = source_of[static_cast<size_t>(shard) * (num_layers + 1) +
+                        static_cast<size_t>(layer)];
+    if (at < 0) {
+      at = static_cast<int>(sources.size());
+      sources.push_back(FrameSource{shard, layer, false, false});
+    }
+    FrameSource& source = sources[static_cast<size_t>(at)];
+    source.need_plane |= need_plane;
+    source.need_frame |= need_frame;
+    return at;
+  }
+};
+
+/// \brief N = 1: the program reads shard 0 as compiled.
+BoundProgram BindWhole(const GatherProgram& program, int num_layers,
+                       GatherScratch* scratch) {
+  BoundProgram bound;
+  bound.rects = program.rects.data();
+  bound.num_rects = program.rects.size();
+  bound.residues = program.residues.data();
+  bound.num_residues = program.residues.size();
+  bound.sources = scratch->bound_sources.data() + scratch->bound_sources.size();
+  bound.num_sources = program.layers.size();
+  for (const GatherLayerNeed& need : program.layers) {
+    scratch->bound_sources.push_back(BoundSource{
+        scratch->AddSource(0, need.layer, need.needs_plane,
+                           need.needs_frame, num_layers),
+        need.needs_plane, need.needs_frame});
+  }
+  bound.reads_per_shard =
+      scratch->reads_per_shard.data() + scratch->reads_per_shard.size();
+  scratch->reads_per_shard.push_back(program.num_reads());
+  return bound;
+}
+
+/// \brief N > 1: clips each rect by ShardMap::SliceOf into one part per
+/// band it crosses, at band-local rows, and addresses each residue in
+/// its owner's band frame (OwnerOf, LocalRow, TileAddressOf).
+BoundProgram BindToBands(const GatherProgram& program, const ShardMap& bands,
+                         GatherScratch* scratch) {
+  constexpr int kPlane = 1, kFrame = 2;
+  const Hierarchy& hierarchy = *bands.hierarchy();
+  const int num_layers = hierarchy.num_layers();
+  const int num_shards = bands.num_shards();
+  // Each read's layer_index first holds its (layer, shard) key, whose
+  // need flags gather in local_of; numbering the keys in ascending order
+  // then orders the sources layer-ascending, then shard-ascending.
+  std::vector<int>& local_of = scratch->local_of;
+  local_of.assign(static_cast<size_t>(num_layers + 1) * num_shards, 0);
+  const auto key_of = [num_shards](int layer, int shard) {
+    return layer * num_shards + shard;
+  };
+  BoundProgram bound;
+  const size_t reads_begin = scratch->reads_per_shard.size();
+  scratch->reads_per_shard.resize(reads_begin +
+                                  static_cast<size_t>(num_shards));
+  int64_t* reads = scratch->reads_per_shard.data() + reads_begin;
+  bound.reads_per_shard = reads;
+
+  const size_t rect_begin = scratch->band_rects.size();
+  for (const SatRectRead& rect : program.rects) {
+    for (int k = 0; k < num_shards; ++k) {
+      const ShardLayerSlice& slice = bands.SliceOf(k, rect.layer);
+      const int64_t r0 = std::max(rect.r0, slice.row_begin);
+      const int64_t r1 = std::min(rect.r1, slice.row_end);
+      if (r0 >= r1) continue;
+      SatRectRead part = rect;
+      part.r0 = r0 - slice.row_begin;
+      part.r1 = r1 - slice.row_begin;
+      part.layer_index = key_of(rect.layer, k);
+      local_of[static_cast<size_t>(part.layer_index)] |= kPlane;
+      scratch->band_rects.push_back(part);
+      reads[k] += 4;
+    }
+  }
+  const size_t residue_begin = scratch->band_residues.size();
+  for (const ResidueRead& residue : program.residues) {
+    const int64_t width = hierarchy.layer(residue.layer).width;
+    const GridId cell{residue.layer, residue.offset / width,
+                      residue.offset % width};
+    const int owner = bands.OwnerOf(cell);
+    const TileAddress address =
+        TileAddressOf(width, bands.LocalRow(owner, cell), cell.col);
+    ResidueRead read = residue;
+    read.tile = address.tile;
+    read.in_tile = address.in_tile;
+    read.layer_index = key_of(residue.layer, owner);
+    local_of[static_cast<size_t>(read.layer_index)] |= kFrame;
+    scratch->band_residues.push_back(read);
+    reads[owner] += 1;
+  }
+
+  bound.sources = scratch->bound_sources.data() + scratch->bound_sources.size();
+  int next = 0;
+  for (int key = 0; key < static_cast<int>(local_of.size()); ++key) {
+    const int flags = local_of[static_cast<size_t>(key)];
+    if (flags == 0) continue;
+    const bool plane = (flags & kPlane) != 0;
+    const bool frame = (flags & kFrame) != 0;
+    scratch->bound_sources.push_back(BoundSource{
+        scratch->AddSource(key % num_shards, key / num_shards, plane, frame,
+                           num_layers),
+        plane, frame});
+    local_of[static_cast<size_t>(key)] = next++;
+  }
+  bound.num_sources = static_cast<size_t>(next);
+  for (size_t i = rect_begin; i < scratch->band_rects.size(); ++i) {
+    SatRectRead& read = scratch->band_rects[i];
+    read.layer_index = local_of[static_cast<size_t>(read.layer_index)];
+  }
+  for (size_t i = residue_begin; i < scratch->band_residues.size(); ++i) {
+    ResidueRead& read = scratch->band_residues[i];
+    read.layer_index = local_of[static_cast<size_t>(read.layer_index)];
+  }
+  bound.rects = scratch->band_rects.data() + rect_begin;
+  bound.num_rects = scratch->band_rects.size() - rect_begin;
+  bound.residues = scratch->band_residues.data() + residue_begin;
+  bound.num_residues = scratch->band_residues.size() - residue_begin;
+  return bound;
+}
+
+/// \brief Binds every resolved slot's program to the shard layout and
+/// registers the plan's sources. Each arena is reserved for its worst
+/// case first (every rect split across every band), so no push_back
+/// moves what an earlier BoundProgram points at.
+void BindSlots(const std::vector<SlotResolution>& slots,
+               const ShardMap* bands, int num_shards, int num_layers,
+               GatherScratch* scratch) {
+  size_t rects = 0, residues = 0, layers = 0;
+  for (const SlotResolution& slot : slots) {
+    if (!slot.resolved.ok()) continue;
+    const GatherProgram& program = (**slot.resolved).gather;
+    rects += program.rects.size();
+    residues += program.residues.size();
+    layers += program.layers.size();
+  }
+  const size_t shards = static_cast<size_t>(num_shards);
+  scratch->source_of.assign(shards * static_cast<size_t>(num_layers + 1),
+                            -1);
+  scratch->sources.clear();
+  scratch->bound.assign(slots.size(), BoundProgram{});
+  scratch->bound_sources.clear();
+  scratch->bound_sources.reserve(layers * shards);
+  scratch->band_rects.clear();
+  scratch->band_residues.clear();
+  scratch->reads_per_shard.clear();
+  scratch->reads_per_shard.reserve(slots.size() * shards);
+  if (bands != nullptr) {
+    scratch->band_rects.reserve(rects * shards);
+    scratch->band_residues.reserve(residues);
+  }
+  for (size_t s = 0; s < slots.size(); ++s) {
+    if (!slots[s].resolved.ok()) continue;
+    const GatherProgram& program = (**slots[s].resolved).gather;
+    scratch->bound[s] = bands == nullptr
+                            ? BindWhole(program, num_layers, scratch)
+                            : BindToBands(program, *bands, scratch);
+  }
+}
+
+/// \brief Fallback rect sum when a generation carries no plane for this
+/// (layer, t): sum the frame directly, row by row in ascending (r, c)
+/// order, walking each row's span tile by tile. Still O(area), but
+/// contiguous within a tile and without per-cell term bookkeeping.
+double RectSumOnFrame(const TiledFrame& frame, const SatRectRead& rect) {
+  double acc = 0.0;
+  for (int64_t r = rect.r0; r < rect.r1; ++r) {
+    const int64_t i = r / kSatTileSize;
+    const int64_t r_in = r - i * kSatTileSize;
+    for (int64_t c = rect.c0; c < rect.c1;) {
+      const int64_t j = c / kSatTileSize;
+      const int64_t tw = frame.tile_cols(j);
+      const int64_t c_end = std::min(rect.c1, j * kSatTileSize + tw);
+      const float* row = frame.block(i, j) + r_in * tw;
+      const int64_t c_base = j * kSatTileSize;
+      for (; c < c_end; ++c) acc += static_cast<double>(row[c - c_base]);
+    }
+  }
+  return acc;
+}
+
+/// \brief Availability first: the error of the first timestep of the
+/// window holding an unreadable entry and, within it, of the first
+/// source the reads need — plane sources, then frame sources, each
+/// layer-ascending. OK when every read of the window can be made.
+Status CheckWindow(const BoundProgram& bound,
+                   const FrameTableEntry* const* bases, int64_t len) {
+  for (int64_t dt = 0; dt < len; ++dt) {
+    for (size_t li = 0; li < bound.num_sources; ++li) {
+      const FrameTableEntry* entry = bases[li] + dt;
+      if (bound.sources[li].needs_plane && entry->plane == nullptr &&
+          entry->tiles == nullptr) {
+        return entry->error;
+      }
+    }
+    for (size_t li = 0; li < bound.num_sources; ++li) {
+      const FrameTableEntry* entry = bases[li] + dt;
+      if (bound.sources[li].needs_frame && entry->tiles == nullptr) {
+        return entry->error;
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// \brief Read-outer, timestep-inner into per-step accumulators: each
+/// read's coordinates stay hot across the window, and every step adds
+/// the same reads in the same order (rects, then residues).
+void AccumulateReads(const BoundProgram& bound,
+                     const FrameTableEntry* const* bases, int64_t len,
+                     double* acc) {
+  for (size_t i = 0; i < bound.num_rects; ++i) {
+    const SatRectRead& rect = bound.rects[i];
+    const FrameTableEntry* entry =
+        bases[static_cast<size_t>(rect.layer_index)];
+    const double sign = static_cast<double>(rect.sign);
+    for (int64_t dt = 0; dt < len; ++dt, ++entry) {
+      acc[dt] += sign * (entry->plane != nullptr
+                             ? entry->plane->RectSum(rect.r0, rect.c0,
+                                                     rect.r1, rect.c1)
+                             : RectSumOnFrame(*entry->frame, rect));
+    }
+  }
+  for (size_t i = 0; i < bound.num_residues; ++i) {
+    const ResidueRead& residue = bound.residues[i];
+    const FrameTableEntry* entry =
+        bases[static_cast<size_t>(residue.layer_index)];
+    const double sign = static_cast<double>(residue.sign);
+    for (int64_t dt = 0; dt < len; ++dt, ++entry) {
+      acc[dt] += sign * static_cast<double>(
+                            entry->tiles[residue.tile][residue.in_tile]);
+    }
+  }
+}
+
+/// \brief Stage 2 at any shard count: binds each resolution's program
+/// to the shard layout once, then gathers every row window by window
+/// through one frame table.
+void GatherRows(const QueryPlan& plan,
+                const std::vector<SlotResolution>& slots,
+                const std::vector<ShardReadView>& shards,
+                const ShardMap* bands, int num_layers, bool keep_series,
+                TraceContext* trace, std::vector<Result<QueryRow>>* rows) {
+  thread_local GatherScratch scratch;
+  const int num_shards = static_cast<int>(shards.size());
+  BindSlots(slots, bands, num_shards, num_layers, &scratch);
+  const int64_t num_sources =
+      std::max<int64_t>(1, static_cast<int64_t>(scratch.sources.size()));
+  const int64_t window =
+      std::max<int64_t>(1, kMaxFrameTableEntries / num_sources);
+
+  FrameTable& table = scratch.table;
+  std::vector<double>& series = scratch.series;
+  std::vector<const FrameTableEntry*>& bases = scratch.bases;
+  std::vector<int64_t>& shard_reads = scratch.shard_reads;
+  shard_reads.assign(shards.size(), 0);
   for (size_t i = 0; i < plan.rows.size(); ++i) {
     const PlanRow& planned = plan.rows[i];
-    const SlotResolution& slot =
-        slots[static_cast<size_t>(planned.region_slot)];
+    const size_t s = static_cast<size_t>(planned.region_slot);
+    const SlotResolution& slot = slots[s];
     if (!slot.resolved.ok()) {
       (*rows)[i] = slot.resolved.status();
       continue;
     }
-    const ResolvedQuery& rq = **slot.resolved;
-    const GatherProgram& program = rq.gather;
+    const BoundProgram& program = scratch.bound[s];
     const int64_t steps = planned.num_steps();
-    // One binary search per (row, layer): a layer's entries for the
-    // row's [t0, t1] are table-contiguous (every row of a spec plan
-    // shares the spec's time selector), so the t loops below just
-    // offset from the base.
-    layer_bases.assign(program.layers.size(), nullptr);
-    for (size_t li = 0; li < program.layers.size(); ++li) {
-      layer_bases[li] =
-          FindEntry(table, program.layers[li].layer, planned.t0);
-      // Contiguity check: the last step of the row's range must sit
-      // exactly num_steps-1 entries after the base.
-      O4A_DCHECK((layer_bases[li] + (steps - 1))->layer ==
-                     program.layers[li].layer &&
-                 (layer_bases[li] + (steps - 1))->t == planned.t1);
-    }
     Stopwatch eval_timer;
-    // Availability first: the row fails with the error of its first
-    // timestep holding an unreadable entry and, within it, of the
-    // first read in program order — rects (layer-ascending), then
-    // residues (layer-ascending).
-    Status gather = Status::OK();
-    for (int64_t dt = 0; dt < steps && gather.ok(); ++dt) {
-      for (size_t li = 0; li < program.layers.size() && gather.ok();
-           ++li) {
-        const FrameTableEntry* entry = layer_bases[li] + dt;
-        if (program.layers[li].needs_plane && entry->plane == nullptr &&
-            entry->tiles == nullptr) {
-          gather = entry->error;
-        }
-      }
-      for (size_t li = 0; li < program.layers.size() && gather.ok();
-           ++li) {
-        const FrameTableEntry* entry = layer_bases[li] + dt;
-        if (program.layers[li].needs_frame && entry->tiles == nullptr) {
-          gather = entry->error;
-        }
-      }
-    }
-    if (!gather.ok()) {
-      (*rows)[i] = std::move(gather);
-      continue;
-    }
-    // Read-outer, timestep-inner into per-step accumulators: each
-    // read's coordinates stay hot across the range, and every step
-    // still adds the same reads in the same order (rects, then
-    // residues) as a step-at-a-time sweep would.
-    series.assign(static_cast<size_t>(steps), 0.0);
-    double* acc = series.data();
-    for (const SatRectRead& rect : program.rects) {
-      const FrameTableEntry* entry =
-          layer_bases[static_cast<size_t>(rect.layer_index)];
-      const double sign = static_cast<double>(rect.sign);
-      for (int64_t dt = 0; dt < steps; ++dt, ++entry) {
-        acc[dt] += sign * (entry->plane != nullptr
-                               ? entry->plane->RectSum(rect.r0, rect.c0,
-                                                       rect.r1, rect.c1)
-                               : RectSumOnFrame(*entry->frame, rect));
-      }
-    }
-    for (const ResidueRead& residue : program.residues) {
-      const FrameTableEntry* entry =
-          layer_bases[static_cast<size_t>(residue.layer_index)];
-      const double sign = static_cast<double>(residue.sign);
-      for (int64_t dt = 0; dt < steps; ++dt, ++entry) {
-        acc[dt] += sign * static_cast<double>(
-                              entry->tiles[residue.tile][residue.in_tile]);
-      }
-    }
-    const double eval_micros = eval_timer.ElapsedMicros();
-    (*rows)[i] = MakeRow(series, plan.spec.aggregation, keep_series, rq,
-                         slot, eval_micros, trace);
-  }
-}
-
-/// \brief Stage 2 on the exact cell loop, at any shard count: fills
-/// `rows` with each row's canonical term fold. At N > 1 each term reads
-/// its cell from the band frame of the shard that owns it
-/// (ShardMap::OwnerOf, at its band-local row); at N=1 from shard 0 at its
-/// grid row. Either way the fold is FrameMemo's canonical left-to-right
-/// sum, so answers — and the term and timestep a failing row reports —
-/// are bit-identical across N.
-void GatherExactCellLoop(const QueryPlan& plan,
-                         const std::vector<SlotResolution>& slots,
-                         const std::vector<ShardReadView>& shards,
-                         const ShardMap* bands, bool keep_series,
-                         TraceContext* trace,
-                         std::vector<Result<QueryRow>>* rows) {
-  query_internal::FrameMemo memo(shards);
-  std::vector<query_internal::TermAddress> addresses;
-  std::vector<int64_t> term_reads(shards.size(), 0);
-  std::vector<double> series;
-  for (size_t i = 0; i < plan.rows.size(); ++i) {
-    const PlanRow& planned = plan.rows[i];
-    const SlotResolution& slot =
-        slots[static_cast<size_t>(planned.region_slot)];
-    if (!slot.resolved.ok()) {
-      (*rows)[i] = slot.resolved.status();
-      continue;
-    }
-    const ResolvedQuery& rq = **slot.resolved;
-    if (bands != nullptr) {
-      // Addressed once per row, read at every timestep.
-      addresses.resize(rq.terms.size());
-      for (size_t ti = 0; ti < rq.terms.size(); ++ti) {
-        const GridId& grid = rq.terms[ti].grid;
-        const int owner = bands->OwnerOf(grid);
-        addresses[ti] = {owner, bands->LocalRow(owner, grid)};
-      }
-    }
     series.clear();
-    // Clamped reserve: a hint only, so a huge (likely mistaken) range
-    // cannot bad_alloc here before the first gather gets the chance to
-    // fail with a per-row NotFound.
-    series.reserve(
-        static_cast<size_t>(std::min<int64_t>(planned.num_steps(), 4096)));
-    Stopwatch eval_timer;
     Status gather = Status::OK();
-    for (int64_t t = planned.t0; t <= planned.t1; ++t) {
-      double value = 0.0;
-      gather = bands == nullptr
-                   ? memo.Evaluate(rq.terms, t, &value)
-                   : memo.Evaluate(rq.terms, addresses, t, &value);
-      if (!gather.ok()) break;
-      series.push_back(value);
-    }
-    const double eval_micros = eval_timer.ElapsedMicros();
-    // Count the reads behind every answered timestep, per owner.
-    const int64_t answered = static_cast<int64_t>(series.size());
-    if (bands == nullptr) {
-      term_reads[0] += static_cast<int64_t>(rq.terms.size()) * answered;
-    } else {
-      for (const query_internal::TermAddress& at : addresses) {
-        term_reads[static_cast<size_t>(at.shard)] += answered;
+    for (int64_t done = 0; done < steps && gather.ok();) {
+      const int64_t w0 = planned.t0 + done;
+      const int64_t len = std::min(window, steps - done);
+      if (!table.Covers(w0, len)) {
+        FillFrameTable(scratch.sources, shards, w0, len, &table);
       }
+      bases.resize(program.num_sources);
+      for (size_t li = 0; li < bases.size(); ++li) {
+        bases[li] = table.entries.data() +
+                    static_cast<int64_t>(program.sources[li].source) *
+                        table.steps +
+                    (w0 - table.t0);
+      }
+      gather = CheckWindow(program, bases.data(), len);
+      if (!gather.ok()) break;
+      series.resize(static_cast<size_t>(done + len), 0.0);
+      AccumulateReads(program, bases.data(), len, series.data() + done);
+      done += len;
+    }
+    const int64_t answered = static_cast<int64_t>(series.size());
+    for (size_t k = 0; k < shards.size(); ++k) {
+      shard_reads[k] += program.reads_per_shard[k] * answered;
     }
     if (!gather.ok()) {
       (*rows)[i] = std::move(gather);
       continue;
     }
-    (*rows)[i] = MakeRow(series, plan.spec.aggregation, keep_series, rq,
-                         slot, eval_micros, trace);
+    const double eval_micros = eval_timer.ElapsedMicros();
+    (*rows)[i] = MakeRow(series, plan.spec.aggregation, keep_series,
+                         **slot.resolved, slot, eval_micros, trace);
   }
+  // Release the plan's pins; the buffers keep their capacity.
+  table.entries.clear();
+  table.steps = 0;
   for (size_t k = 0; k < shards.size(); ++k) {
-    Counter* counter = shards[k].terms_evaluated;
-    if (counter != nullptr && term_reads[k] > 0) {
-      counter->fetch_add(term_reads[k]);
+    Counter* counter = shards[k].gather_reads;
+    if (counter != nullptr && shard_reads[k] > 0) {
+      counter->fetch_add(shard_reads[k]);
     }
   }
 }
-
-using query_internal::RankTopK;
 
 }  // namespace
 
@@ -529,18 +624,9 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
   {
     ScopedSpan gather_span(options.trace, SpanName::kGather,
                            plan.num_point_queries());
-    // The SAT fast path reads whole-grid summed-area planes, so it runs
-    // on one shard only; band shards' band-clipped planes have no reader
-    // yet. At N > 1 a kSatFastPath plan runs the exact loop, which gives
-    // the same bits: every sum over stored cells is exact.
-    if (plan.path == EvalPath::kSatFastPath && num_shards == 1 &&
-        plan.num_point_queries() <= kMaxFastPathGathers) {
-      GatherSatFastPath(plan, slots, shards[0], keep_series, options.trace,
-                        &result.rows);
-    } else {
-      GatherExactCellLoop(plan, slots, shards, bands, keep_series,
-                          options.trace, &result.rows);
-    }
+    GatherRows(plan, slots, shards, bands,
+               server_->hierarchy()->num_layers(), keep_series,
+               options.trace, &result.rows);
   }
   result.timings.eval_micros = stage_timer.ElapsedMicros();
   RankTopK(plan, options.trace, &result);

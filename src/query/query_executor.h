@@ -3,12 +3,13 @@
 // (each probing its home shard's cache), an epoch-pinned gather stage
 // that reuses each resolution across every timestep it serves, an
 // aggregation fold (sum/mean/max) and an optional top-k rank stage. The
-// gather stage has two interpreters, selected by the plan's EvalPath:
-// the bit-exact per-term cell loop (one frame memo per plan; each term
-// reads its owner shard's band frame), and the SAT fast path, which
-// prefetches every (layer, t) frame/summed-area plane the plan touches
-// once and then answers rect-decomposed term groups with four-corner
-// plane reads plus a columnar residue sweep. Every stage runs on the
+// gather stage has one interpreter: each resolution's compiled gather
+// program (query/gather_program.h), whose rect reads are four-corner
+// summed-area plane reads and whose residues are in-place tile reads.
+// At N > 1 each rect is clipped to the shard bands its rows cross and
+// each part read from its owner's band plane; each residue reads its
+// owner's band frame at the band-local address. Stored sums are exact,
+// so every shard count returns the N = 1 bits. Every stage runs on the
 // calling thread; concurrency comes from concurrent callers. Per-row
 // failures surface as that row's Status; stage wall times land in the
 // structured QueryResult.
@@ -29,16 +30,16 @@ class ShardMap;  // shard/shard_map.h
 
 /// \brief One band shard's read surface under a held cross-shard pin:
 /// the store its frames come from, the generation the pin names, its
-/// resolve cache and its term-read counter.
+/// resolve cache and its gather-read counter.
 struct ShardReadView {
   const PredictionStore* store = nullptr;
   int64_t generation = 0;
   /// Resolve cache of the regions homed on this shard; null resolves
   /// uncached.
   ResolvedQueryCache* cache = nullptr;
-  /// Counts the exact loop's term-cell reads this shard served (one per
-  /// term per answered timestep); null counts nothing.
-  Counter* terms_evaluated = nullptr;
+  /// Counts the gather reads this shard served per answered timestep:
+  /// 4 per clipped rect part, 1 per residue. Null counts nothing.
+  Counter* gather_reads = nullptr;
 };
 
 /// \brief Execution knobs.
@@ -50,8 +51,8 @@ struct QueryExecutorOptions {
   int64_t generation = 0;
   /// Band-sharded callers (the serving runtime): one view per shard of
   /// `shard_map`, in shard order, all under one cross-shard pin. Each
-  /// region resolves through its home shard's cache; the exact loop
-  /// reads every term from its owner shard. Both must outlive the call.
+  /// region resolves through its home shard's cache; the gather reads
+  /// every cell from its owner shard. Both must outlive the call.
   const ShardMap* shard_map = nullptr;
   std::vector<ShardReadView> shards;
   /// Open trace of the enclosing query; stage spans (resolve / gather /
@@ -116,31 +117,6 @@ class QueryExecutor {
  private:
   const RegionQueryServer* server_;
 };
-
-namespace query_internal {
-
-/// \brief The aggregation fold shared by both gather interpreters
-/// (exact cell loop, SAT fast path). Left-to-
-/// right accumulation in series order — part of the bit-exactness
-/// contract, so no caller may re-fold with a different association.
-double FoldSeries(const std::vector<double>& series, TimeAggregation agg);
-
-/// \brief Builds one result row from its gathered series plus the
-/// resolution's accounting — the one place every gather interpreter
-/// fills row bookkeeping, so the paths cannot diverge when QueryRow
-/// grows a field. `cache_hit`/`probe_micros` describe the resolve-cache
-/// probe that produced `rq`.
-QueryRow MakeQueryRow(const std::vector<double>& series, TimeAggregation agg,
-                      bool keep_series, const ResolvedQuery& rq,
-                      bool cache_hit, double probe_micros,
-                      double eval_micros, TraceContext* trace);
-
-/// \brief Stage 3: top-k rank over `result->rows` (no-op unless the plan
-/// is a kTopK spec). Ties break toward the lower row index.
-void RankTopK(const QueryPlan& plan, TraceContext* trace,
-              QueryResult* result);
-
-}  // namespace query_internal
 
 }  // namespace one4all
 

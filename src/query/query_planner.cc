@@ -19,10 +19,8 @@ std::string QueryPlan::Describe() const {
   out << "  2. gather: " << rows.size()
       << (rows.size() == 1 ? " row" : " rows") << ", "
       << num_point_queries()
-      << (path == EvalPath::kSatFastPath
-              ? " epoch-pinned gathers (SAT four-corner plane reads + "
-                "columnar residues, frames fetched once per plan)\n"
-              : " epoch-pinned frame gathers (per-chunk frame memo)\n");
+      << " epoch-pinned gathers (SAT four-corner plane reads + columnar "
+         "residues, frames fetched once per plan)\n";
   if (spec.kind == QuerySpecKind::kTopK) {
     out << "  3. aggregate+rank: " << TimeAggregationName(spec.aggregation)
         << " per row, top-" << spec.top_k << " by value desc\n";
@@ -70,7 +68,6 @@ Result<QueryPlan> QueryPlanner::Plan(QuerySpec spec) const {
 
   QueryPlan plan;
   plan.spec = std::move(spec);
-  plan.path = plan.spec.eval_path;
 
   // Dedup identical region masks by content fingerprint so a grouped
   // query resolves (and probes the cache for) each distinct region once.

@@ -2,7 +2,7 @@
 // regions to resolve (duplicates share one resolve-cache probe), which
 // timesteps each result row gathers, and which aggregate/rank stage folds
 // the gathered values. The plan is data, not behavior — the QueryExecutor
-// (query/query_executor.h) interprets it on the shared thread pool.
+// (query/query_executor.h) interprets it on the calling thread.
 #ifndef ONE4ALL_QUERY_QUERY_PLANNER_H_
 #define ONE4ALL_QUERY_QUERY_PLANNER_H_
 
@@ -31,8 +31,6 @@ struct PlanRow {
 /// (one per spec region).
 struct QueryPlan {
   QuerySpec spec;
-  /// Term-evaluation path the executor runs (spec.eval_path).
-  EvalPath path = EvalPath::kExactCellLoop;
   /// Distinct regions to resolve, as indices into spec.regions. Identical
   /// masks are deduped so a grouped query probes the resolve cache once
   /// per distinct region.

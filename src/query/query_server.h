@@ -26,9 +26,9 @@ struct ResolvedQuery {
   std::vector<CombinationTerm> terms;
   /// Compiled gather form of `terms` (SAT rect reads + columnar
   /// residues), built once at resolve time so cache hits reuse the
-  /// compilation along with the resolution. The executor's
-  /// EvalPath::kSatFastPath interprets it; the exact cell loop ignores
-  /// it.
+  /// compilation along with the resolution. The executor's gather
+  /// interpreter reads it at every shard count; TryEvaluateTerms is the
+  /// per-term reference it must match.
   GatherProgram gather;
   int num_pieces = 0;
   double decompose_micros = 0.0;

@@ -14,14 +14,6 @@ const char* QueryStrategyName(QueryStrategy strategy) {
   return "?";
 }
 
-const char* EvalPathName(EvalPath path) {
-  switch (path) {
-    case EvalPath::kExactCellLoop: return "exact-cell-loop";
-    case EvalPath::kSatFastPath: return "sat-fast-path";
-  }
-  return "?";
-}
-
 const char* QuerySpecKindName(QuerySpecKind kind) {
   switch (kind) {
     case QuerySpecKind::kPointInTime: return "PointInTime";
@@ -141,9 +133,6 @@ std::string QuerySpec::ToString() const {
         << TimeAggregationName(aggregation);
   }
   out << " strategy=" << QueryStrategyName(strategy);
-  if (eval_path != EvalPath::kExactCellLoop) {
-    out << " eval=" << EvalPathName(eval_path);
-  }
   return out.str();
 }
 

@@ -3,7 +3,7 @@
 // aggregation and ranking options — independent of *how* it runs. The
 // QueryPlanner (query/query_planner.h) compiles a spec into an executable
 // plan; the QueryExecutor (query/query_executor.h) runs the plan through
-// the resolve-cache / epoch-pin / frame-memoization machinery.
+// the resolve-cache / epoch-pin / gather-program machinery.
 // RegionQueryServer::Predict is a thin point-in-time shim over this path.
 #ifndef ONE4ALL_QUERY_QUERY_SPEC_H_
 #define ONE4ALL_QUERY_QUERY_SPEC_H_
@@ -29,23 +29,14 @@ enum class QueryStrategy {
 
 const char* QueryStrategyName(QueryStrategy strategy);
 
-/// \brief How the executor turns resolved terms into values.
+/// \brief Inert: the executor has one gather interpreter (query/
+/// query_executor.h), whatever a spec names here. Kept only because the
+/// end-to-end benchmark still assigns it; deleted with the benchmark's
+/// next change.
 enum class EvalPath {
-  /// The PR-4 per-term loop: one signed frame read per combination term,
-  /// in term order. Bit-exact with RegionQueryServer::Predict's
-  /// arithmetic — the regression-pinning reference, and the default.
   kExactCellLoop,
-  /// The gather engine: rect-decomposable term groups collapse to
-  /// four-corner summed-area-plane reads (O(#rects) whatever their
-  /// area), irregular residues to in-place reads of the pinned tiled
-  /// frames, with frames and planes pinned once per plan (no cell
-  /// copy). Bit-identical to the exact loop: stored cells are
-  /// multiples of 2^-20, so every plane sum is exact. Falls back to
-  /// frame reads per rect when a generation carries no planes.
   kSatFastPath,
 };
-
-const char* EvalPathName(EvalPath path);
 
 /// \brief The question shapes the query layer understands, one per spec
 /// constructor.
@@ -98,8 +89,9 @@ struct QuerySpec {
   /// count at execution).
   int top_k = 0;
   QueryStrategy strategy = QueryStrategy::kUnionSubtraction;
-  /// Term-evaluation path. The default stays the bit-exact cell loop;
-  /// latency-sensitive callers opt into the SAT/columnar fast path.
+  /// Inert (see EvalPath): nothing reads it. Kept only because the
+  /// end-to-end benchmark still assigns it; deleted with the benchmark's
+  /// next change.
   EvalPath eval_path = EvalPath::kExactCellLoop;
   /// Keep the per-timestep value series in each result row (range
   /// shapes; costs 8 bytes per step per region).

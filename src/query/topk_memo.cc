@@ -22,9 +22,8 @@ TopKMemo::TopKMemo(const Hierarchy* hierarchy) : hierarchy_(hierarchy) {
 
 bool TopKMemo::Key::operator==(const Key& other) const {
   return hash == other.hash && aggregation == other.aggregation &&
-         strategy == other.strategy && eval_path == other.eval_path &&
-         top_k == other.top_k && keep_series == other.keep_series &&
-         rows == other.rows;
+         strategy == other.strategy && top_k == other.top_k &&
+         keep_series == other.keep_series && rows == other.rows;
 }
 
 TopKMemo::Key TopKMemo::KeyFor(const QueryPlan& plan) {
@@ -32,13 +31,11 @@ TopKMemo::Key TopKMemo::KeyFor(const QueryPlan& plan) {
   Key key;
   key.aggregation = spec.aggregation;
   key.strategy = spec.strategy;
-  key.eval_path = spec.eval_path;
   key.top_k = spec.top_k;
   key.keep_series = spec.keep_series;
   uint64_t h = 0;
   HashCombine(static_cast<uint64_t>(key.aggregation), &h);
   HashCombine(static_cast<uint64_t>(key.strategy), &h);
-  HashCombine(static_cast<uint64_t>(key.eval_path), &h);
   HashCombine(static_cast<uint64_t>(key.top_k), &h);
   HashCombine(key.keep_series ? 1 : 0, &h);
   key.rows.reserve(plan.rows.size());
@@ -212,8 +209,9 @@ void TopKMemo::Store(Key key, int64_t t, const std::vector<GridMask>& regions,
 
 std::vector<int> TopKMemo::RankRows(const std::vector<Result<QueryRow>>& rows,
                                     int k) {
-  // Mirrors query_internal::RankTopK exactly: value descending, ties
-  // toward the lower row index, failed rows skipped, clamped to k.
+  // The one top-k ordering (the executor's rank stage calls it too):
+  // value descending, ties toward the lower row index, failed rows
+  // skipped, clamped to k.
   std::vector<int> order;
   order.reserve(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {

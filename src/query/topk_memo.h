@@ -22,11 +22,10 @@
 // an unchurned part of a coarse layer stay clean.
 //
 // The footprint bounds what a row's value depends on because every
-// value is a function of the cells inside it: the exact cell loop reads
-// only those cells, and a SAT-path row's four-corner rect sums are the
-// exact sums of their rects (the store snaps every cell to a multiple
-// of 2^-20 and caps a frame's absolute sum, so no plane double rounds;
-// tensor/tiled_sat.h).
+// value is a function of the cells inside it: a residue reads one of
+// those cells, and a four-corner rect sum is the exact sum of its rect
+// (the store snaps every cell to a multiple of 2^-20 and caps a frame's
+// absolute sum, so no plane double rounds; tensor/tiled_sat.h).
 //
 // Timestep contract: the memo proves that a row did not change between
 // two timesteps; it does not know which timesteps are servable. Callers
@@ -91,7 +90,6 @@ class TopKMemo {
   struct Key {
     TimeAggregation aggregation = TimeAggregation::kSum;
     QueryStrategy strategy = QueryStrategy::kUnionSubtraction;
-    EvalPath eval_path = EvalPath::kExactCellLoop;
     int top_k = 0;
     bool keep_series = false;
     std::vector<RegionFingerprint> rows;
@@ -133,9 +131,9 @@ class TopKMemo {
   void Store(Key key, int64_t t, const std::vector<GridMask>& regions,
              const std::vector<Result<QueryRow>>& rows);
 
-  /// \brief RankTopK's exact ordering (value desc, ties toward the lower
-  /// row index, failed rows skipped, clamped to k) over free rows —
-  /// used to re-rank a merged memo+fresh row set.
+  /// \brief The top-k ordering (value desc, ties toward the lower row
+  /// index, failed rows skipped, clamped to k): the executor's rank
+  /// stage, and the re-rank of a merged memo+fresh row set.
   static std::vector<int> RankRows(const std::vector<Result<QueryRow>>& rows,
                                    int k);
 

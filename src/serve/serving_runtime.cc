@@ -258,7 +258,7 @@ QueryResult ServingRuntime::ExecutePinned(const QueryPlan& plan,
     Shard& shard = shards_.shard(k);
     exec_options.shards.push_back(ShardReadView{
         &shard.store, pins.generation(k), &shard.cache,
-        &shard.terms_evaluated});
+        &shard.gather_reads});
   }
   std::shared_lock<std::shared_mutex> server_lock(server_mu_);
   return QueryExecutor(server_.get()).Execute(plan, exec_options);

@@ -47,9 +47,9 @@ struct ServingRuntimeOptions {
   /// whole grid. > 1 partitions the grid into that many contiguous
   /// row-band shards (shard/shard_map.h), each with its own store, epoch
   /// manager and resolve cache. One QueryExecutor serves every count: it
-  /// resolves each region at its home shard and reads each term from its
-  /// owner shard (exact-loop results stay bit-identical to N=1; the SAT
-  /// fast path runs at N=1 only). The ingestor publishes all bands
+  /// resolves each region at its home shard, clips each rect read to the
+  /// bands it crosses and reads each residue from its owner shard, so
+  /// answers stay bit-identical to N=1. The ingestor publishes all bands
   /// behind one epoch barrier.
   /// Clamped to the atomic grid height.
   int num_shards = 1;

@@ -321,13 +321,11 @@ void StreamIngestor::Run() {
       if (!fatal) {
         // Dirty-tile tracking: diff this timestep's frames against the
         // previously published set so the sink stages only changed
-        // tiles. Without carry-forward the previous timestep is never
-        // in the new epoch, so there is no copy-on-write base and the
-        // diff would be wasted work.
+        // tiles; every epoch carries the previous one forward, so the
+        // previous timestep is the copy-on-write base.
         DirtyTileSets dirty;
         const DirtyTileSets* dirty_ptr = nullptr;
-        if (options_.carry_forward &&
-            prev_frames.size() == frames->size() && !prev_frames.empty()) {
+        if (prev_frames.size() == frames->size() && !prev_frames.empty()) {
           dirty.reserve(frames->size());
           for (size_t i = 0; i < frames->size(); ++i) {
             dirty.push_back(DiffFrames((*frames)[i], prev_frames[i]));
@@ -336,7 +334,7 @@ void StreamIngestor::Run() {
         }
         publish_timer.Restart();
         publish_status = epochs_->StageAndPublish(
-            t, *frames, dirty_ptr, options_.carry_forward, &trace_ctx);
+            t, *frames, dirty_ptr, /*carry_forward=*/true, &trace_ctx);
         if (publish_status.ok()) prev_frames = std::move(*frames);
       }
     }

@@ -84,9 +84,6 @@ struct StreamIngestorOptions {
   /// Floor on the wall-clock spacing between consecutive epoch
   /// publishes; 0 publishes as fast as inference allows.
   int64_t min_publish_interval_ms = 0;
-  /// Carry the previous epoch's frames into each new epoch, so queries
-  /// on older timesteps keep working as the window advances.
-  bool carry_forward = true;
   /// Manual stepping: the loop publishes nothing on its own — each
   /// publish attempt must be granted via GrantSteps(). The scenario
   /// harness drives ingestion on a virtual clock this way (one grant

@@ -36,9 +36,9 @@ ShardSet::ShardSet(const Hierarchy* hierarchy, int num_shards,
                              "Band slices staged into this shard",
                              labels, &s.frames_staged);
     registry.RegisterCounter(
-        "one4all_shard_terms_evaluated",
-        "Exact-loop term-cell reads this shard served", labels,
-        &s.terms_evaluated);
+        "one4all_shard_gather_reads",
+        "Gather reads this shard served (4 per rect part, 1 per residue)",
+        labels, &s.gather_reads);
     registry.RegisterCallbackGauge(
         "one4all_shard_publish_lag_ms",
         "Milliseconds since this shard's last epoch flip", labels,

@@ -13,11 +13,12 @@
 //
 // Queries read the set through one QueryExecutor (query/
 // query_executor.h), handed one (store, pinned generation, cache) view
-// per shard: each region resolves at its home shard, each term reads its
-// cell from its owner shard's band frame, and one fold sums them in
-// canonical order. Nothing there assumes shared memory beyond those
-// per-shard store reads, so a multi-process split swaps the store
-// access, not the algorithm.
+// per shard: each region resolves at its home shard, each rect read is
+// clipped to the bands it crosses and read from their band planes, and
+// each residue reads its owner shard's band frame. Stored sums are
+// exact, so the parts add up to the one-shard bits. Nothing there
+// assumes shared memory beyond those per-shard store reads, so a
+// multi-process split swaps the store access, not the algorithm.
 #ifndef ONE4ALL_SHARD_SHARD_SET_H_
 #define ONE4ALL_SHARD_SHARD_SET_H_
 
@@ -62,9 +63,9 @@ struct Shard {
   // runtime's registry when telemetry is wired).
   Counter epochs_published;
   Counter frames_staged;
-  /// Exact-loop term-cell reads served from this shard's store: one per
-  /// owned term per answered timestep.
-  Counter terms_evaluated;
+  /// Gather reads served from this shard's store per answered timestep:
+  /// 4 per clipped rect part, 1 per residue it owns.
+  Counter gather_reads;
   /// Nanos-since-ShardSet-birth of the last flip; -1 before the first.
   std::atomic<int64_t> last_publish_nanos{-1};
 };

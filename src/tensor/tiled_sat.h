@@ -328,7 +328,7 @@ class TiledSatPlane {
       // Inclusive local prefix: L[r_in-1][c_in-1] covers the tile's
       // [0, r_in) x [0, c_in) corner. Read through the dense raw-pointer
       // table, not the shared_ptr blocks — one dependent load fewer on
-      // the query fast path.
+      // the query gather.
       const int64_t tw = tile_cols(j);
       p += local_data_[static_cast<size_t>(i * tiles_w_ + j)]
                       [(r_in - 1) * tw + (c_in - 1)];

@@ -2,11 +2,11 @@
 // planes: the plane's four-corner rect sums against the
 // GridMask::MaskedSum brute force (randomized, across shapes and edge
 // rects), gather-program compilation (rect-run collapsing, duplicate
-// terms, sign separation), executor fast-path bit parity with the exact
-// cell loop, the bit-exactness pin of EvalPath::kExactCellLoop against the
-// legacy surface, plane storage/lifecycle in the prediction store and
-// epoch manager, and the plane-publish hammer raced under TSan (a pinned
-// epoch must never observe a torn or missing plane).
+// terms, sign separation), the executor's gather interpreter bit-exact
+// against the per-term TryEvaluateTerms reference (planes present or
+// missing, failing rows, a huge range), plane storage/lifecycle in the
+// prediction store and epoch manager, and the plane-publish hammer raced
+// under TSan (a pinned epoch must never observe a torn or missing plane).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,9 +16,7 @@
 
 #include "core/rng.h"
 #include "core/stopwatch.h"
-#include "core/thread_pool.h"
 #include "eval/task_eval.h"
-#include "query/frame_memo.h"
 #include "query/gather_program.h"
 #include "query/query_executor.h"
 #include "query/query_planner.h"
@@ -31,7 +29,9 @@ namespace one4all {
 namespace {
 
 using testing::OraclePredictor;
+using testing::ExpectBitExactRows;
 using testing::RandomMask;
+using testing::ReferenceResult;
 using testing::Snapped;
 using testing::TinyDataset;
 
@@ -274,73 +274,59 @@ struct GatherFixture {
   }
 };
 
-TEST(GatherFastPathTest, MatchesExactCellLoopAcrossSpecShapes) {
+TEST(GatherInterpreterTest, MatchesTermReferenceAcrossSpecShapes) {
   GatherFixture fx;
   const auto regions = fx.MixedRegions();
   const auto& slots = fx.pipeline->test_timesteps();
   const int64_t t0 = slots.front();
 
-  const auto run = [&](QuerySpec spec) {
-    auto plan = fx.planner().Plan(std::move(spec));
-    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    return fx.executor().Execute(*plan);
-  };
-  const auto expect_rows_match = [&](const QueryResult& exact,
-                                     const QueryResult& fast) {
-    ASSERT_EQ(fast.rows.size(), exact.rows.size());
-    for (size_t i = 0; i < exact.rows.size(); ++i) {
-      ASSERT_TRUE(exact.rows[i].ok());
-      ASSERT_TRUE(fast.rows[i].ok()) << fast.rows[i].status().ToString();
-      EXPECT_EQ(fast.rows[i]->value, exact.rows[i]->value) << "row " << i;
-      EXPECT_EQ(fast.rows[i]->num_terms, exact.rows[i]->num_terms);
-      EXPECT_EQ(fast.rows[i]->series, exact.rows[i]->series);
+  const auto check = [&](const QuerySpec& spec, const std::string& what) {
+    auto plan = fx.planner().Plan(spec);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const QueryResult result = fx.executor().Execute(*plan);
+    for (const auto& row : result.rows) {
+      ASSERT_TRUE(row.ok()) << row.status().ToString();
     }
+    ExpectBitExactRows(ReferenceResult(fx.server(), spec), result, what);
   };
 
   for (QueryStrategy strategy :
        {QueryStrategy::kDirect, QueryStrategy::kUnion,
         QueryStrategy::kUnionSubtraction}) {
+    SCOPED_TRACE(QueryStrategyName(strategy));
     // Grouped multi-region over a 4-step range, series kept.
-    QuerySpec exact_spec = QuerySpec::MultiRegion(regions, t0, strategy);
-    exact_spec.time = TimeSelector::Range(t0, t0 + 3);
-    exact_spec.keep_series = true;
-    QuerySpec fast_spec = exact_spec;
-    fast_spec.eval_path = EvalPath::kSatFastPath;
-    expect_rows_match(run(exact_spec), run(fast_spec));
+    QuerySpec multi = QuerySpec::MultiRegion(regions, t0, strategy);
+    multi.time = TimeSelector::Range(t0, t0 + 3);
+    multi.keep_series = true;
+    check(multi, "multi");
 
     // Time-range aggregations fold the same per-step values.
     for (TimeAggregation agg : {TimeAggregation::kSum,
                                 TimeAggregation::kMean,
                                 TimeAggregation::kMax}) {
-      QuerySpec exact_range =
-          QuerySpec::TimeRange(regions[4], t0, t0 + 3, agg, strategy);
-      QuerySpec fast_range = exact_range;
-      fast_range.eval_path = EvalPath::kSatFastPath;
-      expect_rows_match(run(exact_range), run(fast_range));
+      check(QuerySpec::TimeRange(regions[4], t0, t0 + 3, agg, strategy),
+            "range");
     }
   }
 
-  // Top-k: row values agree and the fast ranking is consistent with the
-  // fast values (ties broken toward the lower index).
-  QuerySpec fast_topk = QuerySpec::TopK(regions, t0, 3);
-  fast_topk.eval_path = EvalPath::kSatFastPath;
-  const QueryResult ranked = run(fast_topk);
-  const QueryResult exact_ranked = run(QuerySpec::TopK(regions, t0, 3));
-  expect_rows_match(exact_ranked, ranked);
-  ASSERT_EQ(ranked.top_k.size(), 3u);
-  for (size_t i = 1; i < ranked.top_k.size(); ++i) {
-    const double prev =
-        ranked.rows[static_cast<size_t>(ranked.top_k[i - 1])]->value;
-    const double cur =
-        ranked.rows[static_cast<size_t>(ranked.top_k[i])]->value;
-    EXPECT_GE(prev, cur);
+  // Top-k: row values and the ranking (ties toward the lower index).
+  check(QuerySpec::TopK(regions, t0, 3), "topk");
+
+  // Predict, the point-in-time shim, answers the same bits.
+  for (const GridMask& region : regions) {
+    const auto predicted =
+        fx.server().Predict(region, t0, QueryStrategy::kUnionSubtraction);
+    ASSERT_TRUE(predicted.ok());
+    const QueryResult reference =
+        ReferenceResult(fx.server(), QuerySpec::PointInTime(region, t0));
+    EXPECT_EQ(predicted->value, reference.rows[0]->value);
   }
 }
 
-TEST(GatherFastPathTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
+TEST(GatherInterpreterTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
   GatherFixture fx;
-  // A store synced with frames but no planes (a pre-SAT producer): the
-  // fast path must degrade to direct frame rect sums, not fail.
+  // A store synced with frames but no planes (a pre-SAT producer): rect
+  // reads must degrade to direct frame rect sums, not fail.
   PredictionStore bare;
   const int64_t t = fx.pipeline->test_timesteps().front();
   for (int l = 1; l <= fx.ds.hierarchy().num_layers(); ++l) {
@@ -351,48 +337,33 @@ TEST(GatherFastPathTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
                            &bare);
   QueryExecutor executor(&server);
 
-  QuerySpec fast = QuerySpec::MultiRegion(fx.MixedRegions(), t);
-  fast.eval_path = EvalPath::kSatFastPath;
-  auto fast_plan = fx.planner().Plan(fast);
-  ASSERT_TRUE(fast_plan.ok());
-  const QueryResult fast_result = executor.Execute(*fast_plan);
-
-  auto exact_plan =
-      fx.planner().Plan(QuerySpec::MultiRegion(fx.MixedRegions(), t));
-  ASSERT_TRUE(exact_plan.ok());
-  const QueryResult exact_result = executor.Execute(*exact_plan);
-  ASSERT_EQ(fast_result.rows.size(), exact_result.rows.size());
-  for (size_t i = 0; i < exact_result.rows.size(); ++i) {
-    ASSERT_TRUE(exact_result.rows[i].ok());
-    ASSERT_TRUE(fast_result.rows[i].ok())
-        << fast_result.rows[i].status().ToString();
-    EXPECT_EQ(fast_result.rows[i]->value, exact_result.rows[i]->value);
-  }
+  const QuerySpec spec = QuerySpec::MultiRegion(fx.MixedRegions(), t);
+  auto plan = fx.planner().Plan(spec);
+  ASSERT_TRUE(plan.ok());
+  const QueryResult reference = ReferenceResult(server, spec);
+  for (const auto& row : reference.rows) ASSERT_TRUE(row.ok());
+  ExpectBitExactRows(reference, executor.Execute(*plan), "no planes");
 
   // A timestep nothing synced still fails per-row with NotFound.
-  QuerySpec missing = QuerySpec::MultiRegion(fx.MixedRegions(), t + 1);
-  missing.eval_path = EvalPath::kSatFastPath;
+  const QuerySpec missing = QuerySpec::MultiRegion(fx.MixedRegions(), t + 1);
   auto missing_plan = fx.planner().Plan(missing);
   ASSERT_TRUE(missing_plan.ok());
-  for (const auto& row : executor.Execute(*missing_plan).rows) {
+  const QueryResult missed = executor.Execute(*missing_plan);
+  for (const auto& row : missed.rows) {
     EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
   }
+  ExpectBitExactRows(ReferenceResult(server, missing), missed, "missing");
 
   // Once planes are built the same spec answers through them, with the
-  // exact loop's bits.
+  // same bits.
   for (int l = 1; l <= fx.ds.hierarchy().num_layers(); ++l) {
     ASSERT_TRUE(bare.TryBuildSatPlaneAt(0, l, t).ok());
   }
   ASSERT_EQ(bare.NumSatPlanesAt(0), fx.ds.hierarchy().num_layers());
-  const QueryResult planed_result = executor.Execute(*fast_plan);
-  ASSERT_EQ(planed_result.rows.size(), exact_result.rows.size());
-  for (size_t i = 0; i < exact_result.rows.size(); ++i) {
-    ASSERT_TRUE(planed_result.rows[i].ok());
-    EXPECT_EQ(planed_result.rows[i]->value, exact_result.rows[i]->value);
-  }
+  ExpectBitExactRows(reference, executor.Execute(*plan), "planes");
 }
 
-TEST(GatherFastPathTest, ResidueOnlyRowsFailNotFoundOnMissingFrames) {
+TEST(GatherInterpreterTest, ResidueOnlyRowsFailNotFoundOnMissingFrames) {
   GatherFixture fx;
   const int64_t t = fx.pipeline->test_timesteps().front();
   PredictionStore bare;
@@ -412,51 +383,44 @@ TEST(GatherFastPathTest, ResidueOnlyRowsFailNotFoundOnMissingFrames) {
   ASSERT_TRUE(resolved->gather.rects.empty());
   ASSERT_FALSE(resolved->gather.residues.empty());
 
-  QuerySpec present = QuerySpec::PointInTime(region, t);
-  present.eval_path = EvalPath::kSatFastPath;
+  const QuerySpec present = QuerySpec::PointInTime(region, t);
   auto present_plan = fx.planner().Plan(present);
   ASSERT_TRUE(present_plan.ok());
-  const QueryResult fast = executor.Execute(*present_plan);
-  auto exact_plan = fx.planner().Plan(QuerySpec::PointInTime(region, t));
-  ASSERT_TRUE(exact_plan.ok());
-  const QueryResult exact = executor.Execute(*exact_plan);
-  ASSERT_TRUE(fast.rows[0].ok());
-  ASSERT_TRUE(exact.rows[0].ok());
-  EXPECT_EQ(fast.rows[0]->value, exact.rows[0]->value);
+  const QueryResult answered = executor.Execute(*present_plan);
+  ASSERT_TRUE(answered.rows[0].ok());
+  ExpectBitExactRows(ReferenceResult(server, present), answered, "present");
 
   // A range reaching one step past the synced frames fails the row with
   // the missing frame's NotFound.
-  QuerySpec missing = QuerySpec::TimeRange(region, t, t + 1);
-  missing.eval_path = EvalPath::kSatFastPath;
+  const QuerySpec missing = QuerySpec::TimeRange(region, t, t + 1);
   auto missing_plan = fx.planner().Plan(missing);
   ASSERT_TRUE(missing_plan.ok());
-  EXPECT_EQ(executor.Execute(*missing_plan).rows[0].status().code(),
-            StatusCode::kNotFound);
+  const QueryResult missed = executor.Execute(*missing_plan);
+  EXPECT_EQ(missed.rows[0].status().code(), StatusCode::kNotFound);
+  ExpectBitExactRows(ReferenceResult(server, missing), missed, "missing");
 }
 
-TEST(GatherFastPathTest, ExactCellLoopStaysBitExactWithPredict) {
-  // The PR-4 regression pin, restated against the explicit flag: a
-  // MultiRegion spec forced onto kExactCellLoop reproduces Predict
-  // bit-for-bit row by row, even though the flat-vector memo replaced
-  // the std::map one.
+// A range far past what the store holds, run by a direct executor with
+// no admission control in front of it: the row fails NotFound at its
+// first missing timestep, and the frame table is filled one bounded
+// window of timesteps at a time, so nothing is sized by the 2^40-step
+// range (the ASan job runs this under its allocator).
+TEST(GatherInterpreterTest, HugeRangeFailsNotFoundWithoutSizingByRange) {
   GatherFixture fx;
-  const auto regions = fx.MixedRegions();
-  for (int64_t t : fx.pipeline->test_timesteps()) {
-    QuerySpec spec = QuerySpec::MultiRegion(regions, t);
-    spec.eval_path = EvalPath::kExactCellLoop;
-    auto plan = fx.planner().Plan(spec);
-    ASSERT_TRUE(plan.ok());
-    const QueryResult result = fx.executor().Execute(*plan);
-    ASSERT_EQ(result.rows.size(), regions.size());
-    for (size_t i = 0; i < regions.size(); ++i) {
-      const auto reference = fx.server().Predict(
-          regions[i], t, QueryStrategy::kUnionSubtraction);
-      ASSERT_TRUE(reference.ok());
-      ASSERT_TRUE(result.rows[i].ok());
-      EXPECT_EQ(result.rows[i]->value, reference->value)
-          << "region " << i << " t=" << t;
-    }
-  }
+  const int64_t t = fx.pipeline->test_timesteps().back();
+  const GridMask region = fx.MixedRegions().back();
+  const QuerySpec spec =
+      QuerySpec::TimeRange(region, t, t + (int64_t{1} << 40));
+  auto plan = fx.planner().Plan(spec);
+  ASSERT_TRUE(plan.ok());
+  Stopwatch timer;
+  const QueryResult result = fx.executor().Execute(*plan);
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0].status().code(), StatusCode::kNotFound);
+  EXPECT_LT(timer.ElapsedMicros(), 5e6);
+  // The same status as the reference: the step after the last stored.
+  ExpectBitExactRows(ReferenceResult(fx.server(), spec), result,
+                     "huge range");
 }
 
 // ---------------------------------------------------------------------------
@@ -478,59 +442,7 @@ void StageSoleOwnerGeneration(const GatherFixture& fx, PredictionStore* store,
   }
 }
 
-TEST(FrameLifetimeTest, FrameMemoPinsSurviveDropGeneration) {
-  GatherFixture fx;
-  const int64_t t = fx.pipeline->test_timesteps().front();
-  const int num_layers = fx.ds.hierarchy().num_layers();
-  PredictionStore store;
-  StageSoleOwnerGeneration(fx, &store, 1, t, 1);
-
-  std::vector<CombinationTerm> terms;
-  for (int l = 1; l <= num_layers; ++l) {
-    const LayerInfo& info = fx.ds.hierarchy().layer(l);
-    terms.push_back(CombinationTerm{GridId{l, 0, 0}, 1});
-    terms.push_back(
-        CombinationTerm{GridId{l, info.height - 1, info.width - 1}, -1});
-  }
-
-  const std::vector<ShardReadView> shards = {{&store, 1}};
-  query_internal::FrameMemo memo(shards);
-  std::vector<const TiledFrame*> pinned;
-  std::vector<Tensor> before;
-  for (int l = 1; l <= num_layers; ++l) {
-    auto frame = memo.Get(0, l, t);
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    pinned.push_back(*frame);
-    before.push_back((*frame)->Materialize());
-  }
-  double value_before = 0.0;
-  ASSERT_TRUE(memo.Evaluate(terms, t, &value_before).ok());
-
-  EXPECT_GT(store.DropGeneration(1), 0);
-  EXPECT_FALSE(store.HasFrameAt(1, 1, t));
-
-  for (int l = 1; l <= num_layers; ++l) {
-    const TiledFrame* frame = pinned[static_cast<size_t>(l - 1)];
-    const Tensor& expected = before[static_cast<size_t>(l - 1)];
-    for (int64_t r = 0; r < frame->height(); ++r) {
-      for (int64_t c = 0; c < frame->width(); ++c) {
-        ASSERT_EQ(frame->at(r, c), expected.at(r, c))
-            << "layer " << l << " cell " << r << "," << c;
-      }
-    }
-    // Memoized keys keep answering from the pin, same object.
-    auto again = memo.Get(0, l, t);
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(*again, frame);
-  }
-  double value_after = 0.0;
-  ASSERT_TRUE(memo.Evaluate(terms, t, &value_after).ok());
-  EXPECT_EQ(value_after, value_before);
-  // A key the memo never pinned is gone with its generation.
-  EXPECT_EQ(memo.Get(0, 1, t + 1).status().code(), StatusCode::kNotFound);
-}
-
-TEST(FrameLifetimeTest, FastPathPinsSurviveConcurrentDropGeneration) {
+TEST(FrameLifetimeTest, GatherPinsSurviveConcurrentDropGeneration) {
   GatherFixture fx;
   const std::vector<int64_t>& test_steps = fx.pipeline->test_timesteps();
   const int64_t t0 = test_steps.front();
@@ -551,7 +463,6 @@ TEST(FrameLifetimeTest, FastPathPinsSurviveConcurrentDropGeneration) {
   QuerySpec spec = QuerySpec::MultiRegion(regions, t0);
   spec.time = TimeSelector::Range(t0, t0 + steps - 1);
   spec.keep_series = true;
-  spec.eval_path = EvalPath::kSatFastPath;
   auto plan = fx.planner().Plan(spec);
   ASSERT_TRUE(plan.ok());
   ResolvedQueryCache cache;
@@ -701,7 +612,7 @@ TEST(SatPlaneEpochTest, PlanesPublishReclaimAndCarryWithTheirEpoch) {
 
 // The plane-publish hammer (raced under TSan in CI): a writer publishes
 // marker epochs in a loop, staging the plane of every frame; readers pin
-// an epoch and answer SAT-fast-path specs through it. A plane observable
+// an epoch and answer rect-heavy specs through it. A plane observable
 // before its epoch publishes, missing for a pinned epoch, or torn across
 // generations breaks the arithmetic identity value == |region| * marker.
 TEST(SatPlaneEpochTest, HammerPinnedEpochsNeverObserveTornPlanes) {
@@ -717,7 +628,7 @@ TEST(SatPlaneEpochTest, HammerPinnedEpochsNeverObserveTornPlanes) {
   QueryPlanner planner(&hierarchy);
   QueryExecutor executor(&server);
 
-  // Rect-heavy regions: the fast path leans on plane reads for these.
+  // Rect-heavy regions: the interpreter leans on plane reads for these.
   std::vector<GridMask> regions;
   const int64_t rects[][4] = {{0, 0, 8, 8}, {1, 1, 7, 6}, {2, 3, 5, 8},
                               {0, 4, 4, 8}, {3, 0, 8, 3}};
@@ -730,9 +641,7 @@ TEST(SatPlaneEpochTest, HammerPinnedEpochsNeverObserveTornPlanes) {
   for (const GridMask& region : regions) {
     region_cells.push_back(static_cast<double>(region.Count()));
   }
-  QuerySpec spec = QuerySpec::MultiRegion(regions, 0);
-  spec.eval_path = EvalPath::kSatFastPath;
-  auto plan = planner.Plan(spec);
+  auto plan = planner.Plan(QuerySpec::MultiRegion(regions, 0));
   ASSERT_TRUE(plan.ok());
 
   const auto publish_marker_epoch = [&] {

@@ -561,10 +561,11 @@ TEST(ServingRuntimeTest, QuerySpanSelfTimesAddUpToTheRoot) {
         QuerySpec::MultiRegion(fixture.regions, t0 + 1),
         QuerySpec::TopK(fixture.regions, t0 + 1, 3)};
     int64_t issued = 0;
-    for (EvalPath path : {EvalPath::kExactCellLoop, EvalPath::kSatFastPath}) {
-      for (QuerySpec spec : shapes) {
-        spec.eval_path = path;
-        auto result = runtime.ExecuteSpec(std::move(spec));
+    // Every shape twice: the second top-k is a memo hit, whose merge and
+    // re-rank spans must nest as well.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const QuerySpec& spec : shapes) {
+        auto result = runtime.ExecuteSpec(spec);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
         ++issued;
@@ -963,7 +964,6 @@ enum class ChurnCase {
   kOneCoarseCell,         // one cell of one layer >= 2 per publish
   kJustOutsideFootprint,  // a layer cell bordering a row's footprint
   kScatteredBlocks,       // several small blocks on random layers
-  kNoCarryForward,        // scattered blocks, carry_forward off
   kGapPastHistory,        // more unqueried publishes than the memo keeps
   kRoundingAboveLeft,     // mixed magnitudes, a cell above/left of a row
 };
@@ -983,7 +983,7 @@ FrameInference ScriptedInference(
 // run's bit for bit, statuses included. Each case scripts which layer
 // cells change at each publish and runs the same seeded query schedule
 // (latest timestep, re-issues, one step back, reclaimed and unpublished
-// timesteps; exact loop and SAT path) on a warm runtime and on a cold
+// timesteps) on a warm runtime and on a cold
 // twin whose memo is wiped before every query, at N in {1, 2, 4}.
 TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
   ServeFixture fixture = ServeFixture::Make(11, 64);
@@ -995,7 +995,7 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
 
   for (ChurnCase churn_case :
        {ChurnCase::kOneCoarseCell, ChurnCase::kJustOutsideFootprint,
-        ChurnCase::kScatteredBlocks, ChurnCase::kNoCarryForward,
+        ChurnCase::kScatteredBlocks,
         ChurnCase::kGapPastHistory, ChurnCase::kRoundingAboveLeft}) {
     SCOPED_TRACE("case " + std::to_string(static_cast<int>(churn_case)));
     Rng rng(500 + static_cast<uint64_t>(churn_case));
@@ -1079,7 +1079,6 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
           break;
         }
         case ChurnCase::kScatteredBlocks:
-        case ChurnCase::kNoCarryForward:
           for (int b = 0; b < 3; ++b) {
             const int layer = 1 + static_cast<int>(pick(num_layers));
             const LayerInfo& info = hierarchy.layer(layer);
@@ -1128,7 +1127,6 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
     options.ingest.start_t = start_t;
     options.ingest.num_timesteps = steps;
     options.ingest.manual_stepping = true;
-    options.ingest.carry_forward = churn_case != ChurnCase::kNoCarryForward;
     const std::vector<int> shard_counts = {1, 2, 4};
     std::vector<std::unique_ptr<ServingRuntime>> warm, cold;
     for (int num_shards : shard_counts) {
@@ -1162,10 +1160,7 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
         // published.
         const int64_t offsets[] = {0, 0, -1, -5, 1};
         const int64_t t = latest + (q == 0 ? 0 : offsets[pick(5)]);
-        QuerySpec spec = QuerySpec::TopK(fixture.regions, t, 5);
-        if (pick(2) == 0 || churn_case == ChurnCase::kRoundingAboveLeft) {
-          spec.eval_path = EvalPath::kSatFastPath;
-        }
+        const QuerySpec spec = QuerySpec::TopK(fixture.regions, t, 5);
         for (size_t k = 0; k < warm.size(); ++k) {
           const int64_t reused_before = warm[k]->topk_memo().rows_reused();
           auto warm_answer = warm[k]->ExecuteSpec(spec);
@@ -1185,8 +1180,8 @@ TEST(ServingRuntimeTest, TopKMemoWarmAnswersMatchColdAcrossChurn) {
     }
     for (size_t k = 0; k < warm.size(); ++k) {
       // A coarse cell or a footprint's neighbour moves most rows' values
-      // nowhere: cell-exact dirty sets let those rows carry over, on
-      // the SAT path too, where every plane sum is exact.
+      // nowhere: cell-exact dirty sets let those rows carry over, since
+      // every plane sum is exact.
       if (churn_case == ChurnCase::kOneCoarseCell ||
           churn_case == ChurnCase::kJustOutsideFootprint ||
           churn_case == ChurnCase::kRoundingAboveLeft) {

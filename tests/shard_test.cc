@@ -2,9 +2,10 @@
 // geometry, word-parallel routing against per-cell scan references, the
 // two-phase epoch barrier (including the TSan-hammered concurrent
 // publish-vs-pin loop), abort-all staging under injected write faults —
-// and the headline contract: the executor's answers at N shards are
-// bit-identical to the single-shard path for every spec shape,
-// straddling regions, top-k tie order and failing rows included.
+// and the headline contract: the executor's answers at every shard count
+// are bit-identical to the per-term TryEvaluateTerms reference over a
+// one-store copy of the frames, for every spec shape, straddling
+// regions, top-k tie order and failing rows included.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -29,6 +30,8 @@ namespace {
 
 using testing::ExpectBitExactRows;
 using testing::MaterializedFrameAt;
+using testing::OneStoreCopy;
+using testing::ReferenceResult;
 
 // ---------------------------------------------------------------------------
 // ShardMap geometry
@@ -460,6 +463,10 @@ struct ShardFixture {
   std::unique_ptr<STDataset> dataset;
   std::unique_ptr<MauPipeline> pipeline;
   std::vector<GridMask> regions;
+  /// The served (ground-truth) frames of every test timestep in one
+  /// store, read by the reference.
+  std::unique_ptr<PredictionStore> reference_store;
+  std::unique_ptr<RegionQueryServer> reference_server;
 
   static ShardFixture Make(uint64_t seed = 11, int64_t h = 16,
                            int64_t w = 16, int64_t max_scale = 16) {
@@ -505,7 +512,20 @@ struct ShardFixture {
     GridMask wide(h, w);
     wide.FillRect(h * 3 / 8, 0, h * 5 / 8, w);
     fixture.regions.push_back(wide);
+
+    const STDataset& data = *fixture.dataset;
+    fixture.reference_store = OneStoreCopy(
+        data.hierarchy().num_layers(), data.test_indices().front(),
+        data.test_indices().back(),
+        [&data](int64_t t, int l) { return data.FrameAtLayer(t, l); });
+    fixture.reference_server = std::make_unique<RegionQueryServer>(
+        &data.hierarchy(), &fixture.pipeline->index(),
+        fixture.reference_store.get());
     return fixture;
+  }
+
+  QueryResult Reference(const QuerySpec& spec) const {
+    return ReferenceResult(*reference_server, spec);
   }
 
   std::unique_ptr<ServingRuntime> MakeRuntime(int num_shards) const {
@@ -524,27 +544,29 @@ struct ShardFixture {
   }
 };
 
-TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
+TEST(ShardParityTest, AllSpecShapesMatchReferenceAtEveryShardCount) {
   ShardFixture fixture = ShardFixture::Make();
-  auto single = fixture.MakeRuntime(1);
   const int64_t t0 = fixture.dataset->test_indices().front();
   const int64_t t1 = t0 + 7;
 
   std::mt19937_64 rng(1234);
-  for (int num_shards : {2, 3, 4}) {
-    auto sharded = fixture.MakeRuntime(num_shards);
-    ASSERT_EQ(sharded->shards().num_shards(), num_shards);
+  for (int num_shards : {1, 2, 3, 4}) {
+    auto runtime = fixture.MakeRuntime(num_shards);
+    ASSERT_EQ(runtime->shards().num_shards(), num_shards);
     SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    const auto check = [&](const QuerySpec& spec, const std::string& what) {
+      auto result = runtime->ExecuteSpec(spec);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
+      ExpectBitExactRows(fixture.Reference(spec), *result, what);
+    };
 
     for (int round = 0; round < 6; ++round) {
       const GridMask& region = fixture.regions[rng() % fixture.regions.size()];
       const int64_t t = t0 + static_cast<int64_t>(rng() % 8);
 
       // Shape 1: point-in-time.
-      auto sp = single->ExecuteSpec(QuerySpec::PointInTime(region, t));
-      auto hp = sharded->ExecuteSpec(QuerySpec::PointInTime(region, t));
-      ASSERT_TRUE(sp.ok() && hp.ok());
-      ExpectBitExactRows(*sp, *hp, "point");
+      check(QuerySpec::PointInTime(region, t), "point");
 
       // Shape 2: time-range (each aggregation fold).
       for (TimeAggregation agg : {TimeAggregation::kSum,
@@ -552,20 +574,11 @@ TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
                                   TimeAggregation::kMax}) {
         QuerySpec range_spec = QuerySpec::TimeRange(region, t0, t1, agg);
         range_spec.keep_series = true;
-        QuerySpec range_copy = range_spec;
-        auto sr = single->ExecuteSpec(std::move(range_spec));
-        auto hr = sharded->ExecuteSpec(std::move(range_copy));
-        ASSERT_TRUE(sr.ok() && hr.ok());
-        ExpectBitExactRows(*sr, *hr, "range");
+        check(range_spec, "range");
       }
 
       // Shape 3: multi-region (the full region set at once).
-      auto sm = single->ExecuteSpec(
-          QuerySpec::MultiRegion(fixture.regions, t));
-      auto hm = sharded->ExecuteSpec(
-          QuerySpec::MultiRegion(fixture.regions, t));
-      ASSERT_TRUE(sm.ok() && hm.ok());
-      ExpectBitExactRows(*sm, *hm, "multi");
+      check(QuerySpec::MultiRegion(fixture.regions, t), "multi");
 
       // Shape 4: top-k, with duplicated regions forcing exact value
       // ties — rank order (ties toward the lower index) must survive
@@ -574,23 +587,18 @@ TEST(ShardParityTest, AllSpecShapesBitExactAcrossShardCounts) {
       tied.push_back(tied[0]);
       tied.push_back(tied[1]);
       tied.push_back(tied[0]);
-      auto st = single->ExecuteSpec(
-          QuerySpec::TopK(tied, t, static_cast<int>(tied.size())));
-      auto ht = sharded->ExecuteSpec(
-          QuerySpec::TopK(tied, t, static_cast<int>(tied.size())));
-      ASSERT_TRUE(st.ok() && ht.ok());
-      ExpectBitExactRows(*st, *ht, "topk");
+      check(QuerySpec::TopK(tied, t, static_cast<int>(tied.size())), "topk");
     }
 
-    EXPECT_TRUE(sharded->shards().Consistent());
-    sharded->Stop();
+    EXPECT_TRUE(runtime->shards().Consistent());
+    runtime->Stop();
   }
 }
 
 // Ragged edges: on a 100x70 raster every layer's last tile row and
-// column are short and no shard band is tile-aligned. The SAT fast path
-// (N=1, with planes and with the no-plane frame-sum fallback) and the
-// exact loop at N in {1, 2, 4} give the same bits.
+// column are short and no shard band is tile-aligned. The interpreter at
+// N in {1, 2, 3, 4}, and over a bare store without planes (the
+// frame-sum fallback), gives the reference's bits.
 TEST(ShardParityTest, RaggedEdgeSpecShapesAcrossShardCounts) {
   ShardFixture fixture = ShardFixture::Make(31, 100, 70, 8);
   // Edge-hugging regions: the short corner tile, the last row and column
@@ -620,124 +628,103 @@ TEST(ShardParityTest, RaggedEdgeSpecShapesAcrossShardCounts) {
   shapes.push_back(multi);
   shapes.push_back(QuerySpec::TopK(fixture.regions, t1, 5));
 
-  auto single = fixture.MakeRuntime(1);
-  // A bare store synced without planes, as a direct RegionQueryServer
-  // user may hand in: the SAT fast path falls back to frame sums there.
-  const Hierarchy& hierarchy = fixture.dataset->hierarchy();
-  PredictionStore bare;
-  for (int l = 1; l <= hierarchy.num_layers(); ++l) {
-    for (int64_t t = t0; t <= t1; ++t) {
-      bare.SyncFrame(l, t, fixture.dataset->FrameAtLayer(t, l));
-    }
-  }
-  ASSERT_EQ(bare.NumSatPlanesAt(0), 0);
-  const RegionQueryServer bare_server(&hierarchy, &fixture.pipeline->index(),
-                                      &bare);
-  const QueryPlanner planner(&hierarchy);
-  std::vector<QueryResult> exact;
+  std::vector<QueryResult> reference;
   for (const QuerySpec& shape : shapes) {
-    auto result = single->ExecuteSpec(shape);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
-    QuerySpec fast_spec = shape;
-    fast_spec.eval_path = EvalPath::kSatFastPath;
-    auto planes = single->ExecuteSpec(fast_spec);
-    ASSERT_TRUE(planes.ok());
-    auto bare_plan = planner.Plan(fast_spec);
-    ASSERT_TRUE(bare_plan.ok());
-    QueryResult no_planes = QueryExecutor(&bare_server).Execute(*bare_plan);
-    for (const QueryResult* fast : {&*planes, &no_planes}) {
-      ASSERT_EQ(fast->rows.size(), result->rows.size());
-      for (size_t i = 0; i < result->rows.size(); ++i) {
-        ASSERT_TRUE(fast->rows[i].ok())
-            << fast->rows[i].status().ToString();
-        const QueryRow& e = *result->rows[i];
-        const QueryRow& f = *fast->rows[i];
-        EXPECT_EQ(f.value, e.value) << "row " << i;
-        EXPECT_EQ(f.series, e.series) << "row " << i;
-      }
-    }
-    exact.push_back(std::move(*result));
+    reference.push_back(fixture.Reference(shape));
+    for (const auto& row : reference.back().rows) ASSERT_TRUE(row.ok());
   }
-  single->Stop();
 
-  for (int num_shards : {2, 4}) {
+  // The reference store holds no planes: a one-store executor over it
+  // takes the frame-sum fallback for every rect read.
+  ASSERT_EQ(fixture.reference_store->NumSatPlanesAt(0), 0);
+  const QueryPlanner planner(&fixture.dataset->hierarchy());
+  for (size_t k = 0; k < shapes.size(); ++k) {
+    auto plan = planner.Plan(shapes[k]);
+    ASSERT_TRUE(plan.ok());
+    ExpectBitExactRows(
+        reference[k],
+        QueryExecutor(fixture.reference_server.get()).Execute(*plan),
+        "no planes");
+  }
+
+  for (int num_shards : {1, 2, 3, 4}) {
     SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
-    auto sharded = fixture.MakeRuntime(num_shards);
+    auto runtime = fixture.MakeRuntime(num_shards);
     for (size_t k = 0; k < shapes.size(); ++k) {
-      auto result = sharded->ExecuteSpec(shapes[k]);
+      auto result = runtime->ExecuteSpec(shapes[k]);
       ASSERT_TRUE(result.ok());
-      ExpectBitExactRows(exact[k], *result, "ragged");
+      ExpectBitExactRows(reference[k], *result, "ragged");
     }
-    EXPECT_TRUE(sharded->shards().Consistent());
-    sharded->Stop();
-  }
-}
-
-// The N > 1 fallback for the SAT fast path: a kSatFastPath spec runs the
-// exact loop over the band shards, so its answers are bit-identical to
-// the exact loop at N=1.
-TEST(ShardParityTest, SatFastPathSpecRunsExactLoopAtShardCounts) {
-  ShardFixture fixture = ShardFixture::Make(17);
-  const int64_t t0 = fixture.dataset->test_indices().front();
-  const int64_t t1 = t0 + 5;
-  std::vector<QuerySpec> shapes;
-  shapes.push_back(QuerySpec::PointInTime(fixture.regions[0], t0 + 2));
-  QuerySpec range =
-      QuerySpec::TimeRange(fixture.regions[1], t0, t1, TimeAggregation::kSum);
-  range.keep_series = true;
-  shapes.push_back(range);
-  shapes.push_back(QuerySpec::MultiRegion(fixture.regions, t1));
-  shapes.push_back(QuerySpec::TopK(fixture.regions, t1, 4));
-
-  auto single = fixture.MakeRuntime(1);
-  std::vector<QueryResult> exact;
-  for (const QuerySpec& shape : shapes) {
-    ASSERT_EQ(shape.eval_path, EvalPath::kExactCellLoop);
-    auto result = single->ExecuteSpec(shape);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
-    exact.push_back(std::move(*result));
-  }
-  single->Stop();
-
-  for (int num_shards : {2, 4}) {
-    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
-    auto sharded = fixture.MakeRuntime(num_shards);
-    for (size_t k = 0; k < shapes.size(); ++k) {
-      QuerySpec fast = shapes[k];
-      fast.eval_path = EvalPath::kSatFastPath;
-      auto result = sharded->ExecuteSpec(std::move(fast));
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ExpectBitExactRows(exact[k], *result, "sat spec");
-    }
-    sharded->Stop();
+    EXPECT_TRUE(runtime->shards().Consistent());
+    runtime->Stop();
   }
 }
 
 // One answer on every path, over model-like frames: fractional cells,
 // ~1e3 cells next to ~1e-7 cells (the mix that made double prefix sums
-// round), and a few fractional cells churned per step. For each spec
-// shape the SAT path at N=1, the exact loop at N=1, the exact loop at
-// N in {2, 3, 4}, and both paths over a store restaged in full at every
-// timestep give the same bits.
+// round), and a few fractional cells churned per step. The inputs are
+// seeded random regions of every RegionStyle, random masks, and
+// rect-heavy regions straddling the band boundaries of every N; the
+// paths are N in {1, 2, 3, 4}, each delta-staged (the runtime's
+// ingestor) and staged in full at every timestep (a ShardSet fed no
+// dirty sets), for all four spec shapes. Every OK row equals the
+// TryEvaluateTerms fold over a one-store copy of the frames, and every
+// failing row (a timestep past the newest) carries the reference's code
+// and message at every N.
 TEST(ShardParityTest, ModelLikeFramesOneAnswerOnEveryPath) {
   ShardFixture fixture = ShardFixture::Make(41, 100, 70, 8);
   const Hierarchy& hierarchy = fixture.dataset->hierarchy();
   const int num_layers = hierarchy.num_layers();
+  const int64_t h = hierarchy.atomic_height();
+  const int64_t w = hierarchy.atomic_width();
   const int64_t start_t = fixture.dataset->test_indices().front();
   constexpr int64_t kSteps = 8;
-  for (const auto& r : {std::array<int64_t, 4>{10, 5, 60, 50},
-                        std::array<int64_t, 4>{33, 0, 100, 70}}) {
-    GridMask region(100, 70);
-    region.FillRect(r[0], r[1], r[2], r[3]);
-    fixture.regions.push_back(region);
-  }
 
   Rng rng(4242);
   auto pick = [&rng](int64_t n) {
     return static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)));
   };
+
+  std::vector<GridMask> regions;
+  for (RegionStyle style : {RegionStyle::kVoronoi, RegionStyle::kHexagon,
+                            RegionStyle::kRoadGrid}) {
+    RegionGeneratorOptions options;
+    options.style = style;
+    options.mean_cells = static_cast<double>(20 + pick(200));
+    options.seed = static_cast<uint64_t>(100 + pick(1000));
+    const std::vector<GridMask> generated = GenerateRegions(h, w, options);
+    ASSERT_FALSE(generated.empty()) << RegionStyleName(style);
+    for (int i = 0; i < 6; ++i) {
+      regions.push_back(generated[static_cast<size_t>(
+          pick(static_cast<int64_t>(generated.size())))]);
+    }
+  }
+  for (const int density : {20, 300, 800}) {
+    const GridMask mask = testing::RandomMask(
+        h, w, static_cast<uint64_t>(pick(1 << 20)), density);
+    if (!mask.Empty()) regions.push_back(mask);
+  }
+  // Rect-heavy regions whose rows cross a band boundary of N = 2, 3 or 4
+  // (bands start at k * h / N), plus two fixed slabs.
+  for (int n = 2; n <= 4; ++n) {
+    for (int k = 1; k < n; ++k) {
+      const int64_t boundary = k * h / n;
+      const int64_t r0 = boundary - 1 - pick(12);
+      const int64_t r1 = boundary + 1 + pick(12);
+      const int64_t c0 = pick(w - 8);
+      const int64_t c1 = c0 + 4 + pick(w - c0 - 3);
+      GridMask region(h, w);
+      region.FillRect(r0, c0, r1, c1);
+      regions.push_back(region);
+    }
+  }
+  for (const auto& r : {std::array<int64_t, 4>{10, 5, 60, 50},
+                        std::array<int64_t, 4>{33, 0, 100, 70}}) {
+    GridMask region(h, w);
+    region.FillRect(r[0], r[1], r[2], r[3]);
+    regions.push_back(region);
+  }
+
   auto frames = std::make_shared<std::vector<std::vector<Tensor>>>();
   std::vector<Tensor> current;
   for (int l = 1; l <= num_layers; ++l) {
@@ -765,155 +752,180 @@ TEST(ShardParityTest, ModelLikeFramesOneAnswerOnEveryPath) {
     }
     frames->push_back(current);
   }
-  const FrameInference inference =
-      [frames, start_t](int64_t t,
-                        const TemporalInput&) -> Result<std::vector<Tensor>> {
-    return (*frames)[static_cast<size_t>(t - start_t)];
-  };
+  const int64_t t1 = start_t + kSteps - 1;
+  const std::unique_ptr<PredictionStore> reference_store = OneStoreCopy(
+      num_layers, start_t, t1, [&frames, start_t](int64_t t, int l) {
+        return (*frames)[static_cast<size_t>(t - start_t)]
+                        [static_cast<size_t>(l - 1)];
+      });
+  const RegionQueryServer reference_server(
+      &hierarchy, &fixture.pipeline->index(), reference_store.get());
 
-  std::vector<std::unique_ptr<ServingRuntime>> runtimes;
+  // The four shapes over random regions and timesteps, then rows that
+  // reach past the newest published timestep.
+  std::vector<QuerySpec> specs;
+  for (int i = 0; i < 6; ++i) {
+    const GridMask& region = regions[static_cast<size_t>(
+        pick(static_cast<int64_t>(regions.size())))];
+    specs.push_back(QuerySpec::PointInTime(region, start_t + pick(kSteps)));
+    const int64_t r0 = start_t + pick(kSteps);
+    QuerySpec range =
+        QuerySpec::TimeRange(region, r0, r0 + pick(t1 - r0 + 1),
+                             static_cast<TimeAggregation>(pick(3)));
+    range.keep_series = true;
+    specs.push_back(range);
+  }
+  QuerySpec multi = QuerySpec::MultiRegion(regions, start_t + 2);
+  multi.time = TimeSelector::Range(start_t + 2, t1);
+  multi.keep_series = true;
+  specs.push_back(multi);
+  specs.push_back(QuerySpec::TopK(regions, t1, 5));
+  specs.push_back(QuerySpec::TopK(regions, start_t + pick(kSteps),
+                                  static_cast<int>(regions.size())));
+  specs.push_back(QuerySpec::TimeRange(regions.back(), t1 - 1, t1 + 2));
+  specs.push_back(QuerySpec::MultiRegion(regions, t1 + 1));
+  std::vector<QueryResult> reference;
+  for (const QuerySpec& spec : specs) {
+    reference.push_back(ReferenceResult(reference_server, spec));
+  }
+  ASSERT_FALSE(reference.back().rows[0].ok());
+
+  const QueryPlanner planner(&hierarchy);
+  const QueryExecutor executor(&reference_server);
   for (int num_shards : {1, 2, 3, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    // Delta staging: the ingestor diffs each timestep against the last.
     ServingRuntimeOptions options;
     options.ingest.start_t = start_t;
     options.ingest.num_timesteps = kSteps;
     options.num_shards = num_shards;
-    runtimes.push_back(std::make_unique<ServingRuntime>(
+    ServingRuntime runtime(
         &hierarchy, &fixture.pipeline->index(), fixture.dataset.get(),
-        inference, options));
-    runtimes.back()->Start();
-    ASSERT_TRUE(
-        runtimes.back()->ingestor().WaitUntilPublished(start_t + kSteps - 1));
-  }
-  // The runtimes delta-staged: consecutive timesteps shared clean tiles.
-  EXPECT_GT(runtimes[0]->Telemetry().cow_shared_tiles, 0);
+        [frames, start_t](int64_t t, const TemporalInput&)
+            -> Result<std::vector<Tensor>> {
+          return (*frames)[static_cast<size_t>(t - start_t)];
+        },
+        options);
+    runtime.Start();
+    ASSERT_TRUE(runtime.ingestor().WaitUntilPublished(t1));
+    EXPECT_GT(runtime.Telemetry().cow_shared_tiles, 0);
 
-  // Full restaging: every timestep written fresh, planes built from
-  // scratch, read by a one-store executor.
-  PredictionStore restaged;
-  for (int64_t i = 0; i < kSteps; ++i) {
-    for (int l = 1; l <= num_layers; ++l) {
-      ASSERT_TRUE(restaged
-                      .TrySyncFrameAt(0, l, start_t + i,
-                                      (*frames)[static_cast<size_t>(i)]
-                                               [static_cast<size_t>(l - 1)])
+    // Full staging: every timestep's bands written fresh, planes built
+    // from scratch.
+    ShardSet full(&hierarchy, num_shards, nullptr, ShardSetOptions{});
+    for (int64_t i = 0; i < kSteps; ++i) {
+      ASSERT_TRUE(full.StageAndPublish(start_t + i,
+                                       (*frames)[static_cast<size_t>(i)],
+                                       nullptr, true, nullptr)
                       .ok());
-      ASSERT_TRUE(restaged.TryBuildSatPlaneAt(0, l, start_t + i).ok());
     }
-  }
-  const RegionQueryServer restaged_server(
-      &hierarchy, &fixture.pipeline->index(), &restaged);
-  const QueryPlanner planner(&hierarchy);
-
-  const int64_t t1 = start_t + kSteps - 1;
-  std::vector<QuerySpec> shapes;
-  shapes.push_back(QuerySpec::PointInTime(fixture.regions.back(), t1));
-  QuerySpec range = QuerySpec::TimeRange(fixture.regions[0], start_t, t1,
-                                         TimeAggregation::kSum);
-  range.keep_series = true;
-  shapes.push_back(range);
-  QuerySpec multi = QuerySpec::MultiRegion(fixture.regions, start_t + 2);
-  multi.time = TimeSelector::Range(start_t + 2, t1);
-  multi.keep_series = true;
-  shapes.push_back(multi);
-  shapes.push_back(QuerySpec::TopK(fixture.regions, t1, 5));
-
-  for (size_t k = 0; k < shapes.size(); ++k) {
-    SCOPED_TRACE("shape " + std::to_string(k));
-    QuerySpec sat_spec = shapes[k];
-    sat_spec.eval_path = EvalPath::kSatFastPath;
-    auto exact = runtimes[0]->ExecuteSpec(shapes[k]);
-    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-    for (const auto& row : exact->rows) ASSERT_TRUE(row.ok());
-    auto sat = runtimes[0]->ExecuteSpec(sat_spec);
-    ASSERT_TRUE(sat.ok());
-    ExpectBitExactRows(*exact, *sat, "SAT path, N=1");
-    for (size_t n = 1; n < runtimes.size(); ++n) {
-      auto sharded = runtimes[n]->ExecuteSpec(shapes[k]);
-      ASSERT_TRUE(sharded.ok());
-      ExpectBitExactRows(*exact, *sharded,
-                         "exact loop, N=" + std::to_string(n + 1));
+    ShardPinSet pins = full.PinAll();
+    QueryExecutorOptions full_options;
+    full_options.shard_map = &full.map();
+    for (int k = 0; k < num_shards; ++k) {
+      full_options.shards.push_back(ShardReadView{
+          &full.shard(k).store, pins.generation(k), nullptr, nullptr});
     }
-    for (const QuerySpec& spec : {shapes[k], sat_spec}) {
-      auto plan = planner.Plan(spec);
+
+    for (size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE("spec " + std::to_string(i) + ": " + specs[i].ToString());
+      auto delta = runtime.ExecuteSpec(specs[i]);
+      ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+      ExpectBitExactRows(reference[i], *delta, "delta staging");
+      auto plan = planner.Plan(specs[i]);
       ASSERT_TRUE(plan.ok());
-      ExpectBitExactRows(*exact,
-                         QueryExecutor(&restaged_server).Execute(*plan),
-                         std::string("restaged, ") +
-                             EvalPathName(spec.eval_path));
+      ExpectBitExactRows(reference[i], executor.Execute(*plan, full_options),
+                         "full staging");
     }
+    runtime.Stop();
   }
-  for (auto& runtime : runtimes) runtime->Stop();
 }
 
 // A row that reaches past the newest published timestep fails with the
-// exact loop's first-failing-term status at every shard count.
+// reference's status — its first unreadable timestep — at every shard
+// count.
 TEST(ShardParityTest, UnpublishedTimestepFailsIdenticallyAcrossShardCounts) {
   ShardFixture fixture = ShardFixture::Make(19);
-  auto single = fixture.MakeRuntime(1);
-  auto sharded = fixture.MakeRuntime(2);
-  const int64_t last = single->published_latest_t();
-  ASSERT_EQ(sharded->published_latest_t(), last);
+  for (int num_shards : {1, 2, 3, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    auto runtime = fixture.MakeRuntime(num_shards);
+    const int64_t last = runtime->published_latest_t();
+    ASSERT_EQ(last, fixture.dataset->test_indices().back());
 
-  std::vector<QuerySpec> specs;
-  specs.push_back(QuerySpec::PointInTime(fixture.regions[0], last + 1));
-  // Published steps first, then one past the newest: the row fails at
-  // its first unreadable timestep.
-  specs.push_back(QuerySpec::TimeRange(fixture.regions.back(), last - 2,
-                                       last + 2, TimeAggregation::kSum));
-  specs.push_back(QuerySpec::MultiRegion(fixture.regions, last + 3));
-  for (const QuerySpec& spec : specs) {
-    auto s = single->ExecuteSpec(spec);
-    auto h = sharded->ExecuteSpec(spec);
-    ASSERT_TRUE(s.ok() && h.ok());
-    for (const auto& row : s->rows) {
-      ASSERT_FALSE(row.ok());
-      EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
+    std::vector<QuerySpec> specs;
+    specs.push_back(QuerySpec::PointInTime(fixture.regions[0], last + 1));
+    // Published steps first, then one past the newest: the row fails at
+    // its first unreadable timestep.
+    specs.push_back(QuerySpec::TimeRange(fixture.regions.back(), last - 2,
+                                         last + 2, TimeAggregation::kSum));
+    specs.push_back(QuerySpec::MultiRegion(fixture.regions, last + 3));
+    for (const QuerySpec& spec : specs) {
+      auto result = runtime->ExecuteSpec(spec);
+      ASSERT_TRUE(result.ok());
+      for (const auto& row : result->rows) {
+        ASSERT_FALSE(row.ok());
+        EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
+      }
+      ExpectBitExactRows(fixture.Reference(spec), *result, "unpublished");
     }
-    ExpectBitExactRows(*s, *h, "unpublished");
+    runtime->Stop();
   }
-  single->Stop();
-  sharded->Stop();
 }
 
-// Counting contract of the exact loop: every answered timestep of a row
-// counts one read per term, on the shard that owns the term's cell.
-TEST(ShardParityTest, TermsEvaluatedCountOwnedReadsPerShard) {
+// Counting contract of the gather interpreter: every answered timestep
+// of a row counts its reads on the shard serving each — 4 per rect part
+// (a rect clipped to each band it crosses) and 1 per residue (on the
+// shard owning its cell).
+TEST(ShardParityTest, GatherReadsCountOwnedReadsPerShard) {
   ShardFixture fixture = ShardFixture::Make(37);
   const int64_t t0 = fixture.dataset->test_indices().front();
   const int64_t steps = 3;
   QuerySpec spec = QuerySpec::MultiRegion(fixture.regions, t0);
   spec.time = TimeSelector::Range(t0, t0 + steps - 1);
-  for (int num_shards : {1, 2, 4}) {
+  for (int num_shards : {1, 2, 3, 4}) {
     SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
     auto runtime = fixture.MakeRuntime(num_shards);
     ShardSet& shards = runtime->shards();
+    const ShardMap& map = shards.map();
+    const Hierarchy& hierarchy = fixture.dataset->hierarchy();
     std::vector<int64_t> expected(static_cast<size_t>(num_shards), 0);
-    int64_t total_terms = 0;
+    int64_t parts = 0, rects = 0;
     for (const GridMask& region : fixture.regions) {
       auto resolved =
           fixture.pipeline->server().Resolve(region, spec.strategy);
       ASSERT_TRUE(resolved.ok());
-      for (const CombinationTerm& term : resolved->terms) {
-        expected[static_cast<size_t>(shards.map().OwnerOf(term.grid))] +=
-            steps;
+      for (const SatRectRead& rect : resolved->gather.rects) {
+        ++rects;
+        for (int k = 0; k < num_shards; ++k) {
+          const ShardLayerSlice& slice = map.SliceOf(k, rect.layer);
+          if (std::max(rect.r0, slice.row_begin) <
+              std::min(rect.r1, slice.row_end)) {
+            expected[static_cast<size_t>(k)] += 4 * steps;
+            ++parts;
+          }
+        }
       }
-      total_terms += static_cast<int64_t>(resolved->terms.size());
+      for (const ResidueRead& residue : resolved->gather.residues) {
+        const int64_t width = hierarchy.layer(residue.layer).width;
+        const GridId cell{residue.layer, residue.offset / width,
+                          residue.offset % width};
+        expected[static_cast<size_t>(map.OwnerOf(cell))] += steps;
+      }
     }
-    // The straddling regions put terms on more than one band.
+    // The straddling regions put reads on more than one band, and split
+    // some rects.
     if (num_shards > 1) {
       EXPECT_GT(expected[1], 0);
+      EXPECT_GT(parts, rects);
     }
     auto result = runtime->ExecuteSpec(spec);
     ASSERT_TRUE(result.ok());
     for (const auto& row : result->rows) ASSERT_TRUE(row.ok());
-    int64_t counted = 0;
     for (int k = 0; k < num_shards; ++k) {
-      EXPECT_EQ(shards.shard(k).terms_evaluated.value(),
+      EXPECT_EQ(shards.shard(k).gather_reads.value(),
                 expected[static_cast<size_t>(k)])
           << "shard " << k;
-      counted += shards.shard(k).terms_evaluated.value();
     }
-    EXPECT_EQ(counted, total_terms * steps);
     runtime->Stop();
   }
 }

@@ -4,6 +4,7 @@
 #ifndef ONE4ALL_TESTS_TEST_UTIL_H_
 #define ONE4ALL_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,6 +16,8 @@
 #include "kvstore/prediction_store.h"
 #include "model/predictor.h"
 #include "query/query_executor.h"
+#include "query/query_server.h"
+#include "query/topk_memo.h"
 #include "tensor/autograd.h"
 
 namespace one4all {
@@ -164,7 +167,8 @@ inline Tensor Snapped(const Tensor& frame) {
 }
 
 /// \brief Row-by-row bit-exact comparison of two answers to one spec —
-/// across shard counts, or a memo-served answer against a cold one:
+/// an answer against ReferenceResult, across shard counts, or a
+/// memo-served answer against a cold one:
 /// per-row status (code and message), value, series and term/piece
 /// counts, and the top-k ranking.
 inline void ExpectBitExactRows(const QueryResult& expected,
@@ -175,8 +179,8 @@ inline void ExpectBitExactRows(const QueryResult& expected,
     ASSERT_EQ(expected.rows[i].ok(), actual.rows[i].ok())
         << what << " row " << i;
     if (!expected.rows[i].ok()) {
-      // A failing row reports the same first unreadable term at the same
-      // timestep, so the same status.
+      // A failing row reports its first unreadable timestep, so the
+      // same status.
       EXPECT_EQ(expected.rows[i].status().code(),
                 actual.rows[i].status().code())
           << what << " row " << i;
@@ -185,8 +189,8 @@ inline void ExpectBitExactRows(const QueryResult& expected,
           << what << " row " << i;
       continue;
     }
-    // Bit-exact, not approximately equal: every path folds the same
-    // terms in canonical order, so the doubles must be identical.
+    // Bit-exact, not approximately equal: stored cells are multiples of
+    // 2^-20, so no sum rounds and every path's doubles are identical.
     EXPECT_EQ(expected.rows[i]->value, actual.rows[i]->value)
         << what << " row " << i;
     ASSERT_EQ(expected.rows[i]->series.size(),
@@ -202,6 +206,77 @@ inline void ExpectBitExactRows(const QueryResult& expected,
         << what << " row " << i;
   }
   EXPECT_EQ(expected.top_k, actual.top_k) << what;
+}
+
+/// \brief The reference answer to `spec`: each region resolved by
+/// `server`, its terms summed at every timestep by TryEvaluateTerms over
+/// `server`'s one store (at `generation`), the series folded left to
+/// right and, for top-k, ranked by TopKMemo::RankRows. A row fails with
+/// the status of its first unreadable timestep. Every gather path is
+/// checked against this with ExpectBitExactRows.
+inline QueryResult ReferenceResult(const RegionQueryServer& server,
+                                   const QuerySpec& spec,
+                                   int64_t generation = 0) {
+  QueryResult reference;
+  reference.kind = spec.kind;
+  const bool keep_series = spec.keep_series && !spec.time.IsPoint();
+  for (const GridMask& region : spec.regions) {
+    Result<ResolvedQuery> resolved = server.Resolve(region, spec.strategy);
+    if (!resolved.ok()) {
+      reference.rows.push_back(resolved.status());
+      continue;
+    }
+    std::vector<double> series;
+    Status status;
+    for (int64_t t = spec.time.t0; t <= spec.time.t1; ++t) {
+      Result<double> value =
+          server.TryEvaluateTerms(resolved->terms, t, generation);
+      if (!value.ok()) {
+        status = value.status();
+        break;
+      }
+      series.push_back(*value);
+    }
+    if (!status.ok()) {
+      reference.rows.push_back(status);
+      continue;
+    }
+    QueryRow row;
+    row.value = series.front();
+    if (spec.aggregation == TimeAggregation::kMax) {
+      for (const double v : series) row.value = std::max(row.value, v);
+    } else {
+      row.value = 0.0;
+      for (const double v : series) row.value += v;
+      if (spec.aggregation == TimeAggregation::kMean) {
+        row.value /= static_cast<double>(series.size());
+      }
+    }
+    if (keep_series) row.series = series;
+    row.num_pieces = resolved->num_pieces;
+    row.num_terms = static_cast<int>(resolved->terms.size());
+    reference.rows.push_back(std::move(row));
+  }
+  if (spec.kind == QuerySpecKind::kTopK) {
+    reference.top_k = TopKMemo::RankRows(reference.rows, spec.top_k);
+  }
+  return reference;
+}
+
+/// \brief A one-store copy of the served frames: every layer of every
+/// timestep in [t0, t1] from `frame_at(t, layer)`, staged without
+/// planes — the store ReferenceResult reads.
+template <typename FrameAt>
+std::unique_ptr<PredictionStore> OneStoreCopy(int num_layers, int64_t t0,
+                                              int64_t t1,
+                                              const FrameAt& frame_at) {
+  auto store = std::make_unique<PredictionStore>();
+  for (int l = 1; l <= num_layers; ++l) {
+    for (int64_t t = t0; t <= t1; ++t) {
+      O4A_CHECK(store->TrySyncFrameAt(0, l, t, frame_at(t, l)).ok());
+    }
+  }
+  return store;
 }
 
 /// \brief Deterministic pseudo-random mask with `fill_per_mille` density.
