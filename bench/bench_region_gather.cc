@@ -81,14 +81,14 @@ class LayerNoisePredictor : public FlowPredictor {
 struct GatherBenchResult {
   int64_t num_rect_regions = 0;
   int64_t range_steps = 0;
-  int64_t exact_terms = 0;      ///< per-timestep term reads, whole plan
-  int64_t fast_reads = 0;       ///< per-timestep plane+residue reads
-  double multi_exact_micros = 0.0;
-  double multi_fast_micros = 0.0;
+  int64_t terms_per_step = 0;  ///< per-term loop reads per timestep, whole plan
+  int64_t reads_per_step = 0;  ///< executor plane+residue reads per timestep
+  double multi_per_term_micros = 0.0;
+  double multi_executor_micros = 0.0;
   double multi_speedup = 0.0;
   int64_t topk_regions = 0;
-  double topk_exact_micros = 0.0;
-  double topk_fast_micros = 0.0;
+  double topk_per_term_micros = 0.0;
+  double topk_executor_micros = 0.0;
   double topk_cold_micros = 0.0;  ///< cache-empty executor, for context
   double topk_speedup = 0.0;
 };
@@ -99,23 +99,24 @@ void WriteJson(const std::string& path, const GatherBenchResult& r) {
   js << "  \"bench\": \"region_gather\",\n";
   js << "  \"num_rect_regions\": " << r.num_rect_regions << ",\n";
   js << "  \"range_steps\": " << r.range_steps << ",\n";
-  js << "  \"exact_terms_per_step\": " << r.exact_terms << ",\n";
-  js << "  \"fast_reads_per_step\": " << r.fast_reads << ",\n";
-  js << "  \"multi_exact_micros\": "
-     << TablePrinter::Num(r.multi_exact_micros, 1) << ",\n";
-  js << "  \"multi_fast_micros\": "
-     << TablePrinter::Num(r.multi_fast_micros, 1) << ",\n";
+  js << "  \"per_term_terms_per_step\": " << r.terms_per_step << ",\n";
+  js << "  \"executor_reads_per_step\": " << r.reads_per_step << ",\n";
+  js << "  \"multi_per_term_micros\": "
+     << TablePrinter::Num(r.multi_per_term_micros, 1) << ",\n";
+  js << "  \"multi_executor_micros\": "
+     << TablePrinter::Num(r.multi_executor_micros, 1) << ",\n";
   js << "  \"multi_speedup\": " << TablePrinter::Num(r.multi_speedup, 2)
      << ",\n";
   js << "  \"topk_regions\": " << r.topk_regions << ",\n";
-  js << "  \"topk_exact_micros\": "
-     << TablePrinter::Num(r.topk_exact_micros, 1) << ",\n";
-  js << "  \"topk_fast_micros\": "
-     << TablePrinter::Num(r.topk_fast_micros, 1) << ",\n";
+  js << "  \"topk_per_term_micros\": "
+     << TablePrinter::Num(r.topk_per_term_micros, 1) << ",\n";
+  js << "  \"topk_executor_micros\": "
+     << TablePrinter::Num(r.topk_executor_micros, 1) << ",\n";
   js << "  \"topk_cold_micros\": "
      << TablePrinter::Num(r.topk_cold_micros, 1) << ",\n";
   js << "  \"topk_speedup\": " << TablePrinter::Num(r.topk_speedup, 2)
-     << "\n";
+     << ",\n";
+  js << "  \"host\": " << HostEnvelopeJson() << "\n";
   js << "}\n";
   std::ofstream out(path);
   if (!out) {
@@ -279,18 +280,19 @@ int main_impl() {
     for (const GridMask& region : regions) {
       auto resolved = server.ResolveCached(region, spec.strategy, &cache);
       O4A_CHECK(resolved.ok());
-      result.exact_terms +=
+      result.terms_per_step +=
           static_cast<int64_t>((**resolved).terms.size());
-      result.fast_reads += (**resolved).gather.num_reads();
+      result.reads_per_step += (**resolved).gather.num_reads();
     }
 
-    double exact_checksum = 0.0, fast_checksum = 0.0;
-    result.multi_exact_micros =
-        per_term_micros(*plan, &cache, &exact_checksum);
-    result.multi_fast_micros = executor_micros(*plan, &cache, &fast_checksum);
+    double loop_checksum = 0.0, executor_checksum = 0.0;
+    result.multi_per_term_micros =
+        per_term_micros(*plan, &cache, &loop_checksum);
+    result.multi_executor_micros =
+        executor_micros(*plan, &cache, &executor_checksum);
     result.multi_speedup =
-        result.multi_exact_micros / result.multi_fast_micros;
-    O4A_CHECK(fast_checksum == exact_checksum)
+        result.multi_per_term_micros / result.multi_executor_micros;
+    O4A_CHECK(executor_checksum == loop_checksum)
         << "executor values differ from the per-term loop";
   }
 
@@ -320,13 +322,14 @@ int main_impl() {
     }
 
     ResolvedQueryCache cache;
-    double exact_checksum = 0.0, fast_checksum = 0.0;
-    result.topk_exact_micros =
-        per_term_micros(*plan, &cache, &exact_checksum);
-    result.topk_fast_micros = executor_micros(*plan, &cache, &fast_checksum);
+    double loop_checksum = 0.0, executor_checksum = 0.0;
+    result.topk_per_term_micros =
+        per_term_micros(*plan, &cache, &loop_checksum);
+    result.topk_executor_micros =
+        executor_micros(*plan, &cache, &executor_checksum);
     result.topk_speedup =
-        result.topk_exact_micros / result.topk_fast_micros;
-    O4A_CHECK(fast_checksum == exact_checksum)
+        result.topk_per_term_micros / result.topk_executor_micros;
+    O4A_CHECK(executor_checksum == loop_checksum)
         << "executor top-k values differ from the per-term loop";
   }
 
@@ -334,22 +337,22 @@ int main_impl() {
   table.SetHeader({"Shape", "per-term", "executor", "speedup"});
   table.AddRow({"MultiRegion " + std::to_string(result.num_rect_regions) +
                     " rects x " + std::to_string(range_steps) + " steps",
-                TablePrinter::Num(result.multi_exact_micros / 1e3, 2) +
+                TablePrinter::Num(result.multi_per_term_micros / 1e3, 2) +
                     " ms",
-                TablePrinter::Num(result.multi_fast_micros / 1e3, 2) +
+                TablePrinter::Num(result.multi_executor_micros / 1e3, 2) +
                     " ms",
                 TablePrinter::Num(result.multi_speedup, 2) + "x"});
   table.AddRow({"TopK k=5 over " + std::to_string(result.topk_regions) +
                     " regions (warm)",
-                TablePrinter::Num(result.topk_exact_micros, 1) + " us",
-                TablePrinter::Num(result.topk_fast_micros, 1) + " us",
+                TablePrinter::Num(result.topk_per_term_micros, 1) + " us",
+                TablePrinter::Num(result.topk_executor_micros, 1) + " us",
                 TablePrinter::Num(result.topk_speedup, 2) + "x"});
   table.AddRow({"TopK cold resolve (context)", "-",
                 TablePrinter::Num(result.topk_cold_micros, 1) + " us",
                 "-"});
   table.Print(std::cout);
-  std::cout << "gather compilation: " << result.exact_terms
-            << " per-step terms -> " << result.fast_reads
+  std::cout << "gather compilation: " << result.terms_per_step
+            << " per-step terms -> " << result.reads_per_step
             << " per-step reads\n\n";
 
   const char* json_env = std::getenv("O4A_BENCH_JSON");
@@ -362,7 +365,7 @@ int main_impl() {
       "executor >= 5x the per-term cell loop on a rect-heavy "
       "multi-region range plan",
       multi_ok);
-  const bool topk_ok = result.topk_fast_micros < 400.0;
+  const bool topk_ok = result.topk_executor_micros < 400.0;
   PrintShapeCheck(
       "top-k latency < 400 us at the bench_query_plans scale (85 "
       "regions, k=5, warm)",

@@ -184,7 +184,8 @@ std::unique_ptr<MauPipeline> MauPipeline::Build(FlowPredictor* predictor,
   pipeline->index_ =
       ExtendedQuadTree::Build(dataset.hierarchy(), pipeline->search_);
 
-  // Online: sync test predictions for every layer into the KV store.
+  // Online: sync test predictions for every layer into the KV store;
+  // each write stores the frame with its summed-area plane.
   constexpr int kBatch = 16;
   const int64_t t_total = static_cast<int64_t>(pipeline->test_.size());
   for (int64_t off = 0; off < t_total; off += kBatch) {
@@ -202,15 +203,6 @@ std::unique_ptr<MauPipeline> MauPipeline::Build(FlowPredictor* predictor,
                   frame.data());
         pipeline->store_.SyncFrame(l, batch[static_cast<size_t>(i)], frame);
       }
-    }
-  }
-  // Each synced frame gets its tiled summed-area plane, so the SAT fast
-  // path works against the static generation exactly as it does against
-  // epoch-published ones.
-  for (int l = 1; l <= dataset.hierarchy().num_layers(); ++l) {
-    for (const int64_t t : pipeline->test_) {
-      const Status plane = pipeline->store_.TryBuildSatPlaneAt(0, l, t);
-      O4A_CHECK(plane.ok()) << plane.ToString();
     }
   }
 

@@ -1,11 +1,13 @@
 #include "kvstore/prediction_store.h"
 
 #include <climits>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/logging.h"
+#include "obs/trace.h"
 
 namespace one4all {
 
@@ -68,22 +70,23 @@ void PredictionStore::SyncFrameAt(int64_t generation, int layer, int64_t t,
 }
 
 Status PredictionStore::TrySyncFrameAt(int64_t generation, int layer,
-                                       int64_t t, const Tensor& frame) {
+                                       int64_t t, const Tensor& frame,
+                                       TraceContext* trace) {
   O4A_RETURN_NOT_OK(WriteFault());
   O4A_CHECK_EQ(frame.ndim(), 2u);
-  // Tiling happens outside the lock; the map mutation is a pointer swap.
-  auto tiled = std::make_shared<const TiledFrame>(TiledFrame::FromTensor(frame));
-  O4A_RETURN_NOT_OK(CheckStorable(*tiled));
+  // Tiling and the plane build happen outside the lock; the map
+  // mutation is a pointer swap.
+  Entry entry;
+  entry.stored.frame =
+      std::make_shared<const TiledFrame>(TiledFrame::FromTensor(frame));
+  O4A_RETURN_NOT_OK(CheckStorable(*entry.stored.frame));
+  {
+    ScopedSpan sat_span(trace, SpanName::kBuildSatPlane, layer);
+    entry.stored.plane = std::make_shared<const TiledSatPlane>(
+        TiledSatPlane::Build(*entry.stored.frame));
+  }
   std::unique_lock<std::shared_mutex> lock(mu_);
-  Entry& entry = entries_[Key{generation, layer, t}];
-  entry.frame = std::move(tiled);
-  // A frame write invalidates its derived plane: without this, a writer
-  // that overwrites a carried-forward frame (e.g. a re-staged timestep
-  // with plane building disabled) would leave the previous frame's
-  // plane behind for the gather's rect reads to silently read. Writers that
-  // do build planes rebuild the fresh plane right after.
-  entry.plane.reset();
-  entry.dirty.reset();
+  entries_[Key{generation, layer, t}] = std::move(entry);
   return Status::OK();
 }
 
@@ -91,52 +94,65 @@ Status PredictionStore::TrySyncFrameDeltaAt(int64_t generation, int layer,
                                             int64_t t, const Tensor& frame,
                                             int64_t base_t,
                                             const TileDirtySet& dirty,
-                                            StageStats* stats) {
+                                            StageStats* stats,
+                                            TraceContext* trace) {
   O4A_RETURN_NOT_OK(WriteFault());
   O4A_CHECK_EQ(frame.ndim(), 2u);
   Entry base;
-  const bool have_base =
-      SnapshotEntry(Key{generation, layer, base_t}, &base) &&
-      base.frame != nullptr;
+  const bool have_base = SnapshotEntry(Key{generation, layer, base_t}, &base);
   int64_t shared = 0;
-  auto tiled = std::make_shared<const TiledFrame>(
-      have_base ? TiledFrame::FromDelta(frame, *base.frame, dirty, &shared)
-                : TiledFrame::FromTensor(frame));
-  O4A_RETURN_NOT_OK(CheckStorable(*tiled));
-  if (stats != nullptr) {
-    stats->frame_tiles_total = tiled->tiles_h() * tiled->tiles_w();
-    stats->frame_tiles_shared = shared;
+  Entry entry;
+  entry.stored.frame = std::make_shared<const TiledFrame>(
+      have_base
+          ? TiledFrame::FromDelta(frame, *base.stored.frame, dirty, &shared)
+          : TiledFrame::FromTensor(frame));
+  const TiledFrame& tiled = *entry.stored.frame;
+  O4A_RETURN_NOT_OK(CheckStorable(tiled));
+  const int64_t total = tiled.tiles_h() * tiled.tiles_w();
+  int64_t reused = 0;
+  {
+    ScopedSpan sat_span(trace, SpanName::kTileSatFixup, total - shared);
+    entry.stored.plane = std::make_shared<const TiledSatPlane>(
+        have_base ? TiledSatPlane::BuildDelta(tiled, *base.stored.plane,
+                                              dirty, &reused)
+                  : TiledSatPlane::Build(tiled));
   }
-  auto recorded = dirty.empty()
-                      ? std::shared_ptr<const TileDirtySet>()
-                      : std::make_shared<const TileDirtySet>(dirty);
+  if (stats != nullptr) {
+    stats->frame_tiles_total = total;
+    stats->frame_tiles_shared = shared;
+    stats->plane_tiles_reused = reused;
+  }
+  if (!dirty.empty()) {
+    entry.dirty = std::make_shared<const TileDirtySet>(dirty);
+  }
   std::unique_lock<std::shared_mutex> lock(mu_);
-  Entry& entry = entries_[Key{generation, layer, t}];
-  entry.frame = std::move(tiled);
-  entry.plane.reset();
-  entry.dirty = std::move(recorded);
+  entries_[Key{generation, layer, t}] = std::move(entry);
   return Status::OK();
+}
+
+Result<PredictionStore::StoredFrame> PredictionStore::GetStoredFrameAt(
+    int64_t generation, int layer, int64_t t) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = entries_.find(Key{generation, layer, t});
+  if (it == entries_.end()) {
+    return Status::NotFound("no prediction frame for key");
+  }
+  return it->second.stored;
 }
 
 Result<std::shared_ptr<const TiledFrame>> PredictionStore::GetTiledFrameAt(
     int64_t generation, int layer, int64_t t) const {
-  Entry entry;
-  if (!SnapshotEntry(Key{generation, layer, t}, &entry) ||
-      entry.frame == nullptr) {
-    return Status::NotFound("no prediction frame for key");
-  }
-  return entry.frame;
+  O4A_ASSIGN_OR_RETURN(StoredFrame stored,
+                       GetStoredFrameAt(generation, layer, t));
+  return std::move(stored.frame);
 }
 
 Result<std::shared_ptr<const TiledSatPlane>>
 PredictionStore::GetTiledSatPlaneAt(int64_t generation, int layer,
                                     int64_t t) const {
-  Entry entry;
-  if (!SnapshotEntry(Key{generation, layer, t}, &entry) ||
-      entry.plane == nullptr) {
-    return Status::NotFound("no summed-area plane for key");
-  }
-  return entry.plane;
+  O4A_ASSIGN_OR_RETURN(StoredFrame stored,
+                       GetStoredFrameAt(generation, layer, t));
+  return std::move(stored.plane);
 }
 
 std::shared_ptr<const TileDirtySet> PredictionStore::GetDirtyAt(
@@ -171,62 +187,6 @@ Result<float> PredictionStore::TryGetValueAt(int64_t generation, int layer,
   return frame->at(row, col);
 }
 
-Status PredictionStore::TryBuildSatPlaneAt(int64_t generation, int layer,
-                                           int64_t t, ThreadPool* pool) {
-  O4A_RETURN_NOT_OK(WriteFault());
-  O4A_ASSIGN_OR_RETURN(std::shared_ptr<const TiledFrame> frame,
-                       GetTiledFrameAt(generation, layer, t));
-  auto plane = std::make_shared<const TiledSatPlane>(
-      TiledSatPlane::Build(*frame, pool));
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(Key{generation, layer, t});
-  // The frame could have been dropped or overwritten while we built
-  // outside the lock; attaching a stale plane to a fresh frame would
-  // hand the gather wrong sums, so only publish onto the same frame.
-  if (it == entries_.end() || it->second.frame != frame) {
-    return Status::OK();
-  }
-  it->second.plane = std::move(plane);
-  return Status::OK();
-}
-
-Status PredictionStore::TryBuildSatPlaneDeltaAt(int64_t generation, int layer,
-                                                int64_t t, int64_t base_t,
-                                                ThreadPool* pool,
-                                                StageStats* stats) {
-  O4A_RETURN_NOT_OK(WriteFault());
-  Entry entry;
-  if (!SnapshotEntry(Key{generation, layer, t}, &entry) ||
-      entry.frame == nullptr) {
-    return Status::NotFound("no prediction frame for key");
-  }
-  Entry base;
-  const bool have_base =
-      SnapshotEntry(Key{generation, layer, base_t}, &base) &&
-      base.plane != nullptr;
-  int64_t reused = 0;
-  auto plane = std::make_shared<const TiledSatPlane>(
-      have_base && entry.dirty != nullptr
-          ? TiledSatPlane::BuildDelta(*entry.frame, *base.plane,
-                                      *entry.dirty, &reused, pool)
-          : TiledSatPlane::Build(*entry.frame, pool));
-  if (stats != nullptr) stats->plane_tiles_reused = reused;
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(Key{generation, layer, t});
-  if (it == entries_.end() || it->second.frame != entry.frame) {
-    return Status::OK();
-  }
-  it->second.plane = std::move(plane);
-  return Status::OK();
-}
-
-bool PredictionStore::HasSatPlaneAt(int64_t generation, int layer,
-                                    int64_t t) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(Key{generation, layer, t});
-  return it != entries_.end() && it->second.plane != nullptr;
-}
-
 bool PredictionStore::HasFrame(int layer, int64_t t) const {
   return HasFrameAt(0, layer, t);
 }
@@ -234,8 +194,7 @@ bool PredictionStore::HasFrame(int layer, int64_t t) const {
 bool PredictionStore::HasFrameAt(int64_t generation, int layer,
                                  int64_t t) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = entries_.find(Key{generation, layer, t});
-  return it != entries_.end() && it->second.frame != nullptr;
+  return entries_.count(Key{generation, layer, t}) != 0;
 }
 
 int64_t PredictionStore::CopyGeneration(int64_t from, int64_t to,
@@ -255,24 +214,16 @@ int64_t PredictionStore::CopyGeneration(int64_t from, int64_t to,
           it->second);
     }
   }
-  int64_t copied = 0;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  for (auto& [key, entry] : copies) {
-    copied += 1 + (entry.plane != nullptr ? 1 : 0);
-    entries_[key] = std::move(entry);
-  }
-  return copied;
+  for (auto& [key, entry] : copies) entries_[key] = std::move(entry);
+  return static_cast<int64_t>(copies.size());
 }
 
 int64_t PredictionStore::DropGeneration(int64_t generation) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto begin = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
-  auto end = begin;
-  int64_t dropped = 0;
-  while (end != entries_.end() && std::get<0>(end->first) == generation) {
-    dropped += 1 + (end->second.plane != nullptr ? 1 : 0);
-    ++end;
-  }
+  auto end = entries_.lower_bound(Key{generation + 1, INT_MIN, INT64_MIN});
+  const int64_t dropped = std::distance(begin, end);
   entries_.erase(begin, end);
   return dropped;
 }
@@ -283,7 +234,7 @@ int64_t PredictionStore::DropFramesBelow(int64_t generation, int64_t min_t) {
   auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
   while (it != entries_.end() && std::get<0>(it->first) == generation) {
     if (std::get<2>(it->first) < min_t) {
-      dropped += 1 + (it->second.plane != nullptr ? 1 : 0);
+      ++dropped;
       it = entries_.erase(it);
     } else {
       ++it;
@@ -294,22 +245,9 @@ int64_t PredictionStore::DropFramesBelow(int64_t generation, int64_t min_t) {
 
 int64_t PredictionStore::NumFramesAt(int64_t generation) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  int64_t frames = 0;
-  for (auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
-       it != entries_.end() && std::get<0>(it->first) == generation; ++it) {
-    if (it->second.frame != nullptr) ++frames;
-  }
-  return frames;
-}
-
-int64_t PredictionStore::NumSatPlanesAt(int64_t generation) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  int64_t planes = 0;
-  for (auto it = entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN});
-       it != entries_.end() && std::get<0>(it->first) == generation; ++it) {
-    if (it->second.plane != nullptr) ++planes;
-  }
-  return planes;
+  return std::distance(
+      entries_.lower_bound(Key{generation, INT_MIN, INT64_MIN}),
+      entries_.lower_bound(Key{generation + 1, INT_MIN, INT64_MIN}));
 }
 
 }  // namespace one4all

@@ -11,29 +11,31 @@
 // offline harness (MauPipeline) writes to; every pre-existing call site
 // keeps working unchanged against it.
 //
-// Storage is tiled and copy-on-write (tensor/tiled_sat.h): a frame and
-// its two-level summed-area plane live as shared tile blocks, so
+// Storage is tiled and copy-on-write (tensor/tiled_sat.h): a stored
+// timestep is one immutable entry holding its frame and the frame's
+// two-level summed-area plane as shared tile blocks, so
+//   - every write stores frame and plane together: the plane is built
+//     from the frame before the lock is taken, and both land in one map
+//     write, so no reader ever sees a frame without its plane;
 //   - CopyGeneration (the epoch carry-forward) copies shared_ptrs, not
 //     cell data — O(window) pointer aliasing per epoch;
-//   - the delta staging path (TrySyncFrameDeltaAt +
-//     TryBuildSatPlaneDeltaAt) copies only the tiles a dirty set marks,
-//     aliasing every clean tile from the base timestep's entry — staging
-//     a 5%-churn epoch copies ~5% of the data;
-//   - reads are zero-copy: GetTiledFrameAt / GetTiledSatPlaneAt hand out
-//     the stored shared_ptr, and readers read cells in place through the
-//     frame's tile table — no read path copies a frame;
+//   - the delta write path (TrySyncFrameDeltaAt) copies only the tiles a
+//     dirty set marks and rebuilds only their plane locals, aliasing
+//     every clean tile from the base timestep's entry — staging a
+//     5%-churn epoch copies ~5% of the data;
+//   - reads are zero-copy: GetStoredFrameAt hands out the stored
+//     shared_ptrs under one shared lock, and readers read cells in place
+//     through the frame's tile table — no read path copies a frame;
 //   - reclamation (DropGeneration) is a map erase: a tile block is freed
 //     when the last generation (or reader pin) referencing it drops,
 //     which keeps a pinned epoch's data alive precisely as long as its
 //     pins.
-// Planes live *inside* the generation entry on purpose: carry-forward
-// and reclamation treat a plane exactly like its frame.
 //
 // Every stored cell is a multiple of 2^-20 (TiledFrame snaps it on the
 // way in), and both write paths refuse a frame with a NaN or infinite
-// cell or an absolute sum past kMaxFrameAbsSum. Plane reads and cell
-// loops over a stored frame therefore form exact sums and agree bit for
-// bit, at every shard count and from full or incremental staging.
+// cell or an absolute sum past kMaxFrameAbsSum, storing nothing. Plane
+// reads over a stored frame therefore form exact sums, at every shard
+// count and from full or incremental staging.
 #ifndef ONE4ALL_KVSTORE_PREDICTION_STORE_H_
 #define ONE4ALL_KVSTORE_PREDICTION_STORE_H_
 
@@ -51,7 +53,7 @@
 
 namespace one4all {
 
-class ThreadPool;
+class TraceContext;
 
 /// \brief Generation-keyed tiled CoW store of per-layer prediction
 /// frames and their summed-area planes.
@@ -61,6 +63,14 @@ class PredictionStore {
 
   PredictionStore(const PredictionStore&) = delete;
   PredictionStore& operator=(const PredictionStore&) = delete;
+
+  /// \brief One stored timestep as readers pin it: the tiled frame and
+  /// its summed-area plane, written together and never one without the
+  /// other.
+  struct StoredFrame {
+    std::shared_ptr<const TiledFrame> frame;
+    std::shared_ptr<const TiledSatPlane> plane;
+  };
 
   /// \brief Tile accounting of one delta-staged frame/plane, fed into
   /// the stage_dirty_tiles / cow_shared_tiles telemetry counters.
@@ -86,29 +96,40 @@ class PredictionStore {
   /// scenario harness drives), OK and the write otherwise. The epoch
   /// staging path routes through this so an unwritable store surfaces
   /// as an aborted epoch, never a crash or a torn publish. Every tile
-  /// is copied fresh; the frame's dirty set is recorded as unknown.
-  /// InvalidArgument, storing nothing, when the frame holds a NaN or
-  /// infinite cell or its absolute sum passes kMaxFrameAbsSum.
+  /// is copied fresh and the frame's plane built in full (a
+  /// kBuildSatPlane span under `trace`, when set); the dirty set is
+  /// recorded as unknown. InvalidArgument, storing nothing, when the
+  /// frame holds a NaN or infinite cell or its absolute sum passes
+  /// kMaxFrameAbsSum. A refused write leaves the previous entry as it
+  /// was.
   Status TrySyncFrameAt(int64_t generation, int layer, int64_t t,
-                        const Tensor& frame);
+                        const Tensor& frame, TraceContext* trace = nullptr);
 
   /// \brief Copy-on-write frame write: tiles marked in `dirty` are
-  /// copied from `frame`; clean tiles alias the blocks of the base
-  /// entry (generation, layer, base_t) — the previous timestep the
-  /// ingestor diffed `frame` against. Falls back to a full fresh write
-  /// when the base is missing, geometry differs, or `dirty` is unknown
-  /// (empty). Records `dirty` with the entry so downstream consumers
-  /// (band slicing, incremental top-k) can reuse it. Refuses the frame
-  /// as TrySyncFrameAt does.
+  /// copied from `frame` and rebuild their plane locals; clean tiles
+  /// alias the frame and plane blocks of the base entry (generation,
+  /// layer, base_t) — the previous timestep the ingestor diffed `frame`
+  /// against — and the plane's coarse carries are recomputed in one
+  /// deterministic sweep (a kTileSatFixup span under `trace`), so the
+  /// plane is bit-identical to a full build. Falls back to a full fresh
+  /// write when the base is missing, geometry differs, or `dirty` is
+  /// unknown (empty). Records `dirty` with the entry (GetDirtyAt).
+  /// Refuses the frame as TrySyncFrameAt does.
   Status TrySyncFrameDeltaAt(int64_t generation, int layer, int64_t t,
                              const Tensor& frame, int64_t base_t,
                              const TileDirtySet& dirty,
-                             StageStats* stats = nullptr);
+                             StageStats* stats = nullptr,
+                             TraceContext* trace = nullptr);
 
-  /// \brief Zero-copy tiled reads, the only frame/plane read surface: a
-  /// shared_ptr fetch under a shared lock, no cell copy. Readers pin the
-  /// returned object and read cells in place (TiledFrame::at / tiles());
-  /// it outlives any concurrent reclamation of its generation.
+  /// \brief Zero-copy read, the only frame/plane read surface: the
+  /// entry's shared_ptrs fetched under one shared lock, no cell copy.
+  /// Readers pin the returned objects and read in place
+  /// (TiledFrame::tiles(), TiledSatPlane::RectSum); they outlive any
+  /// concurrent reclamation of their generation. NotFound when nothing
+  /// was stored at (generation, layer, t).
+  Result<StoredFrame> GetStoredFrameAt(int64_t generation, int layer,
+                                       int64_t t) const;
+  /// \brief Views of GetStoredFrameAt for callers that read one part.
   Result<std::shared_ptr<const TiledFrame>> GetTiledFrameAt(
       int64_t generation, int layer, int64_t t) const;
   Result<std::shared_ptr<const TiledSatPlane>> GetTiledSatPlaneAt(
@@ -137,53 +158,31 @@ class PredictionStore {
   bool HasFrame(int layer, int64_t t) const;
   bool HasFrameAt(int64_t generation, int layer, int64_t t) const;
 
-  /// \brief Builds and stores the two-level summed-area plane of the
-  /// already-synced frame (generation, layer, t), every tile fresh.
-  /// NotFound when the frame is missing; returns the injected fault
-  /// Status while SetWriteFault is active (a plane build is a write).
-  Status TryBuildSatPlaneAt(int64_t generation, int layer, int64_t t,
-                            ThreadPool* pool = nullptr);
-
-  /// \brief Incremental plane build: dirty tiles (the set recorded by
-  /// TrySyncFrameDeltaAt) rebuild their local prefixes; clean tiles
-  /// alias the base plane of (generation, layer, base_t); the coarse
-  /// carries are recomputed in one deterministic fixup sweep — the
-  /// result is bit-identical to TryBuildSatPlaneAt of the same frame.
-  /// Falls back to a full build when the base plane is missing or the
-  /// dirty set is unknown.
-  Status TryBuildSatPlaneDeltaAt(int64_t generation, int layer, int64_t t,
-                                 int64_t base_t, ThreadPool* pool = nullptr,
-                                 StageStats* stats = nullptr);
-
-  bool HasSatPlaneAt(int64_t generation, int layer, int64_t t) const;
-
   /// \brief Copies frames of `from` with t >= `min_t` into generation
   /// `to` — shared_ptr aliasing of every tile block, no cell data moves.
   /// The epoch manager's carry-forward: the shadow generation starts as
   /// a snapshot of the published one, optionally truncated to a
   /// retention horizon so continuous runs keep per-epoch cost bounded.
-  /// Returns the number of frames plus planes copied.
+  /// Returns the number of entries copied.
   int64_t CopyGeneration(int64_t from, int64_t to,
                          int64_t min_t = INT64_MIN);
 
   /// \brief Deletes every frame of a generation (epoch reclamation once
   /// the last reader unpins it); tile blocks free when their last
-  /// referencing generation drops. Returns frames plus planes dropped.
+  /// referencing generation drops. Returns the number of entries
+  /// dropped.
   int64_t DropGeneration(int64_t generation);
 
   /// \brief Deletes a generation's frames with t < `min_t` (retention
-  /// trim of a still-unpublished shadow generation). Returns frames
-  /// plus planes dropped.
+  /// trim of a still-unpublished shadow generation). Returns the number
+  /// of entries dropped.
   int64_t DropFramesBelow(int64_t generation, int64_t min_t);
 
-  /// \brief Number of frames stored under a generation (summed-area
-  /// planes are derived data and not counted).
+  /// \brief Number of entries (frames, each with its plane) stored
+  /// under a generation.
   int64_t NumFramesAt(int64_t generation) const;
 
-  /// \brief Number of summed-area planes stored under a generation.
-  int64_t NumSatPlanesAt(int64_t generation) const;
-
-  /// \brief Injects a write fault: every TrySync*/TryBuild* call returns
+  /// \brief Injects a write fault: every TrySync* call returns
   /// `fault` (and every fatal Sync* dies) until ClearWriteFault. `fault`
   /// must be an error. Models a store that stopped accepting writes
   /// (full disk, lost quorum); reads are deliberately unaffected — the
@@ -195,12 +194,10 @@ class PredictionStore {
   }
 
  private:
-  /// \brief One stored (generation, layer, t): tiled CoW frame, its
-  /// optional tiled plane, and the dirty set it was staged with (null
-  /// when unknown).
+  /// \brief One stored (generation, layer, t): tiled CoW frame and
+  /// plane, and the dirty set it was staged with (null when unknown).
   struct Entry {
-    std::shared_ptr<const TiledFrame> frame;
-    std::shared_ptr<const TiledSatPlane> plane;
+    StoredFrame stored;
     std::shared_ptr<const TileDirtySet> dirty;
   };
   using Key = std::tuple<int64_t, int, int64_t>;  // (generation, layer, t)

@@ -26,17 +26,17 @@ enum class SpanName : uint8_t {
   kCacheProbe = 3, ///< per-slot cache probe + resolve (arg: 1 on hit)
   kResolve = 4,    ///< resolve stage across all slots (arg: #slots)
   kEpochPin = 5,   ///< epoch pin acquisition (arg: pinned generation)
-  kGather = 6,     ///< gather stage, SAT or exact (arg: #point queries)
+  kGather = 6,     ///< gather interpreter stage (arg: #point queries)
   kFold = 7,       ///< per-row series fold (arg: series length)
   kRank = 8,       ///< top-k ranking
   kPublishEpoch = 9,   ///< root: one publish attempt (arg: timestep)
   kInfer = 10,         ///< multi-scale inference (arg: timestep)
   kStageFrames = 11,   ///< staging all layer frames (arg: #frames)
-  kBuildSatPlane = 12, ///< one SAT plane build (arg: layer)
+  kBuildSatPlane = 12, ///< one full SAT plane build in a write (arg: layer)
   kPublish = 13,       ///< atomic epoch flip
   kReclaim = 14,       ///< root: one generation reclaim (arg: generation)
   kBarrierWait = 15,   ///< cross-shard epoch pin, incl. seqlock retries
-  kTileSatFixup = 16,  ///< incremental tiled-SAT rebuild (arg: dirty tiles)
+  kTileSatFixup = 16,  ///< delta-write SAT rebuild (arg: dirty tiles)
 };
 constexpr int kNumSpanNames = 17;
 

@@ -54,8 +54,9 @@ struct ResidueRead {
   int8_t sign = 1;
 };
 
-/// \brief What a layer contributes to the program — whether the executor
-/// must fetch the layer's summed-area plane, its raw frame, or both.
+/// \brief What a layer contributes to the program: rect reads from its
+/// summed-area plane, residue reads from its frame, or both. The
+/// executor pins a layer's frame and plane in one store read either way.
 struct GatherLayerNeed {
   int layer = 1;
   bool needs_plane = false;  ///< the program has rect reads at this layer

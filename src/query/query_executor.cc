@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/stopwatch.h"
+#include "kvstore/prediction_store.h"
 #include "obs/metrics.h"
 #include "query/resolved_query_cache.h"
 #include "query/topk_memo.h"
@@ -124,14 +125,11 @@ std::vector<SlotResolution> ResolveSlots(
 /// missing timestep without allocating in proportion to the range.
 constexpr int64_t kMaxFrameTableEntries = 4096;
 
-/// \brief One (shard, layer) some row of the plan reads, and what it
-/// reads there: the summed-area plane (rect reads), the frame (residues)
-/// or both.
+/// \brief One (shard, layer) some row of the plan reads: rects from its
+/// summed-area plane, residues from its frame.
 struct FrameSource {
   int shard = 0;
   int layer = 1;
-  bool need_plane = false;
-  bool need_frame = false;
 };
 
 /// \brief What was pinned for one (source, t). The hot loops read the
@@ -139,15 +137,13 @@ struct FrameSource {
 /// read.
 struct FrameTableEntry {
   /// The pinned frame's tile table (TiledFrame::tiles()): residues read
-  /// tiles[tile][in_tile]. Null when the frame is missing or unneeded.
+  /// tiles[tile][in_tile]. Null when nothing is stored at (source, t).
   const float* const* tiles = nullptr;
-  /// Shared straight out of the store (a refcount bump, no cell copy);
-  /// the pins keep both alive past any reclamation of their generation.
-  /// A null plane: none published for this generation — rect reads then
-  /// fall back to direct sums over `frame`.
-  std::shared_ptr<const TiledFrame> frame;
-  std::shared_ptr<const TiledSatPlane> plane;
-  Status error;  ///< fetch failure (typically NotFound)
+  /// Frame and plane shared straight out of the store (refcount bumps,
+  /// no cell copy); the pins keep both alive past any reclamation of
+  /// their generation.
+  PredictionStore::StoredFrame pinned;
+  Status error;  ///< fetch failure (NotFound)
 };
 
 /// \brief The plan's sources pinned over timesteps [t0, t0 + steps):
@@ -175,45 +171,17 @@ void FillFrameTable(const std::vector<FrameSource>& sources,
   for (const FrameSource& source : sources) {
     const ShardReadView& view = shards[static_cast<size_t>(source.shard)];
     for (int64_t t = w0; t < w0 + len; ++t, ++entry) {
-      bool need_frame = source.need_frame;
-      if (source.need_plane) {
-        Result<std::shared_ptr<const TiledSatPlane>> plane =
-            view.store->GetTiledSatPlaneAt(view.generation, source.layer, t);
-        if (plane.ok()) {
-          entry->plane = plane.MoveValueUnsafe();
-        } else if (plane.status().code() == StatusCode::kNotFound) {
-          // No plane stored for this (layer, t): a store synced without
-          // planes, as a direct RegionQueryServer user may hand in. Rect
-          // reads degrade to direct frame sums instead of failing the
-          // row.
-          need_frame = true;
-        } else {
-          // Anything else (corrupt blob, size mismatch) is a store
-          // defect: fail the rows loudly.
-          entry->error = plane.status();
-          continue;
-        }
+      Result<PredictionStore::StoredFrame> stored =
+          view.store->GetStoredFrameAt(view.generation, source.layer, t);
+      if (!stored.ok()) {
+        entry->error = stored.status();
+        continue;
       }
-      if (!need_frame) continue;
-      Result<std::shared_ptr<const TiledFrame>> frame =
-          view.store->GetTiledFrameAt(view.generation, source.layer, t);
-      if (frame.ok()) {
-        entry->frame = frame.MoveValueUnsafe();
-        entry->tiles = entry->frame->tiles();
-      } else {
-        entry->error = frame.status();
-      }
+      entry->pinned = stored.MoveValueUnsafe();
+      entry->tiles = entry->pinned.frame->tiles();
     }
   }
 }
-
-/// \brief One source as a bound program reads it: its plan-wide index
-/// and which of its parts the program's reads need.
-struct BoundSource {
-  int source = 0;  ///< index into the plan's FrameSource list
-  bool needs_plane = false;
-  bool needs_frame = false;
-};
 
 /// \brief A resolution's gather program in the interpreter's address
 /// space: each read's layer_index names an entry of `sources`. At N = 1
@@ -226,9 +194,9 @@ struct BoundProgram {
   size_t num_rects = 0;
   const ResidueRead* residues = nullptr;
   size_t num_residues = 0;
-  /// Layer-ascending, then shard-ascending: the availability check's
-  /// order.
-  const BoundSource* sources = nullptr;
+  /// Indices into the plan's FrameSource list, layer-ascending, then
+  /// shard-ascending: the availability check's order.
+  const int* sources = nullptr;
   size_t num_sources = 0;
   /// Reads per timestep each shard serves: 4 per rect part, 1 per
   /// residue.
@@ -244,27 +212,23 @@ struct GatherScratch {
   std::vector<int> source_of;  ///< shard * (layers + 1) + layer -> source
   std::vector<FrameSource> sources;
   std::vector<BoundProgram> bound;  ///< per plan slot
-  std::vector<BoundSource> bound_sources;
+  std::vector<int> bound_sources;
   std::vector<SatRectRead> band_rects;
   std::vector<ResidueRead> band_residues;
   std::vector<int64_t> reads_per_shard;
-  std::vector<int> local_of;  ///< layer * shards + shard -> flags, index
+  std::vector<int> local_of;  ///< layer * shards + shard -> used, index
   FrameTable table;
   std::vector<double> series;
   std::vector<const FrameTableEntry*> bases;
   std::vector<int64_t> shard_reads;
 
-  int AddSource(int shard, int layer, bool need_plane, bool need_frame,
-                int num_layers) {
+  int AddSource(int shard, int layer, int num_layers) {
     int& at = source_of[static_cast<size_t>(shard) * (num_layers + 1) +
                         static_cast<size_t>(layer)];
     if (at < 0) {
       at = static_cast<int>(sources.size());
-      sources.push_back(FrameSource{shard, layer, false, false});
+      sources.push_back(FrameSource{shard, layer});
     }
-    FrameSource& source = sources[static_cast<size_t>(at)];
-    source.need_plane |= need_plane;
-    source.need_frame |= need_frame;
     return at;
   }
 };
@@ -280,10 +244,8 @@ BoundProgram BindWhole(const GatherProgram& program, int num_layers,
   bound.sources = scratch->bound_sources.data() + scratch->bound_sources.size();
   bound.num_sources = program.layers.size();
   for (const GatherLayerNeed& need : program.layers) {
-    scratch->bound_sources.push_back(BoundSource{
-        scratch->AddSource(0, need.layer, need.needs_plane,
-                           need.needs_frame, num_layers),
-        need.needs_plane, need.needs_frame});
+    scratch->bound_sources.push_back(
+        scratch->AddSource(0, need.layer, num_layers));
   }
   bound.reads_per_shard =
       scratch->reads_per_shard.data() + scratch->reads_per_shard.size();
@@ -296,15 +258,14 @@ BoundProgram BindWhole(const GatherProgram& program, int num_layers,
 /// its owner's band frame (OwnerOf, LocalRow, TileAddressOf).
 BoundProgram BindToBands(const GatherProgram& program, const ShardMap& bands,
                          GatherScratch* scratch) {
-  constexpr int kPlane = 1, kFrame = 2;
   const Hierarchy& hierarchy = *bands.hierarchy();
   const int num_layers = hierarchy.num_layers();
   const int num_shards = bands.num_shards();
-  // Each read's layer_index first holds its (layer, shard) key, whose
-  // need flags gather in local_of; numbering the keys in ascending order
-  // then orders the sources layer-ascending, then shard-ascending.
+  // Each read's layer_index first holds its (layer, shard) key, marked
+  // used in local_of; numbering the used keys in ascending order then
+  // orders the sources layer-ascending, then shard-ascending.
   std::vector<int>& local_of = scratch->local_of;
-  local_of.assign(static_cast<size_t>(num_layers + 1) * num_shards, 0);
+  local_of.assign(static_cast<size_t>(num_layers + 1) * num_shards, -1);
   const auto key_of = [num_shards](int layer, int shard) {
     return layer * num_shards + shard;
   };
@@ -326,7 +287,7 @@ BoundProgram BindToBands(const GatherProgram& program, const ShardMap& bands,
       part.r0 = r0 - slice.row_begin;
       part.r1 = r1 - slice.row_begin;
       part.layer_index = key_of(rect.layer, k);
-      local_of[static_cast<size_t>(part.layer_index)] |= kPlane;
+      local_of[static_cast<size_t>(part.layer_index)] = 0;
       scratch->band_rects.push_back(part);
       reads[k] += 4;
     }
@@ -343,7 +304,7 @@ BoundProgram BindToBands(const GatherProgram& program, const ShardMap& bands,
     read.tile = address.tile;
     read.in_tile = address.in_tile;
     read.layer_index = key_of(residue.layer, owner);
-    local_of[static_cast<size_t>(read.layer_index)] |= kFrame;
+    local_of[static_cast<size_t>(read.layer_index)] = 0;
     scratch->band_residues.push_back(read);
     reads[owner] += 1;
   }
@@ -351,14 +312,9 @@ BoundProgram BindToBands(const GatherProgram& program, const ShardMap& bands,
   bound.sources = scratch->bound_sources.data() + scratch->bound_sources.size();
   int next = 0;
   for (int key = 0; key < static_cast<int>(local_of.size()); ++key) {
-    const int flags = local_of[static_cast<size_t>(key)];
-    if (flags == 0) continue;
-    const bool plane = (flags & kPlane) != 0;
-    const bool frame = (flags & kFrame) != 0;
-    scratch->bound_sources.push_back(BoundSource{
-        scratch->AddSource(key % num_shards, key / num_shards, plane, frame,
-                           num_layers),
-        plane, frame});
+    if (local_of[static_cast<size_t>(key)] < 0) continue;
+    scratch->bound_sources.push_back(
+        scratch->AddSource(key % num_shards, key / num_shards, num_layers));
     local_of[static_cast<size_t>(key)] = next++;
   }
   bound.num_sources = static_cast<size_t>(next);
@@ -416,46 +372,15 @@ void BindSlots(const std::vector<SlotResolution>& slots,
   }
 }
 
-/// \brief Fallback rect sum when a generation carries no plane for this
-/// (layer, t): sum the frame directly, row by row in ascending (r, c)
-/// order, walking each row's span tile by tile. Still O(area), but
-/// contiguous within a tile and without per-cell term bookkeeping.
-double RectSumOnFrame(const TiledFrame& frame, const SatRectRead& rect) {
-  double acc = 0.0;
-  for (int64_t r = rect.r0; r < rect.r1; ++r) {
-    const int64_t i = r / kSatTileSize;
-    const int64_t r_in = r - i * kSatTileSize;
-    for (int64_t c = rect.c0; c < rect.c1;) {
-      const int64_t j = c / kSatTileSize;
-      const int64_t tw = frame.tile_cols(j);
-      const int64_t c_end = std::min(rect.c1, j * kSatTileSize + tw);
-      const float* row = frame.block(i, j) + r_in * tw;
-      const int64_t c_base = j * kSatTileSize;
-      for (; c < c_end; ++c) acc += static_cast<double>(row[c - c_base]);
-    }
-  }
-  return acc;
-}
-
 /// \brief Availability first: the error of the first timestep of the
-/// window holding an unreadable entry and, within it, of the first
-/// source the reads need — plane sources, then frame sources, each
-/// layer-ascending. OK when every read of the window can be made.
+/// window holding a missing entry and, within it, of the first source
+/// the reads need. OK when every read of the window can be made.
 Status CheckWindow(const BoundProgram& bound,
                    const FrameTableEntry* const* bases, int64_t len) {
   for (int64_t dt = 0; dt < len; ++dt) {
     for (size_t li = 0; li < bound.num_sources; ++li) {
       const FrameTableEntry* entry = bases[li] + dt;
-      if (bound.sources[li].needs_plane && entry->plane == nullptr &&
-          entry->tiles == nullptr) {
-        return entry->error;
-      }
-    }
-    for (size_t li = 0; li < bound.num_sources; ++li) {
-      const FrameTableEntry* entry = bases[li] + dt;
-      if (bound.sources[li].needs_frame && entry->tiles == nullptr) {
-        return entry->error;
-      }
+      if (entry->tiles == nullptr) return entry->error;
     }
   }
   return Status::OK();
@@ -473,10 +398,8 @@ void AccumulateReads(const BoundProgram& bound,
         bases[static_cast<size_t>(rect.layer_index)];
     const double sign = static_cast<double>(rect.sign);
     for (int64_t dt = 0; dt < len; ++dt, ++entry) {
-      acc[dt] += sign * (entry->plane != nullptr
-                             ? entry->plane->RectSum(rect.r0, rect.c0,
-                                                     rect.r1, rect.c1)
-                             : RectSumOnFrame(*entry->frame, rect));
+      acc[dt] += sign * entry->pinned.plane->RectSum(rect.r0, rect.c0,
+                                                     rect.r1, rect.c1);
     }
   }
   for (size_t i = 0; i < bound.num_residues; ++i) {
@@ -534,8 +457,7 @@ void GatherRows(const QueryPlan& plan,
       bases.resize(program.num_sources);
       for (size_t li = 0; li < bases.size(); ++li) {
         bases[li] = table.entries.data() +
-                    static_cast<int64_t>(program.sources[li].source) *
-                        table.steps +
+                    static_cast<int64_t>(program.sources[li]) * table.steps +
                     (w0 - table.t0);
       }
       gather = CheckWindow(program, bases.data(), len);

@@ -299,10 +299,6 @@ class EngineRun {
         pinned_epoch_survived_ = false;
         pinned_epoch_detail_ =
             "frame " + where + " reclaimed under an active pin";
-      } else if (!store.HasSatPlaneAt(generation, 1, latest)) {
-        pinned_epoch_survived_ = false;
-        pinned_epoch_detail_ =
-            "SAT plane " + where + " reclaimed under an active pin";
       }
     }
     pinned_.Release();

@@ -61,36 +61,22 @@ Status FrameEpochManager::Staging::TryStageFrame(int layer, int64_t t,
   O4A_CHECK(valid());
   const bool delta = dirty != nullptr && !dirty->empty();
   PredictionStore::StageStats stats;
-  if (delta) {
-    // Copy-on-write against the carried-forward previous timestep:
-    // clean tiles alias (generation, layer, t-1)'s blocks. The store
-    // falls back to a full fresh write when that base is absent.
-    O4A_RETURN_NOT_OK(manager_->store_->TrySyncFrameDeltaAt(
-        generation_, layer, t, frame, t - 1, *dirty, &stats));
-  } else {
-    O4A_RETURN_NOT_OK(
-        manager_->store_->TrySyncFrameAt(generation_, layer, t, frame));
-  }
-  // The plane is derived into the same still-unpublished shadow
-  // generation, so no reader can observe it before its epoch publishes.
-  // A refusal here leaves the frame without its plane — fine, because
-  // the only recovery is aborting the staging, which drops both.
-  if (delta) {
-    ScopedSpan sat_span(trace_ctx_, SpanName::kTileSatFixup,
-                        stats.frame_tiles_total - stats.frame_tiles_shared);
-    O4A_RETURN_NOT_OK(manager_->store_->TryBuildSatPlaneDeltaAt(
-        generation_, layer, t, t - 1, /*pool=*/nullptr, &stats));
-  } else {
-    ScopedSpan sat_span(trace_ctx_, SpanName::kBuildSatPlane, layer);
-    O4A_RETURN_NOT_OK(
-        manager_->store_->TryBuildSatPlaneAt(generation_, layer, t));
-  }
+  // Frame and plane land together in the still-unpublished shadow
+  // generation, so no reader can observe either before its epoch
+  // publishes. A delta stage is copy-on-write against the carried-forward
+  // previous timestep: clean tiles alias (generation, layer, t-1)'s
+  // blocks, and the store falls back to a full fresh write when that
+  // base is absent.
+  O4A_RETURN_NOT_OK(
+      delta ? manager_->store_->TrySyncFrameDeltaAt(generation_, layer, t,
+                                                    frame, t - 1, *dirty,
+                                                    &stats, trace_ctx_)
+            : manager_->store_->TrySyncFrameAt(generation_, layer, t, frame,
+                                               trace_ctx_));
+  latest_t_ = std::max(latest_t_, t);
   if (manager_->telemetry_ != nullptr) {
     manager_->telemetry_->sat_planes_built.fetch_add(
         1, std::memory_order_relaxed);
-  }
-  latest_t_ = std::max(latest_t_, t);
-  if (manager_->telemetry_ != nullptr) {
     manager_->telemetry_->frames_staged.fetch_add(
         1, std::memory_order_relaxed);
     if (delta) {

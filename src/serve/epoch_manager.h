@@ -147,7 +147,8 @@ class FrameEpochManager {
                          const TileDirtySet* dirty = nullptr);
 
     /// \brief Attaches the publish attempt's trace context so staged
-    /// SAT-plane builds record kBuildSatPlane child spans. The context
+    /// SAT-plane builds record kBuildSatPlane (full) or kTileSatFixup
+    /// (delta) child spans. The context
     /// must outlive this staging; null (the default) records nothing.
     void set_trace(TraceContext* ctx) { trace_ctx_ = ctx; }
 

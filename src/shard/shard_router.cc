@@ -19,8 +19,8 @@ int ShardRouter::HomeShard(const GridMask& region) const {
 std::string ShardRouter::DescribeSplit(const QueryPlan& plan) const {
   std::ostringstream out;
   out << "  4. shard scatter: " << map_->num_shards()
-      << " band shards, terms evaluated by cell owner, series re-folded"
-         " in canonical term order\n";
+      << " band shards, rects clipped to bands and read from the owners'"
+         " band planes, residues read from the owner's band frame\n";
   for (size_t s = 0; s < plan.slot_regions.size(); ++s) {
     const GridMask& region = plan.RegionForSlot(static_cast<int>(s));
     const std::vector<int64_t> split = map_->SplitRegionCells(region);

@@ -302,8 +302,7 @@ std::shared_ptr<const std::vector<double>> BuildLocal(const TiledFrame& frame,
 
 }  // namespace
 
-TiledSatPlane TiledSatPlane::Build(const TiledFrame& frame,
-                                   ThreadPool* pool) {
+TiledSatPlane TiledSatPlane::Build(const TiledFrame& frame) {
   TiledSatPlane out;
   out.h_ = frame.height();
   out.w_ = frame.width();
@@ -318,7 +317,7 @@ TiledSatPlane TiledSatPlane::Build(const TiledFrame& frame,
     }
   };
   ThreadPool* resolved = out.h_ * out.w_ >= kParallelThresholdCells
-                             ? ResolveComputePool(pool)
+                             ? ResolveComputePool()
                              : nullptr;
   if (resolved != nullptr) {
     resolved->ParallelFor(num_tiles, build_tiles);
@@ -333,13 +332,12 @@ TiledSatPlane TiledSatPlane::Build(const TiledFrame& frame,
 TiledSatPlane TiledSatPlane::BuildDelta(const TiledFrame& frame,
                                         const TiledSatPlane& base,
                                         const TileDirtySet& dirty,
-                                        int64_t* reused_tiles,
-                                        ThreadPool* pool) {
+                                        int64_t* reused_tiles) {
   if (reused_tiles != nullptr) *reused_tiles = 0;
   if (base.h_ != frame.height() || base.w_ != frame.width() ||
       dirty.empty() || dirty.height() != frame.height() ||
       dirty.width() != frame.width()) {
-    return Build(frame, pool);
+    return Build(frame);
   }
   TiledSatPlane out;
   out.h_ = frame.height();
@@ -370,7 +368,7 @@ TiledSatPlane TiledSatPlane::BuildDelta(const TiledFrame& frame,
   const int64_t num_dirty = static_cast<int64_t>(dirty_tiles.size());
   ThreadPool* resolved =
       num_dirty * kSatTileSize * kSatTileSize >= kParallelThresholdCells
-          ? ResolveComputePool(pool)
+          ? ResolveComputePool()
           : nullptr;
   if (resolved != nullptr) {
     resolved->ParallelFor(num_dirty, rebuild);

@@ -34,8 +34,6 @@
 
 namespace one4all {
 
-class ThreadPool;
-
 /// \brief Tile edge in cells. A power of two, so the hot four-read path
 /// divides by shifting. 32 keeps a tile's local prefix (8 KiB of
 /// doubles) L1-resident during rebuild while the aggregate arrays stay
@@ -287,10 +285,9 @@ class TiledSatPlane {
   TiledSatPlane() = default;
 
   /// \brief Full build: every tile's local prefix freshly computed, then
-  /// one aggregate sweep. `pool` fans the independent tile builds out
-  /// (ambient pool when null, sequential for small frames).
-  static TiledSatPlane Build(const TiledFrame& frame,
-                             ThreadPool* pool = nullptr);
+  /// one aggregate sweep. Large frames fan the independent tile builds
+  /// out on the ambient compute pool; small ones build sequentially.
+  static TiledSatPlane Build(const TiledFrame& frame);
 
   /// \brief Incremental build: clean tiles alias `base`'s local blocks,
   /// dirty tiles rebuild from `frame`, aggregates recomputed in the same
@@ -301,8 +298,7 @@ class TiledSatPlane {
   static TiledSatPlane BuildDelta(const TiledFrame& frame,
                                   const TiledSatPlane& base,
                                   const TileDirtySet& dirty,
-                                  int64_t* reused_tiles,
-                                  ThreadPool* pool = nullptr);
+                                  int64_t* reused_tiles);
 
   bool empty() const { return h_ == 0 || w_ == 0; }
   int64_t height() const { return h_; }

@@ -323,47 +323,7 @@ TEST(GatherInterpreterTest, MatchesTermReferenceAcrossSpecShapes) {
   }
 }
 
-TEST(GatherInterpreterTest, FallsBackToFrameSumsWhenPlanesAreMissing) {
-  GatherFixture fx;
-  // A store synced with frames but no planes (a pre-SAT producer): rect
-  // reads must degrade to direct frame rect sums, not fail.
-  PredictionStore bare;
-  const int64_t t = fx.pipeline->test_timesteps().front();
-  for (int l = 1; l <= fx.ds.hierarchy().num_layers(); ++l) {
-    bare.SyncFrame(l, t, fx.ds.FrameAtLayer(t, l));
-  }
-  ASSERT_EQ(bare.NumSatPlanesAt(0), 0);
-  RegionQueryServer server(&fx.ds.hierarchy(), &fx.pipeline->index(),
-                           &bare);
-  QueryExecutor executor(&server);
-
-  const QuerySpec spec = QuerySpec::MultiRegion(fx.MixedRegions(), t);
-  auto plan = fx.planner().Plan(spec);
-  ASSERT_TRUE(plan.ok());
-  const QueryResult reference = ReferenceResult(server, spec);
-  for (const auto& row : reference.rows) ASSERT_TRUE(row.ok());
-  ExpectBitExactRows(reference, executor.Execute(*plan), "no planes");
-
-  // A timestep nothing synced still fails per-row with NotFound.
-  const QuerySpec missing = QuerySpec::MultiRegion(fx.MixedRegions(), t + 1);
-  auto missing_plan = fx.planner().Plan(missing);
-  ASSERT_TRUE(missing_plan.ok());
-  const QueryResult missed = executor.Execute(*missing_plan);
-  for (const auto& row : missed.rows) {
-    EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
-  }
-  ExpectBitExactRows(ReferenceResult(server, missing), missed, "missing");
-
-  // Once planes are built the same spec answers through them, with the
-  // same bits.
-  for (int l = 1; l <= fx.ds.hierarchy().num_layers(); ++l) {
-    ASSERT_TRUE(bare.TryBuildSatPlaneAt(0, l, t).ok());
-  }
-  ASSERT_EQ(bare.NumSatPlanesAt(0), fx.ds.hierarchy().num_layers());
-  ExpectBitExactRows(reference, executor.Execute(*plan), "planes");
-}
-
-TEST(GatherInterpreterTest, ResidueOnlyRowsFailNotFoundOnMissingFrames) {
+TEST(GatherInterpreterTest, RowsFailNotFoundOnMissingFrames) {
   GatherFixture fx;
   const int64_t t = fx.pipeline->test_timesteps().front();
   PredictionStore bare;
@@ -398,6 +358,18 @@ TEST(GatherInterpreterTest, ResidueOnlyRowsFailNotFoundOnMissingFrames) {
   const QueryResult missed = executor.Execute(*missing_plan);
   EXPECT_EQ(missed.rows[0].status().code(), StatusCode::kNotFound);
   ExpectBitExactRows(ReferenceResult(server, missing), missed, "missing");
+
+  // Rect-reading rows at a timestep nothing synced fail per row with
+  // the reference's status too: a missing entry has no plane to read.
+  const QuerySpec unsynced = QuerySpec::MultiRegion(fx.MixedRegions(), t + 1);
+  auto unsynced_plan = fx.planner().Plan(unsynced);
+  ASSERT_TRUE(unsynced_plan.ok());
+  const QueryResult unanswered = executor.Execute(*unsynced_plan);
+  for (const auto& row : unanswered.rows) {
+    EXPECT_EQ(row.status().code(), StatusCode::kNotFound);
+  }
+  ExpectBitExactRows(ReferenceResult(server, unsynced), unanswered,
+                     "unsynced");
 }
 
 // A range far past what the store holds, run by a direct executor with
@@ -428,16 +400,15 @@ TEST(GatherInterpreterTest, HugeRangeFailsNotFoundWithoutSizingByRange) {
 // copy, so a reclaim that lands mid-read must leave every held frame
 // alive and unchanged (use-after-free here fails the ASan+UBSan job).
 
-/// Syncs (layer, t) frames for every layer and `steps` timesteps into a
-/// fresh generation, plus their planes: the generation is the blocks'
-/// only owner, so dropping it frees whatever no reader pinned.
+/// Syncs (layer, t) frames, each with its plane, for every layer and
+/// `steps` timesteps into a fresh generation: the generation is the
+/// blocks' only owner, so dropping it frees whatever no reader pinned.
 void StageSoleOwnerGeneration(const GatherFixture& fx, PredictionStore* store,
                               int64_t generation, int64_t t0,
                               int64_t steps) {
   for (int l = 1; l <= fx.ds.hierarchy().num_layers(); ++l) {
     for (int64_t t = t0; t < t0 + steps; ++t) {
       store->SyncFrameAt(generation, l, t, fx.ds.FrameAtLayer(t, l));
-      O4A_CHECK(store->TryBuildSatPlaneAt(generation, l, t).ok());
     }
   }
 }
@@ -517,47 +488,108 @@ TEST(FrameLifetimeTest, GatherPinsSurviveConcurrentDropGeneration) {
 // ---------------------------------------------------------------------------
 // Plane storage + epoch lifecycle
 
-TEST(SatPlaneStoreTest, PlanesAreDerivedDataNotFrames) {
+/// The stored plane of (generation, layer, t) must equal a fresh
+/// TiledSatPlane::Build of the stored frame, prefix for prefix.
+void ExpectPlaneBuiltFromStoredFrame(const PredictionStore& store,
+                                     int64_t generation, int layer,
+                                     int64_t t) {
+  auto stored = store.GetStoredFrameAt(generation, layer, t);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  ASSERT_NE(stored->frame, nullptr);
+  ASSERT_NE(stored->plane, nullptr);
+  const TiledSatPlane fresh = TiledSatPlane::Build(*stored->frame);
+  const TiledSatPlane& plane = *stored->plane;
+  ASSERT_EQ(plane.height(), fresh.height());
+  ASSERT_EQ(plane.width(), fresh.width());
+  for (int64_t r = 0; r <= plane.height(); ++r) {
+    for (int64_t c = 0; c <= plane.width(); ++c) {
+      ASSERT_EQ(plane.PrefixAt(r, c), fresh.PrefixAt(r, c))
+          << "gen " << generation << " t " << t << " prefix " << r << ","
+          << c;
+    }
+  }
+}
+
+// Every write path stores the frame with its plane, and the plane is
+// the full build of the stored frame: SyncFrame, TrySyncFrameAt, and
+// TrySyncFrameDeltaAt with a known dirty set, an unknown one and a
+// missing base. An overwrite replaces both; a refused write keeps both.
+TEST(SatPlaneStoreTest, EveryWriteStoresFrameWithItsPlane) {
   PredictionStore store;
   Rng rng(3);
-  const Tensor frame = Tensor::RandomNormal({4, 6}, &rng);
-  store.SyncFrameAt(7, 1, 12, frame);
-  store.SyncFrameAt(7, 2, 12, Tensor::Full({2, 3}, 2.0f));
-  EXPECT_EQ(store.NumFramesAt(7), 2);
-  EXPECT_EQ(store.NumSatPlanesAt(7), 0);
-
-  ASSERT_TRUE(store.TryBuildSatPlaneAt(7, 1, 12).ok());
-  ASSERT_TRUE(store.TryBuildSatPlaneAt(7, 2, 12).ok());
-  EXPECT_EQ(store.NumFramesAt(7), 2);  // planes are not frames
-  EXPECT_EQ(store.NumSatPlanesAt(7), 2);
-  ASSERT_TRUE(store.HasSatPlaneAt(7, 1, 12));
+  const Tensor small = Tensor::RandomNormal({4, 6}, &rng);
+  store.SyncFrame(1, 12, small);
+  ExpectPlaneBuiltFromStoredFrame(store, 0, 1, 12);
+  ASSERT_TRUE(store.TrySyncFrameAt(7, 1, 12, small).ok());
+  ExpectPlaneBuiltFromStoredFrame(store, 7, 1, 12);
 
   // The stored plane reads the exact sums of the snapped cells.
   auto plane = store.GetTiledSatPlaneAt(7, 1, 12);
   ASSERT_TRUE(plane.ok());
-  const Tensor snapped = Snapped(frame);
+  const Tensor snapped = Snapped(small);
   for (int64_t r = 0; r <= 4; ++r) {
     for (int64_t c = 0; c <= 6; ++c) {
       ASSERT_EQ((*plane)->PrefixAt(r, c),
                 BruteForceRectSum(snapped, 0, 0, r, c));
     }
   }
-
   EXPECT_EQ(store.GetTiledSatPlaneAt(7, 1, 99).status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(store.TryBuildSatPlaneAt(7, 1, 99).code(),
-            StatusCode::kNotFound);
 
-  // Overwriting a frame invalidates its derived plane — a stale plane
-  // must never survive for the fast path to read.
+  // Delta writes over a 3x3-tile frame: a known dirty set aliases the
+  // base's clean plane locals; an unknown set or a missing base builds
+  // the plane in full.
+  const Tensor base = Tensor::RandomUniform({70, 90}, &rng, 0.0f, 9.0f);
+  ASSERT_TRUE(store.TrySyncFrameAt(7, 2, 0, base).ok());
+  ExpectPlaneBuiltFromStoredFrame(store, 7, 2, 0);
+  Tensor next = base;
+  for (int64_t r = 33; r < 37; ++r) {
+    for (int64_t c = 60; c < 70; ++c) next.at(r, c) += 0.5f;
+  }
+  TileDirtySet dirty(70, 90);
+  dirty.MarkRect(33, 60, 37, 70);
+  PredictionStore::StageStats stats;
+  ASSERT_TRUE(store.TrySyncFrameDeltaAt(7, 2, 1, next, 0, dirty, &stats).ok());
+  EXPECT_GT(stats.plane_tiles_reused, 0);
+  ExpectPlaneBuiltFromStoredFrame(store, 7, 2, 1);
+  ASSERT_TRUE(
+      store.TrySyncFrameDeltaAt(7, 2, 2, next, 1, TileDirtySet(), &stats)
+          .ok());
+  EXPECT_EQ(stats.plane_tiles_reused, 0);
+  ExpectPlaneBuiltFromStoredFrame(store, 7, 2, 2);
+  ASSERT_TRUE(store.TrySyncFrameDeltaAt(7, 2, 3, next, 50, dirty, &stats).ok());
+  EXPECT_EQ(stats.plane_tiles_reused, 0);
+  ExpectPlaneBuiltFromStoredFrame(store, 7, 2, 3);
+
+  // An overwrite replaces frame and plane together.
+  auto before = store.GetStoredFrameAt(7, 1, 12);
+  ASSERT_TRUE(before.ok());
   store.SyncFrameAt(7, 1, 12, Tensor::Full({4, 6}, 9.0f));
-  EXPECT_FALSE(store.HasSatPlaneAt(7, 1, 12));
-  EXPECT_TRUE(store.HasSatPlaneAt(7, 2, 12));
+  auto after = store.GetStoredFrameAt(7, 1, 12);
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(after->frame, before->frame);
+  EXPECT_NE(after->plane, before->plane);
+  EXPECT_EQ(after->plane->RectSum(0, 0, 4, 6), 24 * 9.0);
+  ExpectPlaneBuiltFromStoredFrame(store, 7, 1, 12);
 
-  // DropGeneration reclaims planes together with frames.
-  store.DropGeneration(7);
+  // A refused write stores nothing: the old pair stays.
+  store.SetWriteFault(Status::IOError("store full"));
+  EXPECT_EQ(store.TrySyncFrameAt(7, 1, 12, small).code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(store.TrySyncFrameDeltaAt(7, 1, 12, small, 11, dirty).code(),
+            StatusCode::kIOError);
+  store.ClearWriteFault();
+  auto kept = store.GetStoredFrameAt(7, 1, 12);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->frame, after->frame);
+  EXPECT_EQ(kept->plane, after->plane);
+
+  // DropGeneration reclaims every entry, frame and plane alike.
+  EXPECT_EQ(store.NumFramesAt(7), 5);
+  EXPECT_EQ(store.DropGeneration(7), 5);
   EXPECT_EQ(store.NumFramesAt(7), 0);
-  EXPECT_EQ(store.NumSatPlanesAt(7), 0);
+  EXPECT_EQ(store.GetTiledSatPlaneAt(7, 2, 1).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(SatPlaneEpochTest, PlanesPublishReclaimAndCarryWithTheirEpoch) {
@@ -569,11 +601,11 @@ TEST(SatPlaneEpochTest, PlanesPublishReclaimAndCarryWithTheirEpoch) {
   const int64_t gen1 = staging.generation();
   staging.StageFrame(1, 0, Tensor::Full({4, 4}, 2.0f));
   // Staged planes exist only in the unpublished shadow generation.
-  EXPECT_TRUE(store.HasSatPlaneAt(gen1, 1, 0));
-  EXPECT_EQ(store.NumSatPlanesAt(epochs.published_generation()), 0);
+  EXPECT_TRUE(store.GetTiledSatPlaneAt(gen1, 1, 0).ok());
+  EXPECT_EQ(store.NumFramesAt(epochs.published_generation()), 0);
   epochs.Publish(std::move(staging));
   EXPECT_EQ(epochs.published_generation(), gen1);
-  EXPECT_EQ(store.NumSatPlanesAt(gen1), 1);
+  EXPECT_EQ(store.NumFramesAt(gen1), 1);
   EXPECT_EQ(telemetry.Snapshot().sat_planes_built, 1);
 
   // Carry-forward copies planes with frames into the next epoch.
@@ -582,15 +614,16 @@ TEST(SatPlaneEpochTest, PlanesPublishReclaimAndCarryWithTheirEpoch) {
   const int64_t gen2 = staging2.generation();
   staging2.StageFrame(1, 1, Tensor::Full({4, 4}, 3.0f));
   epochs.Publish(std::move(staging2));
-  EXPECT_EQ(store.NumSatPlanesAt(gen2), 2);
+  EXPECT_EQ(store.NumFramesAt(gen2), 2);
+  EXPECT_TRUE(store.GetTiledSatPlaneAt(gen2, 1, 0).ok());
 
   // The pinned epoch keeps frames AND planes until its last reader
   // unpins, then both reclaim with the generation.
-  EXPECT_TRUE(store.HasSatPlaneAt(gen1, 1, 0));
+  EXPECT_TRUE(store.GetTiledSatPlaneAt(gen1, 1, 0).ok());
   pinned.Release();
-  EXPECT_FALSE(store.HasSatPlaneAt(gen1, 1, 0));
+  EXPECT_EQ(store.GetTiledSatPlaneAt(gen1, 1, 0).status().code(),
+            StatusCode::kNotFound);
   EXPECT_EQ(store.NumFramesAt(gen1), 0);
-  EXPECT_EQ(store.NumSatPlanesAt(gen1), 0);
 
   // Re-staging a carried-forward timestep rebuilds its plane: the
   // carried plane sums the old frame, the re-staged one the new frame.
@@ -607,7 +640,6 @@ TEST(SatPlaneEpochTest, PlanesPublishReclaimAndCarryWithTheirEpoch) {
   EXPECT_EQ((*restaged)->RectSum(1, 1, 3, 4), 6 * 5.0);
   epochs.Publish(std::move(staging3));
   EXPECT_EQ(store.NumFramesAt(gen3), 2);
-  EXPECT_EQ(store.NumSatPlanesAt(gen3), 2);
 }
 
 // The plane-publish hammer (raced under TSan in CI): a writer publishes
@@ -699,7 +731,6 @@ TEST(SatPlaneEpochTest, HammerPinnedEpochsNeverObserveTornPlanes) {
   EXPECT_EQ(epochs.live_epochs(), 1);
   const int64_t published = epochs.published_generation();
   EXPECT_EQ(store.NumFramesAt(published), n_layers);
-  EXPECT_EQ(store.NumSatPlanesAt(published), n_layers);
 }
 
 }  // namespace

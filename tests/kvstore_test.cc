@@ -250,17 +250,12 @@ TEST(PredictionStoreTest, DeltaPlaneBuildBitIdenticalToFull) {
   dirty.MarkRect(33, 60, 37, 70);
 
   ASSERT_TRUE(incremental.TrySyncFrameAt(1, 1, 0, base).ok());
-  ASSERT_TRUE(incremental.TryBuildSatPlaneAt(1, 1, 0).ok());
-  ASSERT_TRUE(
-      incremental.TrySyncFrameDeltaAt(1, 1, 1, next, 0, dirty, nullptr)
-          .ok());
   PredictionStore::StageStats stats;
   ASSERT_TRUE(
-      incremental.TryBuildSatPlaneDeltaAt(1, 1, 1, 0, nullptr, &stats).ok());
+      incremental.TrySyncFrameDeltaAt(1, 1, 1, next, 0, dirty, &stats).ok());
   EXPECT_GT(stats.plane_tiles_reused, 0);
 
   ASSERT_TRUE(fresh.TrySyncFrameAt(1, 1, 1, next).ok());
-  ASSERT_TRUE(fresh.TryBuildSatPlaneAt(1, 1, 1).ok());
 
   auto a = incremental.GetTiledSatPlaneAt(1, 1, 1);
   auto b = fresh.GetTiledSatPlaneAt(1, 1, 1);
@@ -324,7 +319,8 @@ TEST(PredictionStoreTest, TrySyncRefusesNonFiniteAndOverCeilingFrames) {
   for (size_t i = 0; i < bad.size(); ++i) {
     SCOPED_TRACE("frame " + std::to_string(i));
     ASSERT_TRUE(store.TrySyncFrameAt(1, 1, 0, good).ok());
-    ASSERT_TRUE(store.TryBuildSatPlaneAt(1, 1, 0).ok());
+    auto kept = store.GetStoredFrameAt(1, 1, 0);
+    ASSERT_TRUE(kept.ok());
     EXPECT_EQ(store.TrySyncFrameAt(1, 1, 0, bad[i]).code(),
               StatusCode::kInvalidArgument);
     TileDirtySet dirty = DiffFrames(bad[i], good);
@@ -332,7 +328,10 @@ TEST(PredictionStoreTest, TrySyncRefusesNonFiniteAndOverCeilingFrames) {
               StatusCode::kInvalidArgument);
     // Nothing stored: t=0 still holds `good` and its plane, t=1 nothing.
     EXPECT_FALSE(store.HasFrameAt(1, 1, 1));
-    EXPECT_TRUE(store.HasSatPlaneAt(1, 1, 0));
+    auto stored = store.GetStoredFrameAt(1, 1, 0);
+    ASSERT_TRUE(stored.ok());
+    EXPECT_EQ(stored->frame, kept->frame);
+    EXPECT_EQ(stored->plane, kept->plane);
     auto restored = MaterializedFrameAt(store, 1, 1, 0);
     ASSERT_TRUE(restored.ok());
     EXPECT_TRUE(SameCells(*restored, good));

@@ -695,7 +695,7 @@ TEST(ServingRuntimeTest, PinnedEpochSurvivesPublishesAndReclamation) {
   // its newest timestep, even though the live window has moved on.
   const PredictionStore& store = runtime.shards().shard(0).store;
   EXPECT_TRUE(store.HasFrameAt(generation, 1, start));
-  EXPECT_TRUE(store.HasSatPlaneAt(generation, 1, start));
+  EXPECT_TRUE(store.GetTiledSatPlaneAt(generation, 1, start).ok());
   auto frame = MaterializedFrameAt(store, generation, 1, start);
   ASSERT_TRUE(frame.ok());
 

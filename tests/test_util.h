@@ -264,8 +264,8 @@ inline QueryResult ReferenceResult(const RegionQueryServer& server,
 }
 
 /// \brief A one-store copy of the served frames: every layer of every
-/// timestep in [t0, t1] from `frame_at(t, layer)`, staged without
-/// planes — the store ReferenceResult reads.
+/// timestep in [t0, t1] from `frame_at(t, layer)`, each written in full
+/// — the store ReferenceResult reads.
 template <typename FrameAt>
 std::unique_ptr<PredictionStore> OneStoreCopy(int num_layers, int64_t t0,
                                               int64_t t1,
