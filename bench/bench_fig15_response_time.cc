@@ -27,15 +27,14 @@ void RunDataset(DatasetKind kind, const BenchConfig& config) {
     const auto regions = MakeTaskRegions(dataset, task);
     std::vector<double> times;
     double pieces = 0.0, terms = 0.0;
-    const int64_t t = dataset.test_indices()[0];
     for (const GridMask& region : regions) {
-      auto response =
-          pipeline->server().Predict(region, t,
-                                     QueryStrategy::kUnionSubtraction);
-      O4A_CHECK(response.ok());
-      times.push_back(response->response_micros / 1000.0);
-      pieces += response->num_pieces;
-      terms += response->num_terms;
+      auto resolved = pipeline->server().Resolve(
+          region, QueryStrategy::kUnionSubtraction);
+      O4A_CHECK(resolved.ok());
+      times.push_back(
+          (resolved->decompose_micros + resolved->index_micros) / 1000.0);
+      pieces += resolved->num_pieces;
+      terms += static_cast<double>(resolved->terms.size());
     }
     std::sort(times.begin(), times.end());
     double mean = 0.0;

@@ -282,7 +282,8 @@ void WriteJson(const std::string& path, const ServingResult& r,
        << "\": " << TablePrinter::Num(agg.MeanMicros(), 2);
     first = false;
   }
-  js << "}\n";
+  js << "},\n";
+  js << "  \"host\": " << HostEnvelopeJson() << "\n";
   js << "}\n";
   std::ofstream out(path);
   if (!out) {
@@ -470,7 +471,8 @@ void WritePublishJson(const std::string& path,
   }
   js << "],\n";
   js << "  \"speedup_at_5pct_churn\": "
-     << TablePrinter::Num(r.speedup_at_5pct, 2) << "\n";
+     << TablePrinter::Num(r.speedup_at_5pct, 2) << ",\n";
+  js << "  \"host\": " << HostEnvelopeJson() << "\n";
   js << "}\n";
   std::ofstream out(path);
   if (!out) {
@@ -566,6 +568,7 @@ int main_impl() {
       static_cast<double>(
           std::max<int64_t>(1, obs.telemetry.epochs_published));
   result.publish_p99_micros = obs.telemetry.publish_p99_micros;
+  // End-to-end ExecuteSpec latency, one sample per spec.
   result.query_p50_micros = obs.telemetry.query_p50_micros;
   result.query_p99_micros = obs.telemetry.query_p99_micros;
   result.inconsistent = obs.inconsistent + no_obs.inconsistent;

@@ -1,5 +1,6 @@
-// Wall-clock timing helpers for the benchmark harness and the online
-// query-latency instrumentation.
+// Wall-clock timing helpers for the benchmark harness, the offline
+// pipeline and the serving runtime's end-to-end latency histograms. The
+// query executor reads no clock: its stage costs are trace spans.
 #ifndef ONE4ALL_CORE_STOPWATCH_H_
 #define ONE4ALL_CORE_STOPWATCH_H_
 

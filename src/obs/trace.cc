@@ -7,11 +7,9 @@ const char* SpanNameString(SpanName name) {
     case SpanName::kQuery: return "query";
     case SpanName::kAdmission: return "admission";
     case SpanName::kPlan: return "plan";
-    case SpanName::kCacheProbe: return "cache_probe";
     case SpanName::kResolve: return "resolve";
     case SpanName::kEpochPin: return "epoch_pin";
     case SpanName::kGather: return "gather";
-    case SpanName::kFold: return "fold";
     case SpanName::kRank: return "rank";
     case SpanName::kPublishEpoch: return "publish_epoch";
     case SpanName::kInfer: return "infer";

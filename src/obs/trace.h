@@ -18,16 +18,16 @@
 namespace one4all {
 
 /// \brief Every span the runtime emits, query-path then epoch-path.
-/// Append-only: exporters key on the numeric value.
+/// Append-only: exporters key on the numeric value, so the retired
+/// values 3 and 7 are never reused. Query spans open once per stage,
+/// never per slot or per row.
 enum class SpanName : uint8_t {
   kQuery = 0,      ///< root: one ExecuteSpec call (arg: rows)
   kAdmission = 1,  ///< admission-control gate (arg: admitted cost)
   kPlan = 2,       ///< QueryPlanner::Plan
-  kCacheProbe = 3, ///< per-slot cache probe + resolve (arg: 1 on hit)
   kResolve = 4,    ///< resolve stage across all slots (arg: #slots)
   kEpochPin = 5,   ///< epoch pin acquisition (arg: pinned generation)
-  kGather = 6,     ///< gather interpreter stage (arg: #point queries)
-  kFold = 7,       ///< per-row series fold (arg: series length)
+  kGather = 6,     ///< gather + fold of every row (arg: #point queries)
   kRank = 8,       ///< top-k ranking
   kPublishEpoch = 9,   ///< root: one publish attempt (arg: timestep)
   kInfer = 10,         ///< multi-scale inference (arg: timestep)

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "core/stopwatch.h"
 #include "kvstore/prediction_store.h"
 #include "obs/metrics.h"
 #include "query/resolved_query_cache.h"
@@ -23,7 +22,6 @@ struct SlotResolution {
       Status::Internal("slot not resolved");
   bool cached = false;  ///< a resolve cache was probed
   bool cache_hit = false;
-  double probe_micros = 0.0;
 };
 
 /// \brief The aggregation fold. Left-to-right accumulation in series
@@ -49,52 +47,20 @@ double FoldSeries(const std::vector<double>& series, TimeAggregation agg) {
   return 0.0;
 }
 
-/// \brief Builds one result row from its gathered series plus the
-/// resolution's accounting and the resolve-cache probe behind it.
-QueryRow MakeRow(const std::vector<double>& series, TimeAggregation agg,
-                 bool keep_series, const ResolvedQuery& rq,
-                 const SlotResolution& slot, double eval_micros,
-                 TraceContext* trace) {
-  QueryRow row;
-  {
-    ScopedSpan fold_span(trace, SpanName::kFold,
-                         static_cast<int64_t>(series.size()));
-    row.value = FoldSeries(series, agg);
-  }
-  if (keep_series) row.series = series;
-  row.num_pieces = rq.num_pieces;
-  row.num_terms = static_cast<int>(rq.terms.size());
-  row.from_cache = slot.cache_hit;
-  row.eval_micros = eval_micros;
-  if (slot.cache_hit) {
-    // Decompose + index were skipped; report the actual resolve-path
-    // latency (the cache lookup).
-    row.response_micros = slot.probe_micros;
-  } else {
-    row.decompose_micros = rq.decompose_micros;
-    row.index_micros = rq.index_micros;
-    row.response_micros = rq.decompose_micros + rq.index_micros;
-  }
-  return row;
-}
-
 /// \brief Stage 3: top-k rank over `result->rows` (no-op unless the plan
 /// is a kTopK spec). Ties break toward the lower row index.
 void RankTopK(const QueryPlan& plan, TraceContext* trace,
               QueryResult* result) {
   if (plan.spec.kind != QuerySpecKind::kTopK) return;
   ScopedSpan rank_span(trace, SpanName::kRank, plan.spec.top_k);
-  Stopwatch stage_timer;
   result->top_k = TopKMemo::RankRows(result->rows, plan.spec.top_k);
-  result->timings.rank_micros = stage_timer.ElapsedMicros();
 }
 
 /// \brief Stage 1: probes each distinct region's home-shard cache,
 /// resolving (decompose + index) on a miss.
 std::vector<SlotResolution> ResolveSlots(
     const RegionQueryServer& server, const QueryPlan& plan,
-    const std::vector<ShardReadView>& shards, const ShardMap* bands,
-    TraceContext* trace) {
+    const std::vector<ShardReadView>& shards, const ShardMap* bands) {
   std::vector<SlotResolution> slots(plan.slot_regions.size());
   for (size_t s = 0; s < slots.size(); ++s) {
     SlotResolution& slot = slots[s];
@@ -103,16 +69,10 @@ std::vector<SlotResolution> ResolveSlots(
         bands == nullptr ? 0 : ShardRouter(bands).HomeShard(region);
     ResolvedQueryCache* cache = shards[static_cast<size_t>(home)].cache;
     slot.cached = cache != nullptr;
-    ScopedSpan probe_span(trace, SpanName::kCacheProbe);
-    Stopwatch probe;
     slot.resolved =
         server.ResolveCached(region, plan.spec.strategy,
                              plan.slot_fingerprints[s], cache,
                              &slot.cache_hit);
-    // Captured before evaluation so a hit reports only the resolve-path
-    // latency, comparable to decompose+index.
-    slot.probe_micros = probe.ElapsedMicros();
-    probe_span.set_arg(slot.cache_hit ? 1 : 0);
   }
   return slots;
 }
@@ -421,7 +381,7 @@ void GatherRows(const QueryPlan& plan,
                 const std::vector<SlotResolution>& slots,
                 const std::vector<ShardReadView>& shards,
                 const ShardMap* bands, int num_layers, bool keep_series,
-                TraceContext* trace, std::vector<Result<QueryRow>>* rows) {
+                std::vector<Result<QueryRow>>* rows) {
   thread_local GatherScratch scratch;
   const int num_shards = static_cast<int>(shards.size());
   BindSlots(slots, bands, num_shards, num_layers, &scratch);
@@ -445,7 +405,6 @@ void GatherRows(const QueryPlan& plan,
     }
     const BoundProgram& program = scratch.bound[s];
     const int64_t steps = planned.num_steps();
-    Stopwatch eval_timer;
     series.clear();
     Status gather = Status::OK();
     for (int64_t done = 0; done < steps && gather.ok();) {
@@ -474,9 +433,14 @@ void GatherRows(const QueryPlan& plan,
       (*rows)[i] = std::move(gather);
       continue;
     }
-    const double eval_micros = eval_timer.ElapsedMicros();
-    (*rows)[i] = MakeRow(series, plan.spec.aggregation, keep_series,
-                         **slot.resolved, slot, eval_micros, trace);
+    const ResolvedQuery& resolved = **slot.resolved;
+    QueryRow row;
+    row.value = FoldSeries(series, plan.spec.aggregation);
+    if (keep_series) row.series = series;
+    row.num_pieces = resolved.num_pieces;
+    row.num_terms = static_cast<int>(resolved.terms.size());
+    row.from_cache = slot.cache_hit;
+    (*rows)[i] = std::move(row);
   }
   // Release the plan's pins; the buffers keep their capacity.
   table.entries.clear();
@@ -498,10 +462,8 @@ QueryExecutor::QueryExecutor(const RegionQueryServer* server)
 
 QueryResult QueryExecutor::Execute(const QueryPlan& plan,
                                    const QueryExecutorOptions& options) const {
-  Stopwatch total_timer;
   QueryResult result;
   result.kind = plan.spec.kind;
-  result.timings.plan_micros = plan.plan_micros;
   result.rows.assign(plan.rows.size(),
                      Status::Internal("row not evaluated"));
 
@@ -522,14 +484,12 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
 
   // -- Stage 1: cache-probe / resolve each distinct region ---------------
   // Each region resolves through its home shard's cache.
-  Stopwatch stage_timer;
   std::vector<SlotResolution> slots;
   {
     ScopedSpan resolve_span(options.trace, SpanName::kResolve,
                             static_cast<int64_t>(plan.slot_regions.size()));
-    slots = ResolveSlots(*server_, plan, shards, bands, options.trace);
+    slots = ResolveSlots(*server_, plan, shards, bands);
   }
-  result.timings.resolve_micros = stage_timer.ElapsedMicros();
   for (const SlotResolution& slot : slots) {
     if (!slot.resolved.ok() || !slot.cached) continue;
     if (slot.cache_hit) {
@@ -540,7 +500,6 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
   }
 
   // -- Stage 2: epoch-pinned frame gather + aggregation fold -------------
-  stage_timer.Restart();
   const bool keep_series =
       plan.spec.keep_series && !plan.spec.time.IsPoint();
   {
@@ -548,11 +507,9 @@ QueryResult QueryExecutor::Execute(const QueryPlan& plan,
                            plan.num_point_queries());
     GatherRows(plan, slots, shards, bands,
                server_->hierarchy()->num_layers(), keep_series,
-               options.trace, &result.rows);
+               &result.rows);
   }
-  result.timings.eval_micros = stage_timer.ElapsedMicros();
   RankTopK(plan, options.trace, &result);
-  result.timings.total_micros = total_timer.ElapsedMicros();
   return result;
 }
 

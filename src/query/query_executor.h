@@ -11,8 +11,9 @@
 // owner's band frame at the band-local address. Stored sums are exact,
 // so every shard count returns the N = 1 bits. Every stage runs on the
 // calling thread; concurrency comes from concurrent callers. Per-row
-// failures surface as that row's Status; stage wall times land in the
-// structured QueryResult.
+// failures surface as that row's Status. Stage costs are the resolve /
+// gather / rank spans of the caller's trace; the executor reads no
+// clock of its own.
 #ifndef ONE4ALL_QUERY_QUERY_EXECUTOR_H_
 #define ONE4ALL_QUERY_QUERY_EXECUTOR_H_
 
@@ -55,14 +56,14 @@ struct QueryExecutorOptions {
   /// every cell from its owner shard. Both must outlive the call.
   const ShardMap* shard_map = nullptr;
   std::vector<ShardReadView> shards;
-  /// Open trace of the enclosing query; stage spans (resolve / gather /
-  /// fold / rank) nest under its current parent span. Null traces
+  /// Open trace of the enclosing query; one span per stage (resolve /
+  /// gather / rank) nests under its current parent span. Null traces
   /// nothing.
   TraceContext* trace = nullptr;
 };
 
 /// \brief One result row: the (aggregated) predicted value of one region
-/// of the spec, plus the same per-query accounting QueryResponse carries.
+/// of the spec, plus its resolution's size.
 struct QueryRow {
   double value = 0.0;
   /// Per-timestep values in ascending t, kept when the spec asked for
@@ -70,22 +71,8 @@ struct QueryRow {
   std::vector<double> series;
   int num_pieces = 0;
   int num_terms = 0;
+  /// The resolution came from a resolve-cache hit.
   bool from_cache = false;
-  double decompose_micros = 0.0;
-  double index_micros = 0.0;
-  double eval_micros = 0.0;
-  /// Resolve-path latency in the paper's sense: decompose + index on a
-  /// miss, the measured cache-probe time on a hit.
-  double response_micros = 0.0;
-};
-
-/// \brief Wall time of each executor stage, in microseconds.
-struct QueryStageTimings {
-  double plan_micros = 0.0;     ///< spec -> plan compilation
-  double resolve_micros = 0.0;  ///< cache probe + decompose + index
-  double eval_micros = 0.0;     ///< frame gather + aggregation folds
-  double rank_micros = 0.0;     ///< top-k ordering (0 unless kTopK)
-  double total_micros = 0.0;
 };
 
 /// \brief Structured answer to one executed plan.
@@ -97,7 +84,6 @@ struct QueryResult {
   /// kTopK only: indices into `rows` of the k best OK rows, value
   /// descending (ties broken toward the lower index).
   std::vector<int> top_k;
-  QueryStageTimings timings;
   /// Resolve-cache probes made by this execution (0 when no cache).
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;

@@ -72,10 +72,7 @@ Result<ResolvedQuery> RegionQueryServer::Resolve(
     }
   }
   resolved.index_micros = timer.ElapsedMicros();
-
-  timer.Restart();
   resolved.gather = CompileGatherProgram(resolved.terms, *hierarchy_);
-  resolved.compile_micros = timer.ElapsedMicros();
   return resolved;
 }
 
@@ -114,16 +111,7 @@ Result<QueryResponse> RegionQueryServer::Predict(
   options.generation = generation;
   QueryResult executed = QueryExecutor(this).Execute(plan, options);
   O4A_ASSIGN_OR_RETURN(const QueryRow row, std::move(executed.rows[0]));
-  QueryResponse response;
-  response.value = row.value;
-  response.num_pieces = row.num_pieces;
-  response.num_terms = row.num_terms;
-  response.decompose_micros = row.decompose_micros;
-  response.index_micros = row.index_micros;
-  response.eval_micros = row.eval_micros;
-  response.response_micros = row.response_micros;
-  response.from_cache = row.from_cache;
-  return response;
+  return QueryResponse{row.value, row.num_pieces, row.num_terms};
 }
 
 Result<std::shared_ptr<const ResolvedQuery>>

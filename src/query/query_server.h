@@ -2,7 +2,8 @@
 // region decomposition server splits a region query into hierarchical
 // grids (Algorithm 1), retrieves each piece's optimal combination from the
 // extended quad-tree, and aggregates predicted values from the prediction
-// store. Response time = decomposition + index retrieval, as in Fig. 15.
+// store. Fig. 15's response time is Resolve's decompose_micros +
+// index_micros: decomposition plus index retrieval, no evaluation.
 #ifndef ONE4ALL_QUERY_QUERY_SERVER_H_
 #define ONE4ALL_QUERY_QUERY_SERVER_H_
 
@@ -31,11 +32,9 @@ struct ResolvedQuery {
   /// per-term reference it must match.
   GatherProgram gather;
   int num_pieces = 0;
+  /// Fig. 15's response time is decompose_micros + index_micros.
   double decompose_micros = 0.0;
   double index_micros = 0.0;
-  /// Time compiling `gather` (not part of the paper-sense response
-  /// time, which counts decomposition + index retrieval only).
-  double compile_micros = 0.0;
 };
 
 /// \brief Answer to one (region, time) prediction query.
@@ -43,17 +42,6 @@ struct QueryResponse {
   double value = 0.0;
   int num_pieces = 0;
   int num_terms = 0;
-  double decompose_micros = 0.0;
-  double index_micros = 0.0;
-  /// Time spent summing prediction terms out of the store (frame reads
-  /// included). Not part of response_micros — the paper's response time
-  /// counts decomposition + index retrieval only.
-  double eval_micros = 0.0;
-  /// Response time in the paper's sense (decompose + index).
-  double response_micros = 0.0;
-  /// True when the resolution came from a ResolvedQueryCache hit (the
-  /// decompose/index work was skipped; their timings are zero).
-  bool from_cache = false;
 };
 
 /// \brief The online serving component.

@@ -221,9 +221,7 @@ Result<QueryResult> ServingRuntime::ExecuteSpec(QuerySpec spec) {
       result.rows[static_cast<size_t>(stale_rows[j])] = std::move(fresh[j]);
     }
     ScopedSpan rank_span(&trace_ctx, SpanName::kRank, plan->spec.top_k);
-    Stopwatch rank_timer;
     result.top_k = TopKMemo::RankRows(result.rows, plan->spec.top_k);
-    result.timings.rank_micros = rank_timer.ElapsedMicros();
     topk_memo_.CountReuse(num_rows - eval_rows, eval_rows);
   } else {
     result = ExecutePinned(*plan, pins, &trace_ctx);
@@ -267,14 +265,7 @@ QueryResult ServingRuntime::ExecutePinned(const QueryPlan& plan,
 void ServingRuntime::RecordRowOutcomes(
     const std::vector<Result<QueryRow>>& rows) {
   int64_t served = 0, failed = 0;
-  for (const auto& row : rows) {
-    if (row.ok()) {
-      ++served;
-      telemetry_.query_latency.Record(row.ValueOrDie().response_micros);
-    } else {
-      ++failed;
-    }
-  }
+  for (const auto& row : rows) ++(row.ok() ? served : failed);
   telemetry_.queries_served.fetch_add(served, std::memory_order_relaxed);
   telemetry_.queries_failed.fetch_add(failed, std::memory_order_relaxed);
 }

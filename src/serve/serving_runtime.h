@@ -136,8 +136,7 @@ class ServingRuntime {
   QueryResult ExecutePinned(const QueryPlan& plan, const ShardPinSet& pins,
                             TraceContext* trace);
 
-  /// \brief Records per-row outcomes (served/failed counts + response
-  /// latency) into the telemetry block.
+  /// \brief Counts served and failed rows into the telemetry block.
   void RecordRowOutcomes(const std::vector<Result<QueryRow>>& rows);
 
   const Hierarchy* hierarchy_;

@@ -49,11 +49,6 @@ ServingTelemetry::ServingTelemetry() {
         &specs_by_kind[static_cast<size_t>(k)]);
   }
   registry_.RegisterHistogram(
-      "one4all_query_latency_micros",
-      "Per-row response time in the paper's sense (cache probe on a hit, "
-      "decompose + index on a miss) in microseconds",
-      "", &query_latency);
-  registry_.RegisterHistogram(
       "one4all_query_e2e_micros",
       "Per-call end-to-end query latency (entry to return, admission "
       "included) in microseconds",
@@ -92,11 +87,11 @@ ServingTelemetrySnapshot ServingTelemetry::Snapshot() const {
         specs_by_kind[static_cast<size_t>(k)].load(
             std::memory_order_relaxed);
   }
-  snap.query_p50_micros = query_latency.PercentileMicros(0.50);
-  snap.query_p99_micros = query_latency.PercentileMicros(0.99);
-  snap.query_mean_micros = query_latency.MeanMicros();
-  snap.query_min_micros = query_latency.MinMicros();
-  snap.query_max_micros = query_latency.MaxMicros();
+  snap.query_p50_micros = query_e2e.PercentileMicros(0.50);
+  snap.query_p99_micros = query_e2e.PercentileMicros(0.99);
+  snap.query_mean_micros = query_e2e.MeanMicros();
+  snap.query_min_micros = query_e2e.MinMicros();
+  snap.query_max_micros = query_e2e.MaxMicros();
   snap.publish_p50_micros = publish_latency.PercentileMicros(0.50);
   snap.publish_p99_micros = publish_latency.PercentileMicros(0.99);
   snap.publish_min_micros = publish_latency.MinMicros();
@@ -120,7 +115,6 @@ void ServingTelemetry::Reset() {
   for (auto& counter : specs_by_kind) {
     counter.store(0, std::memory_order_relaxed);
   }
-  query_latency.Reset();
   query_e2e.Reset();
   publish_latency.Reset();
   infer_latency.Reset();

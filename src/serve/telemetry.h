@@ -44,7 +44,8 @@ struct ServingTelemetrySnapshot {
   /// Executed specs by QuerySpecKind (point / range / multi-region /
   /// top-k), indexed by static_cast<int>(kind).
   std::array<int64_t, kNumQuerySpecKinds> specs_by_kind{};
-  double query_p50_micros = 0.0;  ///< per-query response time (paper sense)
+  /// End-to-end ExecuteSpec latency (query_e2e), one sample per call.
+  double query_p50_micros = 0.0;
   double query_p99_micros = 0.0;
   double query_mean_micros = 0.0;
   double query_min_micros = 0.0;  ///< fastest observed query
@@ -94,11 +95,9 @@ class ServingTelemetry {
   Counter publish_failures;
   /// Executed specs by QuerySpecKind, indexed by static_cast<int>(kind).
   std::array<Counter, kNumQuerySpecKinds> specs_by_kind{};
-  /// Per-row response micros in the paper's sense: the resolve-cache
-  /// probe on a hit, decompose + index on a miss.
-  LatencyHistogram query_latency;
-  /// Per-call micros of ExecuteSpec from entry to return:
-  /// plan, admission, epoch pin, resolve, gather, fold and rank.
+  /// The one query latency: per-call micros of ExecuteSpec from entry
+  /// to return (plan, epoch pin, admission, resolve, gather, rank). The
+  /// per-stage split lives in the query's span tree.
   LatencyHistogram query_e2e;
   LatencyHistogram publish_latency;  ///< per-epoch stage+publish micros
   /// Per-epoch micros of the inference call that produced its frames:

@@ -348,17 +348,20 @@ TEST(ServingTelemetryTest, RegistryExpositionIsValidAndComplete) {
   ServingTelemetry telemetry;
   telemetry.queries_served.fetch_add(12);
   telemetry.CountSpec(QuerySpecKind::kTopK);
-  telemetry.query_latency.Record(150.0);
+  telemetry.query_e2e.Record(150.0);
   const std::string text = telemetry.registry().ExpositionText();
   EXPECT_TRUE(MetricsRegistry::ValidateExposition(text).ok());
   EXPECT_NE(text.find("one4all_queries_served_total 12\n"),
             std::string::npos);
   EXPECT_NE(text.find("one4all_specs_total{kind=\"TopK\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("one4all_query_latency_micros_count 1\n"),
+  EXPECT_NE(text.find("one4all_query_e2e_micros_count 1\n"),
             std::string::npos);
   // The legacy snapshot API reads the same atomics.
   EXPECT_EQ(telemetry.Snapshot().queries_served, 12);
+  // One query latency: the snapshot's quantiles are query_e2e's.
+  EXPECT_EQ(telemetry.Snapshot().query_p99_micros,
+            telemetry.query_e2e.PercentileMicros(0.99));
 }
 
 // ---------------------------------------------------------------------------

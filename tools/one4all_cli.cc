@@ -372,8 +372,20 @@ int CmdQuery(const Flags& flags) {
       std::cout << ShardRouter(&shard_map).DescribeSplit(*plan);
     }
   }
-  const QueryResult result =
-      QueryExecutor(&pipeline->server()).Execute(*plan);
+  // The query's cost is its span tree: every trace sampled, one root
+  // around the executor, rendered after the answers.
+  TraceRecorderOptions trace_options;
+  trace_options.sample_every_n = 1;
+  TraceRecorder recorder(trace_options);
+  QueryResult result;
+  {
+    TraceContext trace = recorder.StartTrace(SpanCategory::kQuery);
+    ScopedSpan query_span(&trace, SpanName::kQuery,
+                          static_cast<int64_t>(spec.regions.size()));
+    QueryExecutorOptions exec_options;
+    exec_options.trace = &trace;
+    result = QueryExecutor(&pipeline->server()).Execute(*plan, exec_options);
+  }
 
   std::cout << spec.ToString() << "\n";
   for (size_t i = 0; i < result.rows.size(); ++i) {
@@ -396,20 +408,15 @@ int CmdQuery(const Flags& flags) {
     }
     std::cout << "region " << i << ": predicted=" << row->value
               << " actual=" << truth << " pieces=" << row->num_pieces
-              << " terms=" << row->num_terms
-              << " response=" << row->response_micros
-              << " us eval=" << row->eval_micros << " us\n";
+              << " terms=" << row->num_terms << "\n";
   }
   if (spec.kind == QuerySpecKind::kTopK) {
     std::cout << "top-" << spec.top_k << ":";
     for (const int idx : result.top_k) std::cout << " region#" << idx;
     std::cout << "\n";
   }
-  std::cout << "stages: plan=" << result.timings.plan_micros
-            << " us resolve=" << result.timings.resolve_micros
-            << " us eval=" << result.timings.eval_micros
-            << " us rank=" << result.timings.rank_micros
-            << " us total=" << result.timings.total_micros << " us\n";
+  std::cout << RenderSlowestTraceTrees(recorder.Snapshot(), 1,
+                                      recorder.dropped_events());
   return 0;
 }
 
