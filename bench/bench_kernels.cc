@@ -2,12 +2,14 @@
 // GFLOP/s against the scalar naive reference across square sizes,
 // Conv2d forward/backward latency across batch-parallel thread counts,
 // the direct forward convolution against the Im2Col + Sgemm product it
-// reproduces byte for byte at the serving net's shapes, and one
-// One4AllNet::InferServingFrames call at the end-to-end benchmark's
-// ingest shape. Besides the human-readable tables, emits a
-// machine-readable BENCH_kernels.json (path overridable via
-// O4A_BENCH_JSON) so the perf trajectory of the compute layer is tracked
-// across changes; the serving-shape and inference rows are report-only.
+// reproduces byte for byte at the serving net's shapes, the serving
+// inference (One4AllNet::InferServingFrames at the end-to-end benchmark's
+// ingest shape) and one batch-16 PredictAllLayers, each with its best and
+// median call, minor page faults and taped nodes per call. Besides the
+// human-readable tables, emits a machine-readable BENCH_kernels.json
+// (path overridable via O4A_BENCH_JSON) so the perf trajectory of the
+// compute layer is tracked across changes; the serving-shape and model
+// rows are report-only.
 //
 // Env knobs: O4A_BENCH_REPS (timed repetitions, default 3; CI smoke uses
 // 1), O4A_BENCH_JSON (output path, empty string disables the file),
@@ -16,6 +18,8 @@
 // -march=native CI smoke, where the *naive* baseline itself
 // auto-vectorizes and the ratio is no longer the scalar-reference one
 // this check is defined against).
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +37,8 @@
 #include "data/dataset.h"
 #include "data/synthetic.h"
 #include "model/one4all_net.h"
+#include "serve/stream_ingestor.h"
+#include "tensor/autograd.h"
 #include "tensor/gemm.h"
 #include "tensor/kernels.h"
 
@@ -76,9 +82,15 @@ struct ServingConvResult {
   bool identical = false;  // the two outputs compare equal byte for byte
 };
 
-struct InferResult {
+// Per-call costs of a model pass over `reps` timed calls.
+struct CallResult {
   std::string shape;
-  double infer_ms = 0.0;
+  int threads = 0;
+  int reps = 0;
+  double best_ms = 0.0;
+  double median_ms = 0.0;
+  double minor_faults = 0.0;  // per call, whole process (getrusage)
+  double tape_nodes = 0.0;    // taped autograd nodes per call
 };
 
 int Reps() {
@@ -285,11 +297,43 @@ std::vector<ServingConvResult> RunServingConv(int reps, double* checksum) {
   return results;
 }
 
-// One InferServingFrames call as the end-to-end benchmark's ingest_model
-// workload runs it: 128x128 freight raster, six-layer hierarchy (window
-// 2, max scale 32), one weekly observation, 8 channels, on one thread.
-// The net is untrained; its weights do not change the work.
-InferResult RunInferServingFrames(int reps, double* checksum) {
+long MinorFaults() {
+  rusage usage;
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// Times `reps` calls of fn() after one untimed warm-up.
+template <typename Fn>
+CallResult TimeCalls(int reps, Fn&& fn) {
+  fn();
+  std::vector<double> ms;
+  const long faults = MinorFaults();
+  const int64_t nodes = TapedNodeCount();
+  for (int r = 0; r < reps; ++r) {
+    Stopwatch timer;
+    fn();
+    ms.push_back(timer.ElapsedSeconds() * 1e3);
+  }
+  CallResult res;
+  res.reps = reps;
+  res.minor_faults = static_cast<double>(MinorFaults() - faults) / reps;
+  res.tape_nodes = static_cast<double>(TapedNodeCount() - nodes) / reps;
+  std::sort(ms.begin(), ms.end());
+  res.best_ms = ms.front();
+  res.median_ms = ms[ms.size() / 2];
+  return res;
+}
+
+// The end-to-end benchmark's ingest_model model: 128x128 freight raster,
+// six-layer hierarchy (window 2, max scale 32), one weekly observation,
+// 8 channels. The net is untrained; its weights do not change the work.
+struct IngestModel {
+  std::unique_ptr<STDataset> dataset;
+  std::unique_ptr<One4AllNet> net;
+};
+
+IngestModel MakeIngestModel() {
   SyntheticDataOptions data = SyntheticDataOptions::FreightPreset(128, 128);
   TemporalFeatureSpec spec;
   spec.trend_len = 1;
@@ -302,18 +346,65 @@ InferResult RunInferServingFrames(int reps, double* checksum) {
   One4AllNetOptions net_options;
   net_options.channels = 8;
   net_options.seed = 3;
-  const One4AllNet net(dataset->hierarchy(), dataset->spec(), net_options);
-  const TemporalInput input = dataset->BuildInput({spec.MinHistory()});
+  IngestModel model;
+  model.dataset = std::make_unique<STDataset>(dataset.MoveValueUnsafe());
+  model.net = std::make_unique<One4AllNet>(model.dataset->hierarchy(),
+                                           model.dataset->spec(), net_options);
+  return model;
+}
 
-  InferResult res;
+// One serving inference per step as the stream ingestor makes it: through
+// MakeOne4AllInference (whose buffer pool persists across calls), batch
+// 1, on the calling thread with no compute pool.
+CallResult RunInferServingFrames(const IngestModel& model, int reps,
+                                 double* checksum) {
+  const STDataset& dataset = *model.dataset;
+  const TemporalInput input =
+      dataset.BuildInput({dataset.spec().MinHistory()});
+  const FrameInference inference =
+      MakeOne4AllInference(model.net.get(), &dataset);
+  CallResult res = TimeCalls(reps, [&] {
+    Result<std::vector<Tensor>> frames = inference(0, input);
+    O4A_CHECK(frames.ok());
+    *checksum += frames->front()[0];
+  });
   res.shape = "128x128_6layers_c8";
-  res.infer_ms = TimeBest(reps, [&] {
-                   const std::vector<Tensor> frames =
-                       net.InferServingFrames(input, *dataset);
-                   *checksum += frames.front()[0];
-                 }) *
-                 1e3;
+  res.threads = 1;
   return res;
+}
+
+// One batch-16 PredictAllLayers on the shared compute pool, inside one
+// enclosing NoTapeScope as MauPipeline::Build runs its ~11 batches.
+CallResult RunPredictAllLayersB16(const IngestModel& model, int reps,
+                                  double* checksum) {
+  const STDataset& dataset = *model.dataset;
+  std::vector<int64_t> batch;
+  for (int64_t i = 0; i < 16; ++i) {
+    batch.push_back(dataset.spec().MinHistory() + i);
+  }
+  ThreadPool* shared = ResolveComputePool();
+  ScopedComputePool scoped_pool(shared);
+  const NoTapeScope no_tape;
+  CallResult res = TimeCalls(reps, [&] {
+    const std::vector<Tensor> preds =
+        model.net->PredictAllLayers(dataset, batch);
+    *checksum += preds.front()[0];
+  });
+  res.shape = "b16_128x128_6layers_c8";
+  res.threads = shared != nullptr ? shared->num_threads() : 1;
+  return res;
+}
+
+std::string CallJson(const CallResult& c) {
+  std::ostringstream js;
+  js << "{\"shape\": \"" << c.shape << "\", \"threads\": " << c.threads
+     << ", \"reps\": " << c.reps
+     << ", \"best_ms\": " << TablePrinter::Num(c.best_ms, 3)
+     << ", \"median_ms\": " << TablePrinter::Num(c.median_ms, 3)
+     << ", \"minor_faults_per_call\": " << TablePrinter::Num(c.minor_faults, 1)
+     << ", \"tape_nodes_per_call\": " << TablePrinter::Num(c.tape_nodes, 1)
+     << "}";
+  return js.str();
 }
 
 void WriteJson(const std::string& path, int reps,
@@ -321,7 +412,7 @@ void WriteJson(const std::string& path, int reps,
                const std::vector<GemmThreadResult>& gemm_threads,
                const std::vector<ConvResult>& conv,
                const std::vector<ServingConvResult>& serving_conv,
-               const InferResult& infer) {
+               const CallResult& infer, const CallResult& predict_b16) {
   std::ostringstream js;
   js << "{\n";
   js << "  \"bench\": \"kernels\",\n";
@@ -378,9 +469,8 @@ void WriteJson(const std::string& path, int reps,
        << "}" << (i + 1 < serving_conv.size() ? "," : "") << "\n";
   }
   js << "  ],\n";
-  js << "  \"infer_serving_frames\": {\"shape\": \"" << infer.shape
-     << "\", \"threads\": 1, \"ms\": " << TablePrinter::Num(infer.infer_ms, 3)
-     << "},\n";
+  js << "  \"infer_serving_frames\": " << CallJson(infer) << ",\n";
+  js << "  \"predict_all_layers_b16\": " << CallJson(predict_b16) << ",\n";
   js << "  \"host\": " << HostEnvelopeJson() << "\n";
   js << "}\n";
 
@@ -408,7 +498,11 @@ int main_impl() {
   const std::vector<ConvResult> conv = RunConv(reps, &checksum);
   const std::vector<ServingConvResult> serving_conv =
       RunServingConv(reps, &checksum);
-  const InferResult infer = RunInferServingFrames(reps, &checksum);
+  const IngestModel model = MakeIngestModel();
+  // Enough calls for a median: ~1 s of inference at the default reps.
+  const CallResult infer = RunInferServingFrames(model, 100 * reps, &checksum);
+  const CallResult predict_b16 =
+      RunPredictAllLayersB16(model, 5 * reps, &checksum);
 
   TablePrinter gemm_table("SGEMM: blocked+vectorized vs naive (1 thread)");
   gemm_table.SetHeader({"size", "naive GFLOP/s", "opt GFLOP/s", "speedup"});
@@ -460,9 +554,20 @@ int main_impl() {
                           c.identical ? "yes" : "NO"});
   }
   serving_table.Print(std::cout);
-  std::cout << "One4AllNet::InferServingFrames " << infer.shape << ": "
-            << TablePrinter::Num(infer.infer_ms, 3)
-            << " ms (1 thread, best-of)\n";
+  TablePrinter model_table("Model passes (no tape; per call)");
+  model_table.SetHeader({"pass", "shape", "threads", "reps", "best ms",
+                         "median ms", "minor faults", "tape nodes"});
+  auto add_pass = [&](const char* name, const CallResult& c) {
+    model_table.AddRow({name, c.shape, std::to_string(c.threads),
+                        std::to_string(c.reps),
+                        TablePrinter::Num(c.best_ms, 3),
+                        TablePrinter::Num(c.median_ms, 3),
+                        TablePrinter::Num(c.minor_faults, 1),
+                        TablePrinter::Num(c.tape_nodes, 1)});
+  };
+  add_pass("InferServingFrames", infer);
+  add_pass("PredictAllLayers", predict_b16);
+  model_table.Print(std::cout);
   std::cout << "checksum " << checksum << "\n\n";
 
   const char* json_env = std::getenv("O4A_BENCH_JSON");
@@ -470,7 +575,7 @@ int main_impl() {
       json_env != nullptr ? json_env : "BENCH_kernels.json";
   if (!json_path.empty()) {
     WriteJson(json_path, reps, gemm, gemm_threads, conv, serving_conv,
-              infer);
+              infer, predict_b16);
   }
 
   // Acceptance: >= 3x over naive at the 256..1024 sizes, single thread.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "tensor/autograd.h"
+
 namespace one4all {
 
 ScalePredictionSet ScalePredictionSet::FromPredictor(
@@ -27,7 +29,9 @@ ScalePredictionSet ScalePredictionSet::FromPredictor(
     }
     set.truths_.push_back(std::move(truths));
   }
-  // One forward per batch serves every layer.
+  // One forward per batch serves every layer; the batches share one
+  // buffer pool and record no tape.
+  const NoTapeScope no_tape;
   for (int64_t off = 0; off < t_total; off += batch_size) {
     const int64_t end = std::min(t_total, off + batch_size);
     std::vector<int64_t> batch(timesteps.begin() + off,

@@ -5,6 +5,7 @@
 #include "core/stopwatch.h"
 #include "core/thread_pool.h"
 #include "eval/metrics.h"
+#include "tensor/autograd.h"
 #include "tensor/gemm.h"
 
 namespace one4all {
@@ -168,8 +169,10 @@ std::unique_ptr<MauPipeline> MauPipeline::Build(FlowPredictor* predictor,
                                                 const SearchOptions& options,
                                                 ThreadPool* pool) {
   // Both bulk prediction passes below (validation scoring + test ingest)
-  // run the predictor's kernels over the compute pool.
+  // run the predictor's kernels over the compute pool, with no tape, on
+  // one buffer pool that is freed when the build returns.
   ScopedComputePool scoped_pool(ResolveComputePool(pool));
+  const NoTapeScope no_tape;
   auto pipeline = std::unique_ptr<MauPipeline>(new MauPipeline());
   pipeline->dataset_ = &dataset;
   pipeline->test_ = dataset.test_indices();

@@ -1,6 +1,7 @@
 #include "model/one4all_net.h"
 
 #include <sstream>
+#include <utility>
 
 namespace one4all {
 
@@ -112,7 +113,7 @@ std::vector<Variable> One4AllNet::Forward(const TemporalInput& input) const {
       const int64_t k = windows_[i];  // window that merged l into l+1
       Variable up = UpsampleNearestVar(enhanced[i + 1], k);
       up = Crop2dVar(up, layer_heights_[i], layer_widths_[i]);
-      enhanced[i] = Add(h[i], up);
+      enhanced[i] = Add(h[i], std::move(up));
     }
   }
 
@@ -163,6 +164,7 @@ Tensor One4AllNet::PredictLayer(const STDataset& dataset,
                                 const std::vector<int64_t>& timesteps,
                                 int layer) {
   O4A_CHECK(layer >= 1 && layer <= n_layers_);
+  const NoTapeScope no_tape;
   const TemporalInput input = dataset.BuildInput(timesteps);
   const std::vector<Variable> preds = Forward(input);
   const Tensor& normalized = preds[static_cast<size_t>(layer - 1)].value();
@@ -172,6 +174,7 @@ Tensor One4AllNet::PredictLayer(const STDataset& dataset,
 std::vector<Tensor> One4AllNet::InferServingFrames(
     const TemporalInput& input, const STDataset& dataset) const {
   O4A_CHECK_EQ(input.closeness.dim(0), 1);
+  const NoTapeScope no_tape;
   const std::vector<Variable> preds = Forward(input);
   std::vector<Tensor> frames;
   frames.reserve(static_cast<size_t>(n_layers_));
@@ -186,6 +189,7 @@ std::vector<Tensor> One4AllNet::InferServingFrames(
 
 std::vector<Tensor> One4AllNet::PredictAllLayers(
     const STDataset& dataset, const std::vector<int64_t>& timesteps) {
+  const NoTapeScope no_tape;
   const TemporalInput input = dataset.BuildInput(timesteps);
   const std::vector<Variable> preds = Forward(input);
   std::vector<Tensor> out;

@@ -8,6 +8,7 @@
 #include "core/rng.h"
 #include "core/stopwatch.h"
 #include "core/thread_pool.h"
+#include "tensor/autograd.h"
 #include "tensor/gemm.h"
 
 namespace one4all {
@@ -101,6 +102,8 @@ TrainReport TrainModel(Module* module, const STDataset& dataset,
 
 float EvaluateLoss(const STDataset& dataset, const BatchLossFn& loss_fn,
                    const std::vector<int64_t>& indices, int batch_size) {
+  // Loss values only: no tape, and every batch reuses one buffer pool.
+  const NoTapeScope no_tape;
   double sum = 0.0;
   int batches = 0;
   for (size_t off = 0; off < indices.size();

@@ -1,5 +1,7 @@
 #include "nn/layers.h"
 
+#include <utility>
+
 namespace one4all {
 
 Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
@@ -95,7 +97,7 @@ Variable SEBlock::Forward(const Variable& x) const {
   Variable gate = Sigmoid(fc2_->Forward(Relu(fc1_->Forward(squeezed))));
   Variable gated =
       MulChannelGate(u, ReshapeVar(gate, {n, channels_, 1, 1}));
-  return Add(x, gated);
+  return Add(x, std::move(gated));
 }
 
 std::unique_ptr<SpatialBlock> MakeSpatialBlock(SpatialBlockType type,

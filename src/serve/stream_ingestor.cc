@@ -6,6 +6,7 @@
 #include "core/logging.h"
 #include "core/stopwatch.h"
 #include "model/one4all_net.h"
+#include "tensor/autograd.h"
 #include "tensor/gemm.h"
 
 namespace one4all {
@@ -14,9 +15,15 @@ FrameInference MakeOne4AllInference(const One4AllNet* net,
                                     const STDataset* dataset) {
   O4A_CHECK(net != nullptr);
   O4A_CHECK(dataset != nullptr);
-  return [net, dataset](int64_t t,
-                        const TemporalInput& input) -> Result<std::vector<Tensor>> {
+  // One buffer pool for every call: each inference's intermediates land
+  // in the buffers the previous one dropped, so a steady stream of steps
+  // neither allocates nor faults them in again.
+  auto pool = std::make_shared<BufferPool>();
+  return [net, dataset, pool](
+             int64_t t,
+             const TemporalInput& input) -> Result<std::vector<Tensor>> {
     (void)t;
+    const NoTapeScope no_tape(pool);
     return net->InferServingFrames(input, *dataset);
   };
 }

@@ -6,6 +6,32 @@
 
 namespace one4all {
 
+namespace {
+// The innermost open NoTapeScope on this thread, or null.
+thread_local NoTapeScope* g_scope = nullptr;
+thread_local int64_t g_taped_nodes = 0;
+}  // namespace
+
+int64_t TapedNodeCount() { return g_taped_nodes; }
+
+NoTapeScope::NoTapeScope()
+    : NoTapeScope(g_scope != nullptr ? g_scope->pool_
+                                     : std::make_shared<BufferPool>()) {}
+
+NoTapeScope::NoTapeScope(std::shared_ptr<BufferPool> pool)
+    : pool_(std::move(pool)), outer_(g_scope) {
+  O4A_CHECK(pool_ != nullptr);
+  outer_pool_ = internal::SetThreadBufferPool(pool_.get());
+  g_scope = this;
+}
+
+NoTapeScope::~NoTapeScope() {
+  g_scope = outer_;
+  internal::SetThreadBufferPool(outer_pool_);
+}
+
+bool NoTapeScope::Active() { return g_scope != nullptr; }
+
 Variable::Variable(Tensor value, bool requires_grad) {
   node_ = std::make_shared<internal::VarNode>();
   node_->value = std::move(value);
@@ -23,9 +49,25 @@ void Variable::ZeroGrad() {
   if (node_->grad_ready) node_->grad.Fill(0.0f);
 }
 
-Variable Variable::MakeNode(
+bool Variable::OverwritableInPlace() const {
+  // A value made inside a scope (it carries the pool) that no one else
+  // holds: never a leaf, never a node a tape or another handle still reads.
+  return NoTapeScope::Active() && node_ != nullptr && node_->pool != nullptr &&
+         node_.use_count() == 1;
+}
+
+Variable Variable::MakeUntaped(Tensor value) {
+  Variable out;
+  out.node_ = std::make_shared<internal::VarNode>();
+  out.node_->value = std::move(value);
+  out.node_->pool = g_scope->pool_;
+  return out;
+}
+
+Variable Variable::MakeTaped(
     Tensor value, std::vector<Variable> parents,
     std::function<void(internal::VarNode*)> backward) {
+  ++g_taped_nodes;
   Variable out;
   out.node_ = std::make_shared<internal::VarNode>();
   out.node_->value = std::move(value);
@@ -43,6 +85,9 @@ Variable Variable::MakeNode(
 
 void Variable::Backward() {
   O4A_CHECK(node_ != nullptr);
+  O4A_CHECK(node_->pool == nullptr)
+      << "Backward() on a value computed inside a NoTapeScope, which "
+         "records no tape";
   O4A_CHECK_EQ(node_->value.numel(), 1);
   // Iterative topological sort (post-order DFS).
   std::vector<internal::VarNode*> order;
@@ -86,11 +131,26 @@ bool NeedsGrad(const std::shared_ptr<internal::VarNode>& node) {
 
 Variable Add(const Variable& a, const Variable& b) {
   CheckSameShape(a.value(), b.value(), "Add");
+  const float* x = a.value().data();
+  const float* y = b.value().data();
+  Tensor out = Tensor::Uninitialized(a.value().shape());
+  float* dst = out.data();
+  for (int64_t i = 0; i < out.numel(); ++i) dst[i] = x[i] + y[i];
   return Variable::MakeNode(
-      a.value().Add(b.value()), {a, b}, [](internal::VarNode* n) {
+      std::move(out), {a, b}, [](internal::VarNode* n) {
         Accumulate(n->parents[0], n->grad);
         Accumulate(n->parents[1], n->grad);
       });
+}
+
+Variable Add(const Variable& a, Variable&& b) {
+  if (!b.OverwritableInPlace()) return Add(a, static_cast<const Variable&>(b));
+  CheckSameShape(a.value(), b.value(), "Add");
+  const float* x = a.value().data();
+  Tensor& y = b.mutable_value();
+  float* dst = y.data();
+  for (int64_t i = 0; i < y.numel(); ++i) dst[i] = x[i] + dst[i];
+  return std::move(b);
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
@@ -121,10 +181,11 @@ Variable Scale(const Variable& a, float factor) {
 }
 
 Variable Relu(const Variable& a) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninitialized(a.value().shape());
   const float* x = a.value().data();
+  float* dst = out.data();
   for (int64_t i = 0; i < out.numel(); ++i) {
-    out[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    dst[i] = x[i] > 0.0f ? x[i] : 0.0f;
   }
   return Variable::MakeNode(
       std::move(out), {a}, [](internal::VarNode* n) {
@@ -137,15 +198,25 @@ Variable Relu(const Variable& a) {
       });
 }
 
+Variable Relu(Variable&& a) {
+  if (!a.OverwritableInPlace()) return Relu(static_cast<const Variable&>(a));
+  Tensor& x = a.mutable_value();
+  float* dst = x.data();
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    dst[i] = dst[i] > 0.0f ? dst[i] : 0.0f;
+  }
+  return std::move(a);
+}
+
 Variable Sigmoid(const Variable& a) {
   Tensor out(a.value().shape());
   const float* x = a.value().data();
   for (int64_t i = 0; i < out.numel(); ++i) {
     out[i] = 1.0f / (1.0f + std::exp(-x[i]));
   }
-  Tensor saved = out;
   return Variable::MakeNode(
-      std::move(out), {a}, [saved](internal::VarNode* n) {
+      std::move(out), {a}, [](internal::VarNode* n) {
+        const Tensor& saved = n->value;  // the forward output
         Tensor gi(saved.shape());
         for (int64_t i = 0; i < saved.numel(); ++i) {
           gi[i] = n->grad[i] * saved[i] * (1.0f - saved[i]);
@@ -158,9 +229,9 @@ Variable Tanh(const Variable& a) {
   Tensor out(a.value().shape());
   const float* x = a.value().data();
   for (int64_t i = 0; i < out.numel(); ++i) out[i] = std::tanh(x[i]);
-  Tensor saved = out;
   return Variable::MakeNode(
-      std::move(out), {a}, [saved](internal::VarNode* n) {
+      std::move(out), {a}, [](internal::VarNode* n) {
+        const Tensor& saved = n->value;  // the forward output
         Tensor gi(saved.shape());
         for (int64_t i = 0; i < saved.numel(); ++i) {
           gi[i] = n->grad[i] * (1.0f - saved[i] * saved[i]);
@@ -210,23 +281,24 @@ Variable Conv2dVar(const Variable& input, const Variable& weight,
   const bool has_bias = bias.defined();
   Tensor out = Conv2dForward(input.value(), weight.value(),
                              has_bias ? bias.value() : Tensor(), spec);
-  std::vector<Variable> parents = {input, weight};
-  if (has_bias) parents.push_back(bias);
-  return Variable::MakeNode(
-      std::move(out), std::move(parents),
-      [spec, has_bias](internal::VarNode* n) {
-        const Tensor& x = n->parents[0]->value;
-        const Tensor& w = n->parents[1]->value;
-        Tensor gi, gw, gb;
-        const bool need_gi = NeedsGrad(n->parents[0]);
-        const bool need_gw = NeedsGrad(n->parents[1]);
-        const bool need_gb = has_bias && NeedsGrad(n->parents[2]);
-        Conv2dBackward(x, w, n->grad, spec, need_gi ? &gi : nullptr,
-                       need_gw ? &gw : nullptr, need_gb ? &gb : nullptr);
-        if (need_gi) Accumulate(n->parents[0], gi);
-        if (need_gw) Accumulate(n->parents[1], gw);
-        if (need_gb) Accumulate(n->parents[2], gb);
-      });
+  auto backward = [spec, has_bias](internal::VarNode* n) {
+    const Tensor& x = n->parents[0]->value;
+    const Tensor& w = n->parents[1]->value;
+    Tensor gi, gw, gb;
+    const bool need_gi = NeedsGrad(n->parents[0]);
+    const bool need_gw = NeedsGrad(n->parents[1]);
+    const bool need_gb = has_bias && NeedsGrad(n->parents[2]);
+    Conv2dBackward(x, w, n->grad, spec, need_gi ? &gi : nullptr,
+                   need_gw ? &gw : nullptr, need_gb ? &gb : nullptr);
+    if (need_gi) Accumulate(n->parents[0], gi);
+    if (need_gw) Accumulate(n->parents[1], gw);
+    if (need_gb) Accumulate(n->parents[2], gb);
+  };
+  if (has_bias) {
+    return Variable::MakeNode(std::move(out), {input, weight, bias},
+                              backward);
+  }
+  return Variable::MakeNode(std::move(out), {input, weight}, backward);
 }
 
 Variable GlobalAvgPoolVar(const Variable& input) {
@@ -248,15 +320,12 @@ Variable UpsampleNearestVar(const Variable& input, int64_t factor) {
 
 Variable ConcatChannelsVar(const std::vector<Variable>& inputs) {
   std::vector<const Tensor*> vals;
-  std::vector<int64_t> channels;
   vals.reserve(inputs.size());
-  for (const Variable& v : inputs) {
-    vals.push_back(&v.value());
-    channels.push_back(v.value().dim(1));
-  }
+  for (const Variable& v : inputs) vals.push_back(&v.value());
   return Variable::MakeNode(
-      ConcatChannels(vals), std::vector<Variable>(inputs),
-      [channels](internal::VarNode* n) {
+      ConcatChannels(vals), inputs, [](internal::VarNode* n) {
+        std::vector<int64_t> channels;
+        for (const auto& p : n->parents) channels.push_back(p->value.dim(1));
         std::vector<Tensor> grads = SplitChannels(n->grad, channels);
         for (size_t i = 0; i < grads.size(); ++i) {
           Accumulate(n->parents[i], grads[i]);
@@ -274,7 +343,7 @@ Variable MulChannelGate(const Variable& x, const Variable& gate) {
   O4A_CHECK_EQ(gv.dim(2), 1);
   O4A_CHECK_EQ(gv.dim(3), 1);
   const int64_t n = xv.dim(0), c = xv.dim(1), plane = xv.dim(2) * xv.dim(3);
-  Tensor out(xv.shape());
+  Tensor out = Tensor::Uninitialized(xv.shape());
   for (int64_t s = 0; s < n; ++s) {
     for (int64_t ci = 0; ci < c; ++ci) {
       const float g = gv[s * c + ci];
@@ -316,11 +385,9 @@ Variable MulChannelGate(const Variable& x, const Variable& gate) {
 }
 
 Variable SoftmaxRowsVar(const Variable& logits) {
-  Tensor out = SoftmaxRows(logits.value());
-  Tensor saved = out;
   return Variable::MakeNode(
-      std::move(out), {logits}, [saved](internal::VarNode* n) {
-        Accumulate(n->parents[0], SoftmaxRowsBackward(saved, n->grad));
+      SoftmaxRows(logits.value()), {logits}, [](internal::VarNode* n) {
+        Accumulate(n->parents[0], SoftmaxRowsBackward(n->value, n->grad));
       });
 }
 
@@ -350,6 +417,10 @@ Variable MseLoss(const Variable& pred, const Tensor& target) {
     acc += d * d;
   }
   out[0] = static_cast<float>(acc / static_cast<double>(n));
+  // The closure below keeps a copy of the target; no tape, no copy.
+  if (NoTapeScope::Active()) {
+    return Variable::MakeNode(std::move(out), {pred}, nullptr);
+  }
   Tensor saved_target = target;
   return Variable::MakeNode(
       std::move(out), {pred}, [saved_target, n](internal::VarNode* node) {
@@ -369,7 +440,7 @@ Variable Crop2dVar(const Variable& a, int64_t out_h, int64_t out_w) {
   const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   O4A_CHECK(out_h >= 1 && out_h <= h && out_w >= 1 && out_w <= w);
   if (out_h == h && out_w == w) return a;
-  Tensor out({n, c, out_h, out_w});
+  Tensor out = Tensor::Uninitialized({n, c, out_h, out_w});
   for (int64_t s = 0; s < n; ++s) {
     for (int64_t ci = 0; ci < c; ++ci) {
       for (int64_t i = 0; i < out_h; ++i) {
@@ -401,7 +472,8 @@ Variable Pad2dVar(const Variable& a, int64_t out_h, int64_t out_w) {
   const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   O4A_CHECK(out_h >= h && out_w >= w);
   if (out_h == h && out_w == w) return a;
-  Tensor out({n, c, out_h, out_w});
+  Tensor out = Tensor::Uninitialized({n, c, out_h, out_w});
+  out.Fill(0.0f);
   for (int64_t s = 0; s < n; ++s) {
     for (int64_t ci = 0; ci < c; ++ci) {
       for (int64_t i = 0; i < h; ++i) {
@@ -428,11 +500,10 @@ Variable Pad2dVar(const Variable& a, int64_t out_h, int64_t out_w) {
 }
 
 Variable ReshapeVar(const Variable& a, std::vector<int64_t> shape) {
-  std::vector<int64_t> old_shape = a.value().shape();
   return Variable::MakeNode(
-      a.value().Reshape(std::move(shape)), {a},
-      [old_shape](internal::VarNode* n) {
-        Accumulate(n->parents[0], n->grad.Reshape(old_shape));
+      a.value().Reshape(std::move(shape)), {a}, [](internal::VarNode* n) {
+        Accumulate(n->parents[0],
+                   n->grad.Reshape(n->parents[0]->value.shape()));
       });
 }
 
@@ -456,11 +527,9 @@ Variable ConcatRowsVar(const std::vector<Variable>& inputs) {
   O4A_CHECK(!inputs.empty());
   const int64_t cols = inputs[0].value().dim(1);
   int64_t rows = 0;
-  std::vector<int64_t> row_counts;
   for (const Variable& v : inputs) {
     O4A_CHECK_EQ(v.value().ndim(), 2u);
     O4A_CHECK_EQ(v.value().dim(1), cols);
-    row_counts.push_back(v.value().dim(0));
     rows += v.value().dim(0);
   }
   Tensor out({rows, cols});
@@ -471,16 +540,15 @@ Variable ConcatRowsVar(const std::vector<Variable>& inputs) {
     off += v.value().dim(0);
   }
   return Variable::MakeNode(
-      std::move(out), std::vector<Variable>(inputs),
-      [row_counts, cols](internal::VarNode* n) {
+      std::move(out), inputs, [cols](internal::VarNode* n) {
         int64_t off = 0;
-        for (size_t i = 0; i < row_counts.size(); ++i) {
-          Tensor gi({row_counts[i], cols});
+        for (const auto& parent : n->parents) {
+          const int64_t rows_i = parent->value.dim(0);
+          Tensor gi({rows_i, cols});
           std::copy(n->grad.data() + off * cols,
-                    n->grad.data() + (off + row_counts[i]) * cols,
-                    gi.data());
-          Accumulate(n->parents[i], gi);
-          off += row_counts[i];
+                    n->grad.data() + (off + rows_i) * cols, gi.data());
+          Accumulate(parent, gi);
+          off += rows_i;
         }
       });
 }

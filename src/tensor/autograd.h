@@ -5,11 +5,19 @@
 // scalar-valued Variable topologically sorts the tape and accumulates
 // gradients into every node with requires_grad. Gradients for every op are
 // unit-tested against central finite differences.
+//
+// Forward-only passes (serving inference, offline prediction, validation
+// loss) run inside a NoTapeScope: every op then returns a value-only node
+// with no parents and no closure, and its output buffer is drawn from and
+// returned to the scope's BufferPool. The values are bit-identical to the
+// taped ones; only the graph and the allocations are gone.
 #ifndef ONE4ALL_TENSOR_AUTOGRAD_H_
 #define ONE4ALL_TENSOR_AUTOGRAD_H_
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "tensor/kernels.h"
@@ -26,6 +34,16 @@ struct VarNode {
   std::vector<std::shared_ptr<VarNode>> parents;
   // Propagates this node's grad into parents' grads.
   std::function<void(VarNode*)> backward_fn;
+  /// Set only on a value computed inside a NoTapeScope (which Backward()
+  /// refuses): the scope's pool, which gets `value`'s buffer on drop.
+  std::shared_ptr<BufferPool> pool;
+
+  VarNode() = default;
+  VarNode(const VarNode&) = delete;
+  VarNode& operator=(const VarNode&) = delete;
+  ~VarNode() {
+    if (pool) pool->Recycle(&value);
+  }
 
   void EnsureGrad() {
     if (!grad_ready) {
@@ -35,6 +53,41 @@ struct VarNode {
   }
 };
 }  // namespace internal
+
+/// \brief Runs the enclosed ops on the calling thread without a tape.
+///
+/// While one is alive, every op returns a value-only Variable (no
+/// parents, no backward closure; Backward() on it dies), and op outputs
+/// that overwrite every element draw their storage from the scope's
+/// BufferPool, to which a dropped value returns it. Scopes nest: an inner
+/// scope built without a pool shares the enclosing scope's, so a caller
+/// that opens one around a whole batch loop, or owns a pool across calls
+/// (the serving inference), keeps its buffers warm through every pass
+/// beneath it. A scope built without a pool outside any other owns a fresh
+/// one, freed once the scope and the values made in it are gone.
+class NoTapeScope {
+ public:
+  NoTapeScope();
+  explicit NoTapeScope(std::shared_ptr<BufferPool> pool);
+  ~NoTapeScope();
+  NoTapeScope(const NoTapeScope&) = delete;
+  NoTapeScope& operator=(const NoTapeScope&) = delete;
+
+  /// \brief True while a scope is open on the calling thread.
+  static bool Active();
+
+ private:
+  friend class Variable;
+
+  std::shared_ptr<BufferPool> pool_;
+  NoTapeScope* outer_;
+  BufferPool* outer_pool_;
+};
+
+/// \brief Taped nodes (parent links kept for Backward) built on the calling
+/// thread so far. A pass inside a NoTapeScope adds none; tests and
+/// bench_kernels diff it around a call.
+int64_t TapedNodeCount();
 
 /// \brief A node in the autodiff graph; cheap to copy (shared ownership).
 class Variable {
@@ -59,17 +112,39 @@ class Variable {
   void ZeroGrad();
 
   /// \brief Runs reverse-mode autodiff from this (scalar) Variable.
-  /// Requires numel() == 1.
+  /// Requires numel() == 1 and a value computed with the tape recording.
   void Backward();
 
-  /// \brief Internal: builds a non-leaf node.
-  static Variable MakeNode(Tensor value,
-                           std::vector<Variable> parents,
-                           std::function<void(internal::VarNode*)> backward);
+  /// \brief Internal: builds a non-leaf node. Inside a NoTapeScope the
+  /// node keeps no parents and `backward` is dropped without ever being
+  /// wrapped in a std::function.
+  template <typename Backward>
+  static Variable MakeNode(Tensor value, std::initializer_list<Variable> parents,
+                           Backward&& backward) {
+    if (NoTapeScope::Active()) return MakeUntaped(std::move(value));
+    return MakeTaped(std::move(value), std::vector<Variable>(parents),
+                     std::forward<Backward>(backward));
+  }
+  template <typename Backward>
+  static Variable MakeNode(Tensor value, const std::vector<Variable>& parents,
+                           Backward&& backward) {
+    if (NoTapeScope::Active()) return MakeUntaped(std::move(value));
+    return MakeTaped(std::move(value), parents,
+                     std::forward<Backward>(backward));
+  }
+
+  /// \brief Internal: true when no tape records and this handle is the
+  /// only owner of a value made inside a NoTapeScope, so an op handed it
+  /// as an rvalue may overwrite its value in place.
+  bool OverwritableInPlace() const;
 
   std::shared_ptr<internal::VarNode> node() const { return node_; }
 
  private:
+  static Variable MakeUntaped(Tensor value);
+  static Variable MakeTaped(Tensor value, std::vector<Variable> parents,
+                            std::function<void(internal::VarNode*)> backward);
+
   std::shared_ptr<internal::VarNode> node_;
 };
 
@@ -77,6 +152,8 @@ class Variable {
 
 /// \brief Elementwise sum; shapes must match.
 Variable Add(const Variable& a, const Variable& b);
+/// \brief Add into `b`'s buffer when b is an overwritable temporary.
+Variable Add(const Variable& a, Variable&& b);
 /// \brief Elementwise difference.
 Variable Sub(const Variable& a, const Variable& b);
 /// \brief Elementwise (Hadamard) product.
@@ -86,6 +163,8 @@ Variable Scale(const Variable& a, float factor);
 
 /// \brief max(x, 0).
 Variable Relu(const Variable& a);
+/// \brief In place when `a` is an overwritable temporary.
+Variable Relu(Variable&& a);
 /// \brief Logistic sigmoid.
 Variable Sigmoid(const Variable& a);
 /// \brief Hyperbolic tangent.

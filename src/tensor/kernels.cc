@@ -338,7 +338,8 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
   const bool has_bias = !bias.empty();
   if (has_bias) O4A_CHECK_EQ(bias.numel(), f);
 
-  Tensor out({n, f, oh, ow});
+  // Every output element is written below (the first k block stores).
+  Tensor out = Tensor::Uninitialized({n, f, oh, ow});
   const int64_t patch = c * kh * kw;  // terms per output, im2col order
   const int64_t plane = oh * ow;
   const SgemmRounding rounding = SgemmRoundingFor(f, plane, patch);
@@ -545,19 +546,46 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
   }
 }
 
+namespace {
+
+// Means of kLanes consecutive planes of `plane` floats from `base`. Each
+// plane keeps its own serial double chain in index order; the lanes only
+// advance side by side, so the chains overlap in the pipeline instead of
+// running back to back, and every mean keeps its bits.
+template <int kLanes>
+void MeanPlanes(const float* base, int64_t plane, float inv, float* out) {
+  double acc[kLanes] = {};
+  for (int64_t i = 0; i < plane; ++i) {
+    for (int l = 0; l < kLanes; ++l) acc[l] += base[l * plane + i];
+  }
+  for (int l = 0; l < kLanes; ++l) out[l] = static_cast<float>(acc[l]) * inv;
+}
+
+}  // namespace
+
 Tensor GlobalAvgPoolForward(const Tensor& input) {
   O4A_CHECK_EQ(input.ndim(), 4u);
   const int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                 w = input.dim(3);
+  const int64_t plane = h * w;
+  const float inv = 1.0f / static_cast<float>(plane);
   Tensor out({n, c, 1, 1});
-  const float inv = 1.0f / static_cast<float>(h * w);
-  for (int64_t s = 0; s < n; ++s) {
-    for (int64_t ci = 0; ci < c; ++ci) {
-      const float* plane = input.data() + (s * c + ci) * h * w;
-      double acc = 0.0;
-      for (int64_t i = 0; i < h * w; ++i) acc += plane[i];
-      out.at(s, ci, 0, 0) = static_cast<float>(acc) * inv;
-    }
+  // Planes in groups of 8, then 4, 2 and 1 for the ragged tail.
+  const int64_t planes = n * c;
+  int64_t p = 0;
+  for (; p + 8 <= planes; p += 8) {
+    MeanPlanes<8>(input.data() + p * plane, plane, inv, out.data() + p);
+  }
+  if (p + 4 <= planes) {
+    MeanPlanes<4>(input.data() + p * plane, plane, inv, out.data() + p);
+    p += 4;
+  }
+  if (p + 2 <= planes) {
+    MeanPlanes<2>(input.data() + p * plane, plane, inv, out.data() + p);
+    p += 2;
+  }
+  if (p < planes) {
+    MeanPlanes<1>(input.data() + p * plane, plane, inv, out.data() + p);
   }
   return out;
 }
@@ -585,7 +613,7 @@ Tensor UpsampleNearestForward(const Tensor& input, int64_t factor) {
   const int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                 w = input.dim(3);
   const int64_t ow = w * factor;
-  Tensor out({n, c, h * factor, ow});
+  Tensor out = Tensor::Uninitialized({n, c, h * factor, ow});
   const float* src = input.data();
   float* dst = out.data();
   // One source row widens into one output row, which repeats factor times.
@@ -634,7 +662,7 @@ Tensor ConcatChannels(const std::vector<const Tensor*>& inputs) {
     O4A_CHECK_EQ(t->dim(3), w);
     total_c += t->dim(1);
   }
-  Tensor out({n, total_c, h, w});
+  Tensor out = Tensor::Uninitialized({n, total_c, h, w});
   const int64_t plane = h * w;
   for (int64_t s = 0; s < n; ++s) {
     int64_t coff = 0;

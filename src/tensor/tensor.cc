@@ -20,6 +20,12 @@ Tensor::Tensor(std::vector<int64_t> shape)
   data_.assign(static_cast<size_t>(numel_), 0.0f);
 }
 
+Tensor Tensor::Uninitialized(std::vector<int64_t> shape) {
+  BufferPool* pool = internal::ThreadBufferPool();
+  return pool != nullptr ? pool->Take(std::move(shape))
+                         : Tensor(std::move(shape));
+}
+
 Tensor Tensor::Ones(std::vector<int64_t> shape) {
   return Full(std::move(shape), 1.0f);
 }
@@ -214,5 +220,56 @@ std::string Tensor::ToString(int64_t max_values) const {
   }
   return oss.str();
 }
+
+Tensor BufferPool::Take(std::vector<int64_t> shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.numel_ = Tensor::Volume(t.shape_);
+  const size_t size = static_cast<size_t>(t.numel_);
+  std::lock_guard<std::mutex> lock(mu_);
+  // Newest first: the buffer most recently dropped is the one most
+  // likely still in cache.
+  for (size_t i = free_.size(); i-- > 0;) {
+    if (free_[i].size() != size) continue;
+    t.data_ = std::move(free_[i]);
+    if (i + 1 != free_.size()) free_[i] = std::move(free_.back());
+    free_.pop_back();
+    break;
+  }
+  if (t.data_.size() != size) t.data_.assign(size, 0.0f);
+  lent_.insert(t.data_.data());
+  return t;
+}
+
+void BufferPool::Recycle(Tensor* t) {
+  if (t->data_.empty()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (lent_.erase(t->data_.data()) == 0) return;
+  free_.push_back(std::move(t->data_));
+  t->data_.clear();
+  t->numel_ = 0;
+  t->shape_.clear();
+}
+
+size_t BufferPool::free_floats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t total = 0;
+  for (const std::vector<float>& buffer : free_) total += buffer.size();
+  return total;
+}
+
+namespace internal {
+namespace {
+thread_local BufferPool* g_thread_buffer_pool = nullptr;
+}  // namespace
+
+BufferPool* ThreadBufferPool() { return g_thread_buffer_pool; }
+
+BufferPool* SetThreadBufferPool(BufferPool* pool) {
+  BufferPool* previous = g_thread_buffer_pool;
+  g_thread_buffer_pool = pool;
+  return previous;
+}
+}  // namespace internal
 
 }  // namespace one4all

@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/logging.h"
@@ -24,6 +26,12 @@ class Tensor {
 
   /// \brief Allocates a zero-filled tensor of the given shape.
   explicit Tensor(std::vector<int64_t> shape);
+
+  /// \brief A tensor whose every element the caller writes. Inside a
+  /// NoTapeScope (tensor/autograd.h) its storage is a recycled buffer
+  /// from the scope's BufferPool and holds stale values; elsewhere it is
+  /// zero-filled like Tensor(shape).
+  static Tensor Uninitialized(std::vector<int64_t> shape);
 
   static Tensor Zeros(std::vector<int64_t> shape) { return Tensor(std::move(shape)); }
   static Tensor Ones(std::vector<int64_t> shape);
@@ -114,12 +122,53 @@ class Tensor {
   std::string ToString(int64_t max_values = 8) const;
 
  private:
+  friend class BufferPool;
+
   std::vector<int64_t> shape_;
   std::vector<float> data_;
   int64_t numel_ = 0;
 
   static int64_t Volume(const std::vector<int64_t>& shape);
 };
+
+/// \brief A free list of tensor storage, matched by exact element count.
+///
+/// Forward-only passes (NoTapeScope) draw op outputs from one so that a
+/// steady stream of same-shaped calls stops allocating, zero-filling and
+/// page-faulting its intermediates. Only buffers the pool handed out come
+/// back to it, so it never holds more than its callers once held at once.
+/// Thread-safe; typically used by one thread at a time.
+class BufferPool {
+ public:
+  BufferPool() = default;
+  BufferPool(const BufferPool&) = delete;
+  BufferPool& operator=(const BufferPool&) = delete;
+
+  /// \brief A tensor of `shape` on a free buffer of equal size (stale
+  /// values), or on fresh zero-filled storage when none is free.
+  Tensor Take(std::vector<int64_t> shape);
+
+  /// \brief Moves `t`'s storage onto the free list if this pool handed it
+  /// out; otherwise leaves `t` alone. Either way `t` may then be dropped.
+  void Recycle(Tensor* t);
+
+  /// \brief Floats held on the free list.
+  size_t free_floats() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::vector<float>> free_;
+  std::unordered_set<const float*> lent_;  // storage handed out, not back
+};
+
+namespace internal {
+/// \brief The calling thread's active pool (null outside a NoTapeScope);
+/// Tensor::Uninitialized draws from it.
+BufferPool* ThreadBufferPool();
+/// \brief Installs `pool` as the calling thread's active pool and returns
+/// the previous one (NoTapeScope's constructor and destructor).
+BufferPool* SetThreadBufferPool(BufferPool* pool);
+}  // namespace internal
 
 /// \brief Checks two shapes for equality with a fatal diagnostic.
 void CheckSameShape(const Tensor& a, const Tensor& b, const char* op);

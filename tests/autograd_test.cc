@@ -2,6 +2,11 @@
 // finite differences through the shared CheckGradients helper.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "tensor/autograd.h"
 #include "test_util.h"
 
@@ -256,6 +261,157 @@ TEST(AutogradTest, ConstantsReceiveNoGradient) {
   EXPECT_TRUE(x.grad().AllClose(Tensor::Ones({3})));
   // The constant's grad buffer stays zero.
   EXPECT_TRUE(constant.grad().AllClose(Tensor({3})));
+}
+
+// ---------------------------------------------------------------------------
+// NoTapeScope: forward-only passes build no graph.
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) == 0;
+}
+
+// Runs every differentiable op once on trainable inputs and returns the
+// outputs, so a caller can compare the taped and the untaped values.
+std::vector<Variable> EveryOp() {
+  Variable v = Param({2, 3}, 50);
+  Variable u = Param({2, 3}, 51);
+  Variable w = Param({3, 4}, 52);
+  Variable bias = Param({4}, 53);
+  Variable x = Param({1, 2, 5, 5}, 54);
+  Variable k = Param({3, 2, 3, 3}, 55);
+  Variable kb = Param({3}, 56);
+  Variable gate = Param({1, 2, 1, 1}, 57);
+  std::vector<Variable> out = {
+      Add(v, u), Sub(v, u), Mul(v, u), Scale(v, 0.5f), Relu(v), Sigmoid(v),
+      Tanh(v), MatMulVar(v, w), LinearVar(v, w, bias),
+      Conv2dVar(x, k, kb, Conv2dSpec{1, 1}), GlobalAvgPoolVar(x),
+      UpsampleNearestVar(x, 2), ConcatChannelsVar({x, x}),
+      MulChannelGate(x, gate), SoftmaxRowsVar(v), SumAll(v), MeanAll(v),
+      MseLoss(v, Tensor::Ones({2, 3})), ReshapeVar(v, {3, 2}),
+      Crop2dVar(x, 4, 3), Pad2dVar(x, 6, 7), SliceRowsVar(v, 1, 2),
+      ConcatRowsVar({v, u}), MatMulTransBVar(v, u), NchwToNodeRowsVar(x),
+      NodeRowsToNchwVar(NchwToNodeRowsVar(x), 1, 2, 5, 5),
+      Relu(Add(v, u)), Add(v, Mul(v, u))};
+  return out;
+}
+
+TEST(NoTapeScopeTest, ValuesKeepNoParentsAndNoClosure) {
+  const int64_t taped_before = TapedNodeCount();
+  std::vector<Variable> values;
+  {
+    const NoTapeScope no_tape;
+    EXPECT_TRUE(NoTapeScope::Active());
+    values = EveryOp();
+  }
+  EXPECT_FALSE(NoTapeScope::Active());
+  EXPECT_EQ(TapedNodeCount(), taped_before);
+  for (const Variable& v : values) {
+    EXPECT_TRUE(v.node()->parents.empty());
+    EXPECT_FALSE(v.node()->backward_fn);
+    EXPECT_FALSE(v.requires_grad());
+  }
+  // The same ops with the tape recording build the graph.
+  const std::vector<Variable> taped = EveryOp();
+  EXPECT_GT(TapedNodeCount(), taped_before);
+  ASSERT_EQ(taped.size(), values.size());
+  for (size_t i = 0; i < taped.size(); ++i) {
+    EXPECT_FALSE(taped[i].node()->parents.empty()) << "op " << i;
+    EXPECT_TRUE(SameBits(taped[i].value(), values[i].value())) << "op " << i;
+  }
+}
+
+TEST(NoTapeScopeTest, BackwardOnAnUntapedValueDies) {
+  Variable x = Param({3}, 60);
+  Variable loss;
+  {
+    const NoTapeScope no_tape;
+    loss = SumAll(Mul(x, x));
+  }
+  EXPECT_DEATH(loss.Backward(), "NoTapeScope");
+}
+
+TEST(NoTapeScopeTest, NestedScopesRestoreTheOuterState) {
+  EXPECT_FALSE(NoTapeScope::Active());
+  EXPECT_EQ(internal::ThreadBufferPool(), nullptr);
+  auto outer_pool = std::make_shared<BufferPool>();
+  auto own_pool = std::make_shared<BufferPool>();
+  {
+    const NoTapeScope outer(outer_pool);
+    EXPECT_EQ(internal::ThreadBufferPool(), outer_pool.get());
+    {
+      const NoTapeScope inner;  // shares the enclosing pool
+      EXPECT_TRUE(NoTapeScope::Active());
+      EXPECT_EQ(internal::ThreadBufferPool(), outer_pool.get());
+      {
+        const NoTapeScope innermost(own_pool);
+        EXPECT_EQ(internal::ThreadBufferPool(), own_pool.get());
+      }
+      EXPECT_EQ(internal::ThreadBufferPool(), outer_pool.get());
+    }
+    EXPECT_TRUE(NoTapeScope::Active());
+    EXPECT_EQ(internal::ThreadBufferPool(), outer_pool.get());
+  }
+  EXPECT_FALSE(NoTapeScope::Active());
+  EXPECT_EQ(internal::ThreadBufferPool(), nullptr);
+  // Back outside, ops record again.
+  Variable x = Param({2}, 61);
+  SumAll(Mul(x, x)).Backward();
+  EXPECT_TRUE(x.grad().AllClose(x.value().MulScalar(2.0f)));
+}
+
+TEST(NoTapeScopeTest, DroppedValuesReturnTheirBuffersToThePool) {
+  auto pool = std::make_shared<BufferPool>();
+  const Variable x = Param({1, 2, 8, 8}, 62);
+  const float* first = nullptr;
+  {
+    const NoTapeScope no_tape(pool);
+    first = UpsampleNearestVar(x, 2).value().data();
+  }
+  EXPECT_EQ(pool->free_floats(), 2u * 16 * 16);
+  {
+    const NoTapeScope no_tape(pool);
+    const Variable again = UpsampleNearestVar(x, 2);
+    EXPECT_EQ(again.value().data(), first);  // the recycled buffer
+    EXPECT_EQ(pool->free_floats(), 0u);
+  }
+  // A value that outlives its scope still hands its buffer back.
+  Variable kept;
+  {
+    const NoTapeScope no_tape(pool);
+    kept = UpsampleNearestVar(x, 2);
+  }
+  EXPECT_EQ(pool->free_floats(), 0u);
+  kept = Variable();
+  EXPECT_EQ(pool->free_floats(), 2u * 16 * 16);
+}
+
+TEST(NoTapeScopeTest, RvalueOpsOverwriteOnlyUnsharedTemporaries) {
+  const Variable a = Param({6}, 63);
+  const Variable b = Param({6}, 64);
+  const Tensor a_before = a.value();
+  const Tensor b_before = b.value();
+  const Tensor want_relu = Relu(a).value();
+  const Tensor want_add = Add(a, b).value();
+  const NoTapeScope no_tape;
+  // Shared handles are never written through.
+  Variable shared = a;
+  EXPECT_TRUE(SameBits(Relu(std::move(shared)).value(), want_relu));
+  Variable shared_b = b;
+  EXPECT_TRUE(SameBits(Add(a, std::move(shared_b)).value(), want_add));
+  EXPECT_TRUE(SameBits(a.value(), a_before));
+  EXPECT_TRUE(SameBits(b.value(), b_before));
+  // An unshared temporary is reused in place, with the same bits.
+  Variable sum = Add(a, b);
+  const float* storage = sum.value().data();
+  const Variable relu = Relu(std::move(sum));
+  EXPECT_EQ(relu.value().data(), storage);
+  EXPECT_TRUE(SameBits(relu.value(), Relu(Add(a, b)).value()));
+  Variable sum2 = Add(a, b);
+  const float* storage2 = sum2.value().data();
+  const Variable twice = Add(a, std::move(sum2));
+  EXPECT_EQ(twice.value().data(), storage2);
+  EXPECT_TRUE(SameBits(twice.value(), Add(a, Add(a, b)).value()));
 }
 
 }  // namespace

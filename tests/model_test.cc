@@ -2,6 +2,7 @@
 // trainer, and predictor semantics on a tiny dataset.
 #include <gtest/gtest.h>
 #include <cmath>
+#include <cstring>
 
 #include "model/baselines_cnn.h"
 #include "model/baselines_graph.h"
@@ -9,6 +10,7 @@
 #include "model/multi_model.h"
 #include "model/one4all_net.h"
 #include "model/trainer.h"
+#include "tensor/autograd.h"
 #include "test_util.h"
 
 namespace one4all {
@@ -127,6 +129,71 @@ TEST(One4AllNetTest, ServingFramesFingerprintIsStable) {
 #else
   EXPECT_EQ(hash, 0x7f756cb8ce00d334ull);
 #endif
+}
+
+// Serving inference, offline prediction and validation loss run with no
+// tape: not one taped node, and the same bits the taped forward yields.
+TEST(One4AllNetTest, ForwardOnlyPassesRecordNoTape) {
+  STDataset ds = testing::TinyDataset();
+  One4AllNet net(ds.hierarchy(), ds.spec(), SmallNetOptions());
+  const std::vector<int64_t> batch = {ds.test_indices()[0],
+                                      ds.test_indices()[2]};
+  auto loss_fn = [&net](const STDataset& d, const std::vector<int64_t>& b) {
+    return net.Loss(d, b);
+  };
+
+  int64_t before = TapedNodeCount();
+  const std::vector<Tensor> frames =
+      net.InferServingFrames(ds.BuildInput({batch[0]}), ds);
+  EXPECT_EQ(TapedNodeCount() - before, 0);
+  before = TapedNodeCount();
+  const std::vector<Tensor> all = net.PredictAllLayers(ds, batch);
+  const Tensor layer2 = net.PredictLayer(ds, batch, 2);
+  const float val_loss = EvaluateLoss(ds, loss_fn, batch, 2);
+  EXPECT_EQ(TapedNodeCount() - before, 0);
+
+  // The taped forward the trainer runs builds its graph and agrees.
+  before = TapedNodeCount();
+  const Variable loss = net.Loss(ds, batch);
+  EXPECT_GT(TapedNodeCount() - before, 0);
+  EXPECT_EQ(loss.value()[0], val_loss);
+  const std::vector<Variable> preds = net.Forward(ds.BuildInput(batch));
+  const Tensor layer2_taped = ds.DenormalizeLayer(preds[1].value(), 2);
+  ASSERT_EQ(layer2.shape(), layer2_taped.shape());
+  ASSERT_EQ(all[1].shape(), layer2_taped.shape());
+  for (int64_t i = 0; i < layer2.numel(); ++i) {
+    EXPECT_EQ(layer2[i], layer2_taped[i]);
+    EXPECT_EQ(all[1][i], layer2_taped[i]);
+  }
+  const int64_t plane = frames[1].numel();
+  for (int64_t i = 0; i < plane; ++i) EXPECT_EQ(frames[1][i], layer2_taped[i]);
+}
+
+// A forward-only pass between two training steps leaves the gradients
+// the second step computes bit for bit where they would have been.
+TEST(One4AllNetTest, InferenceBetweenBackwardsLeavesGradientsUnchanged) {
+  STDataset ds = testing::TinyDataset();
+  One4AllNet net(ds.hierarchy(), ds.spec(), SmallNetOptions());
+  const std::vector<int64_t> batch = {ds.train_indices()[0],
+                                      ds.train_indices()[1]};
+  auto grads_of_one_step = [&] {
+    net.ZeroGrad();
+    net.Loss(ds, batch).Backward();
+    std::vector<Tensor> grads;
+    for (const Variable& p : net.Parameters()) grads.push_back(p.grad());
+    return grads;
+  };
+  const std::vector<Tensor> first = grads_of_one_step();
+  net.InferServingFrames(ds.BuildInput({ds.test_indices()[0]}), ds);
+  const std::vector<Tensor> second = grads_of_one_step();
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t p = 0; p < first.size(); ++p) {
+    ASSERT_EQ(first[p].shape(), second[p].shape());
+    EXPECT_EQ(std::memcmp(first[p].data(), second[p].data(),
+                          sizeof(float) * first[p].numel()),
+              0)
+        << "parameter " << p;
+  }
 }
 
 TEST(One4AllNetTest, PredictAllLayersMatchesPredictLayer) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 #include "eval/task_eval.h"
 #include "model/baselines_simple.h"
 #include "model/one4all_net.h"
+#include "model/trainer.h"
 #include "obs/trace_export.h"
 #include "serve/serving_runtime.h"
 #include "test_util.h"
@@ -351,6 +353,71 @@ TEST(One4AllNetTest, InferServingFramesMatchesPredictAllLayers) {
         serving[l].AllClose(batch_preds[l].Reshape(
             {serving[l].dim(0), serving[l].dim(1)})));
   }
+}
+
+// Two threads serve through one FrameInference (and its buffer pool)
+// while a third trains another net. The no-tape scope is per thread, so
+// training keeps its tape, and every served frame matches the serial run.
+TEST(One4AllNetTest, ConcurrentInferenceBesideTrainingMatchesSerial) {
+  ServeFixture fixture = ServeFixture::Make();
+  const STDataset& dataset = *fixture.dataset;
+  One4AllNetOptions net_options;
+  net_options.channels = 4;
+  const One4AllNet net(dataset.hierarchy(), dataset.spec(), net_options);
+  net_options.seed = 9;
+  One4AllNet trained(dataset.hierarchy(), dataset.spec(), net_options);
+
+  std::vector<int64_t> ts;
+  std::vector<TemporalInput> inputs;
+  std::vector<std::vector<Tensor>> expected;
+  for (size_t i = 0; i < 6; ++i) {
+    ts.push_back(dataset.test_indices()[i]);
+    inputs.push_back(dataset.BuildInput({ts.back()}));
+    expected.push_back(net.InferServingFrames(inputs.back(), dataset));
+  }
+
+  const FrameInference inference = MakeOne4AllInference(&net, &dataset);
+  std::atomic<int> mismatches{0};
+  auto serve = [&] {
+    for (int round = 0; round < 4; ++round) {
+      for (size_t i = 0; i < ts.size(); ++i) {
+        Result<std::vector<Tensor>> frames = inference(ts[i], inputs[i]);
+        if (!frames.ok() || frames->size() != expected[i].size()) {
+          ++mismatches;
+          continue;
+        }
+        for (size_t l = 0; l < frames->size(); ++l) {
+          const Tensor& got = (*frames)[l];
+          const Tensor& want = expected[i][l];
+          if (got.shape() != want.shape() ||
+              std::memcmp(got.data(), want.data(),
+                          sizeof(float) * want.numel()) != 0) {
+            ++mismatches;
+          }
+        }
+      }
+    }
+  };
+  std::thread trainer([&] {
+    TrainOptions options;
+    options.epochs = 2;
+    options.batch_size = 4;
+    options.max_batches_per_epoch = 3;
+    options.num_threads = 1;
+    options.early_stop_patience = 2;
+    TrainModel(
+        &trained, dataset,
+        [&trained](const STDataset& d, const std::vector<int64_t>& batch) {
+          return trained.Loss(d, batch);
+        },
+        options);
+  });
+  std::thread first(serve);
+  std::thread second(serve);
+  first.join();
+  second.join();
+  trainer.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "core/rng.h"
 #include "tensor/autograd.h"
@@ -172,6 +175,61 @@ TEST(KernelsTest, GlobalAvgPool) {
   Tensor pooled = GlobalAvgPoolForward(x);
   EXPECT_FLOAT_EQ(pooled.at(0, 0, 0, 0), 2.5f);
   EXPECT_FLOAT_EQ(pooled.at(0, 1, 0, 0), 25.0f);
+}
+
+// The channel-interleaved pool keeps each channel's own serial double
+// chain, so it must match the one-channel-at-a-time loop bit for bit.
+TEST(KernelsTest, GlobalAvgPoolMatchesScalarChainsBitwise) {
+  for (int64_t n : {1, 2}) {
+    for (int64_t c : {1, 3, 8, 13}) {
+      for (auto [h, w] : {std::pair<int64_t, int64_t>{1, 1}, {3, 5},
+                          {7, 9}, {17, 13}}) {
+        Rng rng(static_cast<uint64_t>(100 * n + 10 * c + h));
+        const Tensor x = Tensor::RandomNormal({n, c, h, w}, &rng, 3.0f, 5.0f);
+        const Tensor pooled = GlobalAvgPoolForward(x);
+        ASSERT_EQ(pooled.shape(), (std::vector<int64_t>{n, c, 1, 1}));
+        const float inv = 1.0f / static_cast<float>(h * w);
+        for (int64_t p = 0; p < n * c; ++p) {
+          double acc = 0.0;
+          for (int64_t i = 0; i < h * w; ++i) acc += x[p * h * w + i];
+          const float want = static_cast<float>(acc) * inv;
+          EXPECT_EQ(std::memcmp(pooled.data() + p, &want, sizeof(float)), 0)
+              << "n=" << n << " c=" << c << " " << h << "x" << w
+              << " plane " << p;
+        }
+      }
+    }
+  }
+}
+
+TEST(BufferPoolTest, RecyclesOnlyWhatItLent) {
+  BufferPool pool;
+  Tensor a = pool.Take({4, 8});
+  EXPECT_EQ(a.numel(), 32);
+  for (int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], 0.0f);  // fresh
+  a.Fill(7.0f);
+  const float* storage = a.data();
+  pool.Recycle(&a);
+  EXPECT_EQ(pool.free_floats(), 32u);
+  // Equal size, any shape: the same buffer, stale values and all.
+  Tensor b = pool.Take({32});
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(b[0], 7.0f);
+  EXPECT_EQ(pool.free_floats(), 0u);
+  // A different size gets fresh storage.
+  Tensor c = pool.Take({5});
+  EXPECT_NE(c.data(), storage);
+  // A buffer the pool never lent stays with its tensor.
+  Tensor foreign({32});
+  pool.Recycle(&foreign);
+  EXPECT_EQ(foreign.numel(), 32);
+  EXPECT_EQ(pool.free_floats(), 0u);
+}
+
+TEST(TensorTest, UninitializedIsZeroOutsideAPool) {
+  ASSERT_EQ(internal::ThreadBufferPool(), nullptr);
+  const Tensor t = Tensor::Uninitialized({3, 3});
+  for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 0.0f);
 }
 
 TEST(KernelsTest, UpsampleNearestRoundTripSum) {
