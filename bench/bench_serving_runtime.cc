@@ -23,6 +23,10 @@
 // is recorded with "oversubscribed": true and the speedup is flagged,
 // not gated.
 //
+// The same phase times PinAll calls that overlap a publish at 1 and 2
+// shards (a writer publishing back to back against one pinning thread)
+// and records their p50/p90 as "pin_latency", report-only.
+//
 // A fifth phase measures publish cost against churn (ISSUE 10): the
 // same epoch publish loop at 1/5/25/100% dirty fraction, full-rebuild
 // staging vs delta staging with a dirty-tile set, written to
@@ -38,6 +42,7 @@
 // when a shape check misses).
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -58,6 +63,7 @@
 #include "query/query_planner.h"
 #include "query/resolved_query_cache.h"
 #include "serve/serving_runtime.h"
+#include "shard/shard_set.h"
 
 namespace one4all {
 namespace bench {
@@ -85,7 +91,6 @@ struct StormOutcome {
   int64_t rejected = 0;
   double storm_seconds = 0.0;
   bool cross_shard_consistent = true;
-  int64_t pin_retries = 0;
   ServingTelemetrySnapshot telemetry;
 };
 
@@ -96,10 +101,18 @@ struct ShardScalingRow {
   double qps = 0.0;
   int64_t answered = 0;
   bool consistent = true;
-  int64_t pin_retries = 0;
   /// Even the minimum storm (2 clients x this row's scatter width)
   /// exceeds the hardware threads: recorded but exempt from the gate.
   bool oversubscribed = false;
+};
+
+/// Latency of the PinAll calls that overlapped a publish, at one shard
+/// count (report-only).
+struct PinLatencyRow {
+  int shards = 1;
+  int64_t samples = 0;  ///< pins that overlapped a publish
+  double p50_micros = 0.0;
+  double p90_micros = 0.0;
 };
 
 struct ServingResult {
@@ -121,6 +134,7 @@ struct ServingResult {
   int64_t ring_dropped = 0;
   std::vector<ShardScalingRow> shard_scaling;
   double shard_speedup_4x = 0.0;  ///< 4-shard qps / 1-shard qps (phase 4)
+  std::vector<PinLatencyRow> pin_latency;
   std::array<SpanAggregate, kNumSpanNames> stages{};
 };
 
@@ -211,7 +225,6 @@ StormOutcome RunStorm(const STDataset& dataset,
   outcome.inconsistent = inconsistent.load();
   outcome.rejected = rejected.load();
   outcome.cross_shard_consistent = runtime.shards().Consistent();
-  outcome.pin_retries = runtime.shards().pin_retries();
   outcome.telemetry = runtime.Telemetry();
 
   std::cout << label << ": " << outcome.answered << " queries in "
@@ -265,13 +278,21 @@ void WriteJson(const std::string& path, const ServingResult& r,
        << ", \"qps\": " << TablePrinter::Num(row.qps, 0)
        << ", \"answered\": " << row.answered << ", \"consistent\": "
        << (row.consistent ? "true" : "false")
-       << ", \"pin_retries\": " << row.pin_retries
        << ", \"oversubscribed\": "
        << (row.oversubscribed ? "true" : "false") << "}";
   }
   js << "],\n";
   js << "  \"shard_speedup_4x\": "
      << TablePrinter::Num(r.shard_speedup_4x, 3) << ",\n";
+  js << "  \"pin_latency\": [";
+  for (size_t i = 0; i < r.pin_latency.size(); ++i) {
+    const auto& row = r.pin_latency[i];
+    js << (i == 0 ? "" : ", ") << "{\"shards\": " << row.shards
+       << ", \"overlapping_pins\": " << row.samples
+       << ", \"p50_us\": " << TablePrinter::Num(row.p50_micros, 3)
+       << ", \"p90_us\": " << TablePrinter::Num(row.p90_micros, 3) << "}";
+  }
+  js << "],\n";
   // Stage-attributed latency breakdown from the obs-on storm's spans.
   js << "  \"stage_count\": {";
   bool first = true;
@@ -303,6 +324,65 @@ void WriteJson(const std::string& path, const ServingResult& r,
   }
   out << js.str();
   std::cout << "wrote " << path << "\n";
+}
+
+/// Times every PinAll call one thread makes while a writer publishes
+/// `epochs` carry-forward epochs back to back into a `shards`-shard set
+/// (48-step retention, so each publish also reclaims); keeps the calls
+/// that overlapped a publish.
+PinLatencyRow MeasurePinLatency(const STDataset& dataset, int shards,
+                                int64_t epochs) {
+  ShardSetOptions options;
+  options.retain_timesteps = 48;
+  ShardSet set(&dataset.hierarchy(), shards, nullptr, options);
+  const auto& slots = dataset.test_indices();
+  const int num_layers = dataset.hierarchy().num_layers();
+  std::atomic<bool> publishing{false};
+  std::atomic<int64_t> published{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t i = 0; i < epochs; ++i) {
+      const int64_t slot = slots[static_cast<size_t>(i) % slots.size()];
+      std::vector<Tensor> frames;
+      for (int l = 1; l <= num_layers; ++l) {
+        frames.push_back(dataset.FrameAtLayer(slot, l));
+      }
+      publishing.store(true, std::memory_order_release);
+      O4A_CHECK(set.StageAndPublish(i, frames, nullptr, true, nullptr).ok());
+      publishing.store(false, std::memory_order_release);
+      published.fetch_add(1, std::memory_order_release);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::vector<double> micros;
+  while (!done.load(std::memory_order_acquire)) {
+    const int64_t before = published.load(std::memory_order_acquire);
+    const bool busy_before = publishing.load(std::memory_order_acquire);
+    const auto start = std::chrono::steady_clock::now();
+    const ShardPinSet pins = set.PinAll();
+    const auto stop = std::chrono::steady_clock::now();
+    if (busy_before || publishing.load(std::memory_order_acquire) ||
+        published.load(std::memory_order_acquire) != before) {
+      micros.push_back(
+          std::chrono::duration<double, std::micro>(stop - start).count());
+    }
+  }
+  writer.join();
+  O4A_CHECK(set.Consistent());
+  PinLatencyRow row;
+  row.shards = shards;
+  row.samples = static_cast<int64_t>(micros.size());
+  if (!micros.empty()) {
+    const auto at = [&micros](double q) {
+      auto nth = micros.begin() +
+                 static_cast<std::ptrdiff_t>(q * (micros.size() - 1));
+      std::nth_element(micros.begin(), nth, micros.end());
+      return *nth;
+    };
+    row.p50_micros = at(0.5);
+    row.p90_micros = at(0.9);
+  }
+  return row;
 }
 
 // ---------------------------------------------------------------------
@@ -663,7 +743,6 @@ int main_impl() {
     row.answered = outcome.answered;
     row.consistent =
         outcome.cross_shard_consistent && outcome.inconsistent == 0;
-    row.pin_retries = outcome.pin_retries;
     row.oversubscribed = 2 * shards > hw;
     result.shard_scaling.push_back(row);
   }
@@ -673,18 +752,30 @@ int main_impl() {
   {
     TablePrinter scaling("Shard-scaling storm QPS (" +
                          std::to_string(hw) + " hardware threads)");
-    scaling.SetHeader({"Shards", "clients", "queries/s", "vs 1 shard",
-                       "pin retries"});
+    scaling.SetHeader({"Shards", "clients", "queries/s", "vs 1 shard"});
     for (const auto& row : result.shard_scaling) {
       scaling.AddRow(
           {std::to_string(row.shards) +
                (row.oversubscribed ? " (oversubscribed)" : ""),
            std::to_string(row.clients), TablePrinter::Num(row.qps, 0),
            TablePrinter::Num(
-               row.qps / std::max(1.0, result.shard_scaling[0].qps), 2),
-           std::to_string(row.pin_retries)});
+               row.qps / std::max(1.0, result.shard_scaling[0].qps), 2)});
     }
     scaling.Print(std::cout);
+  }
+  // Pins against a back-to-back publisher: report-only.
+  for (const int shards : {1, 2}) {
+    result.pin_latency.push_back(MeasurePinLatency(dataset, shards, 300));
+  }
+  {
+    TablePrinter pins("PinAll latency while publishing (report-only)");
+    pins.SetHeader({"Shards", "overlapping pins", "p50 (us)", "p90 (us)"});
+    for (const auto& row : result.pin_latency) {
+      pins.AddRow({std::to_string(row.shards), std::to_string(row.samples),
+                   TablePrinter::Num(row.p50_micros, 3),
+                   TablePrinter::Num(row.p90_micros, 3)});
+    }
+    pins.Print(std::cout);
   }
 
   // -- Phase 5: publish cost vs churn ---------------------------------

@@ -7,9 +7,11 @@
 // (src/serve/epoch_manager.h): a writer stages the full frame set of the
 // next epoch under an unpublished shadow generation while readers keep
 // serving from the published one, so no reader ever observes a
-// half-synced timestep. Generation 0 is the "static" generation the
-// offline harness (MauPipeline) writes to; every pre-existing call site
-// keeps working unchanged against it.
+// half-synced timestep. A served generation lives exactly as long as the
+// shared, immutable Epoch naming it: the last release of that pointer
+// calls DropGeneration, so the store itself tracks no pins. Generation 0
+// is the "static" generation the offline harness (MauPipeline) writes
+// to; every pre-existing call site keeps working unchanged against it.
 //
 // Storage is tiled and copy-on-write (tensor/tiled_sat.h): a stored
 // timestep is one immutable entry holding its frame and the frame's
@@ -27,9 +29,9 @@
 //     shared_ptrs under one shared lock, and readers read cells in place
 //     through the frame's tile table — no read path copies a frame;
 //   - reclamation (DropGeneration) is a map erase: a tile block is freed
-//     when the last generation (or reader pin) referencing it drops,
-//     which keeps a pinned epoch's data alive precisely as long as its
-//     pins.
+//     when the last generation (or reader-held frame) referencing it
+//     drops, and a generation drops when its epoch's last pin goes, so
+//     a pinned epoch's data lives precisely as long as its pins.
 //
 // Every stored cell is a multiple of 2^-20 (TiledFrame snaps it on the
 // way in), and both write paths refuse a frame with a NaN or infinite
@@ -167,9 +169,9 @@ class PredictionStore {
   int64_t CopyGeneration(int64_t from, int64_t to,
                          int64_t min_t = INT64_MIN);
 
-  /// \brief Deletes every frame of a generation (epoch reclamation once
-  /// the last reader unpins it); tile blocks free when their last
-  /// referencing generation drops. Returns the number of entries
+  /// \brief Deletes every frame of a generation (epoch reclamation: the
+  /// last release of the epoch's pointer); tile blocks free when their
+  /// last referencing generation drops. Returns the number of entries
   /// dropped.
   int64_t DropGeneration(int64_t generation);
 

@@ -19,7 +19,7 @@ namespace one4all {
 
 /// \brief Every span the runtime emits, query-path then epoch-path.
 /// Append-only: exporters key on the numeric value, so the retired
-/// values 3 and 7 are never reused. Query spans open once per stage,
+/// values 3, 7 and 15 are never reused. Query spans open once per stage,
 /// never per slot or per row.
 enum class SpanName : uint8_t {
   kQuery = 0,      ///< root: one ExecuteSpec call (arg: rows)
@@ -35,7 +35,6 @@ enum class SpanName : uint8_t {
   kBuildSatPlane = 12, ///< one full SAT plane build in a write (arg: layer)
   kPublish = 13,       ///< atomic epoch flip
   kReclaim = 14,       ///< root: one generation reclaim (arg: generation)
-  kBarrierWait = 15,   ///< cross-shard epoch pin, incl. seqlock retries
   kTileSatFixup = 16,  ///< delta-write SAT rebuild (arg: dirty tiles)
 };
 constexpr int kNumSpanNames = 17;

@@ -7,35 +7,6 @@
 
 namespace one4all {
 
-// -- EpochGuard -------------------------------------------------------------
-
-EpochGuard::~EpochGuard() { Release(); }
-
-EpochGuard::EpochGuard(EpochGuard&& other) noexcept
-    : manager_(other.manager_),
-      generation_(other.generation_),
-      latest_t_(other.latest_t_) {
-  other.manager_ = nullptr;
-}
-
-EpochGuard& EpochGuard::operator=(EpochGuard&& other) noexcept {
-  if (this != &other) {
-    Release();
-    manager_ = other.manager_;
-    generation_ = other.generation_;
-    latest_t_ = other.latest_t_;
-    other.manager_ = nullptr;
-  }
-  return *this;
-}
-
-void EpochGuard::Release() {
-  if (manager_ != nullptr) {
-    manager_->Unpin(generation_);
-    manager_ = nullptr;
-  }
-}
-
 // -- FrameEpochManager::Staging ---------------------------------------------
 
 FrameEpochManager::Staging::~Staging() {
@@ -100,44 +71,33 @@ FrameEpochManager::FrameEpochManager(PredictionStore* store,
       telemetry_(telemetry),
       trace_(options.trace != nullptr ? options.trace
                                       : &TraceRecorder::Global()),
-      options_(options) {
+      options_(options),
+      published_(MakeEpoch(0, options.initial_latest_t)) {
   O4A_CHECK(store != nullptr);
-  epochs_[0] = EpochState{options.initial_latest_t, 0, false};
 }
-
-FrameEpochManager::~FrameEpochManager() = default;
 
 FrameEpochManager::Staging FrameEpochManager::BeginEpoch(
     bool carry_forward) {
-  int64_t generation = 0;
-  int64_t source = -1;
+  const int64_t generation =
+      next_generation_.fetch_add(1, std::memory_order_relaxed);
+  live_epochs_.fetch_add(1, std::memory_order_relaxed);
   int64_t carried_latest = -1;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    generation = next_generation_++;
-    epochs_[generation] = EpochState{-1, 0, false};
-    if (carry_forward) {
-      source = published_;
-      EpochState& state = epochs_.at(source);
-      carried_latest = state.latest_t;
-      // Hold the source pinned while its frames are copied so a
-      // concurrent publish cannot reclaim it mid-copy.
-      ++state.pins;
-    }
-  }
-  if (source >= 0) {
+  if (carry_forward) {
+    // The held pointer keeps the source generation from being reclaimed
+    // while its frames are copied, whatever a concurrent publish does.
+    const std::shared_ptr<const Epoch> source = std::atomic_load(&published_);
+    carried_latest = source->latest_t;
     // +2: after the writer stages the next timestep (carried_latest + 1),
     // the published epoch serves exactly the retain_timesteps newest.
     const int64_t min_t = options_.retain_timesteps > 0
                               ? carried_latest - options_.retain_timesteps + 2
                               : INT64_MIN;
-    store_->CopyGeneration(source, generation, min_t);
-    Unpin(source);
+    store_->CopyGeneration(source->generation, generation, min_t);
   }
   return Staging(this, generation, carried_latest);
 }
 
-void FrameEpochManager::Publish(Staging&& staging) {
+EpochGuard FrameEpochManager::Publish(Staging&& staging) {
   O4A_CHECK(staging.valid());
   O4A_CHECK(staging.manager_ == this);
   const int64_t generation = staging.generation_;
@@ -146,95 +106,65 @@ void FrameEpochManager::Publish(Staging&& staging) {
 
   // Enforce the retention horizon exactly, whatever the writer staged
   // (the carry-forward trim in BeginEpoch only bounds the copy for the
-  // standard one-timestep-per-epoch cadence). Safe outside the lock:
-  // the generation is still unpublished, so no reader can see it.
+  // standard one-timestep-per-epoch cadence). The generation is still
+  // unpublished, so no reader can see it.
   if (options_.retain_timesteps > 0 && latest_t >= 0) {
     store_->DropFramesBelow(generation,
                             latest_t - options_.retain_timesteps + 1);
   }
 
-  std::vector<int64_t> reclaimable;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    EpochState& state = epochs_.at(generation);
-    state.latest_t = latest_t;
-    EpochState& old = epochs_.at(published_);
-    old.retired = true;
-    published_ = generation;
-    for (auto it = epochs_.begin(); it != epochs_.end();) {
-      if (it->second.retired && it->second.pins == 0) {
-        reclaimable.push_back(it->first);
-        it = epochs_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  Reclaim(reclaimable);
+  std::shared_ptr<const Epoch> epoch = MakeEpoch(generation, latest_t);
+  // The superseded epoch comes back from the exchange and is released at
+  // the end of this statement: when no reader still holds it, that
+  // release is its reclaim.
+  std::atomic_exchange(&published_, epoch);
+  return EpochGuard(std::move(epoch));
 }
 
 void FrameEpochManager::Abort(Staging&& staging) {
   if (!staging.valid()) return;
   O4A_CHECK(staging.manager_ == this);
-  const int64_t generation = staging.generation_;
   staging.manager_ = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    O4A_CHECK(generation != published_);
-    epochs_.erase(generation);
-  }
-  store_->DropGeneration(generation);
+  store_->DropGeneration(staging.generation_);
+  live_epochs_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 EpochGuard FrameEpochManager::Pin() {
-  std::lock_guard<std::mutex> lock(mu_);
-  EpochState& state = epochs_.at(published_);
-  ++state.pins;
-  return EpochGuard(this, published_, state.latest_t);
+  return EpochGuard(std::atomic_load(&published_));
 }
 
-void FrameEpochManager::Unpin(int64_t generation) {
-  std::vector<int64_t> reclaimable;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = epochs_.find(generation);
-    O4A_CHECK(it != epochs_.end());
-    O4A_CHECK_GT(it->second.pins, 0);
-    if (--it->second.pins == 0 && it->second.retired) {
-      reclaimable.push_back(generation);
-      epochs_.erase(it);
-    }
-  }
-  Reclaim(reclaimable);
+std::shared_ptr<const Epoch> FrameEpochManager::MakeEpoch(int64_t generation,
+                                                          int64_t latest_t) {
+  return std::shared_ptr<const Epoch>(
+      new Epoch{generation, latest_t}, [this](const Epoch* epoch) {
+        Reclaim(epoch->generation);
+        delete epoch;
+      });
 }
 
-void FrameEpochManager::Reclaim(const std::vector<int64_t>& generations) {
-  for (const int64_t generation : generations) {
-    // Reclamation is its own root span (epoch category): it can run on a
-    // publisher or on whichever reader thread unpins last, so it belongs
-    // to no query/publish tree.
-    TraceContext ctx = trace_->StartTrace(SpanCategory::kEpoch);
-    ScopedSpan reclaim_span(&ctx, SpanName::kReclaim, generation);
-    store_->DropGeneration(generation);
-    if (telemetry_ != nullptr) {
-      telemetry_->epochs_reclaimed.fetch_add(1, std::memory_order_relaxed);
-    }
+void FrameEpochManager::Reclaim(int64_t generation) {
+  // Reclamation is its own root span (epoch category): it runs on a
+  // publisher or on whichever reader releases last, so it belongs to no
+  // query/publish tree.
+  TraceContext ctx = trace_->StartTrace(SpanCategory::kEpoch);
+  ScopedSpan reclaim_span(&ctx, SpanName::kReclaim, generation);
+  store_->DropGeneration(generation);
+  live_epochs_.fetch_sub(1, std::memory_order_relaxed);
+  if (telemetry_ != nullptr) {
+    telemetry_->epochs_reclaimed.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 int64_t FrameEpochManager::published_generation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return published_;
+  return std::atomic_load(&published_)->generation;
 }
 
 int64_t FrameEpochManager::published_latest_t() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epochs_.at(published_).latest_t;
+  return std::atomic_load(&published_)->latest_t;
 }
 
 int64_t FrameEpochManager::live_epochs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(epochs_.size());
+  return live_epochs_.load(std::memory_order_relaxed);
 }
 
 }  // namespace one4all

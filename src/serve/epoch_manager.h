@@ -2,18 +2,21 @@
 // paper's online phase under continuous synchronization): a writer
 // stages the full multi-scale frame set of the next timestep under an
 // unpublished shadow generation of the PredictionStore, then publishes
-// it atomically. Readers pin the published epoch for the duration of a
-// query via the RAII EpochGuard and route every frame read through that
-// generation, so they never observe a torn, half-synced timestep; a
-// superseded epoch's frames are reclaimed from the KV store once its
-// last reader unpins.
+// it as one immutable Epoch, swapped in with one atomic exchange of a
+// shared_ptr. A reader pins with one atomic load of that pointer (the
+// RAII EpochGuard holds the copy) and routes every frame read through
+// the epoch's generation, so it never observes a torn, half-synced
+// timestep and never waits for a writer. Nothing counts pins: the last
+// release of an epoch's pointer, by the publisher that superseded it or
+// by the reader that held it longest, drops its generation from the
+// store, and that drop is the reclaim.
 #ifndef ONE4ALL_SERVE_EPOCH_MANAGER_H_
 #define ONE4ALL_SERVE_EPOCH_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <vector>
+#include <memory>
+#include <utility>
 
 #include "kvstore/prediction_store.h"
 #include "obs/trace.h"
@@ -40,45 +43,48 @@ struct FrameEpochManagerOptions {
   TraceRecorder* trace = nullptr;
 };
 
+/// \brief One published epoch: a PredictionStore generation and the
+/// newest timestep it serves. Immutable and shared by every pin on it;
+/// the last release of its shared_ptr reclaims the generation.
+struct Epoch {
+  int64_t generation = 0;
+  int64_t latest_t = -1;  ///< -1: no timestep yet
+};
+
 /// \brief RAII pin on one published epoch. While alive, every frame of
-/// that epoch's generation stays readable (reclamation is deferred);
-/// generation() is what a query passes as
+/// that epoch's generation stays readable (its reclaim waits for the
+/// last pin to go); generation() is what a query passes as
 /// QueryExecutorOptions::generation.
 class EpochGuard {
  public:
   EpochGuard() = default;  ///< unpinned guard
-  ~EpochGuard();
-  EpochGuard(EpochGuard&& other) noexcept;
-  EpochGuard& operator=(EpochGuard&& other) noexcept;
-  EpochGuard(const EpochGuard&) = delete;
-  EpochGuard& operator=(const EpochGuard&) = delete;
 
-  bool pinned() const { return manager_ != nullptr; }
+  bool pinned() const { return epoch_ != nullptr; }
   /// \brief PredictionStore generation of the pinned epoch.
-  int64_t generation() const { return generation_; }
+  int64_t generation() const { return pinned() ? epoch_->generation : 0; }
   /// \brief Newest timestep the pinned epoch serves (-1: none yet).
-  int64_t latest_t() const { return latest_t_; }
+  int64_t latest_t() const { return pinned() ? epoch_->latest_t : -1; }
 
   /// \brief Explicit early unpin (also done by the destructor).
-  void Release();
+  void Release() { epoch_.reset(); }
 
  private:
   friend class FrameEpochManager;
-  EpochGuard(FrameEpochManager* manager, int64_t generation,
-             int64_t latest_t)
-      : manager_(manager), generation_(generation), latest_t_(latest_t) {}
+  explicit EpochGuard(std::shared_ptr<const Epoch> epoch)
+      : epoch_(std::move(epoch)) {}
 
-  FrameEpochManager* manager_ = nullptr;
-  int64_t generation_ = 0;
-  int64_t latest_t_ = -1;
+  std::shared_ptr<const Epoch> epoch_;
 };
 
 /// \brief Epoch lifecycle over a generation-keyed PredictionStore.
 ///
-/// Thread-safe: any number of concurrent Pin()/unpin cycles against one
-/// staging/publishing writer (concurrent writers are also safe — the
+/// Thread-safe: Pin() is one atomic load that never waits for a writer's
+/// staging, publish or reclaim (concurrent writers are also safe — the
 /// last publish wins). Generation 0 is the initial published epoch; its
 /// latest_t is whatever the constructor is told was pre-synced there.
+/// Guards must not outlive the manager: an epoch's last release
+/// reclaims through it. Destroying the manager releases its published
+/// epoch, so that generation is reclaimed (and counted) then.
 class FrameEpochManager {
  public:
   /// \param store Must outlive the manager.
@@ -89,7 +95,6 @@ class FrameEpochManager {
   explicit FrameEpochManager(PredictionStore* store,
                              ServingTelemetry* telemetry = nullptr,
                              FrameEpochManagerOptions options = {});
-  ~FrameEpochManager();
 
   FrameEpochManager(const FrameEpochManager&) = delete;
   FrameEpochManager& operator=(const FrameEpochManager&) = delete;
@@ -175,16 +180,17 @@ class FrameEpochManager {
   /// serves exactly what the writer stages.
   Staging BeginEpoch(bool carry_forward = true);
 
-  /// \brief Atomically makes the staged epoch the published one. Readers
-  /// pinning from now on see it; readers already pinned keep their old
-  /// epoch until they unpin, at which point superseded epochs are
-  /// dropped from the store.
-  void Publish(Staging&& staging);
+  /// \brief Atomically makes the staged epoch the published one (one
+  /// atomic exchange) and returns a pin on it. Readers pinning from now
+  /// on see it; readers already pinned keep their old epoch, whose
+  /// generation is dropped from the store when the last of them lets go
+  /// (here, when none holds it).
+  EpochGuard Publish(Staging&& staging);
 
   /// \brief Discards a staged epoch without publishing.
   void Abort(Staging&& staging);
 
-  /// \brief Pins the currently published epoch.
+  /// \brief Pins the currently published epoch: one atomic load.
   EpochGuard Pin();
 
   int64_t published_generation() const;
@@ -194,26 +200,23 @@ class FrameEpochManager {
   int64_t live_epochs() const;
 
  private:
-  friend class EpochGuard;
-
-  struct EpochState {
-    int64_t latest_t = -1;
-    int64_t pins = 0;
-    bool retired = false;  ///< superseded; reclaim when pins hit 0
-  };
-
-  void Unpin(int64_t generation);
-  /// \brief Drops reclaimable generations' frames; call without mu_.
-  void Reclaim(const std::vector<int64_t>& generations);
+  /// \brief The published handle of `generation`: its last release
+  /// calls Reclaim.
+  std::shared_ptr<const Epoch> MakeEpoch(int64_t generation,
+                                         int64_t latest_t);
+  /// \brief Drops a released epoch's frames under a kReclaim root span.
+  void Reclaim(int64_t generation);
 
   PredictionStore* store_;
   ServingTelemetry* telemetry_;
   TraceRecorder* trace_;  ///< never null (options.trace or Global())
   FrameEpochManagerOptions options_;
-  mutable std::mutex mu_;
-  int64_t next_generation_ = 1;
-  int64_t published_ = 0;
-  std::map<int64_t, EpochState> epochs_;  ///< live epochs by generation
+  std::atomic<int64_t> next_generation_{1};
+  std::atomic<int64_t> live_epochs_{1};  ///< generation 0 is live
+  /// Read and replaced only through std::atomic_load/atomic_exchange.
+  /// Declared last, so the final epoch's reclaim at destruction still
+  /// finds every member above alive.
+  std::shared_ptr<const Epoch> published_;
 };
 
 }  // namespace one4all

@@ -46,13 +46,6 @@ class EpochSink {
                                  const DirtyTileSets* dirty,
                                  bool carry_forward,
                                  TraceContext* trace) = 0;
-
-  /// \brief Convenience for pre-dirty-tracking callers: stage everything
-  /// fresh.
-  Status StageAndPublish(int64_t t, const std::vector<Tensor>& frames,
-                         bool carry_forward, TraceContext* trace) {
-    return StageAndPublish(t, frames, nullptr, carry_forward, trace);
-  }
 };
 
 }  // namespace one4all

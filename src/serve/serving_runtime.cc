@@ -28,7 +28,6 @@ class MemoTapSink : public EpochSink {
     if (status.ok()) memo_->OnPublish(t, dirty);
     return status;
   }
-  using EpochSink::StageAndPublish;
 
  private:
   EpochSink* inner_;
@@ -240,7 +239,7 @@ ShardPinSet ServingRuntime::PinShards(TraceContext* trace) {
   // epoch per shard, all serving the same timestep, for the whole plan,
   // so no answer (a time range included) mixes two publishes' frames.
   ScopedSpan pin_span(trace, SpanName::kEpochPin);
-  ShardPinSet pins = shards_.PinAll(trace);
+  ShardPinSet pins = shards_.PinAll();
   pin_span.set_arg(pins.generation(0));
   return pins;
 }

@@ -1,7 +1,6 @@
 #include "shard/shard_set.h"
 
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "core/logging.h"
@@ -21,9 +20,12 @@ ShardSet::ShardSet(const Hierarchy* hierarchy, int num_shards,
       options_(options),
       birth_(std::chrono::steady_clock::now()) {
   shards_.reserve(static_cast<size_t>(map_.num_shards()));
+  std::vector<EpochGuard> initial;
   for (int k = 0; k < map_.num_shards(); ++k) {
     shards_.push_back(std::make_unique<Shard>(options_, telemetry_));
+    initial.push_back(shards_.back()->epochs.Pin());
   }
+  PublishPinSet(std::move(initial));
   if (telemetry_ == nullptr) return;
   MetricsRegistry& registry = telemetry_->registry();
   for (int k = 0; k < map_.num_shards(); ++k) {
@@ -44,10 +46,6 @@ ShardSet::ShardSet(const Hierarchy* hierarchy, int num_shards,
         "Milliseconds since this shard's last epoch flip", labels,
         [this, k] { return PublishLagMs(k); });
   }
-  registry.RegisterCallbackGauge(
-      "one4all_shard_pin_retries",
-      "Cross-shard pins that retried after racing a barrier flip", "",
-      [this] { return static_cast<double>(pin_retries()); });
   registry.RegisterCallbackGauge(
       "one4all_shard_torn_pins",
       "Cross-shard pins whose shards disagreed on latest_t (must be 0)",
@@ -105,24 +103,25 @@ Status ShardSet::StageAndPublish(int64_t t,
   }
   if (!status.ok()) return status;
 
-  // Phase 2: flip every shard inside the seqlock window. Readers that
-  // load an odd version — or whose version changed across their pin
-  // sweep — retry, so no query can hold shard A's new epoch next to
-  // shard B's old one.
+  // Phase 2: publish every shard's epoch, then the pin set of all of
+  // them. A reader's one load sees the old set or the new one, so no
+  // query can hold shard A's new epoch next to shard B's old one.
   {
     ScopedSpan flip_span(trace, SpanName::kPublish, t);
-    version_.fetch_add(1, std::memory_order_acq_rel);
+    std::vector<EpochGuard> epochs;
+    epochs.reserve(static_cast<size_t>(n));
     const int64_t now = NowNanos();
     for (int k = 0; k < n; ++k) {
       Shard& s = shard(k);
-      s.epochs.Publish(std::move(stagings[static_cast<size_t>(k)]));
+      epochs.push_back(
+          s.epochs.Publish(std::move(stagings[static_cast<size_t>(k)])));
       s.epochs_published.fetch_add(1, std::memory_order_relaxed);
       s.frames_staged.fetch_add(staged_per_shard[static_cast<size_t>(k)],
                                 std::memory_order_relaxed);
       s.last_publish_nanos.store(now, std::memory_order_release);
     }
+    PublishPinSet(std::move(epochs));
     published_t_.store(t, std::memory_order_release);
-    version_.fetch_add(1, std::memory_order_acq_rel);
   }
 
   if (telemetry_ != nullptr) {
@@ -135,45 +134,25 @@ Status ShardSet::StageAndPublish(int64_t t,
   return Status::OK();
 }
 
-ShardPinSet ShardSet::PinAll(TraceContext* trace) {
-  ScopedSpan barrier_span(trace, SpanName::kBarrierWait);
-  ShardPinSet pins;
-  int64_t retries = 0;
-  for (;;) {
-    const uint64_t v1 = version_.load(std::memory_order_acquire);
-    if ((v1 & 1) == 0) {
-      pins.guards_.clear();
-      pins.guards_.reserve(shards_.size());
-      for (const auto& s : shards_) {
-        pins.guards_.push_back(s->epochs.Pin());
-      }
-      if (version_.load(std::memory_order_acquire) == v1) {
-        // Stable window. The coherence check is belt-and-braces: under
-        // a correct seqlock it cannot fail, and if it ever does the
-        // tear is counted and the pin retried instead of handed out.
-        bool coherent = true;
-        for (const EpochGuard& guard : pins.guards_) {
-          if (guard.latest_t() != pins.guards_.front().latest_t()) {
-            coherent = false;
-            break;
-          }
-        }
-        if (coherent) {
-          pins.latest_t_ = pins.guards_.front().latest_t();
-          break;
-        }
-        torn_pins_.fetch_add(1, std::memory_order_relaxed);
-      }
-      pins.guards_.clear();
+void ShardSet::PublishPinSet(std::vector<EpochGuard> epochs) {
+  auto set = std::make_shared<ShardPinSet::Set>();
+  set->latest_t = epochs.front().latest_t();
+  for (const EpochGuard& epoch : epochs) {
+    if (epoch.latest_t() != set->latest_t) {
+      torn_pins_.fetch_add(1, std::memory_order_relaxed);
+      break;
     }
-    ++retries;
-    std::this_thread::yield();
   }
-  if (retries > 0) {
-    pin_retries_.fetch_add(retries, std::memory_order_relaxed);
-    barrier_span.set_arg(retries);
-  }
-  return pins;
+  set->epochs = std::move(epochs);
+  // The superseded set comes back from the exchange and is released at
+  // the end of this statement; when no reader holds it, that release
+  // reclaims every shard's previous epoch.
+  std::atomic_exchange(&pins_,
+                       std::shared_ptr<const ShardPinSet::Set>(std::move(set)));
+}
+
+ShardPinSet ShardSet::PinAll() const {
+  return ShardPinSet(std::atomic_load(&pins_));
 }
 
 bool ShardSet::ServesTimestep(const ShardPinSet& pins, int64_t t) const {

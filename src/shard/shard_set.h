@@ -3,13 +3,15 @@
 // the whole grid. Each shard owns a private PredictionStore,
 // FrameEpochManager and resolve cache, and stores only its band slice
 // of every layer frame.
-// Publication is two-phase across shards — stage every shard's slices
-// into still-invisible shadow generations, then flip all shards inside
-// a seqlock window (version odd while flipping) — and readers pin all
-// shards through the same seqlock, retrying any pin set that raced a
-// flip. The result is the cross-shard consistency contract: a query's
-// pin set never mixes two timesteps between shards, verified by a
-// latest_t coherence check whose violations are counted, never silent.
+// Publication is two-phase across shards: stage every shard's slices
+// into still-invisible shadow generations, then publish each shard's
+// epoch and build one immutable pin set from them — every shard's new
+// epoch plus their common latest_t — which one atomic store makes the
+// set's published one. A reader pins all shards with one atomic load of
+// that set. The result is the cross-shard consistency contract by
+// construction: a pin set never mixes two timesteps between shards. The
+// set's latest_t coherence is checked once, when it is built, and a
+// violation is counted, never silent.
 //
 // Queries read the set through one QueryExecutor (query/
 // query_executor.h), handed one (store, pinned generation, cache) view
@@ -26,6 +28,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "kvstore/prediction_store.h"
@@ -48,7 +51,7 @@ struct ShardSetOptions {
 
 /// \brief One shard's private serving state. Everything here is only
 /// ever touched through the owning ShardSet's protocols (barrier-
-/// ordered publishes, seqlock-guarded pins), except the store reads the
+/// ordered publishes, pin-set pins), except the store reads the
 /// executor makes under a held pin.
 struct Shard {
   /// \param telemetry Forwarded to the shard's epoch manager (may be
@@ -70,27 +73,34 @@ struct Shard {
   std::atomic<int64_t> last_publish_nanos{-1};
 };
 
-/// \brief Cross-shard epoch pin: one EpochGuard per shard, all serving
-/// the same latest timestep. Move-only; destruction (or Release) unpins
-/// every shard.
+/// \brief Cross-shard epoch pin: a shared handle on one immutable set
+/// of per-shard epochs, all serving the same latest timestep. Copying
+/// it is another pin on the same set; destruction (or Release) lets go,
+/// and the last release of a superseded set reclaims its epochs.
 class ShardPinSet {
  public:
   ShardPinSet() = default;
 
-  bool pinned() const { return !guards_.empty(); }
+  bool pinned() const { return set_ != nullptr; }
   /// \brief The common newest timestep every pinned shard serves.
-  int64_t latest_t() const { return latest_t_; }
+  int64_t latest_t() const { return pinned() ? set_->latest_t : -1; }
   /// \brief Shard k's pinned generation (its private store namespace).
   int64_t generation(int shard) const {
-    return guards_[static_cast<size_t>(shard)].generation();
+    return set_->epochs[static_cast<size_t>(shard)].generation();
   }
 
-  void Release() { guards_.clear(); }
+  void Release() { set_.reset(); }
 
  private:
   friend class ShardSet;
-  std::vector<EpochGuard> guards_;
-  int64_t latest_t_ = -1;
+  struct Set {
+    std::vector<EpochGuard> epochs;  ///< one per shard
+    int64_t latest_t = -1;
+  };
+  explicit ShardPinSet(std::shared_ptr<const Set> set)
+      : set_(std::move(set)) {}
+
+  std::shared_ptr<const Set> set_;
 };
 
 /// \brief The shard fleet plus its barrier. Implements EpochSink, so the
@@ -114,8 +124,9 @@ class ShardSet : public EpochSink {
   /// \brief Two-phase barrier publish: slice every layer frame into its
   /// owning shards' shadow generations (phase 1 — any store refusal
   /// aborts every shard's staging and returns, nothing published), then
-  /// flip all shards inside the seqlock window (phase 2). Readers
-  /// pinning concurrently retry until they observe a flip-free window.
+  /// publish every shard's epoch and swap in the pin set built from them
+  /// with one atomic store (phase 2). A reader pins either the old set
+  /// or the new one, never a mix, and never waits.
   ///
   /// A per-layer `dirty` set is re-sliced per band before staging, so
   /// each shard delta-stages only against its own rows: a dirty tile in
@@ -123,15 +134,11 @@ class ShardSet : public EpochSink {
   Status StageAndPublish(int64_t t, const std::vector<Tensor>& frames,
                          const DirtyTileSets* dirty, bool carry_forward,
                          TraceContext* trace) override;
-  using EpochSink::StageAndPublish;
 
-  /// \brief Pins every shard's published epoch under the seqlock: load
-  /// version (even = no flip in progress), pin all shards, re-check the
-  /// version, retry on any race. The returned set is coherent — all
-  /// guards share one latest_t; an incoherent set (a barrier bug) is
-  /// counted in torn_pins() and retried rather than returned. Emits a
-  /// kBarrierWait span (arg: retries) under `trace` when non-null.
-  ShardPinSet PinAll(TraceContext* trace = nullptr);
+  /// \brief Pins every shard's published epoch: one atomic load of the
+  /// published pin set. No loop, retry or yield; it never waits for
+  /// staging, a publish or a reclaim.
+  ShardPinSet PinAll() const;
 
   /// \brief True when the epochs in `pins` hold timestep `t` on every
   /// shard: published by then and not yet reclaimed (nor dropped by the
@@ -155,14 +162,13 @@ class ShardSet : public EpochSink {
   /// has reclaimed down to its published epoch).
   int64_t max_live_epochs() const;
 
-  /// \brief Pin attempts that had to retry because they raced a flip
-  /// (normal seqlock behavior under publish load).
-  int64_t pin_retries() const {
-    return pin_retries_.load(std::memory_order_relaxed);
-  }
-  /// \brief Coherence-check failures: a pin set whose shards disagreed
-  /// on latest_t inside a stable seqlock window. Must stay 0 — anything
-  /// else is a torn cross-shard epoch.
+  /// \brief Always 0: a pin is one atomic load and never retries. Kept
+  /// only because the end-to-end benchmark still reads it; deleted with
+  /// the benchmark's next change.
+  int64_t pin_retries() const { return 0; }
+  /// \brief Coherence-check failures: a built pin set whose shards
+  /// disagreed on latest_t. Must stay 0 — anything else is a torn
+  /// cross-shard epoch.
   int64_t torn_pins() const {
     return torn_pins_.load(std::memory_order_relaxed);
   }
@@ -201,12 +207,16 @@ class ShardSet : public EpochSink {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::chrono::steady_clock::time_point birth_;
 
-  /// Seqlock over the cross-shard flip: odd while shards are being
-  /// flipped, even when every shard serves one coherent timestep.
-  std::atomic<uint64_t> version_{0};
+  /// \brief Coherence-checks `epochs` (one per shard, counting a tear
+  /// in torn_pins_) and makes them the published pin set. The superseded
+  /// set is released on return, outside any lock.
+  void PublishPinSet(std::vector<EpochGuard> epochs);
+
   std::atomic<int64_t> published_t_{-1};
-  std::atomic<int64_t> pin_retries_{0};
   std::atomic<int64_t> torn_pins_{0};
+  /// Read and replaced only through std::atomic_load/atomic_exchange.
+  /// Declared after shards_, so it is released before the shards.
+  std::shared_ptr<const ShardPinSet::Set> pins_;
 };
 
 }  // namespace one4all

@@ -689,8 +689,8 @@ TEST(ServingRuntimeTest, QuerySpanSelfTimesAddUpToTheRoot) {
       EXPECT_EQ(self_sum, query.duration_nanos);
       EXPECT_GT(spans, 3);  // admission, plan, pin and the stages below
       // One span per stage, none per slot or row: query, plan,
-      // epoch_pin, barrier_wait, admission, resolve, gather, rank.
-      EXPECT_LE(spans, 8);
+      // epoch_pin, admission, resolve, gather, rank.
+      EXPECT_LE(spans, 7);
       tree_spans.push_back(spans);
     }
     ASSERT_EQ(static_cast<int64_t>(tree_spans.size()), issued);

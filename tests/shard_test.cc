@@ -1,7 +1,8 @@
 // Tests for the sharded serving subsystem (src/shard): band-partition
 // geometry, word-parallel routing against per-cell scan references, the
-// two-phase epoch barrier (including the TSan-hammered concurrent
-// publish-vs-pin loop), abort-all staging under injected write faults —
+// two-phase epoch barrier (including the TSan-hammered random
+// publish/pin/release interleaving), abort-all staging under injected
+// write faults —
 // and the headline contract: the executor's answers at every shard count
 // are bit-identical to the per-term TryEvaluateTerms reference over a
 // one-store copy of the frames, for every spec shape, straddling
@@ -11,9 +12,16 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <random>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -276,7 +284,7 @@ TEST(ShardSetTest, BarrierPublishesAllShardsAtomically) {
   EXPECT_EQ(set.published_latest_t(), -1);
   for (int64_t t = 0; t < 3; ++t) {
     ASSERT_TRUE(set.StageAndPublish(t, MakeLayerFrames(hierarchy, t),
-                                    /*carry_forward=*/true, nullptr)
+                                    nullptr, /*carry_forward=*/true, nullptr)
                     .ok());
   }
   EXPECT_EQ(set.published_latest_t(), 2);
@@ -393,12 +401,12 @@ TEST(ShardParityTest, IncrementalStagingBitExactAcrossShardCounts) {
 TEST(ShardSetTest, WriteFaultAbortsAllShardsAndRecovers) {
   Hierarchy hierarchy = Hierarchy::Uniform(16, 16, 2, 16);
   ShardSet set(&hierarchy, 3, nullptr, ShardSetOptions{});
-  ASSERT_TRUE(set.StageAndPublish(0, MakeLayerFrames(hierarchy, 0), true,
-                                  nullptr)
+  ASSERT_TRUE(set.StageAndPublish(0, MakeLayerFrames(hierarchy, 0), nullptr,
+                                  true, nullptr)
                   .ok());
   set.SetWriteFault(Status::IOError("injected"));
   const Status refused = set.StageAndPublish(
-      1, MakeLayerFrames(hierarchy, 1), true, nullptr);
+      1, MakeLayerFrames(hierarchy, 1), nullptr, true, nullptr);
   EXPECT_FALSE(refused.ok());
   // Nothing flipped: every shard still serves t=0, and the aborted
   // shadow generations were reclaimed (one live epoch per shard).
@@ -406,54 +414,10 @@ TEST(ShardSetTest, WriteFaultAbortsAllShardsAndRecovers) {
   EXPECT_TRUE(set.Consistent());
   EXPECT_EQ(set.max_live_epochs(), 1);
   set.ClearWriteFault();
-  ASSERT_TRUE(set.StageAndPublish(1, MakeLayerFrames(hierarchy, 1), true,
-                                  nullptr)
+  ASSERT_TRUE(set.StageAndPublish(1, MakeLayerFrames(hierarchy, 1), nullptr,
+                                  true, nullptr)
                   .ok());
   EXPECT_EQ(set.published_latest_t(), 1);
-}
-
-// The barrier hammer: one writer flips epochs in a tight loop while
-// reader threads pin all shards and verify — by reading actual frame
-// data from every shard — that a pin set never mixes two timesteps.
-// Run under TSan in CI; the seqlock and the pin path are the code under
-// test.
-TEST(ShardSetTest, ConcurrentPinNeverObservesTornEpoch) {
-  Hierarchy hierarchy = Hierarchy::Uniform(16, 16, 2, 16);
-  ShardSet set(&hierarchy, 4, nullptr, ShardSetOptions{});
-  constexpr int64_t kSteps = 60;
-  constexpr int kReaders = 3;
-  std::atomic<bool> done{false};
-  std::atomic<int64_t> torn{0};
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        ShardPinSet pins = set.PinAll();
-        const int64_t t = pins.latest_t();
-        if (t < 0) continue;  // nothing published yet
-        for (int k = 0; k < set.num_shards(); ++k) {
-          auto frame = MaterializedFrameAt(set.shard(k).store,
-                                           pins.generation(k), 1, t);
-          if (!frame.ok() ||
-              frame->at(0, 0) != static_cast<float>(t * 1000 + 1)) {
-            torn.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-  }
-  for (int64_t t = 0; t < kSteps; ++t) {
-    ASSERT_TRUE(set.StageAndPublish(t, MakeLayerFrames(hierarchy, t),
-                                    /*carry_forward=*/true, nullptr)
-                    .ok());
-  }
-  done.store(true, std::memory_order_release);
-  for (std::thread& reader : readers) reader.join();
-  EXPECT_EQ(torn.load(), 0);
-  EXPECT_EQ(set.torn_pins(), 0);
-  EXPECT_TRUE(set.Consistent());
-  EXPECT_EQ(set.published_latest_t(), kSteps - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -543,6 +507,194 @@ struct ShardFixture {
     return runtime;
   }
 };
+
+// The barrier hammer, as a seeded random publish/pin/release
+// interleaving at N in {1, 2, 3}. One writer publishes churned,
+// model-like epochs (delta- or fully-staged at random, behind a
+// retention horizon); it pins some epochs itself and holds each across
+// 0..kMaxHold further publishes. Reader threads pin all shards, hold the
+// set across 0..kMaxHold publishes and answer through it. Some held sets
+// go to a releaser thread, whose release is then the reclaim. Every
+// held set answers a window spec bit-exact to the reference at its own
+// latest_t, no set is torn, and at quiescence every shard is back to one
+// epoch holding exactly the retained window. Run under TSan in CI.
+TEST(ShardSetTest, ConcurrentPinNeverObservesTornEpoch) {
+  ShardFixture fixture = ShardFixture::Make(53);
+  const Hierarchy& hierarchy = fixture.dataset->hierarchy();
+  const int num_layers = hierarchy.num_layers();
+  constexpr int64_t kSteps = 40;
+  constexpr int64_t kRetain = 6;
+  constexpr int64_t kMaxHold = 3;
+  constexpr int kReaders = 2;
+
+  // Fractional cells, a few of them churned per step.
+  Rng rng(53);
+  std::vector<std::vector<Tensor>> frames;
+  for (int64_t t = 0; t < kSteps; ++t) {
+    std::vector<Tensor> step;
+    for (int l = 1; l <= num_layers; ++l) {
+      const LayerInfo& info = hierarchy.layer(l);
+      if (t == 0) {
+        step.push_back(Tensor::RandomUniform({info.height, info.width}, &rng,
+                                             0.0f, 50.0f));
+        continue;
+      }
+      Tensor frame = frames.back()[static_cast<size_t>(l) - 1];
+      for (int i = 0; i < 3; ++i) {
+        frame.data()[rng.UniformInt(static_cast<uint64_t>(frame.numel()))] +=
+            0.3f * static_cast<float>(t);
+      }
+      step.push_back(std::move(frame));
+    }
+    frames.push_back(std::move(step));
+  }
+  const std::unique_ptr<PredictionStore> reference_store =
+      OneStoreCopy(num_layers, 0, kSteps - 1, [&frames](int64_t t, int l) {
+        return frames[static_cast<size_t>(t)][static_cast<size_t>(l) - 1];
+      });
+  const RegionQueryServer reference_server(
+      &hierarchy, &fixture.pipeline->index(), reference_store.get());
+
+  // At each t, every region over the window a pin on t serves.
+  const QueryPlanner planner(&hierarchy);
+  std::vector<QueryPlan> plans;
+  std::vector<QueryResult> reference;
+  for (int64_t t = 0; t < kSteps; ++t) {
+    QuerySpec spec = QuerySpec::MultiRegion(fixture.regions, t);
+    spec.time = TimeSelector::Range(std::max<int64_t>(0, t - kRetain + 1), t);
+    spec.keep_series = true;
+    reference.push_back(ReferenceResult(reference_server, spec));
+    for (const auto& row : reference.back().rows) ASSERT_TRUE(row.ok());
+    auto plan = planner.Plan(spec);
+    ASSERT_TRUE(plan.ok());
+    plans.push_back(*std::move(plan));
+  }
+
+  for (const int num_shards : {1, 2, 3}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    ShardSetOptions options;
+    options.retain_timesteps = kRetain;
+    ShardSet set(&hierarchy, num_shards, nullptr, options);
+    std::atomic<int64_t> checks{0};
+    std::atomic<int64_t> superseded_checks{0};
+    const auto check = [&](const ShardPinSet& pins) {
+      const int64_t t = pins.latest_t();
+      if (t < 0) return;  // nothing published yet
+      QueryExecutorOptions read;
+      read.shard_map = &set.map();
+      for (int k = 0; k < set.num_shards(); ++k) {
+        read.shards.push_back(ShardReadView{&set.shard(k).store,
+                                            pins.generation(k), nullptr,
+                                            nullptr});
+      }
+      ExpectBitExactRows(
+          reference[static_cast<size_t>(t)],
+          QueryExecutor(&reference_server)
+              .Execute(plans[static_cast<size_t>(t)], read),
+          "pinned t=" + std::to_string(t));
+      checks.fetch_add(1, std::memory_order_relaxed);
+      if (set.published_latest_t() > t) {
+        superseded_checks.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+
+    std::mutex handoff_mu;
+    std::vector<ShardPinSet> handoff;
+    const auto hand_off = [&](ShardPinSet pins) {
+      std::lock_guard<std::mutex> lock(handoff_mu);
+      handoff.push_back(std::move(pins));
+    };
+    std::atomic<bool> writer_done{false};
+    std::atomic<bool> readers_done{false};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        std::mt19937_64 choice(static_cast<uint64_t>(100 * num_shards + r));
+        while (!writer_done.load(std::memory_order_acquire)) {
+          ShardPinSet pins = set.PinAll();
+          const int64_t until =
+              pins.latest_t() + static_cast<int64_t>(choice() % (kMaxHold + 1));
+          while (set.published_latest_t() < until &&
+                 !writer_done.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+          check(pins);
+          if (choice() % 3 == 0) hand_off(std::move(pins));
+        }
+      });
+    }
+    std::thread releaser([&] {
+      for (;;) {
+        const bool last = readers_done.load(std::memory_order_acquire);
+        std::vector<ShardPinSet> batch;
+        {
+          std::lock_guard<std::mutex> lock(handoff_mu);
+          batch.swap(handoff);
+        }
+        for (ShardPinSet& pins : batch) {
+          check(pins);
+          pins.Release();
+        }
+        if (last) break;
+        if (batch.empty()) std::this_thread::yield();
+      }
+    });
+
+    // The writer's own held pins: (set, publish step it is released at).
+    std::mt19937_64 choice(static_cast<uint64_t>(7 * num_shards));
+    std::vector<std::pair<ShardPinSet, int64_t>> held;
+    for (int64_t t = 0; t < kSteps; ++t) {
+      DirtyTileSets dirty;
+      const bool delta = t > 0 && choice() % 2 == 0;
+      for (int l = 0; delta && l < num_layers; ++l) {
+        dirty.push_back(DiffFrames(frames[static_cast<size_t>(t)][l],
+                                   frames[static_cast<size_t>(t) - 1][l]));
+      }
+      EXPECT_TRUE(set.StageAndPublish(t, frames[static_cast<size_t>(t)],
+                                      delta ? &dirty : nullptr, true, nullptr)
+                      .ok());
+      for (auto it = held.begin(); it != held.end();) {
+        if (it->second > t) {
+          ++it;
+          continue;
+        }
+        check(it->first);
+        if (choice() % 2 == 0) hand_off(std::move(it->first));
+        it = held.erase(it);
+      }
+      if (choice() % 2 == 0) {
+        held.emplace_back(set.PinAll(), t + static_cast<int64_t>(
+                                                choice() % (kMaxHold + 1)));
+      }
+    }
+    writer_done.store(true, std::memory_order_release);
+    for (std::thread& reader : readers) reader.join();
+    readers_done.store(true, std::memory_order_release);
+    releaser.join();
+    for (auto& entry : held) check(entry.first);
+    held.clear();
+
+    EXPECT_GT(checks.load(), 0);
+    EXPECT_GT(superseded_checks.load(), 0);
+    EXPECT_EQ(set.torn_pins(), 0);
+    EXPECT_TRUE(set.Consistent());
+    EXPECT_EQ(set.published_latest_t(), kSteps - 1);
+    // Quiescence: one epoch per shard, holding the retained window of
+    // every layer the shard's band has rows of.
+    EXPECT_EQ(set.max_live_epochs(), 1);
+    const ShardPinSet pins = set.PinAll();
+    check(pins);
+    for (int k = 0; k < num_shards; ++k) {
+      int64_t layers = 0;
+      for (int l = 1; l <= num_layers; ++l) {
+        if (!set.map().SliceOf(k, l).empty()) ++layers;
+      }
+      EXPECT_EQ(set.shard(k).store.NumFramesAt(pins.generation(k)),
+                kRetain * layers)
+          << "shard " << k;
+    }
+  }
+}
 
 TEST(ShardParityTest, AllSpecShapesMatchReferenceAtEveryShardCount) {
   ShardFixture fixture = ShardFixture::Make();
@@ -1028,6 +1180,108 @@ TEST(ShardParityTest, ShardedRuntimeServesConsistentTelemetry) {
     EXPECT_EQ(exposition.find("PointBatch"), std::string::npos);
     EXPECT_TRUE(MetricsRegistry::ValidateExposition(exposition).ok());
     EXPECT_TRUE(shards.Consistent());
+  }
+}
+
+bool EndsWith(const std::string& text, const std::string& suffix) {
+  return text.size() >= suffix.size() &&
+         text.compare(text.size() - suffix.size(), suffix.size(), suffix) ==
+             0;
+}
+
+// README's metric list — every `one4all_*` name in its "Metric names"
+// paragraph — as (family, label key) pairs: `{a,b}` alternatives are
+// expanded and a trailing `{key="..."}` selector is split off (empty
+// key: unlabelled).
+std::vector<std::pair<std::string, std::string>> ReadmeMetricNames() {
+  std::ifstream in(std::string(ONE4ALL_SOURCE_DIR) + "/README.md");
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  const size_t begin = text.find("**Metric names.**");
+  EXPECT_NE(begin, std::string::npos);
+  const std::string list = text.substr(begin, text.find("\n\n", begin) - begin);
+  std::vector<std::pair<std::string, std::string>> names;
+  for (size_t open = list.find('`'); open != std::string::npos;) {
+    const size_t close = list.find('`', open + 1);
+    std::string name = list.substr(open + 1, close - open - 1);
+    open = list.find('`', close + 1);
+    if (name.rfind("one4all_", 0) != 0) continue;
+    std::string label;
+    const size_t selector = name.find("=\"");
+    if (selector != std::string::npos) {
+      const size_t brace = name.rfind('{', selector);
+      label = name.substr(brace + 1, selector - brace - 1);
+      name.resize(brace);
+    }
+    const size_t alt_open = name.find('{');
+    if (alt_open == std::string::npos) {
+      names.emplace_back(name, label);
+      continue;
+    }
+    const size_t alt_close = name.find('}', alt_open);
+    std::stringstream alternatives(
+        name.substr(alt_open + 1, alt_close - alt_open - 1));
+    for (std::string alt; std::getline(alternatives, alt, ',');) {
+      names.emplace_back(
+          name.substr(0, alt_open) + alt + name.substr(alt_close + 1), label);
+    }
+  }
+  return names;
+}
+
+// The metric contract: README's metric list and a live exposition name
+// the same metrics, at N = 1 and N = 2. The registry renders a counter
+// registered as X as the family X_total, and README names counters by
+// that family, so a README name ends in _total exactly when its family
+// is a counter. Each summary's _min/_max gauge families are covered by
+// the summary's name.
+TEST(ShardParityTest, ReadmeMetricListMatchesLiveExposition) {
+  const std::vector<std::pair<std::string, std::string>> readme =
+      ReadmeMetricNames();
+  ASSERT_GT(readme.size(), 20u);
+  std::set<std::string> documented;
+  for (const auto& entry : readme) documented.insert(entry.first);
+
+  ShardFixture fixture = ShardFixture::Make(29);
+  for (const int num_shards : {1, 2}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    auto runtime = fixture.MakeRuntime(num_shards);
+    const int64_t t = fixture.dataset->test_indices().front();
+    ASSERT_TRUE(
+        runtime->ExecuteSpec(QuerySpec::MultiRegion(fixture.regions, t)).ok());
+    runtime->Stop();
+    const std::string exposition =
+        runtime->telemetry().registry().ExpositionText();
+    std::map<std::string, std::string> types;  // family -> TYPE
+    std::stringstream lines(exposition);
+    for (std::string line; std::getline(lines, line);) {
+      std::stringstream fields(line);
+      std::string hash, keyword, family, type;
+      fields >> hash >> keyword >> family >> type;
+      if (hash == "#" && keyword == "TYPE") types[family] = type;
+    }
+
+    for (const auto& [family, label] : readme) {
+      const auto it = types.find(family);
+      ASSERT_NE(it, types.end()) << family << " is in README only";
+      EXPECT_EQ(it->second == "counter", EndsWith(family, "_total"))
+          << family << " has TYPE " << it->second;
+      if (!label.empty()) {
+        EXPECT_NE(exposition.find("\n" + family + "{" + label + "=\""),
+                  std::string::npos)
+            << family << " has no " << label << " series";
+      }
+    }
+    for (const auto& [family, type] : types) {
+      if (type == "gauge" &&
+          (EndsWith(family, "_min") || EndsWith(family, "_max"))) {
+        const auto summary = types.find(family.substr(0, family.size() - 4));
+        if (summary != types.end() && summary->second == "summary") continue;
+      }
+      EXPECT_EQ(documented.count(family), 1u)
+          << family << " is exposed but missing from README's metric list";
+    }
   }
 }
 

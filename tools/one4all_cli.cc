@@ -706,7 +706,7 @@ int RunServeWorkload(const Flags& flags, bool trace_mode) {
     std::cout << "shard topology: " << shards.num_shards()
               << " band shards, barrier "
               << (shards.Consistent() ? "consistent" : "INCONSISTENT")
-              << ", pin retries " << shards.pin_retries() << "\n";
+              << ", torn pins " << shards.torn_pins() << "\n";
   }
 
   if (trace_mode) {
